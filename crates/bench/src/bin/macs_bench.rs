@@ -86,7 +86,9 @@ use c240_obs::json::Json;
 use c240_obs::{CounterProbe, StallCause};
 use c240_sim::{Cpu, Machine, SimConfig};
 use macs_bench::timing::Bench;
-use macs_bench::{serve, ChaosSpec, CoordinateOptions, ServeObs, ServeOptions};
+use macs_bench::{
+    coordinate, serve, transport, ChaosSpec, CoordinateOptions, Listen, ServeObs, ServeOptions,
+};
 
 /// Observability overhead budgets, checked by the harness and
 /// documented in DESIGN.md §14. `MACS_BENCH_OVERHEAD_CHECK=0` downgrades
@@ -218,221 +220,167 @@ fn ff_row(kernel: &dyn lfk_suite::LfkKernel, sim: &SimConfig, scale: i64) -> Res
         .field("speedup", exact_ns as f64 / ff_ns.max(1) as f64))
 }
 
-/// Parses the `--serve` flag set into [`ServeOptions`] plus the optional
-/// socket to listen on. Returns an error message on unknown or malformed
-/// flags — the server must not start half-configured.
-fn parse_serve_args(
-    args: &[String],
-) -> Result<(ServeOptions, Option<String>, Option<PathBuf>), String> {
-    let mut opts = ServeOptions::default();
-    let mut listen: Option<String> = None;
-    let mut unix: Option<PathBuf> = None;
-    let mut machine: Option<String> = None;
-    let mut metrics = false;
-    let mut trace_out: Option<PathBuf> = None;
-    let mut spans_out: Option<PathBuf> = None;
-    let mut snapshot_every: usize = 8;
-    let mut it = args.iter();
-    fn value<'a>(
-        it: &mut impl Iterator<Item = &'a String>,
-        flag: &str,
-    ) -> Result<&'a String, String> {
-        it.next().ok_or_else(|| format!("{flag} needs a value"))
+/// The flags `--serve` and `--coordinate` share.
+#[derive(Default)]
+struct Shared {
+    journal: Option<PathBuf>,
+    resume: Option<PathBuf>,
+    jitter_seed: Option<u64>,
+    max_line_bytes: usize,
+    read_timeout: Option<Duration>,
+    listen: Option<Listen>,
+    /// Set by `--metrics`, `--trace-out` or `--spans-out`.
+    obs: Option<ServeObs>,
+}
+
+/// The flag iterator both parsers read values from.
+struct Flags<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> Flags<'a> {
+    fn value(&mut self, flag: &str) -> Result<&'a String, String> {
+        self.0.next().ok_or_else(|| format!("{flag} needs a value"))
     }
-    fn number<T: std::str::FromStr>(raw: &str, flag: &str) -> Result<T, String> {
+
+    fn path(&mut self, flag: &str) -> Result<PathBuf, String> {
+        self.value(flag).map(PathBuf::from)
+    }
+
+    fn number<T: std::str::FromStr>(&mut self, flag: &str) -> Result<T, String> {
+        let raw = self.value(flag)?;
         raw.parse()
             .map_err(|_| format!("{flag} needs a non-negative integer, got {raw:?}"))
     }
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--journal" => opts.journal = Some(PathBuf::from(value(&mut it, flag)?)),
-            "--resume" => opts.resume = Some(PathBuf::from(value(&mut it, flag)?)),
-            "--workers" => opts.workers = number(value(&mut it, flag)?, flag)?,
-            "--deadline-ms" => {
-                opts.deadline = Some(Duration::from_millis(number(value(&mut it, flag)?, flag)?))
-            }
-            "--max-attempts" => {
-                opts.retry.max_attempts = number::<u32>(value(&mut it, flag)?, flag)?.max(1)
-            }
-            "--backoff-ms" => {
-                opts.retry.backoff_base =
-                    Duration::from_millis(number(value(&mut it, flag)?, flag)?)
-            }
-            "--backoff-cap-ms" => {
-                opts.retry.backoff_cap = Duration::from_millis(number(value(&mut it, flag)?, flag)?)
-            }
-            "--jitter-seed" => opts.retry.jitter_seed = Some(number(value(&mut it, flag)?, flag)?),
-            "--max-line-bytes" => {
-                opts.max_line_bytes = number::<usize>(value(&mut it, flag)?, flag)?.max(1)
-            }
-            "--read-timeout-ms" => {
-                let ms: u64 = number(value(&mut it, flag)?, flag)?;
-                opts.read_timeout = (ms > 0).then(|| Duration::from_millis(ms));
-            }
-            "--machine" => machine = Some(value(&mut it, flag)?.clone()),
-            "--listen" => listen = Some(value(&mut it, flag)?.clone()),
-            "--unix" => unix = Some(PathBuf::from(value(&mut it, flag)?)),
-            "--metrics" => metrics = true,
-            "--roofline" => opts.roofline = true,
-            "--trace-out" => trace_out = Some(PathBuf::from(value(&mut it, flag)?)),
-            "--spans-out" => spans_out = Some(PathBuf::from(value(&mut it, flag)?)),
-            "--snapshot-every" => snapshot_every = number(value(&mut it, flag)?, flag)?,
-            other => return Err(format!("unknown --serve flag {other:?}")),
-        }
+
+    fn millis(&mut self, flag: &str) -> Result<Duration, String> {
+        self.number(flag).map(Duration::from_millis)
     }
-    if listen.is_some() && unix.is_some() {
-        return Err("--listen and --unix are mutually exclusive".into());
-    }
-    if metrics || trace_out.is_some() || spans_out.is_some() {
-        opts.obs = Some(ServeObs {
-            snapshot_every,
-            trace_out,
-            spans_out,
-            ..ServeObs::default()
-        });
-    }
-    opts.base = harness_config(machine.as_deref())?;
-    Ok((opts, listen, unix))
 }
 
-/// The `--serve` entry point: stdin/stdout by default, a socket with
-/// `--listen`/`--unix`.
-fn serve_main(args: &[String]) -> ExitCode {
-    let (opts, listen, unix) = match parse_serve_args(args) {
-        Ok(parsed) => parsed,
-        Err(message) => {
-            eprintln!("macs-bench --serve: {message}");
-            return ExitCode::FAILURE;
-        }
+/// Parses `args`: the shared flags here, every other flag through the
+/// mode's `own` parser, which rejects flags it does not know. A mode
+/// must not start half-configured.
+fn parse_flags(
+    args: &[String],
+    own: &mut dyn FnMut(&str, &mut Flags) -> Result<(), String>,
+) -> Result<Shared, String> {
+    let mut shared = Shared {
+        max_line_bytes: transport::MAX_LINE_BYTES,
+        read_timeout: Some(transport::READ_TIMEOUT),
+        ..Shared::default()
     };
-    let served = if let Some(addr) = listen {
-        macs_bench::serve::serve_tcp(&addr, &opts).map(|()| None)
-    } else if let Some(path) = unix {
-        macs_bench::serve::serve_unix(&path, &opts).map(|()| None)
-    } else {
-        // StdinLock is not Send (the reader runs on its own thread), so
-        // buffer the Stdin handle directly.
-        let input = std::io::BufReader::new(std::io::stdin());
-        let stdout = std::io::stdout();
-        serve(input, stdout.lock(), &opts).map(Some)
-    };
-    match served {
-        Ok(Some(outcomes)) => {
-            eprintln!("macs-bench: {outcomes}");
-            ExitCode::SUCCESS
-        }
-        Ok(None) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("macs-bench --serve: {e}");
-            ExitCode::FAILURE
+    let (mut tcp, mut unix) = (None, None);
+    let mut it = Flags(args.iter());
+    while let Some(flag) = it.0.next() {
+        match flag.as_str() {
+            "--journal" => shared.journal = Some(it.path(flag)?),
+            "--resume" => shared.resume = Some(it.path(flag)?),
+            "--jitter-seed" => shared.jitter_seed = Some(it.number(flag)?),
+            "--max-line-bytes" => shared.max_line_bytes = it.number::<usize>(flag)?.max(1),
+            "--read-timeout-ms" => {
+                shared.read_timeout = Some(it.millis(flag)?).filter(|t| !t.is_zero())
+            }
+            "--listen" => tcp = Some(it.value(flag)?.clone()),
+            "--unix" => unix = Some(it.path(flag)?),
+            "--metrics" => {
+                shared.obs.get_or_insert_with(ServeObs::default);
+            }
+            "--trace-out" => {
+                shared.obs.get_or_insert_with(ServeObs::default).trace_out = Some(it.path(flag)?)
+            }
+            "--spans-out" => {
+                shared.obs.get_or_insert_with(ServeObs::default).spans_out = Some(it.path(flag)?)
+            }
+            other => own(other, &mut it)?,
         }
     }
+    if tcp.is_some() && unix.is_some() {
+        return Err("--listen and --unix are mutually exclusive".into());
+    }
+    shared.listen = tcp.map(Listen::Tcp).or(unix.map(Listen::Unix));
+    Ok(shared)
+}
+
+/// Parses the `--serve` flag set into [`ServeOptions`] plus the optional
+/// socket to listen on.
+fn parse_serve_args(args: &[String]) -> Result<(Option<Listen>, ServeOptions), String> {
+    let mut opts = ServeOptions::default();
+    let (mut machine, mut snapshot_every) = (None, 8);
+    let shared = parse_flags(args, &mut |flag, it| {
+        match flag {
+            "--workers" => opts.workers = it.number(flag)?,
+            "--deadline-ms" => opts.deadline = Some(it.millis(flag)?),
+            "--max-attempts" => opts.retry.max_attempts = it.number::<u32>(flag)?.max(1),
+            "--backoff-ms" => opts.retry.backoff_base = it.millis(flag)?,
+            "--backoff-cap-ms" => opts.retry.backoff_cap = it.millis(flag)?,
+            "--machine" => machine = Some(it.value(flag)?.clone()),
+            "--roofline" => opts.roofline = true,
+            "--snapshot-every" => snapshot_every = it.number(flag)?,
+            other => return Err(format!("unknown --serve flag {other:?}")),
+        }
+        Ok(())
+    })?;
+    opts.journal = shared.journal;
+    opts.resume = shared.resume;
+    opts.retry.jitter_seed = shared.jitter_seed;
+    opts.max_line_bytes = shared.max_line_bytes;
+    opts.read_timeout = shared.read_timeout;
+    opts.obs = shared.obs.map(|o| ServeObs {
+        snapshot_every,
+        ..o
+    });
+    opts.base = harness_config(machine.as_deref())?;
+    Ok((shared.listen, opts))
 }
 
 /// Parses the `--coordinate` flag set into [`CoordinateOptions`] plus
 /// the optional socket to listen on. Everything after a literal `--` is
 /// forwarded verbatim to each spawned `--serve` worker.
-fn parse_coordinate_args(
-    args: &[String],
-) -> Result<(CoordinateOptions, Option<String>, Option<PathBuf>), String> {
+fn parse_coordinate_args(args: &[String]) -> Result<(Option<Listen>, CoordinateOptions), String> {
     let mut opts = CoordinateOptions::default();
-    let mut listen: Option<String> = None;
-    let mut unix: Option<PathBuf> = None;
-    let mut metrics = false;
-    let mut trace_out: Option<PathBuf> = None;
-    let mut spans_out: Option<PathBuf> = None;
     let (own, forwarded) = match args.iter().position(|a| a == "--") {
         Some(at) => (&args[..at], &args[at + 1..]),
         None => (args, &args[..0]),
     };
-    opts.worker_args = forwarded.to_vec();
-    let mut it = own.iter();
-    fn value<'a>(
-        it: &mut impl Iterator<Item = &'a String>,
-        flag: &str,
-    ) -> Result<&'a String, String> {
-        it.next().ok_or_else(|| format!("{flag} needs a value"))
-    }
-    fn number<T: std::str::FromStr>(raw: &str, flag: &str) -> Result<T, String> {
-        raw.parse()
-            .map_err(|_| format!("{flag} needs a non-negative integer, got {raw:?}"))
-    }
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--fleet" => opts.fleet = number::<usize>(value(&mut it, flag)?, flag)?.max(1),
-            "--worker-program" => opts.worker_program = Some(PathBuf::from(value(&mut it, flag)?)),
-            "--journal" => opts.journal = Some(PathBuf::from(value(&mut it, flag)?)),
-            "--resume" => opts.resume = Some(PathBuf::from(value(&mut it, flag)?)),
-            "--lease-ms" => {
-                opts.lease =
-                    Duration::from_millis(number::<u64>(value(&mut it, flag)?, flag)?.max(1))
-            }
-            "--queue-max" => opts.queue_max = number::<usize>(value(&mut it, flag)?, flag)?.max(1),
-            "--restart-backoff-ms" => {
-                opts.restart_backoff.backoff_base =
-                    Duration::from_millis(number(value(&mut it, flag)?, flag)?)
-            }
-            "--restart-backoff-cap-ms" => {
-                opts.restart_backoff.backoff_cap =
-                    Duration::from_millis(number(value(&mut it, flag)?, flag)?)
-            }
-            "--jitter-seed" => opts.jitter_seed = Some(number(value(&mut it, flag)?, flag)?),
-            "--chaos" => opts.chaos = Some(ChaosSpec::parse(value(&mut it, flag)?)?),
-            "--max-line-bytes" => {
-                opts.max_line_bytes = number::<usize>(value(&mut it, flag)?, flag)?.max(1)
-            }
-            "--read-timeout-ms" => {
-                let ms: u64 = number(value(&mut it, flag)?, flag)?;
-                opts.read_timeout = (ms > 0).then(|| Duration::from_millis(ms));
-            }
-            "--listen" => listen = Some(value(&mut it, flag)?.clone()),
-            "--unix" => unix = Some(PathBuf::from(value(&mut it, flag)?)),
-            "--metrics" => metrics = true,
-            "--trace-out" => trace_out = Some(PathBuf::from(value(&mut it, flag)?)),
-            "--spans-out" => spans_out = Some(PathBuf::from(value(&mut it, flag)?)),
+    let shared = parse_flags(own, &mut |flag, it| {
+        match flag {
+            "--fleet" => opts.fleet = it.number::<usize>(flag)?.max(1),
+            "--worker-program" => opts.worker_program = Some(it.path(flag)?),
+            "--lease-ms" => opts.lease = Duration::from_millis(it.number::<u64>(flag)?.max(1)),
+            "--queue-max" => opts.queue_max = it.number::<usize>(flag)?.max(1),
+            "--restart-backoff-ms" => opts.restart_backoff.backoff_base = it.millis(flag)?,
+            "--restart-backoff-cap-ms" => opts.restart_backoff.backoff_cap = it.millis(flag)?,
+            "--chaos" => opts.chaos = Some(ChaosSpec::parse(it.value(flag)?)?),
             other => return Err(format!("unknown --coordinate flag {other:?}")),
         }
-    }
-    if listen.is_some() && unix.is_some() {
-        return Err("--listen and --unix are mutually exclusive".into());
-    }
-    if metrics || trace_out.is_some() || spans_out.is_some() {
-        opts.obs = Some(ServeObs {
-            trace_out,
-            spans_out,
-            ..ServeObs::default()
-        });
-    }
-    Ok((opts, listen, unix))
+        Ok(())
+    })?;
+    opts.worker_args = forwarded.to_vec();
+    opts.journal = shared.journal;
+    opts.resume = shared.resume;
+    opts.jitter_seed = shared.jitter_seed;
+    opts.max_line_bytes = shared.max_line_bytes;
+    opts.read_timeout = shared.read_timeout;
+    opts.obs = shared.obs;
+    Ok((shared.listen, opts))
 }
 
-/// The `--coordinate` entry point: one stdin/stdout stream by default,
-/// a multi-tenant socket with `--listen`/`--unix`.
-fn coordinate_main(args: &[String]) -> ExitCode {
-    let (opts, listen, unix) = match parse_coordinate_args(args) {
-        Ok(parsed) => parsed,
-        Err(message) => {
-            eprintln!("macs-bench --coordinate: {message}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let served = if let Some(addr) = listen {
-        macs_bench::coordinate::coordinate_tcp(&addr, &opts).map(|()| None)
-    } else if let Some(path) = unix {
-        macs_bench::coordinate::coordinate_unix(&path, &opts).map(|()| None)
+/// The `--serve`/`--coordinate` entry point: stdin/stdout by default, a
+/// socket with `--listen`/`--unix`.
+fn service_main(mode: &str, args: &[String]) -> ExitCode {
+    let served = if mode == "--serve" {
+        parse_serve_args(args).map(|(listen, opts)| serve::run(listen.as_ref(), &opts))
     } else {
-        let input = std::io::BufReader::new(std::io::stdin());
-        let stdout = std::io::stdout();
-        macs_bench::coordinate(input, stdout.lock(), &opts).map(Some)
+        parse_coordinate_args(args).map(|(listen, opts)| coordinate::run(listen.as_ref(), &opts))
     };
-    match served {
-        Ok(Some(outcomes)) => {
-            eprintln!("macs-bench: {outcomes}");
+    match served.and_then(|run| run.map_err(|e| e.to_string())) {
+        Ok(outcomes) => {
+            if let Some(outcomes) = outcomes {
+                eprintln!("macs-bench: {outcomes}");
+            }
             ExitCode::SUCCESS
         }
-        Ok(None) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("macs-bench --coordinate: {e}");
+        Err(message) => {
+            eprintln!("macs-bench {mode}: {message}");
             ExitCode::FAILURE
         }
     }
@@ -440,11 +388,8 @@ fn coordinate_main(args: &[String]) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("--serve") {
-        return serve_main(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("--coordinate") {
-        return coordinate_main(&args[1..]);
+    if let Some(mode @ ("--serve" | "--coordinate")) = args.first().map(String::as_str) {
+        return service_main(mode, &args[1..]);
     }
     let out_dir = PathBuf::from(args.first().cloned().unwrap_or_else(|| "results".into()));
     let sim = harness_config(None).expect("the default machine always resolves");

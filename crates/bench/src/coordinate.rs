@@ -35,8 +35,7 @@
 //! `--serve` process.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpListener;
+use std::io::{self, BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -46,10 +45,12 @@ use std::time::{Duration, Instant};
 use c240_obs::json::Json;
 use c240_obs::SweepOutcomes;
 use macs_core::supervise::RetryPolicy;
-use macs_core::sweep::{parse_point, Journal, SweepPoint, SWEEP_ROW_SCHEMA};
+use macs_core::sweep::{Journal, SweepPoint};
 
-use crate::lineio::{sniff_http, BoundedLines, LineEvent, Sniff};
-use crate::serve::{answer_http, ServeObs};
+use crate::serve::ServeObs;
+use crate::transport::{
+    error_row, Listen, Outcome, Reply, Requests, Service, MAX_LINE_BYTES, READ_TIMEOUT,
+};
 
 /// Fault-injection schedule: every Nth dispatch triggers the named
 /// action against the worker it was dispatched to (0 = never). The
@@ -141,9 +142,10 @@ pub struct CoordinateOptions {
     /// Fault injection; `None` (or an all-zero spec) = off.
     pub chaos: Option<ChaosSpec>,
     /// Per-line byte ceiling on client streams (see
-    /// [`crate::serve::ServeOptions::max_line_bytes`]).
+    /// [`Service::max_line_bytes`]).
     pub max_line_bytes: usize,
-    /// Socket read timeout for client connections (slowloris guard).
+    /// Socket read timeout for client connections (see
+    /// [`Service::read_timeout`]).
     pub read_timeout: Option<Duration>,
     /// Observability plane shared by every client and the supervisor.
     pub obs: Option<ServeObs>,
@@ -168,8 +170,8 @@ impl Default for CoordinateOptions {
             },
             jitter_seed: None,
             chaos: None,
-            max_line_bytes: 64 * 1024,
-            read_timeout: Some(Duration::from_secs(30)),
+            max_line_bytes: MAX_LINE_BYTES,
+            read_timeout: Some(READ_TIMEOUT),
             obs: None,
         }
     }
@@ -179,29 +181,12 @@ impl Default for CoordinateOptions {
 /// inside the OS pipe buffer at protocol-sized lines.
 const WORKER_INFLIGHT_MAX: usize = 64;
 
-/// How a row reached this client, for the per-client tally.
-enum RowClass {
-    /// Computed by a worker for this client (the cache miss that
-    /// created the entry).
-    Fresh,
-    /// Answered from the in-memory cache (or deduplicated against an
-    /// in-flight computation another client started).
-    Cached,
-    /// Answered from the journal loaded at startup.
-    Resumed,
-}
-
-/// One row headed back to a specific client.
-struct ClientRow {
-    row: Json,
-    class: RowClass,
-}
-
 /// A client waiting on an in-flight point.
 struct Waiter {
-    tx: mpsc::Sender<ClientRow>,
-    /// The waiter whose registration created the entry (its tally says
-    /// `ok`/`error`, everyone else's says `cached`).
+    tx: mpsc::Sender<Reply>,
+    /// The waiter whose registration created the entry. Its tally reads
+    /// the worker's row, retries included, as `--serve` would; everyone
+    /// else's says `cached`.
     creator: bool,
 }
 
@@ -408,9 +393,39 @@ impl Coordinator {
     pub fn client(
         &self,
         input: impl BufRead + Send,
-        output: impl Write,
+        mut output: impl Write,
     ) -> io::Result<SweepOutcomes> {
-        client_stream(&self.hub, input, output)
+        let hub = &self.hub;
+        let (tx, rx) = mpsc::channel::<Reply>();
+        let mut outcomes = SweepOutcomes::new();
+        let client_span = hub.obs().map(|o| o.tracer.span("coordinate-client"));
+        let requests = Requests::new(input, hub.opts.max_line_bytes, hub.obs(), None);
+        std::thread::scope(|scope| -> io::Result<()> {
+            scope.spawn(move || {
+                for request in requests {
+                    let answered = match request {
+                        Ok(point) => register(hub, &point, &tx),
+                        Err(row) => Some(Reply::answered(row, Outcome::Invalid)),
+                    };
+                    if let Some(row) = answered {
+                        let _ = tx.send(row);
+                    }
+                }
+                // tx drops here; rx closes once every registered waiter
+                // has also resolved and dropped its clone.
+            });
+            for reply in rx {
+                reply.deliver(&mut output, &mut outcomes, None)?;
+            }
+            Ok(())
+        })?;
+        writeln!(output, "{}", outcomes.to_json())?;
+        output.flush()?;
+        if let Some(mut s) = client_span {
+            s.arg("points", outcomes.points());
+            s.end();
+        }
+        Ok(outcomes)
     }
 
     /// Stops the fleet: closes every worker's stdin (EOF lets them
@@ -556,21 +571,15 @@ fn resolve(hub: &Arc<Hub>, key: &str, row: Json) {
             if let Some(journal) = hub.journal.lock().expect("journal lock").as_mut() {
                 let _ = journal.record(key, &row);
                 if let Some(o) = hub.obs() {
-                    o.metrics
-                        .gauge("macs_journal_bytes", &[])
-                        .set(journal.bytes_written().min(i64::MAX as u64) as i64);
+                    let _ = o.journaled(journal, false);
                 }
             }
             drop(cache);
             for waiter in waiters {
-                let class = if waiter.creator {
-                    RowClass::Fresh
+                let _ = waiter.tx.send(if waiter.creator {
+                    Reply::evaluated(row.clone())
                 } else {
-                    RowClass::Cached
-                };
-                let _ = waiter.tx.send(ClientRow {
-                    row: row.clone(),
-                    class,
+                    Reply::answered(row.clone(), Outcome::Cached)
                 });
             }
         }
@@ -806,45 +815,23 @@ fn supervisor_loop(hub: &Arc<Hub>) {
     }
 }
 
-fn overloaded_row(point: &SweepPoint, key: &str, queue_max: usize) -> Json {
-    Json::obj()
-        .field("schema", SWEEP_ROW_SCHEMA)
-        .field("id", point.id.as_str())
-        .field("key", key)
-        .field("kernel", point.kernel)
-        .field("status", "error")
-        .field("error_kind", "overloaded")
-        .field(
-            "message",
-            format!("coordinator admission queue is full ({queue_max} points); retry later"),
-        )
-}
-
-fn stream_error_row(kind: &str, message: &str) -> Json {
-    Json::obj()
-        .field("schema", SWEEP_ROW_SCHEMA)
-        .field("status", "error")
-        .field("error_kind", kind)
-        .field("message", message)
-}
-
 /// Registers one parsed point for a client: cache hit, join-in-flight,
 /// enqueue, or overload refusal. Returns a row to emit immediately, or
 /// `None` when the answer will arrive through `tx`.
-fn register(hub: &Arc<Hub>, point: &SweepPoint, tx: &mpsc::Sender<ClientRow>) -> Option<ClientRow> {
+fn register(hub: &Arc<Hub>, point: &SweepPoint, tx: &mpsc::Sender<Reply>) -> Option<Reply> {
     let key = point.key();
     let mut cache = hub.cache.lock().expect("cache lock");
     match cache.get_mut(&key) {
         Some(Entry::Done { row, from_journal }) => {
-            let class = if *from_journal {
-                RowClass::Resumed
+            let outcome = if *from_journal {
+                Outcome::Resumed
             } else {
-                RowClass::Cached
+                Outcome::Cached
             };
             let row = row.clone();
             drop(cache);
             hub.count("macs_cache_hits_total");
-            Some(ClientRow { row, class })
+            Some(Reply::answered(row, outcome))
         }
         Some(Entry::InFlight { waiters }) => {
             waiters.push(Waiter {
@@ -863,10 +850,12 @@ fn register(hub: &Arc<Hub>, point: &SweepPoint, tx: &mpsc::Sender<ClientRow>) ->
                 drop(queue);
                 drop(cache);
                 hub.count("macs_overloaded_total");
-                return Some(ClientRow {
-                    row: overloaded_row(point, &key, hub.opts.queue_max),
-                    class: RowClass::Fresh, // tallied as overloaded via the row
-                });
+                let message = format!(
+                    "coordinator admission queue is full ({} points); retry later",
+                    hub.opts.queue_max
+                );
+                let row = error_row(point, &key, "overloaded", &message);
+                return Some(Reply::answered(row, Outcome::Overloaded));
             }
             queue.push_back(Job {
                 key: key.clone(),
@@ -891,212 +880,26 @@ fn register(hub: &Arc<Hub>, point: &SweepPoint, tx: &mpsc::Sender<ClientRow>) ->
     }
 }
 
-/// Classifies a fresh (worker-computed or overloaded) row for the
-/// client tally.
-fn tally_fresh(outcomes: &mut SweepOutcomes, row: &Json) {
-    match row.get("status").and_then(Json::as_str) {
-        Some("ok") => outcomes.ok += 1,
-        _ => match row.get("error_kind").and_then(Json::as_str) {
-            Some("timeout") => outcomes.timed_out += 1,
-            Some("panic") => outcomes.panicked += 1,
-            Some("overloaded") => outcomes.overloaded += 1,
-            _ => outcomes.invalid += 1,
-        },
-    }
-}
-
-/// One client request stream against the hub (the body of
-/// [`Coordinator::client`]).
-fn client_stream(
-    hub: &Arc<Hub>,
-    input: impl BufRead + Send,
-    mut output: impl Write,
-) -> io::Result<SweepOutcomes> {
-    let (tx, rx) = mpsc::channel::<ClientRow>();
-    let mut outcomes = SweepOutcomes::new();
-    let client_span = hub.obs().map(|o| o.tracer.span("coordinate-client"));
-    std::thread::scope(|scope| -> io::Result<()> {
-        let reader_hub = Arc::clone(hub);
-        let reader_tx = tx;
-        let max_line_bytes = hub.opts.max_line_bytes;
-        scope.spawn(move || {
-            let mut lines = BoundedLines::new(input, max_line_bytes);
-            loop {
-                match lines.next_event() {
-                    Err(_) | Ok(LineEvent::Eof) => break,
-                    Ok(LineEvent::Stalled) => {
-                        reader_hub.count("macs_streams_stalled_total");
-                        let _ = reader_tx.send(ClientRow {
-                            row: stream_error_row(
-                                "stalled",
-                                "no complete request line within the read timeout; \
-                                 closing the stream",
-                            ),
-                            class: RowClass::Fresh,
-                        });
-                        break;
-                    }
-                    Ok(LineEvent::Oversized { length }) => {
-                        reader_hub.count("macs_lines_oversized_total");
-                        let _ = reader_tx.send(ClientRow {
-                            row: stream_error_row(
-                                "oversized",
-                                &format!(
-                                    "request line of {length}+ bytes exceeds the \
-                                     {max_line_bytes}-byte limit"
-                                ),
-                            ),
-                            class: RowClass::Fresh,
-                        });
-                    }
-                    Ok(LineEvent::Line(line)) => {
-                        if line.trim().is_empty() {
-                            continue;
-                        }
-                        match parse_point(&line) {
-                            Err(e) => {
-                                let _ = reader_tx.send(ClientRow {
-                                    row: stream_error_row("protocol", &e.to_string()),
-                                    class: RowClass::Fresh,
-                                });
-                            }
-                            Ok(point) => {
-                                if let Some(row) = register(&reader_hub, &point, &reader_tx) {
-                                    let _ = reader_tx.send(row);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            // reader_tx drops here; rx closes once every registered
-            // waiter has also resolved and dropped its clone.
-        });
-        for delivered in rx {
-            match delivered.class {
-                RowClass::Fresh => tally_fresh(&mut outcomes, &delivered.row),
-                RowClass::Cached => outcomes.cached += 1,
-                RowClass::Resumed => outcomes.resumed += 1,
-            }
-            writeln!(output, "{}", delivered.row)?;
-            output.flush()?;
-        }
-        Ok(())
-    })?;
-    writeln!(output, "{}", outcomes.to_json())?;
-    output.flush()?;
-    if let Some(mut s) = client_span {
-        s.arg("points", outcomes.points());
-        s.end();
-    }
-    Ok(outcomes)
-}
-
-/// One-shot mode: start a fleet, serve a single request stream (stdin →
-/// stdout in the CLI), and shut the fleet down.
+/// Starts the fleet, coordinates stdin → stdout or every client on
+/// `listen` (concurrently — that is the point of the coordinator; see
+/// [`Service::run`]), and shuts the fleet down when serving ends.
 ///
 /// # Errors
 ///
-/// Propagates startup, output, and shutdown errors.
-pub fn coordinate(
-    input: impl BufRead + Send,
-    output: impl Write,
-    opts: &CoordinateOptions,
-) -> io::Result<SweepOutcomes> {
+/// Propagates startup, serving, and shutdown errors.
+pub fn run(listen: Option<&Listen>, opts: &CoordinateOptions) -> io::Result<Option<SweepOutcomes>> {
     let coordinator = Coordinator::start(opts)?;
-    let outcomes = coordinator.client(input, output);
-    coordinator.shutdown()?;
-    outcomes
-}
-
-/// Binds `addr` and coordinates TCP clients forever. Unlike
-/// [`crate::serve::serve_tcp`], client streams run *concurrently* —
-/// that is the point of the coordinator — and `GET /metrics` is served
-/// off the same listener.
-///
-/// # Errors
-///
-/// Fails if the address cannot be bound, accepting fails, or the fleet
-/// cannot start.
-pub fn coordinate_tcp(addr: &str, opts: &CoordinateOptions) -> io::Result<()> {
-    let coordinator = Arc::new(Coordinator::start(opts)?);
-    let listener = TcpListener::bind(addr)?;
-    eprintln!("macs-bench: coordinating on tcp {}", listener.local_addr()?);
-    loop {
-        let (stream, peer) = listener.accept()?;
-        if let Some(t) = opts.read_timeout.filter(|t| !t.is_zero()) {
-            let _ = stream.set_read_timeout(Some(t));
-        }
-        let coordinator = Arc::clone(&coordinator);
-        std::thread::spawn(move || {
-            let Ok(reader_half) = stream.try_clone() else {
-                return;
-            };
-            match handle_client(&coordinator, stream, reader_half) {
-                Ok(Some(outcomes)) => eprintln!("macs-bench: {peer}: {outcomes}"),
-                Ok(None) => {}
-                Err(e) => eprintln!("macs-bench: {peer}: client failed: {e}"),
-            }
-        });
-    }
-}
-
-/// Binds a Unix socket and coordinates clients forever; see
-/// [`coordinate_tcp`]. A stale socket file is removed first.
-///
-/// # Errors
-///
-/// Fails if the socket cannot be bound, accepting fails, or the fleet
-/// cannot start.
-#[cfg(unix)]
-pub fn coordinate_unix(path: &std::path::Path, opts: &CoordinateOptions) -> io::Result<()> {
-    use std::os::unix::net::UnixListener;
-    if path.exists() {
-        std::fs::remove_file(path)?;
-    }
-    let coordinator = Arc::new(Coordinator::start(opts)?);
-    let listener = UnixListener::bind(path)?;
-    eprintln!("macs-bench: coordinating on unix socket {}", path.display());
-    loop {
-        let (stream, _) = listener.accept()?;
-        if let Some(t) = opts.read_timeout.filter(|t| !t.is_zero()) {
-            let _ = stream.set_read_timeout(Some(t));
-        }
-        let coordinator = Arc::clone(&coordinator);
-        std::thread::spawn(move || {
-            let Ok(reader_half) = stream.try_clone() else {
-                return;
-            };
-            match handle_client(&coordinator, stream, reader_half) {
-                Ok(Some(outcomes)) => eprintln!("macs-bench: {outcomes}"),
-                Ok(None) => {}
-                Err(e) => eprintln!("macs-bench: client failed: {e}"),
-            }
-        });
-    }
-}
-
-/// Sniffs one accepted connection: `GET`/`HEAD` becomes a metrics
-/// scrape, anything else a coordinated sweep stream.
-fn handle_client<S: Read + Write + Send>(
-    coordinator: &Coordinator,
-    stream: S,
-    reader_half: S,
-) -> io::Result<Option<SweepOutcomes>> {
-    let mut reader = BufReader::new(reader_half);
-    // Bounded, timeout-aware sniff: a peer that stalls or never sends a
-    // newline still reaches the hardened client stream (and gets its
-    // structured `stalled`/`protocol` row) instead of erroring out here.
-    let sniffed = match sniff_http(&mut reader, coordinator.hub.opts.max_line_bytes)? {
-        Sniff::Empty => return Ok(None),
-        Sniff::Http(request_line) => {
-            answer_http(&request_line, &mut reader, stream, coordinator.hub.obs())?;
-            return Ok(None);
-        }
-        Sniff::Stream(seen) => seen,
+    let service = Service {
+        verb: "coordinating",
+        max_line_bytes: opts.max_line_bytes,
+        read_timeout: opts.read_timeout,
+        obs: opts.obs.as_ref(),
     };
-    let input = io::Cursor::new(sniffed).chain(reader);
-    coordinator.client(input, stream).map(Some)
+    let served = service.run(listen, &|input, output| coordinator.client(input, output));
+    let stopped = coordinator.shutdown();
+    let outcomes = served?;
+    stopped?;
+    Ok(outcomes)
 }
 
 #[cfg(test)]
@@ -1118,23 +921,5 @@ mod tests {
         assert!(ChaosSpec::parse("kill").is_err());
         assert!(ChaosSpec::parse("kill=many").is_err());
         assert!(ChaosSpec::default().is_off());
-    }
-
-    #[test]
-    fn overload_row_names_the_bound() {
-        let point = parse_point("{\"id\":\"p\",\"kernel\":1}").unwrap();
-        let row = overloaded_row(&point, &point.key(), 7);
-        assert_eq!(
-            row.get("error_kind").and_then(Json::as_str),
-            Some("overloaded")
-        );
-        assert!(row
-            .get("message")
-            .and_then(Json::as_str)
-            .unwrap()
-            .contains("7 points"));
-        let mut outcomes = SweepOutcomes::new();
-        tally_fresh(&mut outcomes, &row);
-        assert_eq!(outcomes.overloaded, 1);
     }
 }

@@ -24,13 +24,15 @@ pub mod coordinate;
 pub mod lineio;
 pub mod serve;
 pub mod timing;
+pub mod transport;
 
-pub use coordinate::{coordinate, ChaosSpec, CoordinateOptions, Coordinator};
+pub use coordinate::{ChaosSpec, CoordinateOptions, Coordinator};
 pub use lineio::{sniff_http, BoundedLines, LineEvent, Sniff};
 pub use macs_core::{parallel_map, pool::THREADS_ENV, threads};
 pub use serve::{
     eval_point, eval_point_observed, serve, Evaluated, PointClass, ServeObs, ServeOptions,
 };
+pub use transport::Listen;
 
 use std::error::Error;
 use std::fmt;

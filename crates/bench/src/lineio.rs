@@ -59,52 +59,29 @@ pub enum Sniff {
 /// Propagates I/O errors other than the timeout kinds, which degrade to
 /// `Stream` as described above.
 pub fn sniff_http(source: &mut impl Read, max_line_bytes: usize) -> io::Result<Sniff> {
+    let verbs: [&[u8]; 2] = [b"GET ", b"HEAD "];
     let mut seen: Vec<u8> = Vec::new();
     let mut byte = [0u8; 1];
-    let http = loop {
+    loop {
+        let http = verbs.iter().any(|v| seen.starts_with(v));
+        if http && seen.last() == Some(&b'\n') {
+            while matches!(seen.last(), Some(b'\n' | b'\r')) {
+                seen.pop();
+            }
+            return Ok(Sniff::Http(String::from_utf8_lossy(&seen).into_owned()));
+        }
+        if !http && !verbs.iter().any(|v| v.starts_with(&seen)) {
+            return Ok(Sniff::Stream(seen));
+        }
+        if seen.len() > max_line_bytes.max(64) {
+            return Ok(Sniff::Stream(seen));
+        }
         match source.read(&mut byte) {
-            Ok(0) => {
-                return Ok(if seen.is_empty() {
-                    Sniff::Empty
-                } else {
-                    Sniff::Stream(seen)
-                });
-            }
-            Ok(_) => {
-                seen.push(byte[0]);
-                let verbs: [&[u8]; 2] = [b"GET ", b"HEAD "];
-                if verbs.contains(&seen.as_slice()) {
-                    break seen.clone();
-                }
-                if !verbs.iter().any(|v| v.starts_with(&seen)) {
-                    return Ok(Sniff::Stream(seen));
-                }
-            }
+            Ok(0) if seen.is_empty() => return Ok(Sniff::Empty),
+            Ok(0) => return Ok(Sniff::Stream(seen)),
+            Ok(_) => seen.push(byte[0]),
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 return Ok(Sniff::Stream(seen));
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    };
-    // The verb matched; collect the rest of the request line, still
-    // bounded and still timeout-aware.
-    let mut line = http;
-    loop {
-        if line.len() > max_line_bytes.max(64) {
-            return Ok(Sniff::Stream(line));
-        }
-        match source.read(&mut byte) {
-            Ok(0) => return Ok(Sniff::Stream(line)),
-            Ok(_) if byte[0] == b'\n' => {
-                while line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                return Ok(Sniff::Http(String::from_utf8_lossy(&line).into_owned()));
-            }
-            Ok(_) => line.push(byte[0]),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                return Ok(Sniff::Stream(line));
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(e),

@@ -3,18 +3,18 @@
 //! The server reads newline-delimited sweep requests (the wire protocol
 //! of [`macs_core::sweep`]) from stdin, a Unix socket, or a TCP socket,
 //! evaluates each point on a supervised worker pool, and streams result
-//! rows (schema [`SWEEP_ROW_SCHEMA`]) back as NDJSON, ending with one
-//! [`SweepOutcomes`] summary row. The contract is *no dead server*: a
-//! malformed line, an invalid configuration, a panicking point, or a
-//! point that blows its deadline each become a structured error row while
-//! every other point keeps flowing.
+//! rows (schema [`macs_core::sweep::SWEEP_ROW_SCHEMA`]) back as NDJSON,
+//! ending with one [`SweepOutcomes`] summary row. The contract is *no
+//! dead server*: a malformed line, an invalid configuration, a panicking
+//! point, or a point that blows its deadline each become a structured
+//! error row while every other point keeps flowing.
 //!
-//! Supervision is [`macs_core::supervise`]: per-point deadline (the
-//! request's `deadline_ms`, falling back to the server-wide
-//! `--deadline-ms`), capped exponential backoff between retries, and a
-//! poison-point blacklist — a point that exhausts its retry budget is
-//! journaled as failed, so a `--resume` run does not burn the budget on
-//! it again.
+//! Supervision is [`macs_core::supervise`](mod@macs_core::supervise):
+//! per-point deadline (the request's `deadline_ms`, falling back to the
+//! server-wide `--deadline-ms`), capped exponential backoff between
+//! retries, and a poison-point blacklist — a point that exhausts its
+//! retry budget is journaled as failed, so a `--resume` run does not
+//! burn the budget on it again.
 //!
 //! Checkpointing is the append-only [`Journal`]: every terminal keyed
 //! row (ok and failed alike) is flushed line-by-line as it completes, so
@@ -34,15 +34,16 @@
 //! re-emits the journaled `trace` verbatim).
 
 use std::collections::{BTreeMap, HashSet};
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpListener;
+use std::io::{self, BufRead, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::lineio::{sniff_http, BoundedLines, LineEvent, Sniff};
+use crate::transport::{
+    base_row, error_row, Listen, Outcome, Reply, Requests, Service, MAX_LINE_BYTES, READ_TIMEOUT,
+};
 use c240_isa::{MachineDescription, PRESET_NAMES};
 use c240_obs::json::Json;
 use c240_obs::span::{spans_to_chrome, spans_to_ndjson};
@@ -51,7 +52,7 @@ use c240_sim::{Cpu, FfStats, Machine, SimConfig, StallRollup};
 use macs_core::supervise::{
     supervise, supervise_observed, FailureKind, RetryPolicy, SuperviseEvent,
 };
-use macs_core::sweep::{parse_point, Fault, Journal, ProtocolError, SweepPoint, SWEEP_ROW_SCHEMA};
+use macs_core::sweep::{Fault, Journal, SweepPoint};
 use macs_core::{
     compiled_intensity, measure_probed, measured_class, operational_intensity, ChimeConfig,
     KernelBounds, MachineCeilings, Measurement, RooflineVerdict, ROOFLINE_SCHEMA,
@@ -89,6 +90,19 @@ pub struct ServeObs {
 }
 
 impl ServeObs {
+    /// Publishes the journal's size as `macs_journal_bytes` after a
+    /// record, first appending a [`c240_obs::METRICS_SCHEMA`] snapshot
+    /// row when `snapshot` is set.
+    pub(crate) fn journaled(&self, journal: &mut Journal, snapshot: bool) -> io::Result<()> {
+        if snapshot {
+            journal.meta(&self.metrics.snapshot_json())?;
+        }
+        self.metrics
+            .gauge("macs_journal_bytes", &[])
+            .set(journal.bytes_written().min(i64::MAX as u64) as i64);
+        Ok(())
+    }
+
     /// Drains the tracer and writes the configured trace exports.
     pub(crate) fn export(&self) -> io::Result<()> {
         if self.trace_out.is_none() && self.spans_out.is_none() {
@@ -133,15 +147,11 @@ pub struct ServeOptions {
     /// the pre-roofline output. Roofline fields are pure functions of
     /// simulated quantities, so journaled rows resume bit-identically.
     pub roofline: bool,
-    /// Hard per-line byte ceiling on request streams. A longer line is
-    /// answered with a structured `oversized` protocol-error row and
-    /// drained to its newline instead of growing an unbounded buffer.
+    /// Per-line byte ceiling on request streams (see
+    /// [`Service::max_line_bytes`]).
     pub max_line_bytes: usize,
-    /// Socket read timeout for TCP/Unix connections. A peer that stalls
-    /// mid-line past this long (slowloris) gets a structured `stalled`
-    /// protocol-error row plus the summary, then the stream closes —
-    /// instead of pinning a connection thread forever. `None` disables
-    /// the timeout; stdin streams are never timed out.
+    /// Socket read timeout for TCP/Unix streams (see
+    /// [`Service::read_timeout`]).
     pub read_timeout: Option<Duration>,
 }
 
@@ -158,8 +168,8 @@ impl Default for ServeOptions {
             resume: None,
             obs: None,
             roofline: false,
-            max_line_bytes: 64 * 1024,
-            read_timeout: Some(Duration::from_secs(30)),
+            max_line_bytes: MAX_LINE_BYTES,
+            read_timeout: Some(READ_TIMEOUT),
         }
     }
 }
@@ -189,41 +199,9 @@ pub struct Evaluated {
     pub retried: bool,
 }
 
-/// The simulated quantities of a healthy row — deliberately free of
-/// wall-clock so fresh and resumed runs are bit-identical.
-struct Measured {
-    cycles: f64,
-    instructions: u64,
-    iterations: u64,
-    cpl: f64,
-    cpf: f64,
-    mflops: f64,
-    memory_wait_cpl: f64,
-}
-
-impl Measured {
-    fn of(m: &Measurement) -> Measured {
-        Measured {
-            cycles: m.stats.cycles,
-            instructions: m.stats.instructions.total(),
-            iterations: m.iterations,
-            cpl: m.cpl(),
-            cpf: m.cpf(),
-            mflops: m.mflops(),
-            memory_wait_cpl: m.stats.memory_wait_cycles / m.iterations.max(1) as f64,
-        }
-    }
-}
-
-fn base_row(point: &SweepPoint, key: &str) -> Json {
-    Json::obj()
-        .field("schema", SWEEP_ROW_SCHEMA)
-        .field("id", point.id.as_str())
-        .field("key", key)
-        .field("kernel", point.kernel)
-}
-
-fn error_row(
+/// A point's [`error_row`] plus the attempt accounting every evaluated
+/// point reports.
+fn supervised_row(
     point: &SweepPoint,
     key: &str,
     kind: &str,
@@ -232,10 +210,7 @@ fn error_row(
     backoff_ms: &[u64],
     poisoned: bool,
 ) -> Json {
-    base_row(point, key)
-        .field("status", "error")
-        .field("error_kind", kind)
-        .field("message", message)
+    error_row(point, key, kind, message)
         .field("attempts", attempts)
         .field(
             "backoff_ms",
@@ -246,7 +221,8 @@ fn error_row(
 
 /// Per-run telemetry that rides alongside the measurement: fast-forward
 /// effectiveness and the stall taxonomy, fed into the metrics registry.
-/// Wall-clock-free, like [`Measured`].
+/// Like the measurement, it is free of wall-clock, which is what keeps
+/// fresh and resumed rows bit-identical.
 #[derive(Default)]
 struct RunTelemetry {
     ff: FfStats,
@@ -302,33 +278,31 @@ impl Provenance {
 fn finish_eval(
     span: Option<Span>,
     obs: Option<(&ServeObs, u64)>,
-    mut evaluated: Evaluated,
     prov: &Provenance,
+    mut row: Json,
+    class: PointClass,
+    retried: bool,
 ) -> Evaluated {
-    let Some((o, _)) = obs else {
-        return evaluated;
-    };
-    let outcome = match evaluated.class {
-        PointClass::Ok => "ok",
-        PointClass::Invalid => "invalid",
-        PointClass::TimedOut => "timed_out",
-        PointClass::Panicked => "panicked",
-    };
-    if let Some(mut s) = span {
-        s.arg("outcome", outcome);
-        let ns = s.end();
-        o.metrics
-            .histogram("macs_point_duration_ns", &[])
-            .observe(ns);
+    if let Some((o, _)) = obs {
+        if let Some(mut s) = span {
+            s.arg("outcome", Outcome::of(class).label());
+            let ns = s.end();
+            o.metrics
+                .histogram("macs_point_duration_ns", &[])
+                .observe(ns);
+        }
+        if let Some(ns) = prov.simulate_ns {
+            o.metrics
+                .histogram("macs_simulate_duration_ns", &[])
+                .observe(ns);
+        }
+        row = row.field("trace", prov.to_json());
     }
-    if let Some(ns) = prov.simulate_ns {
-        o.metrics
-            .histogram("macs_simulate_duration_ns", &[])
-            .observe(ns);
+    Evaluated {
+        row,
+        class,
+        retried,
     }
-    let row = std::mem::replace(&mut evaluated.row, Json::Null);
-    evaluated.row = row.field("trace", prov.to_json());
-    evaluated
 }
 
 /// Evaluates one parsed point against the base machine, under full
@@ -376,17 +350,10 @@ pub fn eval_point_observed(
         span: point_span.as_ref().map(Span::id).unwrap_or(0),
         ..Provenance::default()
     };
-    let reject = |span, prov: &Provenance, kind: &str, message: &str| {
-        finish_eval(
-            span,
-            obs,
-            Evaluated {
-                row: error_row(point, &key, kind, message, 0, &[], false),
-                class: PointClass::Invalid,
-                retried: false,
-            },
-            prov,
-        )
+    let rejected =
+        |kind: &str, message: &str| supervised_row(point, &key, kind, message, 0, &[], false);
+    let reject = |span, prov: &Provenance, row| {
+        finish_eval(span, obs, prov, row, PointClass::Invalid, false)
     };
 
     // Validate: kernel lookup, machine-preset resolution, configuration
@@ -403,36 +370,16 @@ pub fn eval_point_observed(
             // Structured sibling of the prose message: the resolvable
             // preset names, so sweep drivers can self-correct without
             // parsing the error text.
-            let row = error_row(
-                point,
-                &key,
-                "unknown_machine",
-                &e.to_string(),
-                0,
-                &[],
-                false,
-            )
-            .field(
-                "known_machines",
-                Json::Arr(PRESET_NAMES.iter().map(|&n| Json::from(n)).collect()),
-            );
-            return finish_eval(
-                point_span,
-                obs,
-                Evaluated {
-                    row,
-                    class: PointClass::Invalid,
-                    retried: false,
-                },
-                &prov,
-            );
+            let known = Json::Arr(PRESET_NAMES.iter().map(|&n| Json::from(n)).collect());
+            let row = rejected("unknown_machine", &e.to_string()).field("known_machines", known);
+            return reject(point_span, &prov, row);
         }
     };
     let checked = checked.map(|k| cfg.validate().map(|()| k).map_err(|e| e.to_string()));
     prov.validate_ns = vspan.map(Span::end);
     let kernel = match checked {
-        Err(message) => return reject(point_span, &prov, "unknown_kernel", &message),
-        Ok(Err(message)) => return reject(point_span, &prov, "invalid_config", &message),
+        Err(message) => return reject(point_span, &prov, rejected("unknown_kernel", &message)),
+        Ok(Err(message)) => return reject(point_span, &prov, rejected("invalid_config", &message)),
         Ok(Ok(k)) => k,
     };
 
@@ -443,7 +390,13 @@ pub fn eval_point_observed(
     prov.schedule_ns = sspan.map(Span::end);
     let program = match program {
         Ok(p) => p,
-        Err(e) => return reject(point_span, &prov, "invalid_passes", &e.to_string()),
+        Err(e) => {
+            return reject(
+                point_span,
+                &prov,
+                rejected("invalid_passes", &e.to_string()),
+            )
+        }
     };
 
     let iterations = kernel.iterations_with_passes(passes);
@@ -486,7 +439,7 @@ pub fn eval_point_observed(
             Arc::new(AtomicU32::new(0)),
         )
     });
-    let run = move || -> Result<(Measured, RunTelemetry), String> {
+    let run = move || -> Result<(Measurement, RunTelemetry), String> {
         let mut attempt_span = attempt_ctx.as_ref().map(|(tracer, parent, count)| {
             let mut s = tracer.span_under("attempt", *parent);
             s.arg("attempt", count.fetch_add(1, Ordering::Relaxed) + 1);
@@ -513,7 +466,7 @@ pub fn eval_point_observed(
             if let Some(s) = attempt_span.as_mut() {
                 s.arg("ff_skipped_instructions", telemetry.ff.skipped_instructions);
             }
-            Ok((Measured::of(&m), telemetry))
+            Ok((m, telemetry))
         } else {
             // Lockstep co-simulation: the kernel on every CPU, reporting
             // CPU 0 (all CPUs are symmetric under lockstep).
@@ -530,7 +483,7 @@ pub fn eval_point_observed(
                 iterations,
                 flops_per_iteration: flops,
             };
-            Ok((Measured::of(&m), RunTelemetry::default()))
+            Ok((m, RunTelemetry::default()))
         }
     };
     let s = match obs {
@@ -556,7 +509,18 @@ pub fn eval_point_observed(
     prov.simulate_ns = sim_span.map(Span::end);
     prov.attempts = s.attempts;
     let retried = s.retried();
-    let evaluated = match s.result {
+    let failed = |kind: &str, message: &str, poisoned: bool| {
+        supervised_row(
+            point,
+            &key,
+            kind,
+            message,
+            s.attempts,
+            &s.backoff_ms,
+            poisoned,
+        )
+    };
+    let (row, class) = match s.result {
         Ok(Ok((m, telemetry))) => {
             prov.ff = Some(telemetry.ff);
             if let Some((o, _)) = obs {
@@ -588,13 +552,16 @@ pub fn eval_point_observed(
                 .field("attempts", s.attempts)
                 .field("cpus", cpus as u64)
                 .field("passes", passes as f64)
-                .field("cycles", m.cycles)
-                .field("instructions", m.instructions)
+                .field("cycles", m.stats.cycles)
+                .field("instructions", m.stats.instructions.total())
                 .field("iterations", m.iterations)
-                .field("cpl", m.cpl)
-                .field("cpf", m.cpf)
-                .field("mflops", m.mflops)
-                .field("memory_wait_cpl", m.memory_wait_cpl);
+                .field("cpl", m.cpl())
+                .field("cpf", m.cpf())
+                .field("mflops", m.mflops())
+                .field(
+                    "memory_wait_cpl",
+                    m.stats.memory_wait_cycles / m.iterations.max(1) as f64,
+                );
             if let Some((ceilings, bounds, i_ma)) = &roofline_ctx {
                 let i = compiled_intensity(bounds);
                 let rp = ceilings.place(i);
@@ -636,138 +603,18 @@ pub fn eval_point_observed(
                 }
                 row = row.field("roofline", rf);
             }
-            Evaluated {
-                row,
-                class: PointClass::Ok,
-                retried,
-            }
+            (row, PointClass::Ok)
         }
-        Ok(Err(sim_message)) => Evaluated {
-            row: error_row(
-                point,
-                &key,
-                "sim",
-                &sim_message,
-                s.attempts,
-                &s.backoff_ms,
-                false,
-            ),
-            class: PointClass::Invalid,
-            retried,
-        },
-        Err(failure) => Evaluated {
-            row: error_row(
-                point,
-                &key,
-                failure.kind(),
-                &failure.message(),
-                s.attempts,
-                &s.backoff_ms,
-                true,
-            ),
-            class: match failure {
+        Ok(Err(message)) => (failed("sim", &message, false), PointClass::Invalid),
+        Err(failure) => {
+            let class = match failure {
                 FailureKind::Panic { .. } => PointClass::Panicked,
                 FailureKind::Deadline { .. } => PointClass::TimedOut,
-            },
-            retried,
-        },
+            };
+            (failed(failure.kind(), &failure.message(), true), class)
+        }
     };
-    finish_eval(point_span, obs, evaluated, &prov)
-}
-
-/// What flows from reader/workers to the single writer.
-struct Emit {
-    /// The journal key; `None` for rows without a stable identity
-    /// (protocol errors).
-    key: Option<String>,
-    row: Json,
-    kind: EmitKind,
-    retried: bool,
-}
-
-enum EmitKind {
-    Point(PointClass),
-    Resumed,
-    Duplicate,
-    Protocol,
-}
-
-impl Emit {
-    /// Terminal keyed rows — ok and poisoned/rejected alike — are
-    /// checkpointed; resumed rows are already in the journal and
-    /// protocol errors and duplicates have no computation to record.
-    fn journaled(&self) -> bool {
-        self.key.is_some() && matches!(self.kind, EmitKind::Point(_))
-    }
-
-    fn tally(&self, outcomes: &mut SweepOutcomes) {
-        match self.kind {
-            EmitKind::Point(PointClass::Ok) => outcomes.ok += 1,
-            EmitKind::Point(PointClass::Invalid) | EmitKind::Protocol => outcomes.invalid += 1,
-            EmitKind::Point(PointClass::TimedOut) => outcomes.timed_out += 1,
-            EmitKind::Point(PointClass::Panicked) => outcomes.panicked += 1,
-            EmitKind::Resumed => outcomes.resumed += 1,
-            EmitKind::Duplicate => outcomes.duplicate += 1,
-        }
-        if self.retried {
-            outcomes.retried += 1;
-        }
-    }
-
-    /// Mirrors [`Emit::tally`] into the metrics registry, increment for
-    /// increment, so `macs_points_total{outcome=...}` reconciles exactly
-    /// with the end-of-stream [`SweepOutcomes`] summary.
-    fn tally_metrics(&self, metrics: &Metrics) {
-        let outcome = match self.kind {
-            EmitKind::Point(PointClass::Ok) => "ok",
-            EmitKind::Point(PointClass::Invalid) | EmitKind::Protocol => "invalid",
-            EmitKind::Point(PointClass::TimedOut) => "timed_out",
-            EmitKind::Point(PointClass::Panicked) => "panicked",
-            EmitKind::Resumed => "resumed",
-            EmitKind::Duplicate => "duplicate",
-        };
-        metrics
-            .counter("macs_points_total", &[("outcome", outcome)])
-            .inc();
-        if self.retried {
-            metrics.counter("macs_points_retried_total", &[]).inc();
-        }
-    }
-}
-
-/// A structured protocol-error row for stream-level abuse (oversized
-/// lines, stalled peers) where there is no line text worth echoing.
-fn limit_row(kind: &str, message: &str) -> Json {
-    Json::obj()
-        .field("schema", SWEEP_ROW_SCHEMA)
-        .field("status", "error")
-        .field("error_kind", kind)
-        .field("message", message)
-}
-
-fn protocol_row(error: &ProtocolError, line: &str) -> Json {
-    let mut shown: String = line.chars().take(200).collect();
-    if shown.len() < line.len() {
-        shown.push('…');
-    }
-    Json::obj()
-        .field("schema", SWEEP_ROW_SCHEMA)
-        .field("status", "error")
-        .field("error_kind", "protocol")
-        .field("message", error.to_string())
-        .field("line", shown)
-}
-
-fn duplicate_row(point: &SweepPoint, key: &str) -> Json {
-    error_row(
-        point,
-        key,
-        "duplicate",
-        &format!("point key {key} was already submitted in this run"),
-        0,
-        &[],
-        false,
-    )
+    finish_eval(point_span, obs, &prov, row, class, retried)
 }
 
 /// Serves one request stream to completion: evaluates every line,
@@ -807,105 +654,41 @@ pub fn serve(
     let sweep_id = sweep_span.as_ref().map(Span::id).unwrap_or(0);
     let (job_tx, job_rx) = mpsc::channel::<SweepPoint>();
     let job_rx = Arc::new(Mutex::new(job_rx));
-    let (out_tx, out_rx) = mpsc::channel::<Emit>();
+    // Replies flow to the single writer with the key a worker-computed
+    // row is journaled under. Resumed rows are already in the journal;
+    // rejected and duplicate lines have no computation to record.
+    let (out_tx, out_rx) = mpsc::channel::<(Reply, Option<String>)>();
     let mut outcomes = SweepOutcomes::new();
     let resumed = &resumed;
     std::thread::scope(|scope| -> io::Result<()> {
         let reader_tx = out_tx.clone();
-        let reader_obs = obs.map(|o| (o.tracer.clone(), o.metrics.gauge("macs_queue_depth", &[])));
-        let abuse_counters = obs.map(|o| {
-            (
-                o.metrics.counter("macs_lines_oversized_total", &[]),
-                o.metrics.counter("macs_streams_stalled_total", &[]),
-            )
-        });
-        let max_line_bytes = opts.max_line_bytes;
+        let depth = obs.map(|o| o.metrics.gauge("macs_queue_depth", &[]));
+        let requests = Requests::new(input, opts.max_line_bytes, obs, Some(sweep_id));
         scope.spawn(move || {
             // Send failures below mean the writer already bailed on an
             // output error; keep draining input so the scope can join.
             let mut seen: HashSet<String> = HashSet::new();
-            let mut lines = BoundedLines::new(input, max_line_bytes);
-            loop {
-                let line = match lines.next_event() {
-                    Err(_) | Ok(LineEvent::Eof) => break,
-                    Ok(LineEvent::Stalled) => {
-                        // The peer dribbled past the read timeout: answer
-                        // with a structured row and end the stream, so a
-                        // slowloris costs one row, not a pinned thread.
-                        if let Some((_, stalled)) = abuse_counters.as_ref() {
-                            stalled.inc();
-                        }
-                        let _ = reader_tx.send(Emit {
-                            key: None,
-                            row: limit_row(
-                                "stalled",
-                                "no complete request line within the read timeout; closing the stream",
-                            ),
-                            kind: EmitKind::Protocol,
-                            retried: false,
-                        });
-                        break;
-                    }
-                    Ok(LineEvent::Oversized { length }) => {
-                        if let Some((oversized, _)) = abuse_counters.as_ref() {
-                            oversized.inc();
-                        }
-                        let _ = reader_tx.send(Emit {
-                            key: None,
-                            row: limit_row(
-                                "oversized",
-                                &format!(
-                                    "request line of {length}+ bytes exceeds the \
-                                     {max_line_bytes}-byte limit"
-                                ),
-                            ),
-                            kind: EmitKind::Protocol,
-                            retried: false,
-                        });
+            for request in requests {
+                let point = match request {
+                    Ok(point) => point,
+                    Err(row) => {
+                        let _ = reader_tx.send((Reply::answered(row, Outcome::Invalid), None));
                         continue;
                     }
-                    Ok(LineEvent::Line(line)) => line,
                 };
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let parse_span = reader_obs
-                    .as_ref()
-                    .map(|(tracer, _)| tracer.span_under("parse", sweep_id));
-                let parsed = parse_point(&line);
-                drop(parse_span);
-                match parsed {
-                    Err(e) => {
-                        let _ = reader_tx.send(Emit {
-                            key: None,
-                            row: protocol_row(&e, &line),
-                            kind: EmitKind::Protocol,
-                            retried: false,
-                        });
+                let key = point.key();
+                if !seen.insert(key.clone()) {
+                    let message = format!("point key {key} was already submitted in this run");
+                    let row = supervised_row(&point, &key, "duplicate", &message, 0, &[], false);
+                    let _ = reader_tx.send((Reply::answered(row, Outcome::Duplicate), None));
+                } else if let Some(row) = resumed.get(&key) {
+                    let reply = Reply::answered(row.clone(), Outcome::Resumed);
+                    let _ = reader_tx.send((reply, None));
+                } else {
+                    if let Some(depth) = &depth {
+                        depth.add(1);
                     }
-                    Ok(point) => {
-                        let key = point.key();
-                        if !seen.insert(key.clone()) {
-                            let _ = reader_tx.send(Emit {
-                                key: Some(key.clone()),
-                                row: duplicate_row(&point, &key),
-                                kind: EmitKind::Duplicate,
-                                retried: false,
-                            });
-                        } else if let Some(row) = resumed.get(&key) {
-                            let _ = reader_tx.send(Emit {
-                                key: Some(key),
-                                row: row.clone(),
-                                kind: EmitKind::Resumed,
-                                retried: false,
-                            });
-                        } else {
-                            if let Some((_, depth)) = reader_obs.as_ref() {
-                                depth.add(1);
-                            }
-                            let _ = job_tx.send(point);
-                        }
-                    }
+                    let _ = job_tx.send(point);
                 }
             }
         });
@@ -942,37 +725,24 @@ pub fn serve(
                 if let Some((_, _, busy)) = worker_obs.as_ref() {
                     busy.add(-1);
                 }
-                let _ = tx.send(Emit {
-                    key: Some(point.key()),
+                let reply = Reply {
                     row: evaluated.row,
-                    kind: EmitKind::Point(evaluated.class),
+                    outcome: Outcome::of(evaluated.class),
                     retried: evaluated.retried,
-                });
+                };
+                let _ = tx.send((reply, Some(point.key())));
             });
         }
         drop(out_tx);
-        let mut since_snapshot = 0usize;
-        for emit in out_rx {
+        let mut journaled_rows = 0usize;
+        for (reply, journal_key) in out_rx {
             let report_span = obs.map(|o| o.tracer.span_under("report", sweep_id));
-            writeln!(output, "{}", emit.row)?;
-            output.flush()?;
-            emit.tally(&mut outcomes);
-            if let Some(o) = obs {
-                emit.tally_metrics(&o.metrics);
-            }
-            if emit.journaled() {
-                if let (Some(journal), Some(key)) = (journal.as_mut(), emit.key.as_deref()) {
-                    journal.record(key, &emit.row)?;
-                    if let Some(o) = obs {
-                        since_snapshot += 1;
-                        if o.snapshot_every > 0 && since_snapshot >= o.snapshot_every {
-                            journal.meta(&o.metrics.snapshot_json())?;
-                            since_snapshot = 0;
-                        }
-                        o.metrics
-                            .gauge("macs_journal_bytes", &[])
-                            .set(journal.bytes_written().min(i64::MAX as u64) as i64);
-                    }
+            reply.deliver(&mut output, &mut outcomes, obs.map(|o| &o.metrics))?;
+            if let (Some(journal), Some(key)) = (journal.as_mut(), journal_key) {
+                journal.record(&key, &reply.row)?;
+                if let Some(o) = obs {
+                    journaled_rows += 1;
+                    o.journaled(journal, journaled_rows.is_multiple_of(o.snapshot_every))?;
                 }
             }
             drop(report_span);
@@ -989,166 +759,41 @@ pub fn serve(
         // One final snapshot so the journal's last metrics row reflects
         // the whole stream, then flush the configured trace exports.
         if let Some(journal) = journal.as_mut() {
-            journal.meta(&o.metrics.snapshot_json())?;
-            o.metrics
-                .gauge("macs_journal_bytes", &[])
-                .set(journal.bytes_written().min(i64::MAX as u64) as i64);
+            o.journaled(journal, true)?;
         }
         o.export()?;
     }
     Ok(outcomes)
 }
 
-/// Answers an HTTP request sniffed off a sweep listener. Only
-/// `GET /metrics` is served (the Prometheus text exposition,
-/// `version=0.0.4`); anything else is a 404. The request's remaining
-/// header lines are drained (bounded) so well-behaved HTTP clients see
-/// a clean close.
-pub(crate) fn answer_http(
-    request_line: &str,
-    reader: &mut impl BufRead,
-    mut writer: impl Write,
-    obs: Option<&ServeObs>,
-) -> io::Result<()> {
-    for _ in 0..64 {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 || header.trim().is_empty() {
-            break;
-        }
-    }
-    let path = request_line.split_whitespace().nth(1).unwrap_or("");
-    let (status, body) = match (path, obs) {
-        ("/metrics", Some(o)) => ("200 OK", o.metrics.render_prometheus()),
-        ("/metrics", None) => (
-            "404 Not Found",
-            "metrics disabled: start the server with --metrics\n".to_string(),
-        ),
-        _ => (
-            "404 Not Found",
-            "only /metrics is served here\n".to_string(),
-        ),
-    };
-    write!(
-        writer,
-        "HTTP/1.0 {status}\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )?;
-    writer.flush()
-}
-
-/// One accepted connection: sniffs the first line to dispatch between a
-/// metrics scrape (`GET ...`) and a sweep request stream. Sweep streams
-/// serialize on `sweeps` so concurrent connections never interleave
-/// journal writes; metrics scrapes bypass the lock, which is what makes
-/// mid-sweep scraping work.
-fn handle_connection<S: Read + Write + Send>(
-    stream: S,
-    reader_half: S,
-    opts: &ServeOptions,
-    sweeps: &Mutex<()>,
-) -> io::Result<Option<SweepOutcomes>> {
-    let mut reader = BufReader::new(reader_half);
-    // Bounded, timeout-aware sniff: a peer that stalls or never sends a
-    // newline still reaches the hardened request loop (and gets its
-    // structured `stalled`/`protocol` row) instead of erroring out here.
-    let sniffed = match sniff_http(&mut reader, opts.max_line_bytes)? {
-        Sniff::Empty => return Ok(None),
-        Sniff::Http(request_line) => {
-            answer_http(&request_line, &mut reader, stream, opts.obs.as_ref())?;
-            return Ok(None);
-        }
-        Sniff::Stream(seen) => seen,
-    };
-    let _guard = sweeps.lock().expect("sweep serialization lock");
-    let input = io::Cursor::new(sniffed).chain(reader);
-    serve(input, stream, opts).map(Some)
-}
-
-/// Binds `addr` and serves TCP connections forever (the process is
-/// stopped externally). Each connection is either a metrics scrape
-/// (`GET /metrics`, answered concurrently) or an independent sweep
-/// request stream; sweep streams are serialized, and with
-/// `--journal`/`--resume` pointed at the same file, later connections
-/// resume from earlier ones' checkpoints.
+/// Serves stdin → stdout, or every connection on `listen` until
+/// accepting fails (see [`Service::run`]). Sweep streams serialize on
+/// one lock so concurrent connections never interleave journal writes;
+/// with `--journal`/`--resume` on the same file, later connections
+/// resume from earlier ones' checkpoints. Metrics scrapes bypass the
+/// lock, which is what makes mid-sweep scraping work.
 ///
 /// # Errors
 ///
-/// Fails if the address cannot be bound or accepting fails.
-pub fn serve_tcp(addr: &str, opts: &ServeOptions) -> io::Result<()> {
-    let listener = TcpListener::bind(addr)?;
-    eprintln!("macs-bench: serving on tcp {}", listener.local_addr()?);
-    let opts = Arc::new(opts.clone());
-    let sweeps = Arc::new(Mutex::new(()));
-    loop {
-        let (stream, peer) = listener.accept()?;
-        // A zero-duration timeout is invalid at the socket layer; treat
-        // it as "no timeout" rather than killing the connection.
-        if let Some(t) = opts.read_timeout.filter(|t| !t.is_zero()) {
-            let _ = stream.set_read_timeout(Some(t));
-        }
-        let opts = Arc::clone(&opts);
-        let sweeps = Arc::clone(&sweeps);
-        std::thread::spawn(move || {
-            let reader_half = match stream.try_clone() {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("macs-bench: {peer}: clone failed: {e}");
-                    return;
-                }
-            };
-            match handle_connection(stream, reader_half, &opts, &sweeps) {
-                Ok(Some(outcomes)) => eprintln!("macs-bench: {peer}: {outcomes}"),
-                Ok(None) => {}
-                Err(e) => eprintln!("macs-bench: {peer}: connection failed: {e}"),
-            }
-        });
-    }
-}
-
-/// Binds a Unix socket at `path` and serves connections forever; see
-/// [`serve_tcp`] (including `GET /metrics`). A stale socket file at
-/// `path` is removed first.
-///
-/// # Errors
-///
-/// Fails if the socket cannot be bound or accepting fails.
-#[cfg(unix)]
-pub fn serve_unix(path: &std::path::Path, opts: &ServeOptions) -> io::Result<()> {
-    use std::os::unix::net::UnixListener;
-    if path.exists() {
-        std::fs::remove_file(path)?;
-    }
-    let listener = UnixListener::bind(path)?;
-    eprintln!("macs-bench: serving on unix socket {}", path.display());
-    let opts = Arc::new(opts.clone());
-    let sweeps = Arc::new(Mutex::new(()));
-    loop {
-        let (stream, _) = listener.accept()?;
-        if let Some(t) = opts.read_timeout.filter(|t| !t.is_zero()) {
-            let _ = stream.set_read_timeout(Some(t));
-        }
-        let opts = Arc::clone(&opts);
-        let sweeps = Arc::clone(&sweeps);
-        std::thread::spawn(move || {
-            let reader_half = match stream.try_clone() {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("macs-bench: clone failed: {e}");
-                    return;
-                }
-            };
-            match handle_connection(stream, reader_half, &opts, &sweeps) {
-                Ok(Some(outcomes)) => eprintln!("macs-bench: {outcomes}"),
-                Ok(None) => {}
-                Err(e) => eprintln!("macs-bench: connection failed: {e}"),
-            }
-        });
-    }
+/// See [`Service::run`] and [`serve`].
+pub fn run(listen: Option<&Listen>, opts: &ServeOptions) -> io::Result<Option<SweepOutcomes>> {
+    let sweeps = Mutex::new(());
+    let service = Service {
+        verb: "serving",
+        max_line_bytes: opts.max_line_bytes,
+        read_timeout: opts.read_timeout,
+        obs: opts.obs.as_ref(),
+    };
+    service.run(listen, &|input, output| {
+        let _guard = sweeps.lock().expect("sweep serialization lock");
+        serve(input, output, opts)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use macs_core::sweep::parse_point;
 
     fn serve_lines(lines: &str, opts: &ServeOptions) -> (Vec<Json>, SweepOutcomes) {
         let mut out = Vec::new();

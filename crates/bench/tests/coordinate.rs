@@ -228,7 +228,7 @@ fn a_full_queue_degrades_to_structured_overload_rows() {
         .get("message")
         .and_then(Json::as_str)
         .unwrap()
-        .contains("admission queue is full"));
+        .contains("admission queue is full (2 points)"));
     let metrics = &opts.obs.as_ref().unwrap().metrics;
     assert_eq!(
         metrics.counter("macs_overloaded_total", &[]).get(),
@@ -261,5 +261,61 @@ fn concurrent_clients_share_one_computation_per_key() {
     }
     let metrics = &opts.obs.as_ref().unwrap().metrics;
     assert_eq!(metrics.counter("macs_cache_misses_total", &[]).get(), 5);
+    coordinator.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn a_malformed_line_yields_the_same_row_from_serve_and_the_coordinator() {
+    let input = "this is not json\n";
+    let mut served = Vec::new();
+    macs_bench::serve(input.as_bytes(), &mut served, &ServeOptions::default())
+        .expect("serve succeeds");
+    let served: Vec<Json> = String::from_utf8(served)
+        .expect("output is UTF-8")
+        .lines()
+        .map(|l| Json::parse(l).expect("every output line is JSON"))
+        .collect();
+    let coordinator = Coordinator::start(&base_opts()).expect("coordinator starts");
+    let (coordinated, outcomes) = run_client(&coordinator, input);
+    coordinator.shutdown().expect("clean shutdown");
+    assert_eq!(outcomes.invalid, 1, "{outcomes}");
+    assert_eq!(coordinated, served, "row and summary alike");
+    assert_eq!(
+        coordinated[0].get("line").and_then(Json::as_str),
+        Some("this is not json"),
+        "protocol rows echo the offending line"
+    );
+}
+
+#[test]
+fn a_retried_worker_row_counts_as_retried_for_its_creating_client_only() {
+    let mut opts = base_opts();
+    opts.worker_args = vec![
+        "--workers".into(),
+        "1".into(),
+        "--max-attempts".into(),
+        "2".into(),
+        "--backoff-ms".into(),
+        "1".into(),
+    ];
+    let input = concat!(
+        "{\"id\":\"boom\",\"kernel\":12,\"passes\":1,\"inject\":\"panic\"}\n",
+        "{\"id\":\"fine\",\"kernel\":12,\"passes\":1}\n",
+    );
+    let coordinator = Coordinator::start(&opts).expect("coordinator starts");
+    let (rows, first) = run_client(&coordinator, input);
+    let boom = rows
+        .iter()
+        .find(|r| r.get("id").and_then(Json::as_str) == Some("boom"))
+        .expect("the panicking point is answered");
+    assert_eq!(boom.get("attempts").and_then(Json::as_f64), Some(2.0));
+    assert_eq!(
+        (first.panicked, first.ok, first.retried),
+        (1, 1, 1),
+        "{first}"
+    );
+    // The same points again are cache hits: not retried.
+    let (_, second) = run_client(&coordinator, input);
+    assert_eq!((second.cached, second.retried), (2, 0), "{second}");
     coordinator.shutdown().expect("clean shutdown");
 }
