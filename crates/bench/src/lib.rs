@@ -34,41 +34,19 @@ pub use serve::{
 };
 pub use transport::Listen;
 
-use std::error::Error;
-use std::fmt;
-
 use c240_isa::{Program, ProgramBuilder};
 
-/// A chime count outside the 1..=7 the ablation workload supports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InvalidChimes {
-    /// The offending count.
-    pub chimes: u32,
-}
-
-impl fmt::Display for InvalidChimes {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "chime count {} outside the supported 1..=7", self.chimes)
-    }
-}
-
-impl Error for InvalidChimes {}
-
-/// Fallible form of [`memory_loop`] for chime counts arriving from
-/// untrusted input.
+/// Builds a strip loop of `chimes` one-load chimes over `strips` strips
+/// at the given vector length — the standard ablation workload.
 ///
-/// # Errors
+/// # Panics
 ///
-/// Returns [`InvalidChimes`] unless `1 <= chimes <= 7`.
-pub fn try_memory_loop(
-    chimes: u32,
-    strips: i64,
-    vl: u32,
-    stride: i64,
-) -> Result<Program, InvalidChimes> {
-    if !(1..=7).contains(&chimes) {
-        return Err(InvalidChimes { chimes });
-    }
+/// Panics if `chimes == 0` or `chimes > 7`.
+pub fn memory_loop(chimes: u32, strips: i64, vl: u32, stride: i64) -> Program {
+    assert!(
+        (1..=7).contains(&chimes),
+        "1..=7 load chimes supported, got {chimes}"
+    );
     let mut b = ProgramBuilder::new();
     b.set_vl_imm(vl);
     b.mov_int(strips, "s0");
@@ -84,18 +62,7 @@ pub fn try_memory_loop(
     b.cmp_imm("lt", 0, "s0");
     b.branch_true("L");
     b.halt();
-    Ok(b.build().expect("memory loop is valid"))
-}
-
-/// Builds a strip loop of `chimes` one-load chimes over `strips` strips
-/// at the given vector length — the standard ablation workload.
-///
-/// # Panics
-///
-/// Panics if `chimes == 0` or `chimes > 7`;
-/// [`try_memory_loop`] is the fallible form.
-pub fn memory_loop(chimes: u32, strips: i64, vl: u32, stride: i64) -> Program {
-    try_memory_loop(chimes, strips, vl, stride).expect("1..=7 load chimes supported")
+    b.build().expect("memory loop is valid")
 }
 
 /// A chained load/multiply/add/store loop — the standard compute-and-
@@ -133,6 +100,7 @@ mod tests {
         cpu.set_areg(3, 320000);
         cpu.set_sreg_fp(1, 2.0);
         assert!(cpu.run(&memory_loop(3, 10, 128, 1)).unwrap().cycles > 0.0);
+        assert!(cpu.run(&memory_loop(7, 2, 128, 1)).unwrap().cycles > 0.0);
         assert!(cpu.run(&triad_loop(10, 128)).unwrap().cycles > 0.0);
     }
 
@@ -143,16 +111,8 @@ mod tests {
     }
 
     #[test]
-    fn try_memory_loop_rejects_without_panicking() {
-        assert_eq!(
-            try_memory_loop(0, 1, 128, 1),
-            Err(InvalidChimes { chimes: 0 })
-        );
-        assert_eq!(
-            try_memory_loop(8, 1, 128, 1),
-            Err(InvalidChimes { chimes: 8 })
-        );
-        assert!(InvalidChimes { chimes: 8 }.to_string().contains('8'));
-        assert!(try_memory_loop(3, 1, 128, 1).is_ok());
+    #[should_panic(expected = "load chimes supported, got 8")]
+    fn eight_chimes_rejected() {
+        let _ = memory_loop(8, 1, 128, 1);
     }
 }

@@ -47,11 +47,13 @@ impl ContentionStream {
     ///
     /// # Panics
     ///
-    /// Panics on fractions above 1 or a zero denominator; this is the
-    /// compatibility wrapper over [`ContentionStream::try_with_duty`].
-    pub fn with_duty(self, num: u32, den: u32) -> Self {
-        self.try_with_duty(num, den)
-            .expect("duty must be a fraction <= 1")
+    /// Panics on fractions above 1 or a zero denominator (see
+    /// [`ContentionStream::validate`]).
+    pub fn with_duty(mut self, num: u32, den: u32) -> Self {
+        self.duty_num = num;
+        self.duty_den = den;
+        self.validate().expect("duty must be a fraction <= 1");
+        self
     }
 
     /// If this stream claims bank `bank` at any point during
@@ -172,16 +174,10 @@ impl ContentionConfig {
     ///
     /// # Panics
     ///
-    /// Panics on an even stride; this is the compatibility wrapper over
-    /// [`ContentionConfig::try_with_stream`].
-    pub fn with_stream(self, stream: ContentionStream) -> Self {
-        self.try_with_stream(stream)
-            .expect("contention stride must be odd")
-    }
-
-    /// Appends a stream without validating it (validation lives in
-    /// `try_with_stream`).
-    pub(crate) fn push_stream(mut self, stream: ContentionStream) -> Self {
+    /// Panics on a stream [`ContentionStream::validate`] rejects, such
+    /// as one with an even stride.
+    pub fn with_stream(mut self, stream: ContentionStream) -> Self {
+        stream.validate().expect("contention stride must be odd");
         self.streams.push(stream);
         self
     }

@@ -78,11 +78,13 @@ impl MemConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `banks` is zero or oversized; this is the compatibility
-    /// wrapper over [`MemConfig::try_with_banks`].
-    pub fn with_banks(self, banks: u32) -> Self {
-        self.try_with_banks(banks)
-            .expect("memory must have at least one bank")
+    /// Panics if `banks` is zero or above [`crate::MAX_BANKS`]. Wire
+    /// input is checked by [`MemConfig::validate`] instead.
+    pub fn with_banks(mut self, banks: u32) -> Self {
+        self.banks = banks;
+        self.check_banks()
+            .expect("memory must have at least one bank");
+        self
     }
 
     /// Same configuration with a different data size in words.
@@ -855,6 +857,105 @@ mod tests {
         assert_eq!(qb.refresh, 0.0);
         assert_eq!(qb.contention, 0.0);
         assert_eq!(qb.total(), quiet_mem.wait_cycles());
+    }
+
+    /// `claim_stream` is the closed form of `n` reads at `start + z·e`:
+    /// wherever `stream_conflict_free` holds, the two leave the shared
+    /// bank state and this view's counters identical, and every read is
+    /// granted exactly at its request. Walks a deterministic grid of
+    /// bank counts, refresh, single-port and multiport arbitration, bases,
+    /// strides, lengths, starts and element rates; earlier traffic on
+    /// banks 0 and 5 makes some streams start before a bank recovers.
+    #[test]
+    fn claim_stream_matches_per_element_grants() {
+        const OFFSET: i64 = 4096; // a multiple of every bank count below
+        let strides = [1i64, 2, 3, 7, 16, 31, 32, -1, -3];
+        let lengths = [1u32, 2, 8, 31, 32, 33, 128];
+        let starts = [0.0, 8.35, 13.0, 20.05, 30.0, 380.6];
+        let rates = [1.0, 1.35, 1.9];
+        let (mut claimed, mut refused) = (0u32, 0u32);
+        for banks in [32u32, 64] {
+            for refresh in [true, false] {
+                for multiport in [false, true] {
+                    let mut cfg = MemConfig::c240().with_banks(banks).with_words(8192);
+                    cfg.refresh_enabled = refresh;
+                    let fresh = || {
+                        let mut mem = MemorySystem::new(cfg.clone());
+                        if multiport {
+                            mem.swap_bank_state(&mut BankState::multiport(banks));
+                        }
+                        let _ = mem.read(OFFSET as u64, 6.0);
+                        let _ = mem.read(OFFSET as u64 + 5, 6.0);
+                        mem
+                    };
+                    let (mut closed, mut stepped) = (fresh(), fresh());
+                    for bank in 0..i64::from(banks) {
+                        let base = OFFSET + bank;
+                        for &stride in &strides {
+                            for &n in &lengths {
+                                for &start in &starts {
+                                    for &z in &rates {
+                                        if !closed.stream_conflict_free(base, stride, n, start, z) {
+                                            refused += 1;
+                                            continue;
+                                        }
+                                        claimed += 1;
+                                        closed.claim_stream(base, stride, n, start, z);
+                                        for e in 0..n {
+                                            let word = (base + stride * i64::from(e)) as u64;
+                                            let request = start + z * f64::from(e);
+                                            let (granted, _) = stepped.read(word, request);
+                                            assert_eq!(granted, q(request), "element {e}");
+                                        }
+                                        let case = format!(
+                                            "banks {banks} refresh {refresh} multiport {multiport} \
+                                             base {base} stride {stride} n {n} start {start} z {z}"
+                                        );
+                                        assert_eq!(closed.shared(), stepped.shared(), "{case}");
+                                        assert_eq!(closed.access_count(), stepped.access_count());
+                                        assert_eq!(closed.wait_cycles(), stepped.wait_cycles());
+                                        assert_eq!(
+                                            closed.wait_breakdown(),
+                                            stepped.wait_breakdown()
+                                        );
+                                        closed = fresh();
+                                        stepped = fresh();
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            claimed > 10_000 && refused > 10_000,
+            "{claimed} claimed, {refused} refused"
+        );
+    }
+
+    #[test]
+    fn conflicting_streams_are_refused() {
+        let mut mem = MemorySystem::new(MemConfig::c240());
+        // Crosses the refresh window at cycle 400.
+        assert!(mem.stream_conflict_free(0, 1, 8, 380.0, 1.0));
+        assert!(!mem.stream_conflict_free(0, 1, 32, 380.0, 1.0));
+        // Starts before a touched bank recovers: bank 0 is busy until 108.
+        let _ = mem.read(0, 100.0);
+        assert!(!mem.stream_conflict_free(0, 1, 8, 104.0, 1.0));
+        assert!(mem.stream_conflict_free(0, 1, 8, 108.0, 1.0));
+        // Revisits a bank within the bank busy time: stride 16 alternates
+        // two banks, so each is revisited 2 cycles later.
+        assert!(!mem.stream_conflict_free(1, 16, 4, 200.0, 1.0));
+        assert!(!mem.stream_conflict_free(1, 32, 2, 200.0, 1.0));
+        assert!(mem.stream_conflict_free(1, 16, 4, 200.0, 4.0));
+        // Any background contention refuses the closed form.
+        let busy = MemorySystem::new(
+            MemConfig::c240()
+                .without_refresh()
+                .with_contention(ContentionConfig::mixed(1)),
+        );
+        assert!(!busy.stream_conflict_free(0, 1, 8, 200.0, 1.0));
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! (newline-delimited JSON over stdin or a socket), so every constraint
 //! that used to be an `assert!` in a constructor needs a typed,
 //! recoverable form: [`MemConfig::validate`] and [`CacheConfig::validate`]
-//! return a [`MemConfigError`] instead of panicking, and the panicking
-//! builders (`with_banks`, `with_stream`, `with_duty`) remain as thin
-//! compatibility wrappers over new `try_` constructors.
+//! return a [`MemConfigError`] instead of panicking. The panicking
+//! builders (`with_banks`, `with_stream`, `with_duty`) remain for
+//! programmatic construction and check the same constraints.
 
 use std::error::Error;
 use std::fmt;
@@ -192,18 +192,6 @@ impl ContentionStream {
         }
         Ok(())
     }
-
-    /// Fallible form of [`ContentionStream::with_duty`].
-    ///
-    /// # Errors
-    ///
-    /// Rejects a zero denominator or a fraction above 1.
-    pub fn try_with_duty(mut self, num: u32, den: u32) -> Result<Self, MemConfigError> {
-        self.duty_num = num;
-        self.duty_den = den;
-        self.validate()?;
-        Ok(self)
-    }
 }
 
 impl ContentionConfig {
@@ -217,16 +205,6 @@ impl ContentionConfig {
             .iter()
             .try_for_each(ContentionStream::validate)
     }
-
-    /// Fallible form of [`ContentionConfig::with_stream`].
-    ///
-    /// # Errors
-    ///
-    /// Rejects streams the claim solver cannot handle.
-    pub fn try_with_stream(self, stream: ContentionStream) -> Result<Self, MemConfigError> {
-        stream.validate()?;
-        Ok(self.push_stream(stream))
-    }
 }
 
 impl MemConfig {
@@ -239,12 +217,7 @@ impl MemConfig {
     ///
     /// Returns the first violated constraint.
     pub fn validate(&self) -> Result<(), MemConfigError> {
-        if self.banks == 0 {
-            return Err(MemConfigError::ZeroBanks);
-        }
-        if self.banks > MAX_BANKS {
-            return Err(MemConfigError::TooManyBanks { banks: self.banks });
-        }
+        self.check_banks()?;
         if self.bank_busy == 0 {
             return Err(MemConfigError::ZeroBankBusy);
         }
@@ -268,20 +241,15 @@ impl MemConfig {
         self.contention.validate()
     }
 
-    /// Fallible form of [`MemConfig::with_banks`].
-    ///
-    /// # Errors
-    ///
-    /// Rejects a zero or oversized bank count.
-    pub fn try_with_banks(mut self, banks: u32) -> Result<Self, MemConfigError> {
-        if banks == 0 {
+    /// The bank-count constraints, shared with [`MemConfig::with_banks`].
+    pub(crate) fn check_banks(&self) -> Result<(), MemConfigError> {
+        if self.banks == 0 {
             return Err(MemConfigError::ZeroBanks);
         }
-        if banks > MAX_BANKS {
-            return Err(MemConfigError::TooManyBanks { banks });
+        if self.banks > MAX_BANKS {
+            return Err(MemConfigError::TooManyBanks { banks: self.banks });
         }
-        self.banks = banks;
-        Ok(self)
+        Ok(())
     }
 }
 
@@ -326,6 +294,9 @@ mod tests {
             c.validate(),
             Err(MemConfigError::TooManyBanks { .. })
         ));
+        // The panicking builder accepts what validation accepts.
+        assert_eq!(base.clone().with_banks(16).banks, 16);
+        assert_eq!(base.clone().with_banks(MAX_BANKS).validate(), Ok(()));
         let mut c = base.clone();
         c.bank_busy = 0;
         assert_eq!(c.validate(), Err(MemConfigError::ZeroBankBusy));
@@ -366,22 +337,22 @@ mod tests {
             even.validate(),
             Err(MemConfigError::EvenContentionStride { stride: 2 })
         );
+        let duty = |duty_num, duty_den| ContentionStream {
+            duty_num,
+            duty_den,
+            ..ContentionStream::unit(0)
+        };
         assert_eq!(
-            ContentionConfig::idle().try_with_stream(even),
-            Err(MemConfigError::EvenContentionStride { stride: 2 })
-        );
-        assert_eq!(
-            ContentionStream::unit(0).try_with_duty(2, 1),
+            duty(2, 1).validate(),
             Err(MemConfigError::DutyAboveOne { num: 2, den: 1 })
         );
         assert_eq!(
-            ContentionStream::unit(0).try_with_duty(1, 0),
+            duty(1, 0).validate(),
             Err(MemConfigError::ZeroDutyDenominator)
         );
-        let cfg = ContentionConfig::idle()
-            .try_with_stream(ContentionStream::unit(3))
-            .unwrap();
+        let cfg = ContentionConfig::idle().with_stream(ContentionStream::unit(3));
         assert_eq!(cfg.streams().len(), 1);
+        assert_eq!(cfg.validate(), Ok(()));
     }
 
     #[test]
@@ -395,13 +366,9 @@ mod tests {
     }
 
     #[test]
-    fn try_with_banks_matches_wrapper() {
-        assert!(MemConfig::c240().try_with_banks(16).is_ok());
-        assert_eq!(
-            MemConfig::c240().try_with_banks(0),
-            Err(MemConfigError::ZeroBanks)
-        );
-        assert_eq!(MemConfig::c240().with_banks(16).banks, 16);
+    #[should_panic(expected = "memory must have at least one bank: ZeroBanks")]
+    fn with_banks_panics_on_zero() {
+        let _ = MemConfig::c240().with_banks(0);
     }
 
     #[test]

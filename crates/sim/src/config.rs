@@ -121,11 +121,13 @@ impl SimConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is zero or oversized; this is the compatibility
-    /// wrapper over [`SimConfig::try_with_cpus`].
-    pub fn with_cpus(self, n: u32) -> Self {
-        self.try_with_cpus(n)
-            .expect("a machine needs at least one CPU")
+    /// Panics if `n` is zero, above [`crate::MAX_CPUS`], or above the
+    /// machine's port count. Wire input is checked by
+    /// [`SimConfig::validate`] instead.
+    pub fn with_cpus(mut self, n: u32) -> Self {
+        self.cpus = n;
+        self.check_cpus().expect("a machine needs at least one CPU");
+        self
     }
 
     /// Same machine with steady-state fast-forward disabled (every

@@ -20,6 +20,19 @@
 //! pipes — so a steady-state chime costs `Z·VL + Σᵢ Bᵢ` cycles exactly as
 //! the paper's Eq. 13 prescribes, and a full LFK1 iteration costs the
 //! paper's 527 cycles before refresh.
+//!
+//! # One path per vector instruction
+//!
+//! Every vector instruction runs the same skeleton. Its executor waits
+//! for its own scalar operands and computes its own entry terms, then
+//! [`Cpu::vector_enter`] issues it: reservation station, X overhead, the
+//! `max` above, register-pair admission and stall attribution. The
+//! executor steps its elements, and [`Cpu::vector_retire`] does the
+//! shared bookkeeping: lane busy time, element and flop counts, pipe
+//! availability, bubbles and the trace event. Loads and stores step
+//! through [`Cpu::vector_stream`], which grants a conflict-free stream in
+//! closed form, with or without a probe, and steps the others element by
+//! element.
 
 use c240_isa::timing::VectorTiming;
 use c240_isa::{
@@ -97,6 +110,29 @@ struct Schedule {
     last_entry: f64,
     first_result: f64,
     last_result: f64,
+}
+
+impl Schedule {
+    /// A stream whose every element's result follows its entry by `y`.
+    fn stream(entry0: f64, last_entry: f64, y: f64) -> Self {
+        Schedule {
+            entry0,
+            last_entry,
+            first_result: entry0 + y,
+            last_result: last_entry + y,
+        }
+    }
+}
+
+/// A vector instruction between [`Cpu::vector_enter`] and
+/// [`Cpu::vector_retire`]: its pipe and timing, when its issue began, and
+/// when its first element entered the pipe.
+#[derive(Clone, Copy)]
+struct Entered {
+    pipe: Pipe,
+    timing: VectorTiming,
+    issue_start: f64,
+    entry0: f64,
 }
 
 /// Progress of an open run: where the next fetch happens and how many
@@ -531,9 +567,14 @@ impl Cpu {
         program: &Program,
     ) -> Result<usize, SimError> {
         use Instruction::*;
+        if self.vl == 0 && ins.is_vector() {
+            // A zero-length vector instruction only occupies issue.
+            self.issue_scalar(probe, pc);
+            return Ok(pc + 1);
+        }
         match ins {
-            VLoad { addr, dst } => self.vector_load(probe, pc, ins, *addr, *dst),
-            VStore { src, addr } => self.vector_store(probe, pc, ins, *src, *addr),
+            VLoad { addr, dst } => self.vector_load(probe, pc, ins, *addr, *dst)?,
+            VStore { src, addr } => self.vector_store(probe, pc, ins, *src, *addr)?,
             VAdd { a, b, dst } => self.vector_arith(probe, pc, ins, *a, *b, *dst, |x, y| x + y),
             VSub { a, b, dst } => self.vector_arith(probe, pc, ins, *a, *b, *dst, |x, y| x - y),
             VMul { a, b, dst } => self.vector_arith(probe, pc, ins, *a, *b, *dst, |x, y| x * y),
@@ -547,12 +588,9 @@ impl Cpu {
                 *dst,
                 |x, _| -x,
             ),
-            VSum { src, dst } => self.vector_reduce(probe, pc, ins, *src, *dst, false),
-            VRAdd { src, acc } => self.vector_reduce(probe, pc, ins, *src, *acc, true),
-            VRSub { src, acc } => {
-                // acc -= sum: implemented as accumulate of negated sum.
-                self.vector_reduce_signed(probe, pc, ins, *src, *acc, true, -1.0)
-            }
+            VSum { src, dst } => self.vector_reduce(probe, pc, ins, *src, *dst, false, 1.0),
+            VRAdd { src, acc } => self.vector_reduce(probe, pc, ins, *src, *acc, true, 1.0),
+            VRSub { src, acc } => self.vector_reduce(probe, pc, ins, *src, *acc, true, -1.0),
             SetVl { src } => {
                 let i = usize::from(src.index());
                 self.scalar_wait(probe, pc, self.s_ready[i]);
@@ -798,12 +836,6 @@ impl Cpu {
 
     // ---- vector machinery ---------------------------------------------
 
-    fn timing_of(&self, ins: &Instruction) -> VectorTiming {
-        self.config
-            .timing
-            .get(ins.timing_class().expect("vector instruction"))
-    }
-
     /// Earliest start satisfying the register-pair port constraint, and
     /// registration of this instruction's usage.
     ///
@@ -847,31 +879,87 @@ impl Cpu {
         t
     }
 
-    /// Issue-side preamble common to all vector instructions: waits for
-    /// the pipe's reservation station and charges the X overhead.
-    /// Returns the issue-complete time.
-    fn vector_issue<P: Probe>(&mut self, probe: &mut P, pc: usize, pipe: Pipe, x: f64) -> f64 {
-        let slot = pipe_slot(pipe);
-        self.scalar_wait(probe, pc, self.pipes[slot].issue_gate);
-        if P::ENABLED {
-            probe.busy(Lane::Scalar, x, pc);
-        }
-        self.clock = q(self.clock + x);
-        self.end = self.end.max(self.clock);
-        self.clock
-    }
-
-    /// Post-schedule bookkeeping shared by all vector instructions.
-    fn vector_retire(
+    /// Issue and first-element entry, common to every vector instruction;
+    /// the caller has already waited for its scalar operands. Waits for
+    /// the pipe's reservation station, charges the X overhead, and takes
+    /// the first-element entry time as the `max` of issue completion, pipe
+    /// availability and the caller's `fence` (scalar memory port),
+    /// `barrier` (unchained operands) and `chain0` (element 0's operands)
+    /// terms. The register-pair ports then admit it, and an enabled probe
+    /// is charged the wait before it.
+    fn vector_enter<P: Probe>(
         &mut self,
+        probe: &mut P,
         pc: usize,
         ins: &Instruction,
-        pipe: Pipe,
-        timing: VectorTiming,
-        issue_start: f64,
+        fence: f64,
+        barrier: f64,
+        chain0: f64,
+    ) -> Entered {
+        let pipe = ins.pipe().expect("vector instruction");
+        let class = ins.timing_class().expect("vector instruction");
+        let timing = self.config.timing.get(class);
+        let slot = pipe_slot(pipe);
+        let issue_start = self.clock;
+        self.scalar_wait(probe, pc, self.pipes[slot].issue_gate);
+        if P::ENABLED {
+            probe.busy(Lane::Scalar, timing.x, pc);
+        }
+        self.clock = q(self.clock + timing.x);
+        self.end = self.end.max(self.clock);
+        let issue_done = self.clock;
+        let pre_pair = issue_done
+            .max(self.pipes[slot].next_entry)
+            .max(fence)
+            .max(barrier)
+            .max(chain0);
+        let entry0 = self.pair_admit(ins, pre_pair, timing.z * self.vl as f64);
+        if P::ENABLED {
+            self.attribute_entry(
+                probe,
+                pc,
+                slot,
+                EntryTerms {
+                    issue_done,
+                    fence,
+                    barrier,
+                    chain0,
+                    pre_pair,
+                    entry0,
+                },
+            );
+        }
+        Entered {
+            pipe,
+            timing,
+            issue_start,
+            entry0,
+        }
+    }
+
+    /// Retire bookkeeping shared by every vector instruction: the lane's
+    /// busy time, element and flop counts, the pipe's next entry and
+    /// reservation station, the tailgate bubbles, and the trace event.
+    fn vector_retire<P: Probe>(
+        &mut self,
+        probe: &mut P,
+        pc: usize,
+        ins: &Instruction,
+        entered: Entered,
         sched: Schedule,
     ) {
+        let (pipe, timing) = (entered.pipe, entered.timing);
         let slot = pipe_slot(pipe);
+        let vl = self.vl as usize;
+        if P::ENABLED {
+            probe.busy(lane_of(slot), timing.z * vl as f64, pc);
+            self.acct[slot] = q(sched.last_entry + timing.z);
+        }
+        self.stats.elements[slot] += vl as u64;
+        // Every element through the add or multiply pipe is one flop.
+        if pipe != Pipe::LoadStore {
+            self.stats.flops += vl as u64;
+        }
         // max: a reduction may already have pushed the pipe further
         // (scalar-result serialization).
         self.pipes[slot].next_entry = self.pipes[slot]
@@ -890,7 +978,7 @@ impl Cpu {
                 pc,
                 text: ins.to_string(),
                 pipe,
-                issue_start,
+                issue_start: entered.issue_start,
                 first_entry: sched.entry0,
                 last_entry: sched.last_entry,
                 first_result: sched.first_result,
@@ -944,54 +1032,24 @@ impl Cpu {
         dst: VReg,
         f: impl Fn(f64, f64) -> f64,
     ) {
-        let vl = self.vl as usize;
-        if vl == 0 {
-            self.issue_scalar(probe, pc);
-            return;
-        }
-        let pipe = ins.pipe().expect("vector arith pipe");
-        let timing = self.timing_of(ins);
         self.scalar_operand_wait(probe, pc, a);
         self.scalar_operand_wait(probe, pc, b);
-        let issue_start = self.clock;
-        let issue_done = self.vector_issue(probe, pc, pipe, timing.x);
-
-        let slot = pipe_slot(pipe);
         let d = usize::from(dst.index());
         let barrier = self.no_chain_barrier(&[a, b]);
         let chain0 = self
             .operand_ready(a, 0)
             .max(self.operand_ready(b, 0))
             .max(self.vread_until[d][0]);
-        let pre_pair = issue_done
-            .max(self.pipes[slot].next_entry)
-            .max(barrier)
-            .max(chain0);
-        let entry0 = self.pair_admit(ins, pre_pair, timing.z * vl as f64);
-        if P::ENABLED {
-            self.attribute_entry(
-                probe,
-                pc,
-                slot,
-                EntryTerms {
-                    issue_done,
-                    fence: 0.0,
-                    barrier,
-                    chain0,
-                    pre_pair,
-                    entry0,
-                },
-            );
-        }
+        let entered = self.vector_enter(probe, pc, ins, 0.0, barrier, chain0);
+        let Entered { timing, entry0, .. } = entered;
 
         // Functional values first (program order guarantees correctness).
         let va = self.operand_values(a);
         let vb = self.operand_values(b);
 
-        let lane = lane_of(slot);
+        let lane = lane_of(pipe_slot(entered.pipe));
         let mut entry = entry0;
-        let mut first_result = 0.0;
-        for e in 0..vl {
+        for e in 0..self.vl as usize {
             if e > 0 {
                 let ideal = entry + timing.z;
                 entry = ideal
@@ -1004,34 +1062,11 @@ impl Cpu {
             }
             self.mark_read(a, e, entry);
             self.mark_read(b, e, entry);
-            let result = entry + timing.y;
-            if e == 0 {
-                first_result = result;
-            }
             self.vdata[d][e] = f(va[e], vb[e]);
-            self.vready[d][e] = q(result);
+            self.vready[d][e] = q(entry + timing.y);
         }
-        let last_entry = entry;
-        let last_result = last_entry + timing.y;
-        if P::ENABLED {
-            probe.busy(lane, timing.z * vl as f64, pc);
-            self.acct[slot] = q(last_entry + timing.z);
-        }
-        self.stats.elements[slot] += vl as u64;
-        self.stats.flops += vl as u64;
-        self.vector_retire(
-            pc,
-            ins,
-            pipe,
-            timing,
-            issue_start,
-            Schedule {
-                entry0,
-                last_entry,
-                first_result,
-                last_result,
-            },
-        );
+        let sched = Schedule::stream(entry0, entry, timing.y);
+        self.vector_retire(probe, pc, ins, entered, sched);
     }
 
     fn operand_values(&self, op: VOperand) -> [f64; VLEN] {
@@ -1048,20 +1083,10 @@ impl Cpu {
         }
     }
 
-    fn vector_reduce<P: Probe>(
-        &mut self,
-        probe: &mut P,
-        pc: usize,
-        ins: &Instruction,
-        src: VReg,
-        dst: SReg,
-        accumulate: bool,
-    ) {
-        self.vector_reduce_signed(probe, pc, ins, src, dst, accumulate, 1.0)
-    }
-
+    /// Sums `src` into scalar `dst`: `dst = sum` for a plain reduction,
+    /// `dst += sign · sum` when `accumulate` is set.
     #[allow(clippy::too_many_arguments)]
-    fn vector_reduce_signed<P: Probe>(
+    fn vector_reduce<P: Probe>(
         &mut self,
         probe: &mut P,
         pc: usize,
@@ -1071,45 +1096,18 @@ impl Cpu {
         accumulate: bool,
         sign: f64,
     ) {
-        let vl = self.vl as usize;
-        if vl == 0 {
-            self.issue_scalar(probe, pc);
-            return;
-        }
-        let pipe = ins.pipe().expect("reduction pipe");
-        let timing = self.timing_of(ins);
         let d = usize::from(dst.index());
         if accumulate {
             self.scalar_wait(probe, pc, self.s_ready[d]);
         }
-        let issue_start = self.clock;
-        let issue_done = self.vector_issue(probe, pc, pipe, timing.x);
-        let slot = pipe_slot(pipe);
         let srcop = VOperand::V(src);
         let barrier = self.no_chain_barrier(&[srcop]);
         let chain0 = self.operand_ready(srcop, 0);
-        let pre_pair = issue_done
-            .max(self.pipes[slot].next_entry)
-            .max(barrier)
-            .max(chain0);
-        let entry0 = self.pair_admit(ins, pre_pair, timing.z * vl as f64);
-        if P::ENABLED {
-            self.attribute_entry(
-                probe,
-                pc,
-                slot,
-                EntryTerms {
-                    issue_done,
-                    fence: 0.0,
-                    barrier,
-                    chain0,
-                    pre_pair,
-                    entry0,
-                },
-            );
-        }
+        let entered = self.vector_enter(probe, pc, ins, 0.0, barrier, chain0);
+        let Entered { timing, entry0, .. } = entered;
 
-        let lane = lane_of(slot);
+        let vl = self.vl as usize;
+        let lane = lane_of(pipe_slot(entered.pipe));
         let mut entry = entry0;
         for e in 0..vl {
             if e > 0 {
@@ -1121,8 +1119,7 @@ impl Cpu {
             }
             self.mark_read(srcop, e, entry);
         }
-        let last_entry = entry;
-        let last_result = last_entry + timing.y;
+        let last_result = entry + timing.y;
 
         let s: f64 = self.vdata[usize::from(src.index())][..vl].iter().sum();
         let base = if accumulate {
@@ -1146,37 +1143,101 @@ impl Cpu {
             }
         }
 
-        if P::ENABLED {
-            probe.busy(lane, timing.z * vl as f64, pc);
-            self.acct[slot] = q(last_entry + timing.z);
-        }
-        self.stats.elements[slot] += vl as u64;
-        self.stats.flops += vl as u64;
-        self.vector_retire(
-            pc,
-            ins,
-            pipe,
-            timing,
-            issue_start,
-            Schedule {
-                entry0,
-                last_entry,
-                first_result: last_result,
-                last_result,
-            },
-        );
+        // The one result is the sum, available after the last element.
+        let sched = Schedule::stream(entry0, entry, timing.y);
+        let sched = Schedule {
+            first_result: sched.last_result,
+            ..sched
+        };
+        self.vector_retire(probe, pc, ins, entered, sched);
     }
 
-    /// Computes the word address of element `e`, validating alignment.
-    fn element_addr(&self, addr: MemRef, e: usize) -> u64 {
-        let base = self.a[usize::from(addr.base.index())] + addr.offset;
-        assert!(
-            base >= 0 && base % WORD_BYTES as i64 == 0,
-            "unaligned or negative vector base address {base}"
-        );
-        let word = base / WORD_BYTES as i64 + addr.stride.words() * e as i64;
-        assert!(word >= 0, "negative element address (word {word})");
-        word as u64
+    /// The word address of a vector access's element 0, after checking
+    /// its whole `vl`-element stream: every element must be an aligned,
+    /// non-negative byte address inside the data space. Element addresses
+    /// are affine in the index, so the first and last bound them all.
+    fn vector_base(&self, addr: MemRef) -> Result<i64, SimError> {
+        let first =
+            self.word_addr(self.a[usize::from(addr.base.index())].saturating_add(addr.offset))?;
+        let span = addr
+            .stride
+            .words()
+            .saturating_mul(i64::from(self.vl.saturating_sub(1)));
+        self.word_addr(first.saturating_add(span).saturating_mul(WORD_BYTES as i64))?;
+        Ok(first)
+    }
+
+    /// The word address of byte address `byte`, which must be aligned,
+    /// non-negative and inside the data space.
+    fn word_addr(&self, byte: i64) -> Result<i64, SimError> {
+        let word = byte / WORD_BYTES as i64;
+        if byte < 0 || byte % WORD_BYTES as i64 != 0 || word >= self.mem.words() as i64 {
+            return Err(SimError::BadAddress { byte_addr: byte });
+        }
+        Ok(word)
+    }
+
+    /// Streams a vector memory instruction's elements through the
+    /// load/store pipe from `base` at `stride` words, and returns the
+    /// schedule. Element `e` enters no earlier than its predecessor plus
+    /// Z and `chain(e)`, the time its chained register element allows;
+    /// `access` performs the element's memory access requested at that
+    /// time and returns the granted cycle.
+    ///
+    /// When no element waits on its chain and the memory stream is
+    /// conflict-free ([`MemorySystem::stream_conflict_free`]), every
+    /// element is granted exactly at `entry0 + Z·e`, so the stream is
+    /// claimed in closed form and `access` only moves data (its `closed`
+    /// argument is true). Such a stream has no chain, bank, refresh or
+    /// contention wait to attribute, so probed and unprobed runs take it
+    /// alike. Otherwise each element is granted and attributed in turn.
+    #[allow(clippy::too_many_arguments)]
+    fn vector_stream<P: Probe>(
+        &mut self,
+        probe: &mut P,
+        pc: usize,
+        entered: Entered,
+        base: i64,
+        stride: i64,
+        chain: impl Fn(&Cpu, usize) -> f64,
+        mut access: impl FnMut(&mut Cpu, u64, usize, f64, bool) -> f64,
+    ) -> Schedule {
+        let Entered { timing, entry0, .. } = entered;
+        let n = self.vl;
+        let chain_max = (0..n as usize).fold(0.0_f64, |m, e| m.max(chain(self, e)));
+        let closed = chain_max <= entry0
+            && self
+                .mem
+                .stream_conflict_free(base, stride, n, entry0, timing.z);
+        if closed {
+            self.mem.claim_stream(base, stride, n, entry0, timing.z);
+        }
+        let lane = lane_of(pipe_slot(entered.pipe));
+        let (mut first_entry, mut prev) = (entry0, entry0);
+        for e in 0..n as usize {
+            let earliest = if e == 0 {
+                entry0
+            } else if closed {
+                entry0 + timing.z * e as f64
+            } else {
+                let ideal = prev + timing.z;
+                let t = ideal.max(chain(self, e));
+                if P::ENABLED {
+                    probe.stall(lane, StallCause::ChainWait, t - ideal, pc);
+                }
+                t
+            };
+            let before = self.mem.wait_breakdown();
+            let granted = access(self, element_addr(base, stride, e), e, earliest, closed);
+            if P::ENABLED {
+                Self::attribute_mem(probe, lane, pc, before, self.mem.wait_breakdown());
+            }
+            if e == 0 {
+                first_entry = granted;
+            }
+            prev = granted;
+        }
+        Schedule::stream(first_entry, prev, timing.y)
     }
 
     fn vector_load<P: Probe>(
@@ -1186,141 +1247,34 @@ impl Cpu {
         ins: &Instruction,
         addr: MemRef,
         dst: VReg,
-    ) {
-        let vl = self.vl as usize;
-        if vl == 0 {
-            self.issue_scalar(probe, pc);
-            return;
-        }
-        let pipe = Pipe::LoadStore;
-        let timing = self.timing_of(ins);
-        let base_idx = usize::from(addr.base.index());
-        self.scalar_wait(probe, pc, self.a_ready[base_idx]);
-        let issue_start = self.clock;
-        let issue_done = self.vector_issue(probe, pc, pipe, timing.x);
-        let slot = pipe_slot(pipe);
+    ) -> Result<(), SimError> {
+        let base = self.vector_base(addr)?;
+        self.scalar_wait(probe, pc, self.a_ready[usize::from(addr.base.index())]);
         let d = usize::from(dst.index());
-        let chain0 = self.vread_until[d][0];
-        let pre_pair = issue_done
-            .max(self.pipes[slot].next_entry)
-            .max(self.scalar_mem_fence)
-            .max(chain0);
-        let entry0 = self.pair_admit(ins, pre_pair, timing.z * vl as f64);
-        if P::ENABLED {
-            self.attribute_entry(
-                probe,
-                pc,
-                slot,
-                EntryTerms {
-                    issue_done,
-                    fence: self.scalar_mem_fence,
-                    barrier: 0.0,
-                    chain0,
-                    pre_pair,
-                    entry0,
-                },
-            );
-        }
-
-        // Closed-form grant fast path: when the whole element stream is
-        // provably conflict-free (idle contention, clear of refresh,
-        // bank revisits spaced past recovery, banks free, no chaining
-        // delays past entry0), the per-element grant search collapses to
-        // arithmetic. Bit-identical to the loop below; skipped under a
-        // probe, which needs the per-element wait attribution.
-        if !P::ENABLED {
-            let chain_max = self.vread_until[d][..vl]
-                .iter()
-                .fold(0.0_f64, |m, &r| m.max(r));
-            let base = self.element_addr(addr, 0) as i64;
-            let stride = addr.stride.words();
-            if chain_max <= entry0
-                && self
-                    .mem
-                    .stream_conflict_free(base, stride, vl as u32, entry0, timing.z)
-            {
-                self.mem
-                    .claim_stream(base, stride, vl as u32, entry0, timing.z);
-                for e in 0..vl {
-                    let word = self.element_addr(addr, e);
-                    let value = self.mem.peek(word);
-                    self.vdata[d][e] = value;
-                    self.vready[d][e] = q(entry0 + timing.z * e as f64 + timing.y);
-                }
-                let last_entry = entry0 + timing.z * (vl - 1) as f64;
-                self.stats.elements[slot] += vl as u64;
-                self.vector_retire(
-                    pc,
-                    ins,
-                    pipe,
-                    timing,
-                    issue_start,
-                    Schedule {
-                        entry0,
-                        last_entry,
-                        first_result: entry0 + timing.y,
-                        last_result: last_entry + timing.y,
-                    },
-                );
-                return;
-            }
-        }
-
-        let lane = lane_of(slot);
-        let mut entry;
-        let mut first_entry = 0.0;
-        let mut prev = f64::NEG_INFINITY;
-        let mut first_result = 0.0;
-        for e in 0..vl {
-            let earliest = if e == 0 {
-                entry0
-            } else {
-                let ideal = prev + timing.z;
-                let t = ideal.max(self.vread_until[d][e]);
-                if P::ENABLED {
-                    probe.stall(lane, StallCause::ChainWait, t - ideal, pc);
-                }
-                t
-            };
-            let word = self.element_addr(addr, e);
-            let before = if P::ENABLED {
-                self.mem.wait_breakdown()
-            } else {
-                WaitBreakdown::default()
-            };
-            let (granted, value) = self.mem.read(word, earliest);
-            if P::ENABLED {
-                Self::attribute_mem(probe, lane, pc, before, self.mem.wait_breakdown());
-            }
-            entry = granted;
-            if e == 0 {
-                first_entry = entry;
-                first_result = entry + timing.y;
-            }
-            self.vdata[d][e] = value;
-            self.vready[d][e] = q(entry + timing.y);
-            prev = entry;
-        }
-        let last_entry = prev;
-        let last_result = last_entry + timing.y;
-        if P::ENABLED {
-            probe.busy(lane, timing.z * vl as f64, pc);
-            self.acct[slot] = q(last_entry + timing.z);
-        }
-        self.stats.elements[slot] += vl as u64;
-        self.vector_retire(
+        let fence = self.scalar_mem_fence;
+        let entered = self.vector_enter(probe, pc, ins, fence, 0.0, self.vread_until[d][0]);
+        let y = entered.timing.y;
+        // Element entries chain only on the destination's pending reads.
+        let sched = self.vector_stream(
+            probe,
             pc,
-            ins,
-            pipe,
-            timing,
-            issue_start,
-            Schedule {
-                entry0: first_entry,
-                last_entry,
-                first_result,
-                last_result,
+            entered,
+            base,
+            addr.stride.words(),
+            |cpu, e| cpu.vread_until[d][e],
+            |cpu, word, e, earliest, closed| {
+                let (granted, value) = if closed {
+                    (earliest, cpu.mem.peek(word))
+                } else {
+                    cpu.mem.read(word, earliest)
+                };
+                cpu.vdata[d][e] = value;
+                cpu.vready[d][e] = q(granted + y);
+                granted
             },
         );
+        self.vector_retire(probe, pc, ins, entered, sched);
+        Ok(())
     }
 
     fn vector_store<P: Probe>(
@@ -1330,147 +1284,42 @@ impl Cpu {
         ins: &Instruction,
         src: VReg,
         addr: MemRef,
-    ) {
-        let vl = self.vl as usize;
-        if vl == 0 {
-            self.issue_scalar(probe, pc);
-            return;
-        }
-        let pipe = Pipe::LoadStore;
-        let timing = self.timing_of(ins);
-        let base_idx = usize::from(addr.base.index());
-        self.scalar_wait(probe, pc, self.a_ready[base_idx]);
-        let issue_start = self.clock;
-        let issue_done = self.vector_issue(probe, pc, pipe, timing.x);
-        let slot = pipe_slot(pipe);
+    ) -> Result<(), SimError> {
+        let base = self.vector_base(addr)?;
+        self.scalar_wait(probe, pc, self.a_ready[usize::from(addr.base.index())]);
         let srcop = VOperand::V(src);
+        let s = usize::from(src.index());
         let barrier = self.no_chain_barrier(&[srcop]);
-        let chain0 = self.operand_ready(srcop, 0);
-        let pre_pair = issue_done
-            .max(self.pipes[slot].next_entry)
-            .max(self.scalar_mem_fence)
-            .max(barrier)
-            .max(chain0);
-        let entry0 = self.pair_admit(ins, pre_pair, timing.z * vl as f64);
-        if P::ENABLED {
-            self.attribute_entry(
-                probe,
-                pc,
-                slot,
-                EntryTerms {
-                    issue_done,
-                    fence: self.scalar_mem_fence,
-                    barrier,
-                    chain0,
-                    pre_pair,
-                    entry0,
-                },
-            );
-        }
-
-        // Closed-form grant fast path — see the twin in `vector_load`.
-        // Stores additionally require the source operand fully ready by
-        // entry0, since element entries chain on it.
-        if !P::ENABLED {
-            let src_max = self.vready[usize::from(src.index())][..vl]
-                .iter()
-                .fold(0.0_f64, |m, &r| m.max(r));
-            let base = self.element_addr(addr, 0) as i64;
-            let stride = addr.stride.words();
-            if src_max <= entry0
-                && self
-                    .mem
-                    .stream_conflict_free(base, stride, vl as u32, entry0, timing.z)
-            {
-                self.mem
-                    .claim_stream(base, stride, vl as u32, entry0, timing.z);
-                let values = self.vdata[usize::from(src.index())];
-                for (e, &value) in values.iter().enumerate().take(vl) {
-                    let entry = entry0 + timing.z * e as f64;
-                    self.mark_read(srcop, e, entry);
-                    let word = self.element_addr(addr, e);
-                    self.mem.poke(word, value);
-                    self.cache.invalidate(word);
-                }
-                let last_entry = entry0 + timing.z * (vl - 1) as f64;
-                self.stats.elements[slot] += vl as u64;
-                self.vector_retire(
-                    pc,
-                    ins,
-                    pipe,
-                    timing,
-                    issue_start,
-                    Schedule {
-                        entry0,
-                        last_entry,
-                        first_result: entry0 + timing.y,
-                        last_result: last_entry + timing.y,
-                    },
-                );
-                return;
-            }
-        }
-
-        let lane = lane_of(slot);
-        let values = self.vdata[usize::from(src.index())];
-        let mut first_entry = 0.0;
-        let mut prev = f64::NEG_INFINITY;
-        for (e, &value) in values.iter().enumerate().take(vl) {
-            let earliest = if e == 0 {
-                entry0
-            } else {
-                let ideal = prev + timing.z;
-                let t = ideal.max(self.operand_ready(srcop, e));
-                if P::ENABLED {
-                    probe.stall(lane, StallCause::ChainWait, t - ideal, pc);
-                }
-                t
-            };
-            self.mark_read(srcop, e, earliest);
-            let word = self.element_addr(addr, e);
-            let before = if P::ENABLED {
-                self.mem.wait_breakdown()
-            } else {
-                WaitBreakdown::default()
-            };
-            let granted = self.mem.write(word, value, earliest);
-            if P::ENABLED {
-                Self::attribute_mem(probe, lane, pc, before, self.mem.wait_breakdown());
-            }
-            self.cache.invalidate(word);
-            if e == 0 {
-                first_entry = granted;
-            }
-            prev = granted;
-        }
-        let last_entry = prev;
-        let last_result = last_entry + timing.y;
-        if P::ENABLED {
-            probe.busy(lane, timing.z * vl as f64, pc);
-            self.acct[slot] = q(last_entry + timing.z);
-        }
-        self.stats.elements[slot] += vl as u64;
-        self.vector_retire(
+        let fence = self.scalar_mem_fence;
+        let entered = self.vector_enter(probe, pc, ins, fence, barrier, self.vready[s][0]);
+        let values = self.vdata[s];
+        // Element entries chain on the source operand.
+        let sched = self.vector_stream(
+            probe,
             pc,
-            ins,
-            pipe,
-            timing,
-            issue_start,
-            Schedule {
-                entry0: first_entry,
-                last_entry,
-                first_result: first_entry + timing.y,
-                last_result,
+            entered,
+            base,
+            addr.stride.words(),
+            |cpu, e| cpu.vready[s][e],
+            |cpu, word, e, earliest, closed| {
+                cpu.mark_read(srcop, e, earliest);
+                let granted = if closed {
+                    cpu.mem.poke(word, values[e]);
+                    earliest
+                } else {
+                    cpu.mem.write(word, values[e], earliest)
+                };
+                cpu.cache.invalidate(word);
+                granted
             },
         );
+        self.vector_retire(probe, pc, ins, entered, sched);
+        Ok(())
     }
 
     fn scalar_addr(&self, addr: MemRef) -> Result<u64, SimError> {
-        let base = self.a[usize::from(addr.base.index())] + addr.offset;
-        if base < 0 || base % WORD_BYTES as i64 != 0 {
-            return Err(SimError::BadAddress { byte_addr: base });
-        }
-        Ok((base / WORD_BYTES as i64) as u64)
+        let byte = self.a[usize::from(addr.base.index())].saturating_add(addr.offset);
+        self.word_addr(byte).map(|word| word as u64)
     }
 
     /// Opens the scalar-memory lane's account for an access starting at
@@ -1602,8 +1451,10 @@ impl Cpu {
     // agree), the per-instruction path recording, and the functional
     // "warp" replay of recorded periods.
 
-    fn ff_banks(&self) -> u32 {
-        self.mem.config().banks
+    /// The bank a word maps to — the address residue a recorded step
+    /// checks.
+    fn ff_residue(&self, word: u64) -> u32 {
+        (word % u64::from(self.mem.config().banks)) as u32
     }
 
     /// Discrete state that must match exactly for two loop-head arrivals
@@ -1761,19 +1612,15 @@ impl Cpu {
     fn ff_prestep(&mut self, ins: &Instruction) -> PreRec {
         use Instruction::*;
         match ins {
-            VLoad { addr, .. } | VStore { addr, .. } => {
-                let vl = self.vl;
-                let residue = if vl == 0 {
-                    0
-                } else {
-                    (self.element_addr(*addr, 0) % u64::from(self.ff_banks())) as u32
-                };
-                PreRec::VecMem {
-                    residue,
-                    stride: addr.stride.words(),
-                    vl,
-                }
-            }
+            VLoad { addr, .. } | VStore { addr, .. } => PreRec::VecMem {
+                // A bad address records residue 0, and its replay rolls
+                // back (the exact step fails, or at VL 0 moves nothing).
+                residue: self
+                    .vector_base(*addr)
+                    .map_or(0, |w| self.ff_residue(w as u64)),
+                stride: addr.stride.words(),
+                vl: self.vl,
+            },
             SLoad { addr, .. } => PreRec::SMem {
                 residue: self.ff_scalar_residue(*addr),
                 hits_before: self.cache.hits(),
@@ -1789,9 +1636,7 @@ impl Cpu {
     }
 
     fn ff_scalar_residue(&self, addr: MemRef) -> u32 {
-        self.scalar_addr(addr)
-            .map(|w| (w % u64::from(self.ff_banks())) as u32)
-            .unwrap_or(0)
+        self.scalar_addr(addr).map_or(0, |w| self.ff_residue(w))
     }
 
     /// Finalizes a recorded step after execution (cache hit/miss outcome
@@ -2038,7 +1883,7 @@ impl Cpu {
                 if self.cache.tag_read_logged(word, &mut scratch.cache_log) != hit {
                     return None;
                 }
-                if !hit && (word % u64::from(self.ff_banks())) as u32 != residue {
+                if !hit && self.ff_residue(word) != residue {
                     return None;
                 }
                 let value = self.mem.peek(word);
@@ -2054,7 +1899,7 @@ impl Cpu {
                     return None;
                 };
                 let word = self.scalar_addr(*addr).ok()?;
-                if (word % u64::from(self.ff_banks())) as u32 != residue {
+                if self.ff_residue(word) != residue {
                     return None;
                 }
                 if self.cache.tag_write_logged(word, &mut scratch.cache_log) != hit {
@@ -2104,7 +1949,10 @@ impl Cpu {
         }
     }
 
-    fn warp_vload(&mut self, step: &Step, addr: MemRef, dst: VReg) -> Option<()> {
+    /// The base word of a replayed vector memory step, or `None` when the
+    /// replay leaves the recorded path: another vector length or stride,
+    /// another first-element bank, or an address the exact step rejects.
+    fn warp_vec_base(&self, step: &Step, addr: MemRef) -> Option<i64> {
         let StepCheck::VecMem {
             residue,
             stride,
@@ -2116,25 +1964,22 @@ impl Cpu {
         if self.vl != vl || addr.stride.words() != stride {
             return None;
         }
-        let n = vl as usize;
-        if n == 0 {
-            return Some(());
-        }
-        let base = self.element_addr(addr, 0);
-        if (base % u64::from(self.ff_banks())) as u32 != residue {
-            return None;
-        }
+        let base = self.vector_base(addr).ok()?;
+        (self.ff_residue(base as u64) == residue).then_some(base)
+    }
+
+    fn warp_vload(&mut self, step: &Step, addr: MemRef, dst: VReg) -> Option<()> {
+        let base = self.warp_vec_base(step, addr)?;
+        let (n, stride) = (self.vl as usize, addr.stride.words());
         let d = usize::from(dst.index());
         if stride == 1 {
-            self.vdata[d][..n].copy_from_slice(self.mem.peek_run(base, n)?);
+            self.vdata[d][..n].copy_from_slice(self.mem.peek_run(base as u64, n)?);
         } else {
             for e in 0..n {
-                let word = self.element_addr(addr, e);
-                let value = self.mem.peek(word);
-                self.vdata[d][e] = value;
+                self.vdata[d][e] = self.mem.peek(element_addr(base, stride, e));
             }
         }
-        self.stats.elements[0] += u64::from(vl);
+        self.stats.elements[0] += n as u64;
         Some(())
     }
 
@@ -2145,27 +1990,11 @@ impl Cpu {
         addr: MemRef,
         scratch: &mut WarpScratch,
     ) -> Option<()> {
-        let StepCheck::VecMem {
-            residue,
-            stride,
-            vl,
-        } = step.check
-        else {
-            return None;
-        };
-        if self.vl != vl || addr.stride.words() != stride {
-            return None;
-        }
-        let n = vl as usize;
-        if n == 0 {
-            return Some(());
-        }
-        let base = self.element_addr(addr, 0);
-        if (base % u64::from(self.ff_banks())) as u32 != residue {
-            return None;
-        }
+        let base = self.warp_vec_base(step, addr)?;
+        let (n, stride) = (self.vl as usize, addr.stride.words());
         let si = usize::from(src.index());
         if stride == 1 {
+            let base = base as u64;
             let off = scratch.undo_data.len();
             scratch
                 .undo_data
@@ -2180,13 +2009,13 @@ impl Cpu {
         } else {
             let values = self.vdata[si];
             for (e, &value) in values.iter().enumerate().take(n) {
-                let word = self.element_addr(addr, e);
+                let word = element_addr(base, stride, e);
                 scratch.undo.push(UndoRec::Word(word, self.mem.peek(word)));
                 self.mem.poke(word, value);
                 self.cache.invalidate_logged(word, &mut scratch.cache_log);
             }
         }
-        self.stats.elements[0] += u64::from(vl);
+        self.stats.elements[0] += n as u64;
         Some(())
     }
 
@@ -2201,9 +2030,6 @@ impl Cpu {
     ) -> Option<()> {
         plain_check(step)?;
         let vl = self.vl as usize;
-        if vl == 0 {
-            return Some(());
-        }
         let slot = pipe_slot(ins.pipe().expect("vector arith pipe"));
         let va = self.operand_values(a);
         let vb = self.operand_values(b);
@@ -2227,7 +2053,7 @@ impl Cpu {
     ) -> Option<()> {
         // Unreachable in practice — the reduction element rate (Z = 1.35)
         // yields fractional deltas that never pass the integer guard —
-        // but kept faithful to `vector_reduce_signed` regardless.
+        // but kept faithful to `vector_reduce` regardless.
         plain_check(step)?;
         let vl = self.vl as usize;
         if vl == 0 {
@@ -2246,6 +2072,12 @@ impl Cpu {
         self.stats.flops += vl as u64;
         Some(())
     }
+}
+
+/// Word address of element `e` of a stream whose range
+/// [`Cpu::vector_base`] checked.
+fn element_addr(base: i64, stride: i64, e: usize) -> u64 {
+    (base + stride * e as i64) as u64
 }
 
 fn plain_check(step: &Step) -> Option<()> {
@@ -2746,6 +2578,10 @@ mod tests {
         assert!(cpu.trace().events()[0].text.contains("ld.l"));
     }
 
+    /// A probe observes without steering. Probed and unprobed runs take
+    /// the same grant paths, closed-form streams included, so the probe
+    /// must leave the cycle count alone, and each lane's account must
+    /// partition the wall clock exactly.
     #[test]
     fn probed_run_matches_unprobed_and_partitions_wallclock() {
         use c240_obs::CounterProbe;
@@ -3084,5 +2920,115 @@ mod edge_tests {
         let stats = cpu.run(&p).unwrap();
         assert!(stats.to_string().contains("MFLOPS"));
         assert!(stats.mflops() > 0.0);
+    }
+
+    const SMALL_WORDS: usize = 4096;
+
+    /// Runs `program` with `a1 = a1` on a `SMALL_WORDS`-word memory,
+    /// with fast-forward on and then off, and returns both errors.
+    fn run_err(program: &Program, a1: i64) -> [(SimError, FfStats); 2] {
+        let mut config = quiet();
+        config.mem = config.mem.with_words(SMALL_WORDS);
+        [config.clone(), config.without_fast_forward()].map(|config| {
+            let mut cpu = Cpu::new(config);
+            cpu.set_areg(1, a1);
+            let err = cpu.run(program).unwrap_err();
+            (err, cpu.ff_stats())
+        })
+    }
+
+    /// One vector load or store of `vl` elements at `stride` words.
+    fn one_access(store: bool, vl: u32, stride: i64) -> Program {
+        let mut b = ProgramBuilder::new();
+        b.set_vl_imm(vl);
+        if store {
+            b.vstore_strided("v0", "a1", 0, stride);
+        } else {
+            b.vload_strided("a1", 0, stride, "v0");
+        }
+        b.halt();
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn bad_vector_addresses_are_errors() {
+        let near_end = (SMALL_WORDS as i64 - 4) * 8;
+        // (a1, stride, offending byte address)
+        let cases = [
+            (4, 1, 4),                       // unaligned base
+            (-8, 1, -8),                     // negative base
+            (16, -1, -40),                   // element 7 walks to word -5
+            (near_end, 1, near_end + 7 * 8), // element 7 is past the end
+        ];
+        for store in [false, true] {
+            for (a1, stride, byte_addr) in cases {
+                for (err, _) in run_err(&one_access(store, 8, stride), a1) {
+                    assert_eq!(
+                        err,
+                        SimError::BadAddress { byte_addr },
+                        "store {store} a1 {a1} stride {stride}"
+                    );
+                }
+            }
+            // The same stream walking down from there stays inside.
+            let mut config = quiet();
+            config.mem = config.mem.with_words(SMALL_WORDS);
+            let mut cpu = Cpu::new(config);
+            cpu.set_areg(1, near_end);
+            cpu.run(&one_access(store, 8, -1)).unwrap();
+        }
+    }
+
+    /// A strip loop whose stream walks one strip per iteration until it
+    /// leaves the data space: fast-forward warps over the in-range
+    /// strips, and the warp replay must hand the bad strip back to exact
+    /// stepping, which reports it instead of panicking.
+    #[test]
+    fn strip_loop_running_off_memory_is_an_error() {
+        let strip_bytes = 128 * 8;
+        for store in [false, true] {
+            for (a1, step, byte_addr) in [
+                (0, strip_bytes, SMALL_WORDS as i64 * 8),
+                ((SMALL_WORDS as i64 - 128) * 8, -strip_bytes, -strip_bytes),
+            ] {
+                let mut b = ProgramBuilder::new();
+                b.set_vl_imm(128);
+                b.mov_int(1000, "s0");
+                b.label("L");
+                if store {
+                    b.vstore("v0", "a1", 0);
+                } else {
+                    b.vload("a1", 0, "v0");
+                }
+                b.int_op_imm("add", step, "a1");
+                b.int_op_imm("sub", 1, "s0");
+                b.cmp_imm("lt", 0, "s0");
+                b.branch_true("L");
+                b.halt();
+                let p = b.build().unwrap();
+                let [(ff_err, ff), (exact_err, exact)] = run_err(&p, a1);
+                assert_eq!(ff_err, SimError::BadAddress { byte_addr });
+                assert_eq!(exact_err, ff_err);
+                assert!(ff.warps > 0, "fast-forward never warped: {ff:?}");
+                assert_eq!(exact.warps, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn scalar_address_past_the_end_is_an_error() {
+        let byte_addr = SMALL_WORDS as i64 * 8;
+        for store in [false, true] {
+            let mut b = ProgramBuilder::new();
+            if store {
+                b.sstore("s0", "a1", 0);
+            } else {
+                b.sload("a1", 0, "s0");
+            }
+            b.halt();
+            for (err, _) in run_err(&b.build().unwrap(), byte_addr) {
+                assert_eq!(err, SimError::BadAddress { byte_addr });
+            }
+        }
     }
 }

@@ -17,7 +17,9 @@ pub enum SimError {
         /// Program counter at which the fetch failed.
         pc: usize,
     },
-    /// A scalar access used a negative or unaligned byte address.
+    /// A scalar or vector memory access used a byte address that is
+    /// negative, unaligned, or past the end of the data space. For a
+    /// vector access this is its first or last element's address.
     BadAddress {
         /// The offending byte address.
         byte_addr: i64,
@@ -39,7 +41,10 @@ impl fmt::Display for SimError {
                 write!(f, "control flow ran past the end of the program at pc {pc}")
             }
             SimError::BadAddress { byte_addr } => {
-                write!(f, "negative or unaligned scalar byte address {byte_addr}")
+                write!(
+                    f,
+                    "byte address {byte_addr} is negative, unaligned or outside the data space"
+                )
             }
             SimError::Unsupported { pc } => write!(f, "unsupported instruction at pc {pc}"),
         }

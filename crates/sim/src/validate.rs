@@ -5,8 +5,8 @@
 //! debug assertion has a typed, recoverable form here: a [`ConfigError`]
 //! names the violated constraint instead of tearing down the process.
 //! Programmatic construction keeps the panicking builders
-//! ([`SimConfig::with_cpus`] and friends) as compatibility wrappers over
-//! the new `try_` constructors.
+//! ([`SimConfig::with_cpus`] and friends), which check the same
+//! constraints for the fields they set.
 
 use std::error::Error;
 use std::fmt;
@@ -171,7 +171,8 @@ impl SimConfig {
         })
     }
 
-    fn validate_inner(&self) -> Result<(), ConfigError> {
+    /// The CPU-count constraints, shared with [`SimConfig::with_cpus`].
+    pub(crate) fn check_cpus(&self) -> Result<(), ConfigError> {
         if self.cpus == 0 {
             return Err(ConfigError::ZeroCpus);
         }
@@ -184,6 +185,11 @@ impl SimConfig {
                 ports: self.ports,
             });
         }
+        Ok(())
+    }
+
+    fn validate_inner(&self) -> Result<(), ConfigError> {
+        self.check_cpus()?;
         if self.max_instructions == 0 {
             return Err(ConfigError::ZeroMaxInstructions);
         }
@@ -215,28 +221,6 @@ impl SimConfig {
         self.mem.validate()?;
         self.cache.validate()?;
         Ok(())
-    }
-
-    /// Fallible form of [`SimConfig::with_cpus`].
-    ///
-    /// # Errors
-    ///
-    /// Rejects a zero or oversized CPU count.
-    pub fn try_with_cpus(mut self, n: u32) -> Result<Self, ConfigError> {
-        if n == 0 {
-            return Err(ConfigError::ZeroCpus);
-        }
-        if n > MAX_CPUS {
-            return Err(ConfigError::TooManyCpus { cpus: n });
-        }
-        if n > self.ports {
-            return Err(ConfigError::MoreCpusThanPorts {
-                cpus: n,
-                ports: self.ports,
-            });
-        }
-        self.cpus = n;
-        Ok(self)
     }
 }
 
@@ -273,6 +257,8 @@ mod tests {
             &ConfigError::MoreCpusThanPorts { cpus: 5, ports: 4 }
         );
         assert!(err.to_string().contains("4 memory ports"));
+        // The panicking builder accepts what validation accepts.
+        assert_eq!(SimConfig::c240().with_cpus(2).cpus, 2);
         let mut c = SimConfig::c240();
         c.max_instructions = 0;
         assert_eq!(
@@ -362,12 +348,8 @@ mod tests {
     }
 
     #[test]
-    fn try_with_cpus_matches_wrapper() {
-        assert_eq!(SimConfig::c240().try_with_cpus(2).unwrap().cpus, 2);
-        assert_eq!(
-            SimConfig::c240().try_with_cpus(0),
-            Err(ConfigError::ZeroCpus)
-        );
-        assert_eq!(SimConfig::c240().with_cpus(2).cpus, 2);
+    #[should_panic(expected = "a machine needs at least one CPU: MoreCpusThanPorts")]
+    fn with_cpus_panics_past_the_port_count() {
+        let _ = SimConfig::c240().with_cpus(5);
     }
 }

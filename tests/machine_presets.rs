@@ -188,10 +188,13 @@ fn dual_port_preset_shifts_the_contention_bands() {
     );
     // And the port count is a real limit, not a label: a third CPU does
     // not fit a two-port machine.
-    let err = SimConfig::for_machine(&MachineDescription::dual_port())
-        .try_with_cpus(3)
-        .unwrap_err();
-    assert_eq!(err, ConfigError::MoreCpusThanPorts { cpus: 3, ports: 2 });
+    let mut three = SimConfig::for_machine(&MachineDescription::dual_port());
+    three.cpus = 3;
+    let err = three.validate().unwrap_err();
+    assert_eq!(
+        err.root(),
+        &ConfigError::MoreCpusThanPorts { cpus: 3, ports: 2 }
+    );
 }
 
 /// §6 transfer: the bounds hierarchy and the A/X decomposition hold on
