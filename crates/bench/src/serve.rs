@@ -375,7 +375,18 @@ pub fn eval_point_observed(
             return reject(point_span, &prov, row);
         }
     };
-    let checked = checked.map(|k| cfg.validate().map(|()| k).map_err(|e| e.to_string()));
+    let checked = checked.map(|k| {
+        cfg.validate().map_err(|e| e.to_string())?;
+        let need = k.footprint_words();
+        if (cfg.mem.words as u64) < need {
+            return Err(format!(
+                "LFK{} needs a data space of at least {need} words, got {}",
+                k.id(),
+                cfg.mem.words
+            ));
+        }
+        Ok(k)
+    });
     prov.validate_ns = vspan.map(Span::end);
     let kernel = match checked {
         Err(message) => return reject(point_span, &prov, rejected("unknown_kernel", &message)),

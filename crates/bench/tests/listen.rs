@@ -2,7 +2,8 @@
 //! `--coordinate`: the same point stream over TCP and a Unix socket
 //! yields the rows it yields over stdin, `GET /metrics` is answered off
 //! the sweep listener, a stalled peer gets a structured row, and
-//! `--unix` never deletes a file that is not a socket.
+//! `--unix` never deletes a file that is not a socket. Without a service
+//! mode the binary is a usage error.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -365,4 +366,33 @@ fn serve_refuses_to_replace_a_regular_file_with_its_socket() {
 #[test]
 fn coordinate_refuses_to_replace_a_regular_file_with_its_socket() {
     unix_path_that_is_a_regular_file_survives("coordinate");
+}
+
+/// Without `--serve` or `--coordinate` the binary is a usage error: it
+/// exits 2, prints the usage line to stderr and writes nothing.
+#[test]
+fn anything_but_a_service_mode_is_a_usage_error() {
+    for (tag, args) in [
+        ("none", &[][..]),
+        ("dir", &["results"][..]),
+        ("unknown", &["--bench"][..]),
+    ] {
+        let dir = temp_dir(&format!("usage-{tag}"));
+        let out = Command::new(BIN)
+            .args(args)
+            .current_dir(&dir)
+            .stdin(Stdio::null())
+            .output()
+            .expect("command runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.starts_with("usage: macs-bench --serve"),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let created: Vec<_> = std::fs::read_dir(&dir).expect("dir readable").collect();
+        assert!(created.is_empty(), "{args:?} created {created:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -111,6 +111,23 @@ fn hostile_streams_become_error_rows_never_a_dead_server() {
 }
 
 #[test]
+fn data_space_smaller_than_the_kernel_is_rejected_before_any_attempt() {
+    let input = "{\"id\":\"tiny\",\"kernel\":1,\"config\":{\"words\":1024}}\n\
+                 {\"id\":\"fits\",\"kernel\":1,\"config\":{\"words\":6529}}\n";
+    let (rows, summary) = serve_once(input, &["--max-attempts", "3", "--backoff-ms", "1"]);
+    let tiny = row_by_id(&rows, "tiny");
+    assert_eq!(field_str(tiny, "error_kind"), Some("invalid_config"));
+    assert_eq!(field_num(tiny, "attempts"), Some(0.0));
+    assert_eq!(tiny.get("poisoned"), Some(&Json::Bool(false)));
+    let message = field_str(tiny, "message").expect("error message");
+    assert!(message.contains("6529 words"), "{message}");
+    assert_eq!(field_str(row_by_id(&rows, "fits"), "status"), Some("ok"));
+    assert_eq!(field_num(&summary, "invalid"), Some(1.0));
+    assert_eq!(field_num(&summary, "panicked"), Some(0.0));
+    assert_eq!(field_num(&summary, "retried"), Some(0.0));
+}
+
+#[test]
 fn served_rows_are_bit_identical_to_in_process_evaluation() {
     let lines = [
         "{\"id\":\"base\",\"kernel\":1}",

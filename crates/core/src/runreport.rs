@@ -3,9 +3,8 @@
 //! and MACS bounds/gaps.
 //!
 //! The JSON layout is versioned by [`RUN_REPORT_SCHEMA`]; tooling that
-//! tracks performance across commits (the perf-trajectory harness)
-//! parses these reports, so field names are stable — additions bump the
-//! schema suffix.
+//! compares runs across commits parses these reports, so field names
+//! are stable — additions bump the schema suffix.
 
 use c240_obs::json::Json;
 use c240_sim::{Lane, StallCause};

@@ -78,6 +78,11 @@ impl LfkKernel for Lfk1 {
         PASSES
     }
 
+    fn footprint_words(&self) -> u64 {
+        // `ZX`, the highest array, holds `N + 11` words.
+        ZX_WORD + (N + 11) as u64
+    }
+
     fn program_with_passes(&self, passes: i64) -> Program {
         assert!(passes >= 1, "at least one pass");
         // The §3.5 listing, wrapped in the standard LFK repetition loop.

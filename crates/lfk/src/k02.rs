@@ -111,6 +111,11 @@ impl LfkKernel for Lfk2 {
         PASSES
     }
 
+    fn footprint_words(&self) -> u64 {
+        // `V`, above `X` and the scalar frame, holds `X_LEN` words.
+        V_WORD + X_LEN as u64
+    }
+
     fn program_with_passes(&self, passes: i64) -> Program {
         assert!(passes >= 1, "at least one pass");
         // Registers: a0 pass counter; a4 = ii; a5 = byte address of the

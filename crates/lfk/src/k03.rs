@@ -67,6 +67,11 @@ impl LfkKernel for Lfk3 {
         PASSES
     }
 
+    fn footprint_words(&self) -> u64 {
+        // `X` lies above `Z`.
+        X_WORD + N as u64
+    }
+
     fn program_with_passes(&self, passes: i64) -> Program {
         assert!(passes >= 1, "at least one pass");
         assemble(&format!(

@@ -98,6 +98,11 @@ impl LfkKernel for Lfk4 {
         PASSES
     }
 
+    fn footprint_words(&self) -> u64 {
+        // `XZ` lies above `X` and `Y`.
+        XZ_WORD + (2 * M + INNER) as u64
+    }
+
     fn program_with_passes(&self, passes: i64) -> Program {
         assert!(passes >= 1, "at least one pass");
         // a0 passes; a6 band counter; a4 = &XZ band base; a5 = &X(k-1);

@@ -81,6 +81,11 @@ impl LfkKernel for Lfk6 {
         PASSES
     }
 
+    fn footprint_words(&self) -> u64 {
+        // The `N`×`N` matrix `B` lies above `W`.
+        B_WORD + (N * N) as u64
+    }
+
     fn program_with_passes(&self, passes: i64) -> Program {
         assert!(passes >= 1, "at least one pass");
         // a0 passes; a4 = current row i; a5 = &B(1,i); a6 = &W(i);

@@ -86,6 +86,11 @@ impl LfkKernel for Lfk7 {
         PASSES
     }
 
+    fn footprint_words(&self) -> u64 {
+        // The output `X` lies above `Y`, `Z` and `U`.
+        X_WORD + N as u64
+    }
+
     fn program_with_passes(&self, passes: i64) -> Program {
         assert!(passes >= 1, "at least one pass");
         assemble(&format!(

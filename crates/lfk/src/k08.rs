@@ -162,6 +162,11 @@ impl LfkKernel for Lfk8 {
         PASSES
     }
 
+    fn footprint_words(&self) -> u64 {
+        // `U3` lies above `U1`, `U2`, the `DU` planes and the spill table.
+        U3_WORD + 2 * PLANE as u64
+    }
+
     fn program_with_passes(&self, passes: i64) -> Program {
         assert!(passes >= 1, "at least one pass");
         let du_stmt = |u_base: &str, du_reg: &str, du_ptr: &str| {

@@ -82,6 +82,11 @@ impl LfkKernel for Lfk9 {
         PASSES
     }
 
+    fn footprint_words(&self) -> u64 {
+        // The whole `PX` workspace.
+        PX_WORD + (LDA * N) as u64
+    }
+
     fn program_with_passes(&self, passes: i64) -> Program {
         assert!(passes >= 1, "at least one pass");
         // Byte offset of row j: (j-1)*8.

@@ -95,6 +95,11 @@ impl LfkKernel for Lfk10 {
         PASSES
     }
 
+    fn footprint_words(&self) -> u64 {
+        // `CX` lies above `PX`.
+        CX_WORD + (LDA * N) as u64
+    }
+
     fn program_with_passes(&self, passes: i64) -> Program {
         assert!(passes >= 1, "at least one pass");
         // The d-values rotate v0→v2→v4→v6, loads rotate v1→v3→v5→v7:

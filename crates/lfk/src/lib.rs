@@ -79,12 +79,16 @@ pub trait LfkKernel: Send + Sync {
     /// kernel's listing starts with).
     fn passes(&self) -> i64;
 
+    /// One past the highest word address [`LfkKernel::setup`] or the
+    /// program touches, at any pass count: the smallest data space
+    /// (`MemConfig::words`) the kernel runs in.
+    fn footprint_words(&self) -> u64;
+
     /// The kernel's program with the outer repetition loop run `passes`
-    /// times instead of the default. The simulator-throughput benches
-    /// use this to build paper-scale runs without touching the curated
-    /// default workloads. [`LfkKernel::check`] is only guaranteed for
-    /// the default pass count (kernels whose reference accumulates per
-    /// pass depend on it).
+    /// times instead of the default, for sweep points and paper-scale
+    /// runs that leave the curated default workloads untouched.
+    /// [`LfkKernel::check`] is only guaranteed for the default pass
+    /// count (kernels whose reference accumulates per pass depend on it).
     ///
     /// # Panics
     ///
@@ -204,6 +208,7 @@ pub const IDS: [u32; 10] = [1, 2, 3, 4, 6, 7, 8, 9, 10, 12];
 #[cfg(test)]
 mod tests {
     use super::*;
+    use c240_sim::{RunStats, SimConfig};
 
     #[test]
     fn bad_pass_counts_are_rejected_without_panicking() {
@@ -236,6 +241,43 @@ mod tests {
         assert!(by_id(5).is_none());
         assert!(by_id(11).is_none());
         assert!(by_id(13).is_none());
+    }
+
+    /// Runs `k` for `passes` in a data space of `words` words; `None` if
+    /// setup or the run fails.
+    fn run_in(k: &dyn LfkKernel, words: usize, passes: i64) -> Option<(Cpu, RunStats)> {
+        let mut cfg = SimConfig::c240();
+        cfg.mem = cfg.mem.with_words(words);
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut cpu = Cpu::new(cfg);
+            k.setup(&mut cpu);
+            let stats = cpu.run(&k.program_with_passes(passes)).ok()?;
+            Some((cpu, stats))
+        }))
+        .ok()
+        .flatten()
+    }
+
+    #[test]
+    fn every_kernel_runs_in_exactly_its_footprint() {
+        let full = SimConfig::c240().mem.words;
+        for k in all() {
+            let words = k.footprint_words() as usize;
+            for passes in [1, 2, k.passes()] {
+                let (cpu, stats) = run_in(k.as_ref(), words, passes)
+                    .unwrap_or_else(|| panic!("LFK{} fails in {words} words", k.id()));
+                assert_eq!(stats, run_in(k.as_ref(), full, passes).unwrap().1);
+                if passes == k.passes() {
+                    k.check(&cpu).unwrap();
+                }
+            }
+            assert!(
+                run_in(k.as_ref(), words - 1, 1).is_none(),
+                "LFK{} also runs in {} words",
+                k.id(),
+                words - 1
+            );
+        }
     }
 
     #[test]

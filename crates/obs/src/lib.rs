@@ -19,9 +19,9 @@
 //! simulator compiles to the same code as the uninstrumented one.
 //! [`CounterProbe`] accumulates totals, per-lane and per-pc breakdowns.
 //!
-//! The [`json`] module hosts the small writer used for `RunReport` and
-//! `BENCH_<date>.json` artifacts (the build environment is offline, so
-//! no serde). The [`span`] and [`metrics`] modules extend the same
+//! The [`json`] module hosts the small writer and parser used for
+//! `RunReport` artifacts, sweep rows and journals (no serde: the crate
+//! has no dependencies). The [`span`] and [`metrics`] modules extend the same
 //! attribution discipline from simulated cycles to the wall clock of the
 //! sweep service itself: hierarchical spans partition where a point's
 //! real time went, and the metrics registry keeps service-level counters

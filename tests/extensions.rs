@@ -76,6 +76,11 @@ fn macs_d_prices_bank_conflicts() {
         with_d.cpl(),
         measured
     );
+    // The figures EXPERIMENTS.md quotes.
+    assert_eq!(
+        format!("{:.2} {:.2} {measured:.2}", plain.cpl(), with_d.cpl()),
+        "2.10 3.12 3.10"
+    );
 }
 
 /// On unit-stride code MACS-D changes nothing.
