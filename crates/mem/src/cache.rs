@@ -4,9 +4,11 @@
 //! Unit's data cache, while the vector processor bypasses it and accesses
 //! memory directly (§2). We model a small direct-mapped write-through
 //! cache: hits cost a fixed latency; misses additionally perform a memory
-//! access (and thus interact with banks, refresh and contention).
+//! access (and thus interact with banks, refresh and contention). The
+//! latencies are charged by the simulator's scalar-memory timing; this
+//! type keeps the tags and the hit/miss counters.
 
-use crate::system::MemorySystem;
+use crate::Journal;
 
 /// Scalar cache geometry and latencies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,12 +41,13 @@ impl Default for CacheConfig {
     }
 }
 
-/// A direct-mapped, write-through scalar data cache.
+/// The tags of a direct-mapped, write-through scalar data cache.
 ///
-/// The cache only models *timing*; data always comes from (and goes to)
-/// the backing [`MemorySystem`], which keeps scalar and vector accesses
-/// coherent — matching the write-through design implied by the machine's
-/// single memory image.
+/// The cache holds no data: loads read, and stores write through to, the
+/// one memory image (`MemorySystem`), which keeps scalar and vector
+/// accesses coherent. Every tag overwrite is reported to a [`Journal`],
+/// and [`ScalarCache::checkpoint`] / [`ScalarCache::rollback`] undo a
+/// journaled sequence without cloning the tags.
 #[derive(Debug, Clone)]
 pub struct ScalarCache {
     config: CacheConfig,
@@ -53,8 +56,8 @@ pub struct ScalarCache {
     misses: u64,
     // `addr >> shift` replaces `addr / line_words` when the line size is
     // a power of two (it always is for the c240 geometry); likewise a
-    // mask replaces the modulo when `lines` is a power of two. The
-    // simulator's fast-forward warp invalidates per stored element, so
+    // mask replaces the modulo when `lines` is a power of two. Every
+    // scalar access and every vector-stored element maps an address, so
     // this division is on a hot path.
     line_shift: Option<u32>,
     line_mask: Option<u64>,
@@ -117,60 +120,44 @@ impl ScalarCache {
         (line, line_addr)
     }
 
-    /// Performs a scalar load through the cache; returns
-    /// `(complete_cycle, value)`.
-    pub fn read(&mut self, mem: &mut MemorySystem, addr: u64, at: f64) -> (f64, f64) {
-        let (line, tag) = self.line_and_tag(addr);
-        if self.tags[line] == Some(tag) {
-            self.hits += 1;
-            (at + self.config.hit_latency as f64, mem.peek(addr))
-        } else {
-            self.misses += 1;
-            let (granted, value) = mem.read(addr, at);
-            self.tags[line] = Some(tag);
-            (
-                granted + (self.config.hit_latency + self.config.miss_penalty) as f64,
-                value,
-            )
-        }
-    }
-
-    /// Performs a scalar store (write-through: always reaches memory);
-    /// returns the complete cycle.
-    pub fn write(&mut self, mem: &mut MemorySystem, addr: u64, value: f64, at: f64) -> f64 {
-        let (line, tag) = self.line_and_tag(addr);
-        if self.tags[line] == Some(tag) {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-            self.tags[line] = Some(tag);
-        }
-        let granted = mem.write(addr, value, at);
-        granted + self.config.hit_latency as f64
-    }
-
-    /// Updates tags and hit/miss counters for a load *without* touching
-    /// the memory system's timing state; returns whether it hit. The
-    /// simulator's fast-forward warp replays scalar loads functionally
-    /// (data via [`MemorySystem::peek`]) and uses this to keep the cache
-    /// state and statistics identical to [`ScalarCache::read`].
-    pub fn tag_read(&mut self, addr: u64) -> bool {
+    /// Looks up `addr` for a scalar load or store and returns whether it
+    /// hit, counting the outcome. A miss fills the line; write-through
+    /// stores allocate exactly like loads.
+    pub fn access(&mut self, addr: u64, journal: &mut impl Journal) -> bool {
         let (line, tag) = self.line_and_tag(addr);
         if self.tags[line] == Some(tag) {
             self.hits += 1;
             true
         } else {
             self.misses += 1;
+            journal.tag(line, self.tags[line]);
             self.tags[line] = Some(tag);
             false
         }
     }
 
-    /// The tag/counter half of [`ScalarCache::write`] without the memory
-    /// access; returns whether it hit. See [`ScalarCache::tag_read`].
-    pub fn tag_write(&mut self, addr: u64) -> bool {
-        // Write-through tags behave exactly like read tags.
-        self.tag_read(addr)
+    /// Invalidates the line containing `addr` (used when a vector store
+    /// bypasses the cache and writes the same location).
+    pub fn invalidate(&mut self, addr: u64, journal: &mut impl Journal) {
+        let (line, tag) = self.line_and_tag(addr);
+        if self.tags[line] == Some(tag) {
+            journal.tag(line, self.tags[line]);
+            self.tags[line] = None;
+        }
+    }
+
+    /// Invalidates every line overlapping the word run `[addr, addr + n)`:
+    /// the same as [`ScalarCache::invalidate`] on each word, with one tag
+    /// probe per line instead of per word.
+    pub fn invalidate_run(&mut self, addr: u64, n: usize, journal: &mut impl Journal) {
+        let lw = u64::from(self.config.line_words);
+        let mut a = addr;
+        let end = addr + n as u64;
+        while a < end {
+            self.invalidate(a, journal);
+            // Jump to the first word of the next line.
+            a = (a / lw + 1) * lw;
+        }
     }
 
     /// Hit/miss counters as a checkpoint token for [`ScalarCache::rollback`].
@@ -178,64 +165,9 @@ impl ScalarCache {
         (self.hits, self.misses)
     }
 
-    /// [`ScalarCache::tag_read`], journaling any tag overwrite into `log`
-    /// so the caller can undo a speculative sequence with
-    /// [`ScalarCache::rollback`] instead of cloning the whole cache.
-    pub fn tag_read_logged(&mut self, addr: u64, log: &mut Vec<(usize, Option<u64>)>) -> bool {
-        let (line, tag) = self.line_and_tag(addr);
-        if self.tags[line] == Some(tag) {
-            self.hits += 1;
-            true
-        } else {
-            self.misses += 1;
-            log.push((line, self.tags[line]));
-            self.tags[line] = Some(tag);
-            false
-        }
-    }
-
-    /// [`ScalarCache::tag_write`] with journaling; see
-    /// [`ScalarCache::tag_read_logged`].
-    pub fn tag_write_logged(&mut self, addr: u64, log: &mut Vec<(usize, Option<u64>)>) -> bool {
-        self.tag_read_logged(addr, log)
-    }
-
-    /// [`ScalarCache::invalidate`] with journaling; see
-    /// [`ScalarCache::tag_read_logged`].
-    pub fn invalidate_logged(&mut self, addr: u64, log: &mut Vec<(usize, Option<u64>)>) {
-        let (line, tag) = self.line_and_tag(addr);
-        if self.tags[line] == Some(tag) {
-            log.push((line, self.tags[line]));
-            self.tags[line] = None;
-        }
-    }
-
-    /// Journaled invalidation of every line overlapping the word run
-    /// `[addr, addr + n)` — equivalent to calling
-    /// [`ScalarCache::invalidate_logged`] on each word, but one tag probe
-    /// per line instead of per word.
-    pub fn invalidate_run_logged(
-        &mut self,
-        addr: u64,
-        n: usize,
-        log: &mut Vec<(usize, Option<u64>)>,
-    ) {
-        if n == 0 {
-            return;
-        }
-        let lw = u64::from(self.config.line_words);
-        let mut a = addr;
-        let end = addr + n as u64;
-        while a < end {
-            self.invalidate_logged(a, log);
-            // Jump to the first word of the next line.
-            a = (a / lw + 1) * lw;
-        }
-    }
-
-    /// Undoes a journaled sequence of `*_logged` calls: restores the
-    /// overwritten tags in reverse order and resets the counters to a
-    /// [`ScalarCache::checkpoint`] taken before the sequence.
+    /// Undoes a journaled sequence: restores the overwritten tags `log`
+    /// (as [`Journal::tag`] received them) in reverse order and resets the
+    /// counters to a [`ScalarCache::checkpoint`] taken before it.
     pub fn rollback(&mut self, counters: (u64, u64), log: &[(usize, Option<u64>)]) {
         for &(line, old) in log.iter().rev() {
             self.tags[line] = old;
@@ -243,135 +175,126 @@ impl ScalarCache {
         self.hits = counters.0;
         self.misses = counters.1;
     }
-
-    /// Invalidates the line containing `addr` (used when a vector store
-    /// bypasses the cache and writes the same location).
-    pub fn invalidate(&mut self, addr: u64) {
-        let (line, tag) = self.line_and_tag(addr);
-        if self.tags[line] == Some(tag) {
-            self.tags[line] = None;
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::MemConfig;
+    use crate::NoJournal;
 
-    fn mem() -> MemorySystem {
-        MemorySystem::new(MemConfig::c240().without_refresh())
+    fn cache() -> ScalarCache {
+        ScalarCache::new(CacheConfig::c240())
     }
 
     #[test]
     fn first_touch_misses_then_hits() {
-        let mut m = mem();
-        m.poke(10, 42.0);
-        let mut c = ScalarCache::new(CacheConfig::c240());
-        let (t1, v1) = c.read(&mut m, 10, 0.0);
-        assert_eq!(v1, 42.0);
+        let mut c = cache();
+        assert!(!c.access(10, &mut NoJournal));
         assert_eq!(c.misses(), 1);
-        // Same line: hit, cheaper.
-        let (t2, v2) = c.read(&mut m, 11, t1);
-        assert_eq!(v2, 0.0);
+        // Same line: hit.
+        assert!(c.access(11, &mut NoJournal));
         assert_eq!(c.hits(), 1);
-        assert!(t2 - t1 < t1 - 0.0);
     }
 
     #[test]
-    fn write_through_reaches_memory() {
-        let mut m = mem();
-        let mut c = ScalarCache::new(CacheConfig::c240());
-        c.write(&mut m, 20, 7.5, 0.0);
-        assert_eq!(m.peek(20), 7.5);
+    fn store_access_allocates_the_line() {
+        // Write-through with allocation: a store counts like a load and
+        // fills its line, so a later load of the line hits.
+        let mut c = cache();
+        assert!(!c.access(20, &mut NoJournal));
+        assert!(c.access(21, &mut NoJournal));
+        assert_eq!((c.hits(), c.misses()), (1, 1));
     }
 
     #[test]
     fn conflicting_lines_evict() {
-        let mut m = mem();
         let mut c = ScalarCache::new(CacheConfig {
             lines: 2,
             line_words: 1,
             hit_latency: 1,
             miss_penalty: 2,
         });
-        let (_, _) = c.read(&mut m, 0, 0.0);
-        let (_, _) = c.read(&mut m, 2, 0.0); // maps to line 0 too
-        let (_, _) = c.read(&mut m, 0, 0.0); // miss again
+        c.access(0, &mut NoJournal);
+        c.access(2, &mut NoJournal); // maps to line 0 too
+        c.access(0, &mut NoJournal); // miss again
         assert_eq!(c.misses(), 3);
         assert_eq!(c.hits(), 0);
     }
 
     #[test]
     fn invalidate_forces_refetch() {
-        let mut m = mem();
-        let mut c = ScalarCache::new(CacheConfig::c240());
-        let _ = c.read(&mut m, 30, 0.0);
-        c.invalidate(30);
-        let _ = c.read(&mut m, 30, 100.0);
+        let mut c = cache();
+        c.access(30, &mut NoJournal);
+        c.invalidate(30, &mut NoJournal);
+        c.access(30, &mut NoJournal);
         assert_eq!(c.misses(), 2);
     }
 
     #[test]
     fn reset_clears_everything() {
-        let mut m = mem();
-        let mut c = ScalarCache::new(CacheConfig::c240());
-        let _ = c.read(&mut m, 1, 0.0);
+        let mut c = cache();
+        c.access(1, &mut NoJournal);
         c.reset();
         assert_eq!(c.hits() + c.misses(), 0);
-        let _ = c.read(&mut m, 1, 0.0);
+        c.access(1, &mut NoJournal);
         assert_eq!(c.misses(), 1);
+    }
+
+    /// A tag journal, as a fast-forward replay keeps one.
+    #[derive(Default)]
+    struct Tags(Vec<(usize, Option<u64>)>);
+
+    impl Journal for Tags {
+        fn tag(&mut self, line: usize, old: Option<u64>) {
+            self.0.push((line, old));
+        }
+    }
+
+    /// Loads, a store and a vector store's invalidations, journaled.
+    fn some_ops(c: &mut ScalarCache, journal: &mut impl Journal) {
+        c.access(10, journal);
+        c.access(11, journal);
+        c.access(5000, journal);
+        c.invalidate(10, journal);
+        c.access(16, journal);
+        c.invalidate_run(14, 8, journal);
     }
 
     #[test]
     fn logged_ops_match_plain_ops_and_roll_back() {
-        let mut m = mem();
-        let plain = {
-            let mut c = ScalarCache::new(CacheConfig::c240());
-            assert!(!c.tag_read(10));
-            assert!(c.tag_read(11));
-            assert!(!c.tag_write(5000));
-            c.invalidate(10);
-            c
-        };
-        let mut c = ScalarCache::new(CacheConfig::c240());
-        let mark = c.checkpoint();
-        let mut log = Vec::new();
-        assert!(!c.tag_read_logged(10, &mut log));
-        assert!(c.tag_read_logged(11, &mut log));
-        assert!(!c.tag_write_logged(5000, &mut log));
-        c.invalidate_logged(10, &mut log);
-        assert_eq!((c.hits(), c.misses()), (plain.hits(), plain.misses()));
-        // Same observable behaviour after the sequence...
-        let (_, v) = c.read(&mut m, 5001, 0.0);
-        let _ = v;
-        // ...and rollback restores the pristine state exactly.
-        let mut fresh = ScalarCache::new(CacheConfig::c240());
-        let mut c2 = ScalarCache::new(CacheConfig::c240());
-        let mut log2 = Vec::new();
-        let mark2 = c2.checkpoint();
-        let _ = c2.tag_read_logged(10, &mut log2);
-        let _ = c2.tag_write_logged(5000, &mut log2);
-        c2.invalidate_logged(10, &mut log2);
-        c2.rollback(mark2, &log2);
-        assert_eq!((c2.hits(), c2.misses()), (0, 0));
-        assert!(!fresh.tag_read(77) && !c2.tag_read(77));
-        assert_eq!(mark, (0, 0));
+        let mut plain = cache();
+        some_ops(&mut plain, &mut NoJournal);
+        let mut logged = cache();
+        let mark = logged.checkpoint();
+        let mut log = Tags::default();
+        some_ops(&mut logged, &mut log);
+        // Journaling changes nothing observable...
+        assert_eq!(
+            (logged.hits(), logged.misses()),
+            (plain.hits(), plain.misses())
+        );
+        assert_eq!(logged.tags, plain.tags);
+        // ...and rollback restores the pristine cache exactly.
+        logged.rollback(mark, &log.0);
+        assert_eq!((logged.hits(), logged.misses()), (0, 0));
+        assert_eq!(logged.tags, cache().tags);
     }
 
     #[test]
     fn non_power_of_two_geometry_still_maps_correctly() {
-        let mut m = mem();
         let mut c = ScalarCache::new(CacheConfig {
             lines: 3,
             line_words: 5,
             hit_latency: 1,
             miss_penalty: 2,
         });
-        let _ = c.read(&mut m, 0, 0.0); // line 0
-        let _ = c.read(&mut m, 4, 0.0); // same line: hit
-        let _ = c.read(&mut m, 5, 0.0); // next line: miss
-        assert_eq!((c.hits(), c.misses()), (1, 2));
+        c.access(0, &mut NoJournal); // line 0
+        c.access(4, &mut NoJournal); // same line: hit
+        c.access(5, &mut NoJournal); // next line: miss
+        c.invalidate_run(3, 4, &mut NoJournal); // both lines
+        c.access(4, &mut NoJournal);
+        c.access(5, &mut NoJournal);
+        assert_eq!((c.hits(), c.misses()), (1, 4));
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! start cycle, and receives the granted cycle back, after bank busy time,
 //! refresh windows and background [`ContentionStream`]s are honored.
 //! [`ScalarCache`] models the ASU data cache that scalar accesses go
-//! through (vector accesses bypass it).
+//! through (vector accesses bypass it). Data stores and cache-tag updates
+//! report what they overwrite to a [`Journal`], so a caller can undo a
+//! speculative sequence of them.
 //!
 //! # Example
 //!
@@ -41,6 +43,35 @@ pub use cache::{CacheConfig, ScalarCache};
 pub use contention::{ContentionConfig, ContentionStream};
 pub use system::{BankState, MemConfig, MemorySystem, WaitBreakdown};
 pub use validate::{MemConfigError, MAX_BANKS, MAX_WORDS};
+
+/// Records what stores and cache-tag updates overwrite, so a speculative
+/// sequence of them can be undone. Every hook defaults to a no-op;
+/// [`NoJournal`] keeps them all, so an unjournaled caller pays nothing.
+pub trait Journal {
+    /// Word `addr` held `old` before a store.
+    #[inline(always)]
+    fn word(&mut self, addr: u64, old: f64) {
+        let _ = (addr, old);
+    }
+
+    /// The run of words starting at `addr` held `old` before a store.
+    #[inline(always)]
+    fn run(&mut self, addr: u64, old: &[f64]) {
+        let _ = (addr, old);
+    }
+
+    /// Scalar-cache line `line` held tag `old` before an update.
+    #[inline(always)]
+    fn tag(&mut self, line: usize, old: Option<u64>) {
+        let _ = (line, old);
+    }
+}
+
+/// The journal that records nothing.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NoJournal;
+
+impl Journal for NoJournal {}
 
 /// Word-granular bank index for an address under a given interleave.
 ///

@@ -14,7 +14,7 @@
 //! [`ContentionStream`]: crate::ContentionStream
 
 use crate::contention::ContentionConfig;
-use crate::{bank_of, gcd};
+use crate::{bank_of, gcd, Journal};
 
 /// Grid points per cycle of the machine's timing quantum. Private copy of
 /// `c240_isa::timing::TICKS_PER_CYCLE` — this crate is dependency-free.
@@ -372,17 +372,38 @@ impl MemorySystem {
     }
 
     /// A contiguous run of `n` words starting at `addr`, or `None` if
-    /// the run leaves the configured memory. Bulk (unit-stride) data
-    /// access for the simulator's fast-forward warp; timing untouched.
+    /// the run leaves the configured memory. Bulk data access, timing
+    /// untouched: the simulator's unit-stride vector loads read through
+    /// it, and checks compare whole data spaces with it.
     pub fn peek_run(&self, addr: u64, n: usize) -> Option<&[f64]> {
         self.data
             .get(addr as usize..(addr as usize).checked_add(n)?)
     }
 
-    /// Mutable variant of [`MemorySystem::peek_run`].
-    pub fn poke_run(&mut self, addr: u64, n: usize) -> Option<&mut [f64]> {
-        self.data
-            .get_mut(addr as usize..(addr as usize).checked_add(n)?)
+    /// Writes `value` to `addr` without touching timing state, reporting
+    /// the old value to `journal`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is outside the configured memory size.
+    pub fn store(&mut self, addr: u64, value: f64, journal: &mut impl Journal) {
+        self.check(addr);
+        let word = &mut self.data[addr as usize];
+        journal.word(addr, *word);
+        *word = value;
+    }
+
+    /// Writes `values` to the run of words starting at `addr` without
+    /// touching timing state, reporting the old run to `journal`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run leaves the configured memory.
+    pub fn store_run(&mut self, addr: u64, values: &[f64], journal: &mut impl Journal) {
+        let start = addr as usize;
+        let run = &mut self.data[start..start + values.len()];
+        journal.run(addr, run);
+        run.copy_from_slice(values);
     }
 
     /// Clears all timing state (bank availability, statistics) while
@@ -403,14 +424,19 @@ impl MemorySystem {
     }
 
     /// Finds and claims the earliest grant cycle for an access to `addr`
-    /// starting no earlier than `earliest`.
+    /// starting no earlier than `earliest`; the data moves separately
+    /// ([`MemorySystem::peek`], [`MemorySystem::store`]).
     ///
     /// Waits behind a bank claimed by this view are charged to bank
     /// busy; waits behind a bank last claimed by a *different* view
     /// (another co-simulated CPU) are charged to contention — the same
     /// category the synthetic background streams use, so the attribution
     /// taxonomy is identical either way.
-    fn grant(&mut self, addr: u64, earliest: f64) -> f64 {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is outside the configured memory size.
+    pub fn grant(&mut self, addr: u64, earliest: f64) -> f64 {
         self.check(addr);
         let bank = bank_of(addr, self.config.banks) as usize;
         let earliest = q(earliest.max(0.0));
@@ -506,53 +532,31 @@ impl MemorySystem {
         t
     }
 
-    /// Per-bank earliest-free cycles, exposed so the simulator's
-    /// steady-state fast-forward can snapshot and translate the memory
-    /// system's timing state along with its own.
-    pub fn bank_state(&self) -> &[f64] {
-        &self.bank.free
+    /// Visits every `f64` of timing state this view holds: the banks'
+    /// free times, then this view's and the shared state's wait totals
+    /// and breakdowns. The simulator's steady-state fast-forward
+    /// snapshots these and translates them by whole periods.
+    pub fn visit_timing(&mut self, mut visit: impl FnMut(&mut f64)) {
+        for free in &mut self.bank.free {
+            visit(free);
+        }
+        for (waited, breakdown) in [
+            (&mut self.waited, &mut self.breakdown),
+            (&mut self.bank.waited, &mut self.bank.breakdown),
+        ] {
+            visit(waited);
+            visit(&mut breakdown.bank_busy);
+            visit(&mut breakdown.refresh);
+            visit(&mut breakdown.contention);
+        }
     }
 
-    /// Mutable view of the per-bank earliest-free cycles (fast-forward
-    /// translation; see [`MemorySystem::bank_state`]).
-    pub fn bank_state_mut(&mut self) -> &mut [f64] {
-        &mut self.bank.free
-    }
-
-    /// Adds `k` periods' worth of access counters in one step — the
-    /// fast-forward path's replacement for `k` repetitions of identical
-    /// per-period traffic. The per-period deltas must come from two
-    /// counter snapshots of this system taken one period apart, expressed
-    /// in *ticks* (1/20 cycle); the translation runs in integer tick
-    /// arithmetic so the result is the canonical grid value the naive run
-    /// would have accumulated.
-    pub fn ff_apply(
-        &mut self,
-        accesses: u64,
-        waited_ticks: f64,
-        breakdown_ticks: WaitBreakdown,
-        k: u64,
-    ) {
+    /// Adds `k` periods of `accesses` accesses each to this view's and
+    /// the shared access counts — the fast-forward path's replacement
+    /// for `k` repetitions of identical per-period traffic.
+    pub fn ff_apply(&mut self, accesses: u64, k: u64) {
         self.accesses += accesses * k;
         self.bank.accesses += accesses * k;
-        let kf = k as f64;
-        let translate = |c: &mut f64, d: f64| {
-            *c = ((*c * TICKS_PER_CYCLE).round() + kf * d) / TICKS_PER_CYCLE;
-        };
-        translate(&mut self.waited, waited_ticks);
-        translate(&mut self.breakdown.bank_busy, breakdown_ticks.bank_busy);
-        translate(&mut self.breakdown.refresh, breakdown_ticks.refresh);
-        translate(&mut self.breakdown.contention, breakdown_ticks.contention);
-        translate(&mut self.bank.waited, waited_ticks);
-        translate(
-            &mut self.bank.breakdown.bank_busy,
-            breakdown_ticks.bank_busy,
-        );
-        translate(&mut self.bank.breakdown.refresh, breakdown_ticks.refresh);
-        translate(
-            &mut self.bank.breakdown.contention,
-            breakdown_ticks.contention,
-        );
     }
 
     /// Whether a strided element stream of `n` accesses starting at word
@@ -599,7 +603,7 @@ impl MemorySystem {
     }
 
     /// Claims a conflict-free stream's grants in closed form: the
-    /// per-element search of [`MemorySystem::read`]/`write` collapses to
+    /// per-element search of [`MemorySystem::grant`] collapses to
     /// a counter bump plus final per-bank recovery times. Must only be
     /// called after [`MemorySystem::stream_conflict_free`] returned true
     /// for the same arguments; produces bit-identical timing state to

@@ -33,13 +33,29 @@
 //! through [`Cpu::vector_stream`], which grants a conflict-free stream in
 //! closed form, with or without a probe, and steps the others element by
 //! element.
+//!
+//! # One data semantics, one timing-field walk
+//!
+//! Each instruction's data effects exist once, in [`Cpu::execute`]:
+//! register and memory values, scalar-cache tags and hit/miss counts,
+//! the instruction, element, flop and branch counts, and the next pc. It
+//! returns what the instruction [`Touched`] (a vector stream's first word,
+//! stride and length; a scalar access's word, cache outcome and
+//! direction; a taken branch). Exact stepping runs `execute` and then
+//! [`Cpu::time`], which does timing only and reads addresses from that
+//! return value. The fast-forward warp replays a recorded period through
+//! the same `execute`, its stores and tag overwrites journaled for
+//! rollback, and compares each step's [`Cpu::step_check`] with the one
+//! recorded. The `f64` timing state fast-forward translates is walked by
+//! one visitor, [`Cpu::ff_fields`], clock first; the snapshot reads
+//! through it and the warp's shift translates through it.
 
 use c240_isa::timing::VectorTiming;
 use c240_isa::{
     AReg, Instruction, IntOperand, MemRef, Pipe, Program, SReg, ScalarReg, ScalarValue, VOperand,
     VReg, MAX_VL, WORD_BYTES,
 };
-use c240_mem::{MemorySystem, ScalarCache, WaitBreakdown};
+use c240_mem::{Journal, MemorySystem, NoJournal, ScalarCache, WaitBreakdown};
 use c240_obs::{Lane, NoProbe, Probe, StallCause};
 
 use c240_isa::timing::{quantize as q, TICKS_PER_CYCLE};
@@ -477,8 +493,9 @@ impl Cpu {
         }
     }
 
-    /// Executes the next instruction of an open run (one fetch, one
-    /// [`Cpu::step`], fast-forward bookkeeping) and advances `cursor`.
+    /// Executes the next instruction of an open run (one fetch,
+    /// [`Cpu::execute`] then [`Cpu::time`], fast-forward bookkeeping) and
+    /// advances `cursor`.
     /// On `halt` the cursor is marked halted without executing further.
     /// The body is the exact loop body of the single-CPU run path, so a
     /// driver interleaving several CPUs' `step_one` calls produces, for
@@ -499,19 +516,18 @@ impl Cpu {
                 limit: self.config.max_instructions,
             });
         }
-        self.stats.instructions.bump(ins.class());
+        let (next, touched) = self.execute(ins, pc, program, &mut NoJournal)?;
         if matches!(ins, Instruction::Halt) {
             cursor.halted = true;
             return Ok(());
         }
-        let pre = if self.ff.is_recording() {
-            Some(self.ff_prestep(ins))
-        } else {
-            None
-        };
-        let next = self.step(probe, ins, pc, program)?;
-        if let Some(pre) = pre {
-            self.ff_poststep(pc, pre);
+        self.time(probe, ins, pc, touched);
+        if self.ff.is_recording() {
+            let check = self.step_check(touched);
+            self.ff.push_step(Step {
+                pc: pc as u32,
+                check,
+            });
         }
         if next < pc && self.ff.active() && self.ff_loop_head(probe, next, cursor.executed) {
             let skipped = self.ff_warp(probe, program, next, cursor.executed);
@@ -558,127 +574,309 @@ impl Cpu {
         self.clock
     }
 
-    /// Executes one instruction; returns the next pc.
-    fn step<P: Probe>(
+    // ---- data semantics -------------------------------------------------
+
+    /// The data semantics of one instruction, the one copy exact stepping
+    /// and the fast-forward warp share: register and memory values,
+    /// scalar-cache tags and hit/miss counts, the instruction, element,
+    /// flop and branch counts, and the next pc. Stores and tag overwrites
+    /// go to `journal` ([`NoJournal`] when stepping exactly). Returns the
+    /// next pc and what the instruction [`Touched`]; every address in it
+    /// was read before the instruction overwrote its base register.
+    ///
+    /// A zero-length vector instruction moves no data and checks no
+    /// address; a load or store still reports its first element's word,
+    /// or `None` for a bad one.
+    fn execute(
         &mut self,
-        probe: &mut P,
         ins: &Instruction,
         pc: usize,
         program: &Program,
-    ) -> Result<usize, SimError> {
+        journal: &mut impl Journal,
+    ) -> Result<(usize, Touched), SimError> {
         use Instruction::*;
-        if self.vl == 0 && ins.is_vector() {
-            // A zero-length vector instruction only occupies issue.
-            self.issue_scalar(probe, pc);
-            return Ok(pc + 1);
-        }
-        match ins {
-            VLoad { addr, dst } => self.vector_load(probe, pc, ins, *addr, *dst)?,
-            VStore { src, addr } => self.vector_store(probe, pc, ins, *src, *addr)?,
-            VAdd { a, b, dst } => self.vector_arith(probe, pc, ins, *a, *b, *dst, |x, y| x + y),
-            VSub { a, b, dst } => self.vector_arith(probe, pc, ins, *a, *b, *dst, |x, y| x - y),
-            VMul { a, b, dst } => self.vector_arith(probe, pc, ins, *a, *b, *dst, |x, y| x * y),
-            VDiv { a, b, dst } => self.vector_arith(probe, pc, ins, *a, *b, *dst, |x, y| x / y),
-            VNeg { src, dst } => self.vector_arith(
-                probe,
-                pc,
-                ins,
-                VOperand::V(*src),
-                VOperand::V(*src),
-                *dst,
-                |x, _| -x,
-            ),
-            VSum { src, dst } => self.vector_reduce(probe, pc, ins, *src, *dst, false, 1.0),
-            VRAdd { src, acc } => self.vector_reduce(probe, pc, ins, *src, *acc, true, 1.0),
-            VRSub { src, acc } => self.vector_reduce(probe, pc, ins, *src, *acc, true, -1.0),
+        self.stats.instructions.bump(ins.class());
+        let vl = self.vl;
+        let n = vl as usize;
+        let touched = match *ins {
+            VLoad { addr, .. } | VStore { addr, .. } if n == 0 => Touched::Stream {
+                base: self.vector_base(addr).ok(),
+                stride: addr.stride.words(),
+                vl,
+            },
+            _ if n == 0 && ins.is_vector() => Touched::Vector { vl },
+            VLoad { addr, dst } => {
+                let (base, stride) = (self.vector_base(addr)?, addr.stride.words());
+                let row = &mut self.vdata[usize::from(dst.index())][..n];
+                if stride == 1 {
+                    let run = self.mem.peek_run(base as u64, n);
+                    row.copy_from_slice(run.expect("vector_base checked the run"));
+                } else {
+                    for (e, value) in row.iter_mut().enumerate() {
+                        *value = self.mem.peek(element_addr(base, stride, e));
+                    }
+                }
+                Touched::Stream {
+                    base: Some(base),
+                    stride,
+                    vl,
+                }
+            }
+            VStore { src, addr } => {
+                let (base, stride) = (self.vector_base(addr)?, addr.stride.words());
+                let values = &self.vdata[usize::from(src.index())][..n];
+                if stride == 1 {
+                    self.mem.store_run(base as u64, values, journal);
+                    self.cache.invalidate_run(base as u64, n, journal);
+                } else {
+                    for (e, &value) in values.iter().enumerate() {
+                        let word = element_addr(base, stride, e);
+                        self.mem.store(word, value, journal);
+                        self.cache.invalidate(word, journal);
+                    }
+                }
+                Touched::Stream {
+                    base: Some(base),
+                    stride,
+                    vl,
+                }
+            }
+            VAdd { a, b, dst } => self.vector_map(a, b, dst, |x, y| x + y),
+            VSub { a, b, dst } => self.vector_map(a, b, dst, |x, y| x - y),
+            VMul { a, b, dst } => self.vector_map(a, b, dst, |x, y| x * y),
+            VDiv { a, b, dst } => self.vector_map(a, b, dst, |x, y| x / y),
+            VNeg { src, dst } => {
+                self.vector_map(VOperand::V(src), VOperand::V(src), dst, |x, _| -x)
+            }
+            VSum { src, dst } => self.vector_sum(src, dst, false, 1.0),
+            VRAdd { src, acc } => self.vector_sum(src, acc, true, 1.0),
+            VRSub { src, acc } => self.vector_sum(src, acc, true, -1.0),
             SetVl { src } => {
-                let i = usize::from(src.index());
-                self.scalar_wait(probe, pc, self.s_ready[i]);
-                self.issue_scalar(probe, pc);
-                self.vl = (self.s[i] as i64).clamp(0, i64::from(MAX_VL)) as u32;
+                let count = self.s[usize::from(src.index())] as i64;
+                self.vl = count.clamp(0, i64::from(MAX_VL)) as u32;
+                Touched::Regs
             }
             SetVlImm { value } => {
-                self.issue_scalar(probe, pc);
-                self.vl = (*value).min(MAX_VL);
+                self.vl = value.min(MAX_VL);
+                Touched::Regs
             }
             SMovImm { value, dst } => {
-                self.issue_scalar(probe, pc);
                 let bits = match value {
-                    ScalarValue::Int(i) => *i as u64,
+                    ScalarValue::Int(i) => i as u64,
                     ScalarValue::Fp(x) => x.to_bits(),
                 };
-                self.write_scalar_raw(*dst, bits, self.clock);
+                self.set_reg(dst, bits);
+                Touched::Regs
             }
             SMov { src, dst } => {
-                let (bits, ready) = self.read_scalar_raw(*src);
-                self.scalar_wait(probe, pc, ready);
-                self.issue_scalar(probe, pc);
-                self.write_scalar_raw(*dst, bits, self.clock);
+                self.set_reg(dst, self.reg_bits(src));
+                Touched::Regs
             }
             SIntOp { op, src, dst } => {
-                let (sv, sready) = self.read_int_operand(*src);
-                let (dv, dready) = self.read_scalar_int(*dst);
-                self.scalar_wait(probe, pc, sready.max(dready));
-                self.issue_scalar(probe, pc);
-                let ready = q(self.clock + self.config.scalar.int_latency - 1.0);
-                self.write_scalar_int(*dst, op.apply(dv, sv), ready);
+                let value = op.apply(self.reg_bits(dst) as i64, self.int_operand(src));
+                self.set_reg(dst, value as u64);
+                Touched::Regs
             }
             SFpOp { op, a, b, dst } => {
-                let ia = usize::from(a.index());
-                let ib = usize::from(b.index());
-                self.scalar_wait(probe, pc, self.s_ready[ia].max(self.s_ready[ib]));
+                let va = f64::from_bits(self.s[usize::from(a.index())]);
+                let vb = f64::from_bits(self.s[usize::from(b.index())]);
+                self.s[usize::from(dst.index())] = op.apply(va, vb).to_bits();
+                Touched::Regs
+            }
+            SLoad { addr, dst } => {
+                let word = self.scalar_addr(addr)?;
+                let hit = self.cache.access(word, journal);
+                self.set_reg(dst, encode_loaded(dst, self.mem.peek(word)));
+                Touched::Scalar {
+                    word,
+                    hit,
+                    store: false,
+                }
+            }
+            SStore { src, addr } => {
+                let word = self.scalar_addr(addr)?;
+                let hit = self.cache.access(word, journal);
+                let bits = self.reg_bits(src);
+                let value = match src {
+                    ScalarReg::S(_) => f64::from_bits(bits),
+                    ScalarReg::A(_) => bits as i64 as f64,
+                };
+                self.mem.store(word, value, journal);
+                Touched::Scalar {
+                    word,
+                    hit,
+                    store: true,
+                }
+            }
+            Cmp { op, lhs, rhs } => {
+                self.tflag = op.apply(self.int_operand(lhs), self.reg_bits(rhs) as i64);
+                Touched::Regs
+            }
+            BranchT { ref target } | BranchF { ref target } | Jump { ref target } => {
+                let take = match ins {
+                    BranchT { .. } => self.tflag,
+                    BranchF { .. } => !self.tflag,
+                    _ => true,
+                };
+                if take {
+                    self.stats.branches_taken += 1;
+                    return Ok((self.resolve(program, target), Touched::Taken));
+                }
+                Touched::Regs
+            }
+            Halt | Nop => Touched::Regs,
+            _ => return Err(SimError::Unsupported { pc }),
+        };
+        if let Some(pipe) = ins.pipe() {
+            self.stats.elements[pipe_slot(pipe)] += n as u64;
+            // Every element through the add or multiply pipe is one flop.
+            if pipe != Pipe::LoadStore {
+                self.stats.flops += n as u64;
+            }
+        }
+        Ok((pc + 1, touched))
+    }
+
+    /// `dst[e] = f(a[e], b[e])` over the vector length, for
+    /// [`Cpu::execute`].
+    fn vector_map(
+        &mut self,
+        a: VOperand,
+        b: VOperand,
+        dst: VReg,
+        f: impl Fn(f64, f64) -> f64,
+    ) -> Touched {
+        let (va, vb) = (self.operand_values(a), self.operand_values(b));
+        let n = self.vl as usize;
+        let row = &mut self.vdata[usize::from(dst.index())][..n];
+        for (e, value) in row.iter_mut().enumerate() {
+            *value = f(va[e], vb[e]);
+        }
+        Touched::Vector { vl: self.vl }
+    }
+
+    /// Sums `src` into scalar `dst` for [`Cpu::execute`]: `dst = sum` for
+    /// a plain reduction, `dst += sign · sum` when `accumulate` is set.
+    fn vector_sum(&mut self, src: VReg, dst: SReg, accumulate: bool, sign: f64) -> Touched {
+        let d = usize::from(dst.index());
+        let s: f64 = self.vdata[usize::from(src.index())][..self.vl as usize]
+            .iter()
+            .sum();
+        let base = if accumulate {
+            f64::from_bits(self.s[d])
+        } else {
+            0.0
+        };
+        self.s[d] = (base + sign * s).to_bits();
+        Touched::Vector { vl: self.vl }
+    }
+
+    // ---- timing -------------------------------------------------------
+
+    /// The timing of an instruction [`Cpu::execute`] has just run: issue,
+    /// ready times, pipes, memory grants and probe attribution. Addresses,
+    /// zero-length vector instructions and branch outcomes come from
+    /// `touched`, never from registers the instruction may have
+    /// overwritten; no vector instruction writes the vector length.
+    fn time<P: Probe>(&mut self, probe: &mut P, ins: &Instruction, pc: usize, touched: Touched) {
+        use Instruction::*;
+        match (ins, touched) {
+            (_, Touched::Vector { vl: 0 } | Touched::Stream { vl: 0, .. }) => {
+                // A zero-length vector instruction only occupies issue.
+                self.issue_scalar(probe, pc);
+            }
+            (
+                &VLoad { addr, dst },
+                Touched::Stream {
+                    base: Some(base), ..
+                },
+            ) => {
+                self.vector_load(probe, pc, ins, addr, dst, base);
+            }
+            (
+                &VStore { src, addr },
+                Touched::Stream {
+                    base: Some(base), ..
+                },
+            ) => {
+                self.vector_store(probe, pc, ins, src, addr, base);
+            }
+            (
+                &(VAdd { a, b, dst }
+                | VSub { a, b, dst }
+                | VMul { a, b, dst }
+                | VDiv { a, b, dst }),
+                _,
+            ) => self.vector_arith(probe, pc, ins, a, b, dst),
+            (&VNeg { src, dst }, _) => {
+                let op = VOperand::V(src);
+                self.vector_arith(probe, pc, ins, op, op, dst);
+            }
+            (&VSum { src, dst }, _) => self.vector_reduce(probe, pc, ins, src, dst, false),
+            (&(VRAdd { src, acc } | VRSub { src, acc }), _) => {
+                self.vector_reduce(probe, pc, ins, src, acc, true);
+            }
+            (&SetVl { src }, _) => {
+                self.scalar_wait(probe, pc, self.s_ready[usize::from(src.index())]);
+                self.issue_scalar(probe, pc);
+            }
+            (SetVlImm { .. } | Nop, _) => self.issue_scalar(probe, pc),
+            (&SMovImm { dst, .. }, _) => {
+                self.issue_scalar(probe, pc);
+                self.set_ready(dst, self.clock);
+            }
+            (&SMov { src, dst }, _) => {
+                self.scalar_wait(probe, pc, self.reg_ready(src));
+                self.issue_scalar(probe, pc);
+                self.set_ready(dst, self.clock);
+            }
+            (&SIntOp { src, dst, .. }, _) => {
+                let ready = self.int_operand_ready(src).max(self.reg_ready(dst));
+                self.scalar_wait(probe, pc, ready);
+                self.issue_scalar(probe, pc);
+                self.set_ready(dst, q(self.clock + self.config.scalar.int_latency - 1.0));
+            }
+            (&SFpOp { op, a, b, dst }, _) => {
+                let ready =
+                    self.s_ready[usize::from(a.index())].max(self.s_ready[usize::from(b.index())]);
+                self.scalar_wait(probe, pc, ready);
                 self.issue_scalar(probe, pc);
                 let lat = match op {
                     c240_isa::FpOp::Add | c240_isa::FpOp::Sub => self.config.scalar.fp_add_latency,
                     c240_isa::FpOp::Mul => self.config.scalar.fp_mul_latency,
                     c240_isa::FpOp::Div => self.config.scalar.fp_div_latency,
                 };
-                let va = f64::from_bits(self.s[ia]);
-                let vb = f64::from_bits(self.s[ib]);
-                let id = usize::from(dst.index());
-                self.s[id] = op.apply(va, vb).to_bits();
-                self.s_ready[id] = q(self.clock + lat - 1.0);
-                self.end = self.end.max(self.s_ready[id]);
+                self.set_ready(ScalarReg::S(dst), q(self.clock + lat - 1.0));
             }
-            SLoad { addr, dst } => self.scalar_load(probe, pc, *addr, *dst)?,
-            SStore { src, addr } => self.scalar_store(probe, pc, *src, *addr)?,
-            Cmp { op, lhs, rhs } => {
-                let (lv, lready) = self.read_int_operand(*lhs);
-                let (rv, rready) = self.read_scalar_int(*rhs);
-                self.scalar_wait(probe, pc, lready.max(rready));
+            (&SLoad { addr, dst }, Touched::Scalar { word, hit, .. }) => {
+                self.scalar_wait(probe, pc, self.a_ready[usize::from(addr.base.index())]);
                 self.issue_scalar(probe, pc);
-                self.tflag = op.apply(lv, rv);
+                let done = self.scalar_mem(probe, pc, word, hit, false);
+                self.set_ready(dst, done);
             }
-            BranchT { target } | BranchF { target } => {
+            (&SStore { src, addr }, Touched::Scalar { word, hit, .. }) => {
+                let ready = self.a_ready[usize::from(addr.base.index())].max(self.reg_ready(src));
+                self.scalar_wait(probe, pc, ready);
                 self.issue_scalar(probe, pc);
-                let take = if matches!(ins, BranchT { .. }) {
-                    self.tflag
-                } else {
-                    !self.tflag
-                };
-                if take {
+                self.scalar_mem(probe, pc, word, hit, true);
+            }
+            (&Cmp { lhs, rhs, .. }, _) => {
+                let ready = self.int_operand_ready(lhs).max(self.reg_ready(rhs));
+                self.scalar_wait(probe, pc, ready);
+                self.issue_scalar(probe, pc);
+            }
+            (BranchT { .. } | BranchF { .. } | Jump { .. }, _) => {
+                self.issue_scalar(probe, pc);
+                if let Touched::Taken = touched {
+                    let penalty = self.config.scalar.branch_taken_penalty;
                     if P::ENABLED {
-                        probe.busy(Lane::Scalar, self.config.scalar.branch_taken_penalty, pc);
+                        probe.busy(Lane::Scalar, penalty, pc);
                     }
-                    self.clock = q(self.clock + self.config.scalar.branch_taken_penalty);
-                    self.stats.branches_taken += 1;
-                    return Ok(self.resolve(program, target));
+                    self.clock = q(self.clock + penalty);
                 }
             }
-            Jump { target } => {
-                self.issue_scalar(probe, pc);
-                if P::ENABLED {
-                    probe.busy(Lane::Scalar, self.config.scalar.branch_taken_penalty, pc);
-                }
-                self.clock = q(self.clock + self.config.scalar.branch_taken_penalty);
-                self.stats.branches_taken += 1;
-                return Ok(self.resolve(program, target));
-            }
-            Halt => unreachable!("halt handled by run loop"),
-            Nop => self.issue_scalar(probe, pc),
-            _ => return Err(SimError::Unsupported { pc }),
+            _ => unreachable!("execute returned what no instruction touches: {ins}"),
         }
-        Ok(pc + 1)
     }
 
     fn resolve(&self, program: &Program, label: &str) -> usize {
@@ -789,49 +987,48 @@ impl Cpu {
 
     // ---- scalar register plumbing -------------------------------------
 
-    fn read_scalar_raw(&self, r: ScalarReg) -> (u64, f64) {
+    fn reg_bits(&self, r: ScalarReg) -> u64 {
         match r {
-            ScalarReg::S(s) => {
-                let i = usize::from(s.index());
-                (self.s[i], self.s_ready[i])
-            }
-            ScalarReg::A(a) => {
-                let i = usize::from(a.index());
-                (self.a[i] as u64, self.a_ready[i])
-            }
+            ScalarReg::S(s) => self.s[usize::from(s.index())],
+            ScalarReg::A(a) => self.a[usize::from(a.index())] as u64,
         }
     }
 
-    fn read_scalar_int(&self, r: ScalarReg) -> (i64, f64) {
-        let (bits, ready) = self.read_scalar_raw(r);
-        (bits as i64, ready)
+    fn set_reg(&mut self, r: ScalarReg, bits: u64) {
+        match r {
+            ScalarReg::S(s) => self.s[usize::from(s.index())] = bits,
+            ScalarReg::A(a) => self.a[usize::from(a.index())] = bits as i64,
+        }
     }
 
-    fn read_int_operand(&self, op: IntOperand) -> (i64, f64) {
+    fn int_operand(&self, op: IntOperand) -> i64 {
         match op {
-            IntOperand::Imm(i) => (i, 0.0),
-            IntOperand::Reg(r) => self.read_scalar_int(r),
+            IntOperand::Imm(i) => i,
+            IntOperand::Reg(r) => self.reg_bits(r) as i64,
         }
     }
 
-    fn write_scalar_raw(&mut self, r: ScalarReg, bits: u64, ready: f64) {
+    fn reg_ready(&self, r: ScalarReg) -> f64 {
         match r {
-            ScalarReg::S(s) => {
-                let i = usize::from(s.index());
-                self.s[i] = bits;
-                self.s_ready[i] = ready;
-            }
-            ScalarReg::A(a) => {
-                let i = usize::from(a.index());
-                self.a[i] = bits as i64;
-                self.a_ready[i] = ready;
-            }
+            ScalarReg::S(s) => self.s_ready[usize::from(s.index())],
+            ScalarReg::A(a) => self.a_ready[usize::from(a.index())],
+        }
+    }
+
+    /// Records when `r`'s new value is ready.
+    fn set_ready(&mut self, r: ScalarReg, ready: f64) {
+        match r {
+            ScalarReg::S(s) => self.s_ready[usize::from(s.index())] = ready,
+            ScalarReg::A(a) => self.a_ready[usize::from(a.index())] = ready,
         }
         self.end = self.end.max(ready);
     }
 
-    fn write_scalar_int(&mut self, r: ScalarReg, value: i64, ready: f64) {
-        self.write_scalar_raw(r, value as u64, ready);
+    fn int_operand_ready(&self, op: IntOperand) -> f64 {
+        match op {
+            IntOperand::Imm(_) => 0.0,
+            IntOperand::Reg(r) => self.reg_ready(r),
+        }
     }
 
     // ---- vector machinery ---------------------------------------------
@@ -938,8 +1135,8 @@ impl Cpu {
     }
 
     /// Retire bookkeeping shared by every vector instruction: the lane's
-    /// busy time, element and flop counts, the pipe's next entry and
-    /// reservation station, the tailgate bubbles, and the trace event.
+    /// busy time, the pipe's next entry and reservation station, the
+    /// tailgate bubbles, and the trace event.
     fn vector_retire<P: Probe>(
         &mut self,
         probe: &mut P,
@@ -950,15 +1147,9 @@ impl Cpu {
     ) {
         let (pipe, timing) = (entered.pipe, entered.timing);
         let slot = pipe_slot(pipe);
-        let vl = self.vl as usize;
         if P::ENABLED {
-            probe.busy(lane_of(slot), timing.z * vl as f64, pc);
+            probe.busy(lane_of(slot), timing.z * self.vl as f64, pc);
             self.acct[slot] = q(sched.last_entry + timing.z);
-        }
-        self.stats.elements[slot] += vl as u64;
-        // Every element through the add or multiply pipe is one flop.
-        if pipe != Pipe::LoadStore {
-            self.stats.flops += vl as u64;
         }
         // max: a reduction may already have pushed the pipe further
         // (scalar-result serialization).
@@ -1021,7 +1212,6 @@ impl Cpu {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn vector_arith<P: Probe>(
         &mut self,
         probe: &mut P,
@@ -1030,7 +1220,6 @@ impl Cpu {
         a: VOperand,
         b: VOperand,
         dst: VReg,
-        f: impl Fn(f64, f64) -> f64,
     ) {
         self.scalar_operand_wait(probe, pc, a);
         self.scalar_operand_wait(probe, pc, b);
@@ -1042,10 +1231,6 @@ impl Cpu {
             .max(self.vread_until[d][0]);
         let entered = self.vector_enter(probe, pc, ins, 0.0, barrier, chain0);
         let Entered { timing, entry0, .. } = entered;
-
-        // Functional values first (program order guarantees correctness).
-        let va = self.operand_values(a);
-        let vb = self.operand_values(b);
 
         let lane = lane_of(pipe_slot(entered.pipe));
         let mut entry = entry0;
@@ -1062,7 +1247,6 @@ impl Cpu {
             }
             self.mark_read(a, e, entry);
             self.mark_read(b, e, entry);
-            self.vdata[d][e] = f(va[e], vb[e]);
             self.vready[d][e] = q(entry + timing.y);
         }
         let sched = Schedule::stream(entry0, entry, timing.y);
@@ -1083,9 +1267,8 @@ impl Cpu {
         }
     }
 
-    /// Sums `src` into scalar `dst`: `dst = sum` for a plain reduction,
-    /// `dst += sign · sum` when `accumulate` is set.
-    #[allow(clippy::too_many_arguments)]
+    /// The timing of a reduction of `src` into scalar `dst`, which an
+    /// accumulating reduction also reads.
     fn vector_reduce<P: Probe>(
         &mut self,
         probe: &mut P,
@@ -1094,7 +1277,6 @@ impl Cpu {
         src: VReg,
         dst: SReg,
         accumulate: bool,
-        sign: f64,
     ) {
         let d = usize::from(dst.index());
         if accumulate {
@@ -1120,14 +1302,6 @@ impl Cpu {
             self.mark_read(srcop, e, entry);
         }
         let last_result = entry + timing.y;
-
-        let s: f64 = self.vdata[usize::from(src.index())][..vl].iter().sum();
-        let base = if accumulate {
-            f64::from_bits(self.s[d])
-        } else {
-            0.0
-        };
-        self.s[d] = (base + sign * s).to_bits();
         self.s_ready[d] = q(last_result);
 
         // A reduction funnels the VP into the scalar unit: the VP
@@ -1181,16 +1355,15 @@ impl Cpu {
     /// load/store pipe from `base` at `stride` words, and returns the
     /// schedule. Element `e` enters no earlier than its predecessor plus
     /// Z and `chain(e)`, the time its chained register element allows;
-    /// `access` performs the element's memory access requested at that
-    /// time and returns the granted cycle.
+    /// the memory system grants it, and `granted(e, requested, granted)`
+    /// records its register timing.
     ///
     /// When no element waits on its chain and the memory stream is
     /// conflict-free ([`MemorySystem::stream_conflict_free`]), every
     /// element is granted exactly at `entry0 + Z·e`, so the stream is
-    /// claimed in closed form and `access` only moves data (its `closed`
-    /// argument is true). Such a stream has no chain, bank, refresh or
-    /// contention wait to attribute, so probed and unprobed runs take it
-    /// alike. Otherwise each element is granted and attributed in turn.
+    /// claimed in closed form. Such a stream has no chain, bank, refresh
+    /// or contention wait to attribute, so probed and unprobed runs take
+    /// it alike. Otherwise each element is granted and attributed in turn.
     #[allow(clippy::too_many_arguments)]
     fn vector_stream<P: Probe>(
         &mut self,
@@ -1200,7 +1373,7 @@ impl Cpu {
         base: i64,
         stride: i64,
         chain: impl Fn(&Cpu, usize) -> f64,
-        mut access: impl FnMut(&mut Cpu, u64, usize, f64, bool) -> f64,
+        mut granted: impl FnMut(&mut Cpu, usize, f64, f64),
     ) -> Schedule {
         let Entered { timing, entry0, .. } = entered;
         let n = self.vl;
@@ -1228,18 +1401,24 @@ impl Cpu {
                 t
             };
             let before = self.mem.wait_breakdown();
-            let granted = access(self, element_addr(base, stride, e), e, earliest, closed);
+            let grant = if closed {
+                earliest
+            } else {
+                self.mem.grant(element_addr(base, stride, e), earliest)
+            };
             if P::ENABLED {
                 Self::attribute_mem(probe, lane, pc, before, self.mem.wait_breakdown());
             }
+            granted(self, e, earliest, grant);
             if e == 0 {
-                first_entry = granted;
+                first_entry = grant;
             }
-            prev = granted;
+            prev = grant;
         }
         Schedule::stream(first_entry, prev, timing.y)
     }
 
+    /// The timing of a vector load from the stream at word `base`.
     fn vector_load<P: Probe>(
         &mut self,
         probe: &mut P,
@@ -1247,8 +1426,8 @@ impl Cpu {
         ins: &Instruction,
         addr: MemRef,
         dst: VReg,
-    ) -> Result<(), SimError> {
-        let base = self.vector_base(addr)?;
+        base: i64,
+    ) {
         self.scalar_wait(probe, pc, self.a_ready[usize::from(addr.base.index())]);
         let d = usize::from(dst.index());
         let fence = self.scalar_mem_fence;
@@ -1262,21 +1441,12 @@ impl Cpu {
             base,
             addr.stride.words(),
             |cpu, e| cpu.vread_until[d][e],
-            |cpu, word, e, earliest, closed| {
-                let (granted, value) = if closed {
-                    (earliest, cpu.mem.peek(word))
-                } else {
-                    cpu.mem.read(word, earliest)
-                };
-                cpu.vdata[d][e] = value;
-                cpu.vready[d][e] = q(granted + y);
-                granted
-            },
+            |cpu, e, _, granted| cpu.vready[d][e] = q(granted + y),
         );
         self.vector_retire(probe, pc, ins, entered, sched);
-        Ok(())
     }
 
+    /// The timing of a vector store to the stream at word `base`.
     fn vector_store<P: Probe>(
         &mut self,
         probe: &mut P,
@@ -1284,15 +1454,14 @@ impl Cpu {
         ins: &Instruction,
         src: VReg,
         addr: MemRef,
-    ) -> Result<(), SimError> {
-        let base = self.vector_base(addr)?;
+        base: i64,
+    ) {
         self.scalar_wait(probe, pc, self.a_ready[usize::from(addr.base.index())]);
         let srcop = VOperand::V(src);
         let s = usize::from(src.index());
         let barrier = self.no_chain_barrier(&[srcop]);
         let fence = self.scalar_mem_fence;
         let entered = self.vector_enter(probe, pc, ins, fence, barrier, self.vready[s][0]);
-        let values = self.vdata[s];
         // Element entries chain on the source operand.
         let sched = self.vector_stream(
             probe,
@@ -1301,20 +1470,9 @@ impl Cpu {
             base,
             addr.stride.words(),
             |cpu, e| cpu.vready[s][e],
-            |cpu, word, e, earliest, closed| {
-                cpu.mark_read(srcop, e, earliest);
-                let granted = if closed {
-                    cpu.mem.poke(word, values[e]);
-                    earliest
-                } else {
-                    cpu.mem.write(word, values[e], earliest)
-                };
-                cpu.cache.invalidate(word);
-                granted
-            },
+            |cpu, e, requested, _| cpu.mark_read(srcop, e, requested),
         );
         self.vector_retire(probe, pc, ins, entered, sched);
-        Ok(())
     }
 
     fn scalar_addr(&self, addr: MemRef) -> Result<u64, SimError> {
@@ -1376,20 +1534,21 @@ impl Cpu {
         }
     }
 
-    fn scalar_load<P: Probe>(
+    /// The timing of a scalar access to `word`, which hit or missed the
+    /// cache as `hit` says. The single memory port makes it wait for the
+    /// vector memory stream scheduled so far, and it fences later vector
+    /// memory instructions — this is what splits chimes (§3.3). A load
+    /// hit costs the hit latency; a load miss adds its memory grant and
+    /// the miss penalty; a store always writes through to its grant.
+    /// Returns the cycle the access completes.
+    fn scalar_mem<P: Probe>(
         &mut self,
         probe: &mut P,
         pc: usize,
-        addr: MemRef,
-        dst: ScalarReg,
-    ) -> Result<(), SimError> {
-        let base_idx = usize::from(addr.base.index());
-        self.scalar_wait(probe, pc, self.a_ready[base_idx]);
-        self.issue_scalar(probe, pc);
-        let word = self.scalar_addr(addr)?;
-        // The single memory port: the scalar access waits for the vector
-        // memory stream scheduled so far, and fences later vector memory
-        // instructions — this is what splits chimes (§3.3).
+        word: u64,
+        hit: bool,
+        store: bool,
+    ) -> f64 {
         let start = self
             .clock
             .max(self.pipes[pipe_slot(Pipe::LoadStore)].next_entry);
@@ -1399,63 +1558,29 @@ impl Cpu {
         } else {
             WaitBreakdown::default()
         };
-        let (done, value) = self.cache.read(&mut self.mem, word, start);
-        let done = q(done);
-        if P::ENABLED {
-            self.scalar_mem_close(probe, pc, before, start, done);
-        }
-        self.fence_vector_stream(done);
-        self.write_scalar_raw(dst, encode_loaded(dst, value), done);
-        Ok(())
-    }
-
-    fn scalar_store<P: Probe>(
-        &mut self,
-        probe: &mut P,
-        pc: usize,
-        src: ScalarReg,
-        addr: MemRef,
-    ) -> Result<(), SimError> {
-        let base_idx = usize::from(addr.base.index());
-        let (bits, src_ready) = self.read_scalar_raw(src);
-        self.scalar_wait(probe, pc, self.a_ready[base_idx].max(src_ready));
-        self.issue_scalar(probe, pc);
-        let word = self.scalar_addr(addr)?;
-        let value = match src {
-            ScalarReg::S(_) => f64::from_bits(bits),
-            ScalarReg::A(_) => bits as i64 as f64,
-        };
-        let start = self
-            .clock
-            .max(self.pipes[pipe_slot(Pipe::LoadStore)].next_entry);
-        let before = if P::ENABLED {
-            self.scalar_mem_open(probe, pc, start);
-            self.mem.wait_breakdown()
+        let cache = self.config.cache;
+        let done = q(if store {
+            self.mem.grant(word, start) + cache.hit_latency as f64
+        } else if hit {
+            start + cache.hit_latency as f64
         } else {
-            WaitBreakdown::default()
-        };
-        let done = q(self.cache.write(&mut self.mem, word, value, start));
+            self.mem.grant(word, start) + (cache.hit_latency + cache.miss_penalty) as f64
+        });
         if P::ENABLED {
             self.scalar_mem_close(probe, pc, before, start, done);
         }
         self.fence_vector_stream(done);
         self.end = self.end.max(done);
-        Ok(())
+        done
     }
 
     // ---- steady-state fast-forward ------------------------------------
     //
     // Detection and the exactness argument live in the `fastfwd` module;
     // this section supplies the machine-specific pieces: the discrete
-    // key, the canonical field visit order (snapshot and translation MUST
-    // agree), the per-instruction path recording, and the functional
-    // "warp" replay of recorded periods.
-
-    /// The bank a word maps to — the address residue a recorded step
-    /// checks.
-    fn ff_residue(&self, word: u64) -> u32 {
-        (word % u64::from(self.mem.config().banks)) as u32
-    }
+    // key, the one walk over the translated timing fields, each step's
+    // check, and the warp, which replays a recorded period through
+    // `execute` with an undo journal.
 
     /// Discrete state that must match exactly for two loop-head arrivals
     /// to be candidate period endpoints. The clock phases force the
@@ -1486,101 +1611,72 @@ impl Cpu {
         key
     }
 
-    /// Full timing-state snapshot. `fields[0]` must be the clock, and the
-    /// visit order here must match [`Cpu::ff_apply_shift`] exactly.
-    fn ff_snapshot<P: Probe>(&self, probe: &P, executed: u64) -> Snapshot {
-        let mut fields = Vec::with_capacity(
-            26 + Lane::COUNT + 2 * 8 * VLEN + self.active.len() + self.mem.bank_state().len(),
-        );
-        fields.push(self.clock);
-        fields.push(self.end);
-        fields.push(self.scalar_mem_fence);
-        for p in &self.pipes {
-            fields.push(p.next_entry);
-            fields.push(p.issue_gate);
+    /// Visits every `f64` timing field fast-forward translates, clock
+    /// first: the CPU's timing state, then the memory system's bank free
+    /// times and wait totals ([`MemorySystem::visit_timing`]). The
+    /// snapshot reads through this one walk and the warp translates
+    /// through it, so their field orders cannot drift apart.
+    fn ff_fields(&mut self, mut visit: impl FnMut(&mut f64)) {
+        visit(&mut self.clock);
+        visit(&mut self.end);
+        visit(&mut self.scalar_mem_fence);
+        for p in &mut self.pipes {
+            visit(&mut p.next_entry);
+            visit(&mut p.issue_gate);
         }
-        fields.extend_from_slice(&self.a_ready);
-        fields.extend_from_slice(&self.s_ready);
-        fields.extend_from_slice(&self.acct);
-        for c in &self.credits {
-            fields.push(c.bubble);
-            fields.push(c.reduction);
-            fields.push(c.fence);
+        for r in self
+            .a_ready
+            .iter_mut()
+            .chain(&mut self.s_ready)
+            .chain(&mut self.acct)
+        {
+            visit(r);
         }
-        for v in &self.vready {
-            fields.extend_from_slice(v);
+        for c in &mut self.credits {
+            visit(&mut c.bubble);
+            visit(&mut c.reduction);
+            visit(&mut c.fence);
         }
-        for v in &self.vread_until {
-            fields.extend_from_slice(v);
+        for r in self
+            .vready
+            .iter_mut()
+            .chain(&mut self.vread_until)
+            .flatten()
+        {
+            visit(r);
         }
-        for av in &self.active {
-            fields.push(av.end);
+        for av in &mut self.active {
+            visit(&mut av.end);
         }
-        fields.extend_from_slice(self.mem.bank_state());
+        self.mem.visit_timing(visit);
+    }
+
+    /// Full timing-state snapshot.
+    fn ff_snapshot<P: Probe>(&mut self, probe: &P, executed: u64) -> Snapshot {
+        let mut fields = Vec::with_capacity(2 * VREGS * VLEN + 128);
+        self.ff_fields(|f| fields.push(*f));
         Snapshot {
             key: self.ff_key(),
             fields,
             mem_accesses: self.mem.access_count(),
-            mem_waited: self.mem.wait_cycles(),
-            mem_breakdown: self.mem.wait_breakdown(),
             probe: probe.ff_counters().unwrap_or_default(),
             executed,
         }
     }
 
-    /// Translates every timing field by `k` periods. Same visit order as
-    /// [`Cpu::ff_snapshot`]. Deltas are in ticks; the translation runs
-    /// in integer tick arithmetic so it reproduces the canonical grid
-    /// values the naive run would have stored.
+    /// Translates every timing field by `k` periods. Deltas are in ticks;
+    /// the translation runs in integer tick arithmetic so it reproduces
+    /// the canonical grid values the naive run would have stored.
     fn ff_apply_shift(&mut self, rec: &PeriodRecord, k: u64) {
         let kf = k as f64;
-        let mut it = rec.field_deltas.iter();
-        {
-            let mut shift = |f: &mut f64| {
-                *f =
-                    fastfwd::translate_ticks(*f, *it.next().expect("fast-forward field count"), kf);
-            };
-            shift(&mut self.clock);
-            shift(&mut self.end);
-            shift(&mut self.scalar_mem_fence);
-            for p in &mut self.pipes {
-                shift(&mut p.next_entry);
-                shift(&mut p.issue_gate);
-            }
-            for r in &mut self.a_ready {
-                shift(r);
-            }
-            for r in &mut self.s_ready {
-                shift(r);
-            }
-            for r in &mut self.acct {
-                shift(r);
-            }
-            for c in &mut self.credits {
-                shift(&mut c.bubble);
-                shift(&mut c.reduction);
-                shift(&mut c.fence);
-            }
-            for v in &mut self.vready {
-                for r in v.iter_mut() {
-                    shift(r);
-                }
-            }
-            for v in &mut self.vread_until {
-                for r in v.iter_mut() {
-                    shift(r);
-                }
-            }
-            for av in &mut self.active {
-                shift(&mut av.end);
-            }
-            for b in self.mem.bank_state_mut() {
-                shift(b);
-            }
-        }
-        assert!(it.next().is_none(), "fast-forward field order drift");
-        self.mem
-            .ff_apply(rec.mem_accesses, rec.mem_waited, rec.mem_breakdown, k);
+        let mut deltas = rec.field_deltas.iter();
+        self.ff_fields(|f| {
+            let d = deltas
+                .next()
+                .expect("snapshot and shift walk the same fields");
+            *f = fastfwd::translate_ticks(*f, *d, kf);
+        });
+        self.mem.ff_apply(rec.mem_accesses, k);
     }
 
     /// Drives the detector at a taken backward branch to `target`.
@@ -1607,66 +1703,29 @@ impl Cpu {
         }
     }
 
-    /// Captures the verification payload of an instruction about to be
-    /// recorded (before execution, so operand registers are pre-step).
-    fn ff_prestep(&mut self, ins: &Instruction) -> PreRec {
-        use Instruction::*;
-        match ins {
-            VLoad { addr, .. } | VStore { addr, .. } => PreRec::VecMem {
-                // A bad address records residue 0, and its replay rolls
-                // back (the exact step fails, or at VL 0 moves nothing).
-                residue: self
-                    .vector_base(*addr)
-                    .map_or(0, |w| self.ff_residue(w as u64)),
-                stride: addr.stride.words(),
-                vl: self.vl,
+    /// The fast-forward check of an executed instruction: what must
+    /// repeat for a replay to keep the recorded timing. Recording stores
+    /// it, and the warp compares each replayed step's check against it.
+    /// A vector stream checks its first element's bank (0 for a bad
+    /// address), stride and length; a scalar access checks its cache
+    /// outcome and, when it reaches the banks, its bank. A load hit never
+    /// does, so it records bank 0.
+    fn step_check(&self, touched: Touched) -> StepCheck {
+        let banks = u64::from(self.mem.config().banks);
+        let residue = |word: u64| (word % banks) as u32;
+        match touched {
+            Touched::Regs | Touched::Taken | Touched::Vector { .. } => StepCheck::Plain,
+            Touched::Stream { base, stride, vl } => StepCheck::VecMem {
+                residue: base.map_or(0, |word| residue(word as u64)),
+                stride,
+                vl,
             },
-            SLoad { addr, .. } => PreRec::SMem {
-                residue: self.ff_scalar_residue(*addr),
-                hits_before: self.cache.hits(),
-                store: false,
+            Touched::Scalar { word, hit, store } => StepCheck::SMem {
+                residue: if hit && !store { 0 } else { residue(word) },
+                hit,
+                store,
             },
-            SStore { addr, .. } => PreRec::SMem {
-                residue: self.ff_scalar_residue(*addr),
-                hits_before: self.cache.hits(),
-                store: true,
-            },
-            _ => PreRec::Plain,
         }
-    }
-
-    fn ff_scalar_residue(&self, addr: MemRef) -> u32 {
-        self.scalar_addr(addr).map_or(0, |w| self.ff_residue(w))
-    }
-
-    /// Finalizes a recorded step after execution (cache hit/miss outcome
-    /// is only known post-step).
-    fn ff_poststep(&mut self, pc: usize, pre: PreRec) {
-        let check = match pre {
-            PreRec::Plain => StepCheck::Plain,
-            PreRec::VecMem {
-                residue,
-                stride,
-                vl,
-            } => StepCheck::VecMem {
-                residue,
-                stride,
-                vl,
-            },
-            PreRec::SMem {
-                residue,
-                hits_before,
-                store,
-            } => StepCheck::SMem {
-                residue,
-                hit: self.cache.hits() > hits_before,
-                store,
-            },
-        };
-        self.ff.push_step(Step {
-            pc: pc as u32,
-            check,
-        });
     }
 
     /// Replays the verified period functionally as many times as the
@@ -1699,7 +1758,7 @@ impl Cpu {
         let k_max = budget.min(k_cap);
         // Only vector registers the period writes need checkpointing —
         // everything else it touches is either scalar (cheap to copy) or
-        // journaled (memory pokes, cache tags).
+        // journaled (memory stores, cache tags).
         let mut written = [false; VREGS];
         for step in &rec.steps {
             if let Some(d) = program
@@ -1748,11 +1807,10 @@ impl Cpu {
                 for u in scratch.undo.iter().rev() {
                     match *u {
                         UndoRec::Word(addr, old) => self.mem.poke(addr, old),
-                        UndoRec::Run { base, off, len } => self
-                            .mem
-                            .poke_run(base, len)
-                            .expect("undo run was in bounds when journaled")
-                            .copy_from_slice(&scratch.undo_data[off..off + len]),
+                        UndoRec::Run { base, off, len } => {
+                            let old = &scratch.undo_data[off..off + len];
+                            self.mem.store_run(base, old, &mut NoJournal);
+                        }
                     }
                 }
                 self.cache.rollback(scratch.cache_mark, &scratch.cache_log);
@@ -1777,8 +1835,9 @@ impl Cpu {
         k * rec.instructions
     }
 
-    /// One functional pass over the recorded period. Returns false (for
-    /// rollback) at the first deviation from the recorded path.
+    /// One replay of the recorded period through [`Cpu::execute`],
+    /// journaled into `scratch`. Returns false (for rollback) at the
+    /// first step that leaves the recorded path or fails its check.
     fn warp_one(
         &mut self,
         program: &Program,
@@ -1795,283 +1854,36 @@ impl Cpu {
             let Some(ins) = instrs.get(cur) else {
                 return false;
             };
-            match self.warp_step(program, ins, cur, step, scratch) {
-                Some(next) => cur = next,
-                None => return false,
+            match self.execute(ins, cur, program, scratch) {
+                Ok((next, touched)) if self.step_check(touched) == step.check => cur = next,
+                _ => return false,
             }
         }
         cur == loop_pc
     }
+}
 
-    /// Functional-only execution of one instruction during a warp:
-    /// register and memory *data* semantics, statistics, cache tags —
-    /// no clocks, no grants, no probes. Mirrors [`Cpu::step`]'s data
-    /// effects exactly; any mismatch with the recorded check returns
-    /// `None`.
-    fn warp_step(
-        &mut self,
-        program: &Program,
-        ins: &Instruction,
-        pc: usize,
-        step: &Step,
-        scratch: &mut WarpScratch,
-    ) -> Option<usize> {
-        use Instruction::*;
-        self.stats.instructions.bump(ins.class());
-        match ins {
-            VLoad { addr, dst } => self.warp_vload(step, *addr, *dst)?,
-            VStore { src, addr } => self.warp_vstore(step, *src, *addr, scratch)?,
-            VAdd { a, b, dst } => self.warp_arith(step, ins, *a, *b, *dst, |x, y| x + y)?,
-            VSub { a, b, dst } => self.warp_arith(step, ins, *a, *b, *dst, |x, y| x - y)?,
-            VMul { a, b, dst } => self.warp_arith(step, ins, *a, *b, *dst, |x, y| x * y)?,
-            VDiv { a, b, dst } => self.warp_arith(step, ins, *a, *b, *dst, |x, y| x / y)?,
-            VNeg { src, dst } => self.warp_arith(
-                step,
-                ins,
-                VOperand::V(*src),
-                VOperand::V(*src),
-                *dst,
-                |x, _| -x,
-            )?,
-            VSum { src, dst } => self.warp_reduce(step, ins, *src, *dst, false, 1.0)?,
-            VRAdd { src, acc } => self.warp_reduce(step, ins, *src, *acc, true, 1.0)?,
-            VRSub { src, acc } => self.warp_reduce(step, ins, *src, *acc, true, -1.0)?,
-            SetVl { src } => {
-                plain_check(step)?;
-                let i = usize::from(src.index());
-                self.vl = (self.s[i] as i64).clamp(0, i64::from(MAX_VL)) as u32;
-            }
-            SetVlImm { value } => {
-                plain_check(step)?;
-                self.vl = (*value).min(MAX_VL);
-            }
-            SMovImm { value, dst } => {
-                plain_check(step)?;
-                let bits = match value {
-                    ScalarValue::Int(i) => *i as u64,
-                    ScalarValue::Fp(x) => x.to_bits(),
-                };
-                self.warp_write_scalar(*dst, bits);
-            }
-            SMov { src, dst } => {
-                plain_check(step)?;
-                let (bits, _) = self.read_scalar_raw(*src);
-                self.warp_write_scalar(*dst, bits);
-            }
-            SIntOp { op, src, dst } => {
-                plain_check(step)?;
-                let (sv, _) = self.read_int_operand(*src);
-                let (dv, _) = self.read_scalar_int(*dst);
-                self.warp_write_scalar(*dst, op.apply(dv, sv) as u64);
-            }
-            SFpOp { op, a, b, dst } => {
-                plain_check(step)?;
-                let va = f64::from_bits(self.s[usize::from(a.index())]);
-                let vb = f64::from_bits(self.s[usize::from(b.index())]);
-                self.s[usize::from(dst.index())] = op.apply(va, vb).to_bits();
-            }
-            SLoad { addr, dst } => {
-                let StepCheck::SMem {
-                    residue,
-                    hit,
-                    store: false,
-                } = step.check
-                else {
-                    return None;
-                };
-                let word = self.scalar_addr(*addr).ok()?;
-                if self.cache.tag_read_logged(word, &mut scratch.cache_log) != hit {
-                    return None;
-                }
-                if !hit && self.ff_residue(word) != residue {
-                    return None;
-                }
-                let value = self.mem.peek(word);
-                self.warp_write_scalar(*dst, encode_loaded(*dst, value));
-            }
-            SStore { src, addr } => {
-                let StepCheck::SMem {
-                    residue,
-                    hit,
-                    store: true,
-                } = step.check
-                else {
-                    return None;
-                };
-                let word = self.scalar_addr(*addr).ok()?;
-                if self.ff_residue(word) != residue {
-                    return None;
-                }
-                if self.cache.tag_write_logged(word, &mut scratch.cache_log) != hit {
-                    return None;
-                }
-                let (bits, _) = self.read_scalar_raw(*src);
-                let value = match src {
-                    ScalarReg::S(_) => f64::from_bits(bits),
-                    ScalarReg::A(_) => bits as i64 as f64,
-                };
-                scratch.undo.push(UndoRec::Word(word, self.mem.peek(word)));
-                self.mem.poke(word, value);
-            }
-            Cmp { op, lhs, rhs } => {
-                plain_check(step)?;
-                let (lv, _) = self.read_int_operand(*lhs);
-                let (rv, _) = self.read_scalar_int(*rhs);
-                self.tflag = op.apply(lv, rv);
-            }
-            BranchT { target } | BranchF { target } => {
-                plain_check(step)?;
-                let take = if matches!(ins, BranchT { .. }) {
-                    self.tflag
-                } else {
-                    !self.tflag
-                };
-                if take {
-                    self.stats.branches_taken += 1;
-                    return Some(self.resolve(program, target));
-                }
-            }
-            Jump { target } => {
-                plain_check(step)?;
-                self.stats.branches_taken += 1;
-                return Some(self.resolve(program, target));
-            }
-            Nop => plain_check(step)?,
-            _ => return None,
-        }
-        Some(pc + 1)
-    }
-
-    fn warp_write_scalar(&mut self, r: ScalarReg, bits: u64) {
-        match r {
-            ScalarReg::S(s) => self.s[usize::from(s.index())] = bits,
-            ScalarReg::A(a) => self.a[usize::from(a.index())] = bits as i64,
-        }
-    }
-
-    /// The base word of a replayed vector memory step, or `None` when the
-    /// replay leaves the recorded path: another vector length or stride,
-    /// another first-element bank, or an address the exact step rejects.
-    fn warp_vec_base(&self, step: &Step, addr: MemRef) -> Option<i64> {
-        let StepCheck::VecMem {
-            residue,
-            stride,
-            vl,
-        } = step.check
-        else {
-            return None;
-        };
-        if self.vl != vl || addr.stride.words() != stride {
-            return None;
-        }
-        let base = self.vector_base(addr).ok()?;
-        (self.ff_residue(base as u64) == residue).then_some(base)
-    }
-
-    fn warp_vload(&mut self, step: &Step, addr: MemRef, dst: VReg) -> Option<()> {
-        let base = self.warp_vec_base(step, addr)?;
-        let (n, stride) = (self.vl as usize, addr.stride.words());
-        let d = usize::from(dst.index());
-        if stride == 1 {
-            self.vdata[d][..n].copy_from_slice(self.mem.peek_run(base as u64, n)?);
-        } else {
-            for e in 0..n {
-                self.vdata[d][e] = self.mem.peek(element_addr(base, stride, e));
-            }
-        }
-        self.stats.elements[0] += n as u64;
-        Some(())
-    }
-
-    fn warp_vstore(
-        &mut self,
-        step: &Step,
-        src: VReg,
-        addr: MemRef,
-        scratch: &mut WarpScratch,
-    ) -> Option<()> {
-        let base = self.warp_vec_base(step, addr)?;
-        let (n, stride) = (self.vl as usize, addr.stride.words());
-        let si = usize::from(src.index());
-        if stride == 1 {
-            let base = base as u64;
-            let off = scratch.undo_data.len();
-            scratch
-                .undo_data
-                .extend_from_slice(self.mem.peek_run(base, n)?);
-            scratch.undo.push(UndoRec::Run { base, off, len: n });
-            self.mem
-                .poke_run(base, n)
-                .expect("peek_run already bounds-checked the run")
-                .copy_from_slice(&self.vdata[si][..n]);
-            self.cache
-                .invalidate_run_logged(base, n, &mut scratch.cache_log);
-        } else {
-            let values = self.vdata[si];
-            for (e, &value) in values.iter().enumerate().take(n) {
-                let word = element_addr(base, stride, e);
-                scratch.undo.push(UndoRec::Word(word, self.mem.peek(word)));
-                self.mem.poke(word, value);
-                self.cache.invalidate_logged(word, &mut scratch.cache_log);
-            }
-        }
-        self.stats.elements[0] += n as u64;
-        Some(())
-    }
-
-    fn warp_arith(
-        &mut self,
-        step: &Step,
-        ins: &Instruction,
-        a: VOperand,
-        b: VOperand,
-        dst: VReg,
-        f: impl Fn(f64, f64) -> f64,
-    ) -> Option<()> {
-        plain_check(step)?;
-        let vl = self.vl as usize;
-        let slot = pipe_slot(ins.pipe().expect("vector arith pipe"));
-        let va = self.operand_values(a);
-        let vb = self.operand_values(b);
-        let d = usize::from(dst.index());
-        for e in 0..vl {
-            self.vdata[d][e] = f(va[e], vb[e]);
-        }
-        self.stats.elements[slot] += vl as u64;
-        self.stats.flops += vl as u64;
-        Some(())
-    }
-
-    fn warp_reduce(
-        &mut self,
-        step: &Step,
-        ins: &Instruction,
-        src: VReg,
-        dst: SReg,
-        accumulate: bool,
-        sign: f64,
-    ) -> Option<()> {
-        // Unreachable in practice — the reduction element rate (Z = 1.35)
-        // yields fractional deltas that never pass the integer guard —
-        // but kept faithful to `vector_reduce` regardless.
-        plain_check(step)?;
-        let vl = self.vl as usize;
-        if vl == 0 {
-            return Some(());
-        }
-        let slot = pipe_slot(ins.pipe().expect("reduction pipe"));
-        let d = usize::from(dst.index());
-        let s: f64 = self.vdata[usize::from(src.index())][..vl].iter().sum();
-        let base = if accumulate {
-            f64::from_bits(self.s[d])
-        } else {
-            0.0
-        };
-        self.s[d] = (base + sign * s).to_bits();
-        self.stats.elements[slot] += vl as u64;
-        self.stats.flops += vl as u64;
-        Some(())
-    }
+/// What an executed instruction touched: everything its timing and its
+/// fast-forward check need from the data path, read before the
+/// instruction overwrote any register.
+#[derive(Debug, Clone, Copy)]
+enum Touched {
+    /// Scalar registers or flags only, and no taken branch.
+    Regs,
+    /// A taken branch or jump.
+    Taken,
+    /// A vector instruction over `vl` elements that touches no memory.
+    Vector { vl: u32 },
+    /// A vector load or store over `vl` elements from word `base` at
+    /// `stride` words. `base` is `None` only for a zero-length access to
+    /// a bad address, which moves nothing.
+    Stream {
+        base: Option<i64>,
+        stride: i64,
+        vl: u32,
+    },
+    /// A scalar load or store of `word`, and whether it hit the cache.
+    Scalar { word: u64, hit: bool, store: bool },
 }
 
 /// Word address of element `e` of a stream whose range
@@ -2080,32 +1892,9 @@ fn element_addr(base: i64, stride: i64, e: usize) -> u64 {
     (base + stride * e as i64) as u64
 }
 
-fn plain_check(step: &Step) -> Option<()> {
-    if step.check == StepCheck::Plain {
-        Some(())
-    } else {
-        None
-    }
-}
-
-/// Pre-execution half of a recorded step (see [`Cpu::ff_prestep`]).
-enum PreRec {
-    Plain,
-    VecMem {
-        residue: u32,
-        stride: i64,
-        vl: u32,
-    },
-    SMem {
-        residue: u32,
-        hits_before: u64,
-        store: bool,
-    },
-}
-
 /// Reusable rollback buffers for the warp replay: one checkpoint of the
 /// functional state, refreshed before each replayed iteration. Memory
-/// pokes and cache tag changes are journaled (`undo` / `cache_log`)
+/// stores and cache tag changes are journaled (`undo` / `cache_log`)
 /// rather than checkpointed, and only vector registers in the period's
 /// write set (`written`) are copied.
 struct WarpScratch {
@@ -2122,7 +1911,27 @@ struct WarpScratch {
     undo_data: Vec<f64>,
 }
 
-/// One journaled memory mutation; `Run` points into
+impl Journal for WarpScratch {
+    fn word(&mut self, addr: u64, old: f64) {
+        self.undo.push(UndoRec::Word(addr, old));
+    }
+
+    fn run(&mut self, addr: u64, old: &[f64]) {
+        let off = self.undo_data.len();
+        self.undo_data.extend_from_slice(old);
+        self.undo.push(UndoRec::Run {
+            base: addr,
+            off,
+            len: old.len(),
+        });
+    }
+
+    fn tag(&mut self, line: usize, old: Option<u64>) {
+        self.cache_log.push((line, old));
+    }
+}
+
+/// One journaled memory store; `Run` points into
 /// [`WarpScratch::undo_data`].
 enum UndoRec {
     Word(u64, f64),
@@ -2537,6 +2346,23 @@ mod tests {
         cpu.run(&p).unwrap();
         assert_eq!(cpu.areg(1), 800);
         assert_eq!(cpu.mem().peek(500), 3.25);
+    }
+
+    /// `ld.w 0(a1),a1` reads its address before overwriting `a1`: the
+    /// loaded value is no valid address, yet the access and its timing
+    /// use the old one.
+    #[test]
+    fn load_into_its_own_base_register_uses_the_old_address() {
+        let mut b = ProgramBuilder::new();
+        b.sload("a1", 0, "a1");
+        b.halt();
+        let p = b.build().unwrap();
+        let mut cpu = Cpu::new(quiet_config());
+        cpu.mem_mut().poke(100, -8.0);
+        cpu.set_areg(1, 800);
+        let stats = cpu.run(&p).unwrap();
+        assert_eq!(cpu.areg(1), -8);
+        assert_eq!((stats.cache_misses, stats.memory_accesses), (1, 1));
     }
 
     #[test]
@@ -2970,12 +2796,15 @@ mod edge_tests {
                     );
                 }
             }
-            // The same stream walking down from there stays inside.
-            let mut config = quiet();
-            config.mem = config.mem.with_words(SMALL_WORDS);
-            let mut cpu = Cpu::new(config);
-            cpu.set_areg(1, near_end);
-            cpu.run(&one_access(store, 8, -1)).unwrap();
+            // The same stream walking down from there stays inside, and
+            // at VL 0 no address is checked at all.
+            for (a1, vl, stride) in [(near_end, 8, -1), (-8, 0, 1), (4, 0, 1)] {
+                let mut config = quiet();
+                config.mem = config.mem.with_words(SMALL_WORDS);
+                let mut cpu = Cpu::new(config);
+                cpu.set_areg(1, a1);
+                cpu.run(&one_access(store, vl, stride)).unwrap();
+            }
         }
     }
 

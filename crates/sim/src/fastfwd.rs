@@ -21,9 +21,10 @@
 //!    bitwise, field for field (including memory-system and probe
 //!    counter deltas).
 //! 3. **Warp**: replay the recorded path *functionally* (registers,
-//!    memory data, cache tags — no timing) as long as the program
-//!    follows it exactly, then translate every timing field by `k`
-//!    periods in tick arithmetic and add `k` times the per-period
+//!    memory data, cache tags — no timing) through the same `execute`
+//!    exact stepping uses, journaled for rollback, as long as every step
+//!    reproduces its recorded check; then translate every timing field
+//!    by `k` periods in tick arithmetic and add `k` times the per-period
 //!    deltas to every counter.
 //!
 //! # Why this is bit-exact
@@ -44,8 +45,6 @@
 //! the run falls back to exact element stepping, which is always
 //! correct: missed quantization can only cost engagement, never
 //! exactness.
-
-use c240_mem::WaitBreakdown;
 
 /// Per-instruction verification payload recorded for one loop period.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,11 +75,10 @@ pub(crate) struct Step {
 pub(crate) struct Snapshot {
     /// Discrete state that must match *exactly* between periods.
     pub key: Vec<u64>,
-    /// Every `f64` timing field, in the CPU's canonical visit order.
+    /// Every `f64` timing field, clock first, in the order of the CPU's
+    /// one field walk (memory wait totals included).
     pub fields: Vec<f64>,
     pub mem_accesses: u64,
-    pub mem_waited: f64,
-    pub mem_breakdown: WaitBreakdown,
     pub probe: Vec<f64>,
     /// Instructions executed since the start of the run.
     pub executed: u64,
@@ -94,8 +92,6 @@ pub(crate) struct PeriodRecord {
     pub steps: Vec<Step>,
     pub field_deltas: Vec<f64>,
     pub mem_accesses: u64,
-    pub mem_waited: f64,
-    pub mem_breakdown: WaitBreakdown,
     pub probe_deltas: Vec<f64>,
     pub instructions: u64,
 }
@@ -155,18 +151,10 @@ pub(crate) fn diff_snapshots(a: &Snapshot, b: &Snapshot) -> Option<PeriodRecord>
     for (&x, &y) in a.probe.iter().zip(&b.probe) {
         probe_deltas.push(grid_exact_delta(x, y)?);
     }
-    let mem_waited = grid_exact_delta(a.mem_waited, b.mem_waited)?;
-    let mem_breakdown = WaitBreakdown {
-        bank_busy: grid_exact_delta(a.mem_breakdown.bank_busy, b.mem_breakdown.bank_busy)?,
-        refresh: grid_exact_delta(a.mem_breakdown.refresh, b.mem_breakdown.refresh)?,
-        contention: grid_exact_delta(a.mem_breakdown.contention, b.mem_breakdown.contention)?,
-    };
     Some(PeriodRecord {
         steps: Vec::new(),
         field_deltas,
         mem_accesses: b.mem_accesses.checked_sub(a.mem_accesses)?,
-        mem_waited,
-        mem_breakdown,
         probe_deltas,
         instructions: b.executed.checked_sub(a.executed)?,
     })
@@ -182,10 +170,6 @@ pub(crate) fn periods_agree(a: &PeriodRecord, b: &PeriodRecord) -> bool {
     bits_equal(&a.field_deltas, &b.field_deltas)
         && bits_equal(&a.probe_deltas, &b.probe_deltas)
         && a.mem_accesses == b.mem_accesses
-        && a.mem_waited.to_bits() == b.mem_waited.to_bits()
-        && a.mem_breakdown.bank_busy.to_bits() == b.mem_breakdown.bank_busy.to_bits()
-        && a.mem_breakdown.refresh.to_bits() == b.mem_breakdown.refresh.to_bits()
-        && a.mem_breakdown.contention.to_bits() == b.mem_breakdown.contention.to_bits()
         && a.instructions == b.instructions
 }
 
@@ -450,8 +434,6 @@ mod tests {
             key: vec![1, 2],
             fields,
             mem_accesses: 10 * executed,
-            mem_waited: executed as f64,
-            mem_breakdown: WaitBreakdown::default(),
             probe: vec![],
             executed,
         }

@@ -13,53 +13,101 @@ use c240_mem::ContentionConfig;
 use c240_sim::{CounterProbe, Cpu, RunStats, SimConfig};
 use lfk_suite::LfkKernel;
 
-/// Runs `kernel` under `config`, returning the stats, telemetry, and how
-/// many instructions the run fast-forwarded. Also validates the kernel's
-/// numerical results so we know the functional warp replay stored the
-/// right values, not just the right cycle counts.
-fn run_one(config: SimConfig, kernel: &dyn LfkKernel) -> (RunStats, CounterProbe, u64) {
+/// Everything a run leaves behind that fast-forward must reproduce.
+struct Outcome {
+    stats: RunStats,
+    probe: CounterProbe,
+    /// The whole data space, as bits.
+    data: Vec<u64>,
+    /// The eight A registers, then the eight S registers, as bits.
+    regs: [u64; 16],
+    /// Instructions the run fast-forwarded.
+    skipped: u64,
+}
+
+/// Runs `kernel` for `passes` outer passes under `config`. At the
+/// kernel's default pass count it also validates the numerical results,
+/// so we know the functional warp replay stored the right values, not
+/// just the right cycle counts.
+fn run_one(config: SimConfig, kernel: &dyn LfkKernel, passes: i64) -> Outcome {
     let mut cpu = Cpu::new(config);
     kernel.setup(&mut cpu);
     let mut probe = CounterProbe::new();
     let stats = cpu
-        .run_probed(&kernel.program(), &mut probe)
+        .run_probed(&kernel.program_with_passes(passes), &mut probe)
         .unwrap_or_else(|e| panic!("LFK{} failed: {e}", kernel.id()));
-    kernel
-        .check(&cpu)
-        .unwrap_or_else(|e| panic!("LFK{} wrong results: {e}", kernel.id()));
-    (stats, probe, cpu.fast_forwarded_instructions())
+    if passes == kernel.passes() {
+        kernel
+            .check(&cpu)
+            .unwrap_or_else(|e| panic!("LFK{} wrong results: {e}", kernel.id()));
+    }
+    let words = cpu.mem().words();
+    let data = cpu.mem().peek_run(0, words).expect("the whole data space");
+    Outcome {
+        stats,
+        probe,
+        data: data.iter().map(|x| x.to_bits()).collect(),
+        regs: std::array::from_fn(|i| match i {
+            0..=7 => cpu.areg(i as u8) as u64,
+            _ => cpu.sreg_fp(i as u8 - 8).to_bits(),
+        }),
+        skipped: cpu.fast_forwarded_instructions(),
+    }
 }
 
 /// Asserts exact (not approximate) equality between a fast-forwarded and
-/// an element-stepped run of every kernel under `config`. Returns the
-/// total instructions fast-forwarded, so callers can assert engagement.
+/// an element-stepped run of every kernel under `config`, at each
+/// kernel's default pass count. Returns the total instructions
+/// fast-forwarded, so callers can assert engagement.
 fn assert_suite_equivalent(config: SimConfig, label: &str) -> u64 {
+    assert_suite_equivalent_at(config, label, None)
+}
+
+/// [`assert_suite_equivalent`] with every kernel run for `passes` outer
+/// passes (`None`: each kernel's default).
+fn assert_suite_equivalent_at(config: SimConfig, label: &str, passes: Option<i64>) -> u64 {
     let mut total_skipped = 0;
     for kernel in lfk_suite::all() {
         let kernel = kernel.as_ref();
-        let (fast, fast_probe, skipped) = run_one(config.clone(), kernel);
-        let (exact, exact_probe, exact_skipped) =
-            run_one(config.clone().without_fast_forward(), kernel);
-        assert_eq!(exact_skipped, 0, "fast_forward=false must never warp");
+        let passes = passes.unwrap_or(kernel.passes());
+        let fast = run_one(config.clone(), kernel, passes);
+        let exact = run_one(config.clone().without_fast_forward(), kernel, passes);
+        assert_eq!(exact.skipped, 0, "fast_forward=false must never warp");
         // RunStats derives PartialEq over f64 fields, so this is bitwise
         // cycle/stat equality — it covers cycles, instruction classes,
         // element counts, flops, memory accesses, and the memory wait
         // breakdown (bank busy / refresh / contention).
         assert_eq!(
-            fast,
-            exact,
+            fast.stats,
+            exact.stats,
             "LFK{} [{label}]: fast-forwarded stats diverge from exact run",
             kernel.id()
         );
         // Whole-probe equality: per-lane busy/idle and every stall
         // cause, both machine-wide and per-pc.
         assert_eq!(
-            fast_probe,
-            exact_probe,
+            fast.probe,
+            exact.probe,
             "LFK{} [{label}]: fast-forwarded telemetry diverges from exact run",
             kernel.id()
         );
-        total_skipped += skipped;
+        // Bitwise data: a reassociated reduction in the warp would pass
+        // the kernels' tolerance-based checks but not this.
+        assert_eq!(
+            fast.regs,
+            exact.regs,
+            "LFK{} [{label}]: fast-forwarded A/S registers diverge from exact run",
+            kernel.id()
+        );
+        if fast.data != exact.data {
+            let word = (0..).zip(&fast.data).find(|&(w, &x)| x != exact.data[w]);
+            panic!(
+                "LFK{} [{label}]: fast-forwarded data diverges from exact run at word {:?}",
+                kernel.id(),
+                word.map(|(w, _)| w)
+            );
+        }
+        total_skipped += fast.skipped;
     }
     total_skipped
 }
@@ -129,6 +177,25 @@ fn fast_forward_engages_under_refresh_on_long_loops() {
         skipped > 10_000,
         "refresh-phase periods were not detected ({skipped} instructions warped)"
     );
+}
+
+/// With refresh on, the suite's default pass counts are too short for a
+/// warp, so the rows above never replay one. At 200 passes the warps
+/// replay loads at strides 1, 2, 5 and 25, strided stores, `radd.d`
+/// reductions and scalar `ld.w`/`st.w`, and must stay bit-exact.
+#[test]
+fn suite_warps_exactly_under_full_machine_idle_at_200_passes() {
+    let skipped = assert_suite_equivalent_at(SimConfig::c240(), "c240/idle@200", Some(200));
+    assert!(skipped > 0, "no warp at 200 passes under c240/idle");
+}
+
+/// [`suite_warps_exactly_under_full_machine_idle_at_200_passes`] under
+/// lockstep background contention.
+#[test]
+fn suite_warps_exactly_under_full_machine_lockstep_contention_at_200_passes() {
+    let config = with_contention(SimConfig::c240(), ContentionConfig::lockstep(3));
+    let skipped = assert_suite_equivalent_at(config, "c240/lockstep(3)@200", Some(200));
+    assert!(skipped > 0, "no warp at 200 passes under c240/lockstep(3)");
 }
 
 #[test]
