@@ -58,13 +58,10 @@ use macs_core::{
     KernelBounds, MachineCeilings, Measurement, RooflineVerdict, ROOFLINE_SCHEMA,
 };
 
-/// Ticks per simulated cycle: stall-cycle metrics are exported as
-/// integer *ticks* (1/20 cycle) because the simulator quantizes all
-/// timing to this grid, so the conversion is exact.
-const TICKS_PER_CYCLE: f64 = 20.0;
-
+/// Stall-cycle metrics are exported as integer *ticks* (1/20 cycle), the
+/// simulator's unit of time, so the conversion is exact.
 fn ticks(cycles: f64) -> u64 {
-    (cycles * TICKS_PER_CYCLE).round().max(0.0) as u64
+    c240_isa::timing::ticks(cycles).max(0) as u64
 }
 
 /// The observability plane threaded through a sweep: a span tracer, a

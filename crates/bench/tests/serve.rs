@@ -127,6 +127,25 @@ fn data_space_smaller_than_the_kernel_is_rejected_before_any_attempt() {
     assert_eq!(field_num(&summary, "retried"), Some(0.0));
 }
 
+/// A bank busy time past `c240_mem::MAX_BANK_BUSY` (here 2^53 + 1
+/// cycles) is rejected before any attempt rather than simulated: the
+/// bound keeps every time a run can reach inside the simulator's `i64`
+/// tick range.
+#[test]
+fn huge_bank_busy_is_rejected_before_any_attempt() {
+    let input = "{\"kernel\":4,\"passes\":1,\
+                 \"config\":{\"bank_busy\":9007199254740993,\"banks\":1}}\n";
+    let (rows, summary) = serve_once(input, &["--max-attempts", "3", "--backoff-ms", "1"]);
+    assert_eq!(rows.len(), 1);
+    let row = &rows[0];
+    assert_eq!(field_str(row, "error_kind"), Some("invalid_config"));
+    assert_eq!(field_num(row, "attempts"), Some(0.0));
+    let message = field_str(row, "message").expect("error message");
+    assert!(message.contains("bank busy time"), "{message}");
+    assert_eq!(field_num(&summary, "invalid"), Some(1.0));
+    assert_eq!(field_num(&summary, "panicked"), Some(0.0));
+}
+
 #[test]
 fn served_rows_are_bit_identical_to_in_process_evaluation() {
     let lines = [

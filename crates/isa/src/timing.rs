@@ -75,34 +75,57 @@ impl fmt::Display for TimingClass {
     }
 }
 
-/// The machine's timing quantum, in grid points per cycle.
+/// The machine's timing quantum: ticks per cycle.
 ///
 /// Every timing parameter of the modeled C-240 — integer latencies,
 /// half-cycle issue effects, and the 1.35-cycle reduction element rate —
-/// is a multiple of 1/20 cycle. Timestamps therefore live on a 1/20
-/// grid, and [`quantize`] maps any accumulated `f64` back to the
-/// canonical representation of its grid point.
-pub const TICKS_PER_CYCLE: f64 = 20.0;
+/// is a multiple of 1/20 cycle. The simulator therefore keeps every
+/// simulated time as an exact integer count of these *ticks*: sums never
+/// drift, two states equal in exact arithmetic are equal as integers, and
+/// the steady-state fast-forward translates timing state by integer
+/// deltas (see `c240-sim`).
+pub const TICKS_PER_CYCLE: i64 = 20;
 
-/// Rounds `x` to the canonical `f64` for the nearest 1/20-cycle grid
-/// point.
-///
-/// Repeated `f64` addition of non-dyadic quanta (1.35 is not a binary
-/// fraction) drifts by ulps; quantizing after every store makes each
-/// stored timestamp a pure function of its *integer tick count*, so two
-/// states that are equal in exact arithmetic are bitwise equal. That is
-/// what lets the simulator's steady-state fast-forward prove periodicity
-/// and translate timing state exactly (see `c240-sim`).
+/// The nearest tick count to `cycles` (saturating at the `i64` range;
+/// NaN maps to 0). Exact for every value on the 1/20-cycle grid; see
+/// [`exact_ticks`] for the check that a value is on it.
 ///
 /// ```
-/// use c240_isa::timing::quantize;
-/// let drifted = 0.1 + 0.2;            // 0.30000000000000004
-/// assert_eq!(quantize(drifted), 0.3);
-/// assert_eq!(quantize(172.80000000000001), quantize(128.0 * 1.35));
+/// use c240_isa::timing::ticks;
+/// assert_eq!(ticks(1.35), 27);
+/// assert_eq!(ticks(0.1 + 0.2), 6);
 /// ```
 #[inline]
-pub fn quantize(x: f64) -> f64 {
-    (x * TICKS_PER_CYCLE).round() / TICKS_PER_CYCLE
+pub fn ticks(cycles: f64) -> i64 {
+    (cycles * TICKS_PER_CYCLE as f64).round() as i64
+}
+
+/// The tick count of `cycles` when `cycles` is exactly the `f64`
+/// [`cycles`] returns for it — a value on the 1/20-cycle grid, written
+/// the way the simulator reads its times out — and `None` otherwise.
+///
+/// ```
+/// use c240_isa::timing::exact_ticks;
+/// assert_eq!(exact_ticks(1.35), Some(27));
+/// assert_eq!(exact_ticks(1.33), None);
+/// assert_eq!(exact_ticks(0.1 + 0.2), None); // 0.30000000000000004
+/// ```
+pub fn exact_ticks(value: f64) -> Option<i64> {
+    let t = ticks(value);
+    (cycles(t).to_bits() == value.to_bits()).then_some(t)
+}
+
+/// Ticks as cycles: the one conversion every public read-out of a
+/// simulated time goes through.
+///
+/// ```
+/// use c240_isa::timing::cycles;
+/// assert_eq!(cycles(27), 1.35);
+/// assert_eq!(cycles(3456), 128.0 * 1.35);
+/// ```
+#[inline]
+pub fn cycles(ticks: i64) -> f64 {
+    ticks as f64 / TICKS_PER_CYCLE as f64
 }
 
 /// The `X`/`Y`/`Z`/`B` timing of one vector instruction class.
@@ -132,6 +155,31 @@ impl VectorTiming {
     pub fn standalone_cycles(&self, vl: u32) -> f64 {
         self.x + self.y + self.z * f64::from(vl)
     }
+
+    /// The same timing in ticks, each parameter rounded to the nearest
+    /// tick ([`ticks`]).
+    pub fn ticks(&self) -> VectorTicks {
+        VectorTicks {
+            x: ticks(self.x),
+            y: ticks(self.y),
+            z: ticks(self.z),
+            b: ticks(self.b),
+        }
+    }
+}
+
+/// A [`VectorTiming`] in ticks ([`TICKS_PER_CYCLE`] per cycle), the form
+/// the simulator computes with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct VectorTicks {
+    /// Initial overhead `X`.
+    pub x: i64,
+    /// Further latency `Y` to the first result.
+    pub y: i64,
+    /// Per-element time `Z`.
+    pub z: i64,
+    /// Tailgating bubble `B`.
+    pub b: i64,
 }
 
 /// The machine's vector timing table (Table 1 of the paper), mapping each

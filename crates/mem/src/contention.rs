@@ -11,6 +11,8 @@
 //! grant slot that no stream claims. Streams are deterministic so
 //! simulations are exactly reproducible.
 
+use crate::TICKS_PER_CYCLE;
+
 /// One background processor's memory reference stream.
 ///
 /// At cycle `c` the stream (when active) touches bank
@@ -56,11 +58,12 @@ impl ContentionStream {
         self
     }
 
-    /// If this stream claims bank `bank` at any point during
-    /// `[t, t + window)`, returns the end cycle of the blocking claim.
+    /// If this stream claims bank `bank` at any point during the
+    /// one-cycle grant window starting at tick `t`, returns the end tick
+    /// of the blocking claim.
     ///
-    /// Claims occur at cycles `c` with `(phase + c·stride) ≡ bank (mod
-    /// banks)`, each lasting `claim_len` cycles.
+    /// Claims start at cycles `c` with `(phase + c·stride) ≡ bank (mod
+    /// banks)`, each lasting `claim_len` ticks.
     ///
     /// # Panics
     ///
@@ -68,28 +71,25 @@ impl ContentionStream {
     /// and breaks the closed-form claim solver, so it is rejected in
     /// release builds too (not just `debug_assert`), matching the check
     /// in [`ContentionConfig::with_stream`].
-    pub fn blocking_claim_end(&self, bank: u32, banks: u32, t: f64, claim_len: f64) -> Option<f64> {
+    pub fn blocking_claim_end(&self, bank: u32, banks: u32, t: i64, claim_len: i64) -> Option<i64> {
         assert!(self.stride % 2 == 1, "contention stride must be odd");
         let m = u64::from(banks);
         // Solve phase + c*stride ≡ bank (mod m) for c.
         let inv = mod_inverse(self.stride % m, m)?;
         let target = (u64::from(bank) + m - self.phase % m) % m;
         let c0 = (target * inv) % m;
-        // Visits to `bank` happen at cycles c0, c0+m, c0+2m, ...
-        // Find the latest visit starting at or before t+claim... we need any
-        // claim window [v, v+claim_len) intersecting [t, t+1) (grant cycle).
-        let tt = t.max(0.0);
-        let k = ((tt - c0 as f64) / m as f64).floor();
-        for kk in [k - 1.0, k, k + 1.0] {
-            if kk < 0.0 {
+        // Visits to `bank` start at cycles c0, c0+m, c0+2m, ...; in ticks:
+        let (c0, m) = (c0 as i64 * TICKS_PER_CYCLE, m as i64 * TICKS_PER_CYCLE);
+        // Any claim window [v, v+claim_len) intersecting the grant cycle
+        // [t, t+1) blocks; only the visits around t can.
+        let tt = t.max(0);
+        let k = (tt - c0).div_euclid(m);
+        for kk in [k - 1, k, k + 1] {
+            if kk < 0 || !self.visit_active(kk as u64) {
                 continue;
             }
-            let visit_index = kk as u64;
-            if !self.visit_active(visit_index) {
-                continue;
-            }
-            let v = c0 as f64 + kk * m as f64;
-            if v < tt + 1.0 && tt < v + claim_len {
+            let v = c0 + kk * m;
+            if v < tt + TICKS_PER_CYCLE && tt < v + claim_len {
                 return Some(v + claim_len);
             }
         }
@@ -205,19 +205,20 @@ impl ContentionConfig {
         })
     }
 
-    /// The end of the latest claim blocking a grant to `bank` at cycle
-    /// `t`, if any stream blocks it.
-    pub fn blocking_claim_end(&self, bank: u32, banks: u32, t: f64, claim_len: f64) -> Option<f64> {
+    /// The end tick of the latest claim blocking a grant to `bank` at
+    /// tick `t`, if any stream blocks it.
+    pub fn blocking_claim_end(&self, bank: u32, banks: u32, t: i64, claim_len: i64) -> Option<i64> {
         self.streams
             .iter()
             .filter_map(|s| s.blocking_claim_end(bank, banks, t, claim_len))
-            .fold(None, |acc, end| Some(acc.map_or(end, |a: f64| a.max(end))))
+            .max()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    const T: i64 = TICKS_PER_CYCLE;
 
     #[test]
     fn mod_inverse_works() {
@@ -230,13 +231,13 @@ mod tests {
     fn unit_stream_claims_each_bank_once_per_rotation() {
         let s = ContentionStream::unit(0);
         // Bank 5 is visited at cycles 5, 37, 69, ... each claim lasting 8.
-        assert_eq!(s.blocking_claim_end(5, 32, 5.0, 8.0), Some(13.0));
-        assert_eq!(s.blocking_claim_end(5, 32, 12.9, 8.0), Some(13.0));
-        assert_eq!(s.blocking_claim_end(5, 32, 13.0, 8.0), None);
-        assert_eq!(s.blocking_claim_end(5, 32, 37.0, 8.0), Some(45.0));
+        assert_eq!(s.blocking_claim_end(5, 32, 5 * T, 8 * T), Some(13 * T));
+        assert_eq!(s.blocking_claim_end(5, 32, 13 * T - 2, 8 * T), Some(13 * T));
+        assert_eq!(s.blocking_claim_end(5, 32, 13 * T, 8 * T), None);
+        assert_eq!(s.blocking_claim_end(5, 32, 37 * T, 8 * T), Some(45 * T));
         // Just before the claim the window [t, t+1) does not yet overlap.
-        assert_eq!(s.blocking_claim_end(5, 32, 3.9, 8.0), None);
-        assert_eq!(s.blocking_claim_end(5, 32, 4.5, 8.0), Some(13.0));
+        assert_eq!(s.blocking_claim_end(5, 32, 4 * T - 2, 8 * T), None);
+        assert_eq!(s.blocking_claim_end(5, 32, 4 * T + 10, 8 * T), Some(13 * T));
     }
 
     #[test]
@@ -244,9 +245,9 @@ mod tests {
         let s = ContentionStream::unit(0).with_duty(1, 2);
         // Visits to bank 0 at cycles 0, 32, 64, ...; only even visit
         // indices claim.
-        assert!(s.blocking_claim_end(0, 32, 0.0, 8.0).is_some());
-        assert!(s.blocking_claim_end(0, 32, 32.0, 8.0).is_none());
-        assert!(s.blocking_claim_end(0, 32, 64.0, 8.0).is_some());
+        assert!(s.blocking_claim_end(0, 32, 0, 8 * T).is_some());
+        assert!(s.blocking_claim_end(0, 32, 32 * T, 8 * T).is_none());
+        assert!(s.blocking_claim_end(0, 32, 64 * T, 8 * T).is_some());
     }
 
     #[test]
@@ -288,7 +289,7 @@ mod tests {
             duty_num: 1,
             duty_den: 1,
         };
-        let _ = s.blocking_claim_end(0, 32, 0.0, 8.0);
+        let _ = s.blocking_claim_end(0, 32, 0, 8 * T);
     }
 
     #[test]
@@ -297,7 +298,7 @@ mod tests {
             .with_stream(ContentionStream::unit(0))
             .with_stream(ContentionStream::unit(1));
         // Bank 5: stream A claims [5,13), stream B claims [4,12).
-        let end = cfg.blocking_claim_end(5, 32, 5.0, 8.0).unwrap();
-        assert_eq!(end, 13.0);
+        let end = cfg.blocking_claim_end(5, 32, 5 * T, 8 * T).unwrap();
+        assert_eq!(end, 13 * T);
     }
 }

@@ -10,8 +10,11 @@
 //!
 //! [`MemorySystem`] provides the timing + data interface used by the
 //! cycle-level simulator: each access names a word address and an earliest
-//! start cycle, and receives the granted cycle back, after bank busy time,
+//! start time, and receives the granted time back, after bank busy time,
 //! refresh windows and background [`ContentionStream`]s are honored.
+//! Times are exact integer *ticks*, 20 per cycle (the machine's 1/20-cycle
+//! timing quantum); read-outs such as [`MemorySystem::wait_cycles`] convert
+//! to cycles.
 //! [`ScalarCache`] models the ASU data cache that scalar accesses go
 //! through (vector accesses bypass it). Data stores and cache-tag updates
 //! report what they overwrite to a [`Journal`], so a caller can undo a
@@ -24,11 +27,12 @@
 //!
 //! let mut mem = MemorySystem::new(MemConfig::c240());
 //! mem.poke(100, 2.5);
-//! let (t, value) = mem.read(100, 0.0);
+//! let (t, value) = mem.read(100, 0);
 //! assert_eq!(value, 2.5);
-//! // A second access to the same bank waits out the 8-cycle bank busy.
+//! // A second access to the same bank waits out the 8-cycle (160-tick)
+//! // bank busy.
 //! let (t2, _) = mem.read(100, t);
-//! assert!(t2 >= t + 8.0);
+//! assert!(t2 >= t + 160);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -41,8 +45,23 @@ mod validate;
 
 pub use cache::{CacheConfig, ScalarCache};
 pub use contention::{ContentionConfig, ContentionStream};
-pub use system::{BankState, MemConfig, MemorySystem, WaitBreakdown};
-pub use validate::{MemConfigError, MAX_BANKS, MAX_WORDS};
+pub use system::{BankState, MemConfig, MemorySystem, WaitBreakdown, WaitTicks};
+pub use validate::{MemConfigError, MAX_BANKS, MAX_BANK_BUSY, MAX_REFRESH_PERIOD, MAX_WORDS};
+
+/// Ticks per cycle of the machine's timing quantum. Private copy of
+/// `c240_isa::timing::TICKS_PER_CYCLE` — this crate is dependency-free.
+const TICKS_PER_CYCLE: i64 = 20;
+
+/// A whole number of cycles as ticks, saturating at the `i64` range
+/// (validated configurations stay far below it).
+fn cycle_ticks(cycles: u64) -> i64 {
+    i64::try_from(cycles).map_or(i64::MAX, |c| c.saturating_mul(TICKS_PER_CYCLE))
+}
+
+/// Ticks as cycles, for read-outs.
+fn cycles(ticks: i64) -> f64 {
+    ticks as f64 / TICKS_PER_CYCLE as f64
+}
 
 /// Records what stores and cache-tag updates overwrite, so a speculative
 /// sequence of them can be undone. Every hook defaults to a no-op;

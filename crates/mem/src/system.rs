@@ -2,7 +2,7 @@
 //!
 //! Since the multi-CPU co-simulation refactor the system is split in
 //! two: [`BankState`] holds the *shared* arbitration state (per-bank
-//! earliest-free cycles, which CPU last claimed each bank, and
+//! earliest-free times, which CPU last claimed each bank, and
 //! machine-wide counters), while [`MemorySystem`] is a per-CPU *view*
 //! over it — private data space and private accounting on top of the
 //! shared banks. A single-CPU simulation owns both halves and behaves
@@ -11,22 +11,12 @@
 //! stepping, so contention between CPUs *emerges* from real interleaved
 //! traffic instead of the synthetic [`ContentionStream`]s.
 //!
+//! Every time here is an exact integer tick count (20 ticks per cycle).
+//!
 //! [`ContentionStream`]: crate::ContentionStream
 
 use crate::contention::ContentionConfig;
-use crate::{bank_of, gcd, Journal};
-
-/// Grid points per cycle of the machine's timing quantum. Private copy of
-/// `c240_isa::timing::TICKS_PER_CYCLE` — this crate is dependency-free.
-const TICKS_PER_CYCLE: f64 = 20.0;
-
-/// Rounds to the canonical `f64` of the nearest 1/20-cycle grid point,
-/// keeping every stored timestamp a pure function of its integer tick
-/// count (see `c240_isa::timing::quantize`).
-#[inline]
-fn q(x: f64) -> f64 {
-    (x * TICKS_PER_CYCLE).round() / TICKS_PER_CYCLE
-}
+use crate::{bank_of, cycle_ticks, cycles, gcd, Journal};
 
 /// Configuration of the memory system.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,46 +99,46 @@ impl Default for MemConfig {
 /// grant search sees every other CPU's outstanding claims.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BankState {
-    /// Earliest cycle each bank is free of *all* claims so far (the end
+    /// Earliest tick each bank is free of *all* claims so far (the end
     /// of its latest claim).
-    free: Vec<f64>,
+    free: Vec<i64>,
     /// The view (CPU port) that last claimed each bank — waits behind a
     /// foreign claim are charged to contention, not bank-busy.
     owner: Vec<u32>,
     /// Multiport mode only: each bank's outstanding claim windows as
     /// `(start, owner)` pairs sorted by start (every claim lasts the
     /// configured bank-busy time). Empty in single-port mode.
-    claims: Vec<Vec<(f64, u32)>>,
+    claims: Vec<Vec<(i64, u32)>>,
     /// Whether grant searches fit into idle windows *between* claims
     /// (multiport co-sim) or only after the latest claim (single-port).
     multiport: bool,
-    /// Claims ending at or before this cycle can no longer affect any
+    /// Claims ending at or before this tick can no longer affect any
     /// future request and are pruned.
-    horizon: f64,
+    horizon: i64,
     /// Machine-wide accesses across all views.
     accesses: u64,
-    /// Machine-wide wait cycles across all views.
-    waited: f64,
+    /// Machine-wide wait ticks across all views.
+    waited: i64,
     /// Machine-wide wait breakdown across all views.
-    breakdown: WaitBreakdown,
+    breakdown: WaitTicks,
 }
 
 impl BankState {
-    /// Fresh (all banks free at cycle 0) single-port state for `banks`
+    /// Fresh (all banks free at tick 0) single-port state for `banks`
     /// banks: a request waits until the bank's latest claim ends. Exact
     /// for one CPU, whose port serializes requests in non-decreasing
     /// earliest-start order, so an idle window behind the cursor can
     /// never be used anyway.
     pub fn new(banks: u32) -> Self {
         BankState {
-            free: vec![0.0; banks as usize],
+            free: vec![0; banks as usize],
             owner: vec![0; banks as usize],
             claims: Vec::new(),
             multiport: false,
-            horizon: 0.0,
+            horizon: 0,
             accesses: 0,
-            waited: 0.0,
-            breakdown: WaitBreakdown::default(),
+            waited: 0,
+            breakdown: WaitTicks::default(),
         }
     }
 
@@ -174,25 +164,25 @@ impl BankState {
         self.multiport
     }
 
-    /// Declares that every future request starts at or after `cycle`
-    /// (the co-sim driver's minimum issue clock, minus margin): claims
-    /// ending at or before it are dead and get pruned. Monotonic —
-    /// lower values than a previous horizon are ignored.
-    pub fn set_horizon(&mut self, cycle: f64) {
-        self.horizon = self.horizon.max(cycle);
+    /// Declares that every future request starts at or after tick
+    /// `tick` (the co-sim driver's minimum issue clock, minus margin):
+    /// claims ending at or before it are dead and get pruned. Monotonic
+    /// — lower values than a previous horizon are ignored.
+    pub fn set_horizon(&mut self, tick: i64) {
+        self.horizon = self.horizon.max(tick);
     }
 
     /// Clears all arbitration state and counters.
     pub fn reset(&mut self) {
-        self.free.fill(0.0);
+        self.free.fill(0);
         self.owner.fill(0);
         for c in &mut self.claims {
             c.clear();
         }
-        self.horizon = 0.0;
+        self.horizon = 0;
         self.accesses = 0;
-        self.waited = 0.0;
-        self.breakdown = WaitBreakdown::default();
+        self.waited = 0;
+        self.breakdown = WaitTicks::default();
     }
 
     /// Total accesses served across every view sharing this state.
@@ -202,21 +192,21 @@ impl BankState {
 
     /// Total wait cycles across every view sharing this state.
     pub fn wait_cycles(&self) -> f64 {
-        self.waited
+        cycles(self.waited)
     }
 
     /// The machine-wide wait breakdown across every view sharing this
     /// state. Per-view breakdowns sum to this exactly.
     pub fn wait_breakdown(&self) -> WaitBreakdown {
-        self.breakdown
+        self.breakdown.cycles()
     }
 }
 
 /// The memory system as seen from one CPU port: word-addressed data plus
 /// the (possibly shared) per-bank availability.
 ///
-/// Timing methods take the earliest cycle an access may start and return
-/// the cycle at which the bank granted it. Between request and grant the
+/// Timing methods take the earliest tick an access may start and return
+/// the tick at which the bank granted it. Between request and grant the
 /// access may wait for: the bank's recovery from one of this CPU's own
 /// earlier accesses (bank busy), another CPU's claim on the bank
 /// (contention — only in co-simulation), a refresh window, or a
@@ -224,12 +214,16 @@ impl BankState {
 #[derive(Debug, Clone)]
 pub struct MemorySystem {
     config: MemConfig,
+    /// The bank busy time in ticks.
+    busy: i64,
+    /// The refresh period and window in ticks, when refresh is modeled.
+    refresh: Option<(i64, i64)>,
     data: Vec<f64>,
     bank: BankState,
     view: u32,
     accesses: u64,
-    waited: f64,
-    breakdown: WaitBreakdown,
+    waited: i64,
+    breakdown: WaitTicks,
 }
 
 /// Cycles accesses spent waiting, split by cause.
@@ -257,19 +251,71 @@ impl WaitBreakdown {
     }
 }
 
+/// A [`WaitBreakdown`] in ticks: the form the memory system counts in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct WaitTicks {
+    /// Waiting for a bank still recovering from this CPU's own access.
+    pub bank_busy: i64,
+    /// Waiting out refresh windows.
+    pub refresh: i64,
+    /// Waiting behind other CPUs' or background streams' claims.
+    pub contention: i64,
+}
+
+impl WaitTicks {
+    /// Sum of all causes.
+    pub fn total(&self) -> i64 {
+        self.bank_busy + self.refresh + self.contention
+    }
+
+    /// The same waits in cycles.
+    pub fn cycles(&self) -> WaitBreakdown {
+        WaitBreakdown {
+            bank_busy: cycles(self.bank_busy),
+            refresh: cycles(self.refresh),
+            contention: cycles(self.contention),
+        }
+    }
+
+    fn add(&mut self, cause: Wait, ticks: i64) {
+        *match cause {
+            Wait::BankBusy => &mut self.bank_busy,
+            Wait::Refresh => &mut self.refresh,
+            Wait::Contention => &mut self.contention,
+        } += ticks;
+    }
+}
+
+/// The cause a grant-search wait is charged to.
+#[derive(Clone, Copy)]
+enum Wait {
+    BankBusy,
+    Refresh,
+    Contention,
+}
+
 impl MemorySystem {
-    /// Creates a zero-filled memory with the given configuration.
+    /// Creates a zero-filled memory with the given configuration, its
+    /// cycle parameters converted to ticks once.
     pub fn new(config: MemConfig) -> Self {
         let banks = config.banks;
         let words = config.words;
+        let refresh = (config.refresh_enabled && config.refresh_period > 0).then(|| {
+            (
+                cycle_ticks(config.refresh_period),
+                cycle_ticks(config.refresh_len),
+            )
+        });
         MemorySystem {
+            busy: cycle_ticks(config.bank_busy),
+            refresh,
             config,
             data: vec![0.0; words],
             bank: BankState::new(banks),
             view: 0,
             accesses: 0,
-            waited: 0.0,
-            breakdown: WaitBreakdown::default(),
+            waited: 0,
+            breakdown: WaitTicks::default(),
         }
     }
 
@@ -291,12 +337,17 @@ impl MemorySystem {
     /// Cycles this view's accesses spent waiting beyond their earliest
     /// start.
     pub fn wait_cycles(&self) -> f64 {
-        self.waited
+        cycles(self.waited)
     }
 
     /// This view's wait cycles split by cause (bank busy, refresh,
     /// contention).
     pub fn wait_breakdown(&self) -> WaitBreakdown {
+        self.breakdown.cycles()
+    }
+
+    /// This view's wait split by cause, in ticks.
+    pub fn wait_ticks(&self) -> WaitTicks {
         self.breakdown
     }
 
@@ -325,26 +376,26 @@ impl MemorySystem {
         std::mem::swap(&mut self.bank, other);
     }
 
-    /// Reads `addr` (word address) no earlier than cycle `earliest`;
-    /// returns the granted cycle and the value.
+    /// Reads `addr` (word address) no earlier than tick `earliest`;
+    /// returns the granted tick and the value.
     ///
     /// # Panics
     ///
     /// Panics if `addr` is outside the configured memory size, which
     /// indicates a bug in the simulated program.
-    pub fn read(&mut self, addr: u64, earliest: f64) -> (f64, f64) {
+    pub fn read(&mut self, addr: u64, earliest: i64) -> (i64, f64) {
         let value = self.peek(addr);
         let t = self.grant(addr, earliest);
         (t, value)
     }
 
-    /// Writes `value` to `addr` no earlier than cycle `earliest`; returns
-    /// the granted cycle.
+    /// Writes `value` to `addr` no earlier than tick `earliest`; returns
+    /// the granted tick.
     ///
     /// # Panics
     ///
     /// Panics if `addr` is outside the configured memory size.
-    pub fn write(&mut self, addr: u64, value: f64, earliest: f64) -> f64 {
+    pub fn write(&mut self, addr: u64, value: f64, earliest: i64) -> i64 {
         self.check(addr);
         let t = self.grant(addr, earliest);
         self.data[addr as usize] = value;
@@ -411,8 +462,8 @@ impl MemorySystem {
     pub fn reset_timing(&mut self) {
         self.bank.reset();
         self.accesses = 0;
-        self.waited = 0.0;
-        self.breakdown = WaitBreakdown::default();
+        self.waited = 0;
+        self.breakdown = WaitTicks::default();
     }
 
     fn check(&self, addr: u64) {
@@ -423,7 +474,7 @@ impl MemorySystem {
         );
     }
 
-    /// Finds and claims the earliest grant cycle for an access to `addr`
+    /// Finds and claims the earliest grant tick for an access to `addr`
     /// starting no earlier than `earliest`; the data moves separately
     /// ([`MemorySystem::peek`], [`MemorySystem::store`]).
     ///
@@ -436,14 +487,14 @@ impl MemorySystem {
     /// # Panics
     ///
     /// Panics if `addr` is outside the configured memory size.
-    pub fn grant(&mut self, addr: u64, earliest: f64) -> f64 {
+    pub fn grant(&mut self, addr: u64, earliest: i64) -> i64 {
         self.check(addr);
         let bank = bank_of(addr, self.config.banks) as usize;
-        let earliest = q(earliest.max(0.0));
-        let busy = self.config.bank_busy as f64;
+        let earliest = earliest.max(0);
+        let busy = self.busy;
         if self.bank.multiport {
             let horizon = self.bank.horizon;
-            self.bank.claims[bank].retain(|&(s, _)| q(s + busy) > horizon);
+            self.bank.claims[bank].retain(|&(s, _)| s + busy > horizon);
         }
         let mut t = earliest;
         let mut guard = 0u32;
@@ -451,7 +502,7 @@ impl MemorySystem {
             guard += 1;
             assert!(
                 guard < 100_000,
-                "memory grant search did not converge (bank {bank}, t={t}); \
+                "memory grant search did not converge (bank {bank}, tick {t}); \
                  contention configuration saturates the bank"
             );
             if self.bank.multiport {
@@ -461,62 +512,43 @@ impl MemorySystem {
                 // remain usable).
                 let hit = self.bank.claims[bank]
                     .iter()
-                    .find(|&&(s, _)| s < q(t + busy) && q(s + busy) > t)
+                    .find(|&&(s, _)| s < t + busy && s + busy > t)
                     .copied();
                 if let Some((s, owner)) = hit {
-                    let end = q(s + busy);
-                    let wait = end - t;
-                    if owner == self.view {
-                        self.breakdown.bank_busy = q(self.breakdown.bank_busy + wait);
-                        self.bank.breakdown.bank_busy = q(self.bank.breakdown.bank_busy + wait);
-                    } else {
-                        self.breakdown.contention = q(self.breakdown.contention + wait);
-                        self.bank.breakdown.contention = q(self.bank.breakdown.contention + wait);
-                    }
+                    let end = s + busy;
+                    self.charge(self.owner_cause(owner), end - t);
                     t = end;
                     continue;
                 }
             } else if t < self.bank.free[bank] {
-                let wait = self.bank.free[bank] - t;
-                if self.bank.owner[bank] == self.view {
-                    self.breakdown.bank_busy = q(self.breakdown.bank_busy + wait);
-                    self.bank.breakdown.bank_busy = q(self.bank.breakdown.bank_busy + wait);
-                } else {
-                    self.breakdown.contention = q(self.breakdown.contention + wait);
-                    self.bank.breakdown.contention = q(self.bank.breakdown.contention + wait);
-                }
-                t = self.bank.free[bank];
+                let end = self.bank.free[bank];
+                self.charge(self.owner_cause(self.bank.owner[bank]), end - t);
+                t = end;
                 continue;
             }
-            if self.config.refresh_enabled {
-                let period = self.config.refresh_period as f64;
-                let len = self.config.refresh_len as f64;
-                let into = t.rem_euclid(period);
-                if into < len {
+            if let Some((period, len)) = self.refresh {
+                if t % period < len {
                     // The paper (§3.2): a refresh "will force the VP to
                     // stall for eight cycles" — the blocked access pays
                     // the full window (re-arbitration included), not just
                     // the remainder of it.
-                    self.breakdown.refresh = q(self.breakdown.refresh + len);
-                    self.bank.breakdown.refresh = q(self.bank.breakdown.refresh + len);
-                    t = q(t + len);
+                    self.charge(Wait::Refresh, len);
+                    t += len;
                     continue;
                 }
             }
-            if let Some(end) = self.config.contention.blocking_claim_end(
-                bank as u32,
-                self.config.banks,
-                t,
-                self.config.bank_busy as f64,
-            ) {
-                self.breakdown.contention = q(self.breakdown.contention + (end - t));
-                self.bank.breakdown.contention = q(self.bank.breakdown.contention + (end - t));
-                t = q(end);
+            if let Some(end) =
+                self.config
+                    .contention
+                    .blocking_claim_end(bank as u32, self.config.banks, t, busy)
+            {
+                self.charge(Wait::Contention, end - t);
+                t = end;
                 continue;
             }
             break;
         }
-        let end = q(t + busy);
+        let end = t + busy;
         if self.bank.multiport {
             let pos = self.bank.claims[bank].partition_point(|&(s, _)| s <= t);
             self.bank.claims[bank].insert(pos, (t, self.view));
@@ -527,16 +559,32 @@ impl MemorySystem {
         }
         self.accesses += 1;
         self.bank.accesses += 1;
-        self.waited = q(self.waited + (t - earliest));
-        self.bank.waited = q(self.bank.waited + (t - earliest));
+        self.waited += t - earliest;
+        self.bank.waited += t - earliest;
         t
     }
 
-    /// Visits every `f64` of timing state this view holds: the banks'
-    /// free times, then this view's and the shared state's wait totals
-    /// and breakdowns. The simulator's steady-state fast-forward
+    /// The cause a wait behind a claim by view `owner` is charged to.
+    fn owner_cause(&self, owner: u32) -> Wait {
+        if owner == self.view {
+            Wait::BankBusy
+        } else {
+            Wait::Contention
+        }
+    }
+
+    /// Charges `ticks` of waiting to `cause` in this view's and the
+    /// shared breakdown.
+    fn charge(&mut self, cause: Wait, ticks: i64) {
+        self.breakdown.add(cause, ticks);
+        self.bank.breakdown.add(cause, ticks);
+    }
+
+    /// Visits every tick count of timing state this view holds: the
+    /// banks' free times, then this view's and the shared state's wait
+    /// totals and breakdowns. The simulator's steady-state fast-forward
     /// snapshots these and translates them by whole periods.
-    pub fn visit_timing(&mut self, mut visit: impl FnMut(&mut f64)) {
+    pub fn visit_timing(&mut self, mut visit: impl FnMut(&mut i64)) {
         for free in &mut self.bank.free {
             visit(free);
         }
@@ -560,33 +608,30 @@ impl MemorySystem {
     }
 
     /// Whether a strided element stream of `n` accesses starting at word
-    /// `base`, paced exactly `z` cycles apart from cycle `start`, is
-    /// provably conflict-free: every grant lands at its requested cycle
+    /// `base`, paced exactly `z` ticks apart from tick `start`, is
+    /// provably conflict-free: every grant lands at its requested tick
     /// with zero wait. True only when contention is idle, the whole
     /// stream stays clear of refresh windows, same-bank revisits are
     /// spaced at least the bank recovery time apart, and every touched
     /// bank has already recovered from earlier traffic (its own or, in
     /// co-simulation, any other CPU's).
-    pub fn stream_conflict_free(&self, base: i64, stride: i64, n: u32, start: f64, z: f64) -> bool {
+    pub fn stream_conflict_free(&self, base: i64, stride: i64, n: u32, start: i64, z: i64) -> bool {
         if n == 0 {
             return true;
         }
         if !self.config.contention.is_idle() {
             return false;
         }
-        let span = z * (n - 1) as f64;
-        if self.config.refresh_enabled {
-            let period = self.config.refresh_period as f64;
-            let len = self.config.refresh_len as f64;
+        if let Some((period, len)) = self.refresh {
             let into = start.rem_euclid(period);
-            if into < len || into + span >= period {
+            if into < len || into + z * i64::from(n - 1) >= period {
                 return false;
             }
         }
         // Same-bank revisit spacing: a stride touching `r` distinct banks
-        // revisits each one every `r` elements = `z·r` cycles.
+        // revisits each one every `r` elements = `z·r` ticks.
         let r = self.banks_touched(stride);
-        if (n > r) && z * (r as f64) < self.config.bank_busy as f64 {
+        if n > r && z * i64::from(r) < self.busy {
             return false;
         }
         // Every touched bank must be free by the stream's start.
@@ -606,9 +651,9 @@ impl MemorySystem {
     /// per-element search of [`MemorySystem::grant`] collapses to
     /// a counter bump plus final per-bank recovery times. Must only be
     /// called after [`MemorySystem::stream_conflict_free`] returned true
-    /// for the same arguments; produces bit-identical timing state to
-    /// `n` individual grants at `start + z·e`.
-    pub fn claim_stream(&mut self, base: i64, stride: i64, n: u32, start: f64, z: f64) {
+    /// for the same arguments; produces identical timing state to `n`
+    /// individual grants at `start + z·e`.
+    pub fn claim_stream(&mut self, base: i64, stride: i64, n: u32, start: i64, z: i64) {
         if n == 0 {
             return;
         }
@@ -625,7 +670,7 @@ impl MemorySystem {
             // each bank's claim list sorted.
             let mut bank = base.rem_euclid(banks);
             for e in 0..n {
-                self.bank.claims[bank as usize].push((q(start + z * e as f64), self.view));
+                self.bank.claims[bank as usize].push((start + z * i64::from(e), self.view));
                 bank = (bank + step) % banks;
             }
         }
@@ -633,7 +678,7 @@ impl MemorySystem {
         let first = n.saturating_sub(r);
         let mut bank = (base + stride * i64::from(first)).rem_euclid(banks);
         for e in first..n {
-            self.bank.free[bank as usize] = q(start + z * e as f64 + self.config.bank_busy as f64);
+            self.bank.free[bank as usize] = start + z * i64::from(e) + self.busy;
             self.bank.owner[bank as usize] = self.view;
             bank = (bank + step) % banks;
         }
@@ -653,6 +698,7 @@ impl MemorySystem {
 mod tests {
     use super::*;
     use crate::contention::ContentionStream;
+    use crate::TICKS_PER_CYCLE as T;
 
     fn quiet() -> MemorySystem {
         MemorySystem::new(MemConfig::c240().without_refresh())
@@ -661,11 +707,11 @@ mod tests {
     #[test]
     fn unit_stride_streams_at_one_per_cycle() {
         let mut mem = quiet();
-        let mut t = 0.0;
+        let mut t = 0;
         for i in 0..256u64 {
             let (g, _) = mem.read(i, t);
             assert_eq!(g, t, "element {i} should not wait");
-            t += 1.0;
+            t += T;
         }
         assert_eq!(mem.wait_cycles(), 0.0);
     }
@@ -673,25 +719,25 @@ mod tests {
     #[test]
     fn same_bank_accesses_wait_bank_busy() {
         let mut mem = quiet();
-        let (t0, _) = mem.read(0, 0.0);
-        let (t1, _) = mem.read(32, t0 + 1.0); // same bank 0
-        assert_eq!(t0, 0.0);
-        assert_eq!(t1, 8.0);
+        let (t0, _) = mem.read(0, 0);
+        let (t1, _) = mem.read(32, t0 + T); // same bank 0
+        assert_eq!(t0, 0);
+        assert_eq!(t1, 8 * T);
     }
 
     #[test]
     fn stride_32_is_bank_limited() {
         let mut mem = quiet();
-        let mut t = 0.0;
+        let mut t = 0;
         let mut grants = Vec::new();
         for i in 0..16u64 {
             let (g, _) = mem.read(i * 32, t);
             grants.push(g);
-            t = g + 1.0; // port wants one per cycle
+            t = g + T; // port wants one per cycle
         }
         // Steady state: one element per 8 cycles.
-        let deltas: Vec<f64> = grants.windows(2).map(|w| w[1] - w[0]).collect();
-        assert!(deltas.iter().all(|&d| d == 8.0), "{deltas:?}");
+        let deltas: Vec<i64> = grants.windows(2).map(|w| w[1] - w[0]).collect();
+        assert!(deltas.iter().all(|&d| d == 8 * T), "{deltas:?}");
     }
 
     #[test]
@@ -699,27 +745,27 @@ mod tests {
         let mut mem = MemorySystem::new(MemConfig::c240());
         // Request at cycle 2 lands inside the refresh window [0, 8) and
         // pays the full 8-cycle stall (§3.2 of the paper).
-        let (g, _) = mem.read(0, 2.0);
-        assert_eq!(g, 10.0);
+        let (g, _) = mem.read(0, 2 * T);
+        assert_eq!(g, 10 * T);
         // Request at 401 lands inside [400, 408).
-        let (g2, _) = mem.read(1, 401.0);
-        assert_eq!(g2, 409.0);
+        let (g2, _) = mem.read(1, 401 * T);
+        assert_eq!(g2, 409 * T);
         // Requests between windows go through immediately.
-        let (g3, _) = mem.read(2, 100.0);
-        assert_eq!(g3, 100.0);
+        let (g3, _) = mem.read(2, 100 * T);
+        assert_eq!(g3, 100 * T);
     }
 
     #[test]
     fn refresh_costs_about_two_percent() {
         let mut mem = MemorySystem::new(MemConfig::c240());
-        let mut t = 0.0;
+        let mut t = 0;
         let n = 40_000u64;
         for i in 0..n {
             let (g, _) = mem.read(i % 1000, t);
-            t = g + 1.0;
+            t = g + T;
         }
-        let ideal = n as f64;
-        let slowdown = t / ideal;
+        let ideal = (n as i64 * T) as f64;
+        let slowdown = t as f64 / ideal;
         assert!(
             (1.015..1.025).contains(&slowdown),
             "refresh slowdown {slowdown} should be ~1.02"
@@ -729,8 +775,8 @@ mod tests {
     #[test]
     fn write_then_read_roundtrips_data() {
         let mut mem = quiet();
-        let t = mem.write(77, 3.25, 0.0);
-        let (_, v) = mem.read(77, t + 8.0);
+        let t = mem.write(77, 3.25, 0);
+        let (_, v) = mem.read(77, t + 8 * T);
         assert_eq!(v, 3.25);
     }
 
@@ -752,12 +798,12 @@ mod tests {
     #[test]
     fn reset_timing_keeps_data() {
         let mut mem = quiet();
-        mem.write(3, 9.0, 0.0);
+        mem.write(3, 9.0, 0);
         mem.reset_timing();
         assert_eq!(mem.peek(3), 9.0);
         assert_eq!(mem.access_count(), 0);
-        let (g, _) = mem.read(3, 0.0);
-        assert_eq!(g, 0.0);
+        let (g, _) = mem.read(3, 0);
+        assert_eq!(g, 0);
     }
 
     #[test]
@@ -767,8 +813,8 @@ mod tests {
             .with_contention(ContentionConfig::idle().with_stream(ContentionStream::unit(0)));
         let mut mem = MemorySystem::new(cfg);
         // The stream claims bank 0 during [0, 8).
-        let (g, _) = mem.read(0, 0.0);
-        assert_eq!(g, 8.0);
+        let (g, _) = mem.read(0, 0);
+        assert_eq!(g, 8 * T);
     }
 
     #[test]
@@ -777,13 +823,13 @@ mod tests {
             .without_refresh()
             .with_contention(ContentionConfig::mixed(3));
         let mut mem = MemorySystem::new(busy);
-        let mut t = 0.0;
+        let mut t = 0;
         let n = 10_000u64;
         for i in 0..n {
             let (g, _) = mem.read(i, t);
-            t = g + 1.0;
+            t = g + T;
         }
-        let slowdown = t / n as f64;
+        let slowdown = t as f64 / (n as i64 * T) as f64;
         // §4.2: typical contention stretches a 40 ns access to 56–64 ns.
         assert!(
             (1.35..=1.65).contains(&slowdown),
@@ -797,13 +843,13 @@ mod tests {
             .without_refresh()
             .with_contention(ContentionConfig::lockstep(3));
         let mut mem = MemorySystem::new(busy);
-        let mut t = 0.0;
+        let mut t = 0;
         let n = 40_000u64;
         for i in 0..n {
             let (g, _) = mem.read(i, t);
-            t = g + 1.0;
+            t = g + T;
         }
-        let slowdown = t / n as f64;
+        let slowdown = t as f64 / (n as i64 * T) as f64;
         // §4.2: same-executable neighbors cost only 5-10%.
         assert!(
             (1.04..=1.12).contains(&slowdown),
@@ -825,8 +871,8 @@ mod tests {
     #[test]
     fn wait_statistics_accumulate() {
         let mut mem = quiet();
-        let _ = mem.read(0, 0.0);
-        let _ = mem.read(32, 0.0); // waits 8 cycles
+        let _ = mem.read(0, 0);
+        let _ = mem.read(32, 0); // waits 8 cycles
         assert_eq!(mem.wait_cycles(), 8.0);
         assert_eq!(mem.access_count(), 2);
         assert_eq!(mem.wait_breakdown().bank_busy, 8.0);
@@ -837,14 +883,14 @@ mod tests {
         // Refresh + contention + bank recycling all active at once.
         let cfg = MemConfig::c240().with_contention(ContentionConfig::mixed(3));
         let mut mem = MemorySystem::new(cfg);
-        let mut t = 0.0;
+        let mut t = 0;
         for i in 0..5_000u64 {
             let addr = (i * 7) % 2000;
             let (g, _) = mem.read(addr, t);
             // Re-read the same bank one cycle after its grant: the bank
             // is still recycling, so this charges bank_busy.
-            let (g2, _) = mem.read(addr, g + 1.0);
-            t = g2 + 1.0;
+            let (g2, _) = mem.read(addr, g + T);
+            t = g2 + T;
         }
         let b = mem.wait_breakdown();
         // Exact, not approximate: every cursor bump was charged once.
@@ -852,10 +898,10 @@ mod tests {
         assert!(b.bank_busy > 0.0 && b.refresh > 0.0 && b.contention > 0.0);
         // Ablations zero their category.
         let mut quiet_mem = MemorySystem::new(MemConfig::c240().without_refresh());
-        let mut t = 0.0;
+        let mut t = 0;
         for i in 0..1_000u64 {
             let (g, _) = quiet_mem.read(i % 64, t);
-            t = g + 1.0;
+            t = g + T;
         }
         let qb = quiet_mem.wait_breakdown();
         assert_eq!(qb.refresh, 0.0);
@@ -875,8 +921,10 @@ mod tests {
         const OFFSET: i64 = 4096; // a multiple of every bank count below
         let strides = [1i64, 2, 3, 7, 16, 31, 32, -1, -3];
         let lengths = [1u32, 2, 8, 31, 32, 33, 128];
-        let starts = [0.0, 8.35, 13.0, 20.05, 30.0, 380.6];
-        let rates = [1.0, 1.35, 1.9];
+        // In ticks: cycles 0, 8.35, 13, 20.05, 30 and 380.6; rates of 1,
+        // 1.35 and 1.9 cycles per element.
+        let starts = [0, 167, 260, 401, 600, 7612];
+        let rates = [20, 27, 38];
         let (mut claimed, mut refused) = (0u32, 0u32);
         for banks in [32u32, 64] {
             for refresh in [true, false] {
@@ -888,8 +936,8 @@ mod tests {
                         if multiport {
                             mem.swap_bank_state(&mut BankState::multiport(banks));
                         }
-                        let _ = mem.read(OFFSET as u64, 6.0);
-                        let _ = mem.read(OFFSET as u64 + 5, 6.0);
+                        let _ = mem.read(OFFSET as u64, 6 * T);
+                        let _ = mem.read(OFFSET as u64 + 5, 6 * T);
                         mem
                     };
                     let (mut closed, mut stepped) = (fresh(), fresh());
@@ -907,9 +955,9 @@ mod tests {
                                         closed.claim_stream(base, stride, n, start, z);
                                         for e in 0..n {
                                             let word = (base + stride * i64::from(e)) as u64;
-                                            let request = start + z * f64::from(e);
+                                            let request = start + z * i64::from(e);
                                             let (granted, _) = stepped.read(word, request);
-                                            assert_eq!(granted, q(request), "element {e}");
+                                            assert_eq!(granted, request, "element {e}");
                                         }
                                         let case = format!(
                                             "banks {banks} refresh {refresh} multiport {multiport} \
@@ -942,24 +990,24 @@ mod tests {
     fn conflicting_streams_are_refused() {
         let mut mem = MemorySystem::new(MemConfig::c240());
         // Crosses the refresh window at cycle 400.
-        assert!(mem.stream_conflict_free(0, 1, 8, 380.0, 1.0));
-        assert!(!mem.stream_conflict_free(0, 1, 32, 380.0, 1.0));
+        assert!(mem.stream_conflict_free(0, 1, 8, 380 * T, T));
+        assert!(!mem.stream_conflict_free(0, 1, 32, 380 * T, T));
         // Starts before a touched bank recovers: bank 0 is busy until 108.
-        let _ = mem.read(0, 100.0);
-        assert!(!mem.stream_conflict_free(0, 1, 8, 104.0, 1.0));
-        assert!(mem.stream_conflict_free(0, 1, 8, 108.0, 1.0));
+        let _ = mem.read(0, 100 * T);
+        assert!(!mem.stream_conflict_free(0, 1, 8, 104 * T, T));
+        assert!(mem.stream_conflict_free(0, 1, 8, 108 * T, T));
         // Revisits a bank within the bank busy time: stride 16 alternates
         // two banks, so each is revisited 2 cycles later.
-        assert!(!mem.stream_conflict_free(1, 16, 4, 200.0, 1.0));
-        assert!(!mem.stream_conflict_free(1, 32, 2, 200.0, 1.0));
-        assert!(mem.stream_conflict_free(1, 16, 4, 200.0, 4.0));
+        assert!(!mem.stream_conflict_free(1, 16, 4, 200 * T, T));
+        assert!(!mem.stream_conflict_free(1, 32, 2, 200 * T, T));
+        assert!(mem.stream_conflict_free(1, 16, 4, 200 * T, 4 * T));
         // Any background contention refuses the closed form.
         let busy = MemorySystem::new(
             MemConfig::c240()
                 .without_refresh()
                 .with_contention(ContentionConfig::mixed(1)),
         );
-        assert!(!busy.stream_conflict_free(0, 1, 8, 200.0, 1.0));
+        assert!(!busy.stream_conflict_free(0, 1, 8, 200 * T, T));
     }
 
     #[test]
@@ -973,13 +1021,13 @@ mod tests {
         let mut shared = BankState::new(32);
 
         a.swap_bank_state(&mut shared);
-        let (g, _) = a.read(0, 0.0); // A claims bank 0 for [0, 8)
-        assert_eq!(g, 0.0);
+        let (g, _) = a.read(0, 0); // A claims bank 0 for [0, 8)
+        assert_eq!(g, 0);
         a.swap_bank_state(&mut shared);
 
         b.swap_bank_state(&mut shared);
-        let (g, _) = b.read(32, 1.0); // same bank, different view
-        assert_eq!(g, 8.0);
+        let (g, _) = b.read(32, T); // same bank, different view
+        assert_eq!(g, 8 * T);
         b.swap_bank_state(&mut shared);
 
         assert_eq!(b.wait_breakdown().contention, 7.0);
@@ -988,8 +1036,8 @@ mod tests {
 
         // A re-reading its own bank still charges bank busy.
         a.swap_bank_state(&mut shared);
-        let (g, _) = a.read(64, 9.0); // bank 0, now owned by B until 16
-        assert_eq!(g, 16.0);
+        let (g, _) = a.read(64, 9 * T); // bank 0, now owned by B until 16
+        assert_eq!(g, 16 * T);
         a.swap_bank_state(&mut shared);
         assert_eq!(a.wait_breakdown().contention, 7.0);
 

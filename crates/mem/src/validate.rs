@@ -20,6 +20,17 @@ use crate::system::MemConfig;
 /// without bound.
 pub const MAX_BANKS: u32 = 4096;
 
+/// Largest accepted bank busy time in cycles. The C-240's banks recover
+/// in 8. The simulator counts time in `i64` ticks (20 per cycle); the
+/// cap keeps every wait a grant search can charge, and every clock a run
+/// can reach within its instruction budget, far inside that range.
+pub const MAX_BANK_BUSY: u64 = 1 << 20;
+
+/// Largest accepted refresh period in cycles (400 on the C-240); the
+/// refresh window is shorter than the period, so this bounds both in
+/// ticks as [`MAX_BANK_BUSY`] bounds the bank busy time.
+pub const MAX_REFRESH_PERIOD: u64 = 1 << 32;
+
 /// Largest accepted data-space size in 8-byte words (1 GiB of data).
 /// The C-240 configuration uses 1 Mi words (8 MiB).
 pub const MAX_WORDS: usize = 1 << 27;
@@ -38,8 +49,19 @@ pub enum MemConfigError {
     },
     /// `bank_busy == 0`: a bank must be busy for at least one cycle.
     ZeroBankBusy,
+    /// `bank_busy` beyond [`MAX_BANK_BUSY`].
+    BankBusyTooLong {
+        /// The offending time in cycles.
+        bank_busy: u64,
+    },
     /// Refresh enabled with `refresh_period == 0`.
     ZeroRefreshPeriod,
+    /// Refresh enabled with `refresh_period` beyond
+    /// [`MAX_REFRESH_PERIOD`].
+    RefreshPeriodTooLong {
+        /// The offending period in cycles.
+        period: u64,
+    },
     /// Refresh enabled with a window at least as long as the period, so
     /// memory would never grant.
     RefreshLenExceedsPeriod {
@@ -99,9 +121,17 @@ impl fmt::Display for MemConfigError {
             MemConfigError::ZeroBankBusy => {
                 write!(f, "bank busy time must be at least one cycle")
             }
+            MemConfigError::BankBusyTooLong { bank_busy } => write!(
+                f,
+                "bank busy time of {bank_busy} cycles exceeds the maximum of {MAX_BANK_BUSY}"
+            ),
             MemConfigError::ZeroRefreshPeriod => {
                 write!(f, "refresh is enabled but the refresh period is zero")
             }
+            MemConfigError::RefreshPeriodTooLong { period } => write!(
+                f,
+                "refresh period of {period} cycles exceeds the maximum of {MAX_REFRESH_PERIOD}"
+            ),
             MemConfigError::RefreshLenExceedsPeriod { len, period } => write!(
                 f,
                 "refresh window of {len} cycles covers the whole {period}-cycle \
@@ -221,9 +251,19 @@ impl MemConfig {
         if self.bank_busy == 0 {
             return Err(MemConfigError::ZeroBankBusy);
         }
+        if self.bank_busy > MAX_BANK_BUSY {
+            return Err(MemConfigError::BankBusyTooLong {
+                bank_busy: self.bank_busy,
+            });
+        }
         if self.refresh_enabled {
             if self.refresh_period == 0 {
                 return Err(MemConfigError::ZeroRefreshPeriod);
+            }
+            if self.refresh_period > MAX_REFRESH_PERIOD {
+                return Err(MemConfigError::RefreshPeriodTooLong {
+                    period: self.refresh_period,
+                });
             }
             if self.refresh_len >= self.refresh_period {
                 return Err(MemConfigError::RefreshLenExceedsPeriod {
@@ -300,9 +340,27 @@ mod tests {
         let mut c = base.clone();
         c.bank_busy = 0;
         assert_eq!(c.validate(), Err(MemConfigError::ZeroBankBusy));
+        c.bank_busy = MAX_BANK_BUSY;
+        assert_eq!(c.validate(), Ok(()));
+        c.bank_busy = MAX_BANK_BUSY + 1;
+        assert_eq!(
+            c.validate(),
+            Err(MemConfigError::BankBusyTooLong {
+                bank_busy: MAX_BANK_BUSY + 1
+            })
+        );
         let mut c = base.clone();
         c.refresh_period = 0;
         assert_eq!(c.validate(), Err(MemConfigError::ZeroRefreshPeriod));
+        c.refresh_period = MAX_REFRESH_PERIOD;
+        assert_eq!(c.validate(), Ok(()));
+        c.refresh_period = MAX_REFRESH_PERIOD + 1;
+        assert_eq!(
+            c.validate(),
+            Err(MemConfigError::RefreshPeriodTooLong {
+                period: MAX_REFRESH_PERIOD + 1
+            })
+        );
         let mut c = base.clone();
         c.refresh_len = c.refresh_period;
         assert!(matches!(

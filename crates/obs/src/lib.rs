@@ -54,16 +54,13 @@ pub fn monotonic_ns() -> u64 {
     Instant::now().duration_since(origin).as_nanos() as u64
 }
 
-/// Grid points per cycle of the machine's timing quantum. Private copy of
+/// Ticks per cycle of the machine's timing quantum. Private copy of
 /// `c240_isa::timing::TICKS_PER_CYCLE` — this crate is dependency-free.
-const TICKS_PER_CYCLE: f64 = 20.0;
+const TICKS_PER_CYCLE: i64 = 20;
 
-/// Rounds to the canonical `f64` of the nearest 1/20-cycle grid point, so
-/// accumulated counters stay a pure function of their integer tick count
-/// (see `c240_isa::timing::quantize`).
-#[inline]
-fn q(x: f64) -> f64 {
-    (x * TICKS_PER_CYCLE).round() / TICKS_PER_CYCLE
+/// Ticks as cycles, for read-outs.
+fn cycles(ticks: i64) -> f64 {
+    ticks as f64 / TICKS_PER_CYCLE as f64
 }
 
 /// Why a lane spent a cycle not making progress.
@@ -232,7 +229,8 @@ impl fmt::Display for Lane {
     }
 }
 
-/// Cycles lost per [`StallCause`].
+/// Cycles lost per [`StallCause`]: a read-out of [`CounterProbe`]'s
+/// tick counters, and the sum of several.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StallCounters {
     cycles: [f64; StallCause::COUNT],
@@ -242,11 +240,6 @@ impl StallCounters {
     /// All-zero counters.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Adds `cycles` to `cause`.
-    pub fn add(&mut self, cause: StallCause, cycles: f64) {
-        self.cycles[cause as usize] = q(self.cycles[cause as usize] + cycles);
     }
 
     /// Cycles charged to `cause`.
@@ -328,14 +321,6 @@ impl LaneAccount {
         self.busy + self.stalls.total() + self.idle
     }
 
-    /// Accumulates `other` into `self` (machine-level roll-up across
-    /// co-simulated CPUs).
-    pub fn merge(&mut self, other: &LaneAccount) {
-        self.busy += other.busy;
-        self.idle += other.idle;
-        self.stalls.merge(&other.stalls);
-    }
-
     /// Busy fraction of the accounted time (0 when nothing accounted).
     pub fn utilization(&self) -> f64 {
         let t = self.accounted();
@@ -347,7 +332,8 @@ impl LaneAccount {
     }
 }
 
-/// Observation hooks the simulator drives.
+/// Observation hooks the simulator drives. Every amount is in *ticks*
+/// (1/20 cycle, the simulator's exact unit of time).
 ///
 /// Implementations with `ENABLED == false` (the default, [`NoProbe`])
 /// compile every hook away; the simulator also uses `P::ENABLED` to
@@ -357,23 +343,23 @@ pub trait Probe {
     /// Whether the simulator should compute attribution at all.
     const ENABLED: bool = false;
 
-    /// `lane` lost `cycles` to `cause` while executing the instruction
-    /// at `pc`.
+    /// `lane` lost `ticks` to `cause` while executing the instruction at
+    /// `pc`.
     #[inline(always)]
-    fn stall(&mut self, lane: Lane, cause: StallCause, cycles: f64, pc: usize) {
-        let _ = (lane, cause, cycles, pc);
+    fn stall(&mut self, lane: Lane, cause: StallCause, ticks: i64, pc: usize) {
+        let _ = (lane, cause, ticks, pc);
     }
 
-    /// `lane` did useful work for `cycles` on behalf of `pc`.
+    /// `lane` did useful work for `ticks` on behalf of `pc`.
     #[inline(always)]
-    fn busy(&mut self, lane: Lane, cycles: f64, pc: usize) {
-        let _ = (lane, cycles, pc);
+    fn busy(&mut self, lane: Lane, ticks: i64, pc: usize) {
+        let _ = (lane, ticks, pc);
     }
 
-    /// `lane` had nothing scheduled for `cycles`.
+    /// `lane` had nothing scheduled for `ticks`.
     #[inline(always)]
-    fn idle(&mut self, lane: Lane, cycles: f64) {
-        let _ = (lane, cycles);
+    fn idle(&mut self, lane: Lane, ticks: i64) {
+        let _ = (lane, ticks);
     }
 
     /// Flattens every accumulated counter into a deterministic `Vec` so
@@ -383,14 +369,14 @@ pub trait Probe {
     /// Returning `None` (the default for external probes) declares the
     /// probe opaque: the simulator then never fast-forwards a probed run,
     /// falling back to exact element stepping.
-    fn ff_counters(&self) -> Option<Vec<f64>> {
+    fn ff_counters(&self) -> Option<Vec<i64>> {
         None
     }
 
     /// Adds `k · deltas[i]` to the counter at flattened index `i`, in the
     /// same order [`Probe::ff_counters`] produced. Only called with
     /// deltas previously derived from this probe's own `ff_counters`.
-    fn ff_apply(&mut self, deltas: &[f64], k: f64) {
+    fn ff_apply(&mut self, deltas: &[i64], k: i64) {
         let _ = (deltas, k);
     }
 }
@@ -400,17 +386,33 @@ pub trait Probe {
 pub struct NoProbe;
 
 impl Probe for NoProbe {
-    fn ff_counters(&self) -> Option<Vec<f64>> {
+    fn ff_counters(&self) -> Option<Vec<i64>> {
         Some(Vec::new())
     }
 }
 
+/// One lane's account in ticks: what [`CounterProbe`] accumulates.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+struct LaneTicks {
+    busy: i64,
+    idle: i64,
+    stalls: [i64; StallCause::COUNT],
+}
+
+/// Stall tick counts as cycles.
+fn stall_cycles(ticks: &[i64; StallCause::COUNT]) -> StallCounters {
+    StallCounters {
+        cycles: ticks.map(cycles),
+    }
+}
+
 /// Accumulating probe: totals, per-lane accounts, and a per-pc stall
-/// breakdown.
+/// breakdown. It counts exact ticks; the accessors read them out in
+/// cycles.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CounterProbe {
-    lanes: [LaneAccount; Lane::COUNT],
-    by_pc: BTreeMap<usize, StallCounters>,
+    lanes: [LaneTicks; Lane::COUNT],
+    by_pc: BTreeMap<usize, [i64; StallCause::COUNT]>,
 }
 
 impl CounterProbe {
@@ -420,19 +422,24 @@ impl CounterProbe {
     }
 
     /// The account for one lane.
-    pub fn lane(&self, lane: Lane) -> &LaneAccount {
-        &self.lanes[lane as usize]
+    pub fn lane(&self, lane: Lane) -> LaneAccount {
+        let t = &self.lanes[lane as usize];
+        LaneAccount {
+            busy: cycles(t.busy),
+            stalls: stall_cycles(&t.stalls),
+            idle: cycles(t.idle),
+        }
     }
 
     /// All lanes in display order.
-    pub fn lanes(&self) -> impl Iterator<Item = (Lane, &LaneAccount)> {
-        Lane::ALL.iter().map(move |&l| (l, &self.lanes[l as usize]))
+    pub fn lanes(&self) -> impl Iterator<Item = (Lane, LaneAccount)> + '_ {
+        Lane::ALL.iter().map(move |&l| (l, self.lane(l)))
     }
 
     /// Stall totals summed over every lane.
     pub fn totals(&self) -> StallCounters {
         let mut t = StallCounters::new();
-        for account in &self.lanes {
+        for (_, account) in self.lanes() {
             t.merge(&account.stalls);
         }
         t
@@ -440,17 +447,18 @@ impl CounterProbe {
 
     /// Busy cycles summed over every lane.
     pub fn busy_total(&self) -> f64 {
-        self.lanes.iter().map(|a| a.busy).sum()
+        self.lanes().map(|(_, a)| a.busy).sum()
     }
 
-    /// Per-pc stall breakdown (pcs with at least one attributed stall).
-    pub fn by_pc(&self) -> &BTreeMap<usize, StallCounters> {
-        &self.by_pc
+    /// Per-pc stall breakdown (pcs with at least one attributed stall),
+    /// in ascending pc order.
+    pub fn by_pc(&self) -> impl Iterator<Item = (usize, StallCounters)> + '_ {
+        self.by_pc.iter().map(|(&pc, t)| (pc, stall_cycles(t)))
     }
 
     /// The `n` pcs losing the most cycles, largest first.
     pub fn hottest_pcs(&self, n: usize) -> Vec<(usize, f64)> {
-        let mut v: Vec<(usize, f64)> = self.by_pc.iter().map(|(&pc, c)| (pc, c.total())).collect();
+        let mut v: Vec<(usize, f64)> = self.by_pc().map(|(pc, c)| (pc, c.total())).collect();
         v.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         v.truncate(n);
         v
@@ -460,12 +468,20 @@ impl CounterProbe {
     /// maps union-and-add. Used to roll a co-simulated machine's per-CPU
     /// probes up into machine totals.
     pub fn merge(&mut self, other: &CounterProbe) {
-        for (mine, theirs) in self.lanes.iter_mut().zip(other.lanes.iter()) {
-            mine.merge(theirs);
+        for (mine, theirs) in self.lanes.iter_mut().zip(&other.lanes) {
+            mine.busy += theirs.busy;
+            mine.idle += theirs.idle;
+            add_ticks(&mut mine.stalls, &theirs.stalls);
         }
-        for (&pc, counters) in &other.by_pc {
-            self.by_pc.entry(pc).or_default().merge(counters);
+        for (&pc, theirs) in &other.by_pc {
+            add_ticks(self.by_pc.entry(pc).or_default(), theirs);
         }
+    }
+}
+
+fn add_ticks(mine: &mut [i64; StallCause::COUNT], theirs: &[i64; StallCause::COUNT]) {
+    for (a, b) in mine.iter_mut().zip(theirs) {
+        *a += b;
     }
 }
 
@@ -532,75 +548,59 @@ impl Probe for CounterProbe {
     const ENABLED: bool = true;
 
     #[inline]
-    fn stall(&mut self, lane: Lane, cause: StallCause, cycles: f64, pc: usize) {
-        debug_assert!(cycles >= -1e-9, "negative stall: {cycles} for {cause:?}");
-        if cycles <= 0.0 {
+    fn stall(&mut self, lane: Lane, cause: StallCause, ticks: i64, pc: usize) {
+        debug_assert!(ticks >= 0, "negative stall: {ticks} ticks for {cause:?}");
+        if ticks <= 0 {
             return;
         }
-        self.lanes[lane as usize].stalls.add(cause, cycles);
-        self.by_pc.entry(pc).or_default().add(cause, cycles);
+        self.lanes[lane as usize].stalls[cause as usize] += ticks;
+        self.by_pc.entry(pc).or_default()[cause as usize] += ticks;
     }
 
     #[inline]
-    fn busy(&mut self, lane: Lane, cycles: f64, pc: usize) {
+    fn busy(&mut self, lane: Lane, ticks: i64, pc: usize) {
         let _ = pc;
-        debug_assert!(cycles >= -1e-9, "negative busy: {cycles}");
-        if cycles > 0.0 {
-            let a = &mut self.lanes[lane as usize];
-            a.busy = q(a.busy + cycles);
-        }
+        debug_assert!(ticks >= 0, "negative busy: {ticks} ticks");
+        self.lanes[lane as usize].busy += ticks.max(0);
     }
 
     #[inline]
-    fn idle(&mut self, lane: Lane, cycles: f64) {
-        debug_assert!(cycles >= -1e-9, "negative idle: {cycles}");
-        if cycles > 0.0 {
-            let a = &mut self.lanes[lane as usize];
-            a.idle = q(a.idle + cycles);
-        }
+    fn idle(&mut self, lane: Lane, ticks: i64) {
+        debug_assert!(ticks >= 0, "negative idle: {ticks} ticks");
+        self.lanes[lane as usize].idle += ticks.max(0);
     }
 
     /// Layout: per lane `[busy, idle, stalls × 12]`, then per `by_pc`
     /// entry (ascending pc) `[pc, stalls × 12]`. Embedding the pc makes a
     /// change in the pc set show up as a nonzero/non-stale delta, which
     /// the fast-forward detector rejects.
-    fn ff_counters(&self) -> Option<Vec<f64>> {
+    fn ff_counters(&self) -> Option<Vec<i64>> {
         let mut v = Vec::with_capacity(
             Lane::COUNT * (2 + StallCause::COUNT) + self.by_pc.len() * (1 + StallCause::COUNT),
         );
         for account in &self.lanes {
             v.push(account.busy);
             v.push(account.idle);
-            v.extend_from_slice(&account.stalls.cycles);
+            v.extend_from_slice(&account.stalls);
         }
-        for (&pc, counters) in &self.by_pc {
-            v.push(pc as f64);
-            v.extend_from_slice(&counters.cycles);
+        for (&pc, stalls) in &self.by_pc {
+            v.push(pc as i64);
+            v.extend_from_slice(stalls);
         }
         Some(v)
     }
 
-    fn ff_apply(&mut self, deltas: &[f64], k: f64) {
-        // Deltas arrive in ticks (1/20 cycle); translating in integer tick
-        // arithmetic reproduces the canonical value the element-stepped
-        // run would have accumulated.
-        let translate = |c: &mut f64, d: f64| {
-            *c = ((*c * TICKS_PER_CYCLE).round() + k * d) / TICKS_PER_CYCLE;
-        };
+    fn ff_apply(&mut self, deltas: &[i64], k: i64) {
         let mut it = deltas.iter();
-        let mut next = || *it.next().expect("ff delta layout mismatch");
+        let mut shift = |c: &mut i64| *c += k * it.next().expect("ff delta layout mismatch");
         for account in &mut self.lanes {
-            translate(&mut account.busy, next());
-            translate(&mut account.idle, next());
-            for c in &mut account.stalls.cycles {
-                translate(c, next());
-            }
+            shift(&mut account.busy);
+            shift(&mut account.idle);
+            account.stalls.iter_mut().for_each(&mut shift);
         }
-        for counters in self.by_pc.values_mut() {
-            let _pc = next();
-            for c in &mut counters.cycles {
-                translate(c, next());
-            }
+        for stalls in self.by_pc.values_mut() {
+            shift(&mut 0); // the pc slot, which stays put
+            stalls.iter_mut().for_each(&mut shift);
         }
         assert!(it.next().is_none(), "ff delta layout mismatch");
     }
@@ -612,13 +612,13 @@ mod tests {
 
     #[test]
     fn counters_sum_and_merge() {
-        let mut a = StallCounters::new();
-        a.add(StallCause::BankBusy, 3.0);
-        a.add(StallCause::Refresh, 2.0);
-        let mut b = StallCounters::new();
-        b.add(StallCause::BankBusy, 1.0);
-        b.add(StallCause::ChainWait, 4.0);
-        a.merge(&b);
+        let mut p = CounterProbe::new();
+        p.stall(Lane::Ld, StallCause::BankBusy, 3 * T, 0);
+        p.stall(Lane::Ld, StallCause::Refresh, 2 * T, 0);
+        p.stall(Lane::Add, StallCause::BankBusy, T, 0);
+        p.stall(Lane::Add, StallCause::ChainWait, 4 * T, 0);
+        let mut a = p.lane(Lane::Ld).stalls;
+        a.merge(&p.lane(Lane::Add).stalls);
         assert_eq!(a.get(StallCause::BankBusy), 4.0);
         assert_eq!(a.total(), 10.0);
         assert_eq!(a.memory_wait(), 6.0);
@@ -627,35 +627,72 @@ mod tests {
         assert_eq!(nz.len(), 3);
     }
 
+    const T: i64 = TICKS_PER_CYCLE;
+
+    /// `pc`'s per-pc stall counters.
+    fn at_pc(p: &CounterProbe, pc: usize) -> StallCounters {
+        p.by_pc()
+            .find(|&(at, _)| at == pc)
+            .expect("pc has stalls")
+            .1
+    }
+
     #[test]
     fn lane_account_partition() {
         let mut p = CounterProbe::new();
-        p.busy(Lane::Ld, 10.0, 3);
-        p.stall(Lane::Ld, StallCause::BankBusy, 2.5, 3);
-        p.idle(Lane::Ld, 7.5);
+        p.busy(Lane::Ld, 10 * T, 3);
+        p.stall(Lane::Ld, StallCause::BankBusy, 50, 3);
+        p.idle(Lane::Ld, 150);
         let acct = p.lane(Lane::Ld);
         assert_eq!(acct.accounted(), 20.0);
         assert_eq!(acct.utilization(), 0.5);
-        assert_eq!(p.by_pc()[&3].get(StallCause::BankBusy), 2.5);
+        assert_eq!(at_pc(&p, 3).get(StallCause::BankBusy), 2.5);
+    }
+
+    #[test]
+    fn ticks_read_out_as_the_nearest_cycles() {
+        // 27 ticks is the reduction's 1.35-cycle element time; repeated
+        // additions stay exact, unlike 1.35 added in f64.
+        let mut p = CounterProbe::new();
+        for _ in 0..3 {
+            p.busy(Lane::Add, 27, 0);
+        }
+        assert_eq!(p.lane(Lane::Add).busy.to_bits(), 4.05f64.to_bits());
+        assert_ne!((1.35f64 + 1.35 + 1.35).to_bits(), 4.05f64.to_bits());
     }
 
     #[test]
     fn zero_and_negative_events_ignored() {
         let mut p = CounterProbe::new();
-        p.stall(Lane::Add, StallCause::ChainWait, 0.0, 1);
-        p.busy(Lane::Add, 0.0, 1);
+        p.stall(Lane::Add, StallCause::ChainWait, 0, 1);
+        p.busy(Lane::Add, 0, 1);
         assert_eq!(p.totals().total(), 0.0);
-        assert!(p.by_pc().is_empty());
+        assert!(p.by_pc().next().is_none());
     }
 
     #[test]
     fn hottest_pcs_orders_by_lost_cycles() {
         let mut p = CounterProbe::new();
-        p.stall(Lane::Ld, StallCause::BankBusy, 1.0, 10);
-        p.stall(Lane::Add, StallCause::ChainWait, 5.0, 20);
-        p.stall(Lane::Mul, StallCause::TailgateBubble, 3.0, 30);
+        p.stall(Lane::Ld, StallCause::BankBusy, T, 10);
+        p.stall(Lane::Add, StallCause::ChainWait, 5 * T, 20);
+        p.stall(Lane::Mul, StallCause::TailgateBubble, 3 * T, 30);
         let hot = p.hottest_pcs(2);
         assert_eq!(hot, vec![(20, 5.0), (30, 3.0)]);
+    }
+
+    #[test]
+    fn ff_counters_shift_by_whole_periods() {
+        let mut p = CounterProbe::new();
+        p.busy(Lane::Ld, 3, 0);
+        p.stall(Lane::Mul, StallCause::PipeDrain, 7, 4);
+        let before = p.ff_counters().unwrap();
+        p.busy(Lane::Ld, 3, 0);
+        p.stall(Lane::Mul, StallCause::PipeDrain, 7, 4);
+        let after = p.ff_counters().unwrap();
+        let deltas: Vec<i64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
+        p.ff_apply(&deltas, 10);
+        assert_eq!(p.lane(Lane::Ld).busy, cycles(3 * 12));
+        assert_eq!(at_pc(&p, 4).get(StallCause::PipeDrain), cycles(7 * 12));
     }
 
     #[test]
@@ -663,11 +700,11 @@ mod tests {
         let mut probes = CoSimProbes::new(2);
         {
             let s = probes.as_mut_slice();
-            s[0].busy(Lane::Ld, 4.0, 1);
-            s[0].stall(Lane::Ld, StallCause::Contention, 2.0, 1);
-            s[0].idle(Lane::Ld, 1.0);
-            s[1].busy(Lane::Ld, 3.0, 1);
-            s[1].stall(Lane::Ld, StallCause::BankBusy, 5.0, 2);
+            s[0].busy(Lane::Ld, 4 * T, 1);
+            s[0].stall(Lane::Ld, StallCause::Contention, 2 * T, 1);
+            s[0].idle(Lane::Ld, T);
+            s[1].busy(Lane::Ld, 3 * T, 1);
+            s[1].stall(Lane::Ld, StallCause::BankBusy, 5 * T, 2);
         }
         assert_eq!(probes.len(), 2);
         let total = probes.combined();
@@ -677,8 +714,8 @@ mod tests {
         assert_eq!(lane.stalls.get(StallCause::Contention), 2.0);
         assert_eq!(lane.stalls.get(StallCause::BankBusy), 5.0);
         // Per-pc union: pc 1 from CPU 0, pc 2 from CPU 1.
-        assert_eq!(total.by_pc()[&1].get(StallCause::Contention), 2.0);
-        assert_eq!(total.by_pc()[&2].get(StallCause::BankBusy), 5.0);
+        assert_eq!(at_pc(&total, 1).get(StallCause::Contention), 2.0);
+        assert_eq!(at_pc(&total, 2).get(StallCause::BankBusy), 5.0);
         // Roll-up accounted == sum of per-CPU accounted.
         let per_cpu: f64 = probes
             .all()
@@ -700,10 +737,11 @@ mod tests {
         for cause in StallCause::ALL {
             assert_ne!(cause.is_memory_side(), cause.is_compute_wait(), "{cause}");
         }
-        let mut c = StallCounters::new();
+        let mut p = CounterProbe::new();
         for cause in StallCause::ALL {
-            c.add(cause, 1.0);
+            p.stall(Lane::Mul, cause, T, 0);
         }
+        let c = p.lane(Lane::Mul).stalls;
         assert_eq!(c.memory_side() + c.compute_wait(), c.total());
         assert_eq!(c.memory_wait(), 3.0);
         assert_eq!(c.memory_side(), 5.0);

@@ -46,25 +46,31 @@
 //! return value. The fast-forward warp replays a recorded period through
 //! the same `execute`, its stores and tag overwrites journaled for
 //! rollback, and compares each step's [`Cpu::step_check`] with the one
-//! recorded. The `f64` timing state fast-forward translates is walked by
-//! one visitor, [`Cpu::ff_fields`], clock first; the snapshot reads
-//! through it and the warp's shift translates through it.
+//! recorded. The timing state fast-forward translates is walked by one
+//! visitor, [`Cpu::ff_fields`], clock first; the snapshot reads through
+//! it and the warp's shift translates through it.
+//!
+//! # Integer ticks
+//!
+//! Every simulated time is an exact `i64` count of ticks, 20 per cycle
+//! (`c240_isa::timing::TICKS_PER_CYCLE`): ready times, the clock, pipe
+//! and credit state, probe amounts, and the memory system's bank times
+//! and wait totals. [`Cpu::new`] converts the configuration's timing
+//! tables to ticks once; times become `f64` cycles only where they leave
+//! the simulator, in [`RunStats`], trace events and probe read-outs.
 
-use c240_isa::timing::VectorTiming;
+use c240_isa::timing::{self, TimingClass, VectorTicks, TICKS_PER_CYCLE};
 use c240_isa::{
     AReg, Instruction, IntOperand, MemRef, Pipe, Program, SReg, ScalarReg, ScalarValue, VOperand,
     VReg, MAX_VL, WORD_BYTES,
 };
-use c240_mem::{Journal, MemorySystem, NoJournal, ScalarCache, WaitBreakdown};
+use c240_mem::{Journal, MemorySystem, NoJournal, ScalarCache, WaitTicks};
 use c240_obs::{Lane, NoProbe, Probe, StallCause};
-
-use c240_isa::timing::{quantize as q, TICKS_PER_CYCLE};
 
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::fastfwd::{
-    self, hash_words, ArrivalAction, FastForward, PeriodRecord, Snapshot, SnapshotWhy, Step,
-    StepCheck,
+    hash_words, ArrivalAction, FastForward, PeriodRecord, Snapshot, SnapshotWhy, Step, StepCheck,
 };
 use crate::stats::RunStats;
 use crate::trace::{Trace, TraceEvent};
@@ -72,37 +78,74 @@ use crate::trace::{Trace, TraceEvent};
 const VLEN: usize = MAX_VL as usize;
 const VREGS: usize = 8;
 
-#[derive(Debug, Clone, Copy, Default)]
-struct PipeState {
-    /// Earliest cycle the next instruction's first element may enter.
-    next_entry: f64,
-    /// Earliest cycle the next instruction for this pipe may issue
-    /// (one-deep reservation station).
-    issue_gate: f64,
+/// The configuration's timing parameters in ticks, converted once by
+/// [`Cpu::new`].
+#[derive(Debug, Clone)]
+struct Ticks {
+    /// Vector timing, indexed by `TimingClass as usize`.
+    vector: [VectorTicks; 8],
+    issue: i64,
+    branch_taken_penalty: i64,
+    int_latency: i64,
+    fp_add_latency: i64,
+    fp_mul_latency: i64,
+    fp_div_latency: i64,
+    cache_hit: i64,
+    cache_miss: i64,
 }
 
-/// Cycles a pipe's `next_entry` was pushed forward, remembered by cause
+impl Ticks {
+    fn of(config: &SimConfig) -> Self {
+        let mut vector = [VectorTicks::default(); 8];
+        for class in TimingClass::all() {
+            vector[class as usize] = config.timing.get(class).ticks();
+        }
+        let scalar = &config.scalar;
+        Ticks {
+            vector,
+            issue: timing::ticks(scalar.issue),
+            branch_taken_penalty: timing::ticks(scalar.branch_taken_penalty),
+            int_latency: timing::ticks(scalar.int_latency),
+            fp_add_latency: timing::ticks(scalar.fp_add_latency),
+            fp_mul_latency: timing::ticks(scalar.fp_mul_latency),
+            fp_div_latency: timing::ticks(scalar.fp_div_latency),
+            cache_hit: timing::ticks(config.cache.hit_latency as f64),
+            cache_miss: timing::ticks(config.cache.miss_penalty as f64),
+        }
+    }
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct PipeState {
+    /// Earliest tick the next instruction's first element may enter.
+    next_entry: i64,
+    /// Earliest tick the next instruction for this pipe may issue
+    /// (one-deep reservation station).
+    issue_gate: i64,
+}
+
+/// Ticks a pipe's `next_entry` was pushed forward, remembered by cause
 /// so the wait can be attributed when the *next* instruction on the pipe
 /// actually pays for it. Consumed (zeroed) at each attribution.
 #[derive(Debug, Clone, Copy, Default)]
 struct PipeCredits {
     /// Tailgate bubbles `B` charged at retire (Eq. 13).
-    bubble: f64,
+    bubble: i64,
     /// Post-reduction serialization of all pipes.
-    reduction: f64,
+    reduction: i64,
     /// Scalar memory access fencing the vector stream (shared port).
-    fence: f64,
+    fence: i64,
 }
 
 /// The `max` terms that produced a vector instruction's first-element
 /// entry time, passed to [`Cpu::attribute_entry`] for stall attribution.
 struct EntryTerms {
-    issue_done: f64,
-    fence: f64,
-    barrier: f64,
-    chain0: f64,
-    pre_pair: f64,
-    entry0: f64,
+    issue_done: i64,
+    fence: i64,
+    barrier: i64,
+    chain0: i64,
+    pre_pair: i64,
+    entry0: i64,
 }
 
 fn lane_of(slot: usize) -> Lane {
@@ -117,20 +160,20 @@ fn lane_of(slot: usize) -> Lane {
 struct ActiveVec {
     pair_reads: [u8; 4],
     pair_writes: [u8; 4],
-    end: f64,
+    end: i64,
 }
 
 /// Result of scheduling one vector instruction's element stream.
 struct Schedule {
-    entry0: f64,
-    last_entry: f64,
-    first_result: f64,
-    last_result: f64,
+    entry0: i64,
+    last_entry: i64,
+    first_result: i64,
+    last_result: i64,
 }
 
 impl Schedule {
     /// A stream whose every element's result follows its entry by `y`.
-    fn stream(entry0: f64, last_entry: f64, y: f64) -> Self {
+    fn stream(entry0: i64, last_entry: i64, y: i64) -> Self {
         Schedule {
             entry0,
             last_entry,
@@ -146,9 +189,9 @@ impl Schedule {
 #[derive(Clone, Copy)]
 struct Entered {
     pipe: Pipe,
-    timing: VectorTiming,
-    issue_start: f64,
-    entry0: f64,
+    timing: VectorTicks,
+    issue_start: i64,
+    entry0: i64,
 }
 
 /// Progress of an open run: where the next fetch happens and how many
@@ -197,31 +240,32 @@ impl RunCursor {
 #[derive(Debug, Clone)]
 pub struct Cpu {
     config: SimConfig,
+    ticks: Ticks,
     mem: MemorySystem,
     cache: ScalarCache,
 
     // Architectural state.
     a: [i64; 8],
     s: [u64; 8],
-    a_ready: [f64; 8],
-    s_ready: [f64; 8],
+    a_ready: [i64; 8],
+    s_ready: [i64; 8],
     vdata: Vec<[f64; VLEN]>,
-    vready: Vec<[f64; VLEN]>,
-    vread_until: Vec<[f64; VLEN]>,
+    vready: Vec<[i64; VLEN]>,
+    vread_until: Vec<[i64; VLEN]>,
     vl: u32,
     tflag: bool,
 
-    // Timing state.
-    clock: f64,
-    end: f64,
+    // Timing state, in ticks.
+    clock: i64,
+    end: i64,
     pipes: [PipeState; 3],
-    scalar_mem_fence: f64,
+    scalar_mem_fence: i64,
     active: Vec<ActiveVec>,
 
     // Telemetry state (only maintained while a probe with
-    // `Probe::ENABLED` drives the run; `credits` costs a few float adds
+    // `Probe::ENABLED` drives the run; `credits` costs a few integer adds
     // regardless, the `acct` cursors are fully gated).
-    acct: [f64; Lane::COUNT],
+    acct: [i64; Lane::COUNT],
     credits: [PipeCredits; 3],
 
     stats: RunStats,
@@ -263,28 +307,36 @@ fn pipe_slot(pipe: Pipe) -> usize {
 
 impl Cpu {
     /// Creates a CPU with fresh (zeroed) memory.
+    ///
+    /// The configuration's timing parameters are converted to ticks here,
+    /// once, each rounded to the nearest tick
+    /// ([`c240_isa::timing::ticks`]). [`SimConfig::validate`] rejects a
+    /// value off the 1/20-cycle grid; an unvalidated one runs as if
+    /// rounded onto it (a reduction `Z` of 1.33 runs as 1.35), and one
+    /// beyond the `i64` tick range saturates.
     pub fn new(config: SimConfig) -> Self {
         let mem = MemorySystem::new(config.mem.clone());
         let cache = ScalarCache::new(config.cache);
         Cpu {
+            ticks: Ticks::of(&config),
             config,
             mem,
             cache,
             a: [0; 8],
             s: [0; 8],
-            a_ready: [0.0; 8],
-            s_ready: [0.0; 8],
+            a_ready: [0; 8],
+            s_ready: [0; 8],
             vdata: vec![[0.0; VLEN]; 8],
-            vready: vec![[0.0; VLEN]; 8],
-            vread_until: vec![[0.0; VLEN]; 8],
+            vready: vec![[0; VLEN]; 8],
+            vread_until: vec![[0; VLEN]; 8],
             vl: MAX_VL,
             tflag: false,
-            clock: 0.0,
-            end: 0.0,
+            clock: 0,
+            end: 0,
             pipes: [PipeState::default(); 3],
-            scalar_mem_fence: 0.0,
+            scalar_mem_fence: 0,
             active: Vec::new(),
-            acct: [0.0; Lane::COUNT],
+            acct: [0; Lane::COUNT],
             credits: [PipeCredits::default(); 3],
             stats: RunStats::default(),
             trace: Trace::default(),
@@ -383,22 +435,22 @@ impl Cpu {
     /// methods survive into the run). Called automatically by
     /// [`Cpu::run`].
     pub fn reset_timing(&mut self) {
-        self.a_ready = [0.0; 8];
-        self.s_ready = [0.0; 8];
+        self.a_ready = [0; 8];
+        self.s_ready = [0; 8];
         for v in &mut self.vready {
-            v.fill(0.0);
+            v.fill(0);
         }
         for v in &mut self.vread_until {
-            v.fill(0.0);
+            v.fill(0);
         }
         self.vl = MAX_VL;
         self.tflag = false;
-        self.clock = 0.0;
-        self.end = 0.0;
+        self.clock = 0;
+        self.end = 0;
         self.pipes = [PipeState::default(); 3];
-        self.scalar_mem_fence = 0.0;
+        self.scalar_mem_fence = 0;
         self.active.clear();
-        self.acct = [0.0; Lane::COUNT];
+        self.acct = [0; Lane::COUNT];
         self.credits = [PipeCredits::default(); 3];
         self.stats = RunStats::default();
         self.trace = if self.config.trace {
@@ -449,10 +501,10 @@ impl Cpu {
     /// Runs `program` like [`Cpu::run`], reporting cycle attribution to
     /// `probe`.
     ///
-    /// With an enabled probe (e.g. `c240_obs::CounterProbe`) every cycle
+    /// With an enabled probe (e.g. `c240_obs::CounterProbe`) every tick
     /// of every lane is tagged as busy, stalled on a specific
     /// [`StallCause`], or idle, so that per lane
-    /// `busy + stalls + idle == stats.cycles` (up to float rounding).
+    /// `busy + stalls + idle` is exactly the run's length in ticks.
     /// With [`NoProbe`] the attribution arithmetic is compiled out and
     /// this is exactly [`Cpu::run`].
     ///
@@ -545,7 +597,8 @@ impl Cpu {
     /// every probe lane's account out to the end of the run, and returns
     /// the statistics.
     pub(crate) fn finish_run<P: Probe>(&mut self, probe: &mut P) -> RunStats {
-        self.stats.cycles = self.end.max(self.clock);
+        let total = self.end.max(self.clock);
+        self.stats.cycles = timing::cycles(total);
         self.stats.memory_accesses = self.mem.access_count();
         self.stats.memory_wait_cycles = self.mem.wait_cycles();
         self.stats.memory_waits = self.mem.wait_breakdown();
@@ -553,24 +606,23 @@ impl Cpu {
         self.stats.cache_misses = self.cache.misses();
         if P::ENABLED {
             // Close every lane's account out to the end of the run.
-            let total = self.stats.cycles;
             for slot in 0..3 {
-                probe.idle(lane_of(slot), (total - self.acct[slot]).max(0.0));
+                probe.idle(lane_of(slot), (total - self.acct[slot]).max(0));
             }
-            probe.idle(Lane::Scalar, (total - self.clock).max(0.0));
+            probe.idle(Lane::Scalar, (total - self.clock).max(0));
             probe.idle(
                 Lane::ScalarMem,
-                (total - self.acct[Lane::ScalarMem as usize]).max(0.0),
+                (total - self.acct[Lane::ScalarMem as usize]).max(0),
             );
         }
         std::mem::take(&mut self.stats)
     }
 
-    /// The scalar issue clock — the co-sim driver's arbitration key:
-    /// always stepping the CPU whose issue clock is lowest keeps the
+    /// The scalar issue clock in ticks — the co-sim driver's arbitration
+    /// key: always stepping the CPU whose issue clock is lowest keeps the
     /// interleaved grant streams as close to causal order as
     /// per-instruction granularity allows.
-    pub(crate) fn issue_clock(&self) -> f64 {
+    pub(crate) fn issue_clock(&self) -> i64 {
         self.clock
     }
 
@@ -834,7 +886,7 @@ impl Cpu {
                 let ready = self.int_operand_ready(src).max(self.reg_ready(dst));
                 self.scalar_wait(probe, pc, ready);
                 self.issue_scalar(probe, pc);
-                self.set_ready(dst, q(self.clock + self.config.scalar.int_latency - 1.0));
+                self.set_ready(dst, self.clock + self.ticks.int_latency - TICKS_PER_CYCLE);
             }
             (&SFpOp { op, a, b, dst }, _) => {
                 let ready =
@@ -842,11 +894,11 @@ impl Cpu {
                 self.scalar_wait(probe, pc, ready);
                 self.issue_scalar(probe, pc);
                 let lat = match op {
-                    c240_isa::FpOp::Add | c240_isa::FpOp::Sub => self.config.scalar.fp_add_latency,
-                    c240_isa::FpOp::Mul => self.config.scalar.fp_mul_latency,
-                    c240_isa::FpOp::Div => self.config.scalar.fp_div_latency,
+                    c240_isa::FpOp::Add | c240_isa::FpOp::Sub => self.ticks.fp_add_latency,
+                    c240_isa::FpOp::Mul => self.ticks.fp_mul_latency,
+                    c240_isa::FpOp::Div => self.ticks.fp_div_latency,
                 };
-                self.set_ready(ScalarReg::S(dst), q(self.clock + lat - 1.0));
+                self.set_ready(ScalarReg::S(dst), self.clock + lat - TICKS_PER_CYCLE);
             }
             (&SLoad { addr, dst }, Touched::Scalar { word, hit, .. }) => {
                 self.scalar_wait(probe, pc, self.a_ready[usize::from(addr.base.index())]);
@@ -868,11 +920,11 @@ impl Cpu {
             (BranchT { .. } | BranchF { .. } | Jump { .. }, _) => {
                 self.issue_scalar(probe, pc);
                 if let Touched::Taken = touched {
-                    let penalty = self.config.scalar.branch_taken_penalty;
+                    let penalty = self.ticks.branch_taken_penalty;
                     if P::ENABLED {
                         probe.busy(Lane::Scalar, penalty, pc);
                     }
-                    self.clock = q(self.clock + penalty);
+                    self.clock += penalty;
                 }
             }
             _ => unreachable!("execute returned what no instruction touches: {ins}"),
@@ -887,15 +939,15 @@ impl Cpu {
 
     fn issue_scalar<P: Probe>(&mut self, probe: &mut P, pc: usize) {
         if P::ENABLED {
-            probe.busy(Lane::Scalar, self.config.scalar.issue, pc);
+            probe.busy(Lane::Scalar, self.ticks.issue, pc);
         }
-        self.clock = q(self.clock + self.config.scalar.issue);
+        self.clock += self.ticks.issue;
         self.end = self.end.max(self.clock);
     }
 
     /// Advances the scalar clock to `t`, charging any wait to the issue
     /// interlock (a RAW dependence or structural issue block).
-    fn scalar_wait<P: Probe>(&mut self, probe: &mut P, pc: usize, t: f64) {
+    fn scalar_wait<P: Probe>(&mut self, probe: &mut P, pc: usize, t: i64) {
         if t > self.clock {
             if P::ENABLED {
                 probe.stall(Lane::Scalar, StallCause::IssueInterlock, t - self.clock, pc);
@@ -956,14 +1008,14 @@ impl Cpu {
     }
 
     /// Reports the bank/refresh/contention wait a single memory access
-    /// accrued, as the difference of [`MemorySystem::wait_breakdown`]
+    /// accrued, as the difference of [`MemorySystem::wait_ticks`]
     /// snapshots taken around the access.
     fn attribute_mem<P: Probe>(
         probe: &mut P,
         lane: Lane,
         pc: usize,
-        before: WaitBreakdown,
-        after: WaitBreakdown,
+        before: WaitTicks,
+        after: WaitTicks,
     ) {
         probe.stall(
             lane,
@@ -1008,7 +1060,7 @@ impl Cpu {
         }
     }
 
-    fn reg_ready(&self, r: ScalarReg) -> f64 {
+    fn reg_ready(&self, r: ScalarReg) -> i64 {
         match r {
             ScalarReg::S(s) => self.s_ready[usize::from(s.index())],
             ScalarReg::A(a) => self.a_ready[usize::from(a.index())],
@@ -1016,7 +1068,7 @@ impl Cpu {
     }
 
     /// Records when `r`'s new value is ready.
-    fn set_ready(&mut self, r: ScalarReg, ready: f64) {
+    fn set_ready(&mut self, r: ScalarReg, ready: i64) {
         match r {
             ScalarReg::S(s) => self.s_ready[usize::from(s.index())] = ready,
             ScalarReg::A(a) => self.a_ready[usize::from(a.index())] = ready,
@@ -1024,9 +1076,9 @@ impl Cpu {
         self.end = self.end.max(ready);
     }
 
-    fn int_operand_ready(&self, op: IntOperand) -> f64 {
+    fn int_operand_ready(&self, op: IntOperand) -> i64 {
         match op {
-            IntOperand::Imm(_) => 0.0,
+            IntOperand::Imm(_) => 0,
             IntOperand::Reg(r) => self.reg_ready(r),
         }
     }
@@ -1041,7 +1093,7 @@ impl Cpu {
     /// Instructions in successive chimes therefore do not conflict, while
     /// a would-be chime-mate that violates the ≤2-read/≤1-write rule is
     /// pushed to the next chime (§3.3).
-    fn pair_admit(&mut self, ins: &Instruction, mut t: f64, duration: f64) -> f64 {
+    fn pair_admit(&mut self, ins: &Instruction, mut t: i64, duration: i64) -> i64 {
         if !self.config.pair_constraint {
             return t;
         }
@@ -1049,7 +1101,7 @@ impl Cpu {
         loop {
             self.active.retain(|a| a.end > t);
             let mut ok = true;
-            let mut next_free = f64::INFINITY;
+            let mut next_free = i64::MAX;
             for p in 0..4 {
                 let r: u8 = self.active.iter().map(|a| a.pair_reads[p]).sum::<u8>() + reads[p];
                 let w: u8 = self.active.iter().map(|a| a.pair_writes[p]).sum::<u8>() + writes[p];
@@ -1065,13 +1117,13 @@ impl Cpu {
             if ok {
                 break;
             }
-            debug_assert!(next_free.is_finite(), "pair conflict with no active cause");
+            debug_assert!(next_free < i64::MAX, "pair conflict with no active cause");
             t = next_free;
         }
         self.active.push(ActiveVec {
             pair_reads: reads,
             pair_writes: writes,
-            end: q(t + duration),
+            end: t + duration,
         });
         t
     }
@@ -1089,20 +1141,20 @@ impl Cpu {
         probe: &mut P,
         pc: usize,
         ins: &Instruction,
-        fence: f64,
-        barrier: f64,
-        chain0: f64,
+        fence: i64,
+        barrier: i64,
+        chain0: i64,
     ) -> Entered {
         let pipe = ins.pipe().expect("vector instruction");
         let class = ins.timing_class().expect("vector instruction");
-        let timing = self.config.timing.get(class);
+        let timing = self.ticks.vector[class as usize];
         let slot = pipe_slot(pipe);
         let issue_start = self.clock;
         self.scalar_wait(probe, pc, self.pipes[slot].issue_gate);
         if P::ENABLED {
             probe.busy(Lane::Scalar, timing.x, pc);
         }
-        self.clock = q(self.clock + timing.x);
+        self.clock += timing.x;
         self.end = self.end.max(self.clock);
         let issue_done = self.clock;
         let pre_pair = issue_done
@@ -1110,7 +1162,7 @@ impl Cpu {
             .max(fence)
             .max(barrier)
             .max(chain0);
-        let entry0 = self.pair_admit(ins, pre_pair, timing.z * self.vl as f64);
+        let entry0 = self.pair_admit(ins, pre_pair, timing.z * i64::from(self.vl));
         if P::ENABLED {
             self.attribute_entry(
                 probe,
@@ -1148,52 +1200,50 @@ impl Cpu {
         let (pipe, timing) = (entered.pipe, entered.timing);
         let slot = pipe_slot(pipe);
         if P::ENABLED {
-            probe.busy(lane_of(slot), timing.z * self.vl as f64, pc);
-            self.acct[slot] = q(sched.last_entry + timing.z);
+            probe.busy(lane_of(slot), timing.z * i64::from(self.vl), pc);
+            self.acct[slot] = sched.last_entry + timing.z;
         }
         // max: a reduction may already have pushed the pipe further
         // (scalar-result serialization).
-        self.pipes[slot].next_entry = self.pipes[slot]
-            .next_entry
-            .max(q(sched.last_entry + timing.z));
-        self.pipes[slot].issue_gate = q(sched.entry0);
+        self.pipes[slot].next_entry = self.pipes[slot].next_entry.max(sched.last_entry + timing.z);
+        self.pipes[slot].issue_gate = sched.entry0;
         // The restart handshake stalls the VP element advance for B
         // cycles on every pipe (Eq. 13: a chime costs Z·VL + ΣB).
         for (p, credit) in self.pipes.iter_mut().zip(self.credits.iter_mut()) {
-            p.next_entry = q(p.next_entry + timing.b);
-            credit.bubble = q(credit.bubble + timing.b);
+            p.next_entry += timing.b;
+            credit.bubble += timing.b;
         }
-        self.end = self.end.max(q(sched.last_result));
+        self.end = self.end.max(sched.last_result);
         if self.config.trace {
             self.trace.push(TraceEvent {
                 pc,
                 text: ins.to_string(),
                 pipe,
-                issue_start: entered.issue_start,
-                first_entry: sched.entry0,
-                last_entry: sched.last_entry,
-                first_result: sched.first_result,
-                last_result: sched.last_result,
+                issue_start: timing::cycles(entered.issue_start),
+                first_entry: timing::cycles(sched.entry0),
+                last_entry: timing::cycles(sched.last_entry),
+                first_result: timing::cycles(sched.first_result),
+                last_result: timing::cycles(sched.last_result),
                 vl: self.vl,
             });
         }
     }
 
     /// Chaining constraint for element `e` of the given operand.
-    fn operand_ready(&self, op: VOperand, e: usize) -> f64 {
+    fn operand_ready(&self, op: VOperand, e: usize) -> i64 {
         match op {
             VOperand::V(v) => self.vready[usize::from(v.index())][e],
-            VOperand::S(_) => 0.0, // waited for at issue
+            VOperand::S(_) => 0, // waited for at issue
         }
     }
 
     /// If chaining is disabled, operands must be fully complete.
-    fn no_chain_barrier(&self, ops: &[VOperand]) -> f64 {
+    fn no_chain_barrier(&self, ops: &[VOperand]) -> i64 {
         if self.config.chaining {
-            return 0.0;
+            return 0;
         }
         let vl = self.vl as usize;
-        let mut t: f64 = 0.0;
+        let mut t = 0;
         for op in ops {
             if let VOperand::V(v) = op {
                 let r = &self.vready[usize::from(v.index())];
@@ -1229,11 +1279,10 @@ impl Cpu {
             .operand_ready(a, 0)
             .max(self.operand_ready(b, 0))
             .max(self.vread_until[d][0]);
-        let entered = self.vector_enter(probe, pc, ins, 0.0, barrier, chain0);
+        let entered = self.vector_enter(probe, pc, ins, 0, barrier, chain0);
         let Entered { timing, entry0, .. } = entered;
 
-        let lane = lane_of(pipe_slot(entered.pipe));
-        let mut entry = entry0;
+        let (mut entry, mut chain_wait) = (entry0, 0);
         for e in 0..self.vl as usize {
             if e > 0 {
                 let ideal = entry + timing.z;
@@ -1241,13 +1290,15 @@ impl Cpu {
                     .max(self.operand_ready(a, e))
                     .max(self.operand_ready(b, e))
                     .max(self.vread_until[d][e]);
-                if P::ENABLED {
-                    probe.stall(lane, StallCause::ChainWait, entry - ideal, pc);
-                }
+                chain_wait += entry - ideal;
             }
             self.mark_read(a, e, entry);
             self.mark_read(b, e, entry);
-            self.vready[d][e] = q(entry + timing.y);
+            self.vready[d][e] = entry + timing.y;
+        }
+        if P::ENABLED {
+            let lane = lane_of(pipe_slot(entered.pipe));
+            probe.stall(lane, StallCause::ChainWait, chain_wait, pc);
         }
         let sched = Schedule::stream(entry0, entry, timing.y);
         self.vector_retire(probe, pc, ins, entered, sched);
@@ -1260,10 +1311,10 @@ impl Cpu {
         }
     }
 
-    fn mark_read(&mut self, op: VOperand, e: usize, at: f64) {
+    fn mark_read(&mut self, op: VOperand, e: usize, at: i64) {
         if let VOperand::V(v) = op {
             let i = usize::from(v.index());
-            self.vread_until[i][e] = self.vread_until[i][e].max(q(at));
+            self.vread_until[i][e] = self.vread_until[i][e].max(at);
         }
     }
 
@@ -1285,24 +1336,24 @@ impl Cpu {
         let srcop = VOperand::V(src);
         let barrier = self.no_chain_barrier(&[srcop]);
         let chain0 = self.operand_ready(srcop, 0);
-        let entered = self.vector_enter(probe, pc, ins, 0.0, barrier, chain0);
+        let entered = self.vector_enter(probe, pc, ins, 0, barrier, chain0);
         let Entered { timing, entry0, .. } = entered;
 
-        let vl = self.vl as usize;
-        let lane = lane_of(pipe_slot(entered.pipe));
-        let mut entry = entry0;
-        for e in 0..vl {
+        let (mut entry, mut chain_wait) = (entry0, 0);
+        for e in 0..self.vl as usize {
             if e > 0 {
                 let ideal = entry + timing.z;
                 entry = ideal.max(self.operand_ready(srcop, e));
-                if P::ENABLED {
-                    probe.stall(lane, StallCause::ChainWait, entry - ideal, pc);
-                }
+                chain_wait += entry - ideal;
             }
             self.mark_read(srcop, e, entry);
         }
+        if P::ENABLED {
+            let lane = lane_of(pipe_slot(entered.pipe));
+            probe.stall(lane, StallCause::ChainWait, chain_wait, pc);
+        }
         let last_result = entry + timing.y;
-        self.s_ready[d] = q(last_result);
+        self.s_ready[d] = last_result;
 
         // A reduction funnels the VP into the scalar unit: the VP
         // sequencer cannot run further vector work past it until the
@@ -1312,8 +1363,8 @@ impl Cpu {
         // involve "numerous special cases".)
         for (p, credit) in self.pipes.iter_mut().zip(self.credits.iter_mut()) {
             if last_result > p.next_entry {
-                credit.reduction = q(credit.reduction + (last_result - p.next_entry));
-                p.next_entry = q(last_result);
+                credit.reduction += last_result - p.next_entry;
+                p.next_entry = last_result;
             }
         }
 
@@ -1363,7 +1414,8 @@ impl Cpu {
     /// element is granted exactly at `entry0 + Z·e`, so the stream is
     /// claimed in closed form. Such a stream has no chain, bank, refresh
     /// or contention wait to attribute, so probed and unprobed runs take
-    /// it alike. Otherwise each element is granted and attributed in turn.
+    /// it alike. Otherwise each element is granted in turn, and the
+    /// stream's chain and memory waits are attributed once, summed.
     #[allow(clippy::too_many_arguments)]
     fn vector_stream<P: Probe>(
         &mut self,
@@ -1372,48 +1424,47 @@ impl Cpu {
         entered: Entered,
         base: i64,
         stride: i64,
-        chain: impl Fn(&Cpu, usize) -> f64,
-        mut granted: impl FnMut(&mut Cpu, usize, f64, f64),
+        chain: impl Fn(&Cpu, usize) -> i64,
+        mut granted: impl FnMut(&mut Cpu, usize, i64, i64),
     ) -> Schedule {
         let Entered { timing, entry0, .. } = entered;
         let n = self.vl;
-        let chain_max = (0..n as usize).fold(0.0_f64, |m, e| m.max(chain(self, e)));
-        let closed = chain_max <= entry0
+        let chain_max = (0..n as usize).fold(0, |m, e| m.max(chain(self, e)));
+        if chain_max <= entry0
             && self
                 .mem
-                .stream_conflict_free(base, stride, n, entry0, timing.z);
-        if closed {
+                .stream_conflict_free(base, stride, n, entry0, timing.z)
+        {
             self.mem.claim_stream(base, stride, n, entry0, timing.z);
+            let mut entry = entry0;
+            for e in 0..n as usize {
+                entry = entry0 + timing.z * e as i64;
+                granted(self, e, entry, entry);
+            }
+            return Schedule::stream(entry0, entry, timing.y);
         }
-        let lane = lane_of(pipe_slot(entered.pipe));
-        let (mut first_entry, mut prev) = (entry0, entry0);
+        let before = self.mem.wait_ticks();
+        let (mut first_entry, mut prev, mut chain_wait) = (entry0, entry0, 0);
         for e in 0..n as usize {
             let earliest = if e == 0 {
                 entry0
-            } else if closed {
-                entry0 + timing.z * e as f64
             } else {
                 let ideal = prev + timing.z;
                 let t = ideal.max(chain(self, e));
-                if P::ENABLED {
-                    probe.stall(lane, StallCause::ChainWait, t - ideal, pc);
-                }
+                chain_wait += t - ideal;
                 t
             };
-            let before = self.mem.wait_breakdown();
-            let grant = if closed {
-                earliest
-            } else {
-                self.mem.grant(element_addr(base, stride, e), earliest)
-            };
-            if P::ENABLED {
-                Self::attribute_mem(probe, lane, pc, before, self.mem.wait_breakdown());
-            }
+            let grant = self.mem.grant(element_addr(base, stride, e), earliest);
             granted(self, e, earliest, grant);
             if e == 0 {
                 first_entry = grant;
             }
             prev = grant;
+        }
+        if P::ENABLED {
+            let lane = lane_of(pipe_slot(entered.pipe));
+            probe.stall(lane, StallCause::ChainWait, chain_wait, pc);
+            Self::attribute_mem(probe, lane, pc, before, self.mem.wait_ticks());
         }
         Schedule::stream(first_entry, prev, timing.y)
     }
@@ -1431,7 +1482,7 @@ impl Cpu {
         self.scalar_wait(probe, pc, self.a_ready[usize::from(addr.base.index())]);
         let d = usize::from(dst.index());
         let fence = self.scalar_mem_fence;
-        let entered = self.vector_enter(probe, pc, ins, fence, 0.0, self.vread_until[d][0]);
+        let entered = self.vector_enter(probe, pc, ins, fence, 0, self.vread_until[d][0]);
         let y = entered.timing.y;
         // Element entries chain only on the destination's pending reads.
         let sched = self.vector_stream(
@@ -1441,7 +1492,7 @@ impl Cpu {
             base,
             addr.stride.words(),
             |cpu, e| cpu.vread_until[d][e],
-            |cpu, e, _, granted| cpu.vready[d][e] = q(granted + y),
+            |cpu, e, _, granted| cpu.vready[d][e] = granted + y,
         );
         self.vector_retire(probe, pc, ins, entered, sched);
     }
@@ -1483,14 +1534,14 @@ impl Cpu {
     /// Opens the scalar-memory lane's account for an access starting at
     /// `start`: idle until the issue clock, then the wait for the shared
     /// memory port.
-    fn scalar_mem_open<P: Probe>(&mut self, probe: &mut P, pc: usize, start: f64) {
+    fn scalar_mem_open<P: Probe>(&mut self, probe: &mut P, pc: usize, start: i64) {
         let run = self.acct[Lane::ScalarMem as usize];
-        probe.idle(Lane::ScalarMem, (self.clock - run).max(0.0));
+        probe.idle(Lane::ScalarMem, (self.clock - run).max(0));
         let run = run.max(self.clock);
         probe.stall(
             Lane::ScalarMem,
             StallCause::MemPortConflict,
-            (start - run).max(0.0),
+            (start - run).max(0),
             pc,
         );
     }
@@ -1503,14 +1554,14 @@ impl Cpu {
         &mut self,
         probe: &mut P,
         pc: usize,
-        before: WaitBreakdown,
-        start: f64,
-        done: f64,
+        before: WaitTicks,
+        start: i64,
+        done: i64,
     ) {
-        let after = self.mem.wait_breakdown();
+        let after = self.mem.wait_ticks();
         Self::attribute_mem(probe, Lane::ScalarMem, pc, before, after);
         let mem_wait = after.total() - before.total();
-        let hit = self.config.cache.hit_latency as f64;
+        let hit = self.ticks.cache_hit;
         probe.busy(Lane::ScalarMem, hit, pc);
         probe.stall(
             Lane::ScalarMem,
@@ -1524,12 +1575,12 @@ impl Cpu {
     /// Raises the load/store pipe's fence after a scalar access,
     /// remembering the raise so the next vector memory instruction can
     /// attribute its wait to the shared port.
-    fn fence_vector_stream(&mut self, done: f64) {
+    fn fence_vector_stream(&mut self, done: i64) {
         self.scalar_mem_fence = self.scalar_mem_fence.max(done);
         let slot = pipe_slot(Pipe::LoadStore);
         let p = &mut self.pipes[slot];
         if done > p.next_entry {
-            self.credits[slot].fence = q(self.credits[slot].fence + (done - p.next_entry));
+            self.credits[slot].fence += done - p.next_entry;
             p.next_entry = done;
         }
     }
@@ -1540,7 +1591,7 @@ impl Cpu {
     /// memory instructions — this is what splits chimes (§3.3). A load
     /// hit costs the hit latency; a load miss adds its memory grant and
     /// the miss penalty; a store always writes through to its grant.
-    /// Returns the cycle the access completes.
+    /// Returns the tick the access completes.
     fn scalar_mem<P: Probe>(
         &mut self,
         probe: &mut P,
@@ -1548,24 +1599,24 @@ impl Cpu {
         word: u64,
         hit: bool,
         store: bool,
-    ) -> f64 {
+    ) -> i64 {
         let start = self
             .clock
             .max(self.pipes[pipe_slot(Pipe::LoadStore)].next_entry);
         let before = if P::ENABLED {
             self.scalar_mem_open(probe, pc, start);
-            self.mem.wait_breakdown()
+            self.mem.wait_ticks()
         } else {
-            WaitBreakdown::default()
+            WaitTicks::default()
         };
-        let cache = self.config.cache;
-        let done = q(if store {
-            self.mem.grant(word, start) + cache.hit_latency as f64
+        let (hit_ticks, miss_ticks) = (self.ticks.cache_hit, self.ticks.cache_miss);
+        let done = if store {
+            self.mem.grant(word, start) + hit_ticks
         } else if hit {
-            start + cache.hit_latency as f64
+            start + hit_ticks
         } else {
-            self.mem.grant(word, start) + (cache.hit_latency + cache.miss_penalty) as f64
-        });
+            self.mem.grant(word, start) + hit_ticks + miss_ticks
+        };
         if P::ENABLED {
             self.scalar_mem_close(probe, pc, before, start, done);
         }
@@ -1597,26 +1648,26 @@ impl Cpu {
             key.push(u64::from(u32::from_le_bytes(av.pair_reads)));
             key.push(u64::from(u32::from_le_bytes(av.pair_writes)));
         }
-        // Phases are compared as integer tick residues: the clock is
-        // canonical on the 1/20 grid, so its tick count is exact and the
-        // residues repeat bitwise whenever the true phase repeats.
-        let clock_ticks = (self.clock * TICKS_PER_CYCLE).round() as u64;
-        if mc.refresh_enabled {
-            key.push(clock_ticks % (mc.refresh_period * TICKS_PER_CYCLE as u64));
+        // Phases are the clock's tick residues, which repeat exactly
+        // whenever the true phase repeats.
+        let ticks_per_cycle = TICKS_PER_CYCLE as u64;
+        let clock = self.clock as u64;
+        if mc.refresh_enabled && mc.refresh_period > 0 {
+            key.push(clock % (mc.refresh_period * ticks_per_cycle));
         }
         let pp = mc.contention.pattern_period(mc.banks);
         if pp > 1 {
-            key.push(clock_ticks % (pp * TICKS_PER_CYCLE as u64));
+            key.push(clock % (pp * ticks_per_cycle));
         }
         key
     }
 
-    /// Visits every `f64` timing field fast-forward translates, clock
-    /// first: the CPU's timing state, then the memory system's bank free
-    /// times and wait totals ([`MemorySystem::visit_timing`]). The
-    /// snapshot reads through this one walk and the warp translates
-    /// through it, so their field orders cannot drift apart.
-    fn ff_fields(&mut self, mut visit: impl FnMut(&mut f64)) {
+    /// Visits every timing field fast-forward translates, clock first:
+    /// the CPU's timing state, then the memory system's bank free times
+    /// and wait totals ([`MemorySystem::visit_timing`]). The snapshot
+    /// reads through this one walk and the warp translates through it, so
+    /// their field orders cannot drift apart.
+    fn ff_fields(&mut self, mut visit: impl FnMut(&mut i64)) {
         visit(&mut self.clock);
         visit(&mut self.end);
         visit(&mut self.scalar_mem_fence);
@@ -1664,17 +1715,16 @@ impl Cpu {
         }
     }
 
-    /// Translates every timing field by `k` periods. Deltas are in ticks;
-    /// the translation runs in integer tick arithmetic so it reproduces
-    /// the canonical grid values the naive run would have stored.
+    /// Translates every timing field by `k` periods of its tick delta:
+    /// exactly the values the naive run would have reached.
     fn ff_apply_shift(&mut self, rec: &PeriodRecord, k: u64) {
-        let kf = k as f64;
+        let k_ticks = k as i64;
         let mut deltas = rec.field_deltas.iter();
         self.ff_fields(|f| {
             let d = deltas
                 .next()
                 .expect("snapshot and shift walk the same fields");
-            *f = fastfwd::translate_ticks(*f, *d, kf);
+            *f += k_ticks * d;
         });
         self.mem.ff_apply(rec.mem_accesses, k);
     }
@@ -1747,15 +1797,15 @@ impl Cpu {
             return 0;
         }
         let budget = self.config.max_instructions.saturating_sub(executed) / rec.instructions;
-        // Cap k so every translated field stays far inside the range
-        // where integer f64 arithmetic is exact.
-        let max_d = rec.field_deltas.iter().fold(0.0_f64, |m, d| m.max(d.abs()));
-        let k_cap = if max_d > 0.0 {
-            (1.0e15 / max_d) as u64
-        } else {
-            u64::MAX
-        };
-        let k_max = budget.min(k_cap);
+        // Cap k so no translation can come near the end of the `i64` range.
+        let max_d = rec
+            .field_deltas
+            .iter()
+            .chain(&rec.probe_deltas)
+            .map(|d| d.unsigned_abs())
+            .max()
+            .unwrap_or(0);
+        let k_max = budget.min((i64::MAX as u64 / 4).checked_div(max_d).unwrap_or(u64::MAX));
         // Only vector registers the period writes need checkpointing —
         // everything else it touches is either scalar (cheap to copy) or
         // journaled (memory stores, cache tags).
@@ -1829,7 +1879,7 @@ impl Cpu {
         }
         if k > 0 {
             self.ff_apply_shift(&rec, k);
-            probe.ff_apply(&rec.probe_deltas, k as f64);
+            probe.ff_apply(&rec.probe_deltas, k as i64);
         }
         self.ff.finish_warp();
         k * rec.instructions

@@ -13,38 +13,32 @@
 //! period `m`, and the detector runs a three-snapshot protocol:
 //!
 //! 1. **Measure**: snapshot the full timing state `S0` now and `S1`
-//!    after `m` more arrivals; require every per-field delta to be an
-//!    integer number of *ticks* (1/20 cycle) between two canonical grid
-//!    values ([`grid_exact_delta`]).
+//!    after `m` more arrivals, and take every field's tick delta; the
+//!    clock's must be positive.
 //! 2. **Confirm**: record the executed instruction path for one more
 //!    period and snapshot `S2`; require `S2−S1` to equal `S1−S0`
-//!    bitwise, field for field (including memory-system and probe
-//!    counter deltas).
+//!    field for field (including memory-system and probe counter
+//!    deltas).
 //! 3. **Warp**: replay the recorded path *functionally* (registers,
 //!    memory data, cache tags — no timing) through the same `execute`
 //!    exact stepping uses, journaled for rollback, as long as every step
-//!    reproduces its recorded check; then translate every timing field
-//!    by `k` periods in tick arithmetic and add `k` times the per-period
-//!    deltas to every counter.
+//!    reproduces its recorded check; then add `k` periods of each
+//!    field's delta to every timing field and every counter.
 //!
-//! # Why this is bit-exact
+//! # Why this is exact
 //!
 //! Every timing parameter of the machine — including the 1.35-cycle
 //! reduction element rate — is a multiple of 1/20 cycle, and the
-//! simulator quantizes every stored timestamp to the canonical `f64` of
-//! its 1/20 grid point ([`c240_isa::timing::quantize`]). A stored field
-//! is therefore a pure function of its integer tick count, tick deltas
-//! between snapshots are exact integer `f64` arithmetic below 2⁵³, and
-//! [`translate_ticks`] reproduces bitwise the value the naive run would
-//! have stored after `k` more periods. The key's phase components
-//! guarantee the period's tick delta is a multiple of the refresh
-//! period and of the contention pattern period, so modular clock
-//! arithmetic is preserved too. Anything outside these preconditions —
-//! a field that is somehow not canonical, a changed counter layout, a
-//! changed instruction path or bank-residue pattern — fails a check and
-//! the run falls back to exact element stepping, which is always
-//! correct: missed quantization can only cost engagement, never
-//! exactness.
+//! simulator keeps every time as an integer count of these ticks.
+//! Snapshot deltas and their `k`-fold translation are therefore exact
+//! integer arithmetic, and reproduce the values the naive run would have
+//! reached after `k` more periods. The key's phase components guarantee
+//! the period's clock delta is a multiple of the refresh period and of
+//! the contention pattern period, so modular clock arithmetic is
+//! preserved too. Anything outside these preconditions — a changed
+//! counter layout, a changed instruction path or bank-residue pattern —
+//! fails a check and the run falls back to exact element stepping,
+//! which is always correct.
 
 /// Per-instruction verification payload recorded for one loop period.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,82 +69,44 @@ pub(crate) struct Step {
 pub(crate) struct Snapshot {
     /// Discrete state that must match *exactly* between periods.
     pub key: Vec<u64>,
-    /// Every `f64` timing field, clock first, in the order of the CPU's
-    /// one field walk (memory wait totals included).
-    pub fields: Vec<f64>,
+    /// Every timing field in ticks, clock first, in the order of the
+    /// CPU's one field walk (memory wait totals included).
+    pub fields: Vec<i64>,
     pub mem_accesses: u64,
-    pub probe: Vec<f64>,
+    pub probe: Vec<i64>,
     /// Instructions executed since the start of the run.
     pub executed: u64,
 }
 
 /// The verified per-period deltas plus the recorded instruction path.
-/// All `f64` deltas are in integer *ticks* (1/20 cycle); counts are in
-/// their native units.
+/// Timing deltas are in ticks; counts are in their native units.
 #[derive(Debug, Clone)]
 pub(crate) struct PeriodRecord {
     pub steps: Vec<Step>,
-    pub field_deltas: Vec<f64>,
+    pub field_deltas: Vec<i64>,
     pub mem_accesses: u64,
-    pub probe_deltas: Vec<f64>,
+    pub probe_deltas: Vec<i64>,
     pub instructions: u64,
 }
 
-/// Largest tick magnitude a timing field may reach after translation
-/// while integer `f64` arithmetic is still exact (with margin below 2⁵³).
-const MAX_EXACT: f64 = 4.0e15;
-
-use c240_isa::timing::TICKS_PER_CYCLE;
-
-/// The per-period delta between two timing values, in integer *ticks*
-/// (1/20 cycle, the machine's timing quantum), or `None` when the pair
-/// cannot be translated exactly.
-///
-/// Both endpoints must be the *canonical* `f64` for their grid point
-/// (which [`c240_isa::timing::quantize`] guarantees for every stored
-/// timing field). Canonical endpoints make the value a pure function of
-/// its integer tick count, so `translate_ticks(x, d, k)` reproduces the
-/// naive run's value after `k` periods bitwise.
-fn grid_exact_delta(x: f64, y: f64) -> Option<f64> {
-    let tx = (x * TICKS_PER_CYCLE).round();
-    let ty = (y * TICKS_PER_CYCLE).round();
-    if tx.abs() > MAX_EXACT || ty.abs() > MAX_EXACT {
-        return None;
-    }
-    if (tx / TICKS_PER_CYCLE).to_bits() != x.to_bits()
-        || (ty / TICKS_PER_CYCLE).to_bits() != y.to_bits()
-    {
-        return None;
-    }
-    Some(ty - tx)
-}
-
-/// Translates the canonical grid value `x` by `k` periods of `d_ticks`
-/// ticks each. Exact: the tick arithmetic is integer `f64` below 2⁵³,
-/// and the final division re-canonicalizes.
-pub(crate) fn translate_ticks(x: f64, d_ticks: f64, k: f64) -> f64 {
-    ((x * TICKS_PER_CYCLE).round() + k * d_ticks) / TICKS_PER_CYCLE
+/// Element-wise `b − a`.
+fn deltas(a: &[i64], b: &[i64]) -> Vec<i64> {
+    a.iter().zip(b).map(|(x, y)| y - x).collect()
 }
 
 /// Computes the per-period deltas between two snapshots, or `None` when
-/// the pair cannot prove exact periodicity (key mismatch, non-integer or
-/// non-translatable delta, counter-set changes).
+/// the pair cannot prove periodicity (key mismatch, counter-set changes,
+/// a clock that did not advance).
 pub(crate) fn diff_snapshots(a: &Snapshot, b: &Snapshot) -> Option<PeriodRecord> {
     if a.key != b.key || a.fields.len() != b.fields.len() || a.probe.len() != b.probe.len() {
         return None;
     }
-    let mut field_deltas = Vec::with_capacity(a.fields.len());
-    for (&x, &y) in a.fields.iter().zip(&b.fields) {
-        field_deltas.push(grid_exact_delta(x, y)?);
-    }
+    let field_deltas = deltas(&a.fields, &b.fields);
     // fields[0] is the clock: its tick delta must be strictly positive.
-    if *field_deltas.first()? <= 0.0 {
+    if *field_deltas.first()? <= 0 {
         return None;
     }
-    let mut probe_deltas = Vec::with_capacity(a.probe.len());
-    for (&x, &y) in a.probe.iter().zip(&b.probe) {
-        probe_deltas.push(grid_exact_delta(x, y)?);
-    }
+    let probe_deltas = deltas(&a.probe, &b.probe);
     Some(PeriodRecord {
         steps: Vec::new(),
         field_deltas,
@@ -160,15 +116,11 @@ pub(crate) fn diff_snapshots(a: &Snapshot, b: &Snapshot) -> Option<PeriodRecord>
     })
 }
 
-fn bits_equal(a: &[f64], b: &[f64]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-/// Whether two period measurements agree bitwise (same deltas, same
+/// Whether two period measurements agree exactly (same deltas, same
 /// counters, same path length).
 pub(crate) fn periods_agree(a: &PeriodRecord, b: &PeriodRecord) -> bool {
-    bits_equal(&a.field_deltas, &b.field_deltas)
-        && bits_equal(&a.probe_deltas, &b.probe_deltas)
+    a.field_deltas == b.field_deltas
+        && a.probe_deltas == b.probe_deltas
         && a.mem_accesses == b.mem_accesses
         && a.instructions == b.instructions
 }
@@ -429,7 +381,7 @@ pub(crate) enum SnapshotWhy {
 mod tests {
     use super::*;
 
-    fn snap(fields: Vec<f64>, executed: u64) -> Snapshot {
+    fn snap(fields: Vec<i64>, executed: u64) -> Snapshot {
         Snapshot {
             key: vec![1, 2],
             fields,
@@ -441,70 +393,52 @@ mod tests {
 
     #[test]
     fn integer_deltas_accepted_in_ticks() {
-        let a = snap(vec![100.0, 5.0, 0.0], 50);
-        let b = snap(vec![632.0, 537.0, 0.0], 63);
+        // Cycles 100 and 5 to 632 and 537: 532 cycles each.
+        let a = snap(vec![2000, 100, 0], 50);
+        let b = snap(vec![12640, 10740, 0], 63);
         let rec = diff_snapshots(&a, &b).unwrap();
-        assert_eq!(rec.field_deltas, vec![10640.0, 10640.0, 0.0]);
+        assert_eq!(rec.field_deltas, vec![10640, 10640, 0]);
         assert_eq!(rec.instructions, 13);
         assert_eq!(rec.mem_accesses, 130);
     }
 
     #[test]
     fn grid_deltas_accepted() {
-        // Half cycles and 1.35-cycle reduction steps are grid points.
-        let a = snap(vec![100.0, 5.0], 1);
-        let b = snap(vec![637.5, 542.5], 2);
+        // Half cycles and 1.35-cycle reduction steps are whole ticks.
+        let a = snap(vec![2000, 100], 1);
+        let b = snap(vec![12750, 10850], 2);
         let rec = diff_snapshots(&a, &b).unwrap();
-        assert_eq!(rec.field_deltas, vec![10750.0, 10750.0]);
-        let a = snap(vec![0.0], 1);
-        let b = snap(vec![1.35], 2);
-        assert_eq!(diff_snapshots(&a, &b).unwrap().field_deltas, vec![27.0]);
-    }
-
-    #[test]
-    fn off_grid_value_rejected() {
-        let a = snap(vec![100.0], 1);
-        let b = snap(vec![150.51], 2);
-        assert!(diff_snapshots(&a, &b).is_none());
-    }
-
-    #[test]
-    fn non_canonical_grid_value_rejected() {
-        // 0.1 + 0.2 is near the 0.3 grid point but not its canonical
-        // representation; tick translation could not reproduce it.
-        let drifted: f64 = 0.1 + 0.2;
-        assert_ne!(drifted.to_bits(), 0.3f64.to_bits());
-        let a = snap(vec![0.0], 1);
-        let b = snap(vec![drifted], 2);
-        assert!(diff_snapshots(&a, &b).is_none());
-        // translate_ticks on canonical inputs lands on canonical outputs.
-        assert_eq!(translate_ticks(0.3, 27.0, 2.0), 3.0);
-        assert_eq!(translate_ticks(0.0, 6.0, 1.0), 0.3);
+        assert_eq!(rec.field_deltas, vec![10750, 10750]);
+        let a = snap(vec![0], 1);
+        let b = snap(vec![27], 2);
+        assert_eq!(diff_snapshots(&a, &b).unwrap().field_deltas, vec![27]);
     }
 
     #[test]
     fn key_mismatch_rejected() {
-        let a = snap(vec![100.0], 1);
-        let mut b = snap(vec![500.0], 2);
+        let a = snap(vec![2000], 1);
+        let mut b = snap(vec![10000], 2);
         b.key = vec![9];
         assert!(diff_snapshots(&a, &b).is_none());
     }
 
     #[test]
     fn non_advancing_clock_rejected() {
-        let a = snap(vec![100.0], 1);
-        let b = snap(vec![100.0], 2);
+        let a = snap(vec![2000], 1);
+        let b = snap(vec![2000], 2);
         assert!(diff_snapshots(&a, &b).is_none());
     }
 
     #[test]
     fn periods_agree_is_bitwise() {
-        let a = snap(vec![0.0, 1.0], 0);
-        let b = snap(vec![532.0, 533.0], 10);
-        let c = snap(vec![1064.0, 1065.0], 20);
+        let a = snap(vec![0, 20], 0);
+        let b = snap(vec![10640, 10660], 10);
+        let c = snap(vec![21280, 21300], 20);
         let r1 = diff_snapshots(&a, &b).unwrap();
         let r2 = diff_snapshots(&b, &c).unwrap();
         assert!(periods_agree(&r1, &r2));
+        let d = snap(vec![31921, 31940], 30);
+        assert!(!periods_agree(&r2, &diff_snapshots(&c, &d).unwrap()));
     }
 
     #[test]
@@ -517,12 +451,12 @@ mod tests {
             ff.arrival(7, 42),
             ArrivalAction::Snapshot(SnapshotWhy::Base)
         );
-        ff.begin(snap(vec![100.0], 10));
+        ff.begin(snap(vec![2000], 10));
         assert_eq!(
             ff.arrival(7, 42),
             ArrivalAction::Snapshot(SnapshotWhy::Measure)
         );
-        ff.measure(snap(vec![632.0], 20));
+        ff.measure(snap(vec![12640], 20));
         assert!(ff.is_recording());
         ff.push_step(Step {
             pc: 7,
@@ -532,27 +466,27 @@ mod tests {
             ff.arrival(7, 42),
             ArrivalAction::Snapshot(SnapshotWhy::Confirm)
         );
-        assert!(ff.confirm(snap(vec![1164.0], 30)));
+        assert!(ff.confirm(snap(vec![23280], 30)));
         let rec = ff.record.clone().unwrap();
-        assert_eq!(rec.field_deltas, vec![10640.0]);
+        assert_eq!(rec.field_deltas, vec![10640]);
         assert_eq!(rec.steps.len(), 1);
     }
 
-    /// Drives one failing candidate (off-grid measure value) at `pc`.
+    /// Drives one failing candidate (a clock that did not advance) at
+    /// `pc`.
     fn fail_candidate_at(ff: &mut FastForward, pc: usize) {
         loop {
             if let ArrivalAction::Snapshot(SnapshotWhy::Base) = ff.arrival(pc, 1) {
                 break;
             }
         }
-        ff.begin(snap(vec![100.0], 1));
+        ff.begin(snap(vec![2000], 1));
         loop {
             if let ArrivalAction::Snapshot(SnapshotWhy::Measure) = ff.arrival(pc, 1) {
                 break;
             }
         }
-        // Off-grid value → fail.
-        ff.measure(snap(vec![150.51], 2));
+        ff.measure(snap(vec![2000], 2));
     }
 
     #[test]

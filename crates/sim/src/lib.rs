@@ -63,7 +63,7 @@ pub use error::SimError;
 pub use machine::Machine;
 pub use stats::{ClassCounts, RunStats, StallRollup};
 pub use trace::{Trace, TraceEvent};
-pub use validate::{ConfigError, MAX_CPUS};
+pub use validate::{ConfigError, MAX_CPUS, MAX_TIMING_CYCLES};
 
 // Telemetry: drive [`Cpu::run_probed`] with a probe to get a per-lane
 // cycle attribution (see the `c240-obs` crate for the taxonomy).

@@ -65,6 +65,7 @@
 use c240_mem::BankState;
 use c240_obs::{NoProbe, Probe};
 
+use c240_isa::timing::TICKS_PER_CYCLE;
 use c240_isa::Program;
 
 use crate::config::SimConfig;
@@ -202,7 +203,8 @@ impl Machine {
             // winner's issue clock (it holds the minimum); claims well
             // behind it are dead weight. The margin generously covers
             // any pipeline-internal earliest below the issue clock.
-            self.shared.set_horizon(self.cpus[i].issue_clock() - 512.0);
+            self.shared
+                .set_horizon(self.cpus[i].issue_clock() - 512 * TICKS_PER_CYCLE);
             self.cpus[i].mem_mut().swap_bank_state(&mut self.shared);
             let stepped = self.cpus[i].step_one(&programs[i], &mut probes[i], &mut cursors[i]);
             // Swap the shared state back out before propagating an error

@@ -240,19 +240,20 @@ mod tests {
     #[test]
     fn stall_rollup_splits_sides() {
         use c240_obs::{Probe, StallCause};
+        const T: i64 = c240_isa::timing::TICKS_PER_CYCLE;
         let mut p = CounterProbe::new();
-        p.busy(Lane::Ld, 10.0, 1);
-        p.busy(Lane::Add, 4.0, 2);
-        p.busy(Lane::Mul, 6.0, 3);
-        p.stall(Lane::Ld, StallCause::BankBusy, 2.0, 1);
-        p.stall(Lane::ScalarMem, StallCause::ScalarCacheMiss, 1.0, 4);
-        p.stall(Lane::Mul, StallCause::PairConflict, 4.0, 3);
+        p.busy(Lane::Ld, 10 * T, 1);
+        p.busy(Lane::Add, 4 * T, 2);
+        p.busy(Lane::Mul, 6 * T, 3);
+        p.stall(Lane::Ld, StallCause::BankBusy, 2 * T, 1);
+        p.stall(Lane::ScalarMem, StallCause::ScalarCacheMiss, T, 4);
+        p.stall(Lane::Mul, StallCause::PairConflict, 4 * T, 3);
         // Neither side: chain waits shadow their producer's streaming
         // time; scalar issue interlocks are loop overhead; ld-lane
         // bubbles are not FP-lane stalls.
-        p.stall(Lane::Add, StallCause::ChainWait, 3.0, 2);
-        p.stall(Lane::Scalar, StallCause::IssueInterlock, 9.0, 5);
-        p.stall(Lane::Ld, StallCause::TailgateBubble, 5.0, 1);
+        p.stall(Lane::Add, StallCause::ChainWait, 3 * T, 2);
+        p.stall(Lane::Scalar, StallCause::IssueInterlock, 9 * T, 5);
+        p.stall(Lane::Ld, StallCause::TailgateBubble, 5 * T, 1);
         let r = StallRollup::of_probe(&p);
         assert_eq!(r.ld_busy, 10.0);
         assert_eq!(r.fp_busy, 6.0);

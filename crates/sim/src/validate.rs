@@ -11,7 +11,7 @@
 use std::error::Error;
 use std::fmt;
 
-use c240_isa::timing::TimingClass;
+use c240_isa::timing::{exact_ticks, TimingClass};
 use c240_mem::MemConfigError;
 
 use crate::config::SimConfig;
@@ -20,6 +20,12 @@ use crate::config::SimConfig;
 /// C-240 has four; the cap bounds the per-CPU data-space allocation a
 /// hostile sweep point could request.
 pub const MAX_CPUS: u32 = 16;
+
+/// Largest accepted scalar or vector timing value, in cycles. The
+/// C-240's longest is the 72-cycle divide latency `Y`; the cap keeps
+/// every time the simulator derives from these values far inside its
+/// `i64` tick range.
+pub const MAX_TIMING_CYCLES: f64 = 1_048_576.0;
 
 /// A constraint violation in a [`SimConfig`].
 #[derive(Debug, Clone, PartialEq)]
@@ -44,19 +50,32 @@ pub enum ConfigError {
     /// `max_instructions == 0`: the runaway-loop guard would reject
     /// every program immediately.
     ZeroMaxInstructions,
-    /// A scalar-timing field that is NaN, infinite, or negative.
+    /// A scalar-timing field that is NaN, infinite, negative, or above
+    /// [`MAX_TIMING_CYCLES`].
     BadScalarTiming {
         /// Name of the offending [`crate::ScalarTiming`] field.
         field: &'static str,
         /// The offending value.
         value: f64,
     },
-    /// A vector-timing parameter (X/Y/Z/B) that is NaN, infinite, or
-    /// negative.
+    /// A vector-timing parameter (X/Y/Z/B) that is NaN, infinite,
+    /// negative, or above [`MAX_TIMING_CYCLES`].
     BadVectorTiming {
         /// The timing class the parameter belongs to.
         class: TimingClass,
         /// Which of X/Y/Z/B is bad.
+        field: &'static str,
+        /// The offending value.
+        value: f64,
+    },
+    /// A scalar or vector timing value that is not a whole number of
+    /// ticks (1/20 cycle), such as a reduction `Z` of 1.33. The simulator
+    /// counts time in ticks and would run such a value rounded.
+    OffGridTiming {
+        /// The timing class, for a vector parameter; `None` for a
+        /// scalar field.
+        class: Option<TimingClass>,
+        /// Name of the offending field or parameter.
         field: &'static str,
         /// The offending value.
         value: f64,
@@ -90,7 +109,8 @@ impl fmt::Display for ConfigError {
             ConfigError::BadScalarTiming { field, value } => {
                 write!(
                     f,
-                    "scalar timing field `{field}` is {value}; it must be finite and >= 0"
+                    "scalar timing field `{field}` is {value}; it must be finite, >= 0 \
+                     and at most {MAX_TIMING_CYCLES}"
                 )
             }
             ConfigError::BadVectorTiming {
@@ -100,7 +120,25 @@ impl fmt::Display for ConfigError {
             } => write!(
                 f,
                 "vector timing parameter {field} of class {class:?} is {value}; \
-                 it must be finite and >= 0"
+                 it must be finite, >= 0 and at most {MAX_TIMING_CYCLES}"
+            ),
+            ConfigError::OffGridTiming {
+                class: Some(class),
+                field,
+                value,
+            } => write!(
+                f,
+                "vector timing parameter {field} of class {class:?} is {value}, \
+                 not a whole number of 1/20-cycle ticks"
+            ),
+            ConfigError::OffGridTiming {
+                class: None,
+                field,
+                value,
+            } => write!(
+                f,
+                "scalar timing field `{field}` is {value}, \
+                 not a whole number of 1/20-cycle ticks"
             ),
             ConfigError::MoreCpusThanPorts { cpus, ports } => write!(
                 f,
@@ -202,16 +240,30 @@ impl SimConfig {
             ("fp_div_latency", self.scalar.fp_div_latency),
         ];
         for (field, value) in scalar {
-            if !value.is_finite() || value < 0.0 {
+            if !in_range(value) {
                 return Err(ConfigError::BadScalarTiming { field, value });
+            }
+            if exact_ticks(value).is_none() {
+                return Err(ConfigError::OffGridTiming {
+                    class: None,
+                    field,
+                    value,
+                });
             }
         }
         for class in TimingClass::all() {
             let t = self.timing.get(class);
             for (field, value) in [("X", t.x), ("Y", t.y), ("Z", t.z), ("B", t.b)] {
-                if !value.is_finite() || value < 0.0 {
+                if !in_range(value) {
                     return Err(ConfigError::BadVectorTiming {
                         class,
+                        field,
+                        value,
+                    });
+                }
+                if exact_ticks(value).is_none() {
+                    return Err(ConfigError::OffGridTiming {
+                        class: Some(class),
                         field,
                         value,
                     });
@@ -222,6 +274,11 @@ impl SimConfig {
         self.cache.validate()?;
         Ok(())
     }
+}
+
+/// Whether a timing value is finite and in `[0, MAX_TIMING_CYCLES]`.
+fn in_range(value: f64) -> bool {
+    (0.0..=MAX_TIMING_CYCLES).contains(&value)
 }
 
 #[cfg(test)]
@@ -327,6 +384,58 @@ mod tests {
             c.validate().unwrap_err().root(),
             ConfigError::BadVectorTiming { field: "X", .. }
         ));
+    }
+
+    #[test]
+    fn timing_values_must_be_whole_ticks() {
+        // Z = 1.35 is 27 ticks; 1.33 is 26.6 and would run as 1.35.
+        let mut c = SimConfig::c240();
+        let mut t = c.timing.get(TimingClass::Reduction);
+        t.z = 1.33;
+        c.timing.set(TimingClass::Reduction, t);
+        let err = c.validate().unwrap_err();
+        assert_eq!(
+            err.root(),
+            &ConfigError::OffGridTiming {
+                class: Some(TimingClass::Reduction),
+                field: "Z",
+                value: 1.33
+            }
+        );
+        assert!(err.to_string().contains("1/20-cycle"), "{err}");
+        // The f64 sum 0.1 + 0.2 is near the 0.3-cycle grid point but is
+        // not the value 6 ticks read out as.
+        let mut c = SimConfig::c240();
+        c.scalar.issue = 0.1 + 0.2;
+        assert!(matches!(
+            c.validate().unwrap_err().root(),
+            ConfigError::OffGridTiming {
+                class: None,
+                field: "issue",
+                ..
+            }
+        ));
+        // Past the range cap, a value is out of range, not off grid.
+        let mut c = SimConfig::c240();
+        c.scalar.fp_div_latency = 2.0 * MAX_TIMING_CYCLES;
+        assert!(matches!(
+            c.validate().unwrap_err().root(),
+            ConfigError::BadScalarTiming { .. }
+        ));
+        // Every preset under every ablation is on the grid.
+        for name in c240_isa::PRESET_NAMES {
+            let machine = c240_isa::MachineDescription::preset(name).expect("preset");
+            let base = SimConfig::for_machine(&machine);
+            for config in [
+                base.clone(),
+                base.clone().without_chaining(),
+                base.clone().without_bubbles(),
+                base.clone().without_refresh(),
+                base.clone().without_pair_constraint(),
+            ] {
+                assert_eq!(config.validate(), Ok(()), "{name}");
+            }
+        }
     }
 
     #[test]

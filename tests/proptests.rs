@@ -392,35 +392,34 @@ fn memory_grants_are_monotone_and_deterministic() {
             .map(|_| rng.range_u64(0, 4096))
             .collect();
         let delay = rng.range_u64(0, 16);
+        // Times are in ticks, 20 per cycle.
+        let cycle = 20;
         let mut early = MemorySystem::new(MemConfig::c240());
         let mut late = MemorySystem::new(MemConfig::c240());
-        let mut t_early = 0.0;
-        let mut t_late = delay as f64;
+        let mut t_early = 0;
+        let mut t_late = delay as i64 * cycle;
         for &a in &addrs {
             let (g1, _) = early.read(a, t_early);
             let (g2, _) = late.read(a, t_late);
-            assert!(
-                g2 + 1e-9 >= g1,
-                "seed {seed}: later request granted earlier"
-            );
-            t_early = g1 + 1.0;
-            t_late = g2 + 1.0;
+            assert!(g2 >= g1, "seed {seed}: later request granted earlier");
+            t_early = g1 + cycle;
+            t_late = g2 + cycle;
         }
         // Determinism.
         let mut again = MemorySystem::new(MemConfig::c240());
-        let mut t = 0.0;
+        let mut t = 0;
         let mut grants = Vec::new();
         for &a in &addrs {
             let (g, _) = again.read(a, t);
             grants.push(g);
-            t = g + 1.0;
+            t = g + cycle;
         }
         let mut once_more = MemorySystem::new(MemConfig::c240());
-        let mut t2 = 0.0;
+        let mut t2 = 0;
         for (&a, &g) in addrs.iter().zip(&grants) {
             let (gg, _) = once_more.read(a, t2);
             assert_eq!(gg, g, "seed {seed}");
-            t2 = gg + 1.0;
+            t2 = gg + cycle;
         }
     }
 }
