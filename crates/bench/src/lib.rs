@@ -1,5 +1,5 @@
 //! The MACS sweep service: the fault-tolerant sweep server
-//! ([`serve`]), the multi-process coordinator ([`coordinate`]), and the
+//! ([`mod@serve`]), the multi-process coordinator ([`coordinate`]), and the
 //! line and socket plumbing they share ([`lineio`], [`transport`]). The
 //! `macs-bench` binary exposes both services; `sweepbench/` at the
 //! repository root is the benchmark that measures them. The crate also

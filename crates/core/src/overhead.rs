@@ -1,6 +1,6 @@
 //! Outer-loop and startup overhead modeling — the extension the paper
 //! points to for its unexplained kernels (§4.4, LFK2: "Outer loop
-//! overhead and scalar code could be modeled as in [5]").
+//! overhead and scalar code could be modeled as in \[5\]").
 //!
 //! The steady-state MACS bound deliberately ignores everything that
 //! happens *between* entries of the vectorized inner loop: the scalar

@@ -80,7 +80,7 @@ pub fn threads() -> usize {
 /// **lowest failing input index** and the original message — instead of
 /// poisoning the scope join and losing which input failed. (Supervised
 /// evaluation that *recovers* from per-point panics is
-/// [`crate::supervise`]'s job; this map stays all-or-nothing.)
+/// [`mod@crate::supervise`]'s job; this map stays all-or-nothing.)
 pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,

@@ -2,9 +2,11 @@
 //! under its machine's roof, with the analytic classification
 //! cross-checked against the measured stall taxonomy (DESIGN.md §16).
 //!
-//! Each row carries both intensities of [`macs_core::roofline`] — the
-//! MA intensity (where a perfectly compiled kernel could sit) and the
-//! compiled intensity (where the generated code does sit, and what the
+//! Each row carries both intensities of `macs_core`'s roofline model
+//! ([`macs_core::operational_intensity`] and
+//! [`macs_core::compiled_intensity`]) — the MA intensity (where a
+//! perfectly compiled kernel could sit) and the compiled intensity
+//! (where the generated code does sit, and what the
 //! [`macs_core::BoundClass`] is judged on) — plus a probed
 //! [`RooflineVerdict`]: single-CPU rows use the probed measurement
 //! path, multi-CPU rows a probed lockstep co-simulation, so *every*

@@ -1,56 +1,81 @@
 //! Co-simulation integration suite: the multi-CPU machine's accounting
 //! invariants, its bit-exact single-CPU degeneration, and determinism.
 
+use c240_isa::timing::exact_ticks;
+use c240_isa::PRESET_NAMES;
+use c240_mem::WaitTicks;
+use c240_obs::{LaneAccount, StallCause};
 use c240_sim::{CoSimProbes, CounterProbe, Cpu, Machine, SimConfig};
 use macs_experiments::cosim::{run_cosim, Mix};
-
-/// Everything the simulator reports lives on the canonical 1/20-cycle
-/// grid.
-fn on_grid(x: f64) -> bool {
-    let t = x * 20.0;
-    (t - t.round()).abs() < 1e-6
-}
+use macs_experiments::sweep::GridSpec;
 
 fn kernel(id: u32) -> Box<dyn lfk_suite::LfkKernel> {
     lfk_suite::by_id(id).expect("curated kernel id")
 }
 
 /// A 1-CPU machine is the legacy simulator: identical `RunStats` *and*
-/// identical per-lane / per-pc stall attribution, fast-forward included.
+/// identical per-lane / per-pc stall attribution, fast-forward included,
+/// for every LFK kernel on every machine preset under every ablation.
 #[test]
 fn single_cpu_cosim_is_bit_identical_to_legacy() {
-    for id in [1u32, 2, 7, 12] {
-        let k = kernel(id);
-        let program = k.program();
+    let mut compared = 0;
+    for machine in PRESET_NAMES {
+        let grid = GridSpec {
+            machine: Some(machine.to_string()),
+            ..GridSpec::default()
+        };
+        for point in grid.points() {
+            let config = point.config(&SimConfig::c240()).expect("preset");
+            let k = kernel(point.kernel);
+            let program = k.program();
 
-        let mut cpu = Cpu::new(SimConfig::c240());
-        k.setup(&mut cpu);
-        let mut legacy_probe = CounterProbe::new();
-        let legacy = cpu
-            .run_probed(&program, &mut legacy_probe)
-            .expect("legacy run");
+            let mut cpu = Cpu::new(config.clone());
+            k.setup(&mut cpu);
+            let mut legacy_probe = CounterProbe::new();
+            let legacy = cpu
+                .run_probed(&program, &mut legacy_probe)
+                .expect("legacy run");
 
-        let mut machine = Machine::new(SimConfig::c240().with_cpus(1));
-        k.setup(machine.cpu_mut(0));
-        let mut probes = CoSimProbes::new(1);
-        let stats = machine
-            .run_probed(std::slice::from_ref(&program), probes.as_mut_slice())
-            .expect("co-sim run");
+            let mut machine = Machine::new(config.with_cpus(1));
+            k.setup(machine.cpu_mut(0));
+            let mut probes = CoSimProbes::new(1);
+            let stats = machine
+                .run_probed(std::slice::from_ref(&program), probes.as_mut_slice())
+                .expect("co-sim run");
 
-        assert_eq!(stats.len(), 1);
-        assert_eq!(stats[0], legacy, "LFK{id}: RunStats must be bit-identical");
-        assert_eq!(
-            *probes.cpu(0),
-            legacy_probe,
-            "LFK{id}: stall attribution must be bit-identical"
-        );
+            let id = &point.id;
+            assert_eq!(stats.len(), 1);
+            assert_eq!(stats[0], legacy, "{id}: RunStats must be bit-identical");
+            assert_eq!(
+                *probes.cpu(0),
+                legacy_probe,
+                "{id}: stall attribution must be bit-identical"
+            );
+            compared += 1;
+        }
     }
+    assert_eq!(compared, 3 * 10 * 5);
 }
 
-/// Per-CPU accounting stays exact under contention: each CPU's wait
-/// breakdown sums to its wait total, each lane's busy+stalls+idle covers
-/// its wall clock, and the per-CPU counters sum to the shared bank
-/// state's machine totals — all on the quantized grid.
+/// `cycles` as exact ticks; every simulated time is a whole number of
+/// them.
+fn ticks(cycles: f64) -> i64 {
+    exact_ticks(cycles).unwrap_or_else(|| panic!("{cycles} is off the 1/20-cycle grid"))
+}
+
+/// A lane's busy, stalled and idle time in ticks.
+fn accounted_ticks(acct: LaneAccount) -> i64 {
+    let stalls: i64 = StallCause::ALL
+        .iter()
+        .map(|&c| ticks(acct.stalls.get(c)))
+        .sum();
+    ticks(acct.busy) + stalls + ticks(acct.idle)
+}
+
+/// Per-CPU accounting stays exact under contention, in ticks: each CPU's
+/// wait breakdown is its memory system's wait ticks, each lane's
+/// busy+stalls+idle covers its wall clock, and the per-CPU counters sum
+/// to the shared bank state's machine totals.
 #[test]
 fn wait_breakdown_invariants_under_cosim() {
     let cpus = 4usize;
@@ -71,55 +96,35 @@ fn wait_breakdown_invariants_under_cosim() {
         .expect("co-sim run");
 
     let mut acc_sum = 0u64;
-    let mut wait_sum = 0.0f64;
-    let mut bank_sum = 0.0f64;
-    let mut refresh_sum = 0.0f64;
-    let mut cont_sum = 0.0f64;
+    let mut wait_sum = WaitTicks::default();
+    let mut cycle_sum = 0i64;
     for (i, s) in stats.iter().enumerate() {
-        let w = s.memory_waits;
-        assert!(
-            (w.total() - s.memory_wait_cycles).abs() < 1e-9,
-            "cpu {i}: breakdown total {} != wait cycles {}",
+        let w = machine.cpu(i).mem().wait_ticks();
+        assert_eq!(s.memory_waits, w.cycles(), "cpu {i}: breakdown");
+        assert_eq!(
+            ticks(s.memory_wait_cycles),
             w.total(),
-            s.memory_wait_cycles
+            "cpu {i}: wait total"
         );
-        for x in [w.bank_busy, w.refresh, w.contention, s.cycles] {
-            assert!(on_grid(x), "cpu {i}: {x} is off the 1/20-cycle grid");
-        }
+        let cycles = ticks(s.cycles);
         for (lane, acct) in probes.cpu(i).lanes() {
-            let accounted = acct.accounted();
-            assert!(
-                (accounted - s.cycles).abs() < 1e-6 * s.cycles.max(1.0),
-                "cpu {i} lane {lane}: accounted {accounted} != cycles {}",
-                s.cycles
-            );
+            assert_eq!(accounted_ticks(acct), cycles, "cpu {i} lane {lane}");
         }
         acc_sum += s.memory_accesses;
-        wait_sum += s.memory_wait_cycles;
-        bank_sum += w.bank_busy;
-        refresh_sum += w.refresh;
-        cont_sum += w.contention;
+        wait_sum += w;
+        cycle_sum += cycles;
     }
 
     let shared = machine.shared();
     assert_eq!(shared.access_count(), acc_sum);
-    let sw = shared.wait_breakdown();
-    assert!((shared.wait_cycles() - wait_sum).abs() < 1e-6);
-    assert!((sw.bank_busy - bank_sum).abs() < 1e-6);
-    assert!((sw.refresh - refresh_sum).abs() < 1e-6);
-    assert!((sw.contention - cont_sum).abs() < 1e-6);
+    assert_eq!(shared.wait_ticks(), wait_sum);
+    assert_eq!(ticks(shared.wait_cycles()), wait_sum.total());
     // Neighbors really did collide.
-    assert!(sw.contention > 0.0, "mixed co-sim must show contention");
+    assert!(wait_sum.contention > 0, "mixed co-sim must show contention");
 
     // The machine roll-up preserves the partition against summed clocks.
-    let combined = probes.combined();
-    let total_cycles: f64 = stats.iter().map(|s| s.cycles).sum();
-    for (lane, acct) in combined.lanes() {
-        assert!(
-            (acct.accounted() - total_cycles).abs() < 1e-6 * total_cycles,
-            "combined lane {lane}: accounted {} != summed cycles {total_cycles}",
-            acct.accounted()
-        );
+    for (lane, acct) in probes.combined().lanes() {
+        assert_eq!(accounted_ticks(acct), cycle_sum, "combined lane {lane}");
     }
 }
 

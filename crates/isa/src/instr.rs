@@ -641,7 +641,7 @@ impl Instruction {
     /// Read/write counts against each vector register *pair*, used to check
     /// the ≤2-reads/≤1-write chime constraint of §3.3.
     ///
-    /// Returns `(reads, writes)` indexed by [`RegPair::index`].
+    /// Returns `(reads, writes)` indexed by [`RegPair::index`](crate::RegPair::index).
     pub fn pair_usage(&self) -> ([u8; 4], [u8; 4]) {
         let mut reads = [0u8; 4];
         let mut writes = [0u8; 4];

@@ -207,6 +207,7 @@ impl ContentionConfig {
 
     /// The end tick of the latest claim blocking a grant to `bank` at
     /// tick `t`, if any stream blocks it.
+    #[inline]
     pub fn blocking_claim_end(&self, bank: u32, banks: u32, t: i64, claim_len: i64) -> Option<i64> {
         self.streams
             .iter()

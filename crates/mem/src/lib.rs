@@ -12,6 +12,9 @@
 //! cycle-level simulator: each access names a word address and an earliest
 //! start time, and receives the granted time back, after bank busy time,
 //! refresh windows and background [`ContentionStream`]s are honored.
+//! A vector load or store is granted as a whole stream by
+//! [`MemorySystem::grant_stream`], element by element exactly as
+//! [`MemorySystem::grant`] would grant each one.
 //! Times are exact integer *ticks*, 20 per cycle (the machine's 1/20-cycle
 //! timing quantum); read-outs such as [`MemorySystem::wait_cycles`] convert
 //! to cycles.
@@ -45,7 +48,7 @@ mod validate;
 
 pub use cache::{CacheConfig, ScalarCache};
 pub use contention::{ContentionConfig, ContentionStream};
-pub use system::{BankState, MemConfig, MemorySystem, WaitBreakdown, WaitTicks};
+pub use system::{BankState, MemConfig, MemorySystem, StreamGrants, WaitBreakdown, WaitTicks};
 pub use validate::{MemConfigError, MAX_BANKS, MAX_BANK_BUSY, MAX_REFRESH_PERIOD, MAX_WORDS};
 
 /// Ticks per cycle of the machine's timing quantum. Private copy of

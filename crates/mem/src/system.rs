@@ -117,8 +117,6 @@ pub struct BankState {
     horizon: i64,
     /// Machine-wide accesses across all views.
     accesses: u64,
-    /// Machine-wide wait ticks across all views.
-    waited: i64,
     /// Machine-wide wait breakdown across all views.
     breakdown: WaitTicks,
 }
@@ -137,7 +135,6 @@ impl BankState {
             multiport: false,
             horizon: 0,
             accesses: 0,
-            waited: 0,
             breakdown: WaitTicks::default(),
         }
     }
@@ -181,7 +178,6 @@ impl BankState {
         }
         self.horizon = 0;
         self.accesses = 0;
-        self.waited = 0;
         self.breakdown = WaitTicks::default();
     }
 
@@ -192,13 +188,19 @@ impl BankState {
 
     /// Total wait cycles across every view sharing this state.
     pub fn wait_cycles(&self) -> f64 {
-        cycles(self.waited)
+        cycles(self.breakdown.total())
     }
 
     /// The machine-wide wait breakdown across every view sharing this
     /// state. Per-view breakdowns sum to this exactly.
     pub fn wait_breakdown(&self) -> WaitBreakdown {
         self.breakdown.cycles()
+    }
+
+    /// The machine-wide wait split by cause, in ticks. Per-view
+    /// [`MemorySystem::wait_ticks`] sum to this exactly.
+    pub fn wait_ticks(&self) -> WaitTicks {
+        self.breakdown
     }
 }
 
@@ -222,7 +224,6 @@ pub struct MemorySystem {
     bank: BankState,
     view: u32,
     accesses: u64,
-    waited: i64,
     breakdown: WaitTicks,
 }
 
@@ -262,6 +263,27 @@ pub struct WaitTicks {
     pub contention: i64,
 }
 
+impl std::ops::AddAssign for WaitTicks {
+    fn add_assign(&mut self, other: WaitTicks) {
+        self.bank_busy += other.bank_busy;
+        self.refresh += other.refresh;
+        self.contention += other.contention;
+    }
+}
+
+impl std::ops::Sub for WaitTicks {
+    type Output = WaitTicks;
+
+    /// The waits accrued between an earlier read-out and this one.
+    fn sub(self, earlier: WaitTicks) -> WaitTicks {
+        WaitTicks {
+            bank_busy: self.bank_busy - earlier.bank_busy,
+            refresh: self.refresh - earlier.refresh,
+            contention: self.contention - earlier.contention,
+        }
+    }
+}
+
 impl WaitTicks {
     /// Sum of all causes.
     pub fn total(&self) -> i64 {
@@ -294,6 +316,158 @@ enum Wait {
     Contention,
 }
 
+/// What [`MemorySystem::grant_stream`] reports about a granted stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StreamGrants {
+    /// The tick element 0 was granted (the stream's `entry0` when it is
+    /// empty).
+    pub first: i64,
+    /// The tick the last element was granted.
+    pub last: i64,
+    /// Ticks the elements' requests waited on their `chain` terms beyond
+    /// the previous grant plus `z`, summed.
+    pub chain_wait: i64,
+    /// The stream's memory waits by cause, already added to the view's
+    /// and the shared breakdown.
+    pub waits: WaitTicks,
+}
+
+/// The refresh windows as a cursor: `start` is the first tick of the
+/// refresh period holding the latest tick asked about. The searches of a
+/// stream paced by a non-negative `z` only ask about later ticks, so the
+/// cursor only moves forward, and it divides only when a search leaves
+/// the current period.
+#[derive(Clone, Copy)]
+struct RefreshWindows {
+    period: i64,
+    len: i64,
+    start: i64,
+}
+
+impl RefreshWindows {
+    /// Whether tick `t` (not negative) falls inside a refresh window.
+    fn blocks(&mut self, t: i64) -> bool {
+        let mut into = t - self.start;
+        if !(0..self.period).contains(&into) {
+            into = t % self.period;
+            self.start = t - into;
+        }
+        into < self.len
+    }
+}
+
+/// One view's grant search over the bank state, borrowed apart from the
+/// rest of the memory system for one access or one stream: the one search
+/// body behind [`MemorySystem::grant`] and [`MemorySystem::grant_stream`].
+/// Its borrows alias nothing else, so a stream's walk keeps them in
+/// registers. Waits collect in `waits` until the caller counts them.
+struct Port<'a> {
+    free: &'a mut [i64],
+    owner: &'a mut [u32],
+    claims: &'a mut [Vec<(i64, u32)>],
+    multiport: bool,
+    horizon: i64,
+    contention: &'a ContentionConfig,
+    banks: u32,
+    busy: i64,
+    view: u32,
+    refresh: Option<RefreshWindows>,
+    waits: WaitTicks,
+}
+
+impl Port<'_> {
+    /// Finds the earliest tick from `earliest` on at which `bank` is free
+    /// of claims, refresh and background contention, charges each wait
+    /// to its cause, and claims the bank from that tick. The refresh
+    /// cursor must not have been asked about a later tick than
+    /// `earliest`.
+    #[inline(always)]
+    fn search(&mut self, bank: usize, earliest: i64) -> i64 {
+        let busy = self.busy;
+        let mut t = earliest;
+        let mut guard = 0u32;
+        loop {
+            guard += 1;
+            assert!(
+                guard < 100_000,
+                "memory grant search did not converge (bank {bank}, tick {t}); \
+                 contention configuration saturates the bank"
+            );
+            if self.multiport {
+                // Window fit: slide past the first claim overlapping
+                // [t, t+busy), charging the displacement to its owner's
+                // category, and retry (idle windows between later claims
+                // remain usable).
+                let hit = self.claims[bank]
+                    .iter()
+                    .find(|&&(s, _)| s < t + busy && s + busy > t)
+                    .copied();
+                if let Some((s, owner)) = hit {
+                    let end = s + busy;
+                    self.waits.add(self.owner_cause(owner), end - t);
+                    t = end;
+                    continue;
+                }
+            } else if t < self.free[bank] {
+                let end = self.free[bank];
+                self.waits.add(self.owner_cause(self.owner[bank]), end - t);
+                t = end;
+                continue;
+            }
+            if let Some(windows) = &mut self.refresh {
+                if windows.blocks(t) {
+                    // The paper (§3.2): a refresh "will force the VP to
+                    // stall for eight cycles" — the blocked access pays
+                    // the full window (re-arbitration included), not just
+                    // the remainder of it.
+                    let len = windows.len;
+                    self.waits.add(Wait::Refresh, len);
+                    t += len;
+                    continue;
+                }
+            }
+            if let Some(end) = self
+                .contention
+                .blocking_claim_end(bank as u32, self.banks, t, busy)
+            {
+                self.waits.add(Wait::Contention, end - t);
+                t = end;
+                continue;
+            }
+            break;
+        }
+        let end = t + busy;
+        if self.multiport {
+            let pos = self.claims[bank].partition_point(|&(s, _)| s <= t);
+            self.claims[bank].insert(pos, (t, self.view));
+        }
+        if end >= self.free[bank] {
+            self.free[bank] = end;
+            self.owner[bank] = self.view;
+        }
+        t
+    }
+
+    /// Drops `bank`'s claims that end at or before the horizon (multiport
+    /// mode): no future request can overlap them.
+    #[inline(always)]
+    fn prune(&mut self, bank: usize) {
+        if self.multiport {
+            let (busy, horizon) = (self.busy, self.horizon);
+            self.claims[bank].retain(|&(s, _)| s + busy > horizon);
+        }
+    }
+
+    /// The cause a wait behind a claim by view `owner` is charged to.
+    fn owner_cause(&self, owner: u32) -> Wait {
+        if owner == self.view {
+            Wait::BankBusy
+        } else {
+            Wait::Contention
+        }
+    }
+}
+
 impl MemorySystem {
     /// Creates a zero-filled memory with the given configuration, its
     /// cycle parameters converted to ticks once.
@@ -314,7 +488,6 @@ impl MemorySystem {
             bank: BankState::new(banks),
             view: 0,
             accesses: 0,
-            waited: 0,
             breakdown: WaitTicks::default(),
         }
     }
@@ -337,7 +510,7 @@ impl MemorySystem {
     /// Cycles this view's accesses spent waiting beyond their earliest
     /// start.
     pub fn wait_cycles(&self) -> f64 {
-        cycles(self.waited)
+        cycles(self.breakdown.total())
     }
 
     /// This view's wait cycles split by cause (bank busy, refresh,
@@ -462,7 +635,6 @@ impl MemorySystem {
     pub fn reset_timing(&mut self) {
         self.bank.reset();
         self.accesses = 0;
-        self.waited = 0;
         self.breakdown = WaitTicks::default();
     }
 
@@ -491,108 +663,136 @@ impl MemorySystem {
         self.check(addr);
         let bank = bank_of(addr, self.config.banks) as usize;
         let earliest = earliest.max(0);
-        let busy = self.busy;
-        if self.bank.multiport {
-            let horizon = self.bank.horizon;
-            self.bank.claims[bank].retain(|&(s, _)| s + busy > horizon);
-        }
-        let mut t = earliest;
-        let mut guard = 0u32;
-        loop {
-            guard += 1;
-            assert!(
-                guard < 100_000,
-                "memory grant search did not converge (bank {bank}, tick {t}); \
-                 contention configuration saturates the bank"
-            );
-            if self.bank.multiport {
-                // Window fit: slide past the first claim overlapping
-                // [t, t+busy), charging the displacement to its owner's
-                // category, and retry (idle windows between later claims
-                // remain usable).
-                let hit = self.bank.claims[bank]
-                    .iter()
-                    .find(|&&(s, _)| s < t + busy && s + busy > t)
-                    .copied();
-                if let Some((s, owner)) = hit {
-                    let end = s + busy;
-                    self.charge(self.owner_cause(owner), end - t);
-                    t = end;
-                    continue;
-                }
-            } else if t < self.bank.free[bank] {
-                let end = self.bank.free[bank];
-                self.charge(self.owner_cause(self.bank.owner[bank]), end - t);
-                t = end;
-                continue;
-            }
-            if let Some((period, len)) = self.refresh {
-                if t % period < len {
-                    // The paper (§3.2): a refresh "will force the VP to
-                    // stall for eight cycles" — the blocked access pays
-                    // the full window (re-arbitration included), not just
-                    // the remainder of it.
-                    self.charge(Wait::Refresh, len);
-                    t += len;
-                    continue;
-                }
-            }
-            if let Some(end) =
-                self.config
-                    .contention
-                    .blocking_claim_end(bank as u32, self.config.banks, t, busy)
-            {
-                self.charge(Wait::Contention, end - t);
-                t = end;
-                continue;
-            }
-            break;
-        }
-        let end = t + busy;
-        if self.bank.multiport {
-            let pos = self.bank.claims[bank].partition_point(|&(s, _)| s <= t);
-            self.bank.claims[bank].insert(pos, (t, self.view));
-        }
-        if end >= self.bank.free[bank] {
-            self.bank.free[bank] = end;
-            self.bank.owner[bank] = self.view;
-        }
-        self.accesses += 1;
-        self.bank.accesses += 1;
-        self.waited += t - earliest;
-        self.bank.waited += t - earliest;
+        let mut port = self.port(earliest);
+        port.prune(bank);
+        let t = port.search(bank, earliest);
+        let waits = port.waits;
+        self.count(1, waits);
         t
     }
 
-    /// The cause a wait behind a claim by view `owner` is charged to.
-    fn owner_cause(&self, owner: u32) -> Wait {
-        if owner == self.view {
-            Wait::BankBusy
+    /// Grants a strided vector stream element by element, exactly as
+    /// [`MemorySystem::grant`] would grant each one in turn: element 0
+    /// requests at `entry0`, element `e` at `max(grant(e-1) + z,
+    /// chain[e])`, and the stream has `chain.len()` elements at word
+    /// `base + stride·e`. `sink(e, request, grant)` receives every
+    /// element's request and grant tick.
+    ///
+    /// No element pays a division: the bank index steps by `stride mod
+    /// banks`, and the refresh phase is a cursor that only moves
+    /// forward, since the grants of one stream are monotone. The bounds
+    /// are checked once, on the first and last element; the access and
+    /// wait counters are added once; and in multiport mode each touched
+    /// bank's dead claims are pruned once per stream, since the horizon
+    /// cannot move while a stream is walked.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the first or last element is outside the configured
+    /// memory size.
+    pub fn grant_stream(
+        &mut self,
+        base: u64,
+        stride: i64,
+        entry0: i64,
+        z: i64,
+        chain: &[i64],
+        mut sink: impl FnMut(usize, i64, i64),
+    ) -> StreamGrants {
+        let Some(span) = chain.len().checked_sub(1) else {
+            return StreamGrants {
+                first: entry0,
+                last: entry0,
+                chain_wait: 0,
+                waits: WaitTicks::default(),
+            };
+        };
+        self.check(base);
+        self.check(base.wrapping_add_signed(stride.wrapping_mul(span as i64)));
+        let banks = self.config.banks as usize;
+        let step = stride.rem_euclid(banks as i64) as usize;
+        let next = |bank: usize| {
+            let bank = bank + step;
+            if bank >= banks {
+                bank - banks
+            } else {
+                bank
+            }
+        };
+        let touched = if self.bank.multiport {
+            (self.banks_touched(stride) as usize).min(chain.len())
         } else {
-            Wait::Contention
+            0
+        };
+        let mut bank = bank_of(base, self.config.banks) as usize;
+        let mut port = self.port(entry0.max(0));
+        let mut pruned = bank;
+        for _ in 0..touched {
+            port.prune(pruned);
+            pruned = next(pruned);
+        }
+        let first = port.search(bank, entry0.max(0));
+        sink(0, entry0, first);
+        let (mut last, mut chain_wait) = (first, 0);
+        for (e, &ready) in chain.iter().enumerate().skip(1) {
+            bank = next(bank);
+            let ideal = last + z;
+            let request = ideal.max(ready);
+            chain_wait += request - ideal;
+            last = port.search(bank, request.max(0));
+            sink(e, request, last);
+        }
+        let waits = port.waits;
+        self.count(chain.len() as u64, waits);
+        StreamGrants {
+            first,
+            last,
+            chain_wait,
+            waits,
         }
     }
 
-    /// Charges `ticks` of waiting to `cause` in this view's and the
-    /// shared breakdown.
-    fn charge(&mut self, cause: Wait, ticks: i64) {
-        self.breakdown.add(cause, ticks);
-        self.bank.breakdown.add(cause, ticks);
+    /// The grant search for this view, borrowed apart from the rest of
+    /// the memory system, with its refresh cursor at tick `t`.
+    fn port(&mut self, t: i64) -> Port<'_> {
+        let bank = &mut self.bank;
+        Port {
+            free: &mut bank.free,
+            owner: &mut bank.owner,
+            claims: &mut bank.claims,
+            multiport: bank.multiport,
+            horizon: bank.horizon,
+            contention: &self.config.contention,
+            banks: self.config.banks,
+            busy: self.busy,
+            view: self.view,
+            refresh: self.refresh.map(|(period, len)| RefreshWindows {
+                period,
+                len,
+                start: t - t % period,
+            }),
+            waits: WaitTicks::default(),
+        }
+    }
+
+    /// Adds `accesses` accesses and their `waits` to this view's and the
+    /// shared counters.
+    fn count(&mut self, accesses: u64, waits: WaitTicks) {
+        self.accesses += accesses;
+        self.bank.accesses += accesses;
+        self.breakdown += waits;
+        self.bank.breakdown += waits;
     }
 
     /// Visits every tick count of timing state this view holds: the
     /// banks' free times, then this view's and the shared state's wait
-    /// totals and breakdowns. The simulator's steady-state fast-forward
+    /// breakdowns. The simulator's steady-state fast-forward
     /// snapshots these and translates them by whole periods.
     pub fn visit_timing(&mut self, mut visit: impl FnMut(&mut i64)) {
         for free in &mut self.bank.free {
             visit(free);
         }
-        for (waited, breakdown) in [
-            (&mut self.waited, &mut self.breakdown),
-            (&mut self.bank.waited, &mut self.bank.breakdown),
-        ] {
-            visit(waited);
+        for breakdown in [&mut self.breakdown, &mut self.bank.breakdown] {
             visit(&mut breakdown.bank_busy);
             visit(&mut breakdown.refresh);
             visit(&mut breakdown.contention);
@@ -605,83 +805,6 @@ impl MemorySystem {
     pub fn ff_apply(&mut self, accesses: u64, k: u64) {
         self.accesses += accesses * k;
         self.bank.accesses += accesses * k;
-    }
-
-    /// Whether a strided element stream of `n` accesses starting at word
-    /// `base`, paced exactly `z` ticks apart from tick `start`, is
-    /// provably conflict-free: every grant lands at its requested tick
-    /// with zero wait. True only when contention is idle, the whole
-    /// stream stays clear of refresh windows, same-bank revisits are
-    /// spaced at least the bank recovery time apart, and every touched
-    /// bank has already recovered from earlier traffic (its own or, in
-    /// co-simulation, any other CPU's).
-    pub fn stream_conflict_free(&self, base: i64, stride: i64, n: u32, start: i64, z: i64) -> bool {
-        if n == 0 {
-            return true;
-        }
-        if !self.config.contention.is_idle() {
-            return false;
-        }
-        if let Some((period, len)) = self.refresh {
-            let into = start.rem_euclid(period);
-            if into < len || into + z * i64::from(n - 1) >= period {
-                return false;
-            }
-        }
-        // Same-bank revisit spacing: a stride touching `r` distinct banks
-        // revisits each one every `r` elements = `z·r` ticks.
-        let r = self.banks_touched(stride);
-        if n > r && z * i64::from(r) < self.busy {
-            return false;
-        }
-        // Every touched bank must be free by the stream's start.
-        let banks = i64::from(self.config.banks);
-        let mut bank = base.rem_euclid(banks);
-        let step = stride.rem_euclid(banks);
-        for _ in 0..r.min(n) {
-            if self.bank.free[bank as usize] > start {
-                return false;
-            }
-            bank = (bank + step) % banks;
-        }
-        true
-    }
-
-    /// Claims a conflict-free stream's grants in closed form: the
-    /// per-element search of [`MemorySystem::grant`] collapses to
-    /// a counter bump plus final per-bank recovery times. Must only be
-    /// called after [`MemorySystem::stream_conflict_free`] returned true
-    /// for the same arguments; produces identical timing state to `n`
-    /// individual grants at `start + z·e`.
-    pub fn claim_stream(&mut self, base: i64, stride: i64, n: u32, start: i64, z: i64) {
-        if n == 0 {
-            return;
-        }
-        self.accesses += u64::from(n);
-        self.bank.accesses += u64::from(n);
-        let banks = i64::from(self.config.banks);
-        let r = self.banks_touched(stride);
-        let step = stride.rem_euclid(banks);
-        if self.bank.multiport {
-            // Window-fitting neighbors must see every element's claim,
-            // not just the last visit per bank. The conflict-free
-            // precondition guarantees all existing claims on touched
-            // banks end by `start`, so pushing in element order keeps
-            // each bank's claim list sorted.
-            let mut bank = base.rem_euclid(banks);
-            for e in 0..n {
-                self.bank.claims[bank as usize].push((start + z * i64::from(e), self.view));
-                bank = (bank + step) % banks;
-            }
-        }
-        // Only the last visit to each bank determines its recovery time.
-        let first = n.saturating_sub(r);
-        let mut bank = (base + stride * i64::from(first)).rem_euclid(banks);
-        for e in first..n {
-            self.bank.free[bank as usize] = start + z * i64::from(e) + self.busy;
-            self.bank.owner[bank as usize] = self.view;
-            bank = (bank + step) % banks;
-        }
     }
 
     /// The number of distinct banks a stride touches before repeating —
@@ -909,105 +1032,224 @@ mod tests {
         assert_eq!(qb.total(), quiet_mem.wait_cycles());
     }
 
-    /// `claim_stream` is the closed form of `n` reads at `start + z·e`:
-    /// wherever `stream_conflict_free` holds, the two leave the shared
-    /// bank state and this view's counters identical, and every read is
-    /// granted exactly at its request. Walks a deterministic grid of
-    /// bank counts, refresh, single-port and multiport arbitration, bases,
-    /// strides, lengths, starts and element rates; earlier traffic on
-    /// banks 0 and 5 makes some streams start before a bank recovers.
+    /// The per-element grant search as it stood before the stream
+    /// walker, kept as the walker's oracle: `%` for the bank and the
+    /// refresh phase, a prune on every access in multiport mode, and the
+    /// counters bumped per access.
+    fn oracle_grant(mem: &mut MemorySystem, addr: u64, earliest: i64) -> i64 {
+        mem.check(addr);
+        let bank = (addr % u64::from(mem.config.banks)) as usize;
+        let earliest = earliest.max(0);
+        let busy = mem.busy;
+        if mem.bank.multiport {
+            let horizon = mem.bank.horizon;
+            mem.bank.claims[bank].retain(|&(s, _)| s + busy > horizon);
+        }
+        let mut t = earliest;
+        loop {
+            if mem.bank.multiport {
+                let hit = mem.bank.claims[bank]
+                    .iter()
+                    .find(|&&(s, _)| s < t + busy && s + busy > t)
+                    .copied();
+                if let Some((s, owner)) = hit {
+                    charge(mem, owner, s + busy - t);
+                    t = s + busy;
+                    continue;
+                }
+            } else if t < mem.bank.free[bank] {
+                let end = mem.bank.free[bank];
+                charge(mem, mem.bank.owner[bank], end - t);
+                t = end;
+                continue;
+            }
+            if let Some((period, len)) = mem.refresh {
+                if t % period < len {
+                    mem.breakdown.refresh += len;
+                    mem.bank.breakdown.refresh += len;
+                    t += len;
+                    continue;
+                }
+            }
+            let contention = &mem.config.contention;
+            if let Some(end) = contention.blocking_claim_end(bank as u32, mem.config.banks, t, busy)
+            {
+                mem.breakdown.contention += end - t;
+                mem.bank.breakdown.contention += end - t;
+                t = end;
+                continue;
+            }
+            break;
+        }
+        if mem.bank.multiport {
+            let pos = mem.bank.claims[bank].partition_point(|&(s, _)| s <= t);
+            mem.bank.claims[bank].insert(pos, (t, mem.view));
+        }
+        if t + busy >= mem.bank.free[bank] {
+            mem.bank.free[bank] = t + busy;
+            mem.bank.owner[bank] = mem.view;
+        }
+        mem.accesses += 1;
+        mem.bank.accesses += 1;
+        t
+    }
+
+    /// Charges a wait behind a claim by view `owner` to the view's and
+    /// the shared breakdown: bank busy for its own claim, contention for
+    /// another view's.
+    fn charge(mem: &mut MemorySystem, owner: u32, ticks: i64) {
+        for waits in [&mut mem.breakdown, &mut mem.bank.breakdown] {
+            if owner == mem.view {
+                waits.bank_busy += ticks;
+            } else {
+                waits.contention += ticks;
+            }
+        }
+    }
+
+    /// A small deterministic generator for the walker grid.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (self.0 >> 33) % n
+        }
+    }
+
+    /// `grant_stream` grants every element exactly as the oracle's
+    /// per-element search does, and leaves identical bank state (free
+    /// times, owners, multiport claims, horizon), wait breakdowns and
+    /// access counts in the view and the shared state. Walks bank counts,
+    /// strides (zero and negative included), lengths, starts on both
+    /// sides of refresh windows and seeded chain delays, in five modes:
+    /// single-port with earlier traffic of this view and a foreign one,
+    /// single-port without refresh, multiport with foreign claims (some
+    /// already dead at the horizon), and lockstep and mixed background
+    /// contention.
     #[test]
-    fn claim_stream_matches_per_element_grants() {
-        const OFFSET: i64 = 4096; // a multiple of every bank count below
-        let strides = [1i64, 2, 3, 7, 16, 31, 32, -1, -3];
-        let lengths = [1u32, 2, 8, 31, 32, 33, 128];
-        // In ticks: cycles 0, 8.35, 13, 20.05, 30 and 380.6; rates of 1,
-        // 1.35 and 1.9 cycles per element.
-        let starts = [0, 167, 260, 401, 600, 7612];
-        let rates = [20, 27, 38];
-        let (mut claimed, mut refused) = (0u32, 0u32);
-        for banks in [32u32, 64] {
-            for refresh in [true, false] {
-                for multiport in [false, true] {
-                    let mut cfg = MemConfig::c240().with_banks(banks).with_words(8192);
-                    cfg.refresh_enabled = refresh;
-                    let fresh = || {
-                        let mut mem = MemorySystem::new(cfg.clone());
-                        if multiport {
-                            mem.swap_bank_state(&mut BankState::multiport(banks));
-                        }
-                        let _ = mem.read(OFFSET as u64, 6 * T);
-                        let _ = mem.read(OFFSET as u64 + 5, 6 * T);
-                        mem
-                    };
-                    let (mut closed, mut stepped) = (fresh(), fresh());
-                    for bank in 0..i64::from(banks) {
-                        let base = OFFSET + bank;
-                        for &stride in &strides {
-                            for &n in &lengths {
-                                for &start in &starts {
-                                    for &z in &rates {
-                                        if !closed.stream_conflict_free(base, stride, n, start, z) {
-                                            refused += 1;
-                                            continue;
-                                        }
-                                        claimed += 1;
-                                        closed.claim_stream(base, stride, n, start, z);
-                                        for e in 0..n {
-                                            let word = (base + stride * i64::from(e)) as u64;
-                                            let request = start + z * i64::from(e);
-                                            let (granted, _) = stepped.read(word, request);
-                                            assert_eq!(granted, request, "element {e}");
-                                        }
-                                        let case = format!(
-                                            "banks {banks} refresh {refresh} multiport {multiport} \
-                                             base {base} stride {stride} n {n} start {start} z {z}"
-                                        );
-                                        assert_eq!(closed.shared(), stepped.shared(), "{case}");
-                                        assert_eq!(closed.access_count(), stepped.access_count());
-                                        assert_eq!(closed.wait_cycles(), stepped.wait_cycles());
-                                        assert_eq!(
-                                            closed.wait_breakdown(),
-                                            stepped.wait_breakdown()
-                                        );
-                                        closed = fresh();
-                                        stepped = fresh();
-                                    }
-                                }
+    fn grant_stream_matches_per_element_grants() {
+        const OFFSET: u64 = 1024; // below every negative-stride stream
+        let strides = [0i64, 1, 2, 3, 7, 16, 32, 64, -1, -5];
+        let lengths = [1usize, 2, 7, 64, 128];
+        // In ticks: cycles 0, 7.5 and 400 start inside a refresh window;
+        // 8, 399.5 and 1208.5 just after or before one.
+        let starts = [0i64, 150, 160, 7990, 8000, 24_170];
+        let modes = ["single", "norefresh", "multiport", "lockstep", "mixed"];
+        let mut rng = Lcg(0x5eed);
+        let (mut cases, mut waited, mut chained, mut refreshed, mut pruned) = (0u32, 0, 0, 0, 0);
+        for banks in [1u32, 2, 16, 32, 64] {
+            for mode in modes {
+                if banks < 32 && matches!(mode, "lockstep" | "mixed") {
+                    continue; // background streams saturate so few banks
+                }
+                let mut cfg = MemConfig::c240().with_banks(banks).with_words(10_000);
+                cfg.refresh_enabled = mode != "norefresh";
+                cfg.contention = match mode {
+                    "lockstep" => ContentionConfig::lockstep(3),
+                    "mixed" => ContentionConfig::mixed(3),
+                    _ => ContentionConfig::idle(),
+                };
+                let mut seeded = MemorySystem::new(cfg);
+                if mode == "multiport" {
+                    seeded.swap_bank_state(&mut BankState::multiport(banks));
+                }
+                // Earlier traffic: this view's and a foreign view's.
+                for (view, word, at) in
+                    [(0, 0, 6), (3, 5, 2), (3, 1, 140), (0, 9, 395), (3, 2, 1200)]
+                {
+                    seeded.set_view(view);
+                    let _ = seeded.grant(OFFSET + word, at * T);
+                }
+                seeded.set_view(0);
+                for &stride in &strides {
+                    for &n in &lengths {
+                        for &entry0 in &starts {
+                            let base = OFFSET + rng.below(u64::from(banks));
+                            let z = [20, 27, 38][rng.below(3) as usize];
+                            let chain: Vec<i64> = (0..n as i64)
+                                .map(|e| match rng.below(4) {
+                                    0 => entry0 + z * e + rng.below(200) as i64,
+                                    _ => rng.below(entry0 as u64 + 1) as i64,
+                                })
+                                .collect();
+                            let case = format!(
+                                "banks {banks} {mode} base {base} stride {stride} n {n} \
+                                 entry0 {entry0} z {z}"
+                            );
+                            // Every request of the stream is at or after
+                            // `entry0`, so it may serve as the horizon.
+                            let mut walker = seeded.clone();
+                            walker.bank.set_horizon(entry0);
+                            let mut oracle = walker.clone();
+                            let mut walked = Vec::new();
+                            let got =
+                                walker.grant_stream(base, stride, entry0, z, &chain, |e, r, g| {
+                                    walked.push((e, r, g))
+                                });
+                            let (mut prev, mut chain_wait) = (0, 0);
+                            for (e, &ready) in chain.iter().enumerate() {
+                                let request = if e == 0 {
+                                    entry0
+                                } else {
+                                    chain_wait += ready.max(prev + z) - (prev + z);
+                                    ready.max(prev + z)
+                                };
+                                let word = base.wrapping_add_signed(stride * e as i64);
+                                prev = oracle_grant(&mut oracle, word, request);
+                                assert_eq!(walked[e], (e, request, prev), "element {e}: {case}");
                             }
+                            assert_eq!(walked.len(), n, "{case}");
+                            let want = StreamGrants {
+                                first: walked[0].2,
+                                last: prev,
+                                chain_wait,
+                                waits: oracle.wait_ticks() - seeded.wait_ticks(),
+                            };
+                            assert_eq!(got, want, "{case}");
+                            assert_eq!(walker.shared(), oracle.shared(), "{case}");
+                            assert_eq!(walker.wait_ticks(), oracle.wait_ticks(), "{case}");
+                            // Every tick between request and grant is charged.
+                            let stalled: i64 = walked.iter().map(|&(_, r, g)| g - r.max(0)).sum();
+                            let charged = walker.wait_ticks().total() - seeded.wait_ticks().total();
+                            assert_eq!(charged, stalled, "{case}");
+                            assert_eq!(walker.access_count(), oracle.access_count(), "{case}");
+                            cases += 1;
+                            let claims = |m: &MemorySystem| m.bank.claims.concat().len();
+                            pruned += u32::from(claims(&walker) < claims(&seeded) + n);
+                            waited += u32::from(walked.iter().any(|&(_, r, g)| g > r));
+                            chained += u32::from(chain_wait > 0);
+                            refreshed += u32::from(
+                                walker.wait_ticks().refresh > seeded.wait_ticks().refresh,
+                            );
                         }
                     }
                 }
             }
         }
+        assert_eq!(cases, (3 * 3 + 2 * 5) * 10 * 5 * 6);
+        // An empty stream grants nothing.
+        let mut mem = quiet();
+        let empty = mem.grant_stream(0, 1, 5, T, &[], |_, _, _| unreachable!());
+        assert_eq!((empty.first, empty.last, mem.access_count()), (5, 5, 0));
         assert!(
-            claimed > 10_000 && refused > 10_000,
-            "{claimed} claimed, {refused} refused"
+            waited > cases / 2
+                && chained > cases / 8
+                && refreshed > cases / 4
+                && pruned > cases / 20,
+            "{cases} cases: {waited} waited, {chained} chained, {refreshed} refreshed, \
+             {pruned} pruned"
         );
     }
 
     #[test]
-    fn conflicting_streams_are_refused() {
-        let mut mem = MemorySystem::new(MemConfig::c240());
-        // Crosses the refresh window at cycle 400.
-        assert!(mem.stream_conflict_free(0, 1, 8, 380 * T, T));
-        assert!(!mem.stream_conflict_free(0, 1, 32, 380 * T, T));
-        // Starts before a touched bank recovers: bank 0 is busy until 108.
-        let _ = mem.read(0, 100 * T);
-        assert!(!mem.stream_conflict_free(0, 1, 8, 104 * T, T));
-        assert!(mem.stream_conflict_free(0, 1, 8, 108 * T, T));
-        // Revisits a bank within the bank busy time: stride 16 alternates
-        // two banks, so each is revisited 2 cycles later.
-        assert!(!mem.stream_conflict_free(1, 16, 4, 200 * T, T));
-        assert!(!mem.stream_conflict_free(1, 32, 2, 200 * T, T));
-        assert!(mem.stream_conflict_free(1, 16, 4, 200 * T, 4 * T));
-        // Any background contention refuses the closed form.
-        let busy = MemorySystem::new(
-            MemConfig::c240()
-                .without_refresh()
-                .with_contention(ContentionConfig::mixed(1)),
-        );
-        assert!(!busy.stream_conflict_free(0, 1, 8, 200 * T, T));
+    #[should_panic(expected = "out of bounds")]
+    fn grant_stream_checks_its_last_element() {
+        let mut mem = MemorySystem::new(MemConfig::c240().with_words(64));
+        let _ = mem.grant_stream(60, 2, 0, T, &[0; 3], |_, _, _| {});
     }
 
     #[test]

@@ -29,10 +29,13 @@
 //! `max` above, register-pair admission and stall attribution. The
 //! executor steps its elements, and [`Cpu::vector_retire`] does the
 //! shared bookkeeping: lane busy time, element and flop counts, pipe
-//! availability, bubbles and the trace event. Loads and stores step
-//! through [`Cpu::vector_stream`], which grants a conflict-free stream in
-//! closed form, with or without a probe, and steps the others element by
-//! element.
+//! availability, bubbles and the trace event. Arithmetic and reductions
+//! step their elements a register row at a time: the `max` of the operand
+//! rows, one serial scan for the entries ([`entry_scan`]), and the ready
+//! and pending-read rows written back. Loads and stores are granted by
+//! the memory system's one stream walker,
+//! [`MemorySystem::grant_stream`], and [`Cpu::vector_stream`] attributes
+//! their waits.
 //!
 //! # One data semantics, one timing-field walk
 //!
@@ -64,7 +67,7 @@ use c240_isa::{
     AReg, Instruction, IntOperand, MemRef, Pipe, Program, SReg, ScalarReg, ScalarValue, VOperand,
     VReg, MAX_VL, WORD_BYTES,
 };
-use c240_mem::{Journal, MemorySystem, NoJournal, ScalarCache, WaitTicks};
+use c240_mem::{Journal, MemorySystem, NoJournal, ScalarCache, StreamGrants, WaitTicks};
 use c240_obs::{Lane, NoProbe, Probe, StallCause};
 
 use crate::config::SimConfig;
@@ -1007,34 +1010,12 @@ impl Cpu {
         self.acct[slot] = t.entry0;
     }
 
-    /// Reports the bank/refresh/contention wait a single memory access
-    /// accrued, as the difference of [`MemorySystem::wait_ticks`]
-    /// snapshots taken around the access.
-    fn attribute_mem<P: Probe>(
-        probe: &mut P,
-        lane: Lane,
-        pc: usize,
-        before: WaitTicks,
-        after: WaitTicks,
-    ) {
-        probe.stall(
-            lane,
-            StallCause::BankBusy,
-            after.bank_busy - before.bank_busy,
-            pc,
-        );
-        probe.stall(
-            lane,
-            StallCause::Refresh,
-            after.refresh - before.refresh,
-            pc,
-        );
-        probe.stall(
-            lane,
-            StallCause::Contention,
-            after.contention - before.contention,
-            pc,
-        );
+    /// Reports the bank/refresh/contention waits of a memory access or
+    /// stream.
+    fn attribute_mem<P: Probe>(probe: &mut P, lane: Lane, pc: usize, waits: WaitTicks) {
+        probe.stall(lane, StallCause::BankBusy, waits.bank_busy, pc);
+        probe.stall(lane, StallCause::Refresh, waits.refresh, pc);
+        probe.stall(lane, StallCause::Contention, waits.contention, pc);
     }
 
     // ---- scalar register plumbing -------------------------------------
@@ -1229,14 +1210,6 @@ impl Cpu {
         }
     }
 
-    /// Chaining constraint for element `e` of the given operand.
-    fn operand_ready(&self, op: VOperand, e: usize) -> i64 {
-        match op {
-            VOperand::V(v) => self.vready[usize::from(v.index())][e],
-            VOperand::S(_) => 0, // waited for at issue
-        }
-    }
-
     /// If chaining is disabled, operands must be fully complete.
     fn no_chain_barrier(&self, ops: &[VOperand]) -> i64 {
         if self.config.chaining {
@@ -1275,32 +1248,31 @@ impl Cpu {
         self.scalar_operand_wait(probe, pc, b);
         let d = usize::from(dst.index());
         let barrier = self.no_chain_barrier(&[a, b]);
-        let chain0 = self
-            .operand_ready(a, 0)
-            .max(self.operand_ready(b, 0))
-            .max(self.vread_until[d][0]);
-        let entered = self.vector_enter(probe, pc, ins, 0, barrier, chain0);
-        let Entered { timing, entry0, .. } = entered;
-
-        let (mut entry, mut chain_wait) = (entry0, 0);
-        for e in 0..self.vl as usize {
-            if e > 0 {
-                let ideal = entry + timing.z;
-                entry = ideal
-                    .max(self.operand_ready(a, e))
-                    .max(self.operand_ready(b, e))
-                    .max(self.vread_until[d][e]);
-                chain_wait += entry - ideal;
+        // Element e waits for both operands and the destination's pending
+        // reads.
+        let mut entries = self.vread_until[d];
+        for op in [a, b] {
+            if let VOperand::V(v) = op {
+                for (t, &ready) in entries.iter_mut().zip(&self.vready[usize::from(v.index())]) {
+                    *t = (*t).max(ready);
+                }
             }
-            self.mark_read(a, e, entry);
-            self.mark_read(b, e, entry);
-            self.vready[d][e] = entry + timing.y;
+        }
+        let entered = self.vector_enter(probe, pc, ins, 0, barrier, entries[0]);
+        let Entered { timing, entry0, .. } = entered;
+        let entries = &mut entries[..self.vl as usize];
+        let chain_wait = entry_scan(entry0, timing.z, entries);
+        for op in [a, b] {
+            self.mark_read(op, entries);
+        }
+        for (ready, &entry) in self.vready[d].iter_mut().zip(entries.iter()) {
+            *ready = entry + timing.y;
         }
         if P::ENABLED {
             let lane = lane_of(pipe_slot(entered.pipe));
             probe.stall(lane, StallCause::ChainWait, chain_wait, pc);
         }
-        let sched = Schedule::stream(entry0, entry, timing.y);
+        let sched = Schedule::stream(entry0, entries[entries.len() - 1], timing.y);
         self.vector_retire(probe, pc, ins, entered, sched);
     }
 
@@ -1311,10 +1283,14 @@ impl Cpu {
         }
     }
 
-    fn mark_read(&mut self, op: VOperand, e: usize, at: i64) {
+    /// Records that `op`'s elements are read at the given entry ticks, so
+    /// no later write overtakes them.
+    fn mark_read(&mut self, op: VOperand, entries: &[i64]) {
         if let VOperand::V(v) = op {
-            let i = usize::from(v.index());
-            self.vread_until[i][e] = self.vread_until[i][e].max(at);
+            let read_until = &mut self.vread_until[usize::from(v.index())];
+            for (until, &entry) in read_until.iter_mut().zip(entries) {
+                *until = (*until).max(entry);
+            }
         }
     }
 
@@ -1335,19 +1311,13 @@ impl Cpu {
         }
         let srcop = VOperand::V(src);
         let barrier = self.no_chain_barrier(&[srcop]);
-        let chain0 = self.operand_ready(srcop, 0);
-        let entered = self.vector_enter(probe, pc, ins, 0, barrier, chain0);
+        let mut entries = self.vready[usize::from(src.index())];
+        let entered = self.vector_enter(probe, pc, ins, 0, barrier, entries[0]);
         let Entered { timing, entry0, .. } = entered;
-
-        let (mut entry, mut chain_wait) = (entry0, 0);
-        for e in 0..self.vl as usize {
-            if e > 0 {
-                let ideal = entry + timing.z;
-                entry = ideal.max(self.operand_ready(srcop, e));
-                chain_wait += entry - ideal;
-            }
-            self.mark_read(srcop, e, entry);
-        }
+        let entries = &mut entries[..self.vl as usize];
+        let chain_wait = entry_scan(entry0, timing.z, entries);
+        self.mark_read(srcop, entries);
+        let entry = entries[entries.len() - 1];
         if P::ENABLED {
             let lane = lane_of(pipe_slot(entered.pipe));
             probe.stall(lane, StallCause::ChainWait, chain_wait, pc);
@@ -1402,71 +1372,23 @@ impl Cpu {
         Ok(word)
     }
 
-    /// Streams a vector memory instruction's elements through the
-    /// load/store pipe from `base` at `stride` words, and returns the
-    /// schedule. Element `e` enters no earlier than its predecessor plus
-    /// Z and `chain(e)`, the time its chained register element allows;
-    /// the memory system grants it, and `granted(e, requested, granted)`
-    /// records its register timing.
-    ///
-    /// When no element waits on its chain and the memory stream is
-    /// conflict-free ([`MemorySystem::stream_conflict_free`]), every
-    /// element is granted exactly at `entry0 + Z·e`, so the stream is
-    /// claimed in closed form. Such a stream has no chain, bank, refresh
-    /// or contention wait to attribute, so probed and unprobed runs take
-    /// it alike. Otherwise each element is granted in turn, and the
-    /// stream's chain and memory waits are attributed once, summed.
-    #[allow(clippy::too_many_arguments)]
+    /// The schedule of a vector memory instruction whose elements
+    /// [`MemorySystem::grant_stream`] granted, with the stream's chain and
+    /// memory waits attributed once, summed. The walker is the one stream
+    /// path: loads and stores, probed or not, single CPU or co-simulated,
+    /// take it alike.
     fn vector_stream<P: Probe>(
-        &mut self,
         probe: &mut P,
         pc: usize,
         entered: Entered,
-        base: i64,
-        stride: i64,
-        chain: impl Fn(&Cpu, usize) -> i64,
-        mut granted: impl FnMut(&mut Cpu, usize, i64, i64),
+        walk: StreamGrants,
     ) -> Schedule {
-        let Entered { timing, entry0, .. } = entered;
-        let n = self.vl;
-        let chain_max = (0..n as usize).fold(0, |m, e| m.max(chain(self, e)));
-        if chain_max <= entry0
-            && self
-                .mem
-                .stream_conflict_free(base, stride, n, entry0, timing.z)
-        {
-            self.mem.claim_stream(base, stride, n, entry0, timing.z);
-            let mut entry = entry0;
-            for e in 0..n as usize {
-                entry = entry0 + timing.z * e as i64;
-                granted(self, e, entry, entry);
-            }
-            return Schedule::stream(entry0, entry, timing.y);
-        }
-        let before = self.mem.wait_ticks();
-        let (mut first_entry, mut prev, mut chain_wait) = (entry0, entry0, 0);
-        for e in 0..n as usize {
-            let earliest = if e == 0 {
-                entry0
-            } else {
-                let ideal = prev + timing.z;
-                let t = ideal.max(chain(self, e));
-                chain_wait += t - ideal;
-                t
-            };
-            let grant = self.mem.grant(element_addr(base, stride, e), earliest);
-            granted(self, e, earliest, grant);
-            if e == 0 {
-                first_entry = grant;
-            }
-            prev = grant;
-        }
         if P::ENABLED {
             let lane = lane_of(pipe_slot(entered.pipe));
-            probe.stall(lane, StallCause::ChainWait, chain_wait, pc);
-            Self::attribute_mem(probe, lane, pc, before, self.mem.wait_ticks());
+            probe.stall(lane, StallCause::ChainWait, walk.chain_wait, pc);
+            Self::attribute_mem(probe, lane, pc, walk.waits);
         }
-        Schedule::stream(first_entry, prev, timing.y)
+        Schedule::stream(walk.first, walk.last, entered.timing.y)
     }
 
     /// The timing of a vector load from the stream at word `base`.
@@ -1483,17 +1405,18 @@ impl Cpu {
         let d = usize::from(dst.index());
         let fence = self.scalar_mem_fence;
         let entered = self.vector_enter(probe, pc, ins, fence, 0, self.vread_until[d][0]);
-        let y = entered.timing.y;
+        let Entered { timing, entry0, .. } = entered;
         // Element entries chain only on the destination's pending reads.
-        let sched = self.vector_stream(
-            probe,
-            pc,
-            entered,
-            base,
+        let (chain, ready) = (&self.vread_until[d], &mut self.vready[d]);
+        let walk = self.mem.grant_stream(
+            base as u64,
             addr.stride.words(),
-            |cpu, e| cpu.vread_until[d][e],
-            |cpu, e, _, granted| cpu.vready[d][e] = granted + y,
+            entry0,
+            timing.z,
+            &chain[..self.vl as usize],
+            |e, _, granted| ready[e] = granted + timing.y,
         );
+        let sched = Self::vector_stream(probe, pc, entered, walk);
         self.vector_retire(probe, pc, ins, entered, sched);
     }
 
@@ -1508,21 +1431,23 @@ impl Cpu {
         base: i64,
     ) {
         self.scalar_wait(probe, pc, self.a_ready[usize::from(addr.base.index())]);
-        let srcop = VOperand::V(src);
         let s = usize::from(src.index());
-        let barrier = self.no_chain_barrier(&[srcop]);
+        let barrier = self.no_chain_barrier(&[VOperand::V(src)]);
         let fence = self.scalar_mem_fence;
         let entered = self.vector_enter(probe, pc, ins, fence, barrier, self.vready[s][0]);
-        // Element entries chain on the source operand.
-        let sched = self.vector_stream(
-            probe,
-            pc,
-            entered,
-            base,
+        let Entered { timing, entry0, .. } = entered;
+        // Element entries chain on the source operand, which each element
+        // reads when it requests.
+        let (chain, read) = (&self.vready[s], &mut self.vread_until[s]);
+        let walk = self.mem.grant_stream(
+            base as u64,
             addr.stride.words(),
-            |cpu, e| cpu.vready[s][e],
-            |cpu, e, requested, _| cpu.mark_read(srcop, e, requested),
+            entry0,
+            timing.z,
+            &chain[..self.vl as usize],
+            |e, requested, _| read[e] = read[e].max(requested),
         );
+        let sched = Self::vector_stream(probe, pc, entered, walk);
         self.vector_retire(probe, pc, ins, entered, sched);
     }
 
@@ -1558,9 +1483,9 @@ impl Cpu {
         start: i64,
         done: i64,
     ) {
-        let after = self.mem.wait_ticks();
-        Self::attribute_mem(probe, Lane::ScalarMem, pc, before, after);
-        let mem_wait = after.total() - before.total();
+        let waits = self.mem.wait_ticks() - before;
+        Self::attribute_mem(probe, Lane::ScalarMem, pc, waits);
+        let mem_wait = waits.total();
         let hit = self.ticks.cache_hit;
         probe.busy(Lane::ScalarMem, hit, pc);
         probe.stall(
@@ -1940,6 +1865,25 @@ enum Touched {
 /// [`Cpu::vector_base`] checked.
 fn element_addr(base: i64, stride: i64, e: usize) -> u64 {
     (base + stride * e as i64) as u64
+}
+
+/// Turns a row of element ready times into the row of pipe entry ticks,
+/// in place: element 0 enters at `entry0`, element `e` at
+/// `max(entry(e-1) + z, ready(e))`. Returns the ticks the elements waited
+/// on their ready times beyond that pacing, summed.
+fn entry_scan(entry0: i64, z: i64, row: &mut [i64]) -> i64 {
+    let Some((first, rest)) = row.split_first_mut() else {
+        return 0;
+    };
+    *first = entry0;
+    let mut entry = entry0;
+    for t in rest.iter_mut() {
+        entry = (entry + z).max(*t);
+        *t = entry;
+    }
+    // Each element waited its entry less its predecessor's plus z, so the
+    // sum telescopes.
+    entry - entry0 - z * rest.len() as i64
 }
 
 /// Reusable rollback buffers for the warp replay: one checkpoint of the
@@ -2455,8 +2399,8 @@ mod tests {
     }
 
     /// A probe observes without steering. Probed and unprobed runs take
-    /// the same grant paths, closed-form streams included, so the probe
-    /// must leave the cycle count alone, and each lane's account must
+    /// the same grant path, the one stream walker, so the probe must
+    /// leave the cycle count alone, and each lane's account must
     /// partition the wall clock exactly.
     #[test]
     fn probed_run_matches_unprobed_and_partitions_wallclock() {
