@@ -146,6 +146,57 @@ fn huge_bank_busy_is_rejected_before_any_attempt() {
     assert_eq!(field_num(&summary, "panicked"), Some(0.0));
 }
 
+/// Background contention that leaves some bank no free grant cycle is
+/// rejected before any attempt, instead of panicking in the grant search
+/// and poisoning the point; a contention count past the other CPUs of
+/// the largest machine is a protocol error; and the contention points
+/// that always ran serve the same rows as before the check existed.
+#[test]
+fn saturating_contention_is_rejected_before_any_attempt() {
+    let point = |id: &str, config: &str| {
+        format!("{{\"id\":\"{id}\",\"kernel\":1,\"passes\":1,\"config\":{{{config}}}}}\n")
+    };
+    let input = [
+        point("l8", "\"contention\":\"lockstep:8\""),
+        point("l3b8", "\"contention\":\"lockstep:3\",\"banks\":8"),
+        point("m16", "\"contention\":\"mixed:16\""),
+        point("l3", "\"contention\":\"lockstep:3\""),
+        point("m3", "\"contention\":\"mixed:3\""),
+        point("m3b8", "\"contention\":\"mixed:3\",\"banks\":8"),
+    ]
+    .concat();
+    let (rows, summary) = serve_once(&input, &["--max-attempts", "1"]);
+    assert_eq!(rows.len(), 6, "every line is answered");
+    for id in ["l8", "l3b8"] {
+        let row = row_by_id(&rows, id);
+        assert_eq!(field_str(row, "error_kind"), Some("invalid_config"), "{id}");
+        assert_eq!(field_num(row, "attempts"), Some(0.0), "{id}");
+        assert_eq!(row.get("poisoned"), Some(&Json::Bool(false)), "{id}");
+        let message = field_str(row, "message").expect("error message");
+        assert!(message.contains("never grant"), "{id}: {message}");
+    }
+    let protocol: Vec<&Json> = rows
+        .iter()
+        .filter(|r| field_str(r, "error_kind") == Some("protocol"))
+        .collect();
+    assert_eq!(protocol.len(), 1, "mixed:16 names one CPU too many");
+    let message = field_str(protocol[0], "message").expect("error message");
+    assert!(message.contains("config.contention"), "{message}");
+    // Cycle counts and CPLs as served before saturation was checked.
+    for (id, cycles, cpl) in [
+        ("l3", 4684.0, 4.679320679320679),
+        ("m3", 5956.0, 5.95004995004995),
+        ("m3b8", 8474.0, 8.465534465534466),
+    ] {
+        let row = row_by_id(&rows, id);
+        assert_eq!(field_str(row, "status"), Some("ok"), "{id}");
+        assert_eq!(field_num(row, "cycles"), Some(cycles), "{id}");
+        assert_eq!(field_num(row, "cpl"), Some(cpl), "{id}");
+    }
+    assert_eq!(field_num(&summary, "invalid"), Some(3.0));
+    assert_eq!(field_num(&summary, "panicked"), Some(0.0));
+}
+
 #[test]
 fn served_rows_are_bit_identical_to_in_process_evaluation() {
     let lines = [

@@ -208,14 +208,19 @@ fn field_bool(value: &Json, field: &'static str) -> Result<bool, ProtocolError> 
 fn parse_contention(value: &Json) -> Result<Contention, ProtocolError> {
     const ERR: ProtocolError = ProtocolError::BadField {
         field: "config.contention",
-        expected: "\"idle\", \"lockstep:N\", or \"mixed:N\"",
+        expected: "\"idle\", \"lockstep:N\", or \"mixed:N\" with N at most 15",
     };
     let text = value.as_str().ok_or(ERR)?;
     if text == "idle" {
         return Ok(Contention::Idle);
     }
     let (preset, n) = text.split_once(':').ok_or(ERR)?;
-    let n: u32 = n.parse().map_err(|_| ERR)?;
+    // N counts the *other* CPUs of the machine.
+    let n: u32 = n
+        .parse()
+        .ok()
+        .filter(|&n| n < c240_sim::MAX_CPUS)
+        .ok_or(ERR)?;
     match preset {
         "lockstep" => Ok(Contention::Lockstep(n)),
         "mixed" => Ok(Contention::Mixed(n)),
@@ -434,8 +439,8 @@ impl SweepPoint {
 
     /// Resolves the point's configuration: the machine half comes from
     /// the point's `machine` preset (or the base when none is named),
-    /// the base's operational knobs (tracing, instruction limit,
-    /// fast-forward, CPU count, background contention) carry over, and
+    /// the base's operational knobs (instruction limit, fast-forward,
+    /// CPU count, background contention) carry over, and
     /// the overrides apply last. Panic-free by construction: override
     /// fields are set raw and the *caller* runs [`SimConfig::validate`]
     /// on the result, so an out-of-range override becomes a typed error
@@ -452,8 +457,6 @@ impl SweepPoint {
                 let machine = MachineDescription::preset(name)
                     .ok_or_else(|| UnknownMachine { name: name.clone() })?;
                 let mut cfg = SimConfig::for_machine(&machine);
-                cfg.trace = base.trace;
-                cfg.trace_cap = base.trace_cap;
                 cfg.max_instructions = base.max_instructions;
                 cfg.fast_forward = base.fast_forward;
                 cfg.cpus = base.cpus;
@@ -868,7 +871,6 @@ mod tests {
         let mut base = SimConfig::c240();
         base.fast_forward = false;
         base.max_instructions = 12_345;
-        base.trace_cap = 7;
         base.cpus = 2;
         base.mem.contention = c240_mem::ContentionConfig::mixed(3);
         let p = parse_point(r#"{"kernel":1,"machine":"c240-64b","config":{"chaining":false}}"#)
@@ -880,7 +882,6 @@ mod tests {
         // …operational knobs from the base.
         assert!(!cfg.fast_forward);
         assert_eq!(cfg.max_instructions, 12_345);
-        assert_eq!(cfg.trace_cap, 7);
         assert_eq!(cfg.cpus, 2);
         assert!(!cfg.mem.contention.is_idle());
     }

@@ -48,7 +48,7 @@ use std::process::ExitCode;
 
 use c240_isa::{MachineDescription, PRESET_NAMES};
 use c240_obs::json::Json;
-use c240_sim::{Cpu, SimConfig};
+use c240_sim::{Cpu, SimConfig, Trace};
 use macs_core::{ChimeConfig, RunReport, RUN_REPORT_SCHEMA};
 use macs_experiments::cosim::{cosim_csv, cosim_table, run_cosim, Mix};
 use macs_experiments::{
@@ -204,16 +204,15 @@ fn suite_json(suite: &Suite) -> Json {
 /// plus ASCII Gantt chart, and its per-lane stall accounts as CSV.
 fn write_traces(dir: &PathBuf, suite: &Suite) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
-    let traced = suite.sim.clone().with_trace();
     for row in &suite.rows {
         let kernel = lfk_suite::by_id(row.id).expect("suite rows come from the registry");
-        let mut cpu = Cpu::new(traced.clone());
+        let mut cpu = Cpu::new(suite.sim.clone());
         kernel.setup(&mut cpu);
-        if let Err(e) = cpu.run(&kernel.program()) {
+        let mut trace = Trace::default();
+        if let Err(e) = cpu.run_probed(&kernel.program(), &mut trace) {
             eprintln!("LFK{}: trace run failed: {e}", row.id);
             continue;
         }
-        let trace = cpu.trace();
         // The origin stamp places this run (whose event timestamps are
         // simulated cycles) on the process's shared monotonic timeline,
         // the same clock the observability spans use — so a trace can be

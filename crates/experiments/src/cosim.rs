@@ -228,8 +228,8 @@ pub fn run_cosim(sim: &SimConfig, mix: Mix) -> CoSimReport {
         cpus,
         mix,
         rows,
-        shared_waits: machine.shared().wait_breakdown(),
-        shared_accesses: machine.shared().access_count(),
+        shared_waits: machine.wait_ticks().cycles(),
+        shared_accesses: machine.access_count(),
     }
 }
 

@@ -4,7 +4,7 @@ use std::fmt::Write as _;
 
 use c240_isa::ProgramBuilder;
 use c240_mem::ContentionConfig;
-use c240_sim::{Cpu, SimConfig};
+use c240_sim::{Cpu, SimConfig, Trace};
 use macs_core::{hierarchy_figure, TextTable};
 
 use crate::{analyze_lfk, Suite};
@@ -36,16 +36,19 @@ pub fn fig2(sim: &SimConfig) -> String {
     b.halt();
     let program = b.build().expect("figure 2 example is valid");
 
-    let mut cpu = Cpu::new(sim.clone().without_refresh().with_trace());
-    let stats = cpu.run(&program).expect("figure 2 example runs");
-    let events = cpu.trace().events().to_vec();
+    let mut cpu = Cpu::new(sim.clone().without_refresh());
+    let mut trace = Trace::default();
+    let stats = cpu
+        .run_probed(&program, &mut trace)
+        .expect("figure 2 example runs");
+    let events = trace.events();
 
     let mut out = String::new();
     let _ = writeln!(
         out,
         "Figure 2: Chaining with tailgating (VL = 128, two ld/add/mul chimes)\n"
     );
-    out.push_str(&cpu.trace().gantt(6, 2.0));
+    out.push_str(&trace.gantt(6, 2.0));
     let first_chime_end = events[2].last_result;
     let second_chime_end = events[5].last_result;
     let _ = writeln!(out);

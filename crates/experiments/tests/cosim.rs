@@ -3,7 +3,6 @@
 
 use c240_isa::timing::exact_ticks;
 use c240_isa::PRESET_NAMES;
-use c240_mem::WaitTicks;
 use c240_obs::{LaneAccount, StallCause};
 use c240_sim::{CoSimProbes, CounterProbe, Cpu, Machine, SimConfig};
 use macs_experiments::cosim::{run_cosim, Mix};
@@ -74,8 +73,8 @@ fn accounted_ticks(acct: LaneAccount) -> i64 {
 
 /// Per-CPU accounting stays exact under contention, in ticks: each CPU's
 /// wait breakdown is its memory system's wait ticks, each lane's
-/// busy+stalls+idle covers its wall clock, and the per-CPU counters sum
-/// to the shared bank state's machine totals.
+/// busy+stalls+idle covers its wall clock, and the machine roll-up of the
+/// probes covers the summed clocks.
 #[test]
 fn wait_breakdown_invariants_under_cosim() {
     let cpus = 4usize;
@@ -95,8 +94,6 @@ fn wait_breakdown_invariants_under_cosim() {
         .run_probed(&programs, probes.as_mut_slice())
         .expect("co-sim run");
 
-    let mut acc_sum = 0u64;
-    let mut wait_sum = WaitTicks::default();
     let mut cycle_sum = 0i64;
     for (i, s) in stats.iter().enumerate() {
         let w = machine.cpu(i).mem().wait_ticks();
@@ -110,17 +107,14 @@ fn wait_breakdown_invariants_under_cosim() {
         for (lane, acct) in probes.cpu(i).lanes() {
             assert_eq!(accounted_ticks(acct), cycles, "cpu {i} lane {lane}");
         }
-        acc_sum += s.memory_accesses;
-        wait_sum += w;
         cycle_sum += cycles;
     }
 
-    let shared = machine.shared();
-    assert_eq!(shared.access_count(), acc_sum);
-    assert_eq!(shared.wait_ticks(), wait_sum);
-    assert_eq!(ticks(shared.wait_cycles()), wait_sum.total());
     // Neighbors really did collide.
-    assert!(wait_sum.contention > 0, "mixed co-sim must show contention");
+    assert!(
+        machine.wait_ticks().contention > 0,
+        "mixed co-sim must show contention"
+    );
 
     // The machine roll-up preserves the partition against summed clocks.
     for (lane, acct) in probes.combined().lanes() {

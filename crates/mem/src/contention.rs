@@ -205,6 +205,26 @@ impl ContentionConfig {
         })
     }
 
+    /// The first bank these streams claim at every cycle of one
+    /// [`pattern_period`](Self::pattern_period), judged by
+    /// [`Self::blocking_claim_end`] itself: a grant search on that bank
+    /// could never end. The window starts two bank rotations in, where
+    /// every stream's claims repeat with the pattern; earlier cycles see
+    /// no claims from before tick 0.
+    pub(crate) fn saturated_bank(&self, banks: u32, claim_len: i64) -> Option<u32> {
+        if self.is_idle() {
+            return None;
+        }
+        let start = 2 * i64::from(banks);
+        let cycles = start..start + self.pattern_period(banks) as i64;
+        (0..banks).find(|&bank| {
+            cycles.clone().all(|c| {
+                self.blocking_claim_end(bank, banks, c * TICKS_PER_CYCLE, claim_len)
+                    .is_some()
+            })
+        })
+    }
+
     /// The end tick of the latest claim blocking a grant to `bank` at
     /// tick `t`, if any stream blocks it.
     #[inline]

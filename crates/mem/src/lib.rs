@@ -30,11 +30,11 @@
 //!
 //! let mut mem = MemorySystem::new(MemConfig::c240());
 //! mem.poke(100, 2.5);
-//! let (t, value) = mem.read(100, 0);
-//! assert_eq!(value, 2.5);
+//! let t = mem.grant(100, 0);
+//! assert_eq!(mem.peek(100), 2.5);
 //! // A second access to the same bank waits out the 8-cycle (160-tick)
 //! // bank busy.
-//! let (t2, _) = mem.read(100, t);
+//! let t2 = mem.grant(100, t);
 //! assert!(t2 >= t + 160);
 //! ```
 

@@ -2,14 +2,14 @@
 //!
 //! Since the multi-CPU co-simulation refactor the system is split in
 //! two: [`BankState`] holds the *shared* arbitration state (per-bank
-//! earliest-free times, which CPU last claimed each bank, and
-//! machine-wide counters), while [`MemorySystem`] is a per-CPU *view*
-//! over it — private data space and private accounting on top of the
-//! shared banks. A single-CPU simulation owns both halves and behaves
-//! exactly as before; a co-simulation driver (`c240_sim::Machine`)
-//! keeps one `BankState` and swaps it into whichever CPU's view is
-//! stepping, so contention between CPUs *emerges* from real interleaved
-//! traffic instead of the synthetic [`ContentionStream`]s.
+//! earliest-free times and which CPU last claimed each bank), while
+//! [`MemorySystem`] is a per-CPU *view* over it — private data space and
+//! the only access and wait counters, on top of the shared banks. A
+//! single-CPU simulation owns both halves and behaves exactly as before;
+//! a co-simulation driver (`c240_sim::Machine`) keeps one `BankState`
+//! and swaps it into whichever CPU's view is stepping, so contention
+//! between CPUs *emerges* from real interleaved traffic instead of the
+//! synthetic [`ContentionStream`]s.
 //!
 //! Every time here is an exact integer tick count (20 ticks per cycle).
 //!
@@ -90,8 +90,9 @@ impl Default for MemConfig {
     }
 }
 
-/// The shared half of the memory system: per-bank arbitration state plus
-/// machine-wide accounting, common to every CPU port.
+/// The shared half of the memory system: per-bank arbitration state,
+/// common to every CPU port. It keeps no counters; each view counts its
+/// own traffic, and a machine's totals are the sum over its views.
 ///
 /// A single-CPU [`MemorySystem`] owns its own `BankState`; a co-sim
 /// driver owns one and swaps it between the CPUs' views with
@@ -115,10 +116,6 @@ pub struct BankState {
     /// Claims ending at or before this tick can no longer affect any
     /// future request and are pruned.
     horizon: i64,
-    /// Machine-wide accesses across all views.
-    accesses: u64,
-    /// Machine-wide wait breakdown across all views.
-    breakdown: WaitTicks,
 }
 
 impl BankState {
@@ -134,8 +131,6 @@ impl BankState {
             claims: Vec::new(),
             multiport: false,
             horizon: 0,
-            accesses: 0,
-            breakdown: WaitTicks::default(),
         }
     }
 
@@ -169,7 +164,7 @@ impl BankState {
         self.horizon = self.horizon.max(tick);
     }
 
-    /// Clears all arbitration state and counters.
+    /// Clears all arbitration state.
     pub fn reset(&mut self) {
         self.free.fill(0);
         self.owner.fill(0);
@@ -177,30 +172,6 @@ impl BankState {
             c.clear();
         }
         self.horizon = 0;
-        self.accesses = 0;
-        self.breakdown = WaitTicks::default();
-    }
-
-    /// Total accesses served across every view sharing this state.
-    pub fn access_count(&self) -> u64 {
-        self.accesses
-    }
-
-    /// Total wait cycles across every view sharing this state.
-    pub fn wait_cycles(&self) -> f64 {
-        cycles(self.breakdown.total())
-    }
-
-    /// The machine-wide wait breakdown across every view sharing this
-    /// state. Per-view breakdowns sum to this exactly.
-    pub fn wait_breakdown(&self) -> WaitBreakdown {
-        self.breakdown.cycles()
-    }
-
-    /// The machine-wide wait split by cause, in ticks. Per-view
-    /// [`MemorySystem::wait_ticks`] sum to this exactly.
-    pub fn wait_ticks(&self) -> WaitTicks {
-        self.breakdown
     }
 }
 
@@ -328,7 +299,7 @@ pub struct StreamGrants {
     /// the previous grant plus `z`, summed.
     pub chain_wait: i64,
     /// The stream's memory waits by cause, already added to the view's
-    /// and the shared breakdown.
+    /// breakdown.
     pub waits: WaitTicks,
 }
 
@@ -537,7 +508,7 @@ impl MemorySystem {
     }
 
     /// The shared arbitration state this view currently holds (bank
-    /// availability plus machine-wide counters).
+    /// availability and claims).
     pub fn shared(&self) -> &BankState {
         &self.bank
     }
@@ -547,32 +518,6 @@ impl MemorySystem {
     /// back out afterwards, so all CPUs arbitrate against the same banks.
     pub fn swap_bank_state(&mut self, other: &mut BankState) {
         std::mem::swap(&mut self.bank, other);
-    }
-
-    /// Reads `addr` (word address) no earlier than tick `earliest`;
-    /// returns the granted tick and the value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is outside the configured memory size, which
-    /// indicates a bug in the simulated program.
-    pub fn read(&mut self, addr: u64, earliest: i64) -> (i64, f64) {
-        let value = self.peek(addr);
-        let t = self.grant(addr, earliest);
-        (t, value)
-    }
-
-    /// Writes `value` to `addr` no earlier than tick `earliest`; returns
-    /// the granted tick.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is outside the configured memory size.
-    pub fn write(&mut self, addr: u64, value: f64, earliest: i64) -> i64 {
-        self.check(addr);
-        let t = self.grant(addr, earliest);
-        self.data[addr as usize] = value;
-        t
     }
 
     /// Reads data without touching timing state (test/setup use).
@@ -775,36 +720,27 @@ impl MemorySystem {
         }
     }
 
-    /// Adds `accesses` accesses and their `waits` to this view's and the
-    /// shared counters.
+    /// Adds `accesses` accesses and their `waits` to this view's
+    /// counters.
     fn count(&mut self, accesses: u64, waits: WaitTicks) {
         self.accesses += accesses;
-        self.bank.accesses += accesses;
         self.breakdown += waits;
-        self.bank.breakdown += waits;
     }
 
-    /// Visits every tick count of timing state this view holds: the
-    /// banks' free times, then this view's and the shared state's wait
-    /// breakdowns. The simulator's steady-state fast-forward
+    /// Visits every count this view keeps that a periodic loop advances:
+    /// the banks' free times, this view's wait breakdown in ticks, and
+    /// its access count. The simulator's steady-state fast-forward
     /// snapshots these and translates them by whole periods.
     pub fn visit_timing(&mut self, mut visit: impl FnMut(&mut i64)) {
         for free in &mut self.bank.free {
             visit(free);
         }
-        for breakdown in [&mut self.breakdown, &mut self.bank.breakdown] {
-            visit(&mut breakdown.bank_busy);
-            visit(&mut breakdown.refresh);
-            visit(&mut breakdown.contention);
-        }
-    }
-
-    /// Adds `k` periods of `accesses` accesses each to this view's and
-    /// the shared access counts — the fast-forward path's replacement
-    /// for `k` repetitions of identical per-period traffic.
-    pub fn ff_apply(&mut self, accesses: u64, k: u64) {
-        self.accesses += accesses * k;
-        self.bank.accesses += accesses * k;
+        visit(&mut self.breakdown.bank_busy);
+        visit(&mut self.breakdown.refresh);
+        visit(&mut self.breakdown.contention);
+        let mut accesses = self.accesses as i64;
+        visit(&mut accesses);
+        self.accesses = accesses as u64;
     }
 
     /// The number of distinct banks a stride touches before repeating —
@@ -832,7 +768,7 @@ mod tests {
         let mut mem = quiet();
         let mut t = 0;
         for i in 0..256u64 {
-            let (g, _) = mem.read(i, t);
+            let g = mem.grant(i, t);
             assert_eq!(g, t, "element {i} should not wait");
             t += T;
         }
@@ -842,8 +778,8 @@ mod tests {
     #[test]
     fn same_bank_accesses_wait_bank_busy() {
         let mut mem = quiet();
-        let (t0, _) = mem.read(0, 0);
-        let (t1, _) = mem.read(32, t0 + T); // same bank 0
+        let t0 = mem.grant(0, 0);
+        let t1 = mem.grant(32, t0 + T); // same bank 0
         assert_eq!(t0, 0);
         assert_eq!(t1, 8 * T);
     }
@@ -854,7 +790,7 @@ mod tests {
         let mut t = 0;
         let mut grants = Vec::new();
         for i in 0..16u64 {
-            let (g, _) = mem.read(i * 32, t);
+            let g = mem.grant(i * 32, t);
             grants.push(g);
             t = g + T; // port wants one per cycle
         }
@@ -868,13 +804,13 @@ mod tests {
         let mut mem = MemorySystem::new(MemConfig::c240());
         // Request at cycle 2 lands inside the refresh window [0, 8) and
         // pays the full 8-cycle stall (§3.2 of the paper).
-        let (g, _) = mem.read(0, 2 * T);
+        let g = mem.grant(0, 2 * T);
         assert_eq!(g, 10 * T);
         // Request at 401 lands inside [400, 408).
-        let (g2, _) = mem.read(1, 401 * T);
+        let g2 = mem.grant(1, 401 * T);
         assert_eq!(g2, 409 * T);
         // Requests between windows go through immediately.
-        let (g3, _) = mem.read(2, 100 * T);
+        let g3 = mem.grant(2, 100 * T);
         assert_eq!(g3, 100 * T);
     }
 
@@ -884,7 +820,7 @@ mod tests {
         let mut t = 0;
         let n = 40_000u64;
         for i in 0..n {
-            let (g, _) = mem.read(i % 1000, t);
+            let g = mem.grant(i % 1000, t);
             t = g + T;
         }
         let ideal = (n as i64 * T) as f64;
@@ -898,9 +834,10 @@ mod tests {
     #[test]
     fn write_then_read_roundtrips_data() {
         let mut mem = quiet();
-        let t = mem.write(77, 3.25, 0);
-        let (_, v) = mem.read(77, t + 8 * T);
-        assert_eq!(v, 3.25);
+        let t = mem.grant(77, 0);
+        mem.store(77, 3.25, &mut crate::NoJournal);
+        assert_eq!(mem.grant(77, t + T), t + 8 * T);
+        assert_eq!(mem.peek(77), 3.25);
     }
 
     #[test]
@@ -921,11 +858,12 @@ mod tests {
     #[test]
     fn reset_timing_keeps_data() {
         let mut mem = quiet();
-        mem.write(3, 9.0, 0);
+        mem.grant(3, 0);
+        mem.poke(3, 9.0);
         mem.reset_timing();
         assert_eq!(mem.peek(3), 9.0);
         assert_eq!(mem.access_count(), 0);
-        let (g, _) = mem.read(3, 0);
+        let g = mem.grant(3, 0);
         assert_eq!(g, 0);
     }
 
@@ -936,7 +874,7 @@ mod tests {
             .with_contention(ContentionConfig::idle().with_stream(ContentionStream::unit(0)));
         let mut mem = MemorySystem::new(cfg);
         // The stream claims bank 0 during [0, 8).
-        let (g, _) = mem.read(0, 0);
+        let g = mem.grant(0, 0);
         assert_eq!(g, 8 * T);
     }
 
@@ -949,7 +887,7 @@ mod tests {
         let mut t = 0;
         let n = 10_000u64;
         for i in 0..n {
-            let (g, _) = mem.read(i, t);
+            let g = mem.grant(i, t);
             t = g + T;
         }
         let slowdown = t as f64 / (n as i64 * T) as f64;
@@ -969,7 +907,7 @@ mod tests {
         let mut t = 0;
         let n = 40_000u64;
         for i in 0..n {
-            let (g, _) = mem.read(i, t);
+            let g = mem.grant(i, t);
             t = g + T;
         }
         let slowdown = t as f64 / (n as i64 * T) as f64;
@@ -994,8 +932,8 @@ mod tests {
     #[test]
     fn wait_statistics_accumulate() {
         let mut mem = quiet();
-        let _ = mem.read(0, 0);
-        let _ = mem.read(32, 0); // waits 8 cycles
+        let _ = mem.grant(0, 0);
+        let _ = mem.grant(32, 0); // waits 8 cycles
         assert_eq!(mem.wait_cycles(), 8.0);
         assert_eq!(mem.access_count(), 2);
         assert_eq!(mem.wait_breakdown().bank_busy, 8.0);
@@ -1009,10 +947,10 @@ mod tests {
         let mut t = 0;
         for i in 0..5_000u64 {
             let addr = (i * 7) % 2000;
-            let (g, _) = mem.read(addr, t);
+            let g = mem.grant(addr, t);
             // Re-read the same bank one cycle after its grant: the bank
             // is still recycling, so this charges bank_busy.
-            let (g2, _) = mem.read(addr, g + T);
+            let g2 = mem.grant(addr, g + T);
             t = g2 + T;
         }
         let b = mem.wait_breakdown();
@@ -1023,7 +961,7 @@ mod tests {
         let mut quiet_mem = MemorySystem::new(MemConfig::c240().without_refresh());
         let mut t = 0;
         for i in 0..1_000u64 {
-            let (g, _) = quiet_mem.read(i % 64, t);
+            let g = quiet_mem.grant(i % 64, t);
             t = g + T;
         }
         let qb = quiet_mem.wait_breakdown();
@@ -1066,7 +1004,6 @@ mod tests {
             if let Some((period, len)) = mem.refresh {
                 if t % period < len {
                     mem.breakdown.refresh += len;
-                    mem.bank.breakdown.refresh += len;
                     t += len;
                     continue;
                 }
@@ -1075,7 +1012,6 @@ mod tests {
             if let Some(end) = contention.blocking_claim_end(bank as u32, mem.config.banks, t, busy)
             {
                 mem.breakdown.contention += end - t;
-                mem.bank.breakdown.contention += end - t;
                 t = end;
                 continue;
             }
@@ -1090,20 +1026,17 @@ mod tests {
             mem.bank.owner[bank] = mem.view;
         }
         mem.accesses += 1;
-        mem.bank.accesses += 1;
         t
     }
 
-    /// Charges a wait behind a claim by view `owner` to the view's and
-    /// the shared breakdown: bank busy for its own claim, contention for
-    /// another view's.
+    /// Charges a wait behind a claim by view `owner` to the view's
+    /// breakdown: bank busy for its own claim, contention for another
+    /// view's.
     fn charge(mem: &mut MemorySystem, owner: u32, ticks: i64) {
-        for waits in [&mut mem.breakdown, &mut mem.bank.breakdown] {
-            if owner == mem.view {
-                waits.bank_busy += ticks;
-            } else {
-                waits.contention += ticks;
-            }
+        if owner == mem.view {
+            mem.breakdown.bank_busy += ticks;
+        } else {
+            mem.breakdown.contention += ticks;
         }
     }
 
@@ -1122,8 +1055,8 @@ mod tests {
 
     /// `grant_stream` grants every element exactly as the oracle's
     /// per-element search does, and leaves identical bank state (free
-    /// times, owners, multiport claims, horizon), wait breakdowns and
-    /// access counts in the view and the shared state. Walks bank counts,
+    /// times, owners, multiport claims, horizon), wait breakdown and
+    /// access count. Walks bank counts,
     /// strides (zero and negative included), lengths, starts on both
     /// sides of refresh windows and seeded chain delays, in five modes:
     /// single-port with earlier traffic of this view and a foreign one,
@@ -1256,19 +1189,19 @@ mod tests {
     fn shared_bank_state_charges_foreign_claims_to_contention() {
         // Two views arbitrate over one BankState: B's wait behind A's
         // claim is contention; A's wait behind its own claim stays
-        // bank-busy. The shared totals see both.
+        // bank-busy.
         let mut a = quiet();
         let mut b = quiet();
         b.set_view(1);
         let mut shared = BankState::new(32);
 
         a.swap_bank_state(&mut shared);
-        let (g, _) = a.read(0, 0); // A claims bank 0 for [0, 8)
+        let g = a.grant(0, 0); // A claims bank 0 for [0, 8)
         assert_eq!(g, 0);
         a.swap_bank_state(&mut shared);
 
         b.swap_bank_state(&mut shared);
-        let (g, _) = b.read(32, T); // same bank, different view
+        let g = b.grant(32, T); // same bank, different view
         assert_eq!(g, 8 * T);
         b.swap_bank_state(&mut shared);
 
@@ -1278,18 +1211,10 @@ mod tests {
 
         // A re-reading its own bank still charges bank busy.
         a.swap_bank_state(&mut shared);
-        let (g, _) = a.read(64, 9 * T); // bank 0, now owned by B until 16
+        let g = a.grant(64, 9 * T); // bank 0, now owned by B until 16
         assert_eq!(g, 16 * T);
         a.swap_bank_state(&mut shared);
         assert_eq!(a.wait_breakdown().contention, 7.0);
-
-        // Per-view breakdowns sum to the shared machine-wide totals.
-        let total = shared.wait_breakdown();
-        let sum_bank = a.wait_breakdown().bank_busy + b.wait_breakdown().bank_busy;
-        let sum_cont = a.wait_breakdown().contention + b.wait_breakdown().contention;
-        assert_eq!(total.bank_busy, sum_bank);
-        assert_eq!(total.contention, sum_cont);
-        assert_eq!(shared.access_count(), a.access_count() + b.access_count());
-        assert_eq!(shared.wait_cycles(), a.wait_cycles() + b.wait_cycles());
+        assert_eq!((a.access_count(), b.access_count()), (2, 1));
     }
 }

@@ -93,6 +93,12 @@ pub enum MemConfigError {
         /// Denominator of the duty fraction.
         den: u32,
     },
+    /// Background contention that claims `bank` at every cycle, so a
+    /// grant there could never be found.
+    ContentionSaturatesBank {
+        /// The first saturated bank.
+        bank: u32,
+    },
     /// `lines == 0` in the scalar cache.
     ZeroCacheLines,
     /// `line_words == 0` in the scalar cache.
@@ -153,6 +159,11 @@ impl fmt::Display for MemConfigError {
             MemConfigError::DutyAboveOne { num, den } => {
                 write!(f, "contention duty {num}/{den} must be a fraction <= 1")
             }
+            MemConfigError::ContentionSaturatesBank { bank } => write!(
+                f,
+                "background contention claims bank {bank} on every cycle, \
+                 so memory would never grant there"
+            ),
             MemConfigError::ZeroCacheLines => {
                 write!(f, "scalar cache must have at least one line")
             }
@@ -238,10 +249,12 @@ impl ContentionConfig {
 }
 
 impl MemConfig {
-    /// Checks every constraint a simulatable memory system needs; the
-    /// sweep server calls this on untrusted configurations before
-    /// constructing a [`crate::MemorySystem`] (whose internal `assert!`s
-    /// remain as backstops for programmatic misuse).
+    /// Checks every constraint a simulatable memory system needs,
+    /// including that the background contention leaves every bank a free
+    /// grant cycle; the sweep server calls this on untrusted
+    /// configurations before constructing a [`crate::MemorySystem`]
+    /// (whose internal `assert!`s remain as backstops for programmatic
+    /// misuse).
     ///
     /// # Errors
     ///
@@ -278,7 +291,12 @@ impl MemConfig {
         if self.words > MAX_WORDS {
             return Err(MemConfigError::TooManyWords { words: self.words });
         }
-        self.contention.validate()
+        self.contention.validate()?;
+        let claim_len = crate::cycle_ticks(self.bank_busy);
+        match self.contention.saturated_bank(self.banks, claim_len) {
+            Some(bank) => Err(MemConfigError::ContentionSaturatesBank { bank }),
+            None => Ok(()),
+        }
     }
 
     /// The bank-count constraints, shared with [`MemConfig::with_banks`].
@@ -411,6 +429,38 @@ mod tests {
         let cfg = ContentionConfig::idle().with_stream(ContentionStream::unit(3));
         assert_eq!(cfg.streams().len(), 1);
         assert_eq!(cfg.validate(), Ok(()));
+    }
+
+    /// Saturation is judged by the grant search's own claim model: full
+    /// lockstep sets leave some bank no free cycle, while mixed sets on
+    /// as few as 8 banks (where `Σ duty · bank_busy` reaches the bank
+    /// count) still leave every bank one. Bank 0 is free only in the
+    /// first cycles, before any claim on it has started, so a window
+    /// from tick 0 would miss it and name bank 1.
+    #[test]
+    fn saturating_contention_is_caught() {
+        let with = |contention, banks| MemConfig {
+            banks,
+            contention,
+            ..MemConfig::c240()
+        };
+        for (contention, banks) in [
+            (ContentionConfig::lockstep(8), 32),
+            (ContentionConfig::lockstep(3), 8),
+        ] {
+            assert_eq!(
+                with(contention, banks).validate(),
+                Err(MemConfigError::ContentionSaturatesBank { bank: 0 })
+            );
+        }
+        for (contention, banks) in [
+            (ContentionConfig::lockstep(3), 32),
+            (ContentionConfig::mixed(3), 32),
+            (ContentionConfig::mixed(3), 8),
+            (ContentionConfig::idle(), 1),
+        ] {
+            assert_eq!(with(contention, banks).validate(), Ok(()));
+        }
     }
 
     #[test]

@@ -18,6 +18,11 @@
 //! attribution arithmetic is skipped entirely and the instrumented
 //! simulator compiles to the same code as the uninstrumented one.
 //! [`CounterProbe`] accumulates totals, per-lane and per-pc breakdowns.
+//! The probe is the simulator's only observation channel: its pipeline
+//! trace (`c240_sim::Trace`) is a probe too, fed by [`Probe::vector`].
+//! A probe that exposes its counters through [`Probe::visit_counters`]
+//! and declares itself [`Probe::WARPABLE`] lets the simulator
+//! fast-forward the runs it observes.
 //!
 //! The [`json`] module hosts the small writer and parser used for
 //! `RunReport` artifacts, sweep rows and journals (no serde: the crate
@@ -332,16 +337,26 @@ impl LaneAccount {
     }
 }
 
-/// Observation hooks the simulator drives. Every amount is in *ticks*
-/// (1/20 cycle, the simulator's exact unit of time).
+/// Observation hooks the simulator drives — the one way a run reports
+/// anything beyond its `RunStats`. Every amount is in *ticks* (1/20
+/// cycle, the simulator's exact unit of time).
 ///
 /// Implementations with `ENABLED == false` (the default, [`NoProbe`])
-/// compile every hook away; the simulator also uses `P::ENABLED` to
-/// skip the bookkeeping that *prepares* hook arguments, so a disabled
-/// probe costs nothing beyond monomorphization.
+/// compile the attribution hooks away; the simulator also uses
+/// `P::ENABLED` to skip the bookkeeping that *prepares* their arguments,
+/// so a disabled probe costs nothing beyond monomorphization.
+/// [`Probe::vector`] is called either way.
 pub trait Probe {
     /// Whether the simulator should compute attribution at all.
     const ENABLED: bool = false;
+
+    /// Whether the simulator may fast-forward a run this probe observes.
+    /// A warpable probe exposes every counter it keeps through
+    /// [`Probe::visit_counters`], and those counters must advance by the
+    /// same amount in every period of a periodic loop. The default is
+    /// `false`: the simulator then never fast-forwards the run and steps
+    /// every element exactly.
+    const WARPABLE: bool = false;
 
     /// `lane` lost `ticks` to `cause` while executing the instruction at
     /// `pc`.
@@ -362,22 +377,21 @@ pub trait Probe {
         let _ = (lane, ticks);
     }
 
-    /// Flattens every accumulated counter into a deterministic `Vec` so
-    /// the simulator's steady-state fast-forward can compute per-period
-    /// deltas and later scale them (see `c240-sim`'s fast-forward docs).
-    ///
-    /// Returning `None` (the default for external probes) declares the
-    /// probe opaque: the simulator then never fast-forwards a probed run,
-    /// falling back to exact element stepping.
-    fn ff_counters(&self) -> Option<Vec<i64>> {
-        None
+    /// The vector instruction `text` at `pc` retired on `lane` after
+    /// streaming `vl` elements. `ticks` holds its five times: issue
+    /// start, first and last element entry, first and last result.
+    #[inline(always)]
+    fn vector(&mut self, pc: usize, lane: Lane, text: &dyn fmt::Display, vl: u32, ticks: [i64; 5]) {
+        let _ = (pc, lane, text, vl, ticks);
     }
 
-    /// Adds `k · deltas[i]` to the counter at flattened index `i`, in the
-    /// same order [`Probe::ff_counters`] produced. Only called with
-    /// deltas previously derived from this probe's own `ff_counters`.
-    fn ff_apply(&mut self, deltas: &[i64], k: i64) {
-        let _ = (deltas, k);
+    /// Visits every counter of a [`Probe::WARPABLE`] probe, in an order
+    /// that depends only on which counters exist. The simulator's
+    /// fast-forward walks them with its own timing fields: it snapshots
+    /// them to measure per-period deltas, and translates them by whole
+    /// periods (see `c240-sim`'s fast-forward docs).
+    fn visit_counters(&mut self, visit: impl FnMut(&mut i64)) {
+        let _ = visit;
     }
 }
 
@@ -386,9 +400,7 @@ pub trait Probe {
 pub struct NoProbe;
 
 impl Probe for NoProbe {
-    fn ff_counters(&self) -> Option<Vec<i64>> {
-        Some(Vec::new())
-    }
+    const WARPABLE: bool = true;
 }
 
 /// One lane's account in ticks: what [`CounterProbe`] accumulates.
@@ -570,39 +582,22 @@ impl Probe for CounterProbe {
         self.lanes[lane as usize].idle += ticks.max(0);
     }
 
-    /// Layout: per lane `[busy, idle, stalls × 12]`, then per `by_pc`
-    /// entry (ascending pc) `[pc, stalls × 12]`. Embedding the pc makes a
-    /// change in the pc set show up as a nonzero/non-stale delta, which
-    /// the fast-forward detector rejects.
-    fn ff_counters(&self) -> Option<Vec<i64>> {
-        let mut v = Vec::with_capacity(
-            Lane::COUNT * (2 + StallCause::COUNT) + self.by_pc.len() * (1 + StallCause::COUNT),
-        );
-        for account in &self.lanes {
-            v.push(account.busy);
-            v.push(account.idle);
-            v.extend_from_slice(&account.stalls);
-        }
-        for (&pc, stalls) in &self.by_pc {
-            v.push(pc as i64);
-            v.extend_from_slice(stalls);
-        }
-        Some(v)
-    }
+    const WARPABLE: bool = true;
 
-    fn ff_apply(&mut self, deltas: &[i64], k: i64) {
-        let mut it = deltas.iter();
-        let mut shift = |c: &mut i64| *c += k * it.next().expect("ff delta layout mismatch");
+    /// Per lane `busy, idle, stalls × 12`, then per `by_pc` entry
+    /// (ascending pc) a copy of the pc and its `stalls × 12`. A change in
+    /// the set of pcs changes the walk's length or a pc slot's delta, so
+    /// fast-forward rejects the period; the shift leaves the key alone.
+    fn visit_counters(&mut self, mut visit: impl FnMut(&mut i64)) {
         for account in &mut self.lanes {
-            shift(&mut account.busy);
-            shift(&mut account.idle);
-            account.stalls.iter_mut().for_each(&mut shift);
+            visit(&mut account.busy);
+            visit(&mut account.idle);
+            account.stalls.iter_mut().for_each(&mut visit);
         }
-        for stalls in self.by_pc.values_mut() {
-            shift(&mut 0); // the pc slot, which stays put
-            stalls.iter_mut().for_each(&mut shift);
+        for (&pc, stalls) in &mut self.by_pc {
+            visit(&mut (pc as i64));
+            stalls.iter_mut().for_each(&mut visit);
         }
-        assert!(it.next().is_none(), "ff delta layout mismatch");
     }
 }
 
@@ -680,19 +675,33 @@ mod tests {
         assert_eq!(hot, vec![(20, 5.0), (30, 3.0)]);
     }
 
+    /// The probe's counters, read through the visitor.
+    fn counters(p: &mut CounterProbe) -> Vec<i64> {
+        let mut v = Vec::new();
+        p.visit_counters(|c| v.push(*c));
+        v
+    }
+
     #[test]
     fn ff_counters_shift_by_whole_periods() {
         let mut p = CounterProbe::new();
         p.busy(Lane::Ld, 3, 0);
         p.stall(Lane::Mul, StallCause::PipeDrain, 7, 4);
-        let before = p.ff_counters().unwrap();
+        let before = counters(&mut p);
         p.busy(Lane::Ld, 3, 0);
         p.stall(Lane::Mul, StallCause::PipeDrain, 7, 4);
-        let after = p.ff_counters().unwrap();
-        let deltas: Vec<i64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
-        p.ff_apply(&deltas, 10);
+        let after = counters(&mut p);
+        assert_eq!(before.len(), after.len());
+        let mut deltas = after.iter().zip(&before).map(|(a, b)| a - b);
+        p.visit_counters(|c| *c += 10 * deltas.next().expect("same layout"));
+        assert!(deltas.next().is_none());
         assert_eq!(p.lane(Lane::Ld).busy, cycles(3 * 12));
         assert_eq!(at_pc(&p, 4).get(StallCause::PipeDrain), cycles(7 * 12));
+        // The pc slot is a copy: shifting it moves no stall to another pc.
+        assert_eq!(p.by_pc().map(|(pc, _)| pc).collect::<Vec<_>>(), vec![4]);
+        // A new pc lengthens the walk.
+        p.stall(Lane::Add, StallCause::ChainWait, 1, 9);
+        assert_eq!(counters(&mut p).len(), after.len() + 1 + StallCause::COUNT);
     }
 
     #[test]
@@ -729,6 +738,7 @@ mod tests {
     fn noprobe_is_disabled() {
         const { assert!(!<NoProbe as Probe>::ENABLED) };
         const { assert!(<CounterProbe as Probe>::ENABLED) };
+        const { assert!(<NoProbe as Probe>::WARPABLE && <CounterProbe as Probe>::WARPABLE) };
     }
 
     #[test]

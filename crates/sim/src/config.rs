@@ -34,24 +34,18 @@ pub struct SimConfig {
     pub chaining: bool,
     /// Enforce the ≤2-read/≤1-write per register pair constraint (§3.3).
     pub pair_constraint: bool,
-    /// Record a pipeline trace of every vector instruction.
-    pub trace: bool,
-    /// Maximum number of trace events kept per run. Each event stores
-    /// the disassembled text plus six timestamps (~150 bytes), so the
-    /// default of 65 536 bounds a trace at roughly 10 MiB; events past
-    /// the cap are counted in [`crate::Trace::dropped`] instead of
-    /// stored. Raise it (or set `usize::MAX`) for exhaustive traces of
-    /// long runs, at the corresponding memory cost.
-    pub trace_cap: usize,
     /// Abort after this many executed instructions (runaway-loop guard).
     pub max_instructions: u64,
     /// Steady-state fast-forward: when a loop's timing state is detected
     /// to be exactly periodic, skip ahead by whole periods instead of
     /// stepping every element (bit-exact; see DESIGN.md). Disabled
-    /// automatically while tracing, since a fast-forwarded run does not
-    /// emit the skipped iterations' trace events. Also disabled by the
-    /// co-sim [`Machine`] when `cpus > 1`: one CPU's periodic state no
-    /// longer determines the shared memory's future.
+    /// automatically for a probe that is not [`Probe::WARPABLE`], such
+    /// as a [`Trace`], which would miss the skipped iterations' events.
+    /// Also disabled by the co-sim [`Machine`] when `cpus > 1`: one CPU's
+    /// periodic state no longer determines the shared memory's future.
+    ///
+    /// [`Probe::WARPABLE`]: crate::Probe::WARPABLE
+    /// [`Trace`]: crate::Trace
     ///
     /// [`Machine`]: crate::Machine
     pub fast_forward: bool,
@@ -81,7 +75,7 @@ impl SimConfig {
     /// Derives a configuration from a declarative machine description:
     /// the description supplies the machine half (timing tables, memory
     /// geometry, chaining rules, port count); the operational knobs
-    /// (tracing, instruction limit, fast-forward, CPU count, background
+    /// (instruction limit, fast-forward, CPU count, background
     /// contention) take the same defaults [`SimConfig::c240`] has always
     /// used. `for_machine(&MachineDescription::c240())` *is* `c240()`,
     /// bit-identically (pinned by `tests/machine_presets.rs`).
@@ -107,8 +101,6 @@ impl SimConfig {
             scalar: machine.scalar,
             chaining: machine.chaining,
             pair_constraint: machine.pair_constraint,
-            trace: false,
-            trace_cap: 65_536,
             max_instructions: 200_000_000,
             fast_forward: true,
             cpus: 1,
@@ -163,19 +155,6 @@ impl SimConfig {
         self.pair_constraint = false;
         self
     }
-
-    /// Same machine with tracing enabled.
-    pub fn with_trace(mut self) -> Self {
-        self.trace = true;
-        self
-    }
-
-    /// Same machine with a different trace-event cap (see
-    /// [`SimConfig::trace_cap`] for the memory cost).
-    pub fn with_trace_cap(mut self, cap: usize) -> Self {
-        self.trace_cap = cap;
-        self
-    }
 }
 
 impl Default for SimConfig {
@@ -203,19 +182,10 @@ mod tests {
             .without_chaining()
             .without_bubbles()
             .without_refresh()
-            .without_pair_constraint()
-            .with_trace();
+            .without_pair_constraint();
         assert!(!c.chaining);
         assert!(!c.pair_constraint);
         assert!(!c.mem.refresh_enabled);
-        assert!(c.trace);
         assert_eq!(c.timing.get(TimingClass::Store).b, 0.0);
-    }
-
-    #[test]
-    fn trace_cap_builder() {
-        let c = SimConfig::c240().with_trace().with_trace_cap(8);
-        assert_eq!(c.trace_cap, 8);
-        assert!(SimConfig::c240().trace_cap > 0);
     }
 }

@@ -29,7 +29,8 @@
 //! `max` above, register-pair admission and stall attribution. The
 //! executor steps its elements, and [`Cpu::vector_retire`] does the
 //! shared bookkeeping: lane busy time, element and flop counts, pipe
-//! availability, bubbles and the trace event. Arithmetic and reductions
+//! availability, bubbles and the probe's [`Probe::vector`] event, which
+//! is how a [`crate::Trace`] records the pipeline. Arithmetic and reductions
 //! step their elements a register row at a time: the `max` of the operand
 //! rows, one serial scan for the entries ([`entry_scan`]), and the ready
 //! and pending-read rows written back. Loads and stores are granted by
@@ -49,9 +50,11 @@
 //! return value. The fast-forward warp replays a recorded period through
 //! the same `execute`, its stores and tag overwrites journaled for
 //! rollback, and compares each step's [`Cpu::step_check`] with the one
-//! recorded. The timing state fast-forward translates is walked by one
-//! visitor, [`Cpu::ff_fields`], clock first; the snapshot reads through
-//! it and the warp's shift translates through it.
+//! recorded. Everything fast-forward translates is walked by one
+//! visitor, [`Cpu::ff_fields`], clock first: the CPU's timing state, the
+//! memory system's bank times, wait totals and access count, and the
+//! probe's counters. The snapshot reads through it and the warp's shift
+//! translates through it.
 //!
 //! # Integer ticks
 //!
@@ -60,7 +63,8 @@
 //! and credit state, probe amounts, and the memory system's bank times
 //! and wait totals. [`Cpu::new`] converts the configuration's timing
 //! tables to ticks once; times become `f64` cycles only where they leave
-//! the simulator, in [`RunStats`], trace events and probe read-outs.
+//! the simulator, in [`RunStats`] and probe read-outs such as trace
+//! events.
 
 use c240_isa::timing::{self, TimingClass, VectorTicks, TICKS_PER_CYCLE};
 use c240_isa::{
@@ -76,7 +80,6 @@ use crate::fastfwd::{
     hash_words, ArrivalAction, FastForward, PeriodRecord, Snapshot, SnapshotWhy, Step, StepCheck,
 };
 use crate::stats::RunStats;
-use crate::trace::{Trace, TraceEvent};
 
 const VLEN: usize = MAX_VL as usize;
 const VREGS: usize = 8;
@@ -272,7 +275,6 @@ pub struct Cpu {
     credits: [PipeCredits; 3],
 
     stats: RunStats,
-    trace: Trace,
 
     // Steady-state fast-forward detector (see `fastfwd` module).
     ff: FastForward,
@@ -342,7 +344,6 @@ impl Cpu {
             acct: [0; Lane::COUNT],
             credits: [PipeCredits::default(); 3],
             stats: RunStats::default(),
-            trace: Trace::default(),
             ff: FastForward::new(),
             ff_skipped: 0,
             ff_probes: 0,
@@ -415,12 +416,6 @@ impl Cpu {
         self.a[usize::from(r.index())]
     }
 
-    /// The pipeline trace of the last run (empty unless
-    /// [`SimConfig::trace`] was set).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
     /// Fills a vector register with a constant before a run — the
     /// "register priming" the paper's X-process tool performs so that
     /// execute-only code computes on benign values (§3.6).
@@ -456,11 +451,6 @@ impl Cpu {
         self.acct = [0; Lane::COUNT];
         self.credits = [PipeCredits::default(); 3];
         self.stats = RunStats::default();
-        self.trace = if self.config.trace {
-            Trace::with_cap(self.config.trace_cap)
-        } else {
-            Trace::default()
-        };
         self.mem.reset_timing();
         self.cache.reset();
         self.ff = FastForward::new();
@@ -469,15 +459,10 @@ impl Cpu {
         self.ff_warps = 0;
     }
 
-    /// Instructions the last run skipped via steady-state fast-forward
-    /// (0 when no periodic state was detected, or fast-forward was off).
-    /// Skipped instructions are still fully accounted in the run's
-    /// statistics; this only reveals how much exact stepping was avoided.
-    pub fn fast_forwarded_instructions(&self) -> u64 {
-        self.ff_skipped
-    }
-
     /// Fast-forward telemetry for the last run (probe/warp/skip counts).
+    /// Skipped instructions are still fully accounted in the run's
+    /// statistics; the counts only reveal how much exact stepping was
+    /// avoided.
     pub fn ff_stats(&self) -> FfStats {
         FfStats {
             probes: self.ff_probes,
@@ -509,7 +494,9 @@ impl Cpu {
     /// [`StallCause`], or idle, so that per lane
     /// `busy + stalls + idle` is exactly the run's length in ticks.
     /// With [`NoProbe`] the attribution arithmetic is compiled out and
-    /// this is exactly [`Cpu::run`].
+    /// this is exactly [`Cpu::run`]. A probe that is not
+    /// [`Probe::WARPABLE`], such as a [`crate::Trace`], turns steady-state
+    /// fast-forward off for the run.
     ///
     /// # Errors
     ///
@@ -519,7 +506,7 @@ impl Cpu {
         program: &Program,
         probe: &mut P,
     ) -> Result<RunStats, SimError> {
-        let mut cursor = self.begin_run(probe, true);
+        let mut cursor = self.begin_run::<P>(true);
         while !cursor.halted {
             self.step_one(program, probe, &mut cursor)?;
         }
@@ -532,15 +519,11 @@ impl Cpu {
     /// top of the configuration: a co-sim driver passes `false` for
     /// multi-CPU runs, where a single CPU's periodic state no longer
     /// determines the shared memory's future.
-    pub(crate) fn begin_run<P: Probe>(&mut self, probe: &mut P, allow_ff: bool) -> RunCursor {
+    pub(crate) fn begin_run<P: Probe>(&mut self, allow_ff: bool) -> RunCursor {
         self.reset_timing();
-        // Fast-forward needs the probe's counters to be expressible as a
-        // flat delta vector, and cannot run while tracing (the skipped
-        // iterations' trace events would be missing).
-        self.ff.enabled = allow_ff
-            && self.config.fast_forward
-            && !self.config.trace
-            && probe.ff_counters().is_some();
+        // Fast-forward translates the probe's counters with the timing
+        // state, so the probe must expose them all (a trace, say, cannot).
+        self.ff.enabled = allow_ff && self.config.fast_forward && P::WARPABLE;
         RunCursor {
             pc: 0,
             executed: 0,
@@ -1169,7 +1152,7 @@ impl Cpu {
 
     /// Retire bookkeeping shared by every vector instruction: the lane's
     /// busy time, the pipe's next entry and reservation station, the
-    /// tailgate bubbles, and the trace event.
+    /// tailgate bubbles, and the probe's [`Probe::vector`] event.
     fn vector_retire<P: Probe>(
         &mut self,
         probe: &mut P,
@@ -1195,19 +1178,19 @@ impl Cpu {
             credit.bubble += timing.b;
         }
         self.end = self.end.max(sched.last_result);
-        if self.config.trace {
-            self.trace.push(TraceEvent {
-                pc,
-                text: ins.to_string(),
-                pipe,
-                issue_start: timing::cycles(entered.issue_start),
-                first_entry: timing::cycles(sched.entry0),
-                last_entry: timing::cycles(sched.last_entry),
-                first_result: timing::cycles(sched.first_result),
-                last_result: timing::cycles(sched.last_result),
-                vl: self.vl,
-            });
-        }
+        probe.vector(
+            pc,
+            lane_of(slot),
+            ins,
+            self.vl,
+            [
+                entered.issue_start,
+                sched.entry0,
+                sched.last_entry,
+                sched.first_result,
+                sched.last_result,
+            ],
+        );
     }
 
     /// If chaining is disabled, operands must be fully complete.
@@ -1587,12 +1570,13 @@ impl Cpu {
         key
     }
 
-    /// Visits every timing field fast-forward translates, clock first:
-    /// the CPU's timing state, then the memory system's bank free times
-    /// and wait totals ([`MemorySystem::visit_timing`]). The snapshot
-    /// reads through this one walk and the warp translates through it, so
-    /// their field orders cannot drift apart.
-    fn ff_fields(&mut self, mut visit: impl FnMut(&mut i64)) {
+    /// Visits every field fast-forward translates, clock first: the CPU's
+    /// timing state, then the memory system's bank free times, wait
+    /// totals and access count ([`MemorySystem::visit_timing`]), then the
+    /// probe's counters ([`Probe::visit_counters`]). The snapshot reads
+    /// through this one walk and the warp translates through it, so their
+    /// field orders cannot drift apart.
+    fn ff_fields<P: Probe>(&mut self, probe: &mut P, mut visit: impl FnMut(&mut i64)) {
         visit(&mut self.clock);
         visit(&mut self.end);
         visit(&mut self.scalar_mem_fence);
@@ -1624,34 +1608,32 @@ impl Cpu {
         for av in &mut self.active {
             visit(&mut av.end);
         }
-        self.mem.visit_timing(visit);
+        self.mem.visit_timing(&mut visit);
+        probe.visit_counters(visit);
     }
 
-    /// Full timing-state snapshot.
-    fn ff_snapshot<P: Probe>(&mut self, probe: &P, executed: u64) -> Snapshot {
+    /// Full snapshot of the state fast-forward translates.
+    fn ff_snapshot<P: Probe>(&mut self, probe: &mut P, executed: u64) -> Snapshot {
         let mut fields = Vec::with_capacity(2 * VREGS * VLEN + 128);
-        self.ff_fields(|f| fields.push(*f));
+        self.ff_fields(probe, |f| fields.push(*f));
         Snapshot {
             key: self.ff_key(),
             fields,
-            mem_accesses: self.mem.access_count(),
-            probe: probe.ff_counters().unwrap_or_default(),
             executed,
         }
     }
 
-    /// Translates every timing field by `k` periods of its tick delta:
-    /// exactly the values the naive run would have reached.
-    fn ff_apply_shift(&mut self, rec: &PeriodRecord, k: u64) {
-        let k_ticks = k as i64;
+    /// Translates every field by `k` periods of its delta: exactly the
+    /// values the naive run would have reached.
+    fn ff_apply_shift<P: Probe>(&mut self, probe: &mut P, rec: &PeriodRecord, k: u64) {
+        let k = k as i64;
         let mut deltas = rec.field_deltas.iter();
-        self.ff_fields(|f| {
+        self.ff_fields(probe, |f| {
             let d = deltas
                 .next()
                 .expect("snapshot and shift walk the same fields");
-            *f += k_ticks * d;
+            *f += k * d;
         });
-        self.mem.ff_apply(rec.mem_accesses, k);
     }
 
     /// Drives the detector at a taken backward branch to `target`.
@@ -1726,7 +1708,6 @@ impl Cpu {
         let max_d = rec
             .field_deltas
             .iter()
-            .chain(&rec.probe_deltas)
             .map(|d| d.unsigned_abs())
             .max()
             .unwrap_or(0);
@@ -1803,8 +1784,7 @@ impl Cpu {
             }
         }
         if k > 0 {
-            self.ff_apply_shift(&rec, k);
-            probe.ff_apply(&rec.probe_deltas, k as i64);
+            self.ff_apply_shift(probe, &rec, k);
         }
         self.ff.finish_warp();
         k * rec.instructions
@@ -1960,6 +1940,7 @@ fn encode_loaded(dst: ScalarReg, value: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Trace;
     use c240_isa::ProgramBuilder;
 
     fn quiet_config() -> SimConfig {
@@ -2053,9 +2034,8 @@ mod tests {
     }
 
     /// Fast-forward telemetry is coherent: a steady loop warps at least
-    /// once, probes at least as often as it warps, and the skip count
-    /// matches [`Cpu::fast_forwarded_instructions`]; with fast-forward
-    /// off every counter is zero.
+    /// once, probes at least as often as it warps, and skips
+    /// instructions; with fast-forward off every counter is zero.
     #[test]
     fn ff_stats_report_probes_warps_and_skips() {
         let p = lfk1_program(40);
@@ -2065,10 +2045,6 @@ mod tests {
         let stats = cpu.ff_stats();
         assert!(stats.warps >= 1, "steady LFK1 loop should warp: {stats:?}");
         assert!(stats.probes >= stats.warps, "{stats:?}");
-        assert_eq!(
-            stats.skipped_instructions,
-            cpu.fast_forwarded_instructions()
-        );
         assert!(stats.skipped_instructions > 0, "{stats:?}");
 
         let mut exact = Cpu::new(SimConfig {
@@ -2392,10 +2368,13 @@ mod tests {
         b.vadd("v0", "v0", "v1");
         b.halt();
         let p = b.build().unwrap();
-        let mut cpu = Cpu::new(quiet_config().with_trace());
-        cpu.run(&p).unwrap();
-        assert_eq!(cpu.trace().events().len(), 2);
-        assert!(cpu.trace().events()[0].text.contains("ld.l"));
+        let mut trace = Trace::default();
+        Cpu::new(quiet_config()).run_probed(&p, &mut trace).unwrap();
+        assert_eq!(trace.events().len(), 2);
+        assert!(trace.events()[0].text.contains("ld.l"));
+        assert_eq!(trace.events()[0].pipe, Pipe::LoadStore);
+        assert_eq!(trace.events()[1].pipe, Pipe::Add);
+        assert_eq!(trace.events()[1].vl, 16);
     }
 
     /// A probe observes without steering. Probed and unprobed runs take
@@ -2466,9 +2445,9 @@ mod tests {
         b.vadd("v0", "v0", "v1");
         b.halt();
         let p = b.build().unwrap();
-        let mut cpu = Cpu::new(quiet_config().with_trace());
-        cpu.run(&p).unwrap();
-        let pcs: Vec<usize> = cpu.trace().events().iter().map(|e| e.pc).collect();
+        let mut trace = Trace::default();
+        Cpu::new(quiet_config()).run_probed(&p, &mut trace).unwrap();
+        let pcs: Vec<usize> = trace.events().iter().map(|e| e.pc).collect();
         assert_eq!(pcs, vec![1, 2]);
     }
 
@@ -2484,10 +2463,10 @@ mod tests {
         b.branch_true("L");
         b.halt();
         let p = b.build().unwrap();
-        let mut cpu = Cpu::new(quiet_config().with_trace().with_trace_cap(2));
-        cpu.run(&p).unwrap();
-        assert_eq!(cpu.trace().events().len(), 2);
-        assert_eq!(cpu.trace().dropped(), 4);
+        let mut trace = Trace::with_cap(2);
+        Cpu::new(quiet_config()).run_probed(&p, &mut trace).unwrap();
+        assert_eq!(trace.events().len(), 2);
+        assert_eq!(trace.dropped(), 4);
     }
 
     #[test]

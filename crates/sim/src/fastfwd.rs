@@ -17,13 +17,17 @@
 //!    clock's must be positive.
 //! 2. **Confirm**: record the executed instruction path for one more
 //!    period and snapshot `S2`; require `S2−S1` to equal `S1−S0`
-//!    field for field (including memory-system and probe counter
-//!    deltas).
+//!    field for field.
 //! 3. **Warp**: replay the recorded path *functionally* (registers,
 //!    memory data, cache tags — no timing) through the same `execute`
 //!    exact stepping uses, journaled for rollback, as long as every step
 //!    reproduces its recorded check; then add `k` periods of each
-//!    field's delta to every timing field and every counter.
+//!    field's delta to every field.
+//!
+//! The fields are one vector, walked by the CPU's one visitor: its own
+//! timing state, the memory system's bank times, wait totals and access
+//! count, and the probe's counters. Snapshot and shift both go through
+//! that walk, so they cannot disagree on the layout.
 //!
 //! # Why this is exact
 //!
@@ -36,9 +40,9 @@
 //! the period's clock delta is a multiple of the refresh period and of
 //! the contention pattern period, so modular clock arithmetic is
 //! preserved too. Anything outside these preconditions — a changed
-//! counter layout, a changed instruction path or bank-residue pattern —
-//! fails a check and the run falls back to exact element stepping,
-//! which is always correct.
+//! field count (a probe gaining a pc), a changed instruction path or
+//! bank-residue pattern — fails a check and the run falls back to exact
+//! element stepping, which is always correct.
 
 /// Per-instruction verification payload recorded for one loop period.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,11 +73,9 @@ pub(crate) struct Step {
 pub(crate) struct Snapshot {
     /// Discrete state that must match *exactly* between periods.
     pub key: Vec<u64>,
-    /// Every timing field in ticks, clock first, in the order of the
-    /// CPU's one field walk (memory wait totals included).
+    /// Every translated field, clock first, in the order of the CPU's one
+    /// field walk (times in ticks, memory and probe counters included).
     pub fields: Vec<i64>,
-    pub mem_accesses: u64,
-    pub probe: Vec<i64>,
     /// Instructions executed since the start of the run.
     pub executed: u64,
 }
@@ -84,45 +86,32 @@ pub(crate) struct Snapshot {
 pub(crate) struct PeriodRecord {
     pub steps: Vec<Step>,
     pub field_deltas: Vec<i64>,
-    pub mem_accesses: u64,
-    pub probe_deltas: Vec<i64>,
     pub instructions: u64,
 }
 
-/// Element-wise `b − a`.
-fn deltas(a: &[i64], b: &[i64]) -> Vec<i64> {
-    a.iter().zip(b).map(|(x, y)| y - x).collect()
-}
-
 /// Computes the per-period deltas between two snapshots, or `None` when
-/// the pair cannot prove periodicity (key mismatch, counter-set changes,
-/// a clock that did not advance).
+/// the pair cannot prove periodicity (key mismatch, a changed field
+/// count, a clock that did not advance).
 pub(crate) fn diff_snapshots(a: &Snapshot, b: &Snapshot) -> Option<PeriodRecord> {
-    if a.key != b.key || a.fields.len() != b.fields.len() || a.probe.len() != b.probe.len() {
+    if a.key != b.key || a.fields.len() != b.fields.len() {
         return None;
     }
-    let field_deltas = deltas(&a.fields, &b.fields);
+    let field_deltas: Vec<i64> = a.fields.iter().zip(&b.fields).map(|(x, y)| y - x).collect();
     // fields[0] is the clock: its tick delta must be strictly positive.
     if *field_deltas.first()? <= 0 {
         return None;
     }
-    let probe_deltas = deltas(&a.probe, &b.probe);
     Some(PeriodRecord {
         steps: Vec::new(),
         field_deltas,
-        mem_accesses: b.mem_accesses.checked_sub(a.mem_accesses)?,
-        probe_deltas,
         instructions: b.executed.checked_sub(a.executed)?,
     })
 }
 
-/// Whether two period measurements agree exactly (same deltas, same
-/// counters, same path length).
+/// Whether two period measurements agree exactly (same deltas, same path
+/// length).
 pub(crate) fn periods_agree(a: &PeriodRecord, b: &PeriodRecord) -> bool {
-    a.field_deltas == b.field_deltas
-        && a.probe_deltas == b.probe_deltas
-        && a.mem_accesses == b.mem_accesses
-        && a.instructions == b.instructions
+    a.field_deltas == b.field_deltas && a.instructions == b.instructions
 }
 
 /// FNV-1a over 64-bit words — cheap, deterministic, dependency-free.
@@ -380,13 +369,12 @@ pub(crate) enum SnapshotWhy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use c240_obs::{CounterProbe, Lane, Probe, StallCause};
 
     fn snap(fields: Vec<i64>, executed: u64) -> Snapshot {
         Snapshot {
             key: vec![1, 2],
             fields,
-            mem_accesses: 10 * executed,
-            probe: vec![],
             executed,
         }
     }
@@ -399,7 +387,6 @@ mod tests {
         let rec = diff_snapshots(&a, &b).unwrap();
         assert_eq!(rec.field_deltas, vec![10640, 10640, 0]);
         assert_eq!(rec.instructions, 13);
-        assert_eq!(rec.mem_accesses, 130);
     }
 
     #[test]
@@ -439,6 +426,49 @@ mod tests {
         assert!(periods_agree(&r1, &r2));
         let d = snap(vec![31921, 31940], 30);
         assert!(!periods_agree(&r2, &diff_snapshots(&c, &d).unwrap()));
+    }
+
+    /// A snapshot whose fields are a clock and then `probe`'s counters,
+    /// read through the probe's visitor.
+    fn probed(clock: i64, probe: &mut CounterProbe, executed: u64) -> Snapshot {
+        let mut fields = vec![clock];
+        probe.visit_counters(|c| fields.push(*c));
+        snap(fields, executed)
+    }
+
+    /// A probe that has charged `ticks` of bank busy to `pc`.
+    fn stalled_at(pc: usize, ticks: i64) -> CounterProbe {
+        let mut p = CounterProbe::new();
+        p.stall(Lane::Ld, StallCause::BankBusy, ticks, pc);
+        p
+    }
+
+    #[test]
+    fn probe_gaining_a_pc_is_rejected_on_length() {
+        let mut p = stalled_at(3, 20);
+        let a = probed(2000, &mut p, 1);
+        p.stall(Lane::Ld, StallCause::BankBusy, 20, 3);
+        p.stall(Lane::Mul, StallCause::PipeDrain, 20, 5);
+        let b = probed(4000, &mut p, 2);
+        assert!(a.fields.len() < b.fields.len());
+        assert!(diff_snapshots(&a, &b).is_none());
+    }
+
+    #[test]
+    fn probe_swapping_a_pc_is_rejected_by_the_periods() {
+        let s0 = probed(0, &mut stalled_at(3, 20), 0);
+        let s1 = probed(1000, &mut stalled_at(3, 40), 10);
+        let first = diff_snapshots(&s0, &s1).unwrap();
+        // Same length, same stall deltas, but the stalls moved to pc 4:
+        // only the pc copy in the walk tells the periods apart.
+        let swapped = probed(2000, &mut stalled_at(4, 60), 20);
+        assert_eq!(swapped.fields.len(), s1.fields.len());
+        assert!(!periods_agree(
+            &first,
+            &diff_snapshots(&s1, &swapped).unwrap()
+        ));
+        let same = probed(2000, &mut stalled_at(3, 60), 20);
+        assert!(periods_agree(&first, &diff_snapshots(&s1, &same).unwrap()));
     }
 
     #[test]

@@ -18,6 +18,13 @@
 //! All model features can be ablated via [`SimConfig`] (chaining off,
 //! bubbles off, refresh off, pair constraint off) for the what-if studies.
 //!
+//! A run reports anything beyond its [`RunStats`] through one channel,
+//! the [`Probe`] passed to [`Cpu::run_probed`]: [`CounterProbe`] charges
+//! every cycle of every lane to a cause, and [`Trace`] records each
+//! vector instruction's pipeline schedule (Figure 2). Steady-state
+//! fast-forward stays on for a probe that is [`Probe::WARPABLE`] and
+//! translates its counters with the timing state.
+//!
 //! # Example
 //!
 //! Reproduce the chained chime of §3.3 of the paper:
@@ -66,7 +73,8 @@ pub use trace::{Trace, TraceEvent};
 pub use validate::{ConfigError, MAX_CPUS, MAX_TIMING_CYCLES};
 
 // Telemetry: drive [`Cpu::run_probed`] with a probe to get a per-lane
-// cycle attribution (see the `c240-obs` crate for the taxonomy).
+// cycle attribution (see the `c240-obs` crate for the taxonomy) or, with
+// a [`Trace`], the pipeline trace.
 pub use c240_obs::{
     CoSimProbes, CounterProbe, Lane, LaneAccount, NoProbe, Probe, StallCause, StallCounters,
 };

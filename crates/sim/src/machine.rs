@@ -56,13 +56,13 @@
 //! let programs = vec![program; 4];
 //! let stats = machine.run(&programs)?;
 //! assert_eq!(stats.len(), 4);
-//! // All four ports' accesses hit the same banks.
-//! assert_eq!(machine.shared().access_count(),
+//! // The machine's totals sum its four ports.
+//! assert_eq!(machine.access_count(),
 //!            stats.iter().map(|s| s.memory_accesses).sum::<u64>());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use c240_mem::BankState;
+use c240_mem::{BankState, WaitTicks};
 use c240_obs::{NoProbe, Probe};
 
 use c240_isa::timing::TICKS_PER_CYCLE;
@@ -132,10 +132,19 @@ impl Machine {
         &mut self.cpus[i]
     }
 
-    /// The shared bank state after a run: machine-wide access/wait
-    /// totals that the per-CPU [`RunStats`] sum to exactly.
-    pub fn shared(&self) -> &BankState {
-        &self.shared
+    /// The last run's memory waits by cause in ticks, summed over the
+    /// CPUs.
+    pub fn wait_ticks(&self) -> WaitTicks {
+        let mut total = WaitTicks::default();
+        for cpu in &self.cpus {
+            total += cpu.mem().wait_ticks();
+        }
+        total
+    }
+
+    /// The last run's memory accesses, summed over the CPUs.
+    pub fn access_count(&self) -> u64 {
+        self.cpus.iter().map(|cpu| cpu.mem().access_count()).sum()
     }
 
     /// Co-simulates one program per CPU to completion; returns each
@@ -175,10 +184,11 @@ impl Machine {
         assert_eq!(probes.len(), n, "one probe per CPU");
         let allow_ff = n == 1;
         self.shared.reset();
-        let mut cursors = Vec::with_capacity(n);
-        for (cpu, probe) in self.cpus.iter_mut().zip(probes.iter_mut()) {
-            cursors.push(cpu.begin_run(probe, allow_ff));
-        }
+        let mut cursors: Vec<_> = self
+            .cpus
+            .iter_mut()
+            .map(|cpu| cpu.begin_run::<P>(allow_ff))
+            .collect();
         loop {
             // Fixed arbitration order: lowest issue clock, then lowest
             // CPU index. Deterministic — no threads, no host state.
@@ -281,14 +291,8 @@ mod tests {
         for s in &stats {
             assert!(s.cycles >= alone, "sharing banks cannot speed a CPU up");
         }
-        // Contention must show up in the shared breakdown, and the
-        // per-CPU views must sum to it exactly.
-        let shared = machine.shared();
-        assert!(shared.wait_breakdown().contention > 0.0);
-        let view_sum: f64 = stats.iter().map(|s| s.memory_wait_cycles).sum();
-        assert_eq!(shared.wait_cycles(), view_sum);
-        let acc_sum: u64 = stats.iter().map(|s| s.memory_accesses).sum();
-        assert_eq!(shared.access_count(), acc_sum);
+        // Contention must show up in the machine's wait totals.
+        assert!(machine.wait_ticks().contention > 0);
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Pipeline traces: per-instruction element timing, and the ASCII
-//! timeline used to regenerate Figure 2 of the paper.
+//! timeline used to regenerate Figure 2 of the paper. A [`Trace`] is a
+//! [`Probe`]: pass it to [`crate::Cpu::run_probed`].
 
 use std::fmt;
 
-use c240_isa::Pipe;
+use c240_isa::{timing, Pipe};
+use c240_obs::{Lane, Probe};
 
 /// One vector instruction's schedule in a traced run.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,13 +53,14 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-/// A recorded pipeline trace.
+/// A recorded pipeline trace: the probe that keeps every retired vector
+/// instruction's schedule.
 ///
-/// The trace stores at most `cap` events (set from
-/// [`crate::SimConfig::trace_cap`]); later events are *counted* but not
-/// stored, so tracing a long run costs bounded memory while
+/// The trace stores at most `cap` events; later events are *counted* but
+/// not stored, so tracing a long run costs bounded memory while
 /// [`Trace::dropped`] reveals how much of the run the stored prefix
-/// covers.
+/// covers. It is not [`Probe::WARPABLE`]: a traced run is stepped
+/// exactly, so no iteration's events are skipped.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     events: Vec<TraceEvent>,
@@ -66,26 +69,26 @@ pub struct Trace {
     origin_ns: u64,
 }
 
+/// Events a default trace keeps. Each event stores the disassembled
+/// text plus five timestamps, so the cap bounds a trace at a few MiB.
+const DEFAULT_CAP: usize = 65_536;
+
 impl Default for Trace {
+    /// An empty trace capped at 65 536 events.
     fn default() -> Self {
-        Trace::with_cap(usize::MAX)
+        Trace::with_cap(DEFAULT_CAP)
     }
 }
 
 impl Trace {
     /// An empty trace that will keep at most `cap` events. Storage for
     /// the capped number of events is reserved up front (bounded at the
-    /// default cap) so a traced hot loop never reallocates mid-run.
+    /// default cap) so a traced hot loop never reallocates mid-run. Pass
+    /// `usize::MAX` for an exhaustive trace of a long run, at the
+    /// corresponding memory cost.
     pub fn with_cap(cap: usize) -> Self {
         Trace {
-            // An uncapped trace (usize::MAX, the untraced default) grows
-            // on demand; a finite cap is reserved up front, bounded at
-            // the default cap's ~10 MiB.
-            events: Vec::with_capacity(if cap == usize::MAX {
-                0
-            } else {
-                cap.min(65_536)
-            }),
+            events: Vec::with_capacity(cap.min(DEFAULT_CAP)),
             cap,
             dropped: 0,
             origin_ns: c240_obs::monotonic_ns(),
@@ -93,20 +96,12 @@ impl Trace {
     }
 
     /// The wall-clock anchor of this trace: nanoseconds on the process's
-    /// shared monotonic clock (`c240_obs::monotonic_ns`) when the run's
-    /// timing state was reset. Trace timestamps are in simulated cycles;
-    /// this anchor lets a consumer place the run on the same timeline as
-    /// the observability plane's wall-clock spans.
+    /// shared monotonic clock (`c240_obs::monotonic_ns`) when the trace
+    /// was created. Trace timestamps are in simulated cycles; this anchor
+    /// lets a consumer place the run on the same timeline as the
+    /// observability plane's wall-clock spans.
     pub fn origin_ns(&self) -> u64 {
         self.origin_ns
-    }
-
-    pub(crate) fn push(&mut self, event: TraceEvent) {
-        if self.events.len() < self.cap {
-            self.events.push(event);
-        } else {
-            self.dropped += 1;
-        }
     }
 
     /// The recorded events, in issue order.
@@ -175,6 +170,33 @@ impl Trace {
     }
 }
 
+impl Probe for Trace {
+    fn vector(&mut self, pc: usize, lane: Lane, text: &dyn fmt::Display, vl: u32, ticks: [i64; 5]) {
+        if self.events.len() >= self.cap {
+            self.dropped += 1;
+            return;
+        }
+        let [issue_start, first_entry, last_entry, first_result, last_result] =
+            ticks.map(timing::cycles);
+        self.events.push(TraceEvent {
+            pc,
+            text: text.to_string(),
+            pipe: match lane {
+                Lane::Ld => Pipe::LoadStore,
+                Lane::Add => Pipe::Add,
+                Lane::Mul => Pipe::Multiply,
+                Lane::Scalar | Lane::ScalarMem => unreachable!("vector instruction on {lane}"),
+            },
+            issue_start,
+            first_entry,
+            last_entry,
+            first_result,
+            last_result,
+            vl,
+        });
+    }
+}
+
 fn truncate(s: &str, n: usize) -> &str {
     if s.len() <= n {
         s
@@ -186,6 +208,8 @@ fn truncate(s: &str, n: usize) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const T: i64 = timing::TICKS_PER_CYCLE;
 
     fn event(t: f64) -> TraceEvent {
         TraceEvent {
@@ -201,6 +225,12 @@ mod tests {
         }
     }
 
+    /// Retires [`event`]`(cycle)` through the probe hook.
+    fn retire(trace: &mut Trace, cycle: i64) {
+        let ticks = [0, 2, 129, 12, 139].map(|c| (cycle + c) * T);
+        trace.vector(0, Lane::Ld, &"ld.l 0(a5),v0", 128, ticks);
+    }
+
     #[test]
     fn span() {
         let e = event(0.0);
@@ -210,8 +240,9 @@ mod tests {
     #[test]
     fn gantt_renders() {
         let mut t = Trace::default();
-        t.push(event(0.0));
-        t.push(event(130.0));
+        retire(&mut t, 0);
+        retire(&mut t, 130);
+        assert_eq!(t.events(), [event(0.0), event(130.0)]);
         let g = t.gantt(10, 4.0);
         assert!(g.contains("ld.l"));
         assert!(g.contains('#'));
@@ -229,7 +260,7 @@ mod tests {
     fn cap_bounds_storage_and_counts_drops() {
         let mut t = Trace::with_cap(2);
         for i in 0..5 {
-            t.push(event(i as f64 * 10.0));
+            retire(&mut t, i * 10);
         }
         assert_eq!(t.events().len(), 2);
         assert_eq!(t.dropped(), 3);

@@ -10,7 +10,7 @@
 //! vacuous if detection never fired).
 
 use c240_mem::ContentionConfig;
-use c240_sim::{CounterProbe, Cpu, RunStats, SimConfig};
+use c240_sim::{CounterProbe, Cpu, NoProbe, RunStats, SimConfig, Trace};
 use lfk_suite::LfkKernel;
 
 /// Everything a run leaves behind that fast-forward must reproduce.
@@ -51,7 +51,7 @@ fn run_one(config: SimConfig, kernel: &dyn LfkKernel, passes: i64) -> Outcome {
             0..=7 => cpu.areg(i as u8) as u64,
             _ => cpu.sreg_fp(i as u8 - 8).to_bits(),
         }),
-        skipped: cpu.fast_forwarded_instructions(),
+        skipped: cpu.ff_stats().skipped_instructions,
     }
 }
 
@@ -167,7 +167,7 @@ fn fast_forward_engages_under_refresh_on_long_loops() {
         cpu.set_sreg_fp(1, 2.0);
         let stats = cpu.run(&program).expect("long loop runs");
         let out = cpu.mem().peek(80_000);
-        (stats, out, cpu.fast_forwarded_instructions())
+        (stats, out, cpu.ff_stats().skipped_instructions)
     };
     let (fast, fast_out, skipped) = run(SimConfig::c240());
     let (exact, exact_out, _) = run(SimConfig::c240().without_fast_forward());
@@ -260,21 +260,37 @@ fn suite_exact_without_refresh() {
 
 // ---- edge cases ----------------------------------------------------------
 
-/// Tracing disables fast-forward (the skipped iterations would be
-/// missing from the trace), and the run still matches the exact run.
+/// A `Trace` probe is not warpable, so tracing disables fast-forward
+/// (the skipped iterations would be missing from the trace), and the run
+/// still matches both the exact run and a `NoProbe` run. Without refresh
+/// that `NoProbe` run warps within LFK1's default passes.
 #[test]
 fn tracing_disables_fast_forward_but_stays_exact() {
     let kernel = lfk_suite::by_id(1).expect("LFK1 exists");
-    let mut cpu = Cpu::new(SimConfig::c240().with_trace());
-    kernel.setup(&mut cpu);
-    let stats = cpu.run(&kernel.program()).expect("traced run");
-    assert_eq!(cpu.fast_forwarded_instructions(), 0);
-    assert!(!cpu.trace().events().is_empty() || cpu.trace().dropped() > 0);
+    let program = kernel.program();
+    for config in [SimConfig::c240(), SimConfig::c240().without_refresh()] {
+        let mut cpu = Cpu::new(config.clone());
+        kernel.setup(&mut cpu);
+        let mut trace = Trace::default();
+        let stats = cpu.run_probed(&program, &mut trace).expect("traced run");
+        assert_eq!(cpu.ff_stats().skipped_instructions, 0);
+        assert!(!trace.events().is_empty() || trace.dropped() > 0);
 
-    let mut exact = Cpu::new(SimConfig::c240().without_fast_forward());
-    kernel.setup(&mut exact);
-    let exact_stats = exact.run(&kernel.program()).expect("exact run");
-    assert_eq!(stats, exact_stats);
+        let mut exact = Cpu::new(config.clone().without_fast_forward());
+        kernel.setup(&mut exact);
+        let exact_stats = exact.run(&program).expect("exact run");
+        assert_eq!(stats, exact_stats);
+
+        let mut plain = Cpu::new(config.clone());
+        kernel.setup(&mut plain);
+        let plain_stats = plain
+            .run_probed(&program, &mut NoProbe)
+            .expect("NoProbe run");
+        assert_eq!(stats, plain_stats);
+        if !config.mem.refresh_enabled {
+            assert!(plain.ff_stats().skipped_instructions > 0, "LFK1 warps");
+        }
+    }
 }
 
 /// A cpu can be reused across runs: fast-forward state resets with the

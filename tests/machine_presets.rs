@@ -50,8 +50,6 @@ fn legacy_literal_c240() -> SimConfig {
         },
         chaining: true,
         pair_constraint: true,
-        trace: false,
-        trace_cap: 65_536,
         max_instructions: 200_000_000,
         fast_forward: true,
         cpus: 1,

@@ -399,8 +399,8 @@ fn memory_grants_are_monotone_and_deterministic() {
         let mut t_early = 0;
         let mut t_late = delay as i64 * cycle;
         for &a in &addrs {
-            let (g1, _) = early.read(a, t_early);
-            let (g2, _) = late.read(a, t_late);
+            let g1 = early.grant(a, t_early);
+            let g2 = late.grant(a, t_late);
             assert!(g2 >= g1, "seed {seed}: later request granted earlier");
             t_early = g1 + cycle;
             t_late = g2 + cycle;
@@ -410,14 +410,14 @@ fn memory_grants_are_monotone_and_deterministic() {
         let mut t = 0;
         let mut grants = Vec::new();
         for &a in &addrs {
-            let (g, _) = again.read(a, t);
+            let g = again.grant(a, t);
             grants.push(g);
             t = g + cycle;
         }
         let mut once_more = MemorySystem::new(MemConfig::c240());
         let mut t2 = 0;
         for (&a, &g) in addrs.iter().zip(&grants) {
-            let (gg, _) = once_more.read(a, t2);
+            let gg = once_more.grant(a, t2);
             assert_eq!(gg, g, "seed {seed}");
             t2 = gg + cycle;
         }
