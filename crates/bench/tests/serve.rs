@@ -197,6 +197,50 @@ fn saturating_contention_is_rejected_before_any_attempt() {
     assert_eq!(field_num(&summary, "panicked"), Some(0.0));
 }
 
+/// Contention whose streams share a factor with the bank count, or whose
+/// bank busy time outlasts two bank rotations, is served from its real
+/// claims: points that leave some bank no free cycle become
+/// `invalid_config` rows before any attempt (they used to panic in the
+/// grant search and poison the point), `lockstep:1` on 15 banks no
+/// longer serves the idle row, and `mixed:3` on 9 banks pays for every
+/// stream.
+#[test]
+fn shared_factor_and_long_busy_contention_is_served() {
+    let point = |id: &str, config: &str| {
+        format!("{{\"id\":\"{id}\",\"kernel\":1,\"passes\":1,\"config\":{{{config}}}}}\n")
+    };
+    let input = [
+        point(
+            "m1b1",
+            "\"contention\":\"mixed:1\",\"banks\":1,\"bank_busy\":4",
+        ),
+        point(
+            "m3b16",
+            "\"contention\":\"mixed:3\",\"banks\":16,\"bank_busy\":40",
+        ),
+        point("idle15", "\"banks\":15"),
+        point("l1b15", "\"contention\":\"lockstep:1\",\"banks\":15"),
+        point("m3b9", "\"contention\":\"mixed:3\",\"banks\":9"),
+    ]
+    .concat();
+    let (rows, summary) = serve_once(&input, &["--max-attempts", "1"]);
+    assert_eq!(rows.len(), 5, "every line is answered");
+    for id in ["m1b1", "m3b16"] {
+        let row = row_by_id(&rows, id);
+        assert_eq!(field_str(row, "error_kind"), Some("invalid_config"), "{id}");
+        assert_eq!(field_num(row, "attempts"), Some(0.0), "{id}");
+        assert_eq!(row.get("poisoned"), Some(&Json::Bool(false)), "{id}");
+        let message = field_str(row, "message").expect("error message");
+        assert!(message.contains("never grant"), "{id}: {message}");
+    }
+    let cycles = |id| field_num(row_by_id(&rows, id), "cycles");
+    assert_eq!(cycles("idle15"), Some(4223.0));
+    assert_eq!(cycles("l1b15"), Some(4709.0));
+    assert_eq!(cycles("m3b9"), Some(18469.0));
+    assert_eq!(field_num(&summary, "invalid"), Some(2.0));
+    assert_eq!(field_num(&summary, "panicked"), Some(0.0));
+}
+
 #[test]
 fn served_rows_are_bit_identical_to_in_process_evaluation() {
     let lines = [

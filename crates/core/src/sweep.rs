@@ -12,9 +12,9 @@
 //!
 //! The optional top-level `machine` field names a
 //! [`MachineDescription`] preset the point is evaluated on instead of
-//! the server's base machine (the server's *operational* knobs — trace
-//! settings, instruction limit, fast-forward, CPU count, background
-//! contention — still apply, and `config` overrides still win). The
+//! the server's base machine (the server's *operational* knobs —
+//! instruction limit, fast-forward, CPU count, background contention —
+//! still apply, and `config` overrides still win). The
 //! name is part of the canonical rendering, so rows computed on
 //! different machines get different journal keys and never collide in a
 //! shared checkpoint file. An unknown preset is not a protocol error —

@@ -9,21 +9,23 @@
 //! [`ContentionStream`]: a strided reference stream that claims each bank
 //! it touches for one bank-cycle. The measured CPU's accesses must find a
 //! grant slot that no stream claims. Streams are deterministic so
-//! simulations are exactly reproducible.
+//! simulations are exactly reproducible, and their joint claims repeat
+//! with the [pattern period](ContentionConfig::pattern_period): the
+//! memory system lists them once, bank by bank, in a [`ClaimTable`] that
+//! both the grant search and the saturation check read.
 
-use crate::TICKS_PER_CYCLE;
+use crate::{gcd, period_offset, rotation, MemConfigError, MAX_CONTENTION_CLAIMS, TICKS_PER_CYCLE};
 
 /// One background processor's memory reference stream.
 ///
-/// At cycle `c` the stream (when active) touches bank
-/// `(phase + c·stride) mod banks`, claiming it for the bank busy time.
-/// `stride` must be odd so the stream visits every bank (and so claim
-/// windows are computable in closed form). The `duty` fraction thins the
-/// stream: only `duty_num` of every `duty_den` visits to a bank are
-/// claimed.
+/// At cycle `c` the stream touches bank `(phase + c·stride) mod banks`.
+/// The `duty` fraction thins the stream: counting from cycle 0, its
+/// `k`-th visit to any one bank claims that bank for the bank busy time
+/// when `k mod duty_den < duty_num`. Any stride works; one sharing a
+/// factor with `banks` visits fewer banks, each more often.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContentionStream {
-    /// Word stride of the background stream (must be odd).
+    /// Word stride of the background stream.
     pub stride: u64,
     /// Starting phase in cycles.
     pub phase: u64,
@@ -57,63 +59,6 @@ impl ContentionStream {
         self.validate().expect("duty must be a fraction <= 1");
         self
     }
-
-    /// If this stream claims bank `bank` at any point during the
-    /// one-cycle grant window starting at tick `t`, returns the end tick
-    /// of the blocking claim.
-    ///
-    /// Claims start at cycles `c` with `(phase + c·stride) ≡ bank (mod
-    /// banks)`, each lasting `claim_len` ticks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stride` is even — an even stride misses half the banks
-    /// and breaks the closed-form claim solver, so it is rejected in
-    /// release builds too (not just `debug_assert`), matching the check
-    /// in [`ContentionConfig::with_stream`].
-    pub fn blocking_claim_end(&self, bank: u32, banks: u32, t: i64, claim_len: i64) -> Option<i64> {
-        assert!(self.stride % 2 == 1, "contention stride must be odd");
-        let m = u64::from(banks);
-        // Solve phase + c*stride ≡ bank (mod m) for c.
-        let inv = mod_inverse(self.stride % m, m)?;
-        let target = (u64::from(bank) + m - self.phase % m) % m;
-        let c0 = (target * inv) % m;
-        // Visits to `bank` start at cycles c0, c0+m, c0+2m, ...; in ticks:
-        let (c0, m) = (c0 as i64 * TICKS_PER_CYCLE, m as i64 * TICKS_PER_CYCLE);
-        // Any claim window [v, v+claim_len) intersecting the grant cycle
-        // [t, t+1) blocks; only the visits around t can.
-        let tt = t.max(0);
-        let k = (tt - c0).div_euclid(m);
-        for kk in [k - 1, k, k + 1] {
-            if kk < 0 || !self.visit_active(kk as u64) {
-                continue;
-            }
-            let v = c0 + kk * m;
-            if v < tt + TICKS_PER_CYCLE && tt < v + claim_len {
-                return Some(v + claim_len);
-            }
-        }
-        None
-    }
-
-    fn visit_active(&self, visit_index: u64) -> bool {
-        visit_index % u64::from(self.duty_den) < u64::from(self.duty_num)
-    }
-}
-
-fn mod_inverse(a: u64, m: u64) -> Option<u64> {
-    // Extended Euclid; returns a^-1 mod m when gcd(a, m) == 1.
-    let (mut old_r, mut r) = (a as i128, m as i128);
-    let (mut old_s, mut s) = (1i128, 0i128);
-    while r != 0 {
-        let q = old_r / r;
-        (old_r, r) = (r, old_r - q * r);
-        (old_s, s) = (s, old_s - q * s);
-    }
-    if old_r != 1 {
-        return None;
-    }
-    Some(old_s.rem_euclid(m as i128) as u64)
 }
 
 /// A set of background streams — the machine's load situation.
@@ -174,10 +119,10 @@ impl ContentionConfig {
     ///
     /// # Panics
     ///
-    /// Panics on a stream [`ContentionStream::validate`] rejects, such
-    /// as one with an even stride.
+    /// Panics on a stream [`ContentionStream::validate`] rejects: a duty
+    /// above 1 or with a zero denominator.
     pub fn with_stream(mut self, stream: ContentionStream) -> Self {
-        stream.validate().expect("contention stride must be odd");
+        stream.validate().expect("duty must be a fraction <= 1");
         self.streams.push(stream);
         self
     }
@@ -193,46 +138,101 @@ impl ContentionConfig {
     }
 
     /// The period, in cycles, after which the joint claim pattern of all
-    /// streams repeats: each stream visits a given bank once per `banks`
-    /// cycles and its duty gate repeats every `duty_den` visits, so the
+    /// streams repeats: each stream's bank sequence repeats within
+    /// `banks` cycles and its duty gate every `duty_den` visits, so the
     /// combined pattern is periodic in `lcm(banks · duty_den)`. Returns 1
-    /// for an idle machine. Used by the simulator's fast-forward detector
+    /// for an idle machine, and saturates at `u64::MAX`, far past any
+    /// valid configuration. Used by the simulator's fast-forward detector
     /// to require matching contention phase between periodic states.
     pub fn pattern_period(&self, banks: u32) -> u64 {
         self.streams.iter().fold(1u64, |acc, s| {
             let p = u64::from(banks) * u64::from(s.duty_den);
-            acc / crate::gcd(acc, p) * p
+            (acc / gcd(acc, p)).saturating_mul(p)
         })
     }
 
-    /// The first bank these streams claim at every cycle of one
-    /// [`pattern_period`](Self::pattern_period), judged by
-    /// [`Self::blocking_claim_end`] itself: a grant search on that bank
-    /// could never end. The window starts two bank rotations in, where
-    /// every stream's claims repeat with the pattern; earlier cycles see
-    /// no claims from before tick 0.
-    pub(crate) fn saturated_bank(&self, banks: u32, claim_len: i64) -> Option<u32> {
-        if self.is_idle() {
-            return None;
+    /// The [`ClaimTable`] of these streams on `banks` banks, each claim
+    /// `len` ticks long. A stream visits each of its banks once per
+    /// rotation, so its bank sequence is stepped cycle by cycle over one
+    /// rotation, and each bank's later visits pass the duty gate.
+    ///
+    /// # Errors
+    ///
+    /// [`MemConfigError::ContentionTableTooLarge`] past
+    /// [`MAX_CONTENTION_CLAIMS`] claims, or 2^32 cycles, per period.
+    pub(crate) fn claims(&self, banks: u32, len: i64) -> Result<ClaimTable, MemConfigError> {
+        let period = self.pattern_period(banks);
+        let per_period =
+            |s: &ContentionStream| period / u64::from(s.duty_den) * u64::from(s.duty_num);
+        if period > u64::from(u32::MAX)
+            || self.streams.iter().map(per_period).sum::<u64>() > MAX_CONTENTION_CLAIMS
+        {
+            return Err(MemConfigError::ContentionTableTooLarge);
         }
-        let start = 2 * i64::from(banks);
-        let cycles = start..start + self.pattern_period(banks) as i64;
-        (0..banks).find(|&bank| {
-            cycles.clone().all(|c| {
-                self.blocking_claim_end(bank, banks, c * TICKS_PER_CYCLE, claim_len)
-                    .is_some()
-            })
-        })
+        let m = u64::from(banks);
+        // An idle machine's table has no rows, so every look-up ends at once.
+        let mut rows = vec![Vec::new(); if self.is_idle() { 0 } else { banks as usize }];
+        for s in self.streams.iter().filter(|s| s.duty_num > 0) {
+            let rotation = rotation(s.stride, banks);
+            for c in 0..rotation {
+                let bank = (s.phase % m + c * (s.stride % m)) % m;
+                for first in (0..period / rotation).step_by(s.duty_den as usize) {
+                    let visits = first..first + u64::from(s.duty_num);
+                    rows[bank as usize].extend(visits.map(|k| (c + k * rotation) as u32));
+                }
+            }
+        }
+        rows.iter_mut().for_each(|row| row.sort_unstable());
+        let period = period as i64 * TICKS_PER_CYCLE;
+        Ok(ClaimTable { period, len, rows })
+    }
+}
+
+/// Every background claim of one pattern period, bank by bank: the one
+/// statement of where the streams claim. Claims repeat with the period,
+/// never start before tick 0, and all last the bank busy time.
+#[derive(Debug, Clone)]
+pub(crate) struct ClaimTable {
+    /// The pattern period and the claim length, in ticks.
+    period: i64,
+    len: i64,
+    /// Each bank's claim start cycles within the period, sorted.
+    rows: Vec<Vec<u32>>,
+}
+
+impl ClaimTable {
+    /// The end tick of the claim blocking a grant to `bank` during the
+    /// cycle from tick `t` (not negative), if any: the claim with the
+    /// latest start by that cycle's last tick, if it still runs at `t`.
+    /// No earlier claim ends later. `start` is the caller's cursor into
+    /// the period (see [`period_offset`]; 0 is always a valid start).
+    #[inline]
+    pub(crate) fn blocking_end(&self, bank: usize, t: i64, start: &mut i64) -> Option<i64> {
+        let row = self.rows.get(bank)?;
+        let into = period_offset(t + TICKS_PER_CYCLE - 1, self.period, start);
+        let v = match row.partition_point(|&c| i64::from(c) * TICKS_PER_CYCLE <= into) {
+            0 => *start - self.period + i64::from(*row.last()?) * TICKS_PER_CYCLE,
+            i => *start + i64::from(row[i - 1]) * TICKS_PER_CYCLE,
+        };
+        let end = v + self.len;
+        (v >= 0 && end > t).then_some(end)
     }
 
-    /// The end tick of the latest claim blocking a grant to `bank` at
-    /// tick `t`, if any stream blocks it.
-    #[inline]
-    pub fn blocking_claim_end(&self, bank: u32, banks: u32, t: i64, claim_len: i64) -> Option<i64> {
-        self.streams
-            .iter()
-            .filter_map(|s| s.blocking_claim_end(bank, banks, t, claim_len))
-            .max()
+    /// The first bank claimed on every cycle once the pattern repeats: a
+    /// non-empty row whose cyclic gaps between consecutive claim starts
+    /// are all at most the claim length. A grant search there never ends.
+    pub(crate) fn saturated_bank(&self) -> Option<u32> {
+        let period = self.period / TICKS_PER_CYCLE;
+        let saturated = |row: &Vec<u32>| {
+            let next = row.iter().skip(1).map(|&c| i64::from(c));
+            let wrap = row.first().map(|&c| i64::from(c) + period);
+            let mut gaps = row
+                .iter()
+                .zip(next.chain(wrap))
+                .map(|(&a, b)| b - i64::from(a));
+            !row.is_empty() && gaps.all(|gap| gap * TICKS_PER_CYCLE <= self.len)
+        };
+        self.rows.iter().position(saturated).map(|bank| bank as u32)
     }
 }
 
@@ -241,34 +241,41 @@ mod tests {
     use super::*;
     const T: i64 = TICKS_PER_CYCLE;
 
-    #[test]
-    fn mod_inverse_works() {
-        assert_eq!(mod_inverse(3, 32), Some(11)); // 3*11 = 33 ≡ 1
-        assert_eq!(mod_inverse(1, 32), Some(1));
-        assert_eq!(mod_inverse(2, 32), None);
+    fn table(cfg: &ContentionConfig, banks: u32, bank_busy: i64) -> ClaimTable {
+        cfg.claims(banks, bank_busy * T).expect("table fits")
+    }
+
+    /// The table's verdict for a grant at `t`, asked with a fresh cursor.
+    fn end(table: &ClaimTable, bank: usize, t: i64) -> Option<i64> {
+        table.blocking_end(bank, t, &mut 0)
     }
 
     #[test]
     fn unit_stream_claims_each_bank_once_per_rotation() {
-        let s = ContentionStream::unit(0);
+        let s = table(
+            &ContentionConfig::idle().with_stream(ContentionStream::unit(0)),
+            32,
+            8,
+        );
         // Bank 5 is visited at cycles 5, 37, 69, ... each claim lasting 8.
-        assert_eq!(s.blocking_claim_end(5, 32, 5 * T, 8 * T), Some(13 * T));
-        assert_eq!(s.blocking_claim_end(5, 32, 13 * T - 2, 8 * T), Some(13 * T));
-        assert_eq!(s.blocking_claim_end(5, 32, 13 * T, 8 * T), None);
-        assert_eq!(s.blocking_claim_end(5, 32, 37 * T, 8 * T), Some(45 * T));
+        assert_eq!(end(&s, 5, 5 * T), Some(13 * T));
+        assert_eq!(end(&s, 5, 13 * T - 2), Some(13 * T));
+        assert_eq!(end(&s, 5, 13 * T), None);
+        assert_eq!(end(&s, 5, 37 * T), Some(45 * T));
         // Just before the claim the window [t, t+1) does not yet overlap.
-        assert_eq!(s.blocking_claim_end(5, 32, 4 * T - 2, 8 * T), None);
-        assert_eq!(s.blocking_claim_end(5, 32, 4 * T + 10, 8 * T), Some(13 * T));
+        assert_eq!(end(&s, 5, 4 * T - 2), None);
+        assert_eq!(end(&s, 5, 4 * T + 10), Some(13 * T));
     }
 
     #[test]
     fn duty_thins_claims() {
-        let s = ContentionStream::unit(0).with_duty(1, 2);
+        let cfg = ContentionConfig::idle().with_stream(ContentionStream::unit(0).with_duty(1, 2));
+        let s = table(&cfg, 32, 8);
         // Visits to bank 0 at cycles 0, 32, 64, ...; only even visit
         // indices claim.
-        assert!(s.blocking_claim_end(0, 32, 0, 8 * T).is_some());
-        assert!(s.blocking_claim_end(0, 32, 32 * T, 8 * T).is_none());
-        assert!(s.blocking_claim_end(0, 32, 64 * T, 8 * T).is_some());
+        assert!(end(&s, 0, 0).is_some());
+        assert!(end(&s, 0, 32 * T).is_none());
+        assert!(end(&s, 0, 64 * T).is_some());
     }
 
     #[test]
@@ -279,6 +286,11 @@ mod tests {
         for s in ContentionConfig::mixed(6).streams() {
             assert_eq!(s.stride % 2, 1);
         }
+        let idle = ContentionConfig::idle().claims(32, 8 * T).unwrap();
+        assert!(idle.rows.is_empty() && end(&idle, 0, 0).is_none());
+        // The largest wire configuration, `lockstep:15` on the most banks.
+        let largest = table(&ContentionConfig::lockstep(15), crate::MAX_BANKS, 8);
+        assert_eq!(largest.rows.iter().map(Vec::len).sum::<usize>(), 692_224);
     }
 
     #[test]
@@ -288,38 +300,139 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "stride must be odd")]
-    fn even_stride_rejected_by_config() {
-        let _ = ContentionConfig::idle().with_stream(ContentionStream {
-            stride: 2,
-            phase: 0,
-            duty_num: 1,
-            duty_den: 1,
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "stride must be odd")]
-    fn even_stride_rejected_at_claim_time_in_release_too() {
-        // A hand-built (not `with_stream`-validated) stream must still be
-        // rejected by the claim solver itself — as a hard assert, so
-        // release builds cannot silently compute wrong claim windows.
-        let s = ContentionStream {
-            stride: 4,
-            phase: 0,
-            duty_num: 1,
-            duty_den: 1,
-        };
-        let _ = s.blocking_claim_end(0, 32, 0, 8 * T);
-    }
-
-    #[test]
     fn config_blocking_takes_max() {
         let cfg = ContentionConfig::idle()
             .with_stream(ContentionStream::unit(0))
             .with_stream(ContentionStream::unit(1));
         // Bank 5: stream A claims [5,13), stream B claims [4,12).
-        let end = cfg.blocking_claim_end(5, 32, 5 * T, 8 * T).unwrap();
-        assert_eq!(end, 13 * T);
+        assert_eq!(end(&table(&cfg, 32, 8), 5, 5 * T), Some(13 * T));
+    }
+
+    /// Every claim start of `cfg` before cycle `cycles`, bank by bank, in
+    /// cycles: the model's definition stepped from cycle 0, with no
+    /// rotation, period or table.
+    fn enumerate(cfg: &ContentionConfig, banks: u32, cycles: u64) -> Vec<Vec<i64>> {
+        let m = u64::from(banks);
+        let mut claims = vec![Vec::new(); banks as usize];
+        for s in cfg.streams() {
+            let mut visits = vec![0u64; banks as usize];
+            for c in 0..cycles {
+                let bank = ((s.phase % m + c % m * (s.stride % m)) % m) as usize;
+                if visits[bank] % u64::from(s.duty_den) < u64::from(s.duty_num) {
+                    claims[bank].push(c as i64);
+                }
+                visits[bank] += 1;
+            }
+        }
+        for row in &mut claims {
+            row.sort_unstable();
+        }
+        claims
+    }
+
+    /// The latest end of any claim overlapping the grant cycle
+    /// `[t, t + 1 cycle)`.
+    fn brute_end(claims: &[i64], t: i64, len: i64) -> Option<i64> {
+        let started = claims.iter().map(|&c| c * T).take_while(|&v| v < t + T);
+        let overlapping = started.filter(|&v| v + len > t);
+        overlapping.map(|v| v + len).max()
+    }
+
+    /// Whether the claims, each `busy` cycles long, cover every cycle of
+    /// `[from, from + period)`.
+    fn brute_covered(claims: &[i64], from: i64, period: i64, busy: i64) -> bool {
+        let mut covered_to = from;
+        for &c in claims {
+            if c > covered_to {
+                break;
+            }
+            covered_to = covered_to.max(c + busy);
+        }
+        covered_to >= from + period
+    }
+
+    /// The table agrees with brute-force claim enumeration from tick 0 on
+    /// every bank count 1..=64 and bank busy time 1..=16, for the lockstep
+    /// and mixed presets and hand-built streams with even and zero
+    /// strides, huge phases and strides, and thinned duties (zero
+    /// included): at ticks on and off the cycle grid around rotation and
+    /// period boundaries, asked with a fresh cursor and with one cursor
+    /// carried up and down the ticks, and in which bank, if any, it calls
+    /// saturated.
+    #[test]
+    fn table_matches_brute_force_enumeration() {
+        let stream = |stride, phase, duty_num, duty_den| ContentionStream {
+            stride,
+            phase,
+            duty_num,
+            duty_den,
+        };
+        let custom = |streams: &[ContentionStream]| {
+            streams
+                .iter()
+                .fold(ContentionConfig::idle(), |cfg, &s| cfg.with_stream(s))
+        };
+        let configs = [
+            ContentionConfig::lockstep(1),
+            ContentionConfig::lockstep(3),
+            ContentionConfig::mixed(1),
+            ContentionConfig::mixed(3),
+            custom(&[stream(2, 1, 1, 1), stream(6, 0, 1, 2)]),
+            custom(&[stream(0, 3, 1, 4), stream(4, 2, 2, 3)]),
+            custom(&[
+                stream(5, u64::MAX - 6, 2, 3),
+                stream(u64::MAX, u64::MAX, 1, 2),
+            ]),
+            custom(&[stream(1, 2, 3, 7), stream(9, 11, 0, 2), stream(3, 0, 2, 2)]),
+        ];
+        let (mut queries, mut blocked, mut saturated) = (0u64, 0u64, 0u64);
+        for banks in 1..=64u32 {
+            for cfg in &configs {
+                let period = cfg.pattern_period(banks) as i64;
+                let steady = period * (16 / period + 1);
+                let limit = (steady + period).max(3 * period + i64::from(banks) + 2);
+                let claims = enumerate(cfg, banks, limit as u64);
+                let b = i64::from(banks);
+                let mut ticks: Vec<i64> = [0, 1, b - 1, b, b + 1, 2 * b, 3 * b - 1]
+                    .into_iter()
+                    .chain((1..=3).flat_map(|k| [k * period - 1, k * period, k * period + 1]))
+                    .flat_map(|c| [0, 1, T / 2, T - 1].map(|o| c * T + o))
+                    .filter(|&t| t >= 0)
+                    .collect();
+                ticks.sort_unstable();
+                for busy in 1..=16i64 {
+                    let table = table(cfg, banks, busy);
+                    for bank in [0, banks / 2, banks - 1].map(|b| b as usize) {
+                        let wants: Vec<_> = ticks
+                            .iter()
+                            .map(|&t| brute_end(&claims[bank], t, busy * T))
+                            .collect();
+                        let mut cursor = 0;
+                        let rising = ticks.iter().zip(&wants).map(|(&t, &want)| (t, want));
+                        for (t, want) in rising.clone().chain(rising.rev()) {
+                            let case =
+                                || format!("{cfg:?} banks {banks} busy {busy} bank {bank} t {t}");
+                            assert_eq!(end(&table, bank, t), want, "{}", case());
+                            let carried = table.blocking_end(bank, t, &mut cursor);
+                            assert_eq!(carried, want, "{}", case());
+                            queries += 1;
+                            blocked += u64::from(want.is_some());
+                        }
+                    }
+                    let want = (0..banks)
+                        .find(|&bank| brute_covered(&claims[bank as usize], steady, period, busy));
+                    assert_eq!(
+                        table.saturated_bank(),
+                        want,
+                        "{cfg:?} banks {banks} busy {busy}"
+                    );
+                    saturated += u64::from(want.is_some());
+                }
+            }
+        }
+        assert!(
+            blocked > queries / 4 && blocked < queries * 3 / 4 && saturated > 1000,
+            "{queries} queries, {blocked} blocked, {saturated} saturated"
+        );
     }
 }

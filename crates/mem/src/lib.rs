@@ -49,7 +49,9 @@ mod validate;
 pub use cache::{CacheConfig, ScalarCache};
 pub use contention::{ContentionConfig, ContentionStream};
 pub use system::{BankState, MemConfig, MemorySystem, StreamGrants, WaitBreakdown, WaitTicks};
-pub use validate::{MemConfigError, MAX_BANKS, MAX_BANK_BUSY, MAX_REFRESH_PERIOD, MAX_WORDS};
+pub use validate::{
+    MemConfigError, MAX_BANKS, MAX_BANK_BUSY, MAX_CONTENTION_CLAIMS, MAX_REFRESH_PERIOD, MAX_WORDS,
+};
 
 /// Ticks per cycle of the machine's timing quantum. Private copy of
 /// `c240_isa::timing::TICKS_PER_CYCLE` — this crate is dependency-free.
@@ -123,10 +125,27 @@ pub fn bank_of(word_addr: u64, banks: u32) -> u32 {
 /// assert_eq!(c240_mem::stride_cycles_per_element(32, 32, 8), 8.0);
 /// ```
 pub fn stride_cycles_per_element(stride_words: i64, banks: u32, bank_busy: u64) -> f64 {
-    let s = stride_words.unsigned_abs() % u64::from(banks);
-    let g = gcd(if s == 0 { u64::from(banks) } else { s }, u64::from(banks));
-    let revisit = u64::from(banks) / g;
+    let revisit = rotation(stride_words.unsigned_abs(), banks);
     (bank_busy as f64 / revisit as f64).max(1.0)
+}
+
+/// Tick `t`'s offset into a pattern repeating every `period` ticks, from
+/// the cursor `start` (a multiple of `period`): it divides only when `t`
+/// leaves the period `start` opens, then moves there.
+fn period_offset(t: i64, period: i64, start: &mut i64) -> i64 {
+    let mut into = t - *start;
+    if !(0..period).contains(&into) {
+        into = t % period;
+        *start = t - into;
+    }
+    into
+}
+
+/// How many steps of `stride` words a bank sequence takes to return to
+/// its first bank: `banks / gcd(stride, banks)`.
+fn rotation(stride: u64, banks: u32) -> u64 {
+    let banks = u64::from(banks);
+    banks / gcd(stride % banks, banks)
 }
 
 pub(crate) fn gcd(mut a: u64, mut b: u64) -> u64 {

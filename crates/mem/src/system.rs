@@ -15,8 +15,8 @@
 //!
 //! [`ContentionStream`]: crate::ContentionStream
 
-use crate::contention::ContentionConfig;
-use crate::{bank_of, cycle_ticks, cycles, gcd, Journal};
+use crate::contention::{ClaimTable, ContentionConfig};
+use crate::{bank_of, cycle_ticks, cycles, period_offset, rotation, Journal};
 
 /// Configuration of the memory system.
 #[derive(Debug, Clone, PartialEq)]
@@ -191,6 +191,8 @@ pub struct MemorySystem {
     busy: i64,
     /// The refresh period and window in ticks, when refresh is modeled.
     refresh: Option<(i64, i64)>,
+    /// The background streams' claims (no rows on an idle machine).
+    background: ClaimTable,
     data: Vec<f64>,
     bank: BankState,
     view: u32,
@@ -303,11 +305,9 @@ pub struct StreamGrants {
     pub waits: WaitTicks,
 }
 
-/// The refresh windows as a cursor: `start` is the first tick of the
-/// refresh period holding the latest tick asked about. The searches of a
-/// stream paced by a non-negative `z` only ask about later ticks, so the
-/// cursor only moves forward, and it divides only when a search leaves
-/// the current period.
+/// The refresh windows, read through a [`period_offset`] cursor: the
+/// searches of a stream paced by a non-negative `z` ask about ever later
+/// ticks, so it divides only when a search leaves the current period.
 #[derive(Clone, Copy)]
 struct RefreshWindows {
     period: i64,
@@ -318,12 +318,7 @@ struct RefreshWindows {
 impl RefreshWindows {
     /// Whether tick `t` (not negative) falls inside a refresh window.
     fn blocks(&mut self, t: i64) -> bool {
-        let mut into = t - self.start;
-        if !(0..self.period).contains(&into) {
-            into = t % self.period;
-            self.start = t - into;
-        }
-        into < self.len
+        period_offset(t, self.period, &mut self.start) < self.len
     }
 }
 
@@ -338,8 +333,8 @@ struct Port<'a> {
     claims: &'a mut [Vec<(i64, u32)>],
     multiport: bool,
     horizon: i64,
-    contention: &'a ContentionConfig,
-    banks: u32,
+    background: &'a ClaimTable,
+    background_start: i64,
     busy: i64,
     view: u32,
     refresh: Option<RefreshWindows>,
@@ -398,8 +393,8 @@ impl Port<'_> {
                 }
             }
             if let Some(end) = self
-                .contention
-                .blocking_claim_end(bank as u32, self.banks, t, busy)
+                .background
+                .blocking_end(bank, t, &mut self.background_start)
             {
                 self.waits.add(Wait::Contention, end - t);
                 t = end;
@@ -451,9 +446,14 @@ impl MemorySystem {
                 cycle_ticks(config.refresh_len),
             )
         });
+        let busy = cycle_ticks(config.bank_busy);
         MemorySystem {
-            busy: cycle_ticks(config.bank_busy),
+            busy,
             refresh,
+            background: config
+                .contention
+                .claims(banks, busy)
+                .expect("contention claim table exceeds its bounds"),
             config,
             data: vec![0.0; words],
             bank: BankState::new(banks),
@@ -707,8 +707,8 @@ impl MemorySystem {
             claims: &mut bank.claims,
             multiport: bank.multiport,
             horizon: bank.horizon,
-            contention: &self.config.contention,
-            banks: self.config.banks,
+            background: &self.background,
+            background_start: 0,
             busy: self.busy,
             view: self.view,
             refresh: self.refresh.map(|(period, len)| RefreshWindows {
@@ -746,10 +746,7 @@ impl MemorySystem {
     /// The number of distinct banks a stride touches before repeating —
     /// `banks / gcd(stride, banks)`.
     pub fn banks_touched(&self, stride_words: i64) -> u32 {
-        let banks = u64::from(self.config.banks);
-        let s = stride_words.unsigned_abs() % banks;
-        let g = gcd(if s == 0 { banks } else { s }, banks);
-        (banks / g) as u32
+        rotation(stride_words.unsigned_abs(), self.config.banks) as u32
     }
 }
 
@@ -1008,9 +1005,7 @@ mod tests {
                     continue;
                 }
             }
-            let contention = &mem.config.contention;
-            if let Some(end) = contention.blocking_claim_end(bank as u32, mem.config.banks, t, busy)
-            {
+            if let Some(end) = mem.background.blocking_end(bank, t, &mut 0) {
                 mem.breakdown.contention += end - t;
                 t = end;
                 continue;

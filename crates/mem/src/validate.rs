@@ -31,6 +31,11 @@ pub const MAX_BANK_BUSY: u64 = 1 << 20;
 /// ticks as [`MAX_BANK_BUSY`] bounds the bank busy time.
 pub const MAX_REFRESH_PERIOD: u64 = 1 << 32;
 
+/// Largest accepted number of background claims per contention pattern
+/// period over all banks (`lockstep:15` on [`MAX_BANKS`] banks has
+/// 692,224): the size of the memory system's claim table.
+pub const MAX_CONTENTION_CLAIMS: u64 = 1 << 20;
+
 /// Largest accepted data-space size in 8-byte words (1 GiB of data).
 /// The C-240 configuration uses 1 Mi words (8 MiB).
 pub const MAX_WORDS: usize = 1 << 27;
@@ -77,12 +82,6 @@ pub enum MemConfigError {
         /// The offending size.
         words: usize,
     },
-    /// A contention stream with an even stride (misses half the banks
-    /// and breaks the closed-form claim solver).
-    EvenContentionStride {
-        /// The offending stride.
-        stride: u64,
-    },
     /// A contention stream with `duty_den == 0`.
     ZeroDutyDenominator,
     /// A contention stream claiming more than every visit
@@ -93,6 +92,10 @@ pub enum MemConfigError {
         /// Denominator of the duty fraction.
         den: u32,
     },
+    /// Background contention whose claim table would hold more than
+    /// [`MAX_CONTENTION_CLAIMS`] claims, or whose pattern period exceeds
+    /// `u32::MAX` cycles.
+    ContentionTableTooLarge,
     /// Background contention that claims `bank` at every cycle, so a
     /// grant there could never be found.
     ContentionSaturatesBank {
@@ -150,9 +153,10 @@ impl fmt::Display for MemConfigError {
                     "data space of {words} words exceeds the maximum of {MAX_WORDS}"
                 )
             }
-            MemConfigError::EvenContentionStride { stride } => {
-                write!(f, "contention stride {stride} must be odd")
-            }
+            MemConfigError::ContentionTableTooLarge => write!(
+                f,
+                "background contention needs over {MAX_CONTENTION_CLAIMS} claims, or 2^32 cycles, per period"
+            ),
             MemConfigError::ZeroDutyDenominator => {
                 write!(f, "contention duty denominator must be positive")
             }
@@ -210,18 +214,13 @@ impl MemConfigError {
 }
 
 impl ContentionStream {
-    /// Checks the stream invariants the solver relies on (odd stride,
-    /// duty a fraction ≤ 1).
+    /// Checks that the duty is a fraction ≤ 1 with a positive
+    /// denominator.
     ///
     /// # Errors
     ///
     /// Returns the first violated constraint.
     pub fn validate(&self) -> Result<(), MemConfigError> {
-        if self.stride.is_multiple_of(2) {
-            return Err(MemConfigError::EvenContentionStride {
-                stride: self.stride,
-            });
-        }
         if self.duty_den == 0 {
             return Err(MemConfigError::ZeroDutyDenominator);
         }
@@ -250,7 +249,8 @@ impl ContentionConfig {
 
 impl MemConfig {
     /// Checks every constraint a simulatable memory system needs,
-    /// including that the background contention leaves every bank a free
+    /// including that the background contention's claim table stays
+    /// within [`MAX_CONTENTION_CLAIMS`] and leaves every bank a free
     /// grant cycle; the sweep server calls this on untrusted
     /// configurations before constructing a [`crate::MemorySystem`]
     /// (whose internal `assert!`s remain as backstops for programmatic
@@ -292,8 +292,8 @@ impl MemConfig {
             return Err(MemConfigError::TooManyWords { words: self.words });
         }
         self.contention.validate()?;
-        let claim_len = crate::cycle_ticks(self.bank_busy);
-        match self.contention.saturated_bank(self.banks, claim_len) {
+        let busy = crate::cycle_ticks(self.bank_busy);
+        match self.contention.claims(self.banks, busy)?.saturated_bank() {
             Some(bank) => Err(MemConfigError::ContentionSaturatesBank { bank }),
             None => Ok(()),
         }
@@ -403,16 +403,6 @@ mod tests {
 
     #[test]
     fn contention_streams_are_checked() {
-        let even = ContentionStream {
-            stride: 2,
-            phase: 0,
-            duty_num: 1,
-            duty_den: 1,
-        };
-        assert_eq!(
-            even.validate(),
-            Err(MemConfigError::EvenContentionStride { stride: 2 })
-        );
         let duty = |duty_num, duty_den| ContentionStream {
             duty_num,
             duty_den,
@@ -431,12 +421,12 @@ mod tests {
         assert_eq!(cfg.validate(), Ok(()));
     }
 
-    /// Saturation is judged by the grant search's own claim model: full
+    /// Saturation is judged on the grant search's own claim table: full
     /// lockstep sets leave some bank no free cycle, while mixed sets on
     /// as few as 8 banks (where `Σ duty · bank_busy` reaches the bank
     /// count) still leave every bank one. Bank 0 is free only in the
-    /// first cycles, before any claim on it has started, so a window
-    /// from tick 0 would miss it and name bank 1.
+    /// first cycles, before any claim on it has started; the check reads
+    /// the repeating pattern, so it names bank 0, not bank 1.
     #[test]
     fn saturating_contention_is_caught() {
         let with = |contention, banks| MemConfig {
@@ -461,6 +451,33 @@ mod tests {
         ] {
             assert_eq!(with(contention, banks).validate(), Ok(()));
         }
+    }
+
+    /// The claim table is bounded by its claims per pattern period, and
+    /// a period too long for its offsets (or for `u64`) is an error, not
+    /// a panic or a wrapped product.
+    #[test]
+    fn contention_table_size_is_bounded() {
+        let with = |contention| MemConfig {
+            banks: MAX_BANKS,
+            contention,
+            ..MemConfig::c240()
+        };
+        assert_eq!(with(ContentionConfig::lockstep(15)).validate(), Ok(()));
+        let too_large = Err(MemConfigError::ContentionTableTooLarge);
+        assert_eq!(with(ContentionConfig::lockstep(30)).validate(), too_large);
+        let thin = |duty_den| ContentionStream {
+            duty_num: 1,
+            duty_den,
+            ..ContentionStream::unit(0)
+        };
+        let long = ContentionConfig::idle().with_stream(thin(u32::MAX));
+        assert_eq!(with(long.clone()).validate(), too_large);
+        let overflows = long
+            .with_stream(thin(u32::MAX - 1))
+            .with_stream(thin(u32::MAX - 2));
+        assert_eq!(overflows.pattern_period(MAX_BANKS), u64::MAX);
+        assert_eq!(with(overflows).validate(), too_large);
     }
 
     #[test]

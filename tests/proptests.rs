@@ -239,6 +239,49 @@ fn contention_never_speeds_up_memory_loops() {
             "seed {seed}: busy {busy} < quiet {quiet}"
         );
     }
+    // Bank counts that are not powers of two, strides sharing factors
+    // with them, and bank busy times past two rotations, where every
+    // claim still running must block: each accepted configuration
+    // against the same memory without the stream.
+    let (mut accepted, mut long_busy) = (0u32, 0u32);
+    for seed in 0..48u64 {
+        let mut rng = Rng::new(3000 + seed);
+        let banks = [3u32, 5, 6, 9, 12, 15, 24, 31][rng.range_usize(0, 8)];
+        let mut mem = SimConfig::c240().mem.with_banks(banks);
+        mem.bank_busy = rng.range_u64(1, 4 * u64::from(banks));
+        let stream = c240_mem::ContentionStream {
+            stride: rng.range_u64(0, 16),
+            phase: rng.range_u64(0, 64),
+            duty_num: 1,
+            duty_den: rng.range_u64(2, 5) as u32,
+        };
+        let busy_mem = mem
+            .clone()
+            .with_contention(ContentionConfig::idle().with_stream(stream));
+        if busy_mem.validate().is_err() {
+            continue;
+        }
+        accepted += 1;
+        long_busy += u32::from(mem.bank_busy > 2 * u64::from(banks));
+        let run = |mem| {
+            Cpu::new(SimConfig {
+                mem,
+                ..SimConfig::c240()
+            })
+            .run(&program)
+            .unwrap()
+            .cycles
+        };
+        let (quiet, busy) = (run(mem), run(busy_mem));
+        assert!(
+            busy + 1e-9 >= quiet,
+            "seed {seed}: busy {busy} < quiet {quiet}"
+        );
+    }
+    assert!(
+        accepted >= 24 && long_busy >= 4,
+        "{accepted} accepted, {long_busy} past two rotations"
+    );
 }
 
 /// Random (but well-formed) kernels for the compiler properties.
