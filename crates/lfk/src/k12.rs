@@ -149,141 +149,10 @@ mod tests {
     #[test]
     fn macs_bound_is_pinned() {
         // Paper Table 3/5: 3.13 CPL.
-        use macs_core_shim::*;
-        let b = bound_cpl(&Lfk12.program(), Lfk12.ma());
+        let b = crate::macs_bound_cpl(&Lfk12);
         assert!(
             (b - 3.1317).abs() < 0.003,
             "t_MACS = {b} CPL, expected 3.1317"
         );
-    }
-
-    /// lfk-suite cannot depend on macs-core (dependency direction), so
-    /// the bound used for pinning is recomputed with the same published
-    /// algorithm: chimes of `Z_max·VL + ΣB` with the cyclic ≥4-memory-run
-    /// refresh factor. The authoritative implementation lives in
-    /// macs-core and is cross-checked in the workspace integration tests.
-    mod macs_core_shim {
-        use c240_isa::{Instruction, Program, TimingClass};
-        use macs_compiler::MaWorkload;
-
-        pub fn bound_cpl(program: &Program, _ma: MaWorkload) -> f64 {
-            let l = program.innermost_loop().expect("strip loop");
-            let body = program.loop_body(l);
-            partition_cpl(body)
-        }
-
-        fn timing(class: TimingClass) -> (f64, f64) {
-            // (Z, B) from Table 1.
-            match class {
-                TimingClass::Load => (1.0, 2.0),
-                TimingClass::Store => (1.0, 4.0),
-                TimingClass::Mul => (1.0, 1.0),
-                TimingClass::Div => (4.0, 21.0),
-                TimingClass::Reduction => (1.35, 0.0),
-                _ => (1.0, 1.0),
-            }
-        }
-
-        #[allow(unused_assignments)] // the closing macro resets state once more at the end
-        fn partition_cpl(body: &[Instruction]) -> f64 {
-            const VL: f64 = 128.0;
-            let mut chimes: Vec<(f64, f64, bool)> = Vec::new(); // (z_max, b_sum, has_mem)
-            let mut pipes = [false; 3];
-            let mut reads = [0u8; 4];
-            let mut writes = [0u8; 4];
-            let mut open = false;
-            let mut z_max = 0.0f64;
-            let mut b_sum = 0.0;
-            let mut has_mem = false;
-            let mut fence = false;
-            macro_rules! close {
-                () => {
-                    if open {
-                        chimes.push((z_max, b_sum, has_mem));
-                        pipes = [false; 3];
-                        reads = [0; 4];
-                        writes = [0; 4];
-                        z_max = 0.0;
-                        b_sum = 0.0;
-                        has_mem = false;
-                        fence = false;
-                        open = false;
-                    }
-                };
-            }
-            for ins in body {
-                if ins.is_scalar_memory() {
-                    if has_mem {
-                        close!();
-                    } else {
-                        fence = true;
-                    }
-                    continue;
-                }
-                let Some(pipe) = ins.pipe() else { continue };
-                let slot = match pipe {
-                    c240_isa::Pipe::LoadStore => 0,
-                    c240_isa::Pipe::Add => 1,
-                    c240_isa::Pipe::Multiply => 2,
-                };
-                let (r, w) = ins.pair_usage();
-                let pair_ok = (0..4).all(|p| reads[p] + r[p] <= 2 && writes[p] + w[p] <= 1);
-                let fence_ok = !(ins.is_vector_memory() && fence);
-                if pipes[slot] || !pair_ok || !fence_ok {
-                    close!();
-                }
-                let (z, b) = timing(ins.timing_class().expect("vector"));
-                pipes[slot] = true;
-                for p in 0..4 {
-                    reads[p] += r[p];
-                    writes[p] += w[p];
-                }
-                z_max = z_max.max(z);
-                b_sum += b;
-                has_mem |= ins.is_vector_memory();
-                open = true;
-            }
-            close!();
-            // Cyclic refresh runs of >= 4 memory chimes (all-mem loops
-            // wrap indefinitely).
-            let n = chimes.len();
-            let mem: Vec<bool> = chimes.iter().map(|c| c.2).collect();
-            let mut scaled = vec![false; n];
-            if mem.iter().all(|&m| m) {
-                scaled = vec![true; n];
-            } else if let Some(start) = mem.iter().position(|&m| !m) {
-                let mut i = 0;
-                while i < n {
-                    let idx = (start + i) % n;
-                    if !mem[idx] {
-                        i += 1;
-                        continue;
-                    }
-                    let mut len = 0;
-                    while len < n && mem[(start + i + len) % n] {
-                        len += 1;
-                    }
-                    if len >= 4 {
-                        for k in 0..len {
-                            scaled[(start + i + k) % n] = true;
-                        }
-                    }
-                    i += len;
-                }
-            }
-            let total: f64 = chimes
-                .iter()
-                .zip(&scaled)
-                .map(|(&(z, b, _), &s)| {
-                    let cost = z * VL + b;
-                    if s {
-                        cost * 1.02
-                    } else {
-                        cost
-                    }
-                })
-                .sum();
-            total / VL
-        }
     }
 }

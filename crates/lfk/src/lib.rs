@@ -205,6 +205,15 @@ pub fn by_id(id: u32) -> Option<Box<dyn LfkKernel>> {
 /// The kernel ids of the case study, in paper order.
 pub const IDS: [u32; 10] = [1, 2, 3, 4, 6, 7, 8, 9, 10, 12];
 
+/// The MACS bound (CPL) of a kernel's curated program, computed by
+/// `macs_core::KernelBounds` for the stock C-240. Each kernel module pins
+/// its own value.
+#[cfg(test)]
+fn macs_bound_cpl(k: &dyn LfkKernel) -> f64 {
+    use macs_core::{ChimeConfig, KernelBounds};
+    KernelBounds::compute(k.name(), k.ma(), &k.program(), &ChimeConfig::c240()).t_macs_cpl()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

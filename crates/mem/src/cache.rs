@@ -8,8 +8,6 @@
 //! latencies are charged by the simulator's scalar-memory timing; this
 //! type keeps the tags and the hit/miss counters.
 
-use crate::Journal;
-
 /// Scalar cache geometry and latencies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -45,9 +43,7 @@ impl Default for CacheConfig {
 ///
 /// The cache holds no data: loads read, and stores write through to, the
 /// one memory image (`MemorySystem`), which keeps scalar and vector
-/// accesses coherent. Every tag overwrite is reported to a [`Journal`],
-/// and [`ScalarCache::checkpoint`] / [`ScalarCache::rollback`] undo a
-/// journaled sequence without cloning the tags.
+/// accesses coherent.
 #[derive(Debug, Clone)]
 pub struct ScalarCache {
     config: CacheConfig,
@@ -123,14 +119,13 @@ impl ScalarCache {
     /// Looks up `addr` for a scalar load or store and returns whether it
     /// hit, counting the outcome. A miss fills the line; write-through
     /// stores allocate exactly like loads.
-    pub fn access(&mut self, addr: u64, journal: &mut impl Journal) -> bool {
+    pub fn access(&mut self, addr: u64) -> bool {
         let (line, tag) = self.line_and_tag(addr);
         if self.tags[line] == Some(tag) {
             self.hits += 1;
             true
         } else {
             self.misses += 1;
-            journal.tag(line, self.tags[line]);
             self.tags[line] = Some(tag);
             false
         }
@@ -138,10 +133,9 @@ impl ScalarCache {
 
     /// Invalidates the line containing `addr` (used when a vector store
     /// bypasses the cache and writes the same location).
-    pub fn invalidate(&mut self, addr: u64, journal: &mut impl Journal) {
+    pub fn invalidate(&mut self, addr: u64) {
         let (line, tag) = self.line_and_tag(addr);
         if self.tags[line] == Some(tag) {
-            journal.tag(line, self.tags[line]);
             self.tags[line] = None;
         }
     }
@@ -149,38 +143,21 @@ impl ScalarCache {
     /// Invalidates every line overlapping the word run `[addr, addr + n)`:
     /// the same as [`ScalarCache::invalidate`] on each word, with one tag
     /// probe per line instead of per word.
-    pub fn invalidate_run(&mut self, addr: u64, n: usize, journal: &mut impl Journal) {
+    pub fn invalidate_run(&mut self, addr: u64, n: usize) {
         let lw = u64::from(self.config.line_words);
         let mut a = addr;
         let end = addr + n as u64;
         while a < end {
-            self.invalidate(a, journal);
+            self.invalidate(a);
             // Jump to the first word of the next line.
             a = (a / lw + 1) * lw;
         }
-    }
-
-    /// Hit/miss counters as a checkpoint token for [`ScalarCache::rollback`].
-    pub fn checkpoint(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Undoes a journaled sequence: restores the overwritten tags `log`
-    /// (as [`Journal::tag`] received them) in reverse order and resets the
-    /// counters to a [`ScalarCache::checkpoint`] taken before it.
-    pub fn rollback(&mut self, counters: (u64, u64), log: &[(usize, Option<u64>)]) {
-        for &(line, old) in log.iter().rev() {
-            self.tags[line] = old;
-        }
-        self.hits = counters.0;
-        self.misses = counters.1;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NoJournal;
 
     fn cache() -> ScalarCache {
         ScalarCache::new(CacheConfig::c240())
@@ -189,10 +166,10 @@ mod tests {
     #[test]
     fn first_touch_misses_then_hits() {
         let mut c = cache();
-        assert!(!c.access(10, &mut NoJournal));
+        assert!(!c.access(10));
         assert_eq!(c.misses(), 1);
         // Same line: hit.
-        assert!(c.access(11, &mut NoJournal));
+        assert!(c.access(11));
         assert_eq!(c.hits(), 1);
     }
 
@@ -201,8 +178,8 @@ mod tests {
         // Write-through with allocation: a store counts like a load and
         // fills its line, so a later load of the line hits.
         let mut c = cache();
-        assert!(!c.access(20, &mut NoJournal));
-        assert!(c.access(21, &mut NoJournal));
+        assert!(!c.access(20));
+        assert!(c.access(21));
         assert_eq!((c.hits(), c.misses()), (1, 1));
     }
 
@@ -214,9 +191,9 @@ mod tests {
             hit_latency: 1,
             miss_penalty: 2,
         });
-        c.access(0, &mut NoJournal);
-        c.access(2, &mut NoJournal); // maps to line 0 too
-        c.access(0, &mut NoJournal); // miss again
+        c.access(0);
+        c.access(2); // maps to line 0 too
+        c.access(0); // miss again
         assert_eq!(c.misses(), 3);
         assert_eq!(c.hits(), 0);
     }
@@ -224,60 +201,20 @@ mod tests {
     #[test]
     fn invalidate_forces_refetch() {
         let mut c = cache();
-        c.access(30, &mut NoJournal);
-        c.invalidate(30, &mut NoJournal);
-        c.access(30, &mut NoJournal);
+        c.access(30);
+        c.invalidate(30);
+        c.access(30);
         assert_eq!(c.misses(), 2);
     }
 
     #[test]
     fn reset_clears_everything() {
         let mut c = cache();
-        c.access(1, &mut NoJournal);
+        c.access(1);
         c.reset();
         assert_eq!(c.hits() + c.misses(), 0);
-        c.access(1, &mut NoJournal);
+        c.access(1);
         assert_eq!(c.misses(), 1);
-    }
-
-    /// A tag journal, as a fast-forward replay keeps one.
-    #[derive(Default)]
-    struct Tags(Vec<(usize, Option<u64>)>);
-
-    impl Journal for Tags {
-        fn tag(&mut self, line: usize, old: Option<u64>) {
-            self.0.push((line, old));
-        }
-    }
-
-    /// Loads, a store and a vector store's invalidations, journaled.
-    fn some_ops(c: &mut ScalarCache, journal: &mut impl Journal) {
-        c.access(10, journal);
-        c.access(11, journal);
-        c.access(5000, journal);
-        c.invalidate(10, journal);
-        c.access(16, journal);
-        c.invalidate_run(14, 8, journal);
-    }
-
-    #[test]
-    fn logged_ops_match_plain_ops_and_roll_back() {
-        let mut plain = cache();
-        some_ops(&mut plain, &mut NoJournal);
-        let mut logged = cache();
-        let mark = logged.checkpoint();
-        let mut log = Tags::default();
-        some_ops(&mut logged, &mut log);
-        // Journaling changes nothing observable...
-        assert_eq!(
-            (logged.hits(), logged.misses()),
-            (plain.hits(), plain.misses())
-        );
-        assert_eq!(logged.tags, plain.tags);
-        // ...and rollback restores the pristine cache exactly.
-        logged.rollback(mark, &log.0);
-        assert_eq!((logged.hits(), logged.misses()), (0, 0));
-        assert_eq!(logged.tags, cache().tags);
     }
 
     #[test]
@@ -288,12 +225,12 @@ mod tests {
             hit_latency: 1,
             miss_penalty: 2,
         });
-        c.access(0, &mut NoJournal); // line 0
-        c.access(4, &mut NoJournal); // same line: hit
-        c.access(5, &mut NoJournal); // next line: miss
-        c.invalidate_run(3, 4, &mut NoJournal); // both lines
-        c.access(4, &mut NoJournal);
-        c.access(5, &mut NoJournal);
+        c.access(0); // line 0
+        c.access(4); // same line: hit
+        c.access(5); // next line: miss
+        c.invalidate_run(3, 4); // both lines
+        c.access(4);
+        c.access(5);
         assert_eq!((c.hits(), c.misses()), (1, 4));
     }
 

@@ -193,7 +193,8 @@ impl ContentionConfig {
 /// never start before tick 0, and all last the bank busy time.
 #[derive(Debug, Clone)]
 pub(crate) struct ClaimTable {
-    /// The pattern period and the claim length, in ticks.
+    /// The pattern period and the claim length, in ticks; both are
+    /// whole cycles.
     period: i64,
     len: i64,
     /// Each bank's claim start cycles within the period, sorted.
@@ -218,21 +219,99 @@ impl ClaimTable {
         (v >= 0 && end > t).then_some(end)
     }
 
-    /// The first bank claimed on every cycle once the pattern repeats: a
-    /// non-empty row whose cyclic gaps between consecutive claim starts
-    /// are all at most the claim length. A grant search there never ends.
-    pub(crate) fn saturated_bank(&self) -> Option<u32> {
+    /// The first bank on which a grant search can run forever once the
+    /// pattern repeats, with refresh windows of `len` cycles every
+    /// `period` cycles when `refresh` is `Some((period, len))`.
+    ///
+    /// A search blocked by a claim moves to the claim's end, which steps
+    /// over no claim-free cycle. A search blocked by refresh waits a
+    /// whole window from where it was blocked (§3.2), which can step over
+    /// a claim-free cycle fewer than `2·len − 1` cycles into a refresh
+    /// period. So a bank with a claim-free cycle past that point is not
+    /// saturated, which the row's cyclic gaps show; any other bank is
+    /// decided by following the searches ([`ClaimTable::search_loops`]).
+    pub(crate) fn saturated_bank(&self, refresh: Option<(u64, u64)>) -> Option<u32> {
         let period = self.period / TICKS_PER_CYCLE;
-        let saturated = |row: &Vec<u32>| {
+        let busy = self.len / TICKS_PER_CYCLE;
+        let (rp, rl) = refresh.map_or((1, 0), |(p, len)| (p as i64, len as i64));
+        // The first refresh offset no refresh wait steps over. A
+        // claim-free run of `n` cycles from cycle `a` recurs every pattern
+        // period at each refresh offset congruent to `a` modulo `g`, and
+        // the largest of them decides whether the run reaches it.
+        let lo = 2 * rl - 1;
+        let g = gcd(period as u64, rp as u64) as i64;
+        let reaches = |a: i64, n: i64| lo < rp && rp - g + a % g + n > lo;
+        let saturated = |bank: usize| {
+            let row = &self.rows[bank];
             let next = row.iter().skip(1).map(|&c| i64::from(c));
             let wrap = row.first().map(|&c| i64::from(c) + period);
-            let mut gaps = row
-                .iter()
-                .zip(next.chain(wrap))
-                .map(|(&a, b)| b - i64::from(a));
-            !row.is_empty() && gaps.all(|gap| gap * TICKS_PER_CYCLE <= self.len)
+            let mut runs = row.iter().zip(next.chain(wrap)).map(|(&c, next)| {
+                let free = i64::from(c) + busy;
+                (free, next - free)
+            });
+            !row.is_empty()
+                && !runs.any(|(a, n)| n > 0 && reaches(a, n))
+                && self.search_loops(bank, rp, rl)
         };
-        self.rows.iter().position(saturated).map(|bank| bank as u32)
+        (0..self.rows.len())
+            .find(|&bank| saturated(bank))
+            .map(|bank| bank as u32)
+    }
+
+    /// Whether a grant search on `bank`, with refresh windows of `rl`
+    /// cycles every `rp` cycles, can run forever. After its first move a
+    /// search is at a claim end; from there it waits out any refresh
+    /// window, then grants at a claim-free cycle or moves to the end of
+    /// the claim blocking it. Over one period of both patterns that is a
+    /// map from claim ends to claim ends, and a search runs forever
+    /// exactly when the map has a cycle. Past [`MAX_CONTENTION_CLAIMS`]
+    /// claim ends the answer is yes, unexamined.
+    fn search_loops(&self, bank: usize, rp: i64, rl: i64) -> bool {
+        let period = self.period / TICKS_PER_CYCLE;
+        let reps = rp / gcd(period as u64, rp as u64) as i64;
+        let row = &self.rows[bank];
+        if (row.len() as u64).saturating_mul(reps as u64) > MAX_CONTENTION_CLAIMS {
+            return true;
+        }
+        let (span, busy) = (period * reps, self.len / TICKS_PER_CYCLE);
+        let mut ends: Vec<i64> = (0..reps)
+            .flat_map(|j| {
+                row.iter()
+                    .map(move |&c| (i64::from(c) + busy + j * period) % span)
+            })
+            .collect();
+        ends.sort_unstable();
+        ends.dedup();
+        // The claim end a search at cycle `x` moves to, unless it grants,
+        // asked one span on, where every claim has started.
+        let step = |x: i64| {
+            let mut x = x + span;
+            while x % rp < rl {
+                x += rl;
+            }
+            let end = self.blocking_end(bank, x * TICKS_PER_CYCLE, &mut 0)?;
+            let end = end / TICKS_PER_CYCLE % span;
+            Some(
+                ends.binary_search(&end)
+                    .expect("a claim ends at a claim end"),
+            )
+        };
+        // Walk from each end not yet seen, marking the ends with the walk
+        // that reached them first: meeting this walk's own mark again is
+        // a cycle, and an earlier walk's mark leads on to a grant.
+        let mut mark = vec![0; ends.len()];
+        for first in 0..ends.len() {
+            let mut i = first;
+            while mark[i] == 0 {
+                mark[i] = first + 1;
+                match step(ends[i]) {
+                    Some(j) if mark[j] == first + 1 => return true,
+                    Some(j) => i = j,
+                    None => break,
+                }
+            }
+        }
+        false
     }
 }
 
@@ -422,7 +501,7 @@ mod tests {
                     let want = (0..banks)
                         .find(|&bank| brute_covered(&claims[bank as usize], steady, period, busy));
                     assert_eq!(
-                        table.saturated_bank(),
+                        table.saturated_bank(None),
                         want,
                         "{cfg:?} banks {banks} busy {busy}"
                     );

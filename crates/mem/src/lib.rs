@@ -19,9 +19,7 @@
 //! timing quantum); read-outs such as [`MemorySystem::wait_cycles`] convert
 //! to cycles.
 //! [`ScalarCache`] models the ASU data cache that scalar accesses go
-//! through (vector accesses bypass it). Data stores and cache-tag updates
-//! report what they overwrite to a [`Journal`], so a caller can undo a
-//! speculative sequence of them.
+//! through (vector accesses bypass it).
 //!
 //! # Example
 //!
@@ -67,35 +65,6 @@ fn cycle_ticks(cycles: u64) -> i64 {
 fn cycles(ticks: i64) -> f64 {
     ticks as f64 / TICKS_PER_CYCLE as f64
 }
-
-/// Records what stores and cache-tag updates overwrite, so a speculative
-/// sequence of them can be undone. Every hook defaults to a no-op;
-/// [`NoJournal`] keeps them all, so an unjournaled caller pays nothing.
-pub trait Journal {
-    /// Word `addr` held `old` before a store.
-    #[inline(always)]
-    fn word(&mut self, addr: u64, old: f64) {
-        let _ = (addr, old);
-    }
-
-    /// The run of words starting at `addr` held `old` before a store.
-    #[inline(always)]
-    fn run(&mut self, addr: u64, old: &[f64]) {
-        let _ = (addr, old);
-    }
-
-    /// Scalar-cache line `line` held tag `old` before an update.
-    #[inline(always)]
-    fn tag(&mut self, line: usize, old: Option<u64>) {
-        let _ = (line, old);
-    }
-}
-
-/// The journal that records nothing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoJournal;
-
-impl Journal for NoJournal {}
 
 /// Word-granular bank index for an address under a given interleave.
 ///

@@ -16,7 +16,7 @@
 //! [`ContentionStream`]: crate::ContentionStream
 
 use crate::contention::{ClaimTable, ContentionConfig};
-use crate::{bank_of, cycle_ticks, cycles, period_offset, rotation, Journal};
+use crate::{bank_of, cycle_ticks, cycles, period_offset, rotation};
 
 /// Configuration of the memory system.
 #[derive(Debug, Clone, PartialEq)]
@@ -530,7 +530,8 @@ impl MemorySystem {
         self.data[addr as usize]
     }
 
-    /// Writes data without touching timing state (test/setup use).
+    /// Writes data without touching timing state: setup, and the
+    /// simulator's scalar and strided stores (the grant is separate).
     ///
     /// # Panics
     ///
@@ -549,30 +550,15 @@ impl MemorySystem {
             .get(addr as usize..(addr as usize).checked_add(n)?)
     }
 
-    /// Writes `value` to `addr` without touching timing state, reporting
-    /// the old value to `journal`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is outside the configured memory size.
-    pub fn store(&mut self, addr: u64, value: f64, journal: &mut impl Journal) {
-        self.check(addr);
-        let word = &mut self.data[addr as usize];
-        journal.word(addr, *word);
-        *word = value;
-    }
-
     /// Writes `values` to the run of words starting at `addr` without
-    /// touching timing state, reporting the old run to `journal`.
+    /// touching timing state.
     ///
     /// # Panics
     ///
     /// Panics if the run leaves the configured memory.
-    pub fn store_run(&mut self, addr: u64, values: &[f64], journal: &mut impl Journal) {
+    pub fn store_run(&mut self, addr: u64, values: &[f64]) {
         let start = addr as usize;
-        let run = &mut self.data[start..start + values.len()];
-        journal.run(addr, run);
-        run.copy_from_slice(values);
+        self.data[start..start + values.len()].copy_from_slice(values);
     }
 
     /// Clears all timing state (bank availability, statistics) while
@@ -593,7 +579,7 @@ impl MemorySystem {
 
     /// Finds and claims the earliest grant tick for an access to `addr`
     /// starting no earlier than `earliest`; the data moves separately
-    /// ([`MemorySystem::peek`], [`MemorySystem::store`]).
+    /// ([`MemorySystem::peek`], [`MemorySystem::poke`]).
     ///
     /// Waits behind a bank claimed by this view are charged to bank
     /// busy; waits behind a bank last claimed by a *different* view
@@ -832,7 +818,7 @@ mod tests {
     fn write_then_read_roundtrips_data() {
         let mut mem = quiet();
         let t = mem.grant(77, 0);
-        mem.store(77, 3.25, &mut crate::NoJournal);
+        mem.poke(77, 3.25);
         assert_eq!(mem.grant(77, t + T), t + 8 * T);
         assert_eq!(mem.peek(77), 3.25);
     }

@@ -96,8 +96,9 @@ pub enum MemConfigError {
     /// [`MAX_CONTENTION_CLAIMS`] claims, or whose pattern period exceeds
     /// `u32::MAX` cycles.
     ContentionTableTooLarge,
-    /// Background contention that claims `bank` at every cycle, so a
-    /// grant there could never be found.
+    /// Background contention that claims `bank` at every cycle a grant
+    /// could start (refresh windows included), so a grant there could
+    /// never be found.
     ContentionSaturatesBank {
         /// The first saturated bank.
         bank: u32,
@@ -165,8 +166,8 @@ impl fmt::Display for MemConfigError {
             }
             MemConfigError::ContentionSaturatesBank { bank } => write!(
                 f,
-                "background contention claims bank {bank} on every cycle, \
-                 so memory would never grant there"
+                "background contention claims bank {bank} on every cycle \
+                 refresh leaves open, so memory would never grant there"
             ),
             MemConfigError::ZeroCacheLines => {
                 write!(f, "scalar cache must have at least one line")
@@ -293,7 +294,14 @@ impl MemConfig {
         }
         self.contention.validate()?;
         let busy = crate::cycle_ticks(self.bank_busy);
-        match self.contention.claims(self.banks, busy)?.saturated_bank() {
+        let refresh = self
+            .refresh_enabled
+            .then_some((self.refresh_period, self.refresh_len));
+        match self
+            .contention
+            .claims(self.banks, busy)?
+            .saturated_bank(refresh)
+        {
             Some(bank) => Err(MemConfigError::ContentionSaturatesBank { bank }),
             None => Ok(()),
         }
@@ -451,6 +459,25 @@ mod tests {
         ] {
             assert_eq!(with(contention, banks).validate(), Ok(()));
         }
+        // Each of 2 banks is claim-free one cycle in 400, always inside a
+        // refresh window: saturated with refresh, not without it.
+        let nearly_full = MemConfig {
+            bank_busy: 3,
+            ..with(
+                ContentionConfig::idle().with_stream(ContentionStream {
+                    stride: 1,
+                    phase: 1,
+                    duty_num: 199,
+                    duty_den: 200,
+                }),
+                2,
+            )
+        };
+        assert!(matches!(
+            nearly_full.validate(),
+            Err(MemConfigError::ContentionSaturatesBank { .. })
+        ));
+        assert_eq!(nearly_full.without_refresh().validate(), Ok(()));
     }
 
     /// The claim table is bounded by its claims per pattern period, and

@@ -48,13 +48,14 @@
 //! direction; a taken branch). Exact stepping runs `execute` and then
 //! [`Cpu::time`], which does timing only and reads addresses from that
 //! return value. The fast-forward warp replays a recorded period through
-//! the same `execute`, its stores and tag overwrites journaled for
-//! rollback, and compares each step's [`Cpu::step_check`] with the one
-//! recorded. Everything fast-forward translates is walked by one
-//! visitor, [`Cpu::ff_fields`], clock first: the CPU's timing state, the
-//! memory system's bank times, wait totals and access count, and the
-//! probe's counters. The snapshot reads through it and the warp's shift
-//! translates through it.
+//! the same `execute` and compares each step's [`Cpu::step_check`] with
+//! the one recorded. It never undoes a step: when an iteration leaves the
+//! recorded path, the steps it already executed are timed afterwards, as
+//! exact stepping would have timed them. Everything fast-forward
+//! translates is walked by one visitor, [`Cpu::ff_fields`], clock first:
+//! the CPU's timing state, the memory system's bank times, wait totals
+//! and access count, and the probe's counters. The snapshot reads
+//! through it and the warp's shift translates through it.
 //!
 //! # Integer ticks
 //!
@@ -71,7 +72,7 @@ use c240_isa::{
     AReg, Instruction, IntOperand, MemRef, Pipe, Program, SReg, ScalarReg, ScalarValue, VOperand,
     VReg, MAX_VL, WORD_BYTES,
 };
-use c240_mem::{Journal, MemorySystem, NoJournal, ScalarCache, StreamGrants, WaitTicks};
+use c240_mem::{MemorySystem, ScalarCache, StreamGrants, WaitTicks};
 use c240_obs::{Lane, NoProbe, Probe, StallCause};
 
 use crate::config::SimConfig;
@@ -554,11 +555,33 @@ impl Cpu {
                 limit: self.config.max_instructions,
             });
         }
-        let (next, touched) = self.execute(ins, pc, program, &mut NoJournal)?;
+        let (next, touched) = self.execute(ins, pc, program)?;
         if matches!(ins, Instruction::Halt) {
             cursor.halted = true;
             return Ok(());
         }
+        let armed = self.finish_step(probe, ins, pc, next, touched, cursor.executed);
+        cursor.pc = next;
+        if armed {
+            self.ff_warp(probe, program, cursor)?;
+        }
+        Ok(())
+    }
+
+    /// The tail of a step after [`Cpu::execute`]: its timing, its
+    /// recording while the detector records a period, and the detector's
+    /// loop-head arrival when it branched back to `next`. Exact stepping
+    /// and the warp's diverging iteration share it. Returns whether a
+    /// verified period is armed for warping at `next`.
+    fn finish_step<P: Probe>(
+        &mut self,
+        probe: &mut P,
+        ins: &Instruction,
+        pc: usize,
+        next: usize,
+        touched: Touched,
+        executed: u64,
+    ) -> bool {
         self.time(probe, ins, pc, touched);
         if self.ff.is_recording() {
             let check = self.step_check(touched);
@@ -567,16 +590,7 @@ impl Cpu {
                 check,
             });
         }
-        if next < pc && self.ff.active() && self.ff_loop_head(probe, next, cursor.executed) {
-            let skipped = self.ff_warp(probe, program, next, cursor.executed);
-            cursor.executed += skipped;
-            self.ff_skipped += skipped;
-            if skipped > 0 {
-                self.ff_warps += 1;
-            }
-        }
-        cursor.pc = next;
-        Ok(())
+        next < pc && self.ff.active() && self.ff_loop_head(probe, next, executed)
     }
 
     /// Closes an open run: freezes cycle/memory/cache statistics, closes
@@ -617,10 +631,9 @@ impl Cpu {
     /// The data semantics of one instruction, the one copy exact stepping
     /// and the fast-forward warp share: register and memory values,
     /// scalar-cache tags and hit/miss counts, the instruction, element,
-    /// flop and branch counts, and the next pc. Stores and tag overwrites
-    /// go to `journal` ([`NoJournal`] when stepping exactly). Returns the
-    /// next pc and what the instruction [`Touched`]; every address in it
-    /// was read before the instruction overwrote its base register.
+    /// flop and branch counts, and the next pc. Returns the next pc and
+    /// what the instruction [`Touched`]; every address in it was read
+    /// before the instruction overwrote its base register.
     ///
     /// A zero-length vector instruction moves no data and checks no
     /// address; a load or store still reports its first element's word,
@@ -630,7 +643,6 @@ impl Cpu {
         ins: &Instruction,
         pc: usize,
         program: &Program,
-        journal: &mut impl Journal,
     ) -> Result<(usize, Touched), SimError> {
         use Instruction::*;
         self.stats.instructions.bump(ins.class());
@@ -664,13 +676,13 @@ impl Cpu {
                 let (base, stride) = (self.vector_base(addr)?, addr.stride.words());
                 let values = &self.vdata[usize::from(src.index())][..n];
                 if stride == 1 {
-                    self.mem.store_run(base as u64, values, journal);
-                    self.cache.invalidate_run(base as u64, n, journal);
+                    self.mem.store_run(base as u64, values);
+                    self.cache.invalidate_run(base as u64, n);
                 } else {
                     for (e, &value) in values.iter().enumerate() {
                         let word = element_addr(base, stride, e);
-                        self.mem.store(word, value, journal);
-                        self.cache.invalidate(word, journal);
+                        self.mem.poke(word, value);
+                        self.cache.invalidate(word);
                     }
                 }
                 Touched::Stream {
@@ -723,7 +735,7 @@ impl Cpu {
             }
             SLoad { addr, dst } => {
                 let word = self.scalar_addr(addr)?;
-                let hit = self.cache.access(word, journal);
+                let hit = self.cache.access(word);
                 self.set_reg(dst, encode_loaded(dst, self.mem.peek(word)));
                 Touched::Scalar {
                     word,
@@ -733,13 +745,13 @@ impl Cpu {
             }
             SStore { src, addr } => {
                 let word = self.scalar_addr(addr)?;
-                let hit = self.cache.access(word, journal);
+                let hit = self.cache.access(word);
                 let bits = self.reg_bits(src);
                 let value = match src {
                     ScalarReg::S(_) => f64::from_bits(bits),
                     ScalarReg::A(_) => bits as i64 as f64,
                 };
-                self.mem.store(word, value, journal);
+                self.mem.poke(word, value);
                 Touched::Scalar {
                     word,
                     hit,
@@ -1539,7 +1551,7 @@ impl Cpu {
     // this section supplies the machine-specific pieces: the discrete
     // key, the one walk over the translated timing fields, each step's
     // check, and the warp, which replays a recorded period through
-    // `execute` with an undo journal.
+    // `execute` and times the steps of an iteration that leaves it.
 
     /// Discrete state that must match exactly for two loop-head arrivals
     /// to be candidate period endpoints. The clock phases force the
@@ -1685,25 +1697,30 @@ impl Cpu {
         }
     }
 
-    /// Replays the verified period functionally as many times as the
-    /// program keeps following it, then translates all timing state.
-    /// Returns the number of instructions skipped over.
+    /// Replays the verified period at the loop head `cursor.pc` through
+    /// [`Cpu::execute`] as many whole times as the program follows it,
+    /// then translates all timing state by that many periods. The steps
+    /// of the iteration that left the period have executed by then; they
+    /// are timed next, through [`Cpu::finish_step`], each with the vector
+    /// length and T flag it left, which are the only data state timing and
+    /// the detector read. `cursor` ends where exact stepping would be. A
+    /// step that fails to execute returns its error after the steps
+    /// before it are timed.
     fn ff_warp<P: Probe>(
         &mut self,
         probe: &mut P,
         program: &Program,
-        loop_pc: usize,
-        executed: u64,
-    ) -> u64 {
-        let Some(rec) = self.ff.record.take() else {
-            self.ff.finish_warp();
-            return 0;
+        cursor: &mut RunCursor,
+    ) -> Result<(), SimError> {
+        let rec = match self.ff.record.take() {
+            Some(rec) if !rec.steps.is_empty() && rec.instructions > 0 => rec,
+            _ => {
+                self.ff.finish_warp();
+                return Ok(());
+            }
         };
-        if rec.steps.is_empty() || rec.instructions == 0 {
-            self.ff.finish_warp();
-            return 0;
-        }
-        let budget = self.config.max_instructions.saturating_sub(executed) / rec.instructions;
+        let budget =
+            self.config.max_instructions.saturating_sub(cursor.executed) / rec.instructions;
         // Cap k so no translation can come near the end of the `i64` range.
         let max_d = rec
             .field_deltas
@@ -1712,110 +1729,95 @@ impl Cpu {
             .max()
             .unwrap_or(0);
         let k_max = budget.min((i64::MAX as u64 / 4).checked_div(max_d).unwrap_or(u64::MAX));
-        // Only vector registers the period writes need checkpointing —
-        // everything else it touches is either scalar (cheap to copy) or
-        // journaled (memory stores, cache tags).
-        let mut written = [false; VREGS];
-        for step in &rec.steps {
-            if let Some(d) = program
-                .instructions()
-                .get(step.pc as usize)
-                .and_then(written_vreg)
-            {
-                written[d] = true;
-            }
-        }
-        let mut scratch = WarpScratch {
-            a: self.a,
-            s: self.s,
-            vl: self.vl,
-            tflag: self.tflag,
-            vdata: self.vdata.clone(),
-            written,
-            stats: self.stats.clone(),
-            cache_mark: self.cache.checkpoint(),
-            cache_log: Vec::new(),
-            undo: Vec::new(),
-            undo_data: Vec::new(),
-        };
         let mut k: u64 = 0;
+        let mut prefix = Vec::new();
+        let mut result = Ok(());
         while k < k_max {
-            scratch.a = self.a;
-            scratch.s = self.s;
-            scratch.vl = self.vl;
-            scratch.tflag = self.tflag;
-            for (d, row) in scratch.vdata.iter_mut().enumerate() {
-                if scratch.written[d] {
-                    *row = self.vdata[d];
+            match self.warp_one(program, &rec, cursor.pc, &mut prefix) {
+                Ok(true) => {
+                    k += 1;
+                    prefix.clear();
                 }
-            }
-            scratch.stats.clone_from(&self.stats);
-            scratch.cache_mark = self.cache.checkpoint();
-            scratch.cache_log.clear();
-            scratch.undo.clear();
-            scratch.undo_data.clear();
-            if self.warp_one(program, &rec, loop_pc, &mut scratch) {
-                k += 1;
-            } else {
-                // Roll the half-replayed iteration back; exact simulation
-                // re-runs it (loop exits and strip-length changes land
-                // here).
-                for u in scratch.undo.iter().rev() {
-                    match *u {
-                        UndoRec::Word(addr, old) => self.mem.poke(addr, old),
-                        UndoRec::Run { base, off, len } => {
-                            let old = &scratch.undo_data[off..off + len];
-                            self.mem.store_run(base, old, &mut NoJournal);
-                        }
-                    }
+                Ok(false) => break,
+                Err(e) => {
+                    result = Err(e);
+                    break;
                 }
-                self.cache.rollback(scratch.cache_mark, &scratch.cache_log);
-                self.a = scratch.a;
-                self.s = scratch.s;
-                self.vl = scratch.vl;
-                self.tflag = scratch.tflag;
-                for (d, row) in self.vdata.iter_mut().enumerate() {
-                    if scratch.written[d] {
-                        *row = scratch.vdata[d];
-                    }
-                }
-                self.stats.clone_from(&scratch.stats);
-                break;
             }
         }
         if k > 0 {
             self.ff_apply_shift(probe, &rec, k);
+            self.ff_warps += 1;
         }
+        self.ff_skipped += k * rec.instructions;
+        cursor.executed += k * rec.instructions;
         self.ff.finish_warp();
-        k * rec.instructions
+        for step in prefix {
+            cursor.executed += 1;
+            self.vl = step.vl;
+            self.tflag = step.tflag;
+            let ins = &program.instructions()[step.pc];
+            if self.finish_step(
+                probe,
+                ins,
+                step.pc,
+                step.next,
+                step.touched,
+                cursor.executed,
+            ) {
+                // The steps after this one have executed already, so the
+                // period confirmed here cannot be replayed.
+                self.ff.finish_warp();
+            }
+            cursor.pc = step.next;
+        }
+        result
     }
 
-    /// One replay of the recorded period through [`Cpu::execute`],
-    /// journaled into `scratch`. Returns false (for rollback) at the
-    /// first step that leaves the recorded path or fails its check.
+    /// One replay of the recorded period from `loop_pc` through
+    /// [`Cpu::execute`], each executed step appended to `prefix`. Returns
+    /// whether the iteration followed the recorded path back to
+    /// `loop_pc`. It stops at the first step that leaves the path (not
+    /// executed) or fails its check (executed), and at an `execute` error.
     fn warp_one(
         &mut self,
         program: &Program,
         rec: &PeriodRecord,
         loop_pc: usize,
-        scratch: &mut WarpScratch,
-    ) -> bool {
-        let instrs = program.instructions();
-        let mut cur = loop_pc;
+        prefix: &mut Vec<Executed>,
+    ) -> Result<bool, SimError> {
+        let mut pc = loop_pc;
         for step in &rec.steps {
-            if cur != step.pc as usize {
-                return false;
+            if pc != step.pc as usize {
+                return Ok(false);
             }
-            let Some(ins) = instrs.get(cur) else {
-                return false;
-            };
-            match self.execute(ins, cur, program, scratch) {
-                Ok((next, touched)) if self.step_check(touched) == step.check => cur = next,
-                _ => return false,
+            let (next, touched) = self.execute(&program.instructions()[pc], pc, program)?;
+            prefix.push(Executed {
+                pc,
+                next,
+                touched,
+                vl: self.vl,
+                tflag: self.tflag,
+            });
+            if self.step_check(touched) != step.check {
+                return Ok(false);
             }
+            pc = next;
         }
-        cur == loop_pc
+        Ok(pc == loop_pc)
     }
+}
+
+/// A step the warp executed in an iteration that may still leave the
+/// recorded period: what [`Cpu::finish_step`] needs to time it later,
+/// and the vector length and T flag it left behind.
+#[derive(Debug, Clone, Copy)]
+struct Executed {
+    pc: usize,
+    next: usize,
+    touched: Touched,
+    vl: u32,
+    tflag: bool,
 }
 
 /// What an executed instruction touched: everything its timing and its
@@ -1864,67 +1866,6 @@ fn entry_scan(entry0: i64, z: i64, row: &mut [i64]) -> i64 {
     // Each element waited its entry less its predecessor's plus z, so the
     // sum telescopes.
     entry - entry0 - z * rest.len() as i64
-}
-
-/// Reusable rollback buffers for the warp replay: one checkpoint of the
-/// functional state, refreshed before each replayed iteration. Memory
-/// stores and cache tag changes are journaled (`undo` / `cache_log`)
-/// rather than checkpointed, and only vector registers in the period's
-/// write set (`written`) are copied.
-struct WarpScratch {
-    a: [i64; 8],
-    s: [u64; 8],
-    vl: u32,
-    tflag: bool,
-    vdata: Vec<[f64; VLEN]>,
-    written: [bool; VREGS],
-    stats: RunStats,
-    cache_mark: (u64, u64),
-    cache_log: Vec<(usize, Option<u64>)>,
-    undo: Vec<UndoRec>,
-    undo_data: Vec<f64>,
-}
-
-impl Journal for WarpScratch {
-    fn word(&mut self, addr: u64, old: f64) {
-        self.undo.push(UndoRec::Word(addr, old));
-    }
-
-    fn run(&mut self, addr: u64, old: &[f64]) {
-        let off = self.undo_data.len();
-        self.undo_data.extend_from_slice(old);
-        self.undo.push(UndoRec::Run {
-            base: addr,
-            off,
-            len: old.len(),
-        });
-    }
-
-    fn tag(&mut self, line: usize, old: Option<u64>) {
-        self.cache_log.push((line, old));
-    }
-}
-
-/// One journaled memory store; `Run` points into
-/// [`WarpScratch::undo_data`].
-enum UndoRec {
-    Word(u64, f64),
-    Run { base: u64, off: usize, len: usize },
-}
-
-/// The vector register an instruction writes, if any — the warp replay
-/// only checkpoints these.
-fn written_vreg(ins: &Instruction) -> Option<usize> {
-    use Instruction::*;
-    match ins {
-        VLoad { dst, .. }
-        | VAdd { dst, .. }
-        | VSub { dst, .. }
-        | VMul { dst, .. }
-        | VDiv { dst, .. }
-        | VNeg { dst, .. } => Some(usize::from(dst.index())),
-        _ => None,
-    }
 }
 
 /// Memory words are `f64`; an address register receiving a load converts
@@ -2054,6 +1995,72 @@ mod tests {
         exact.set_sreg_int(0, 40 * 128);
         exact.run(&p).unwrap();
         assert_eq!(exact.ff_stats(), FfStats::default());
+    }
+
+    /// A loop that warps and then leaves its period mid-iteration, after
+    /// a scalar store, a vector store over the line that store cached, a
+    /// `SetVl` that shortens the vector length and a `Cmp` that clears
+    /// the T flag. The warp has executed those steps when the branch
+    /// leaves; timing them afterwards, each with the vector length it
+    /// ran at, must give the exact run's timing, data and telemetry.
+    #[test]
+    fn warp_times_a_diverging_iteration_exactly() {
+        use c240_obs::CounterProbe;
+        let mut b = ProgramBuilder::new();
+        b.mov_int(40 * 128 + 50, "s1");
+        b.set_vl_imm(128);
+        b.label("L");
+        b.sstore("a4", "a5", 0);
+        b.vstore("v0", "a2", 0);
+        b.set_vl("s1");
+        b.vadd("v0", "v1", "v0");
+        b.int_op_imm("sub", 128, "s1");
+        b.cmp_imm("lt", 0, "s1");
+        b.branch_false("done");
+        b.int_op_imm("add", 1, "a4");
+        b.jump("L");
+        b.label("done");
+        b.vstore("v0", "a3", 0);
+        b.halt();
+        let p = b.build().unwrap();
+        // The stored word shares a cache line with the vector store's
+        // last two words (1002 + 126 and 127), so each vector store
+        // invalidates it.
+        let (vbase, word, out) = (1002, 1002 + 128, 4000);
+        let run = |config: SimConfig| {
+            let mut cpu = Cpu::new(config);
+            cpu.set_areg(2, vbase * 8);
+            cpu.set_areg(3, out * 8);
+            cpu.set_areg(5, word * 8);
+            cpu.set_vreg_fill(0, 1.0);
+            cpu.set_vreg_fill(1, 0.5);
+            let mut probe = CounterProbe::new();
+            let stats = cpu.run_probed(&p, &mut probe).unwrap();
+            let data: Vec<u64> = (0..out as u64 + 128)
+                .map(|w| cpu.mem().peek(w).to_bits())
+                .collect();
+            let regs: Vec<u64> = (0..8)
+                .map(|r| cpu.areg(r) as u64)
+                .chain((0..8).map(|r| cpu.sreg_fp(r).to_bits()))
+                .collect();
+            (stats, probe, data, regs, cpu.ff_stats())
+        };
+        let (stats, probe, data, regs, ff) = run(quiet_config());
+        let exact = run(quiet_config().without_fast_forward());
+        // One warp from the 13th loop-head arrival skips the remaining 27
+        // full iterations; the 28th replayed iteration is the one that
+        // leaves the period.
+        let warped = FfStats {
+            probes: 13,
+            warps: 1,
+            skipped_instructions: 27 * 9,
+        };
+        assert_eq!(ff, warped);
+        assert_eq!(stats.cache_misses, 41, "every scalar store misses");
+        assert_eq!(stats, exact.0);
+        assert_eq!(probe, exact.1);
+        assert_eq!(data, exact.2);
+        assert_eq!(regs, exact.3);
     }
 
     /// With refresh enabled the same loop costs ≈ 2% more (537.5), and
@@ -2335,17 +2342,25 @@ mod tests {
         assert_eq!((stats.cache_misses, stats.memory_accesses), (1, 1));
     }
 
+    /// A loop that never ends hits the instruction limit. With
+    /// fast-forward on, the instruction budget caps the warp's `k` and
+    /// exact stepping then reaches the same limit.
     #[test]
     fn runaway_loop_hits_instruction_limit() {
         let mut b = ProgramBuilder::new();
         b.label("L");
+        b.nop();
         b.jump("L");
         let p = b.build().unwrap();
         let mut config = quiet_config();
         config.max_instructions = 1000;
-        let mut cpu = Cpu::new(config);
-        let err = cpu.run(&p).unwrap_err();
-        assert!(matches!(err, SimError::InstructionLimit { .. }));
+        for config in [config.clone(), config.without_fast_forward()] {
+            let mut cpu = Cpu::new(config.clone());
+            let err = cpu.run(&p).unwrap_err();
+            assert_eq!(err, SimError::InstructionLimit { limit: 1000 });
+            let ff = cpu.ff_stats();
+            assert_eq!(ff.warps > 0, config.fast_forward, "{ff:?}");
+        }
     }
 
     #[test]

@@ -20,9 +20,10 @@
 //!    field for field.
 //! 3. **Warp**: replay the recorded path *functionally* (registers,
 //!    memory data, cache tags — no timing) through the same `execute`
-//!    exact stepping uses, journaled for rollback, as long as every step
-//!    reproduces its recorded check; then add `k` periods of each
-//!    field's delta to every field.
+//!    exact stepping uses, as long as every step reproduces its recorded
+//!    check; then add `k` periods of each field's delta to every field,
+//!    for the `k` whole periods replayed, and time the steps the
+//!    iteration that left the path had executed.
 //!
 //! The fields are one vector, walked by the CPU's one visitor: its own
 //! timing state, the memory system's bank times, wait totals and access
@@ -42,7 +43,11 @@
 //! preserved too. Anything outside these preconditions — a changed
 //! field count (a probe gaining a pc), a changed instruction path or
 //! bank-residue pattern — fails a check and the run falls back to exact
-//! element stepping, which is always correct.
+//! element stepping, which is always correct. The replayed iteration
+//! that fails is not undone: timing and the key read no data state but
+//! the vector length and the T flag, so its executed steps are timed
+//! afterwards, each with the vector length and T flag it left, and give
+//! what stepping them exactly would have.
 
 /// Per-instruction verification payload recorded for one loop period.
 #[derive(Debug, Clone, PartialEq)]

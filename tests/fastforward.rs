@@ -10,7 +10,7 @@
 //! vacuous if detection never fired).
 
 use c240_mem::ContentionConfig;
-use c240_sim::{CounterProbe, Cpu, NoProbe, RunStats, SimConfig, Trace};
+use c240_sim::{CounterProbe, Cpu, FfStats, NoProbe, RunStats, SimConfig, Trace};
 use lfk_suite::LfkKernel;
 
 /// Everything a run leaves behind that fast-forward must reproduce.
@@ -21,8 +21,8 @@ struct Outcome {
     data: Vec<u64>,
     /// The eight A registers, then the eight S registers, as bits.
     regs: [u64; 16],
-    /// Instructions the run fast-forwarded.
-    skipped: u64,
+    /// The run's fast-forward bookkeeping.
+    ff: FfStats,
 }
 
 /// Runs `kernel` for `passes` outer passes under `config`. At the
@@ -51,28 +51,44 @@ fn run_one(config: SimConfig, kernel: &dyn LfkKernel, passes: i64) -> Outcome {
             0..=7 => cpu.areg(i as u8) as u64,
             _ => cpu.sreg_fp(i as u8 - 8).to_bits(),
         }),
-        skipped: cpu.ff_stats().skipped_instructions,
+        ff: cpu.ff_stats(),
     }
 }
 
+/// Each kernel's fast-forward bookkeeping, `[probes, warps, skipped
+/// instructions]`, in suite order (LFK 1, 2, 3, 4, 6, 7, 8, 9, 10, 12).
+type FfPins = [[u64; 3]; 10];
+
 /// Asserts exact (not approximate) equality between a fast-forwarded and
 /// an element-stepped run of every kernel under `config`, at each
-/// kernel's default pass count. Returns the total instructions
-/// fast-forwarded, so callers can assert engagement.
-fn assert_suite_equivalent(config: SimConfig, label: &str) -> u64 {
-    assert_suite_equivalent_at(config, label, None)
+/// kernel's default pass count, and that the fast-forwarded runs probed,
+/// warped and skipped exactly as `ff` pins. Returns the total
+/// instructions fast-forwarded, so callers can assert engagement.
+fn assert_suite_equivalent(config: SimConfig, label: &str, ff: &FfPins) -> u64 {
+    assert_suite_equivalent_at(config, label, None, ff)
 }
 
 /// [`assert_suite_equivalent`] with every kernel run for `passes` outer
 /// passes (`None`: each kernel's default).
-fn assert_suite_equivalent_at(config: SimConfig, label: &str, passes: Option<i64>) -> u64 {
+fn assert_suite_equivalent_at(
+    config: SimConfig,
+    label: &str,
+    passes: Option<i64>,
+    ff: &FfPins,
+) -> u64 {
     let mut total_skipped = 0;
-    for kernel in lfk_suite::all() {
+    let kernels = lfk_suite::all();
+    assert_eq!(kernels.len(), ff.len(), "one pin per kernel");
+    for (kernel, &pin) in kernels.iter().zip(ff) {
         let kernel = kernel.as_ref();
         let passes = passes.unwrap_or(kernel.passes());
         let fast = run_one(config.clone(), kernel, passes);
         let exact = run_one(config.clone().without_fast_forward(), kernel, passes);
-        assert_eq!(exact.skipped, 0, "fast_forward=false must never warp");
+        assert_eq!(
+            exact.ff,
+            FfStats::default(),
+            "fast_forward=false must never probe"
+        );
         // RunStats derives PartialEq over f64 fields, so this is bitwise
         // cycle/stat equality — it covers cycles, instruction classes,
         // element counts, flops, memory accesses, and the memory wait
@@ -107,7 +123,14 @@ fn assert_suite_equivalent_at(config: SimConfig, label: &str, passes: Option<i64
                 word.map(|(w, _)| w)
             );
         }
-        total_skipped += fast.skipped;
+        let got = [fast.ff.probes, fast.ff.warps, fast.ff.skipped_instructions];
+        assert_eq!(
+            got,
+            pin,
+            "LFK{} [{label}]: fast-forward bookkeeping moved",
+            kernel.id()
+        );
+        total_skipped += fast.ff.skipped_instructions;
     }
     total_skipped
 }
@@ -122,7 +145,22 @@ fn with_contention(config: SimConfig, contention: ContentionConfig) -> SimConfig
 
 #[test]
 fn suite_exact_under_full_machine_idle() {
-    assert_suite_equivalent(SimConfig::c240(), "c240/idle");
+    assert_suite_equivalent(
+        SimConfig::c240(),
+        "c240/idle",
+        &[
+            [159, 0, 0],
+            [359, 0, 0],
+            [159, 0, 0],
+            [119, 0, 0],
+            [1889, 0, 0],
+            [159, 0, 0],
+            [79, 0, 0],
+            [59, 0, 0],
+            [59, 0, 0],
+            [159, 0, 0],
+        ],
+    );
 }
 
 /// Fast-forward must actually engage somewhere, or the equivalence
@@ -133,7 +171,22 @@ fn suite_exact_under_full_machine_idle() {
 /// kernels' — asserted on a paper-scale loop below.
 #[test]
 fn fast_forward_engages_on_the_suite_without_refresh() {
-    let skipped = assert_suite_equivalent(SimConfig::c240().without_refresh(), "no-refresh/idle");
+    let skipped = assert_suite_equivalent(
+        SimConfig::c240().without_refresh(),
+        "no-refresh/idle",
+        &[
+            [99, 20, 840],
+            [23, 1, 14728],
+            [99, 20, 600],
+            [23, 1, 1584],
+            [251, 1, 32916],
+            [99, 20, 2040],
+            [7, 1, 5328],
+            [4, 1, 1760],
+            [4, 1, 1870],
+            [99, 20, 600],
+        ],
+    );
     assert!(
         skipped > 10_000,
         "fast-forward barely engaged without refresh ({skipped} instructions)"
@@ -167,15 +220,20 @@ fn fast_forward_engages_under_refresh_on_long_loops() {
         cpu.set_sreg_fp(1, 2.0);
         let stats = cpu.run(&program).expect("long loop runs");
         let out = cpu.mem().peek(80_000);
-        (stats, out, cpu.ff_stats().skipped_instructions)
+        (stats, out, cpu.ff_stats())
     };
-    let (fast, fast_out, skipped) = run(SimConfig::c240());
+    let (fast, fast_out, ff) = run(SimConfig::c240());
     let (exact, exact_out, _) = run(SimConfig::c240().without_fast_forward());
     assert_eq!(fast, exact);
     assert_eq!(fast_out.to_bits(), exact_out.to_bits());
-    assert!(
-        skipped > 10_000,
-        "refresh-phase periods were not detected ({skipped} instructions warped)"
+    assert_eq!(
+        ff,
+        FfStats {
+            probes: 1183,
+            warps: 1,
+            skipped_instructions: 112_896,
+        },
+        "refresh-phase periods were not detected as before"
     );
 }
 
@@ -185,7 +243,23 @@ fn fast_forward_engages_under_refresh_on_long_loops() {
 /// reductions and scalar `ld.w`/`st.w`, and must stay bit-exact.
 #[test]
 fn suite_warps_exactly_under_full_machine_idle_at_200_passes() {
-    let skipped = assert_suite_equivalent_at(SimConfig::c240(), "c240/idle@200", Some(200));
+    let skipped = assert_suite_equivalent_at(
+        SimConfig::c240(),
+        "c240/idle@200",
+        Some(200),
+        &[
+            [1599, 0, 0],
+            [959, 1, 10520],
+            [1599, 0, 0],
+            [1199, 0, 0],
+            [10205, 1, 48108],
+            [767, 1, 29120],
+            [159, 1, 17760],
+            [104, 1, 3040],
+            [199, 0, 0],
+            [1599, 0, 0],
+        ],
+    );
     assert!(skipped > 0, "no warp at 200 passes under c240/idle");
 }
 
@@ -194,7 +268,23 @@ fn suite_warps_exactly_under_full_machine_idle_at_200_passes() {
 #[test]
 fn suite_warps_exactly_under_full_machine_lockstep_contention_at_200_passes() {
     let config = with_contention(SimConfig::c240(), ContentionConfig::lockstep(3));
-    let skipped = assert_suite_equivalent_at(config, "c240/lockstep(3)@200", Some(200));
+    let skipped = assert_suite_equivalent_at(
+        config,
+        "c240/lockstep(3)@200",
+        Some(200),
+        &[
+            [1207, 1, 5733],
+            [599, 1, 26300],
+            [799, 1, 8600],
+            [551, 1, 10692],
+            [6299, 1, 126600],
+            [1599, 0, 0],
+            [159, 1, 17760],
+            [71, 1, 4096],
+            [156, 1, 1462],
+            [535, 1, 11438],
+        ],
+    );
     assert!(skipped > 0, "no warp at 200 passes under c240/lockstep(3)");
 }
 
@@ -203,6 +293,18 @@ fn suite_exact_under_full_machine_lockstep_contention() {
     assert_suite_equivalent(
         with_contention(SimConfig::c240(), ContentionConfig::lockstep(3)),
         "c240/lockstep(3)",
+        &[
+            [159, 0, 0],
+            [359, 0, 0],
+            [159, 0, 0],
+            [119, 0, 0],
+            [1889, 0, 0],
+            [159, 0, 0],
+            [79, 0, 0],
+            [59, 0, 0],
+            [59, 0, 0],
+            [159, 0, 0],
+        ],
     );
 }
 
@@ -211,6 +313,18 @@ fn suite_exact_under_full_machine_mixed_contention() {
     assert_suite_equivalent(
         with_contention(SimConfig::c240(), ContentionConfig::mixed(3)),
         "c240/mixed(3)",
+        &[
+            [159, 0, 0],
+            [47, 1, 13676],
+            [159, 0, 0],
+            [119, 0, 0],
+            [1448, 1, 8862],
+            [159, 0, 0],
+            [79, 0, 0],
+            [59, 0, 0],
+            [41, 1, 612],
+            [159, 0, 0],
+        ],
     );
 }
 
@@ -219,42 +333,159 @@ fn suite_exact_under_full_machine_mixed_contention() {
 #[test]
 fn suite_exact_without_chaining() {
     let base = SimConfig::c240().without_chaining();
-    assert_suite_equivalent(base.clone(), "no-chaining/idle");
+    assert_suite_equivalent(
+        base.clone(),
+        "no-chaining/idle",
+        &[
+            [159, 0, 0],
+            [359, 0, 0],
+            [159, 0, 0],
+            [119, 0, 0],
+            [1889, 0, 0],
+            [159, 0, 0],
+            [9, 1, 5180],
+            [59, 0, 0],
+            [59, 0, 0],
+            [159, 0, 0],
+        ],
+    );
     assert_suite_equivalent(
         with_contention(base.clone(), ContentionConfig::lockstep(3)),
         "no-chaining/lockstep(3)",
+        &[
+            [159, 0, 0],
+            [359, 0, 0],
+            [159, 0, 0],
+            [119, 0, 0],
+            [1889, 0, 0],
+            [159, 0, 0],
+            [79, 0, 0],
+            [15, 1, 1408],
+            [59, 0, 0],
+            [159, 0, 0],
+        ],
     );
     assert_suite_equivalent(
         with_contention(base, ContentionConfig::mixed(3)),
         "no-chaining/mixed(3)",
+        &[
+            [159, 0, 0],
+            [281, 1, 3419],
+            [159, 0, 0],
+            [119, 0, 0],
+            [1889, 0, 0],
+            [159, 0, 0],
+            [39, 1, 2960],
+            [59, 0, 0],
+            [41, 1, 612],
+            [159, 0, 0],
+        ],
     );
 }
 
 #[test]
 fn suite_exact_without_bubbles() {
     let base = SimConfig::c240().without_bubbles();
-    assert_suite_equivalent(base.clone(), "no-bubbles/idle");
+    assert_suite_equivalent(
+        base.clone(),
+        "no-bubbles/idle",
+        &[
+            [159, 0, 0],
+            [359, 0, 0],
+            [159, 0, 0],
+            [119, 0, 0],
+            [1889, 0, 0],
+            [159, 0, 0],
+            [79, 0, 0],
+            [15, 1, 1408],
+            [59, 0, 0],
+            [159, 0, 0],
+        ],
+    );
     assert_suite_equivalent(
         with_contention(base.clone(), ContentionConfig::lockstep(3)),
         "no-bubbles/lockstep(3)",
+        &[
+            [159, 0, 0],
+            [359, 0, 0],
+            [159, 0, 0],
+            [119, 0, 0],
+            [1889, 0, 0],
+            [159, 0, 0],
+            [79, 0, 0],
+            [59, 0, 0],
+            [59, 0, 0],
+            [159, 0, 0],
+        ],
     );
     assert_suite_equivalent(
         with_contention(base, ContentionConfig::mixed(3)),
         "no-bubbles/mixed(3)",
+        &[
+            [159, 0, 0],
+            [359, 0, 0],
+            [159, 0, 0],
+            [119, 0, 0],
+            [1889, 0, 0],
+            [159, 0, 0],
+            [31, 1, 3552],
+            [44, 1, 480],
+            [24, 1, 1190],
+            [159, 0, 0],
+        ],
     );
 }
 
 #[test]
 fn suite_exact_without_refresh() {
     let base = SimConfig::c240().without_refresh();
-    assert_suite_equivalent(base.clone(), "no-refresh/idle");
+    assert_suite_equivalent(
+        base.clone(),
+        "no-refresh/idle",
+        &[
+            [99, 20, 840],
+            [23, 1, 14728],
+            [99, 20, 600],
+            [23, 1, 1584],
+            [251, 1, 32916],
+            [99, 20, 2040],
+            [7, 1, 5328],
+            [4, 1, 1760],
+            [4, 1, 1870],
+            [99, 20, 600],
+        ],
+    );
     assert_suite_equivalent(
         with_contention(base.clone(), ContentionConfig::lockstep(3)),
         "no-refresh/lockstep(3)",
+        &[
+            [39, 1, 1755],
+            [23, 1, 14728],
+            [127, 1, 344],
+            [83, 1, 594],
+            [377, 1, 30384],
+            [159, 0, 0],
+            [39, 1, 2960],
+            [59, 0, 0],
+            [7, 1, 1768],
+            [159, 0, 0],
+        ],
     );
     assert_suite_equivalent(
         with_contention(base, ContentionConfig::mixed(3)),
         "no-refresh/mixed(3)",
+        &[
+            [63, 1, 1404],
+            [23, 1, 14728],
+            [118, 20, 410],
+            [23, 1, 1584],
+            [251, 1, 32916],
+            [99, 20, 2040],
+            [9, 1, 5180],
+            [11, 1, 1536],
+            [4, 1, 1870],
+            [138, 20, 210],
+        ],
     );
 }
 
