@@ -44,7 +44,7 @@ use std::time::Duration;
 use crate::transport::{
     base_row, error_row, Listen, Outcome, Reply, Requests, Service, MAX_LINE_BYTES, READ_TIMEOUT,
 };
-use c240_isa::{MachineDescription, PRESET_NAMES};
+use c240_isa::PRESET_NAMES;
 use c240_obs::json::Json;
 use c240_obs::span::{spans_to_chrome, spans_to_ndjson};
 use c240_obs::{Metrics, Span, StallCause, SweepOutcomes, Tracer};
@@ -375,11 +375,11 @@ pub fn eval_point_observed(
     let checked = checked.map(|k| {
         cfg.validate().map_err(|e| e.to_string())?;
         let need = k.footprint_words();
-        if (cfg.mem.words as u64) < need {
+        if cfg.machine.words < need {
             return Err(format!(
                 "LFK{} needs a data space of at least {need} words, got {}",
                 k.id(),
-                cfg.mem.words
+                cfg.machine.words
             ));
         }
         Ok(k)
@@ -411,24 +411,20 @@ pub fn eval_point_observed(
     let flops = kernel.flops_total();
     let fault = point.inject;
     let cpus = cfg.cpus as usize;
-    let machine = cfg.machine.clone();
+    let machine = cfg.machine.name.clone();
 
-    // Roofline context (DESIGN.md §16): ceilings read off the resolved
-    // machine's geometry with the point's bank/refresh overrides folded
-    // in, plus the kernel's two operational intensities. Everything here
-    // is a pure function of the configuration and the program — no
-    // wall-clock — so stamped rows journal and resume bit-identically.
+    // Roofline context (DESIGN.md §16): ceilings read off the point's
+    // resolved machine, overrides included, plus the kernel's two
+    // operational intensities. Everything here is a pure function of the
+    // configuration and the program — no wall-clock — so stamped rows
+    // journal and resume bit-identically.
     let roofline_ctx = roofline.then(|| {
-        let mut md = MachineDescription::preset(&machine).unwrap_or_else(MachineDescription::c240);
-        md.banks = cfg.mem.banks;
-        md.bank_busy = cfg.mem.bank_busy;
-        md.refresh_enabled = cfg.mem.refresh_enabled;
-        let ceilings = MachineCeilings::of(&md, cfg.cpus);
+        let ceilings = MachineCeilings::of(&cfg.machine, cfg.cpus);
         let bounds = KernelBounds::compute(
             &format!("LFK{}", point.kernel),
             kernel.ma(),
             &program,
-            &ChimeConfig::for_machine(&md),
+            &ChimeConfig::for_machine(&cfg.machine),
         );
         let i_ma = operational_intensity(&bounds.ma);
         (ceilings, bounds, i_ma)

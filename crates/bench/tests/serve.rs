@@ -7,7 +7,7 @@ use std::process::{Child, Command, Stdio};
 
 use c240_obs::json::Json;
 use c240_sim::SimConfig;
-use macs_bench::eval_point;
+use macs_bench::{eval_point, eval_point_observed};
 use macs_core::supervise::RetryPolicy;
 use macs_core::sweep::parse_point;
 
@@ -266,8 +266,7 @@ fn served_rows_are_bit_identical_to_in_process_evaluation() {
 #[test]
 fn served_cpl_matches_the_suite_analysis_path() {
     let (rows, _) = serve_once("{\"id\":\"lfk1\",\"kernel\":1}\n", &[]);
-    let suite =
-        macs_experiments::Suite::run_with(&SimConfig::c240(), &macs_core::ChimeConfig::c240());
+    let suite = macs_experiments::Suite::run_with(&SimConfig::c240());
     let t_p = suite.row(1).expect("LFK1 in suite").analysis.t_p_cpl();
     let served = field_num(row_by_id(&rows, "lfk1"), "cpl").expect("cpl present");
     assert_eq!(
@@ -539,6 +538,34 @@ fn roofline_flag_annotates_rows_and_its_absence_changes_nothing() {
     let point = parse_point("{\"id\":\"one\",\"kernel\":1}").expect("valid line");
     let direct = eval_point(&point, &SimConfig::c240(), None, &RetryPolicy::default());
     assert_eq!(row_by_id(&plain, "one").to_string(), direct.row.to_string());
+}
+
+/// The roofline ceilings come from the point's resolved machine, not from
+/// a preset looked up again by name: a base machine that is no preset
+/// gets its own roof, not the C-240's.
+#[test]
+fn roofline_reads_a_non_preset_base_machine() {
+    let wide_fp = c240_isa::MachineDescription {
+        name: "wide-fp".into(),
+        vector_pipes: 4,
+        ..c240_isa::MachineDescription::c240()
+    };
+    let point = parse_point("{\"id\":\"one\",\"kernel\":1}").expect("valid line");
+    let evaluated = eval_point_observed(
+        &point,
+        &SimConfig::for_machine(&wide_fp),
+        None,
+        &RetryPolicy::default(),
+        None,
+        true,
+    );
+    let rf = evaluated
+        .row
+        .get("roofline")
+        .expect("an ok row with a roof");
+    // Three FP pipes at 25 MHz; one port of 1 word/cycle under 3 flops.
+    assert_eq!(rf.get("peak_mflops").and_then(Json::as_f64), Some(75.0));
+    assert_eq!(rf.get("ridge").and_then(Json::as_f64), Some(3.0));
 }
 
 /// Roofline annotations are pure functions of simulated quantities, so a

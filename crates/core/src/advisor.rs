@@ -187,7 +187,6 @@ pub fn advise(a: &KernelAnalysis, min_cpl: f64) -> Vec<Advice> {
 mod tests {
     use super::*;
     use crate::analysis::analyze_kernel;
-    use crate::chime::ChimeConfig;
     use c240_sim::SimConfig;
 
     fn analyze_lfk(id: u32) -> KernelAnalysis {
@@ -199,7 +198,6 @@ mod tests {
             kernel.2,
             &kernel.3,
             &SimConfig::c240(),
-            &ChimeConfig::c240(),
         )
         .unwrap()
     }
@@ -354,7 +352,6 @@ mod tests {
                 2560,
                 &|cpu| cpu.set_areg(2, 400000),
                 &SimConfig::c240(),
-                &ChimeConfig::c240(),
             )
             .unwrap()
         };

@@ -136,7 +136,9 @@ impl fmt::Display for KernelAnalysis {
     }
 }
 
-/// Runs the complete MACS methodology for one compiled kernel.
+/// Runs the complete MACS methodology for one compiled kernel on the
+/// machine `sim_config` describes: the bounds use the chime model
+/// derived from that same machine ([`ChimeConfig::for_machine`]).
 ///
 /// `setup` initializes each fresh CPU (memory contents, registers);
 /// it runs before the full, A-process, and X-process measurements.
@@ -144,7 +146,6 @@ impl fmt::Display for KernelAnalysis {
 /// # Errors
 ///
 /// Propagates simulator errors from any of the three runs.
-#[allow(clippy::too_many_arguments)]
 pub fn analyze_kernel(
     name: &str,
     ma: MaWorkload,
@@ -152,9 +153,9 @@ pub fn analyze_kernel(
     iterations: u64,
     setup: &dyn Fn(&mut Cpu),
     sim_config: &SimConfig,
-    chime_config: &ChimeConfig,
 ) -> Result<KernelAnalysis, SimError> {
-    let bounds = KernelBounds::compute(name, ma, program, chime_config);
+    let chime = ChimeConfig::for_machine(&sim_config.machine);
+    let bounds = KernelBounds::compute(name, ma, program, &chime);
     let flops = bounds.flops;
 
     let mut cpu = Cpu::new(sim_config.clone());
@@ -237,7 +238,6 @@ mod tests {
                 cpu.set_sreg_fp(7, 4.0);
             },
             &SimConfig::c240(),
-            &ChimeConfig::c240(),
         )
         .unwrap();
         // Paper Table 4 row 1: 0.600 / 0.800 / 0.840 bounds; measured

@@ -147,7 +147,7 @@ pub fn calibrate_class(class: TimingClass, config: &SimConfig) -> Result<Calibra
     // Refresh would perturb the fits (the paper's calibration loops were
     // also chosen to avoid it); keep the machine otherwise identical.
     let quiet = config.clone().without_refresh();
-    let spec = quiet.timing.get(class);
+    let spec = quiet.machine.timing.get(class);
 
     // Z and X+Y from a VL sweep of standalone instructions. The measured
     // completion is issue + X + Z·(VL-1) + Y, so the line over VL has

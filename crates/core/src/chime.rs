@@ -15,7 +15,7 @@
 //! *cyclically*, because the loop repeats — pay the 2% refresh factor.
 
 use c240_isa::timing::TimingTable;
-use c240_isa::{Instruction, Pipe, MAX_VL};
+use c240_isa::{Instruction, MAX_VL};
 
 /// Bank geometry for the *MACS-D* extension: §3.1 suggests "a fifth
 /// degree of freedom, D, after M, A, C and S to bind the allocation
@@ -102,7 +102,9 @@ impl ChimeConfig {
     /// constraint, and the refresh factor computed from the bank refresh
     /// duty cycle (`(period + len) / period`; exactly the paper's 1.02
     /// for the C-240's 8-in-400). `for_machine(&c240())` equals
-    /// [`ChimeConfig::c240`] (pinned by `tests/machine_presets.rs`).
+    /// [`ChimeConfig::c240`], and an ablated description derives the
+    /// ablated model (`without_refresh`, `without_bubbles`, pair
+    /// constraint off) exactly (both pinned by `tests/machine_presets.rs`).
     /// The MACS-D bank model stays detached, as in `c240()`; attach it
     /// with [`ChimeConfig::with_bank_model`] +
     /// [`BankModel::for_machine`] for stride-aware bounds.
@@ -131,9 +133,12 @@ impl ChimeConfig {
         self
     }
 
-    /// Same model without the refresh factor.
+    /// Same model without the refresh factor (1.0, as
+    /// [`ChimeConfig::for_machine`] derives it for a machine without
+    /// refresh).
     pub fn without_refresh(mut self) -> Self {
         self.refresh_enabled = false;
+        self.refresh_factor = 1.0;
         self
     }
 
@@ -263,14 +268,6 @@ impl OpenChime {
     }
 }
 
-fn pipe_slot(pipe: Pipe) -> usize {
-    match pipe {
-        Pipe::LoadStore => 0,
-        Pipe::Add => 1,
-        Pipe::Multiply => 2,
-    }
-}
-
 /// Partitions a loop body into chimes and computes the MACS cost.
 ///
 /// Non-memory scalar instructions are ignored (they are masked by the
@@ -340,7 +337,7 @@ pub fn partition_chimes(body: &[Instruction], config: &ChimeConfig) -> ChimePart
         };
         let (reads, writes) = ins.pair_usage();
         let fits = {
-            let slot = pipe_slot(pipe);
+            let slot = pipe.index();
             let pipe_ok = !open.pipes_used[slot];
             let fence_ok = !(ins.is_vector_memory() && open.scalar_fence);
             let pair_ok = !config.pair_constraint
@@ -356,7 +353,7 @@ pub fn partition_chimes(body: &[Instruction], config: &ChimeConfig) -> ChimePart
             }
             chimes.extend(open.close());
         }
-        open.pipes_used[pipe_slot(pipe)] = true;
+        open.pipes_used[pipe.index()] = true;
         open.has_memory |= ins.is_vector_memory();
         open.z_max = open.z_max.max(z);
         open.b_sum += timing.b;

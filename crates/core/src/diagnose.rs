@@ -228,7 +228,6 @@ pub fn diagnose(a: &KernelAnalysis) -> Vec<Finding> {
 mod tests {
     use super::*;
     use crate::analysis::analyze_kernel;
-    use crate::chime::ChimeConfig;
     use c240_isa::asm::assemble;
     use c240_sim::SimConfig;
     use macs_compiler::MaWorkload;
@@ -244,7 +243,6 @@ mod tests {
                 cpu.set_sreg_fp(1, 2.0);
             },
             &SimConfig::c240(),
-            &ChimeConfig::c240(),
         )
         .unwrap()
     }

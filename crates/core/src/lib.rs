@@ -16,8 +16,11 @@
 //! and complements them with **A/X measurements** ([`a_process`],
 //! [`x_process`]): running the code with vector floating point (A) or
 //! vector memory (X) instructions deleted to localize bottlenecks.
-//! [`analyze_kernel`] runs the whole methodology and [`diagnose`]
-//! mechanizes the paper's §4.4 gap attribution.
+//! [`analyze_kernel`] runs the whole methodology on one simulator
+//! configuration, deriving its chime model from the configuration's
+//! machine description ([`ChimeConfig::for_machine`]), and [`diagnose`]
+//! mechanizes the paper's §4.4 gap attribution. [`KernelBounds::compute`]
+//! takes a [`ChimeConfig`] directly, for bounds without a simulation.
 //!
 //! # Example
 //!

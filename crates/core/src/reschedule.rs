@@ -125,14 +125,6 @@ fn depends(earlier: &Instruction, later: &Instruction) -> bool {
     emem && lmem && (estore || lstore)
 }
 
-fn pipe_slot(p: Pipe) -> usize {
-    match p {
-        Pipe::LoadStore => 0,
-        Pipe::Add => 1,
-        Pipe::Multiply => 2,
-    }
-}
-
 /// Greedy chime-packing list scheduler over one run.
 fn schedule_run(run: &[Instruction], config: &ChimeConfig) -> Vec<Instruction> {
     let n = run.len();
@@ -163,7 +155,7 @@ fn schedule_run(run: &[Instruction], config: &ChimeConfig) -> Vec<Instruction> {
                     continue;
                 }
                 let ins = &run[j];
-                let slot = pipe_slot(ins.pipe().expect("vector instruction"));
+                let slot = ins.pipe().expect("vector instruction").index();
                 if pipes[slot] {
                     continue;
                 }
@@ -187,7 +179,7 @@ fn schedule_run(run: &[Instruction], config: &ChimeConfig) -> Vec<Instruction> {
             }
             let Some(j) = best else { break };
             let ins = &run[j];
-            let slot = pipe_slot(ins.pipe().expect("vector instruction"));
+            let slot = ins.pipe().expect("vector instruction").index();
             pipes[slot] = true;
             let (r, w) = ins.pair_usage();
             for p in 0..4 {

@@ -167,7 +167,6 @@ impl RunReport {
 mod tests {
     use super::*;
     use crate::analysis::analyze_kernel;
-    use crate::chime::ChimeConfig;
     use c240_isa::asm::assemble;
     use c240_sim::SimConfig;
     use macs_compiler::MaWorkload;
@@ -203,7 +202,6 @@ mod tests {
                 cpu.set_areg(2, 80000);
             },
             &SimConfig::c240(),
-            &ChimeConfig::c240(),
         )
         .unwrap();
         RunReport::new(0, analysis)

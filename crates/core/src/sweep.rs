@@ -437,45 +437,47 @@ impl SweepPoint {
         line.to_string()
     }
 
-    /// Resolves the point's configuration: the machine half comes from
-    /// the point's `machine` preset (or the base when none is named),
-    /// the base's operational knobs (instruction limit, fast-forward,
-    /// CPU count, background contention) carry over, and
-    /// the overrides apply last. Panic-free by construction: override
-    /// fields are set raw and the *caller* runs [`SimConfig::validate`]
-    /// on the result, so an out-of-range override becomes a typed error
-    /// row rather than a panic.
+    /// Resolves the point's configuration: the machine comes from the
+    /// point's `machine` preset (or the base when none is named), the
+    /// base's run settings (instruction limit, fast-forward, CPU count,
+    /// background contention) carry over, and the overrides apply last.
+    /// Panic-free by construction: override fields are set raw and the
+    /// *caller* runs [`SimConfig::validate`] on the result, so an
+    /// out-of-range override becomes a typed error row rather than a
+    /// panic.
     ///
     /// # Errors
     ///
     /// [`UnknownMachine`] when the point names a preset
     /// [`MachineDescription::preset`] does not know.
     pub fn config(&self, base: &SimConfig) -> Result<SimConfig, UnknownMachine> {
-        let mut cfg = match &self.machine {
-            None => base.clone(),
-            Some(name) => {
-                let machine = MachineDescription::preset(name)
-                    .ok_or_else(|| UnknownMachine { name: name.clone() })?;
-                let mut cfg = SimConfig::for_machine(&machine);
-                cfg.max_instructions = base.max_instructions;
-                cfg.fast_forward = base.fast_forward;
-                cfg.cpus = base.cpus;
-                cfg.mem.contention = base.mem.contention.clone();
-                cfg
-            }
-        };
+        let mut cfg = base.clone();
+        if let Some(name) = &self.machine {
+            cfg.machine = MachineDescription::preset(name)
+                .ok_or_else(|| UnknownMachine { name: name.clone() })?;
+        }
         let o = &self.overrides;
+        let m = &mut cfg.machine;
         if let Some(b) = o.chaining {
-            cfg.chaining = b;
+            m.chaining = b;
         }
         if let Some(b) = o.pair_constraint {
-            cfg.pair_constraint = b;
+            m.pair_constraint = b;
         }
         if let Some(b) = o.refresh {
-            cfg.mem.refresh_enabled = b;
+            m.refresh_enabled = b;
         }
         if o.bubbles == Some(false) {
-            cfg.timing = cfg.timing.without_bubbles();
+            m.timing = m.timing.without_bubbles();
+        }
+        if let Some(n) = o.banks {
+            m.banks = n;
+        }
+        if let Some(n) = o.bank_busy {
+            m.bank_busy = n;
+        }
+        if let Some(n) = o.words {
+            m.words = n;
         }
         if let Some(b) = o.fast_forward {
             cfg.fast_forward = b;
@@ -483,27 +485,18 @@ impl SweepPoint {
         if let Some(n) = o.cpus {
             cfg.cpus = n;
         }
-        if let Some(n) = o.banks {
-            cfg.mem.banks = n;
-        }
-        if let Some(n) = o.bank_busy {
-            cfg.mem.bank_busy = n;
-        }
-        if let Some(n) = o.words {
-            cfg.mem.words = n as usize;
-        }
         if let Some(n) = o.max_instructions {
             cfg.max_instructions = n;
         }
         match o.contention {
             Some(Contention::Idle) => {
-                cfg.mem.contention = c240_mem::ContentionConfig::idle();
+                cfg.contention = c240_mem::ContentionConfig::idle();
             }
             Some(Contention::Lockstep(n)) => {
-                cfg.mem.contention = c240_mem::ContentionConfig::lockstep(n as usize);
+                cfg.contention = c240_mem::ContentionConfig::lockstep(n as usize);
             }
             Some(Contention::Mixed(n)) => {
-                cfg.mem.contention = c240_mem::ContentionConfig::mixed(n as usize);
+                cfg.contention = c240_mem::ContentionConfig::mixed(n as usize);
             }
             None => {}
         }
@@ -826,15 +819,16 @@ mod tests {
         )
         .unwrap();
         let cfg = p.config(&SimConfig::c240()).unwrap();
-        assert!(!cfg.chaining && !cfg.pair_constraint && !cfg.fast_forward);
-        assert!(!cfg.mem.refresh_enabled);
+        let m = &cfg.machine;
+        assert!(!m.chaining && !m.pair_constraint && !cfg.fast_forward);
+        assert!(!m.refresh_enabled);
         assert_eq!(cfg.cpus, 2);
-        assert_eq!(cfg.mem.banks, 16);
-        assert_eq!(cfg.mem.bank_busy, 4);
-        assert_eq!(cfg.mem.words, 1024);
+        assert_eq!(m.banks, 16);
+        assert_eq!(m.bank_busy, 4);
+        assert_eq!(m.words, 1024);
         assert_eq!(cfg.max_instructions, 99);
-        assert!(!cfg.mem.contention.is_idle());
-        assert_eq!(cfg.timing.get(c240_isa::timing::TimingClass::Store).b, 0.0);
+        assert!(!cfg.contention.is_idle());
+        assert_eq!(m.timing.get(c240_isa::timing::TimingClass::Store).b, 0.0);
         assert_eq!(cfg.validate(), Ok(()));
         // Out-of-range overrides apply raw and fail validation instead
         // of panicking.
@@ -855,10 +849,9 @@ mod tests {
         assert_ne!(base.key(), explicit.key(), "naming c240 is semantic too");
         // The resolved configurations reflect the named machine.
         let cfg = banks64.config(&SimConfig::c240()).unwrap();
-        assert_eq!(cfg.machine, "c240-64b");
-        assert_eq!(cfg.mem.banks, 64);
+        assert_eq!(cfg.machine, MachineDescription::c240_64banks());
         let cfg = dual.config(&SimConfig::c240()).unwrap();
-        assert_eq!((cfg.ports, cfg.mem.banks), (2, 16));
+        assert_eq!((cfg.machine.ports, cfg.machine.banks), (2, 16));
         assert_eq!(cfg.validate(), Ok(()));
         // Request lines round-trip the machine field.
         let again = parse_point(&banks64.request_line()).unwrap();
@@ -872,18 +865,18 @@ mod tests {
         base.fast_forward = false;
         base.max_instructions = 12_345;
         base.cpus = 2;
-        base.mem.contention = c240_mem::ContentionConfig::mixed(3);
+        base.contention = c240_mem::ContentionConfig::mixed(3);
         let p = parse_point(r#"{"kernel":1,"machine":"c240-64b","config":{"chaining":false}}"#)
             .unwrap();
         let cfg = p.config(&base).unwrap();
         // Machine half from the preset…
-        assert_eq!(cfg.mem.banks, 64);
-        assert!(!cfg.chaining, "overrides still apply on top");
+        assert_eq!(cfg.machine.banks, 64);
+        assert!(!cfg.machine.chaining, "overrides still apply on top");
         // …operational knobs from the base.
         assert!(!cfg.fast_forward);
         assert_eq!(cfg.max_instructions, 12_345);
         assert_eq!(cfg.cpus, 2);
-        assert!(!cfg.mem.contention.is_idle());
+        assert!(!cfg.contention.is_idle());
     }
 
     #[test]

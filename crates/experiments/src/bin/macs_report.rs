@@ -49,7 +49,7 @@ use std::process::ExitCode;
 use c240_isa::{MachineDescription, PRESET_NAMES};
 use c240_obs::json::Json;
 use c240_sim::{Cpu, SimConfig, Trace};
-use macs_core::{ChimeConfig, RunReport, RUN_REPORT_SCHEMA};
+use macs_core::{RunReport, RUN_REPORT_SCHEMA};
 use macs_experiments::cosim::{cosim_csv, cosim_table, run_cosim, Mix};
 use macs_experiments::{
     figures, run_roofline, run_roofline_with, tables, worked_example, Ablation, GridSpec, Suite,
@@ -278,11 +278,10 @@ fn main() -> ExitCode {
         args.artifacts.iter().any(|a| a == name) || args.artifacts.iter().any(|a| a == "all")
     };
 
-    // Both derivations are bit-identical to `::c240()` for the default
-    // machine (pinned by tests/machine_presets.rs), so the default
-    // artifacts are unchanged by the preset plumbing.
+    // Bit-identical to `SimConfig::c240()` for the default machine
+    // (pinned by tests/machine_presets.rs), so the default artifacts are
+    // unchanged by the preset plumbing.
     let sim = SimConfig::for_machine(&args.machine);
-    let chime = ChimeConfig::for_machine(&args.machine);
     if args.machine.name != "c240" {
         eprintln!("machine preset: {}", args.machine.name);
     }
@@ -293,7 +292,7 @@ fn main() -> ExitCode {
         || args.trace_dir.is_some();
     let suite = if needs_suite {
         eprintln!("running the ten-kernel case study (bounds + 3 measurements each)...");
-        Some(Suite::run_with(&sim, &chime))
+        Some(Suite::run_with(&sim))
     } else {
         None
     };
@@ -389,7 +388,7 @@ fn main() -> ExitCode {
         }
     }
     if want("lfk1") {
-        println!("{}", worked_example(&sim, &chime));
+        println!("{}", worked_example(&sim));
     }
     if want("asm") {
         for kernel in lfk_suite::all() {

@@ -138,7 +138,7 @@ impl CoSimReport {
 /// neighbors *are* the contention).
 fn cosim_config(sim: &SimConfig, cpus: u32) -> SimConfig {
     SimConfig {
-        mem: sim.mem.clone().with_contention(ContentionConfig::idle()),
+        contention: ContentionConfig::idle(),
         ..sim.clone()
     }
     .with_cpus(cpus)

@@ -77,16 +77,12 @@ pub fn fig3(suite: &Suite) -> TextTable {
         ],
     );
     let busy_sim = SimConfig {
-        mem: suite
-            .sim
-            .mem
-            .clone()
-            .with_contention(ContentionConfig::mixed(3)),
+        contention: ContentionConfig::mixed(3),
         ..suite.sim.clone()
     };
     for r in &suite.rows {
         let kernel = lfk_suite::by_id(r.id).expect("suite kernels exist");
-        let busy = analyze_lfk(kernel.as_ref(), &busy_sim, &suite.chime);
+        let busy = analyze_lfk(kernel.as_ref(), &busy_sim);
         let single = r.analysis.t_p_cpf();
         let multi = busy.t_p_cpf();
         t.row(vec![

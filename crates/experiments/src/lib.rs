@@ -33,7 +33,7 @@ pub use worked::{worked_example, WorkedExample};
 
 use c240_sim::SimConfig;
 use lfk_suite::LfkKernel;
-use macs_core::{analyze_kernel, ChimeConfig, KernelAnalysis};
+use macs_core::{analyze_kernel, KernelAnalysis};
 
 /// One kernel's full analysis.
 #[derive(Debug, Clone)]
@@ -49,20 +49,19 @@ pub struct KernelRow {
 pub struct Suite {
     /// Per-kernel rows, in paper order.
     pub rows: Vec<KernelRow>,
-    /// The simulator configuration the measurements used.
+    /// The simulator configuration the measurements used; the bounds
+    /// used the chime model derived from its machine.
     pub sim: SimConfig,
-    /// The chime model the bounds used.
-    pub chime: ChimeConfig,
 }
 
 /// Analyzes a single LFK kernel end to end (bounds + three measured
-/// runs).
+/// runs) on the machine `sim` describes.
 ///
 /// # Panics
 ///
 /// Panics if the simulator rejects the curated kernel (a bug in this
 /// crate, not in user input).
-pub fn analyze_lfk(kernel: &dyn LfkKernel, sim: &SimConfig, chime: &ChimeConfig) -> KernelAnalysis {
+pub fn analyze_lfk(kernel: &dyn LfkKernel, sim: &SimConfig) -> KernelAnalysis {
     let program = kernel.program();
     analyze_kernel(
         &format!("LFK{}", kernel.id()),
@@ -71,7 +70,6 @@ pub fn analyze_lfk(kernel: &dyn LfkKernel, sim: &SimConfig, chime: &ChimeConfig)
         kernel.iterations(),
         &|cpu| kernel.setup(cpu),
         sim,
-        chime,
     )
     .expect("curated kernels simulate cleanly")
 }
@@ -79,7 +77,7 @@ pub fn analyze_lfk(kernel: &dyn LfkKernel, sim: &SimConfig, chime: &ChimeConfig)
 impl Suite {
     /// Runs the full case study on the paper's machine configuration.
     pub fn run() -> Suite {
-        Suite::run_with(&SimConfig::c240(), &ChimeConfig::c240())
+        Suite::run_with(&SimConfig::c240())
     }
 
     /// Runs the full case study on a custom machine (ablations).
@@ -88,15 +86,14 @@ impl Suite {
     /// on the [`macs_core::pool`] (all cores by default; pin with
     /// `MACS_THREADS`). Row order is the paper's regardless of the
     /// worker schedule.
-    pub fn run_with(sim: &SimConfig, chime: &ChimeConfig) -> Suite {
+    pub fn run_with(sim: &SimConfig) -> Suite {
         let rows = macs_core::parallel_map(lfk_suite::all(), |k| KernelRow {
             id: k.id(),
-            analysis: analyze_lfk(k.as_ref(), sim, chime),
+            analysis: analyze_lfk(k.as_ref(), sim),
         });
         Suite {
             rows,
             sim: sim.clone(),
-            chime: chime.clone(),
         }
     }
 

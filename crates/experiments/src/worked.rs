@@ -82,12 +82,14 @@ const LFK1_BODY: &str = "L7:
     jbrs.t L7
     halt";
 
-/// Runs the §3.5 worked example end to end.
-pub fn worked_example(sim: &SimConfig, chime: &ChimeConfig) -> WorkedExample {
+/// Runs the §3.5 worked example end to end on the machine `sim`
+/// describes (its chime model included).
+pub fn worked_example(sim: &SimConfig) -> WorkedExample {
+    let chime = ChimeConfig::for_machine(&sim.machine);
     let program = assemble(LFK1_BODY).expect("LFK1 listing assembles");
     let l = program.innermost_loop().expect("LFK1 has a loop");
     let body = program.loop_body(l);
-    let partition = partition_chimes(body, chime);
+    let partition = partition_chimes(body, &chime);
 
     let mut chimes = Vec::new();
     for c in partition.chimes() {
@@ -157,7 +159,7 @@ mod tests {
 
     #[test]
     fn worked_example_matches_paper() {
-        let w = worked_example(&SimConfig::c240(), &ChimeConfig::c240());
+        let w = worked_example(&SimConfig::c240());
         assert_eq!(w.chimes.len(), 4);
         // Paper chime bounds: 131, 132, 132, 132.
         let bounds: Vec<f64> = w.chimes.iter().map(|c| c.1).collect();

@@ -27,6 +27,12 @@ impl Pipe {
     pub fn all() -> [Pipe; 3] {
         [Pipe::LoadStore, Pipe::Add, Pipe::Multiply]
     }
+
+    /// The pipe's position in [`Pipe::all`], for per-pipe arrays.
+    #[inline]
+    pub const fn index(self) -> usize {
+        self as usize
+    }
 }
 
 impl fmt::Display for Pipe {

@@ -89,7 +89,9 @@ pub struct MachineDescription {
     pub vector_pipes: u32,
     /// Hardware vector length (elements per vector register).
     pub max_vl: u32,
-    /// Operand chaining between vector pipes (§3.3).
+    /// Operand chaining between vector pipes (§3.3). Disabling it makes
+    /// each vector instruction wait for its operands to be *completely*
+    /// computed, as on the Cray-2.
     pub chaining: bool,
     /// The ≤2-read/≤1-write per register-pair port constraint (§3.3).
     pub pair_constraint: bool,

@@ -20,9 +20,7 @@ fn main() -> ExitCode {
             "--no-refresh" => config = config.without_refresh(),
             "--no-chaining" => config = config.without_chaining(),
             "--no-bubbles" => config = config.without_bubbles(),
-            "--busy" => {
-                config.mem = config.mem.with_contention(ContentionConfig::mixed(3));
-            }
+            "--busy" => config.contention = ContentionConfig::mixed(3),
             "--help" | "-h" => {
                 eprintln!(
                     "usage: lfk-run [IDS...] [--no-refresh] [--no-chaining] \

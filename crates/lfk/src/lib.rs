@@ -254,9 +254,9 @@ mod tests {
 
     /// Runs `k` for `passes` in a data space of `words` words; `None` if
     /// setup or the run fails.
-    fn run_in(k: &dyn LfkKernel, words: usize, passes: i64) -> Option<(Cpu, RunStats)> {
+    fn run_in(k: &dyn LfkKernel, words: u64, passes: i64) -> Option<(Cpu, RunStats)> {
         let mut cfg = SimConfig::c240();
-        cfg.mem = cfg.mem.with_words(words);
+        cfg.machine.words = words;
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut cpu = Cpu::new(cfg);
             k.setup(&mut cpu);
@@ -269,9 +269,9 @@ mod tests {
 
     #[test]
     fn every_kernel_runs_in_exactly_its_footprint() {
-        let full = SimConfig::c240().mem.words;
+        let full = SimConfig::c240().machine.words;
         for k in all() {
-            let words = k.footprint_words() as usize;
+            let words = k.footprint_words();
             for passes in [1, 2, k.passes()] {
                 let (cpu, stats) = run_in(k.as_ref(), words, passes)
                     .unwrap_or_else(|| panic!("LFK{} fails in {words} words", k.id()));

@@ -151,11 +151,6 @@ impl BankState {
         }
     }
 
-    /// Whether this state window-fits (see [`BankState::multiport`]).
-    pub fn is_multiport(&self) -> bool {
-        self.multiport
-    }
-
     /// Declares that every future request starts at or after tick
     /// `tick` (the co-sim driver's minimum issue clock, minus margin):
     /// claims ending at or before it are dead and get pruned. Monotonic

@@ -1,39 +1,24 @@
-//! Simulator configuration: machine timing plus model ablation switches.
+//! Simulator configuration: one machine description plus the run
+//! settings.
 
-use c240_isa::timing::TimingTable;
 use c240_isa::MachineDescription;
 use c240_mem::{CacheConfig, ContentionConfig, MemConfig};
-
-// `ScalarTiming` lives with the machine descriptions in `c240-isa`;
-// re-exported here because the simulator is where it has always been
-// consumed from.
-pub use c240_isa::ScalarTiming;
 
 /// Full simulator configuration.
 ///
 /// The default models the paper's Convex C-240; the switches ablate
-/// individual machine features for the what-if studies.
+/// individual machine features for the what-if studies by editing the
+/// one [`MachineDescription`] every layer reads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
-    /// Name of the machine this configuration was derived from (a
-    /// [`MachineDescription`] preset name, `"c240"` by default). Purely
-    /// a label: it names the machine in validation errors and sweep
-    /// rows, and does not affect simulation.
-    pub machine: String,
-    /// Vector instruction timing (Table 1).
-    pub timing: TimingTable,
-    /// Memory system (banks, refresh, contention).
-    pub mem: MemConfig,
-    /// ASU scalar data cache.
-    pub cache: CacheConfig,
-    /// Scalar-side latencies.
-    pub scalar: ScalarTiming,
-    /// Operand chaining between vector pipes (§3.3). Disabling it makes
-    /// each vector instruction wait for its operands to be *completely*
-    /// computed, as on the Cray-2.
-    pub chaining: bool,
-    /// Enforce the ≤2-read/≤1-write per register pair constraint (§3.3).
-    pub pair_constraint: bool,
+    /// The machine simulated: timing tables, memory geometry, scalar
+    /// cache, chaining and port rules. Its name labels validation errors
+    /// and sweep rows, and the bound model
+    /// (`macs_core::ChimeConfig::for_machine`) and the roofline ceilings
+    /// are derived from it, so an ablation written here reaches all three.
+    pub machine: MachineDescription,
+    /// Background traffic from the other CPUs (§4.2).
+    pub contention: ContentionConfig,
     /// Abort after this many executed instructions (runaway-loop guard).
     pub max_instructions: u64,
     /// Steady-state fast-forward: when a loop's timing state is detected
@@ -51,19 +36,15 @@ pub struct SimConfig {
     pub fast_forward: bool,
     /// Number of CPUs a co-sim [`Machine`] builds from this
     /// configuration, each a full [`Cpu`] with private data space,
-    /// sharing one set of memory banks (the C-240 has four). A plain
-    /// [`Cpu::new`] ignores this field — it always models one port.
+    /// sharing one set of memory banks; at most the machine's
+    /// [`MachineDescription::ports`] (checked by
+    /// [`SimConfig::validate`]). A plain [`Cpu::new`] ignores this
+    /// field — it always models one port.
     ///
     /// [`Machine`]: crate::Machine
     /// [`Cpu`]: crate::Cpu
     /// [`Cpu::new`]: crate::Cpu::new
     pub cpus: u32,
-    /// CPU ports the machine's memory banks expose — the upper bound a
-    /// co-sim [`Machine`] accepts for [`SimConfig::cpus`] (4 on the
-    /// C-240), checked by [`SimConfig::validate`].
-    ///
-    /// [`Machine`]: crate::Machine
-    pub ports: u32,
 }
 
 impl SimConfig {
@@ -72,39 +53,42 @@ impl SimConfig {
         SimConfig::for_machine(&MachineDescription::c240())
     }
 
-    /// Derives a configuration from a declarative machine description:
-    /// the description supplies the machine half (timing tables, memory
-    /// geometry, chaining rules, port count); the operational knobs
-    /// (instruction limit, fast-forward, CPU count, background
-    /// contention) take the same defaults [`SimConfig::c240`] has always
-    /// used. `for_machine(&MachineDescription::c240())` *is* `c240()`,
-    /// bit-identically (pinned by `tests/machine_presets.rs`).
+    /// A configuration of `machine` with the default run settings: an
+    /// idle memory, one CPU, fast-forward on, and a 200M-instruction
+    /// limit.
     pub fn for_machine(machine: &MachineDescription) -> Self {
         SimConfig {
-            machine: machine.name.clone(),
-            timing: machine.timing.clone(),
-            mem: MemConfig {
-                banks: machine.banks,
-                bank_busy: machine.bank_busy,
-                refresh_period: machine.refresh_period,
-                refresh_len: machine.refresh_len,
-                refresh_enabled: machine.refresh_enabled,
-                words: machine.words as usize,
-                contention: ContentionConfig::idle(),
-            },
-            cache: CacheConfig {
-                lines: machine.cache_lines as usize,
-                line_words: machine.cache_line_words,
-                hit_latency: machine.cache_hit_latency,
-                miss_penalty: machine.cache_miss_penalty,
-            },
-            scalar: machine.scalar,
-            chaining: machine.chaining,
-            pair_constraint: machine.pair_constraint,
+            machine: machine.clone(),
+            contention: ContentionConfig::idle(),
             max_instructions: 200_000_000,
             fast_forward: true,
             cpus: 1,
-            ports: machine.ports,
+        }
+    }
+
+    /// The memory system's configuration: the description's bank
+    /// geometry, refresh and data space, plus the background contention.
+    pub fn mem_config(&self) -> MemConfig {
+        let m = &self.machine;
+        MemConfig {
+            banks: m.banks,
+            bank_busy: m.bank_busy,
+            refresh_period: m.refresh_period,
+            refresh_len: m.refresh_len,
+            refresh_enabled: m.refresh_enabled,
+            words: m.words as usize,
+            contention: self.contention.clone(),
+        }
+    }
+
+    /// The scalar cache's configuration, from the description.
+    pub fn cache_config(&self) -> CacheConfig {
+        let m = &self.machine;
+        CacheConfig {
+            lines: m.cache_lines as usize,
+            line_words: m.cache_line_words,
+            hit_latency: m.cache_hit_latency,
+            miss_penalty: m.cache_miss_penalty,
         }
     }
 
@@ -124,8 +108,8 @@ impl SimConfig {
 
     /// Same machine with steady-state fast-forward disabled (every
     /// element stepped exactly). Results are identical either way — this
-    /// switch exists for the equivalence tests and the CI timing smoke
-    /// job that prove it.
+    /// switch exists for the equivalence tests that prove it
+    /// (`tests/fastforward.rs`) and for timing exact stepping.
     pub fn without_fast_forward(mut self) -> Self {
         self.fast_forward = false;
         self
@@ -133,26 +117,26 @@ impl SimConfig {
 
     /// Same machine with chaining disabled (Cray-2 style ablation).
     pub fn without_chaining(mut self) -> Self {
-        self.chaining = false;
+        self.machine.chaining = false;
         self
     }
 
     /// Same machine with all tailgating bubbles `B` zeroed (Eq. 5 vs
     /// Eq. 13 ablation).
     pub fn without_bubbles(mut self) -> Self {
-        self.timing = self.timing.without_bubbles();
+        self.machine.timing = self.machine.timing.without_bubbles();
         self
     }
 
     /// Same machine with memory refresh disabled.
     pub fn without_refresh(mut self) -> Self {
-        self.mem = self.mem.without_refresh();
+        self.machine.refresh_enabled = false;
         self
     }
 
     /// Same machine without the register-pair port constraint.
     pub fn without_pair_constraint(mut self) -> Self {
-        self.pair_constraint = false;
+        self.machine.pair_constraint = false;
         self
     }
 }
@@ -171,9 +155,9 @@ mod tests {
     #[test]
     fn default_is_c240() {
         let c = SimConfig::default();
-        assert!(c.chaining);
-        assert!(c.pair_constraint);
-        assert!(c.mem.refresh_enabled);
+        assert!(c.machine.chaining);
+        assert!(c.machine.pair_constraint);
+        assert!(c.machine.refresh_enabled);
     }
 
     #[test]
@@ -183,9 +167,10 @@ mod tests {
             .without_bubbles()
             .without_refresh()
             .without_pair_constraint();
-        assert!(!c.chaining);
-        assert!(!c.pair_constraint);
-        assert!(!c.mem.refresh_enabled);
-        assert_eq!(c.timing.get(TimingClass::Store).b, 0.0);
+        assert!(!c.machine.chaining);
+        assert!(!c.machine.pair_constraint);
+        assert!(!c.machine.refresh_enabled);
+        assert!(!c.mem_config().refresh_enabled);
+        assert_eq!(c.machine.timing.get(TimingClass::Store).b, 0.0);
     }
 }

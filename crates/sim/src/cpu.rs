@@ -103,11 +103,12 @@ struct Ticks {
 
 impl Ticks {
     fn of(config: &SimConfig) -> Self {
+        let machine = &config.machine;
         let mut vector = [VectorTicks::default(); 8];
         for class in TimingClass::all() {
-            vector[class as usize] = config.timing.get(class).ticks();
+            vector[class as usize] = machine.timing.get(class).ticks();
         }
-        let scalar = &config.scalar;
+        let scalar = &machine.scalar;
         Ticks {
             vector,
             issue: timing::ticks(scalar.issue),
@@ -116,8 +117,8 @@ impl Ticks {
             fp_add_latency: timing::ticks(scalar.fp_add_latency),
             fp_mul_latency: timing::ticks(scalar.fp_mul_latency),
             fp_div_latency: timing::ticks(scalar.fp_div_latency),
-            cache_hit: timing::ticks(config.cache.hit_latency as f64),
-            cache_miss: timing::ticks(config.cache.miss_penalty as f64),
+            cache_hit: timing::ticks(machine.cache_hit_latency as f64),
+            cache_miss: timing::ticks(machine.cache_miss_penalty as f64),
         }
     }
 }
@@ -303,14 +304,6 @@ pub struct FfStats {
     pub skipped_instructions: u64,
 }
 
-fn pipe_slot(pipe: Pipe) -> usize {
-    match pipe {
-        Pipe::LoadStore => 0,
-        Pipe::Add => 1,
-        Pipe::Multiply => 2,
-    }
-}
-
 impl Cpu {
     /// Creates a CPU with fresh (zeroed) memory.
     ///
@@ -321,8 +314,8 @@ impl Cpu {
     /// rounded onto it (a reduction `Z` of 1.33 runs as 1.35), and one
     /// beyond the `i64` tick range saturates.
     pub fn new(config: SimConfig) -> Self {
-        let mem = MemorySystem::new(config.mem.clone());
-        let cache = ScalarCache::new(config.cache);
+        let mem = MemorySystem::new(config.mem_config());
+        let cache = ScalarCache::new(config.cache_config());
         Cpu {
             ticks: Ticks::of(&config),
             config,
@@ -778,7 +771,7 @@ impl Cpu {
             _ => return Err(SimError::Unsupported { pc }),
         };
         if let Some(pipe) = ins.pipe() {
-            self.stats.elements[pipe_slot(pipe)] += n as u64;
+            self.stats.elements[pipe.index()] += n as u64;
             // Every element through the add or multiply pipe is one flop.
             if pipe != Pipe::LoadStore {
                 self.stats.flops += n as u64;
@@ -1070,7 +1063,7 @@ impl Cpu {
     /// a would-be chime-mate that violates the ≤2-read/≤1-write rule is
     /// pushed to the next chime (§3.3).
     fn pair_admit(&mut self, ins: &Instruction, mut t: i64, duration: i64) -> i64 {
-        if !self.config.pair_constraint {
+        if !self.config.machine.pair_constraint {
             return t;
         }
         let (reads, writes) = ins.pair_usage();
@@ -1124,7 +1117,7 @@ impl Cpu {
         let pipe = ins.pipe().expect("vector instruction");
         let class = ins.timing_class().expect("vector instruction");
         let timing = self.ticks.vector[class as usize];
-        let slot = pipe_slot(pipe);
+        let slot = pipe.index();
         let issue_start = self.clock;
         self.scalar_wait(probe, pc, self.pipes[slot].issue_gate);
         if P::ENABLED {
@@ -1174,7 +1167,7 @@ impl Cpu {
         sched: Schedule,
     ) {
         let (pipe, timing) = (entered.pipe, entered.timing);
-        let slot = pipe_slot(pipe);
+        let slot = pipe.index();
         if P::ENABLED {
             probe.busy(lane_of(slot), timing.z * i64::from(self.vl), pc);
             self.acct[slot] = sched.last_entry + timing.z;
@@ -1207,7 +1200,7 @@ impl Cpu {
 
     /// If chaining is disabled, operands must be fully complete.
     fn no_chain_barrier(&self, ops: &[VOperand]) -> i64 {
-        if self.config.chaining {
+        if self.config.machine.chaining {
             return 0;
         }
         let vl = self.vl as usize;
@@ -1264,7 +1257,7 @@ impl Cpu {
             *ready = entry + timing.y;
         }
         if P::ENABLED {
-            let lane = lane_of(pipe_slot(entered.pipe));
+            let lane = lane_of(entered.pipe.index());
             probe.stall(lane, StallCause::ChainWait, chain_wait, pc);
         }
         let sched = Schedule::stream(entry0, entries[entries.len() - 1], timing.y);
@@ -1314,7 +1307,7 @@ impl Cpu {
         self.mark_read(srcop, entries);
         let entry = entries[entries.len() - 1];
         if P::ENABLED {
-            let lane = lane_of(pipe_slot(entered.pipe));
+            let lane = lane_of(entered.pipe.index());
             probe.stall(lane, StallCause::ChainWait, chain_wait, pc);
         }
         let last_result = entry + timing.y;
@@ -1379,7 +1372,7 @@ impl Cpu {
         walk: StreamGrants,
     ) -> Schedule {
         if P::ENABLED {
-            let lane = lane_of(pipe_slot(entered.pipe));
+            let lane = lane_of(entered.pipe.index());
             probe.stall(lane, StallCause::ChainWait, walk.chain_wait, pc);
             Self::attribute_mem(probe, lane, pc, walk.waits);
         }
@@ -1497,7 +1490,7 @@ impl Cpu {
     /// attribute its wait to the shared port.
     fn fence_vector_stream(&mut self, done: i64) {
         self.scalar_mem_fence = self.scalar_mem_fence.max(done);
-        let slot = pipe_slot(Pipe::LoadStore);
+        let slot = Pipe::LoadStore.index();
         let p = &mut self.pipes[slot];
         if done > p.next_entry {
             self.credits[slot].fence += done - p.next_entry;
@@ -1522,7 +1515,7 @@ impl Cpu {
     ) -> i64 {
         let start = self
             .clock
-            .max(self.pipes[pipe_slot(Pipe::LoadStore)].next_entry);
+            .max(self.pipes[Pipe::LoadStore.index()].next_entry);
         let before = if P::ENABLED {
             self.scalar_mem_open(probe, pc, start);
             self.mem.wait_ticks()
@@ -2523,14 +2516,14 @@ mod tests {
         assert_eq!(stats.cache_misses, 1);
         assert_eq!(stats.cache_hits, 1);
         let acct = probe.lane(Lane::ScalarMem);
-        let miss_penalty = cpu.config().cache.miss_penalty as f64;
+        let miss_penalty = cpu.config().machine.cache_miss_penalty as f64;
         assert!(
             (acct.stalls.get(StallCause::ScalarCacheMiss) - miss_penalty).abs() < 1e-9,
             "miss penalty attribution: {}",
             acct.stalls.get(StallCause::ScalarCacheMiss)
         );
         // Two accesses each pay the hit latency as busy time.
-        let hit = cpu.config().cache.hit_latency as f64;
+        let hit = cpu.config().machine.cache_hit_latency as f64;
         assert!((acct.busy - 2.0 * hit).abs() < 1e-9, "busy {}", acct.busy);
     }
 
@@ -2736,13 +2729,13 @@ mod edge_tests {
         assert!(stats.mflops() > 0.0);
     }
 
-    const SMALL_WORDS: usize = 4096;
+    const SMALL_WORDS: u64 = 4096;
 
     /// Runs `program` with `a1 = a1` on a `SMALL_WORDS`-word memory,
     /// with fast-forward on and then off, and returns both errors.
     fn run_err(program: &Program, a1: i64) -> [(SimError, FfStats); 2] {
         let mut config = quiet();
-        config.mem = config.mem.with_words(SMALL_WORDS);
+        config.machine.words = SMALL_WORDS;
         [config.clone(), config.without_fast_forward()].map(|config| {
             let mut cpu = Cpu::new(config);
             cpu.set_areg(1, a1);
@@ -2788,7 +2781,7 @@ mod edge_tests {
             // at VL 0 no address is checked at all.
             for (a1, vl, stride) in [(near_end, 8, -1), (-8, 0, 1), (4, 0, 1)] {
                 let mut config = quiet();
-                config.mem = config.mem.with_words(SMALL_WORDS);
+                config.machine.words = SMALL_WORDS;
                 let mut cpu = Cpu::new(config);
                 cpu.set_areg(1, a1);
                 cpu.run(&one_access(store, vl, stride)).unwrap();

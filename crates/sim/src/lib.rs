@@ -15,8 +15,11 @@
 //! * a 32-bank memory with 8-cycle bank busy time, refresh every 400
 //!   cycles, and optional background contention (§4.2).
 //!
-//! All model features can be ablated via [`SimConfig`] (chaining off,
-//! bubbles off, refresh off, pair constraint off) for the what-if studies.
+//! A [`SimConfig`] is one [`c240_isa::MachineDescription`] plus the run
+//! settings (background contention, instruction limit, fast-forward, CPU
+//! count). Every model feature is ablated by editing that description
+//! (chaining off, bubbles off, refresh off, pair constraint off), which
+//! the bound model and the roofline ceilings read too.
 //!
 //! A run reports anything beyond its [`RunStats`] through one channel,
 //! the [`Probe`] passed to [`Cpu::run_probed`]: [`CounterProbe`] charges
@@ -64,7 +67,7 @@ mod stats;
 mod trace;
 mod validate;
 
-pub use config::{ScalarTiming, SimConfig};
+pub use config::SimConfig;
 pub use cpu::{Cpu, FfStats};
 pub use error::SimError;
 pub use machine::Machine;

@@ -86,7 +86,7 @@ impl Machine {
     /// charging its bank claims to view id `i`.
     pub fn new(config: SimConfig) -> Self {
         let n = config.cpus.max(1);
-        let banks = config.mem.banks;
+        let banks = config.machine.banks;
         let cpus = (0..n)
             .map(|i| {
                 let mut cpu = Cpu::new(config.clone());

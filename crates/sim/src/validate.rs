@@ -39,8 +39,8 @@ pub enum ConfigError {
         cpus: u32,
     },
     /// `cpus` beyond the machine's memory-port count
-    /// ([`SimConfig::ports`]): the chassis has nowhere to attach the
-    /// extra CPUs.
+    /// ([`c240_isa::MachineDescription::ports`]): the chassis has
+    /// nowhere to attach the extra CPUs.
     MoreCpusThanPorts {
         /// The requested CPU count.
         cpus: u32,
@@ -53,7 +53,7 @@ pub enum ConfigError {
     /// A scalar-timing field that is NaN, infinite, negative, or above
     /// [`MAX_TIMING_CYCLES`].
     BadScalarTiming {
-        /// Name of the offending [`crate::ScalarTiming`] field.
+        /// Name of the offending [`c240_isa::ScalarTiming`] field.
         field: &'static str,
         /// The offending value.
         value: f64,
@@ -89,7 +89,7 @@ pub enum ConfigError {
     /// labeled inside [`MemConfigError`] instead), so sweep error rows
     /// name the offending machine.
     ForMachine {
-        /// The machine label ([`SimConfig::machine`]).
+        /// The machine label (the description's name).
         machine: String,
         /// The underlying violation.
         error: Box<ConfigError>,
@@ -200,12 +200,13 @@ impl SimConfig {
     /// # Errors
     ///
     /// Returns the first violated constraint as a [`ConfigError`],
-    /// labeled with [`SimConfig::machine`] so the message (and any sweep
+    /// labeled with the machine's name so the message (and any sweep
     /// error row built from it) names the offending machine.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        let name = &self.machine.name;
         self.validate_inner().map_err(|e| match e {
-            ConfigError::Mem(m) => ConfigError::Mem(m.for_machine(&self.machine)),
-            other => other.for_machine(&self.machine),
+            ConfigError::Mem(m) => ConfigError::Mem(m.for_machine(name)),
+            other => other.for_machine(name),
         })
     }
 
@@ -217,10 +218,10 @@ impl SimConfig {
         if self.cpus > MAX_CPUS {
             return Err(ConfigError::TooManyCpus { cpus: self.cpus });
         }
-        if self.cpus > self.ports {
+        if self.cpus > self.machine.ports {
             return Err(ConfigError::MoreCpusThanPorts {
                 cpus: self.cpus,
-                ports: self.ports,
+                ports: self.machine.ports,
             });
         }
         Ok(())
@@ -231,13 +232,14 @@ impl SimConfig {
         if self.max_instructions == 0 {
             return Err(ConfigError::ZeroMaxInstructions);
         }
+        let s = &self.machine.scalar;
         let scalar = [
-            ("issue", self.scalar.issue),
-            ("branch_taken_penalty", self.scalar.branch_taken_penalty),
-            ("int_latency", self.scalar.int_latency),
-            ("fp_add_latency", self.scalar.fp_add_latency),
-            ("fp_mul_latency", self.scalar.fp_mul_latency),
-            ("fp_div_latency", self.scalar.fp_div_latency),
+            ("issue", s.issue),
+            ("branch_taken_penalty", s.branch_taken_penalty),
+            ("int_latency", s.int_latency),
+            ("fp_add_latency", s.fp_add_latency),
+            ("fp_mul_latency", s.fp_mul_latency),
+            ("fp_div_latency", s.fp_div_latency),
         ];
         for (field, value) in scalar {
             if !in_range(value) {
@@ -252,7 +254,7 @@ impl SimConfig {
             }
         }
         for class in TimingClass::all() {
-            let t = self.timing.get(class);
+            let t = self.machine.timing.get(class);
             for (field, value) in [("X", t.x), ("Y", t.y), ("Z", t.z), ("B", t.b)] {
                 if !in_range(value) {
                     return Err(ConfigError::BadVectorTiming {
@@ -270,8 +272,8 @@ impl SimConfig {
                 }
             }
         }
-        self.mem.validate()?;
-        self.cache.validate()?;
+        self.mem_config().validate()?;
+        self.cache_config().validate()?;
         Ok(())
     }
 }
@@ -334,13 +336,13 @@ mod tests {
         assert!(Error::source(&err).is_some());
         // Memory-side errors carry the label inside MemConfigError.
         let mut c = SimConfig::c240();
-        c.machine = "dual-port".into();
-        c.mem.banks = 0;
+        c.machine.name = "dual-port".into();
+        c.machine.banks = 0;
         let message = c.validate().unwrap_err().to_string();
         assert!(message.contains("machine `dual-port`"), "{message}");
         // An unlabeled config (programmatic construction) stays unwrapped.
         let mut c = SimConfig::c240();
-        c.machine = String::new();
+        c.machine.name = String::new();
         c.cpus = 0;
         assert_eq!(c.validate(), Err(ConfigError::ZeroCpus));
     }
@@ -348,7 +350,7 @@ mod tests {
     #[test]
     fn timing_fields_must_be_finite_and_nonnegative() {
         let mut c = SimConfig::c240();
-        c.scalar.fp_div_latency = f64::NAN;
+        c.machine.scalar.fp_div_latency = f64::NAN;
         assert!(matches!(
             c.validate().unwrap_err().root(),
             ConfigError::BadScalarTiming {
@@ -357,9 +359,9 @@ mod tests {
             }
         ));
         let mut c = SimConfig::c240();
-        let mut t = c.timing.get(TimingClass::Mul);
+        let mut t = c.machine.timing.get(TimingClass::Mul);
         t.z = -1.0;
-        c.timing.set(TimingClass::Mul, t);
+        c.machine.timing.set(TimingClass::Mul, t);
         let err = c.validate().unwrap_err();
         assert!(matches!(
             err.root(),
@@ -371,7 +373,7 @@ mod tests {
         ));
         assert!(err.to_string().contains("Mul"));
         let mut c = SimConfig::c240();
-        c.timing.set(
+        c.machine.timing.set(
             TimingClass::Load,
             VectorTiming {
                 x: f64::INFINITY,
@@ -390,9 +392,9 @@ mod tests {
     fn timing_values_must_be_whole_ticks() {
         // Z = 1.35 is 27 ticks; 1.33 is 26.6 and would run as 1.35.
         let mut c = SimConfig::c240();
-        let mut t = c.timing.get(TimingClass::Reduction);
+        let mut t = c.machine.timing.get(TimingClass::Reduction);
         t.z = 1.33;
-        c.timing.set(TimingClass::Reduction, t);
+        c.machine.timing.set(TimingClass::Reduction, t);
         let err = c.validate().unwrap_err();
         assert_eq!(
             err.root(),
@@ -406,7 +408,7 @@ mod tests {
         // The f64 sum 0.1 + 0.2 is near the 0.3-cycle grid point but is
         // not the value 6 ticks read out as.
         let mut c = SimConfig::c240();
-        c.scalar.issue = 0.1 + 0.2;
+        c.machine.scalar.issue = 0.1 + 0.2;
         assert!(matches!(
             c.validate().unwrap_err().root(),
             ConfigError::OffGridTiming {
@@ -417,14 +419,13 @@ mod tests {
         ));
         // Past the range cap, a value is out of range, not off grid.
         let mut c = SimConfig::c240();
-        c.scalar.fp_div_latency = 2.0 * MAX_TIMING_CYCLES;
+        c.machine.scalar.fp_div_latency = 2.0 * MAX_TIMING_CYCLES;
         assert!(matches!(
             c.validate().unwrap_err().root(),
             ConfigError::BadScalarTiming { .. }
         ));
         // Every preset under every ablation is on the grid.
-        for name in c240_isa::PRESET_NAMES {
-            let machine = c240_isa::MachineDescription::preset(name).expect("preset");
+        for machine in c240_isa::MachineDescription::presets() {
             let base = SimConfig::for_machine(&machine);
             for config in [
                 base.clone(),
@@ -433,7 +434,7 @@ mod tests {
                 base.clone().without_refresh(),
                 base.clone().without_pair_constraint(),
             ] {
-                assert_eq!(config.validate(), Ok(()), "{name}");
+                assert_eq!(config.validate(), Ok(()), "{}", machine.name);
             }
         }
     }
@@ -441,7 +442,7 @@ mod tests {
     #[test]
     fn memory_errors_are_wrapped_with_source() {
         let mut c = SimConfig::c240();
-        c.mem.banks = 0;
+        c.machine.banks = 0;
         let err = c.validate().unwrap_err();
         match &err {
             ConfigError::Mem(m) => assert_eq!(m.root(), &MemConfigError::ZeroBanks),
@@ -449,7 +450,7 @@ mod tests {
         }
         assert!(Error::source(&err).is_some());
         let mut c = SimConfig::c240();
-        c.cache.lines = 0;
+        c.machine.cache_lines = 0;
         match c.validate().unwrap_err() {
             ConfigError::Mem(m) => assert_eq!(m.root(), &MemConfigError::ZeroCacheLines),
             other => panic!("expected a Mem error, got {other:?}"),

@@ -29,7 +29,6 @@ fn main() {
             k.iterations(),
             &|cpu| k.setup(cpu),
             &sim,
-            &chime,
         )
         .expect("kernel simulates");
         match advise(&analysis, 0.05).into_iter().next() {
@@ -109,7 +108,6 @@ fn main() {
         k2.iterations(),
         &|cpu| k2.setup(cpu),
         &sim,
-        &chime,
     )
     .unwrap();
     println!(

@@ -13,7 +13,7 @@
 
 use c240_sim::SimConfig;
 use lfk_suite::by_id;
-use macs_core::{analyze_kernel, ChimeConfig};
+use macs_core::analyze_kernel;
 
 fn main() {
     for id in [8u32, 6] {
@@ -25,7 +25,6 @@ fn main() {
             kernel.iterations(),
             &|cpu| kernel.setup(cpu),
             &SimConfig::c240(),
-            &ChimeConfig::c240(),
         )
         .expect("kernel simulates cleanly");
 

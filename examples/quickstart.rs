@@ -11,7 +11,7 @@
 
 use c240_sim::SimConfig;
 use lfk_suite::by_id;
-use macs_core::{analyze_kernel, hierarchy_figure, ChimeConfig};
+use macs_core::{analyze_kernel, hierarchy_figure};
 
 fn main() {
     let kernel = by_id(1).expect("LFK1 is part of the case study");
@@ -26,7 +26,6 @@ fn main() {
         kernel.iterations(),
         &|cpu| kernel.setup(cpu),
         &SimConfig::c240(),
-        &ChimeConfig::c240(),
     )
     .expect("LFK1 simulates cleanly");
 

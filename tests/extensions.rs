@@ -20,7 +20,6 @@ fn analyze(id: u32) -> macs_core::KernelAnalysis {
         k.iterations(),
         &|cpu| k.setup(cpu),
         &SimConfig::c240(),
-        &ChimeConfig::c240(),
     )
     .unwrap()
 }

@@ -136,9 +136,10 @@ fn assert_suite_equivalent_at(
 }
 
 fn with_contention(config: SimConfig, contention: ContentionConfig) -> SimConfig {
-    let mut config = config;
-    config.mem = config.mem.with_contention(contention);
-    config
+    SimConfig {
+        contention,
+        ..config
+    }
 }
 
 // ---- the full machine, three contention settings -------------------------
@@ -518,7 +519,7 @@ fn tracing_disables_fast_forward_but_stays_exact() {
             .run_probed(&program, &mut NoProbe)
             .expect("NoProbe run");
         assert_eq!(stats, plain_stats);
-        if !config.mem.refresh_enabled {
+        if !config.machine.refresh_enabled {
             assert!(plain.ff_stats().skipped_instructions > 0, "LFK1 warps");
         }
     }

@@ -27,9 +27,7 @@ fn timing_configuration_never_changes_results() {
         SimConfig::c240().without_chaining(),
         SimConfig::c240().without_pair_constraint(),
         SimConfig {
-            mem: SimConfig::c240()
-                .mem
-                .with_contention(ContentionConfig::mixed(3)),
+            contention: ContentionConfig::mixed(3),
             ..SimConfig::c240()
         },
     ];
@@ -62,15 +60,11 @@ fn contention_slows_but_lockstep_slows_less() {
     };
     let idle = run(SimConfig::c240());
     let lockstep = run(SimConfig {
-        mem: SimConfig::c240()
-            .mem
-            .with_contention(ContentionConfig::lockstep(3)),
+        contention: ContentionConfig::lockstep(3),
         ..SimConfig::c240()
     });
     let mixed = run(SimConfig {
-        mem: SimConfig::c240()
-            .mem
-            .with_contention(ContentionConfig::mixed(3)),
+        contention: ContentionConfig::mixed(3),
         ..SimConfig::c240()
     });
     assert!(idle < lockstep, "idle {idle} vs lockstep {lockstep}");

@@ -13,47 +13,49 @@
 //! bounds hierarchy stays monotone on machines nobody hand-tuned the
 //! model for.
 
-use c240_isa::{MachineDescription, ProgramBuilder, TimingTable, PRESET_NAMES};
+use c240_isa::{MachineDescription, ProgramBuilder, ScalarTiming, TimingTable, PRESET_NAMES};
 use c240_mem::{CacheConfig, ContentionConfig, MemConfig};
-use c240_sim::{ConfigError, CounterProbe, Cpu, Machine, RunStats, ScalarTiming, SimConfig};
-use macs_core::ChimeConfig;
+use c240_sim::{ConfigError, CounterProbe, Cpu, Machine, RunStats, SimConfig};
+use macs_core::{ChimeConfig, KernelBounds};
 
 /// The C-240 configuration as the pre-refactor code spelled it: every
 /// constant written out literally, none derived from a description.
 /// This is the frozen reference the preset must keep matching.
 fn legacy_literal_c240() -> SimConfig {
     SimConfig {
-        machine: "c240".into(),
-        timing: TimingTable::c240(),
-        mem: MemConfig {
+        machine: MachineDescription {
+            name: "c240".into(),
+            clock_mhz: 25.0,
+            issue_width: 1,
+            vector_pipes: 3,
+            max_vl: 128,
+            chaining: true,
+            pair_constraint: true,
+            timing: TimingTable::c240(),
+            scalar: ScalarTiming {
+                issue: 1.0,
+                branch_taken_penalty: 2.0,
+                int_latency: 1.0,
+                fp_add_latency: 2.0,
+                fp_mul_latency: 3.0,
+                fp_div_latency: 12.0,
+            },
             banks: 32,
             bank_busy: 8,
             refresh_period: 400,
             refresh_len: 8,
             refresh_enabled: true,
             words: 1 << 20,
-            contention: ContentionConfig::idle(),
+            cache_lines: 256,
+            cache_line_words: 4,
+            cache_hit_latency: 2,
+            cache_miss_penalty: 4,
+            ports: 4,
         },
-        cache: CacheConfig {
-            lines: 256,
-            line_words: 4,
-            hit_latency: 2,
-            miss_penalty: 4,
-        },
-        scalar: ScalarTiming {
-            issue: 1.0,
-            branch_taken_penalty: 2.0,
-            int_latency: 1.0,
-            fp_add_latency: 2.0,
-            fp_mul_latency: 3.0,
-            fp_div_latency: 12.0,
-        },
-        chaining: true,
-        pair_constraint: true,
+        contention: ContentionConfig::idle(),
         max_instructions: 200_000_000,
         fast_forward: true,
         cpus: 1,
-        ports: 4,
     }
 }
 
@@ -62,6 +64,9 @@ fn c240_preset_equals_the_legacy_literal_config() {
     let literal = legacy_literal_c240();
     assert_eq!(SimConfig::c240(), literal);
     assert_eq!(SimConfig::for_machine(&MachineDescription::c240()), literal);
+    // The memory side is built from the description in one place each.
+    assert_eq!(literal.mem_config(), MemConfig::c240());
+    assert_eq!(literal.cache_config(), CacheConfig::c240());
     assert_eq!(
         ChimeConfig::for_machine(&MachineDescription::c240()),
         ChimeConfig::c240()
@@ -69,6 +74,50 @@ fn c240_preset_equals_the_legacy_literal_config() {
     // The 1.02 refresh factor of §3.2 must come out of the description's
     // integer fields exactly, not as a nearby float.
     assert_eq!(MachineDescription::c240().refresh_factor(), 1.02);
+}
+
+/// The bound model derived from an ablated configuration's machine is
+/// the one callers used to build by hand next to it: on every preset,
+/// for every ablation and kernel, `KernelBounds` from
+/// `ChimeConfig::for_machine(&cfg.machine)` equal those from the preset's
+/// chime model with the same ablation applied, field for field.
+#[test]
+fn derived_bound_model_equals_the_hand_ablated_chime_config() {
+    for machine in MachineDescription::presets() {
+        let sim = SimConfig::for_machine(&machine);
+        let chime = ChimeConfig::for_machine(&machine);
+        let mut no_pair = chime.clone();
+        no_pair.pair_constraint = false;
+        let cases = [
+            ("baseline", sim.clone(), chime.clone()),
+            ("nochain", sim.clone().without_chaining(), chime.clone()),
+            (
+                "nobubbles",
+                sim.clone().without_bubbles(),
+                chime.clone().without_bubbles(),
+            ),
+            (
+                "norefresh",
+                sim.clone().without_refresh(),
+                chime.clone().without_refresh(),
+            ),
+            ("nopair", sim.clone().without_pair_constraint(), no_pair),
+        ];
+        for (ablation, cfg, hand) in cases {
+            let derived = ChimeConfig::for_machine(&cfg.machine);
+            assert_eq!(derived, hand, "{} {ablation}", machine.name);
+            for kernel in lfk_suite::all() {
+                let name = format!("LFK{}", kernel.id());
+                let program = kernel.program();
+                assert_eq!(
+                    KernelBounds::compute(&name, kernel.ma(), &program, &derived),
+                    KernelBounds::compute(&name, kernel.ma(), &program, &hand),
+                    "{name} on {} {ablation}",
+                    machine.name
+                );
+            }
+        }
+    }
 }
 
 /// Runs one kernel and returns everything observable: stats (cycles,
@@ -204,14 +253,13 @@ fn bounds_hierarchy_and_ax_analysis_transfer_to_other_presets() {
         MachineDescription::dual_port(),
     ] {
         let sim = SimConfig::for_machine(&machine);
-        let chime = ChimeConfig::for_machine(&machine);
         // Three structurally distinct kernels: vector memory-bound,
         // reduction, strided.
         for id in [1u32, 3, 9] {
             let Some(kernel) = lfk_suite::by_id(id) else {
                 continue;
             };
-            let analysis = macs_experiments::analyze_lfk(kernel.as_ref(), &sim, &chime);
+            let analysis = macs_experiments::analyze_lfk(kernel.as_ref(), &sim);
             assert!(
                 analysis.bounds.is_monotone(),
                 "LFK{id} on {}: MA {} MAC {} MACS {} not monotone",
@@ -245,7 +293,7 @@ fn every_named_preset_resolves_and_validates() {
             .unwrap_or_else(|| panic!("preset {name:?} must resolve"));
         assert_eq!(machine.name, name);
         let sim = SimConfig::for_machine(&machine);
-        assert_eq!(sim.machine, name);
+        assert_eq!(sim.machine, machine);
         sim.validate()
             .unwrap_or_else(|e| panic!("preset {name:?} must validate: {e}"));
     }

@@ -221,16 +221,12 @@ fn contention_never_speeds_up_memory_loops() {
         let phase = rng.range_u64(0, 32);
         let stride = strides[rng.range_usize(0, 3)];
         let busy_cfg = SimConfig {
-            mem: SimConfig::c240()
-                .mem
-                .with_contention(ContentionConfig::idle().with_stream(
-                    c240_mem::ContentionStream {
-                        stride,
-                        phase,
-                        duty_num: 1,
-                        duty_den: 2,
-                    },
-                )),
+            contention: ContentionConfig::idle().with_stream(c240_mem::ContentionStream {
+                stride,
+                phase,
+                duty_num: 1,
+                duty_den: 2,
+            }),
             ..SimConfig::c240()
         };
         let busy = Cpu::new(busy_cfg).run(&program).unwrap().cycles;
@@ -247,32 +243,26 @@ fn contention_never_speeds_up_memory_loops() {
     for seed in 0..48u64 {
         let mut rng = Rng::new(3000 + seed);
         let banks = [3u32, 5, 6, 9, 12, 15, 24, 31][rng.range_usize(0, 8)];
-        let mut mem = SimConfig::c240().mem.with_banks(banks);
-        mem.bank_busy = rng.range_u64(1, 4 * u64::from(banks));
+        let mut quiet_cfg = SimConfig::c240();
+        quiet_cfg.machine.banks = banks;
+        quiet_cfg.machine.bank_busy = rng.range_u64(1, 4 * u64::from(banks));
         let stream = c240_mem::ContentionStream {
             stride: rng.range_u64(0, 16),
             phase: rng.range_u64(0, 64),
             duty_num: 1,
             duty_den: rng.range_u64(2, 5) as u32,
         };
-        let busy_mem = mem
-            .clone()
-            .with_contention(ContentionConfig::idle().with_stream(stream));
-        if busy_mem.validate().is_err() {
+        let busy_cfg = SimConfig {
+            contention: ContentionConfig::idle().with_stream(stream),
+            ..quiet_cfg.clone()
+        };
+        if busy_cfg.validate().is_err() {
             continue;
         }
         accepted += 1;
-        long_busy += u32::from(mem.bank_busy > 2 * u64::from(banks));
-        let run = |mem| {
-            Cpu::new(SimConfig {
-                mem,
-                ..SimConfig::c240()
-            })
-            .run(&program)
-            .unwrap()
-            .cycles
-        };
-        let (quiet, busy) = (run(mem), run(busy_mem));
+        long_busy += u32::from(quiet_cfg.machine.bank_busy > 2 * u64::from(banks));
+        let run = |cfg| Cpu::new(cfg).run(&program).unwrap().cycles;
+        let (quiet, busy) = (run(quiet_cfg), run(busy_cfg));
         assert!(
             busy + 1e-9 >= quiet,
             "seed {seed}: busy {busy} < quiet {quiet}"

@@ -4,7 +4,6 @@
 use std::sync::OnceLock;
 
 use c240_sim::SimConfig;
-use macs_core::ChimeConfig;
 use macs_experiments::{figures, tables, worked_example, Suite};
 
 fn suite() -> &'static Suite {
@@ -122,7 +121,7 @@ fn fig3_bars_render() {
 
 #[test]
 fn worked_example_text_is_complete() {
-    let w = worked_example(&SimConfig::c240(), &ChimeConfig::c240());
+    let w = worked_example(&SimConfig::c240());
     let text = w.to_string();
     for needle in ["chime 1", "chime 4", "527", "537.54", "4.200", "0.840"] {
         assert!(text.contains(needle), "missing {needle} in:\n{text}");

@@ -6,7 +6,7 @@
 use c240_isa::timing::exact_ticks;
 use c240_sim::{CounterProbe, Cpu, Lane, SimConfig, StallCause};
 use lfk_suite::LfkKernel;
-use macs_core::{ChimeConfig, Finding, RunReport, RUN_REPORT_SCHEMA};
+use macs_core::{Finding, RunReport, RUN_REPORT_SCHEMA};
 use macs_experiments::analyze_lfk;
 
 fn run_probed(config: SimConfig, kernel: &dyn LfkKernel) -> (c240_sim::RunStats, CounterProbe) {
@@ -319,7 +319,7 @@ fn chaining_ablation_moves_chain_wait_to_barriers() {
 #[test]
 fn findings_cite_measured_counters() {
     let k1 = lfk_suite::by_id(1).expect("LFK1 exists");
-    let analysis = analyze_lfk(k1.as_ref(), &SimConfig::c240(), &ChimeConfig::c240());
+    let analysis = analyze_lfk(k1.as_ref(), &SimConfig::c240());
     let findings = analysis.findings();
     let mem = findings.iter().find_map(|f| match f {
         Finding::MemoryBottleneck {
@@ -354,7 +354,7 @@ fn run_reports_are_schema_stable_for_every_kernel() {
         "findings",
     ];
     for kernel in lfk_suite::all() {
-        let analysis = analyze_lfk(kernel.as_ref(), &SimConfig::c240(), &ChimeConfig::c240());
+        let analysis = analyze_lfk(kernel.as_ref(), &SimConfig::c240());
         let report = RunReport::new(kernel.id(), analysis);
         let json = report.to_json();
         assert_eq!(
