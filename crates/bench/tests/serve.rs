@@ -545,15 +545,15 @@ fn roofline_flag_annotates_rows_and_its_absence_changes_nothing() {
 /// gets its own roof, not the C-240's.
 #[test]
 fn roofline_reads_a_non_preset_base_machine() {
-    let wide_fp = c240_isa::MachineDescription {
-        name: "wide-fp".into(),
-        vector_pipes: 4,
+    let slow_banks = c240_isa::MachineDescription {
+        name: "slow-banks".into(),
+        bank_busy: 64,
         ..c240_isa::MachineDescription::c240()
     };
     let point = parse_point("{\"id\":\"one\",\"kernel\":1}").expect("valid line");
     let evaluated = eval_point_observed(
         &point,
-        &SimConfig::for_machine(&wide_fp),
+        &SimConfig::for_machine(&slow_banks),
         None,
         &RetryPolicy::default(),
         None,
@@ -563,9 +563,10 @@ fn roofline_reads_a_non_preset_base_machine() {
         .row
         .get("roofline")
         .expect("an ok row with a roof");
-    // Three FP pipes at 25 MHz; one port of 1 word/cycle under 3 flops.
-    assert_eq!(rf.get("peak_mflops").and_then(Json::as_f64), Some(75.0));
-    assert_eq!(rf.get("ridge").and_then(Json::as_f64), Some(3.0));
+    // Two FP pipes at 25 MHz over 32 banks / (64 × 1.02) ≈ 0.49
+    // words/cycle, below the one port: ridge 4.08, where the C-240 has 2.
+    assert_eq!(rf.get("peak_mflops").and_then(Json::as_f64), Some(50.0));
+    assert_eq!(rf.get("ridge").and_then(Json::as_f64), Some(4.08));
 }
 
 /// Roofline annotations are pure functions of simulated quantities, so a

@@ -14,8 +14,11 @@
 //! or more successive chimes that each touch memory — evaluated
 //! *cyclically*, because the loop repeats — pay the 2% refresh factor.
 
-use c240_isa::timing::TimingTable;
-use c240_isa::{Instruction, MAX_VL};
+use c240_isa::{Instruction, MachineDescription, MAX_VL};
+
+/// Minimum cyclic run of memory chimes that incurs the refresh factor:
+/// the paper's "four or more" successive memory chimes (§3.4).
+const REFRESH_MIN_RUN: usize = 4;
 
 /// Bank geometry for the *MACS-D* extension: §3.1 suggests "a fifth
 /// degree of freedom, D, after M, A, C and S to bind the allocation
@@ -33,14 +36,11 @@ pub struct BankModel {
 impl BankModel {
     /// The standard C-240 memory geometry.
     pub fn c240() -> Self {
-        BankModel {
-            banks: 32,
-            bank_busy: 8,
-        }
+        BankModel::for_machine(&MachineDescription::c240())
     }
 
     /// The bank geometry of a declarative machine description.
-    pub fn for_machine(machine: &c240_isa::MachineDescription) -> Self {
+    pub fn for_machine(machine: &MachineDescription) -> Self {
         BankModel {
             banks: machine.banks,
             bank_busy: machine.bank_busy,
@@ -61,22 +61,23 @@ impl BankModel {
     }
 }
 
-/// Parameters of the chime-cost model.
+/// Parameters of the chime-cost model: the machine it bounds, plus what
+/// is not the machine.
+///
+/// The timing table, the pair constraint and the refresh duty cycle are
+/// read from [`ChimeConfig::machine`], the same description the
+/// simulator runs. An ablated bound model is therefore the model of an
+/// ablated description, e.g.
+/// `ChimeConfig::for_machine(&SimConfig::c240().without_bubbles().machine)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChimeConfig {
-    /// Vector timing table (Table 1).
-    pub timing: TimingTable,
-    /// Vector length of the steady-state strips.
+    /// The machine bounded: its timing table (Table 1), register-pair
+    /// port rule, and refresh duty cycle (the 2% refresh factor of
+    /// [`MachineDescription::refresh_factor`]).
+    pub machine: MachineDescription,
+    /// Vector length of the steady-state strips ([`MAX_VL`] unless a VL
+    /// variant sets it with [`ChimeConfig::with_vl`]).
     pub vl: u32,
-    /// Memory refresh penalty factor (1.02 = the paper's 2%).
-    pub refresh_factor: f64,
-    /// Minimum cyclic run of memory chimes that incurs the refresh
-    /// factor (4 in the paper).
-    pub refresh_min_run: usize,
-    /// Whether refresh is modeled at all.
-    pub refresh_enabled: bool,
-    /// Whether the register-pair port rule limits chime formation.
-    pub pair_constraint: bool,
     /// Optional MACS-D bank model: binds the data decomposition "D" so
     /// strided streams are charged their bank-limited element rate.
     pub bank_model: Option<BankModel>,
@@ -86,36 +87,19 @@ impl ChimeConfig {
     /// The paper's C-240 model: VL = 128, 2% refresh over runs of ≥ 4
     /// memory chimes, pair constraint on.
     pub fn c240() -> Self {
-        ChimeConfig {
-            timing: TimingTable::c240(),
-            vl: MAX_VL,
-            refresh_factor: 1.02,
-            refresh_min_run: 4,
-            refresh_enabled: true,
-            pair_constraint: true,
-            bank_model: None,
-        }
+        ChimeConfig::for_machine(&MachineDescription::c240())
     }
 
-    /// Derives the chime-cost model from a declarative machine
-    /// description: its timing table and vector length, the pair
-    /// constraint, and the refresh factor computed from the bank refresh
-    /// duty cycle (`(period + len) / period`; exactly the paper's 1.02
-    /// for the C-240's 8-in-400). `for_machine(&c240())` equals
-    /// [`ChimeConfig::c240`], and an ablated description derives the
-    /// ablated model (`without_refresh`, `without_bubbles`, pair
-    /// constraint off) exactly (both pinned by `tests/machine_presets.rs`).
-    /// The MACS-D bank model stays detached, as in `c240()`; attach it
-    /// with [`ChimeConfig::with_bank_model`] +
+    /// The chime-cost model of a declarative machine description at the
+    /// full vector length: the refresh factor is computed from the bank
+    /// refresh duty cycle (`(period + len) / period`; exactly the paper's
+    /// 1.02 for the C-240's 8-in-400). The MACS-D bank model stays
+    /// detached; attach it with [`ChimeConfig::with_bank_model`] +
     /// [`BankModel::for_machine`] for stride-aware bounds.
-    pub fn for_machine(machine: &c240_isa::MachineDescription) -> Self {
+    pub fn for_machine(machine: &MachineDescription) -> Self {
         ChimeConfig {
-            timing: machine.timing.clone(),
-            vl: machine.max_vl,
-            refresh_factor: machine.refresh_factor(),
-            refresh_min_run: 4,
-            refresh_enabled: machine.refresh_enabled,
-            pair_constraint: machine.pair_constraint,
+            machine: machine.clone(),
+            vl: MAX_VL,
             bank_model: None,
         }
     }
@@ -131,27 +115,6 @@ impl ChimeConfig {
         assert!(vl > 0, "vector length must be positive");
         self.vl = vl;
         self
-    }
-
-    /// Same model without the refresh factor (1.0, as
-    /// [`ChimeConfig::for_machine`] derives it for a machine without
-    /// refresh).
-    pub fn without_refresh(mut self) -> Self {
-        self.refresh_enabled = false;
-        self.refresh_factor = 1.0;
-        self
-    }
-
-    /// Same model without tailgating bubbles.
-    pub fn without_bubbles(mut self) -> Self {
-        self.timing = self.timing.without_bubbles();
-        self
-    }
-}
-
-impl Default for ChimeConfig {
-    fn default() -> Self {
-        ChimeConfig::c240()
     }
 }
 
@@ -324,6 +287,7 @@ pub fn partition_chimes(body: &[Instruction], config: &ChimeConfig) -> ChimePart
             continue; // other scalar/control work is masked
         };
         let timing = config
+            .machine
             .timing
             .get(ins.timing_class().expect("vector instruction"));
         // MACS-D: a strided memory instruction cannot stream faster than
@@ -340,7 +304,7 @@ pub fn partition_chimes(body: &[Instruction], config: &ChimeConfig) -> ChimePart
             let slot = pipe.index();
             let pipe_ok = !open.pipes_used[slot];
             let fence_ok = !(ins.is_vector_memory() && open.scalar_fence);
-            let pair_ok = !config.pair_constraint
+            let pair_ok = !config.machine.pair_constraint
                 || (0..4).all(|p| {
                     open.pair_reads[p] + reads[p] <= 2 && open.pair_writes[p] + writes[p] <= 1
                 });
@@ -367,8 +331,8 @@ pub fn partition_chimes(body: &[Instruction], config: &ChimeConfig) -> ChimePart
 
     let vl = config.vl;
     let raw_cycles: f64 = chimes.iter().map(|c| c.cost(vl)).sum();
-    let cycles = if config.refresh_enabled {
-        apply_refresh(&chimes, vl, config)
+    let cycles = if config.machine.refresh_enabled {
+        apply_refresh(&chimes, vl, config.machine.refresh_factor())
     } else {
         raw_cycles
     };
@@ -381,10 +345,10 @@ pub fn partition_chimes(body: &[Instruction], config: &ChimeConfig) -> ChimePart
     }
 }
 
-/// Applies the 2% refresh factor to maximal cyclic runs of ≥ `min_run`
-/// memory chimes (§3.4; the loop repeats, so the run containing the
-/// last→first wraparound counts too).
-fn apply_refresh(chimes: &[Chime], vl: u32, config: &ChimeConfig) -> f64 {
+/// Applies the refresh factor (the paper's 2%) to maximal cyclic runs
+/// of ≥ [`REFRESH_MIN_RUN`] memory chimes (§3.4; the loop repeats, so
+/// the run containing the last→first wraparound counts too).
+fn apply_refresh(chimes: &[Chime], vl: u32, refresh_factor: f64) -> f64 {
     let n = chimes.len();
     if n == 0 {
         return 0.0;
@@ -408,7 +372,7 @@ fn apply_refresh(chimes: &[Chime], vl: u32, config: &ChimeConfig) -> f64 {
             while len < n && mem[(start + i + len) % n] {
                 len += 1;
             }
-            if len >= config.refresh_min_run {
+            if len >= REFRESH_MIN_RUN {
                 for k in 0..len {
                     scaled[(start + i + k) % n] = true;
                 }
@@ -422,7 +386,7 @@ fn apply_refresh(chimes: &[Chime], vl: u32, config: &ChimeConfig) -> f64 {
         .map(|(c, &s)| {
             let cost = c.cost(vl);
             if s {
-                cost * config.refresh_factor
+                cost * refresh_factor
             } else {
                 cost
             }
@@ -450,6 +414,7 @@ mod tests {
     use super::*;
     use c240_isa::asm::assemble;
     use c240_isa::Program;
+    use c240_sim::SimConfig;
 
     fn body_of(src: &str) -> (Program, Vec<Instruction>) {
         let p = assemble(src).unwrap();
@@ -535,7 +500,7 @@ mod tests {
 
         // Without the pair constraint both pairs fit in one chime.
         let mut cfg = ChimeConfig::c240();
-        cfg.pair_constraint = false;
+        cfg.machine.pair_constraint = false;
         assert_eq!(partition_chimes(&body, &cfg).chimes().len(), 1);
     }
 
@@ -697,17 +662,19 @@ mod tests {
     #[test]
     fn without_bubbles_drops_b() {
         let (_, body) = body_of(LFK1);
-        let part = partition_chimes(
-            &body,
-            &ChimeConfig::c240().without_bubbles().without_refresh(),
-        );
+        let machine = SimConfig::c240()
+            .without_bubbles()
+            .without_refresh()
+            .machine;
+        let part = partition_chimes(&body, &ChimeConfig::for_machine(&machine));
         assert_eq!(part.raw_cycles(), 512.0); // 4 × 128
     }
 
     #[test]
     fn vl_scales_costs() {
         let (_, body) = body_of(LFK1);
-        let part = partition_chimes(&body, &ChimeConfig::c240().with_vl(64).without_refresh());
+        let machine = SimConfig::c240().without_refresh().machine;
+        let part = partition_chimes(&body, &ChimeConfig::for_machine(&machine).with_vl(64));
         assert_eq!(part.raw_cycles(), 4.0 * 64.0 + 15.0);
         // CPL is still per source iteration: cycles / VL.
         assert!((part.cpl() - (271.0 / 64.0)).abs() < 1e-9);

@@ -76,6 +76,7 @@ pub fn analyze_overhead(program: &Program, config: &ChimeConfig) -> Option<Overh
                 // work per entry: charge its serial latency.
                 InstrClass::VectorFp | InstrClass::VectorMem => {
                     let t = config
+                        .machine
                         .timing
                         .get(ins.timing_class().expect("vector instruction"));
                     t.x + t.y
@@ -96,7 +97,7 @@ pub fn analyze_overhead(program: &Program, config: &ChimeConfig) -> Option<Overh
         c240_isa::TimingClass::Add,
     ]
     .iter()
-    .map(|&c| config.timing.get(c).y)
+    .map(|&c| config.machine.timing.get(c).y)
     .fold(0.0, f64::max);
     let startup = 2.0 + y_max;
 
@@ -143,6 +144,7 @@ pub fn segmented_macs_cpl(
 ) -> f64 {
     assert!(!segments.is_empty(), "need at least one segment");
     let max_vl = u64::from(config.vl);
+    let mut strip = config.clone();
     let mut total_cycles = 0.0;
     let mut total_iterations = 0u64;
     for &len in segments {
@@ -150,10 +152,9 @@ pub fn segmented_macs_cpl(
         total_iterations += len;
         let mut remaining = len;
         while remaining > 0 {
-            let vl = remaining.min(max_vl) as u32;
-            let part = partition_chimes(body, &config.clone().with_vl(vl));
-            total_cycles += part.cycles();
-            remaining -= u64::from(vl);
+            strip = strip.with_vl(remaining.min(max_vl) as u32);
+            total_cycles += partition_chimes(body, &strip).cycles();
+            remaining -= u64::from(strip.vl);
         }
         total_cycles += overhead.per_entry();
     }

@@ -159,7 +159,7 @@ fn schedule_run(run: &[Instruction], config: &ChimeConfig) -> Vec<Instruction> {
                 if pipes[slot] {
                     continue;
                 }
-                if config.pair_constraint {
+                if config.machine.pair_constraint {
                     let (r, w) = ins.pair_usage();
                     let fits = (0..4).all(|p| reads[p] + r[p] <= 2 && writes[p] + w[p] <= 1);
                     if !fits {

@@ -11,8 +11,10 @@
 //! cross-checked against the measured stall taxonomy of a probed run
 //! ([`StallRollup`]) to produce a typed [`RooflineVerdict`].
 //!
-//! Ceiling formulas (all pure functions of the machine description, so
-//! they hold for every preset):
+//! Ceiling formulas (all pure functions of the machine description and
+//! the simulator's fixed pipes and clock, so they hold for every
+//! preset; `fp_pipes` = 2, every pipe but load/store, and `clock` =
+//! [`CLOCK_MHZ`]):
 //!
 //! ```text
 //! peak     = fp_pipes × cpus × clock                      [MFLOPS]
@@ -37,7 +39,7 @@
 
 use std::fmt;
 
-use c240_isa::MachineDescription;
+use c240_isa::{MachineDescription, CLOCK_MHZ};
 use c240_sim::StallRollup;
 use macs_compiler::MaWorkload;
 
@@ -82,9 +84,6 @@ pub struct MachineCeilings {
     pub machine: String,
     /// CPU count the ceilings are scaled to.
     pub cpus: u32,
-    /// Clock rate in MHz (kept so attainable MFLOPS is derivable from
-    /// the words/cycle bandwidth without re-reading the description).
-    pub clock_mhz: f64,
     /// Peak vector flop rate in MFLOPS (`fp_pipes × cpus × clock`).
     pub peak_mflops: f64,
     /// Sustained memory bandwidth in words per cycle
@@ -100,16 +99,15 @@ impl MachineCeilings {
         MachineCeilings {
             machine: machine.name.clone(),
             cpus,
-            clock_mhz: machine.clock_mhz,
             peak_mflops: machine.peak_mflops(cpus),
             bandwidth_words_per_cycle: machine.sustained_bandwidth_words_per_cycle(cpus),
             ridge: machine.ridge_intensity(cpus),
         }
     }
 
-    /// Sustained bandwidth in Mwords/s.
+    /// Sustained bandwidth in Mwords/s, at [`CLOCK_MHZ`].
     pub fn bandwidth_mwords(&self) -> f64 {
-        self.bandwidth_words_per_cycle * self.clock_mhz
+        self.bandwidth_words_per_cycle * CLOCK_MHZ
     }
 
     /// The roof height at `intensity`:

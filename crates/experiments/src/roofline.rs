@@ -20,7 +20,7 @@
 //! guarantee (asserted in tests and CI) therefore covers the
 //! `baseline` rows; ablated rows are informative.
 
-use c240_isa::MachineDescription;
+use c240_isa::{MachineDescription, CLOCK_MHZ};
 use c240_obs::json::Json;
 use c240_sim::{CoSimProbes, Cpu, Machine, SimConfig, StallRollup};
 use macs_core::sweep::SweepPoint;
@@ -128,7 +128,7 @@ fn eval_row(
     };
     let point = ceilings.place(compiled_intensity(&bounds));
     let measured_mflops = if cycles > 0.0 {
-        flops as f64 * ceilings.clock_mhz / cycles
+        flops as f64 * CLOCK_MHZ / cycles
     } else {
         0.0
     };
@@ -265,7 +265,7 @@ impl RooflineReport {
             .map(|c| {
                 Json::obj()
                     .field("cpus", c.cpus)
-                    .field("clock_mhz", c.clock_mhz)
+                    .field("clock_mhz", CLOCK_MHZ)
                     .field("peak_mflops", c.peak_mflops)
                     .field("bandwidth_words_per_cycle", c.bandwidth_words_per_cycle)
                     .field("bandwidth_mwords", c.bandwidth_mwords())

@@ -5,10 +5,10 @@
 //! performance-relevant properties — function units and issue width,
 //! chaining rules, the `X + Y + Z·VL` timing table with tailgating
 //! bubbles `B`, and the banked-memory geometry — can be written down.
-//! A [`MachineDescription`] is that write-down: a plain value type every
-//! layer of the reproduction (timing, simulator and co-sim machine,
-//! memory banks, bound calculators, sweep protocol) constructs itself
-//! from, instead of reaching for hard-coded C-240 constants.
+//! A [`MachineDescription`] is that write-down for every property the
+//! simulator parameterizes: a plain value type every layer of the
+//! reproduction (timing, simulator and co-sim machine, memory banks,
+//! bound calculators, sweep protocol) constructs itself from.
 //!
 //! [`MachineDescription::c240`] reproduces the paper's machine
 //! bit-identically (asserted by the exactness matrix in
@@ -28,7 +28,7 @@
 //! different machines never collide.
 
 use crate::timing::TimingTable;
-use crate::MAX_VL;
+use crate::{Pipe, CLOCK_MHZ};
 
 /// Scalar-side latencies (the Address/Scalar Unit of the C-240).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,26 +69,19 @@ impl Default for ScalarTiming {
 
 /// The performance-relevant properties of one modeled machine.
 ///
-/// Everything the simulator, the bound calculators, and the memory model
-/// parameterize on lives here as plain data. Consumers derive their own
-/// configurations from it (`SimConfig::for_machine`,
-/// `ChimeConfig::for_machine`, …); none of them reach back into this
-/// type at run time, so a description is pure construction-time input.
+/// Every field but `name` (which labels rows and errors) is simulated:
+/// `c240-sim` reads it, directly or through the memory and cache
+/// configurations it builds from the description. The bound model
+/// (`ChimeConfig::for_machine`) and the roofline ceilings read the same
+/// fields, so an ablation written here reaches the simulator and the
+/// bounds alike. What the simulator does not parameterize — three pipes,
+/// the vector length [`crate::MAX_VL`], the clock [`CLOCK_MHZ`] — is a
+/// constant, not a field.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineDescription {
     /// Preset name, e.g. `"c240"` — the identity used on the sweep wire
     /// protocol and folded into journal keys.
     pub name: String,
-    /// CPU clock rate in MHz.
-    pub clock_mhz: f64,
-    /// Instructions issued per cycle (the C-240 is single-issue,
-    /// in-order).
-    pub issue_width: u32,
-    /// Number of vector function-unit pipes (load/store, add, multiply
-    /// on the C-240).
-    pub vector_pipes: u32,
-    /// Hardware vector length (elements per vector register).
-    pub max_vl: u32,
     /// Operand chaining between vector pipes (§3.3). Disabling it makes
     /// each vector instruction wait for its operands to be *completely*
     /// computed, as on the Cray-2.
@@ -135,10 +128,6 @@ impl MachineDescription {
     pub fn c240() -> Self {
         MachineDescription {
             name: "c240".to_string(),
-            clock_mhz: 25.0,
-            issue_width: 1,
-            vector_pipes: 3,
-            max_vl: MAX_VL,
             chaining: true,
             pair_constraint: true,
             timing: TimingTable::c240(),
@@ -217,25 +206,21 @@ impl MachineDescription {
     // ------------------------------------------------------------------
     // Roofline ceilings (DESIGN.md §16).
     //
-    // Every ceiling is a pure function of the description, so the same
-    // formulas hold for every preset and for hand-built hypotheticals.
-
-    /// Vector pipes that execute floating point: every pipe except the
-    /// load/store pipe (2 of the C-240's 3).
-    pub fn fp_pipes(&self) -> u32 {
-        self.vector_pipes.saturating_sub(1)
-    }
+    // Every ceiling is a pure function of the description and the
+    // simulator's fixed pipes and clock, so the same formulas hold for
+    // every preset and for hand-built hypotheticals.
 
     /// Peak vector flop rate across `cpus` CPUs, in flops per cycle:
-    /// every FP pipe retiring one element per cycle.
+    /// every pipe but the load/store pipe (the simulator's 2 FP pipes)
+    /// retiring one element per cycle.
     pub fn peak_flops_per_cycle(&self, cpus: u32) -> f64 {
-        f64::from(self.fp_pipes()) * f64::from(cpus)
+        (Pipe::all().len() - 1) as f64 * f64::from(cpus)
     }
 
     /// Peak vector flop rate across `cpus` CPUs, in MFLOPS
-    /// (`fp_pipes × cpus × clock`) — 50 for one C-240 CPU.
+    /// (`fp_pipes × cpus × CLOCK_MHZ`) — 50 for one C-240 CPU.
     pub fn peak_mflops(&self, cpus: u32) -> f64 {
-        self.peak_flops_per_cycle(cpus) * self.clock_mhz
+        self.peak_flops_per_cycle(cpus) * CLOCK_MHZ
     }
 
     /// Bank-side sustained bandwidth in words per cycle:
@@ -267,7 +252,7 @@ impl MachineDescription {
 
     /// Sustained memory bandwidth across `cpus` CPUs, in Mwords/s.
     pub fn sustained_bandwidth_mwords(&self, cpus: u32) -> f64 {
-        self.sustained_bandwidth_words_per_cycle(cpus) * self.clock_mhz
+        self.sustained_bandwidth_words_per_cycle(cpus) * CLOCK_MHZ
     }
 
     /// The roof's ridge point in flops per word: the operational
@@ -299,8 +284,6 @@ mod tests {
     fn c240_matches_the_paper_constants() {
         let m = MachineDescription::c240();
         assert_eq!(m.name, "c240");
-        assert_eq!(m.clock_mhz, crate::CLOCK_MHZ);
-        assert_eq!(m.max_vl, MAX_VL);
         assert_eq!((m.banks, m.bank_busy), (32, 8));
         assert_eq!((m.refresh_period, m.refresh_len), (400, 8));
         assert_eq!(m.ports, 4);
@@ -332,7 +315,6 @@ mod tests {
     #[test]
     fn c240_ceilings_match_hand_arithmetic() {
         let m = MachineDescription::c240();
-        assert_eq!(m.fp_pipes(), 2);
         assert_eq!(m.peak_flops_per_cycle(1), 2.0);
         assert_eq!(m.peak_mflops(1), 50.0);
         assert_eq!(m.peak_mflops(4), 200.0);
@@ -375,10 +357,6 @@ mod tests {
         let mut m = MachineDescription::c240();
         m.bank_busy = 0;
         assert_eq!(m.bank_bandwidth_words_per_cycle(), 32.0);
-        let mut m = MachineDescription::c240();
-        m.vector_pipes = 0;
-        assert_eq!(m.fp_pipes(), 0);
-        assert_eq!(m.peak_flops_per_cycle(4), 0.0);
         let mut m = MachineDescription::c240();
         m.banks = 0;
         assert_eq!(m.sustained_bandwidth_words_per_cycle(1), 0.0);

@@ -51,37 +51,6 @@ impl MemConfig {
             contention: ContentionConfig::idle(),
         }
     }
-
-    /// Same configuration with refresh disabled (ablation).
-    pub fn without_refresh(mut self) -> Self {
-        self.refresh_enabled = false;
-        self
-    }
-
-    /// Same configuration with the given background contention.
-    pub fn with_contention(mut self, contention: ContentionConfig) -> Self {
-        self.contention = contention;
-        self
-    }
-
-    /// Same configuration with a different bank count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `banks` is zero or above [`crate::MAX_BANKS`]. Wire
-    /// input is checked by [`MemConfig::validate`] instead.
-    pub fn with_banks(mut self, banks: u32) -> Self {
-        self.banks = banks;
-        self.check_banks()
-            .expect("memory must have at least one bank");
-        self
-    }
-
-    /// Same configuration with a different data size in words.
-    pub fn with_words(mut self, words: usize) -> Self {
-        self.words = words;
-        self
-    }
 }
 
 impl Default for MemConfig {
@@ -737,8 +706,15 @@ mod tests {
     use crate::contention::ContentionStream;
     use crate::TICKS_PER_CYCLE as T;
 
+    fn quiet_config() -> MemConfig {
+        MemConfig {
+            refresh_enabled: false,
+            ..MemConfig::c240()
+        }
+    }
+
     fn quiet() -> MemorySystem {
-        MemorySystem::new(MemConfig::c240().without_refresh())
+        MemorySystem::new(quiet_config())
     }
 
     #[test]
@@ -829,7 +805,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn out_of_bounds_panics() {
-        let mem = MemorySystem::new(MemConfig::c240().with_words(16));
+        let mem = MemorySystem::new(MemConfig {
+            words: 16,
+            ..MemConfig::c240()
+        });
         let _ = mem.peek(16);
     }
 
@@ -847,9 +826,10 @@ mod tests {
 
     #[test]
     fn contention_delays_grants() {
-        let cfg = MemConfig::c240()
-            .without_refresh()
-            .with_contention(ContentionConfig::idle().with_stream(ContentionStream::unit(0)));
+        let cfg = MemConfig {
+            contention: ContentionConfig::idle().with_stream(ContentionStream::unit(0)),
+            ..quiet_config()
+        };
         let mut mem = MemorySystem::new(cfg);
         // The stream claims bank 0 during [0, 8).
         let g = mem.grant(0, 0);
@@ -858,9 +838,10 @@ mod tests {
 
     #[test]
     fn mixed_contention_slows_unit_stream() {
-        let busy = MemConfig::c240()
-            .without_refresh()
-            .with_contention(ContentionConfig::mixed(3));
+        let busy = MemConfig {
+            contention: ContentionConfig::mixed(3),
+            ..quiet_config()
+        };
         let mut mem = MemorySystem::new(busy);
         let mut t = 0;
         let n = 10_000u64;
@@ -878,9 +859,10 @@ mod tests {
 
     #[test]
     fn lockstep_contention_is_mild() {
-        let busy = MemConfig::c240()
-            .without_refresh()
-            .with_contention(ContentionConfig::lockstep(3));
+        let busy = MemConfig {
+            contention: ContentionConfig::lockstep(3),
+            ..quiet_config()
+        };
         let mut mem = MemorySystem::new(busy);
         let mut t = 0;
         let n = 40_000u64;
@@ -920,7 +902,10 @@ mod tests {
     #[test]
     fn wait_breakdown_sums_exactly_under_all_causes() {
         // Refresh + contention + bank recycling all active at once.
-        let cfg = MemConfig::c240().with_contention(ContentionConfig::mixed(3));
+        let cfg = MemConfig {
+            contention: ContentionConfig::mixed(3),
+            ..MemConfig::c240()
+        };
         let mut mem = MemorySystem::new(cfg);
         let mut t = 0;
         for i in 0..5_000u64 {
@@ -936,7 +921,7 @@ mod tests {
         assert_eq!(b.total(), mem.wait_cycles());
         assert!(b.bank_busy > 0.0 && b.refresh > 0.0 && b.contention > 0.0);
         // Ablations zero their category.
-        let mut quiet_mem = MemorySystem::new(MemConfig::c240().without_refresh());
+        let mut quiet_mem = quiet();
         let mut t = 0;
         for i in 0..1_000u64 {
             let g = quiet_mem.grant(i % 64, t);
@@ -1055,12 +1040,16 @@ mod tests {
                 if banks < 32 && matches!(mode, "lockstep" | "mixed") {
                     continue; // background streams saturate so few banks
                 }
-                let mut cfg = MemConfig::c240().with_banks(banks).with_words(10_000);
-                cfg.refresh_enabled = mode != "norefresh";
-                cfg.contention = match mode {
-                    "lockstep" => ContentionConfig::lockstep(3),
-                    "mixed" => ContentionConfig::mixed(3),
-                    _ => ContentionConfig::idle(),
+                let cfg = MemConfig {
+                    banks,
+                    words: 10_000,
+                    refresh_enabled: mode != "norefresh",
+                    contention: match mode {
+                        "lockstep" => ContentionConfig::lockstep(3),
+                        "mixed" => ContentionConfig::mixed(3),
+                        _ => ContentionConfig::idle(),
+                    },
+                    ..MemConfig::c240()
                 };
                 let mut seeded = MemorySystem::new(cfg);
                 if mode == "multiport" {
@@ -1157,7 +1146,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn grant_stream_checks_its_last_element() {
-        let mut mem = MemorySystem::new(MemConfig::c240().with_words(64));
+        let mut mem = MemorySystem::new(MemConfig {
+            words: 64,
+            ..MemConfig::c240()
+        });
         let _ = mem.grant_stream(60, 2, 0, T, &[0; 3], |_, _, _| {});
     }
 

@@ -5,7 +5,7 @@
 //! that used to be an `assert!` in a constructor needs a typed,
 //! recoverable form: [`MemConfig::validate`] and [`CacheConfig::validate`]
 //! return a [`MemConfigError`] instead of panicking. The panicking
-//! builders (`with_banks`, `with_stream`, `with_duty`) remain for
+//! contention builders (`with_stream`, `with_duty`) remain for
 //! programmatic construction and check the same constraints.
 
 use std::error::Error;
@@ -261,7 +261,12 @@ impl MemConfig {
     ///
     /// Returns the first violated constraint.
     pub fn validate(&self) -> Result<(), MemConfigError> {
-        self.check_banks()?;
+        if self.banks == 0 {
+            return Err(MemConfigError::ZeroBanks);
+        }
+        if self.banks > MAX_BANKS {
+            return Err(MemConfigError::TooManyBanks { banks: self.banks });
+        }
         if self.bank_busy == 0 {
             return Err(MemConfigError::ZeroBankBusy);
         }
@@ -306,17 +311,6 @@ impl MemConfig {
             None => Ok(()),
         }
     }
-
-    /// The bank-count constraints, shared with [`MemConfig::with_banks`].
-    pub(crate) fn check_banks(&self) -> Result<(), MemConfigError> {
-        if self.banks == 0 {
-            return Err(MemConfigError::ZeroBanks);
-        }
-        if self.banks > MAX_BANKS {
-            return Err(MemConfigError::TooManyBanks { banks: self.banks });
-        }
-        Ok(())
-    }
 }
 
 impl CacheConfig {
@@ -360,9 +354,8 @@ mod tests {
             c.validate(),
             Err(MemConfigError::TooManyBanks { .. })
         ));
-        // The panicking builder accepts what validation accepts.
-        assert_eq!(base.clone().with_banks(16).banks, 16);
-        assert_eq!(base.clone().with_banks(MAX_BANKS).validate(), Ok(()));
+        c.banks = MAX_BANKS;
+        assert_eq!(c.validate(), Ok(()));
         let mut c = base.clone();
         c.bank_busy = 0;
         assert_eq!(c.validate(), Err(MemConfigError::ZeroBankBusy));
@@ -477,7 +470,11 @@ mod tests {
             nearly_full.validate(),
             Err(MemConfigError::ContentionSaturatesBank { .. })
         ));
-        assert_eq!(nearly_full.without_refresh().validate(), Ok(()));
+        let no_refresh = MemConfig {
+            refresh_enabled: false,
+            ..nearly_full
+        };
+        assert_eq!(no_refresh.validate(), Ok(()));
     }
 
     /// The claim table is bounded by its claims per pattern period, and
@@ -515,12 +512,6 @@ mod tests {
         let mut c = CacheConfig::c240();
         c.line_words = 0;
         assert_eq!(c.validate(), Err(MemConfigError::ZeroCacheLineWords));
-    }
-
-    #[test]
-    #[should_panic(expected = "memory must have at least one bank: ZeroBanks")]
-    fn with_banks_panics_on_zero() {
-        let _ = MemConfig::c240().with_banks(0);
     }
 
     #[test]
