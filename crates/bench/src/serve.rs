@@ -54,8 +54,8 @@ use macs_core::supervise::{
 };
 use macs_core::sweep::{Fault, Journal, SweepPoint};
 use macs_core::{
-    compiled_intensity, measure_probed, measured_class, operational_intensity, ChimeConfig,
-    KernelBounds, MachineCeilings, Measurement, RooflineVerdict, ROOFLINE_SCHEMA,
+    compiled_intensity, measure, measure_probed, measured_class, operational_intensity,
+    ChimeConfig, KernelBounds, MachineCeilings, Measurement, RooflineVerdict, ROOFLINE_SCHEMA,
 };
 
 /// Stall-cycle metrics are exported as integer *ticks* (1/20 cycle), the
@@ -218,6 +218,8 @@ fn supervised_row(
 
 /// Per-run telemetry that rides alongside the measurement: fast-forward
 /// effectiveness and the stall taxonomy, fed into the metrics registry.
+/// The stall fields stay zero on an unprobed run: the multi-CPU path,
+/// and a 1-CPU point served with neither metrics nor roofline on.
 /// Like the measurement, it is free of wall-clock, which is what keeps
 /// fresh and resumed rows bit-identical.
 #[derive(Default)]
@@ -443,6 +445,7 @@ pub fn eval_point_observed(
             Arc::new(AtomicU32::new(0)),
         )
     });
+    let probed = obs.is_some() || roofline;
     let run = move || -> Result<(Measurement, RunTelemetry), String> {
         let mut attempt_span = attempt_ctx.as_ref().map(|(tracer, parent, count)| {
             let mut s = tracer.span_under("attempt", *parent);
@@ -456,17 +459,23 @@ pub fn eval_point_observed(
         }
         if cpus <= 1 {
             // Mirrors `analyze_kernel`'s measured run exactly: fresh CPU,
-            // kernel setup, probed measurement.
+            // kernel setup, measurement. The run is probed only when the
+            // row's stall counters are read (the metrics plane's counters,
+            // the roofline verdict); a probe never changes the result.
             let mut cpu = Cpu::new(cfg.clone());
             kernel.setup(&mut cpu);
-            let (m, probe) =
-                measure_probed(&mut cpu, &program, iterations, flops).map_err(|e| e.to_string())?;
-            let telemetry = RunTelemetry {
-                ff: cpu.ff_stats(),
-                stalls: probe.totals(),
-                busy_cycles: probe.busy_total(),
-                rollup: roofline.then(|| StallRollup::of_probe(&probe)),
+            let mut telemetry = RunTelemetry::default();
+            let m = if probed {
+                let (m, probe) = measure_probed(&mut cpu, &program, iterations, flops)
+                    .map_err(|e| e.to_string())?;
+                telemetry.stalls = probe.totals();
+                telemetry.busy_cycles = probe.busy_total();
+                telemetry.rollup = roofline.then(|| StallRollup::of_probe(&probe));
+                m
+            } else {
+                measure(&mut cpu, &program, iterations, flops).map_err(|e| e.to_string())?
             };
+            telemetry.ff = cpu.ff_stats();
             if let Some(s) = attempt_span.as_mut() {
                 s.arg("ff_skipped_instructions", telemetry.ff.skipped_instructions);
             }

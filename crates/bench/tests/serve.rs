@@ -540,6 +540,50 @@ fn roofline_flag_annotates_rows_and_its_absence_changes_nothing() {
     assert_eq!(row_by_id(&plain, "one").to_string(), direct.row.to_string());
 }
 
+/// `row` without its `key` field.
+fn without(row: &Json, key: &str) -> Json {
+    match row {
+        Json::Obj(pairs) => Json::Obj(pairs.iter().filter(|(k, _)| k != key).cloned().collect()),
+        other => panic!("row is not an object: {other}"),
+    }
+}
+
+/// A 1-CPU point runs probed only when `--metrics` or `--roofline` reads
+/// its stall counters; the probed and unprobed runs must serve the same
+/// row, once each flag's own field is set aside.
+#[test]
+fn probed_and_unprobed_runs_serve_identical_rows() {
+    let configs = [
+        "{}",
+        "{\"fast_forward\":false}",
+        "{\"chaining\":false}",
+        "{\"cpus\":2}",
+    ];
+    let mut input = String::new();
+    for kernel in [1, 3, 7, 8] {
+        for (c, config) in configs.iter().enumerate() {
+            input +=
+                &format!("{{\"id\":\"k{kernel}c{c}\",\"kernel\":{kernel},\"config\":{config}}}\n");
+        }
+    }
+    let (plain, _) = serve_once(&input, &[]);
+    assert_eq!(plain.len(), 16);
+    for (flag, field) in [("--metrics", "trace"), ("--roofline", "roofline")] {
+        let (rows, _) = serve_once(&input, &[flag]);
+        assert_eq!(rows.len(), plain.len(), "{flag}");
+        for row in &rows {
+            let id = field_str(row, "id").expect("rows carry their id");
+            assert_eq!(field_str(row, "status"), Some("ok"), "{flag} {id}");
+            assert!(row.get(field).is_some(), "{flag} stamps {field} on {id}");
+            assert_eq!(
+                without(row, field).to_string(),
+                row_by_id(&plain, id).to_string(),
+                "{flag} must not change {id}"
+            );
+        }
+    }
+}
+
 /// The roofline ceilings come from the point's resolved machine, not from
 /// a preset looked up again by name: a base machine that is no preset
 /// gets its own roof, not the C-240's.

@@ -14,7 +14,10 @@
 //! refresh windows and background [`ContentionStream`]s are honored.
 //! A vector load or store is granted as a whole stream by
 //! [`MemorySystem::grant_stream`], element by element exactly as
-//! [`MemorySystem::grant`] would grant each one.
+//! [`MemorySystem::grant`] would grant each one. Its data space is
+//! [`MemConfig::words`] words, every one `0.0` until written, and is
+//! stored grow-on-write: only the words up to the highest one written
+//! take memory.
 //! Times are exact integer *ticks*, 20 per cycle (the machine's 1/20-cycle
 //! timing quantum); read-outs such as [`MemorySystem::wait_cycles`] convert
 //! to cycles.

@@ -31,7 +31,9 @@ pub struct MemConfig {
     pub refresh_len: u64,
     /// Whether refresh is modeled (disable for ablations).
     pub refresh_enabled: bool,
-    /// Memory size in 8-byte words.
+    /// Size of the data space in 8-byte words: the bound every access is
+    /// checked against. Storage is allocated only for the words written,
+    /// so a large data space costs nothing until it is used.
     pub words: usize,
     /// Background traffic from the other CPUs.
     pub contention: ContentionConfig,
@@ -142,6 +144,10 @@ impl BankState {
 /// The memory system as seen from one CPU port: word-addressed data plus
 /// the (possibly shared) per-bank availability.
 ///
+/// The data space holds [`MemConfig::words`] words, all `0.0` until
+/// written. Its storage grows on write, to the highest word written, so
+/// creating a memory allocates nothing in proportion to its size.
+///
 /// Timing methods take the earliest tick an access may start and return
 /// the tick at which the bank granted it. Between request and grant the
 /// access may wait for: the bank's recovery from one of this CPU's own
@@ -157,6 +163,9 @@ pub struct MemorySystem {
     refresh: Option<(i64, i64)>,
     /// The background streams' claims (no rows on an idle machine).
     background: ClaimTable,
+    /// The data space's words up to the highest one written so far;
+    /// every word at or past its length reads `0.0`. `config.words`, not
+    /// this length, bounds the data space.
     data: Vec<f64>,
     bank: BankState,
     view: u32,
@@ -399,11 +408,10 @@ impl Port<'_> {
 }
 
 impl MemorySystem {
-    /// Creates a zero-filled memory with the given configuration, its
-    /// cycle parameters converted to ticks once.
+    /// Creates a memory whose every word reads `0.0`, with the given
+    /// configuration, its cycle parameters converted to ticks once.
     pub fn new(config: MemConfig) -> Self {
         let banks = config.banks;
-        let words = config.words;
         let refresh = (config.refresh_enabled && config.refresh_period > 0).then(|| {
             (
                 cycle_ticks(config.refresh_period),
@@ -419,7 +427,7 @@ impl MemorySystem {
                 .claims(banks, busy)
                 .expect("contention claim table exceeds its bounds"),
             config,
-            data: vec![0.0; words],
+            data: Vec::new(),
             bank: BankState::new(banks),
             view: 0,
             accesses: 0,
@@ -432,9 +440,9 @@ impl MemorySystem {
         &self.config
     }
 
-    /// Memory size in words.
+    /// Size of the data space in words ([`MemConfig::words`]).
     pub fn words(&self) -> usize {
-        self.data.len()
+        self.config.words
     }
 
     /// Accesses served through *this view* (this CPU's port).
@@ -490,8 +498,8 @@ impl MemorySystem {
     ///
     /// Panics if `addr` is outside the configured memory size.
     pub fn peek(&self, addr: u64) -> f64 {
-        self.check(addr);
-        self.data[addr as usize]
+        self.check(addr, 1);
+        self.data.get(addr as usize).copied().unwrap_or(0.0)
     }
 
     /// Writes data without touching timing state: setup, and the
@@ -501,17 +509,26 @@ impl MemorySystem {
     ///
     /// Panics if `addr` is outside the configured memory size.
     pub fn poke(&mut self, addr: u64, value: f64) {
-        self.check(addr);
-        self.data[addr as usize] = value;
+        self.check(addr, 1);
+        self.written(addr, 1)[0] = value;
     }
 
-    /// A contiguous run of `n` words starting at `addr`, or `None` if
-    /// the run leaves the configured memory. Bulk data access, timing
+    /// Copies the run of `dst.len()` words starting at `addr` into `dst`
+    /// and returns `true`, or returns `false`, copying nothing, if the
+    /// run leaves the configured memory. Bulk data access, timing
     /// untouched: the simulator's unit-stride vector loads read through
     /// it, and checks compare whole data spaces with it.
-    pub fn peek_run(&self, addr: u64, n: usize) -> Option<&[f64]> {
-        self.data
-            .get(addr as usize..(addr as usize).checked_add(n)?)
+    pub fn read_run(&self, addr: u64, dst: &mut [f64]) -> bool {
+        if !self.in_bounds(addr, dst.len()) {
+            return false;
+        }
+        let len = self.data.len();
+        let start = (addr as usize).min(len);
+        let end = (addr as usize + dst.len()).min(len);
+        let (stored, unwritten) = dst.split_at_mut(end - start);
+        stored.copy_from_slice(&self.data[start..end]);
+        unwritten.fill(0.0);
+        true
     }
 
     /// Writes `values` to the run of words starting at `addr` without
@@ -521,8 +538,18 @@ impl MemorySystem {
     ///
     /// Panics if the run leaves the configured memory.
     pub fn store_run(&mut self, addr: u64, values: &[f64]) {
-        let start = addr as usize;
-        self.data[start..start + values.len()].copy_from_slice(values);
+        self.check(addr, values.len());
+        self.written(addr, values.len()).copy_from_slice(values);
+    }
+
+    /// The stored run of `n` words at `addr`, growing the storage to
+    /// cover it; the caller has checked the run's bounds.
+    fn written(&mut self, addr: u64, n: usize) -> &mut [f64] {
+        let (start, end) = (addr as usize, addr as usize + n);
+        if end > self.data.len() {
+            self.data.resize(end, 0.0);
+        }
+        &mut self.data[start..end]
     }
 
     /// Clears all timing state (bank availability, statistics) while
@@ -533,11 +560,23 @@ impl MemorySystem {
         self.breakdown = WaitTicks::default();
     }
 
-    fn check(&self, addr: u64) {
+    /// Whether the run of `n` words starting at `addr` lies inside the
+    /// configured memory.
+    fn in_bounds(&self, addr: u64, n: usize) -> bool {
+        usize::try_from(addr)
+            .ok()
+            .and_then(|start| start.checked_add(n))
+            .is_some_and(|end| end <= self.config.words)
+    }
+
+    /// Panics unless the run of `n` words starting at `addr` lies inside
+    /// the configured memory, naming the run's last word.
+    fn check(&self, addr: u64, n: usize) {
         assert!(
-            (addr as usize) < self.data.len(),
-            "memory access out of bounds: word address {addr} >= {} words",
-            self.data.len()
+            self.in_bounds(addr, n),
+            "memory access out of bounds: word address {} >= {} words",
+            addr.saturating_add(n.saturating_sub(1) as u64),
+            self.config.words
         );
     }
 
@@ -555,7 +594,7 @@ impl MemorySystem {
     ///
     /// Panics if `addr` is outside the configured memory size.
     pub fn grant(&mut self, addr: u64, earliest: i64) -> i64 {
-        self.check(addr);
+        self.check(addr, 1);
         let bank = bank_of(addr, self.config.banks) as usize;
         let earliest = earliest.max(0);
         let mut port = self.port(earliest);
@@ -602,8 +641,11 @@ impl MemorySystem {
                 waits: WaitTicks::default(),
             };
         };
-        self.check(base);
-        self.check(base.wrapping_add_signed(stride.wrapping_mul(span as i64)));
+        self.check(base, 1);
+        self.check(
+            base.wrapping_add_signed(stride.wrapping_mul(span as i64)),
+            1,
+        );
         let banks = self.config.banks as usize;
         let step = stride.rem_euclid(banks as i64) as usize;
         let next = |bank: usize| {
@@ -802,14 +844,76 @@ mod tests {
         assert_eq!(mem.access_count(), 0);
     }
 
+    fn sixteen_words() -> MemorySystem {
+        MemorySystem::new(MemConfig {
+            words: 16,
+            ..MemConfig::c240()
+        })
+    }
+
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn out_of_bounds_panics() {
-        let mem = MemorySystem::new(MemConfig {
-            words: 16,
-            ..MemConfig::c240()
-        });
-        let _ = mem.peek(16);
+        let _ = sixteen_words().peek(16);
+    }
+
+    #[test]
+    fn storage_grows_on_write_and_reads_zero_above_it() {
+        let mut mem = sixteen_words();
+        assert_eq!(mem.words(), 16);
+        assert_eq!(mem.peek(15), 0.0);
+        mem.store_run(2, &[1.0, 2.0, 3.0]);
+        // Straddles the written length (5), then lies wholly above it.
+        let mut run = [f64::NAN; 6];
+        assert!(mem.read_run(3, &mut run));
+        assert_eq!(run, [2.0, 3.0, 0.0, 0.0, 0.0, 0.0]);
+        let mut run = [f64::NAN; 4];
+        assert!(mem.read_run(12, &mut run));
+        assert_eq!(run, [0.0; 4]);
+        mem.poke(15, 7.5);
+        assert_eq!(mem.peek(15), 7.5);
+        assert_eq!(mem.peek(14), 0.0);
+        let mut whole = [f64::NAN; 16];
+        assert!(mem.read_run(0, &mut whole));
+        assert_eq!(&whole[..6], &[0.0, 0.0, 1.0, 2.0, 3.0, 0.0]);
+        assert_eq!(whole[15], 7.5);
+    }
+
+    #[test]
+    fn runs_past_the_data_space_are_refused() {
+        let mem = sixteen_words();
+        let mut run = [f64::NAN; 4];
+        assert!(!mem.read_run(13, &mut run));
+        assert!(!mem.read_run(16, &mut run[..1]));
+        assert!(!mem.read_run(u64::MAX, &mut run));
+        assert!(
+            run.iter().all(|x| x.is_nan()),
+            "a refused read copies nothing"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn poke_past_the_data_space_panics() {
+        sixteen_words().poke(16, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds: word address 16 >= 16 words")]
+    fn store_run_past_the_data_space_panics() {
+        sixteen_words().store_run(14, &[1.0; 3]);
+    }
+
+    #[test]
+    fn cloned_stores_are_independent() {
+        let mut a = sixteen_words();
+        a.poke(1, 1.0);
+        let mut b = a.clone();
+        b.poke(1, 2.0);
+        b.poke(9, 3.0);
+        a.poke(4, 4.0);
+        assert_eq!((a.peek(1), a.peek(9), a.peek(4)), (1.0, 0.0, 4.0));
+        assert_eq!((b.peek(1), b.peek(9), b.peek(4)), (2.0, 3.0, 0.0));
     }
 
     #[test]
@@ -938,7 +1042,7 @@ mod tests {
     /// refresh phase, a prune on every access in multiport mode, and the
     /// counters bumped per access.
     fn oracle_grant(mem: &mut MemorySystem, addr: u64, earliest: i64) -> i64 {
-        mem.check(addr);
+        mem.check(addr, 1);
         let bank = (addr % u64::from(mem.config.banks)) as usize;
         let earliest = earliest.max(0);
         let busy = mem.busy;

@@ -652,8 +652,8 @@ impl Cpu {
                 let (base, stride) = (self.vector_base(addr)?, addr.stride.words());
                 let row = &mut self.vdata[usize::from(dst.index())][..n];
                 if stride == 1 {
-                    let run = self.mem.peek_run(base as u64, n);
-                    row.copy_from_slice(run.expect("vector_base checked the run"));
+                    let read = self.mem.read_run(base as u64, row);
+                    assert!(read, "vector_base checked the run");
                 } else {
                     for (e, value) in row.iter_mut().enumerate() {
                         *value = self.mem.peek(element_addr(base, stride, e));

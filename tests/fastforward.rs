@@ -41,8 +41,8 @@ fn run_one(config: SimConfig, kernel: &dyn LfkKernel, passes: i64) -> Outcome {
             .check(&cpu)
             .unwrap_or_else(|e| panic!("LFK{} wrong results: {e}", kernel.id()));
     }
-    let words = cpu.mem().words();
-    let data = cpu.mem().peek_run(0, words).expect("the whole data space");
+    let mut data = vec![0.0; cpu.mem().words()];
+    assert!(cpu.mem().read_run(0, &mut data), "the whole data space");
     Outcome {
         stats,
         probe,
