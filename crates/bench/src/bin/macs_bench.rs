@@ -46,10 +46,11 @@
 //! `--roofline` stamps every healthy row with a `roofline` object
 //! (schema `c240-roofline/v1`, DESIGN.md §16): operational intensity,
 //! the resolved machine's ceilings, the analytic memory/compute
-//! `bound_class`, and — on probed single-CPU rows — the cross-check
-//! verdict against the measured stall taxonomy. With `--metrics` it
-//! also feeds `macs_points_by_bound_class{class}` and the per-machine
-//! ceiling gauges.
+//! `bound_class`, the `measured_class` of the probed run (all CPUs of a
+//! co-simulated point combined) and the cross-check `verdict` between
+//! the two. With `--metrics` it also feeds
+//! `macs_points_by_bound_class{class}` and the per-machine ceiling
+//! gauges.
 //!
 //! `MACS_THREADS` sets the `--serve` pool width (default: all cores).
 //! Any other first argument, or none, is a usage error (exit status 2).

@@ -48,14 +48,14 @@ use c240_isa::PRESET_NAMES;
 use c240_obs::json::Json;
 use c240_obs::span::{spans_to_chrome, spans_to_ndjson};
 use c240_obs::{Metrics, Span, StallCause, SweepOutcomes, Tracer};
-use c240_sim::{Cpu, FfStats, Machine, SimConfig, StallRollup};
+use c240_sim::{CoSimProbes, CounterProbe, Cpu, FfStats, NoProbe, SimConfig, StallRollup};
 use macs_core::supervise::{
     supervise, supervise_observed, FailureKind, RetryPolicy, SuperviseEvent,
 };
 use macs_core::sweep::{Fault, Journal, SweepPoint};
 use macs_core::{
-    compiled_intensity, measure, measure_probed, measured_class, operational_intensity,
-    ChimeConfig, KernelBounds, MachineCeilings, Measurement, RooflineVerdict, ROOFLINE_SCHEMA,
+    compiled_intensity, measure, measured_class, operational_intensity, ChimeConfig, KernelBounds,
+    MachineCeilings, Measurement, RooflineVerdict, ROOFLINE_SCHEMA,
 };
 
 /// Stall-cycle metrics are exported as integer *ticks* (1/20 cycle), the
@@ -216,21 +216,16 @@ fn supervised_row(
         .field("poisoned", poisoned)
 }
 
-/// Per-run telemetry that rides alongside the measurement: fast-forward
-/// effectiveness and the stall taxonomy, fed into the metrics registry.
-/// The stall fields stay zero on an unprobed run: the multi-CPU path,
-/// and a 1-CPU point served with neither metrics nor roofline on.
-/// Like the measurement, it is free of wall-clock, which is what keeps
-/// fresh and resumed rows bit-identical.
-#[derive(Default)]
+/// Per-run telemetry that rides alongside the measurement, fed into the
+/// metrics registry and the roofline cross-check. Like the measurement,
+/// it is free of wall-clock, which is what keeps fresh and resumed rows
+/// bit-identical.
 struct RunTelemetry {
+    /// CPU 0's fast-forward effectiveness.
     ff: FfStats,
-    stalls: c240_obs::StallCounters,
-    busy_cycles: f64,
-    /// Memory-vs-compute occupancy of the probed run, for the roofline
-    /// cross-check. `None` on the (unprobed) multi-CPU path and when
-    /// roofline stamping is off.
-    rollup: Option<StallRollup>,
+    /// The probes of all the run's CPUs combined; `None` when neither
+    /// the metrics plane nor the roofline stamp reads them.
+    probe: Option<CounterProbe>,
 }
 
 /// Per-row wall-clock provenance, attached as the row's `trace` object
@@ -409,7 +404,7 @@ pub fn eval_point_observed(
         }
     };
 
-    let iterations = kernel.iterations_with_passes(passes);
+    let iters = kernel.iterations_with_passes(passes);
     let flops = kernel.flops_total();
     let fault = point.inject;
     let cpus = cfg.cpus as usize;
@@ -457,47 +452,27 @@ pub fn eval_point_observed(
             Some(Fault::SleepMs(ms)) => std::thread::sleep(Duration::from_millis(ms)),
             None => {}
         }
-        if cpus <= 1 {
-            // Mirrors `analyze_kernel`'s measured run exactly: fresh CPU,
-            // kernel setup, measurement. The run is probed only when the
-            // row's stall counters are read (the metrics plane's counters,
-            // the roofline verdict); a probe never changes the result.
-            let mut cpu = Cpu::new(cfg.clone());
-            kernel.setup(&mut cpu);
-            let mut telemetry = RunTelemetry::default();
-            let m = if probed {
-                let (m, probe) = measure_probed(&mut cpu, &program, iterations, flops)
-                    .map_err(|e| e.to_string())?;
-                telemetry.stalls = probe.totals();
-                telemetry.busy_cycles = probe.busy_total();
-                telemetry.rollup = roofline.then(|| StallRollup::of_probe(&probe));
-                m
-            } else {
-                measure(&mut cpu, &program, iterations, flops).map_err(|e| e.to_string())?
-            };
-            telemetry.ff = cpu.ff_stats();
-            if let Some(s) = attempt_span.as_mut() {
-                s.arg("ff_skipped_instructions", telemetry.ff.skipped_instructions);
-            }
-            Ok((m, telemetry))
+        // The measured run `analyze_kernel` makes too: the kernel on
+        // every CPU, reporting CPU 0 (all CPUs are symmetric under
+        // lockstep). It is probed only when the row's stall counters are
+        // read (the metrics plane's counters, the roofline verdict); a
+        // probe never changes the result.
+        let init = |cpu: &mut Cpu| kernel.setup(cpu);
+        let mut probes = CoSimProbes::new(cpus);
+        let run = if probed {
+            measure(&cfg, init, &program, iters, flops, probes.as_mut_slice())
         } else {
-            // Lockstep co-simulation: the kernel on every CPU, reporting
-            // CPU 0 (all CPUs are symmetric under lockstep).
-            let mut machine = Machine::new(cfg.clone());
-            let programs: Vec<_> = (0..cpus)
-                .map(|i| {
-                    kernel.setup(machine.cpu_mut(i));
-                    program.clone()
-                })
-                .collect();
-            let mut stats = machine.run(&programs).map_err(|e| e.to_string())?;
-            let m = Measurement {
-                stats: stats.swap_remove(0),
-                iterations,
-                flops_per_iteration: flops,
-            };
-            Ok((m, RunTelemetry::default()))
+            measure(&cfg, init, &program, iters, flops, &mut vec![NoProbe; cpus])
+        };
+        let (mut ms, machine) = run.map_err(|e| e.to_string())?;
+        let telemetry = RunTelemetry {
+            ff: machine.cpu(0).ff_stats(),
+            probe: probed.then(|| probes.combined()),
+        };
+        if let Some(s) = attempt_span.as_mut() {
+            s.arg("ff_skipped_instructions", telemetry.ff.skipped_instructions);
         }
+        Ok((ms.swap_remove(0), telemetry))
     };
     let s = match obs {
         Some((o, _)) => {
@@ -547,8 +522,10 @@ pub fn eval_point_observed(
                 metrics
                     .counter("macs_ff_skipped_instructions_total", &[])
                     .add(telemetry.ff.skipped_instructions);
+                let probe = telemetry.probe.as_ref().expect("observed runs are probed");
+                let stalls = probe.totals();
                 for cause in StallCause::ALL {
-                    let t = ticks(telemetry.stalls.get(cause));
+                    let t = ticks(stalls.get(cause));
                     if t > 0 {
                         metrics
                             .counter("macs_stall_ticks_total", &[("cause", cause.key())])
@@ -557,7 +534,7 @@ pub fn eval_point_observed(
                 }
                 metrics
                     .counter("macs_busy_ticks_total", &[])
-                    .add(ticks(telemetry.busy_cycles));
+                    .add(ticks(probe.busy_total()));
             }
             let mut row = base_row(point, &key)
                 .field("status", "ok")
@@ -575,13 +552,13 @@ pub fn eval_point_observed(
                     "memory_wait_cpl",
                     m.stats.memory_wait_cycles / m.iterations.max(1) as f64,
                 );
-            if let Some((ceilings, bounds, i_ma)) = &roofline_ctx {
+            if let Some(((ceilings, bounds, i_ma), probe)) =
+                roofline_ctx.as_ref().zip(telemetry.probe.as_ref())
+            {
                 let i = compiled_intensity(bounds);
                 let rp = ceilings.place(i);
-                let verdict = match &telemetry.rollup {
-                    Some(r) => RooflineVerdict::check(rp.bound_class, r),
-                    None => RooflineVerdict::Unchecked,
-                };
+                let rollup = StallRollup::of_probe(probe);
+                let verdict = RooflineVerdict::check(rp.bound_class, &rollup);
                 if let Some((o, _)) = obs {
                     let cpus_label = ceilings.cpus.to_string();
                     let labels = [("machine", machine.as_str()), ("cpus", cpus_label.as_str())];
@@ -607,10 +584,8 @@ pub fn eval_point_observed(
                     .field("bandwidth_mwords", ceilings.bandwidth_mwords())
                     .field("attainable_mflops", rp.attainable_mflops)
                     .field("bound_class", rp.bound_class.key())
-                    .field("verdict", verdict.key());
-                if let Some(r) = &telemetry.rollup {
-                    rf = rf.field("measured_class", measured_class(r).key());
-                }
+                    .field("verdict", verdict.key())
+                    .field("measured_class", measured_class(&rollup).key());
                 if let Some(finding) = verdict.finding(&rp, ceilings.ridge) {
                     rf = rf.field("finding", finding.to_string());
                 }

@@ -303,3 +303,28 @@ fn rows_without_obs_carry_no_provenance() {
     assert_eq!(row.get("status").and_then(Json::as_str), Some("ok"));
     assert!(row.get("trace").is_none(), "no obs, no trace field");
 }
+
+/// A co-sim point is probed under `--metrics` like a 1-CPU point: its
+/// CPUs' stall and busy ticks reach the registry.
+#[test]
+fn cosim_point_feeds_stall_counters() {
+    let obs = ServeObs::default();
+    let opts = ServeOptions {
+        workers: 1,
+        obs: Some(obs.clone()),
+        ..ServeOptions::default()
+    };
+    let input = "{\"id\":\"k1x2\",\"kernel\":1,\"passes\":4,\"config\":{\"cpus\":2}}\n";
+    let mut out = Vec::new();
+    let outcomes = serve(input.as_bytes(), &mut out, &opts).expect("serve succeeds");
+    assert_eq!(outcomes.ok, 1);
+
+    let prom = obs.metrics.render_prometheus();
+    let stall_ticks: u64 = prom
+        .lines()
+        .filter(|l| l.starts_with("macs_stall_ticks_total{"))
+        .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+        .sum();
+    assert!(stall_ticks > 0, "a 2-CPU point adds stall ticks:\n{prom}");
+    assert!(sample(&prom, "macs_busy_ticks_total").unwrap_or(0) > 0);
+}

@@ -10,6 +10,7 @@ use c240_sim::SimConfig;
 use macs_bench::{eval_point, eval_point_observed};
 use macs_core::supervise::RetryPolicy;
 use macs_core::sweep::parse_point;
+use macs_experiments::{run_roofline_with, Ablation};
 
 fn serve_cmd(extra: &[&str]) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_macs-bench"));
@@ -522,13 +523,16 @@ fn roofline_flag_annotates_rows_and_its_absence_changes_nothing() {
             "missing {key}"
         );
     }
-    // Multi-CPU co-sim rows are not probed, so the verdict is honest
-    // about it rather than inventing a measured class.
+    // A co-sim row is probed too: its verdict is checked against the
+    // measured class of all four CPUs combined.
     let rf4 = row_by_id(&rows, "four")
         .get("roofline")
         .expect("co-sim rows are annotated too");
-    assert_eq!(rf4.get("verdict").and_then(Json::as_str), Some("unchecked"));
-    assert!(rf4.get("measured_class").is_none());
+    assert_eq!(rf4.get("verdict").and_then(Json::as_str), Some("agree"));
+    assert_eq!(
+        rf4.get("measured_class").and_then(Json::as_str),
+        Some("memory")
+    );
     // Without the flag the field is absent and rows stay bit-identical
     // to the in-process evaluation path (no opt-out drift).
     let (plain, _) = serve_once(input, &[]);
@@ -538,6 +542,48 @@ fn roofline_flag_annotates_rows_and_its_absence_changes_nothing() {
     let point = parse_point("{\"id\":\"one\",\"kernel\":1}").expect("valid line");
     let direct = eval_point(&point, &SimConfig::c240(), None, &RetryPolicy::default());
     assert_eq!(row_by_id(&plain, "one").to_string(), direct.row.to_string());
+}
+
+/// A served co-sim point is the roofline artifact's co-sim row: the same
+/// measured run, so the same analytic class, measured class and verdict.
+#[test]
+fn served_cosim_roofline_rows_match_the_roofline_artifact() {
+    let mut input = String::new();
+    for kernel in [1, 3, 7] {
+        for cpus in [2, 4] {
+            input += &format!(
+                "{{\"id\":\"k{kernel}x{cpus}\",\"kernel\":{kernel},\"config\":{{\"cpus\":{cpus}}}}}\n"
+            );
+        }
+    }
+    let (rows, _) = serve_once(&input, &["--roofline"]);
+    assert_eq!(rows.len(), 6);
+    let report = run_roofline_with(&c240_isa::MachineDescription::c240(), &[2, 4]);
+    for kernel in [1, 3, 7] {
+        for cpus in [2, 4] {
+            let rf = row_by_id(&rows, &format!("k{kernel}x{cpus}"))
+                .get("roofline")
+                .expect("ok rows carry a roofline object");
+            let artifact = report
+                .rows
+                .iter()
+                .find(|r| r.kernel == kernel && r.cpus == cpus && r.ablation == Ablation::Baseline)
+                .expect("the artifact covers the baseline row");
+            let field = |key: &str| rf.get(key).and_then(Json::as_str);
+            let what = format!("LFK{kernel} x{cpus}");
+            assert_eq!(
+                field("bound_class"),
+                Some(artifact.point.bound_class.key()),
+                "{what}"
+            );
+            assert_eq!(
+                field("measured_class"),
+                Some(artifact.measured.key()),
+                "{what}"
+            );
+            assert_eq!(field("verdict"), Some(artifact.verdict.key()), "{what}");
+        }
+    }
 }
 
 /// `row` without its `key` field.

@@ -4,14 +4,14 @@
 use std::fmt;
 
 use c240_isa::Program;
-use c240_sim::{CounterProbe, Cpu, SimConfig, SimError};
+use c240_sim::{CounterProbe, Cpu, NoProbe, SimConfig, SimError};
 use macs_compiler::MaWorkload;
 
 use crate::ax::{a_process, prime_registers, x_process};
 use crate::bounds::KernelBounds;
 use crate::chime::ChimeConfig;
 use crate::diagnose::{diagnose, Finding};
-use crate::measure::{measure, measure_probed, Measurement};
+use crate::measure::{measure, Measurement};
 
 /// Everything the MACS methodology produces for one kernel: the three
 /// calculated bounds, the A/X measurements, and the measured run time.
@@ -141,7 +141,9 @@ impl fmt::Display for KernelAnalysis {
 /// derived from that same machine ([`ChimeConfig::for_machine`]).
 ///
 /// `setup` initializes each fresh CPU (memory contents, registers);
-/// it runs before the full, A-process, and X-process measurements.
+/// it runs before the full, A-process, and X-process measurements. Each
+/// is one [`measure`] run; when `sim_config` co-simulates several CPUs,
+/// CPU 0 reports.
 ///
 /// # Errors
 ///
@@ -158,18 +160,20 @@ pub fn analyze_kernel(
     let bounds = KernelBounds::compute(name, ma, program, &chime);
     let flops = bounds.flops;
 
-    let mut cpu = Cpu::new(sim_config.clone());
-    setup(&mut cpu);
-    let (measured, telemetry) = measure_probed(&mut cpu, program, iterations, flops)?;
-
-    let mut cpu_a = Cpu::new(sim_config.clone());
-    setup(&mut cpu_a);
-    let a = measure(&mut cpu_a, &a_process(program), iterations, flops)?;
-
-    let mut cpu_x = Cpu::new(sim_config.clone());
-    setup(&mut cpu_x);
-    prime_registers(&mut cpu_x);
-    let x = measure(&mut cpu_x, &x_process(program), iterations, flops)?;
+    let cpus = sim_config.cpus.max(1) as usize;
+    let mut probes = vec![CounterProbe::new(); cpus];
+    let (mut measured, _) = measure(sim_config, setup, program, iterations, flops, &mut probes)?;
+    let unprobed = |setup: &dyn Fn(&mut Cpu), program: &Program| {
+        let mut quiet = vec![NoProbe; cpus];
+        measure(sim_config, setup, program, iterations, flops, &mut quiet)
+            .map(|(mut ms, _)| ms.swap_remove(0))
+    };
+    let a = unprobed(setup, &a_process(program))?;
+    let primed = |cpu: &mut Cpu| {
+        setup(cpu);
+        prime_registers(cpu);
+    };
+    let x = unprobed(&primed, &x_process(program))?;
 
     let has_reduction = program
         .instructions()
@@ -178,11 +182,11 @@ pub fn analyze_kernel(
 
     Ok(KernelAnalysis {
         bounds,
-        measured,
+        measured: measured.swap_remove(0),
         a_process: a,
         x_process: x,
         has_reduction,
-        telemetry,
+        telemetry: probes.swap_remove(0),
     })
 }
 

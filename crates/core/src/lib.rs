@@ -86,7 +86,7 @@ pub use chime::{
     ChimePartition,
 };
 pub use diagnose::{diagnose, Finding};
-pub use measure::{measure, measure_probed, Measurement};
+pub use measure::{measure, Measurement};
 pub use overhead::{analyze_overhead, segmented_macs_cpl, OverheadModel};
 pub use pool::{parallel_map, threads};
 pub use report::{hierarchy_figure, TextTable};

@@ -4,7 +4,7 @@
 use std::fmt;
 
 use c240_isa::{Program, CLOCK_MHZ};
-use c240_sim::{CounterProbe, Cpu, RunStats, SimError};
+use c240_sim::{Cpu, Machine, Probe, RunStats, SimConfig, SimError};
 
 /// One measured run in the paper's units.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,60 +50,57 @@ impl fmt::Display for Measurement {
     }
 }
 
-/// Runs `program` on `cpu` and expresses the result per source iteration.
+/// Runs `program` on the machine `config` describes — the paper's
+/// measured run `t_p`, at any CPU count — and expresses each CPU's result
+/// per source iteration.
 ///
-/// The caller is responsible for having initialized memory and registers
-/// on the CPU (the run keeps them, see [`Cpu::run`]).
-///
-/// # Errors
-///
-/// Propagates simulator errors (runaway loop, bad address).
-pub fn measure(
-    cpu: &mut Cpu,
-    program: &Program,
-    iterations: u64,
-    flops_per_iteration: u32,
-) -> Result<Measurement, SimError> {
-    let stats = cpu.run(program)?;
-    Ok(Measurement {
-        stats,
-        iterations,
-        flops_per_iteration,
-    })
-}
-
-/// Like [`measure`], but also collects the per-lane cycle attribution of
-/// the run (see [`Cpu::run_probed`]).
+/// A fresh [`Machine`] of [`SimConfig::cpus`] CPUs is built and `setup`
+/// initializes every CPU (memory contents, registers) in CPU order. Each
+/// CPU then runs `program`, reporting its cycle attribution to the probe
+/// of the same index ([`NoProbe`](c240_sim::NoProbe) when nothing reads
+/// it). One CPU runs its own loop, exactly [`Cpu::run_probed`]; more run
+/// in lockstep against the shared banks (§4.2, see [`Machine`]). The
+/// machine comes back with the measurements so the caller can read each
+/// CPU's registers, memory and [`Cpu::ff_stats`].
 ///
 /// # Errors
 ///
 /// Propagates simulator errors (runaway loop, bad address).
-pub fn measure_probed(
-    cpu: &mut Cpu,
+///
+/// # Panics
+///
+/// Panics if `probes.len()` differs from the machine's CPU count.
+pub fn measure<P: Probe>(
+    config: &SimConfig,
+    mut setup: impl FnMut(&mut Cpu),
     program: &Program,
     iterations: u64,
     flops_per_iteration: u32,
-) -> Result<(Measurement, CounterProbe), SimError> {
-    let mut probe = CounterProbe::new();
-    let stats = cpu.run_probed(program, &mut probe)?;
-    Ok((
-        Measurement {
+    probes: &mut [P],
+) -> Result<(Vec<Measurement>, Machine), SimError> {
+    let mut machine = Machine::new(config.clone());
+    for i in 0..machine.cpus() {
+        setup(machine.cpu_mut(i));
+    }
+    let stats = machine.run_probed(&vec![program; machine.cpus()], probes)?;
+    let measurements = stats
+        .into_iter()
+        .map(|stats| Measurement {
             stats,
             iterations,
             flops_per_iteration,
-        },
-        probe,
-    ))
+        })
+        .collect();
+    Ok((measurements, machine))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use c240_isa::ProgramBuilder;
-    use c240_sim::SimConfig;
+    use c240_sim::{CounterProbe, NoProbe};
 
-    #[test]
-    fn measure_simple_loop() {
+    fn copy_loop() -> Program {
         let mut b = ProgramBuilder::new();
         b.mov_int(1024, "s0");
         b.label("L");
@@ -117,10 +114,18 @@ mod tests {
         b.cmp_imm("lt", 0, "s0");
         b.branch_true("L");
         b.halt();
-        let p = b.build().unwrap();
-        let mut cpu = Cpu::new(SimConfig::c240().without_refresh());
+        b.build().unwrap()
+    }
+
+    fn setup(cpu: &mut Cpu) {
         cpu.set_areg(2, 80000);
-        let m = measure(&mut cpu, &p, 1024, 1).unwrap();
+    }
+
+    #[test]
+    fn measure_simple_loop() {
+        let config = SimConfig::c240().without_refresh();
+        let (ms, _) = measure(&config, setup, &copy_loop(), 1024, 1, &mut [NoProbe]).unwrap();
+        let m = &ms[0];
         // Two memory chimes per iteration: ~2 CPL steady state plus
         // startup amortized over 8 strips.
         assert!(m.cpl() > 2.0 && m.cpl() < 2.4, "cpl {}", m.cpl());
@@ -129,13 +134,46 @@ mod tests {
     }
 
     #[test]
+    fn one_cpu_is_the_plain_cpu_run_and_more_share_the_banks() {
+        let program = copy_loop();
+        let mut cpu = Cpu::new(SimConfig::c240());
+        setup(&mut cpu);
+        let mut plain_probe = CounterProbe::new();
+        let plain = cpu.run_probed(&program, &mut plain_probe).unwrap();
+
+        let mut probe = [CounterProbe::new()];
+        let (solo, machine) =
+            measure(&SimConfig::c240(), setup, &program, 1024, 1, &mut probe).unwrap();
+        assert_eq!(solo[0].stats, plain);
+        assert_eq!(probe[0], plain_probe);
+        assert_eq!(machine.cpu(0).ff_stats(), cpu.ff_stats());
+
+        let mut probes = vec![CounterProbe::new(); 2];
+        let config = SimConfig::c240().with_cpus(2);
+        let (pair, machine) = measure(&config, setup, &program, 1024, 1, &mut probes).unwrap();
+        assert_eq!(pair.len(), 2);
+        assert_eq!(machine.cpus(), 2);
+        for (m, probe) in pair.iter().zip(&probes) {
+            assert!(m.stats.cycles >= plain.cycles, "sharing banks cannot help");
+            assert!(probe.busy_total() > 0.0, "every CPU reports to its probe");
+        }
+    }
+
+    #[test]
     fn display_mentions_units() {
         let mut b = ProgramBuilder::new();
         b.nop();
         b.halt();
-        let mut cpu = Cpu::new(SimConfig::c240());
-        let m = measure(&mut cpu, &b.build().unwrap(), 1, 1).unwrap();
-        let text = m.to_string();
+        let (ms, _) = measure(
+            &SimConfig::c240(),
+            |_| {},
+            &b.build().unwrap(),
+            1,
+            1,
+            &mut [NoProbe],
+        )
+        .unwrap();
+        let text = ms[0].to_string();
         assert!(text.contains("CPL"));
         assert!(text.contains("MFLOPS"));
     }

@@ -219,9 +219,6 @@ pub enum RooflineVerdict {
         /// What the stall-taxonomy rollup said.
         measured: BoundClass,
     },
-    /// No probe data was available (e.g. lockstep co-sim rows, which
-    /// run unprobed), so only the analytic class stands.
-    Unchecked,
 }
 
 impl RooflineVerdict {
@@ -240,7 +237,6 @@ impl RooflineVerdict {
         match self {
             RooflineVerdict::Agree { .. } => "agree",
             RooflineVerdict::Disagree { .. } => "disagree",
-            RooflineVerdict::Unchecked => "unchecked",
         }
     }
 
@@ -250,7 +246,7 @@ impl RooflineVerdict {
     }
 
     /// The [`Finding`] a disagreement contributes to the diagnosis
-    /// stream; `None` for agree/unchecked.
+    /// stream; `None` for an agreement.
     pub fn finding(self, point: &RooflinePoint, ridge: f64) -> Option<Finding> {
         match self {
             RooflineVerdict::Disagree { analytic, measured } => Some(Finding::RooflineMismatch {
@@ -259,7 +255,7 @@ impl RooflineVerdict {
                 intensity: point.intensity,
                 ridge,
             }),
-            _ => None,
+            RooflineVerdict::Agree { .. } => None,
         }
     }
 }
@@ -350,14 +346,16 @@ mod tests {
         assert_eq!(v.key(), "disagree");
         let finding = v.finding(&point, 2.0).expect("disagreement finds");
         assert!(finding.to_string().contains("roofline"));
-        assert!(RooflineVerdict::Unchecked.finding(&point, 2.0).is_none());
     }
 
     #[test]
     fn keys_are_stable() {
         assert_eq!(BoundClass::Memory.key(), "memory");
         assert_eq!(BoundClass::Compute.key(), "compute");
-        assert_eq!(RooflineVerdict::Unchecked.key(), "unchecked");
+        let agree = RooflineVerdict::Agree {
+            class: BoundClass::Memory,
+        };
+        assert_eq!(agree.key(), "agree");
         assert_eq!(ROOFLINE_SCHEMA, "c240-roofline/v1");
     }
 }

@@ -14,8 +14,8 @@
 //!                  line so rows land under per-machine journal keys.
 //! --cpus N:        co-simulated CPUs for the `cosim` artifact
 //!                  (default: the machine's port count — 4 on the C-240,
-//!                  the machine the paper's bands describe)
-//!                  and per-point CPUs for `sweep-grid`
+//!                  the machine the paper's bands describe), at most
+//!                  that port count, and per-point CPUs for `sweep-grid`
 //! --mix MIX:       restrict `cosim` to one workload mix
 //!                  (default: both lockstep and mixed)
 //! --csv DIR:       additionally write each table as CSV into DIR
@@ -48,8 +48,8 @@ use std::process::ExitCode;
 
 use c240_isa::{MachineDescription, PRESET_NAMES};
 use c240_obs::json::Json;
-use c240_sim::{Cpu, SimConfig, Trace};
-use macs_core::{RunReport, RUN_REPORT_SCHEMA};
+use c240_sim::{SimConfig, Trace};
+use macs_core::{measure, RunReport, RUN_REPORT_SCHEMA};
 use macs_experiments::cosim::{cosim_csv, cosim_table, run_cosim, Mix};
 use macs_experiments::{
     figures, run_roofline, run_roofline_with, tables, worked_example, Ablation, GridSpec, Suite,
@@ -171,9 +171,19 @@ fn parse_args() -> Result<Args, String> {
     if artifacts.is_empty() {
         artifacts.push("all".to_string());
     }
+    let machine = machine.unwrap_or_else(MachineDescription::c240);
+    // `cosim` (in `all`) and `roofline` co-simulate `--cpus` CPUs on this
+    // machine; `sweep-grid` preempts both and leaves points to the server.
+    let asked = |names: &[&str]| artifacts.iter().any(|a| names.contains(&a.as_str()));
+    let co_simulates = asked(&["cosim", "all", "roofline"]) && !asked(&["sweep-grid"]);
+    if let Some(n) = cpus.filter(|_| co_simulates) {
+        let mut config = SimConfig::for_machine(&machine);
+        config.cpus = n;
+        config.validate().map_err(|e| format!("--cpus {n}: {e}"))?;
+    }
     Ok(Args {
         artifacts,
-        machine: machine.unwrap_or_else(MachineDescription::c240),
+        machine,
         cpus,
         mix,
         csv_dir,
@@ -206,10 +216,15 @@ fn write_traces(dir: &PathBuf, suite: &Suite) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
     for row in &suite.rows {
         let kernel = lfk_suite::by_id(row.id).expect("suite rows come from the registry");
-        let mut cpu = Cpu::new(suite.sim.clone());
-        kernel.setup(&mut cpu);
         let mut trace = Trace::default();
-        if let Err(e) = cpu.run_probed(&kernel.program(), &mut trace) {
+        if let Err(e) = measure(
+            &suite.sim,
+            |cpu| kernel.setup(cpu),
+            &kernel.program(),
+            kernel.iterations(),
+            kernel.flops_total(),
+            std::slice::from_mut(&mut trace),
+        ) {
             eprintln!("LFK{}: trace run failed: {e}", row.id);
             continue;
         }

@@ -16,8 +16,9 @@
 //! measured slowdowns stay inside the paper's windows.
 
 use c240_mem::{ContentionConfig, WaitBreakdown};
-use c240_sim::{Machine, RunStats, SimConfig};
+use c240_sim::{Machine, NoProbe, SimConfig};
 use lfk_suite::LfkKernel;
+use macs_core::measure;
 
 /// How the co-simulated CPUs' workloads relate to each other (§4.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,15 +146,18 @@ fn cosim_config(sim: &SimConfig, cpus: u32) -> SimConfig {
 }
 
 /// Runs one kernel alone on an otherwise idle single-CPU machine and
-/// returns its stats — the denominator of every slowdown.
-fn solo_run(kernel: &dyn LfkKernel, sim: &SimConfig) -> RunStats {
-    let mut machine = Machine::new(cosim_config(sim, 1));
-    kernel.setup(machine.cpu_mut(0));
-    let program = kernel.program();
-    let stats = machine
-        .run(std::slice::from_ref(&program))
-        .expect("curated kernels simulate cleanly");
-    stats.into_iter().next().expect("one CPU, one result")
+/// returns its cycles — the denominator of every slowdown.
+fn solo_run(kernel: &dyn LfkKernel, sim: &SimConfig) -> f64 {
+    let (solo, _) = measure(
+        &cosim_config(sim, 1),
+        |cpu| kernel.setup(cpu),
+        &kernel.program(),
+        kernel.iterations(),
+        kernel.flops_total(),
+        &mut [NoProbe],
+    )
+    .expect("curated kernels simulate cleanly");
+    solo[0].stats.cycles
 }
 
 /// Co-simulates `sim.cpus` CPUs (at least 2 for a meaningful
@@ -181,17 +185,11 @@ pub fn run_cosim(sim: &SimConfig, mix: Mix) -> CoSimReport {
     let mut unique_ids: Vec<u32> = ids.clone();
     unique_ids.sort_unstable();
     unique_ids.dedup();
-    let solo: Vec<(u32, RunStats)> = macs_core::parallel_map(unique_ids, |id| {
+    let solo: Vec<(u32, f64)> = macs_core::parallel_map(unique_ids, |id| {
         let k = lfk_suite::by_id(id).expect("curated id");
         (id, solo_run(k.as_ref(), sim))
     });
-    let solo_cycles = |id: u32| -> f64 {
-        solo.iter()
-            .find(|(i, _)| *i == id)
-            .expect("solo run")
-            .1
-            .cycles
-    };
+    let solo_cycles = |id: u32| solo.iter().find(|(i, _)| *i == id).expect("solo run").1;
 
     // The co-simulation itself.
     let mut machine = Machine::new(cosim_config(sim, cpus));

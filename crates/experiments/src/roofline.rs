@@ -8,10 +8,10 @@
 //! perfectly compiled kernel could sit) and the compiled intensity
 //! (where the generated code does sit, and what the
 //! [`macs_core::BoundClass`] is judged on) — plus a probed
-//! [`RooflineVerdict`]: single-CPU rows use the probed measurement
-//! path, multi-CPU rows a probed lockstep co-simulation, so *every*
-//! row's classification is checked against a measured
-//! [`c240_sim::StallRollup`].
+//! [`RooflineVerdict`]. Every row is one [`macs_core::measure`] run with
+//! a probe per CPU (a lockstep co-simulation above one CPU), and its
+//! classification is checked against the [`c240_sim::StallRollup`] of
+//! those probes combined.
 //!
 //! The roof itself is always the named machine's baseline roof:
 //! ablations move the measured point, not the ceilings, so a
@@ -22,12 +22,11 @@
 
 use c240_isa::{MachineDescription, CLOCK_MHZ};
 use c240_obs::json::Json;
-use c240_sim::{CoSimProbes, Cpu, Machine, SimConfig, StallRollup};
+use c240_sim::{CoSimProbes, SimConfig, StallRollup};
 use macs_core::sweep::SweepPoint;
 use macs_core::{
-    compiled_intensity, measure_probed, measured_class, operational_intensity, BoundClass,
-    ChimeConfig, KernelBounds, MachineCeilings, RooflinePoint, RooflineVerdict, TextTable,
-    ROOFLINE_SCHEMA,
+    compiled_intensity, measure, measured_class, operational_intensity, BoundClass, ChimeConfig,
+    KernelBounds, MachineCeilings, RooflinePoint, RooflineVerdict, TextTable, ROOFLINE_SCHEMA,
 };
 
 use crate::Ablation;
@@ -99,33 +98,19 @@ fn eval_row(
     let chime = ChimeConfig::for_machine(machine);
     let bounds = KernelBounds::compute(&format!("LFK{kernel_id}"), kernel.ma(), &program, &chime);
     let cfg = ablated_config(&SimConfig::for_machine(machine), ablation, cpus);
-    let (rollup, flops, cycles) = if cpus <= 1 {
-        let mut cpu = Cpu::new(cfg);
-        kernel.setup(&mut cpu);
-        let (m, probe) = measure_probed(
-            &mut cpu,
-            &program,
-            kernel.iterations(),
-            kernel.flops_total(),
-        )
-        .expect("curated kernels simulate cleanly");
-        (StallRollup::of_probe(&probe), m.stats.flops, m.stats.cycles)
-    } else {
-        let mut sim = Machine::new(cfg);
-        let programs: Vec<_> = (0..cpus as usize)
-            .map(|i| {
-                kernel.setup(sim.cpu_mut(i));
-                program.clone()
-            })
-            .collect();
-        let mut probes = CoSimProbes::new(cpus as usize);
-        let stats = sim
-            .run_probed(&programs, probes.as_mut_slice())
-            .expect("curated kernels co-simulate cleanly");
-        let flops: u64 = stats.iter().map(|s| s.flops).sum();
-        let cycles = stats.iter().map(|s| s.cycles).fold(0.0, f64::max);
-        (StallRollup::of_probe(&probes.combined()), flops, cycles)
-    };
+    let mut probes = CoSimProbes::new(cpus as usize);
+    let (ms, _) = measure(
+        &cfg,
+        |cpu| kernel.setup(cpu),
+        &program,
+        kernel.iterations(),
+        kernel.flops_total(),
+        probes.as_mut_slice(),
+    )
+    .expect("curated kernels simulate cleanly");
+    let rollup = StallRollup::of_probe(&probes.combined());
+    let flops: u64 = ms.iter().map(|m| m.stats.flops).sum();
+    let cycles = ms.iter().map(|m| m.stats.cycles).fold(0.0, f64::max);
     let point = ceilings.place(compiled_intensity(&bounds));
     let measured_mflops = if cycles > 0.0 {
         flops as f64 * CLOCK_MHZ / cycles
@@ -312,8 +297,11 @@ mod tests {
             assert!(r.point.intensity > 0.0 && r.point.intensity.is_finite());
             assert!(r.point.attainable_mflops <= r.point.ceiling);
             assert!(r.measured_mflops > 0.0);
-            // Every row is probed, so no verdict is ever Unchecked.
-            assert_ne!(r.verdict, RooflineVerdict::Unchecked);
+            // Every row is probed: its verdict compares the two classes.
+            assert_eq!(
+                r.verdict.is_disagreement(),
+                r.measured != r.point.bound_class
+            );
         }
         assert!(
             report.baseline_disagreements().is_empty(),

@@ -9,8 +9,9 @@
 use std::process::ExitCode;
 
 use c240_mem::ContentionConfig;
-use c240_sim::{Cpu, SimConfig};
+use c240_sim::{Cpu, NoProbe, SimConfig};
 use lfk_suite::{all, by_id, LfkKernel};
+use macs_core::measure;
 
 fn main() -> ExitCode {
     let mut ids: Vec<u32> = Vec::new();
@@ -52,19 +53,18 @@ fn main() -> ExitCode {
     );
     let mut failed = false;
     for kernel in kernels {
-        let mut cpu = Cpu::new(config.clone());
-        kernel.setup(&mut cpu);
-        let stats = match cpu.run(&kernel.program()) {
-            Ok(s) => s,
+        let setup = |cpu: &mut Cpu| kernel.setup(cpu);
+        let (program, iters, flops) = (kernel.program(), kernel.iterations(), kernel.flops_total());
+        let run = measure(&config, setup, &program, iters, flops, &mut [NoProbe]);
+        let (m, machine) = match run {
+            Ok((mut ms, machine)) => (ms.swap_remove(0), machine),
             Err(e) => {
                 eprintln!("LFK{}: simulation failed: {e}", kernel.id());
                 failed = true;
                 continue;
             }
         };
-        let cpl = stats.cycles / kernel.iterations() as f64;
-        let cpf = cpl / f64::from(kernel.flops_total());
-        let verdict = match kernel.check(&cpu) {
+        let verdict = match kernel.check(machine.cpu(0)) {
             Ok(()) => "ok".to_string(),
             Err(e) => {
                 failed = true;
@@ -75,10 +75,10 @@ fn main() -> ExitCode {
             "{:<5} {:<28} {:>10.0} {:>9.3} {:>9.3} {:>8.2}   {verdict}",
             kernel.id(),
             kernel.name(),
-            stats.cycles,
-            cpl,
-            cpf,
-            c240_isa::CLOCK_MHZ / cpf,
+            m.stats.cycles,
+            m.cpl(),
+            m.cpf(),
+            m.mflops(),
         );
     }
     if failed {

@@ -102,7 +102,9 @@ impl SimConfig {
     /// [`SimConfig::validate`] instead.
     pub fn with_cpus(mut self, n: u32) -> Self {
         self.cpus = n;
-        self.check_cpus().expect("a machine needs at least one CPU");
+        if let Err(e) = self.check_cpus() {
+            panic!("SimConfig::with_cpus({n}): {e}");
+        }
         self
     }
 

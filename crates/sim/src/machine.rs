@@ -27,11 +27,12 @@
 //! Steady-state fast-forward keys on *one* CPU's periodic timing state;
 //! with neighbors banging the same banks that state no longer determines
 //! the future, so the [`Machine`] disables fast-forward whenever it
-//! drives more than one CPU. With exactly one CPU it leaves fast-forward
-//! to [`SimConfig::fast_forward`] and the whole path — begin, per
-//! instruction step, finish — is the identical code the plain
-//! [`Cpu::run_probed`] executes, so a 1-CPU machine is bit-identical to
-//! the legacy single-CPU simulator (asserted in `tests/cosim.rs`).
+//! drives more than one CPU. A one-CPU machine has no neighbors to
+//! arbitrate against: it runs that CPU's own [`Cpu::run_probed`] loop,
+//! against the CPU's own banks and with fast-forward as
+//! [`SimConfig::fast_forward`] sets it, so it costs and reports exactly
+//! what the plain single-CPU simulator does (asserted in
+//! `tests/cosim.rs`).
 //!
 //! [`ContentionStream`]: c240_mem::ContentionStream
 //!
@@ -61,6 +62,8 @@
 //!            stats.iter().map(|s| s.memory_accesses).sum::<u64>());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
+
+use std::borrow::Borrow;
 
 use c240_mem::{BankState, WaitTicks};
 use c240_obs::{NoProbe, Probe};
@@ -94,18 +97,14 @@ impl Machine {
                 cpu
             })
             .collect();
-        // More than one port: track claims individually so a grant
+        // Co-simulated ports: track claims individually so a grant
         // search can fit into the idle windows between another CPU's
         // bank rotations; a single "earliest free" cursor would serialize
-        // whole vector instructions against each other. One port issues
-        // requests in non-decreasing time order, where the plain cursor
-        // grants identically and keeps fast-forward's state snapshot
-        // valid.
-        let shared = if n > 1 {
-            BankState::multiport(banks)
-        } else {
-            BankState::new(banks)
-        };
+        // whole vector instructions against each other. A lone CPU never
+        // touches this state: it runs against its own plain cursor, which
+        // grants in-order requests identically and keeps fast-forward's
+        // state snapshot valid.
+        let shared = BankState::multiport(banks);
         Machine { cpus, shared }
     }
 
@@ -164,7 +163,8 @@ impl Machine {
     }
 
     /// Like [`Machine::run`], reporting each CPU's cycle attribution to
-    /// the probe of the same index.
+    /// the probe of the same index. `programs` holds one program (or a
+    /// reference to one) per CPU.
     ///
     /// # Errors
     ///
@@ -176,18 +176,22 @@ impl Machine {
     /// `cpus()`.
     pub fn run_probed<P: Probe>(
         &mut self,
-        programs: &[Program],
+        programs: &[impl Borrow<Program>],
         probes: &mut [P],
     ) -> Result<Vec<RunStats>, SimError> {
         let n = self.cpus.len();
         assert_eq!(programs.len(), n, "one program per CPU");
         assert_eq!(probes.len(), n, "one probe per CPU");
-        let allow_ff = n == 1;
+        if let [cpu] = self.cpus.as_mut_slice() {
+            // Nothing to arbitrate: the CPU's own loop, fast-forward
+            // included.
+            return Ok(vec![cpu.run_probed(programs[0].borrow(), &mut probes[0])?]);
+        }
         self.shared.reset();
         let mut cursors: Vec<_> = self
             .cpus
             .iter_mut()
-            .map(|cpu| cpu.begin_run::<P>(allow_ff))
+            .map(|cpu| cpu.begin_run::<P>(false))
             .collect();
         loop {
             // Fixed arbitration order: lowest issue clock, then lowest
@@ -216,7 +220,8 @@ impl Machine {
             self.shared
                 .set_horizon(self.cpus[i].issue_clock() - 512 * TICKS_PER_CYCLE);
             self.cpus[i].mem_mut().swap_bank_state(&mut self.shared);
-            let stepped = self.cpus[i].step_one(&programs[i], &mut probes[i], &mut cursors[i]);
+            let stepped =
+                self.cpus[i].step_one(programs[i].borrow(), &mut probes[i], &mut cursors[i]);
             // Swap the shared state back out before propagating an error
             // so the machine stays consistent either way.
             self.cpus[i].mem_mut().swap_bank_state(&mut self.shared);

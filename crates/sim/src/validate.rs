@@ -458,7 +458,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "a machine needs at least one CPU: MoreCpusThanPorts")]
+    #[should_panic(expected = "with_cpus(5): CPU count 5 exceeds the machine's 4 memory ports")]
     fn with_cpus_panics_past_the_port_count() {
         let _ = SimConfig::c240().with_cpus(5);
     }

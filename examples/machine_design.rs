@@ -13,17 +13,9 @@
 
 use c240_isa::MachineDescription;
 use c240_mem::ContentionConfig;
-use c240_sim::{Cpu, SimConfig};
+use c240_sim::{Cpu, NoProbe, SimConfig};
 use lfk_suite::by_id;
-use macs_core::{ChimeConfig, KernelBounds};
-
-fn measure(config: &SimConfig) -> f64 {
-    let kernel = by_id(1).expect("LFK1");
-    let mut cpu = Cpu::new(config.clone());
-    kernel.setup(&mut cpu);
-    let stats = cpu.run(&kernel.program()).expect("LFK1 runs");
-    stats.cycles / kernel.iterations() as f64 / 5.0
-}
+use macs_core::{measure, ChimeConfig, KernelBounds};
 
 fn main() {
     let kernel = by_id(1).expect("LFK1");
@@ -74,7 +66,10 @@ fn main() {
     for (name, sim) in variants {
         let chime = ChimeConfig::for_machine(&sim.machine);
         let bounds = KernelBounds::compute("LFK1", kernel.ma(), &program, &chime);
-        let measured = measure(&sim);
+        let setup = |cpu: &mut Cpu| kernel.setup(cpu);
+        let iters = kernel.iterations();
+        let run = measure(&sim, setup, &program, iters, bounds.flops, &mut [NoProbe]);
+        let measured = run.expect("LFK1 runs").0[0].cpf();
         println!(
             "{:<34} {:>8.3} {:>9.3}",
             name,

@@ -8,10 +8,10 @@
 mod prop_support;
 
 use c240_isa::MachineDescription;
-use c240_sim::{Cpu, SimConfig, StallRollup};
+use c240_sim::{CounterProbe, SimConfig, StallRollup};
 use macs_core::{
-    compiled_intensity, measure_probed, measured_class, operational_intensity, BoundClass,
-    ChimeConfig, KernelBounds, MachineCeilings, RooflineVerdict,
+    compiled_intensity, measure, measured_class, operational_intensity, BoundClass, ChimeConfig,
+    KernelBounds, MachineCeilings, RooflineVerdict,
 };
 use prop_support::Rng;
 
@@ -86,16 +86,17 @@ fn analytic_class_agrees_with_stall_taxonomy_on_every_preset() {
                 &program,
                 &chime,
             );
-            let mut cpu = Cpu::new(sim.clone());
-            kernel.setup(&mut cpu);
-            let (_, probe) = measure_probed(
-                &mut cpu,
+            let mut probe = [CounterProbe::new()];
+            measure(
+                &sim,
+                |cpu| kernel.setup(cpu),
                 &program,
                 kernel.iterations(),
                 kernel.flops_total(),
+                &mut probe,
             )
             .expect("curated kernels simulate cleanly");
-            let rollup = StallRollup::of_probe(&probe);
+            let rollup = StallRollup::of_probe(&probe[0]);
             let point = ceilings.place(compiled_intensity(&bounds));
             let verdict = RooflineVerdict::check(point.bound_class, &rollup);
             assert!(
