@@ -44,13 +44,15 @@
 //! writes the same spans as NDJSON. Either implies `--metrics`.
 //!
 //! `--roofline` stamps every healthy row with a `roofline` object
-//! (schema `c240-roofline/v1`, DESIGN.md §16): operational intensity,
-//! the resolved machine's ceilings, the analytic memory/compute
-//! `bound_class`, the `measured_class` of the probed run (all CPUs of a
-//! co-simulated point combined) and the cross-check `verdict` between
-//! the two. With `--metrics` it also feeds
-//! `macs_points_by_bound_class{class}` and the per-machine ceiling
-//! gauges.
+//! (schema `c240-roofline/v1`, DESIGN.md §16): `macs_core::Roofline`'s
+//! JSON for the point's resolved machine, the kernel's bounds and the
+//! probes of all the run's CPUs combined — operational intensity, the
+//! ceilings, the analytic memory/compute `bound_class`, the
+//! `measured_class` of the probed run and the cross-check `verdict`
+//! between the two, plus a `finding` on a disagreement. The artifact
+//! `macs-report roofline` builds its rows with the same constructor.
+//! With `--metrics` it also feeds `macs_points_by_bound_class{class}`
+//! and the per-machine ceiling gauges.
 //!
 //! `MACS_THREADS` sets the `--serve` pool width (default: all cores).
 //! Any other first argument, or none, is a usage error (exit status 2).

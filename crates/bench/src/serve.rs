@@ -48,15 +48,12 @@ use c240_isa::PRESET_NAMES;
 use c240_obs::json::Json;
 use c240_obs::span::{spans_to_chrome, spans_to_ndjson};
 use c240_obs::{Metrics, Span, StallCause, SweepOutcomes, Tracer};
-use c240_sim::{CoSimProbes, CounterProbe, Cpu, FfStats, NoProbe, SimConfig, StallRollup};
+use c240_sim::{CounterProbe, Cpu, FfStats, NoProbe, SimConfig};
 use macs_core::supervise::{
     supervise, supervise_observed, FailureKind, RetryPolicy, SuperviseEvent,
 };
 use macs_core::sweep::{Fault, Journal, SweepPoint};
-use macs_core::{
-    compiled_intensity, measure, measured_class, operational_intensity, ChimeConfig, KernelBounds,
-    MachineCeilings, Measurement, RooflineVerdict, ROOFLINE_SCHEMA,
-};
+use macs_core::{measure, ChimeConfig, KernelBounds, Measurement, Roofline};
 
 /// Stall-cycle metrics are exported as integer *ticks* (1/20 cycle), the
 /// simulator's unit of time, so the conversion is exact.
@@ -410,21 +407,19 @@ pub fn eval_point_observed(
     let cpus = cfg.cpus as usize;
     let machine = cfg.machine.name.clone();
 
-    // Roofline context (DESIGN.md §16): ceilings read off the point's
-    // resolved machine, overrides included, plus the kernel's two
-    // operational intensities. Everything here is a pure function of the
-    // configuration and the program — no wall-clock — so stamped rows
-    // journal and resume bit-identically.
-    let roofline_ctx = roofline.then(|| {
-        let ceilings = MachineCeilings::of(&cfg.machine, cfg.cpus);
+    // Roofline inputs (DESIGN.md §16): the point's resolved machine,
+    // overrides included, is the roof, and the kernel's bounds on it give
+    // the intensities. Both are pure functions of the configuration and
+    // the program — no wall-clock — so stamped rows journal and resume
+    // bit-identically.
+    let roof = roofline.then(|| {
         let bounds = KernelBounds::compute(
             &format!("LFK{}", point.kernel),
             kernel.ma(),
             &program,
             &ChimeConfig::for_machine(&cfg.machine),
         );
-        let i_ma = operational_intensity(&bounds.ma);
-        (ceilings, bounds, i_ma)
+        (cfg.machine.clone(), bounds)
     });
 
     // Simulate: the supervised run, covering every attempt and backoff.
@@ -458,16 +453,16 @@ pub fn eval_point_observed(
         // read (the metrics plane's counters, the roofline verdict); a
         // probe never changes the result.
         let init = |cpu: &mut Cpu| kernel.setup(cpu);
-        let mut probes = CoSimProbes::new(cpus);
+        let mut probes = vec![CounterProbe::new(); cpus];
         let run = if probed {
-            measure(&cfg, init, &program, iters, flops, probes.as_mut_slice())
+            measure(&cfg, init, &program, iters, flops, &mut probes)
         } else {
             measure(&cfg, init, &program, iters, flops, &mut vec![NoProbe; cpus])
         };
         let (mut ms, machine) = run.map_err(|e| e.to_string())?;
         let telemetry = RunTelemetry {
             ff: machine.cpu(0).ff_stats(),
-            probe: probed.then(|| probes.combined()),
+            probe: probed.then(|| CounterProbe::roll_up(&probes)),
         };
         if let Some(s) = attempt_span.as_mut() {
             s.arg("ff_skipped_instructions", telemetry.ff.skipped_instructions);
@@ -552,44 +547,26 @@ pub fn eval_point_observed(
                     "memory_wait_cpl",
                     m.stats.memory_wait_cycles / m.iterations.max(1) as f64,
                 );
-            if let Some(((ceilings, bounds, i_ma), probe)) =
-                roofline_ctx.as_ref().zip(telemetry.probe.as_ref())
-            {
-                let i = compiled_intensity(bounds);
-                let rp = ceilings.place(i);
-                let rollup = StallRollup::of_probe(probe);
-                let verdict = RooflineVerdict::check(rp.bound_class, &rollup);
+            if let Some(((roof, bounds), probe)) = roof.as_ref().zip(telemetry.probe.as_ref()) {
+                let rf = Roofline::new(roof, cpus as u32, bounds, probe);
                 if let Some((o, _)) = obs {
-                    let cpus_label = ceilings.cpus.to_string();
+                    let c = &rf.ceilings;
+                    let cpus_label = c.cpus.to_string();
                     let labels = [("machine", machine.as_str()), ("cpus", cpus_label.as_str())];
                     o.metrics
                         .counter(
                             "macs_points_by_bound_class",
-                            &[("class", rp.bound_class.key())],
+                            &[("class", rf.point.bound_class.key())],
                         )
                         .inc();
                     o.metrics
                         .gauge("macs_roofline_peak_mflops", &labels)
-                        .set(ceilings.peak_mflops.round() as i64);
+                        .set(c.peak_mflops.round() as i64);
                     o.metrics
                         .gauge("macs_roofline_bandwidth_milliwords_per_cycle", &labels)
-                        .set((ceilings.bandwidth_words_per_cycle * 1000.0).round() as i64);
+                        .set((c.bandwidth_words_per_cycle * 1000.0).round() as i64);
                 }
-                let mut rf = Json::obj()
-                    .field("schema", ROOFLINE_SCHEMA)
-                    .field("intensity_ma", *i_ma)
-                    .field("intensity", i)
-                    .field("ridge", ceilings.ridge)
-                    .field("peak_mflops", ceilings.peak_mflops)
-                    .field("bandwidth_mwords", ceilings.bandwidth_mwords())
-                    .field("attainable_mflops", rp.attainable_mflops)
-                    .field("bound_class", rp.bound_class.key())
-                    .field("verdict", verdict.key())
-                    .field("measured_class", measured_class(&rollup).key());
-                if let Some(finding) = verdict.finding(&rp, ceilings.ridge) {
-                    rf = rf.field("finding", finding.to_string());
-                }
-                row = row.field("roofline", rf);
+                row = row.field("roofline", rf.to_json());
             }
             (row, PointClass::Ok)
         }

@@ -558,7 +558,8 @@ fn served_cosim_roofline_rows_match_the_roofline_artifact() {
     }
     let (rows, _) = serve_once(&input, &["--roofline"]);
     assert_eq!(rows.len(), 6);
-    let report = run_roofline_with(&c240_isa::MachineDescription::c240(), &[2, 4]);
+    let report = run_roofline_with(&c240_isa::MachineDescription::c240(), &[2, 4])
+        .expect("2 and 4 CPUs fit the C-240's ports");
     for kernel in [1, 3, 7] {
         for cpus in [2, 4] {
             let rf = row_by_id(&rows, &format!("k{kernel}x{cpus}"))
@@ -573,15 +574,19 @@ fn served_cosim_roofline_rows_match_the_roofline_artifact() {
             let what = format!("LFK{kernel} x{cpus}");
             assert_eq!(
                 field("bound_class"),
-                Some(artifact.point.bound_class.key()),
+                Some(artifact.roofline.point.bound_class.key()),
                 "{what}"
             );
             assert_eq!(
                 field("measured_class"),
-                Some(artifact.measured.key()),
+                Some(artifact.roofline.verdict.measured().key()),
                 "{what}"
             );
-            assert_eq!(field("verdict"), Some(artifact.verdict.key()), "{what}");
+            assert_eq!(
+                field("verdict"),
+                Some(artifact.roofline.verdict.key()),
+                "{what}"
+            );
         }
     }
 }

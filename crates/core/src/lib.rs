@@ -92,7 +92,7 @@ pub use pool::{parallel_map, threads};
 pub use report::{hierarchy_figure, TextTable};
 pub use reschedule::reschedule_for_chimes;
 pub use roofline::{
-    compiled_intensity, measured_class, operational_intensity, BoundClass, MachineCeilings,
+    compiled_intensity, operational_intensity, BoundClass, MachineCeilings, Roofline,
     RooflinePoint, RooflineVerdict, ROOFLINE_SCHEMA,
 };
 pub use runreport::{RunReport, RUN_REPORT_SCHEMA};

@@ -9,7 +9,10 @@
 //! [`MachineDescription`] (peak vector flop rate, sustained memory
 //! bandwidth), and the resulting analytic [`BoundClass`] is
 //! cross-checked against the measured stall taxonomy of a probed run
-//! ([`StallRollup`]) to produce a typed [`RooflineVerdict`].
+//! ([`StallRollup`]) to produce a typed [`RooflineVerdict`]. One
+//! [`Roofline`] value holds the whole placement; served rows, the
+//! roofline artifact and the agreement tests all build it through
+//! [`Roofline::new`].
 //!
 //! Ceiling formulas (all pure functions of the machine description and
 //! the simulator's fixed pipes and clock, so they hold for every
@@ -40,7 +43,8 @@
 use std::fmt;
 
 use c240_isa::{MachineDescription, CLOCK_MHZ};
-use c240_sim::StallRollup;
+use c240_obs::json::Json;
+use c240_sim::{CounterProbe, StallRollup};
 use macs_compiler::MaWorkload;
 
 use crate::bounds::KernelBounds;
@@ -80,8 +84,6 @@ impl fmt::Display for BoundClass {
 /// The roofline ceilings of one machine at one CPU count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineCeilings {
-    /// Machine preset name the ceilings were read from.
-    pub machine: String,
     /// CPU count the ceilings are scaled to.
     pub cpus: u32,
     /// Peak vector flop rate in MFLOPS (`fp_pipes × cpus × clock`).
@@ -97,7 +99,6 @@ impl MachineCeilings {
     /// Reads the ceilings off a machine description at `cpus` CPUs.
     pub fn of(machine: &MachineDescription, cpus: u32) -> Self {
         MachineCeilings {
-            machine: machine.name.clone(),
             cpus,
             peak_mflops: machine.peak_mflops(cpus),
             bandwidth_words_per_cycle: machine.sustained_bandwidth_words_per_cycle(cpus),
@@ -181,28 +182,6 @@ pub struct RooflinePoint {
     pub bound_class: BoundClass,
 }
 
-/// The measured counterpart of [`MachineCeilings::classify`]: which
-/// resource a probed run *occupied* longer.
-///
-/// The rule deliberately weighs useful streaming time, not just stalls —
-/// a unit-stride memory-bound loop keeps the load/store pipe saturated
-/// with almost no attributed bank waits, so a stall-only rule would
-/// misread it. Memory side: load/store streaming plus bank/refresh/
-/// contention and scalar-memory waits. Compute side: the busier FP
-/// pipe's streaming plus FP-lane structural stalls (bubbles, pair
-/// conflicts, barriers, drains). Chain waits and scalar issue
-/// interlocks belong to neither side (see
-/// [`c240_sim::StallRollup`]). A tie reads as memory-bound: if the
-/// memory port is occupied as long as the busiest FP pipe, the
-/// bandwidth slope is already binding.
-pub fn measured_class(rollup: &StallRollup) -> BoundClass {
-    if rollup.memory_occupancy() >= rollup.compute_occupancy() {
-        BoundClass::Memory
-    } else {
-        BoundClass::Compute
-    }
-}
-
 /// Outcome of cross-checking the analytic classification against the
 /// measured stall taxonomy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -222,9 +201,26 @@ pub enum RooflineVerdict {
 }
 
 impl RooflineVerdict {
-    /// Compares the analytic class against a probed run's rollup.
-    pub fn check(analytic: BoundClass, rollup: &StallRollup) -> Self {
-        let measured = measured_class(rollup);
+    /// Compares the analytic class against the measured one: which
+    /// resource the probed run *occupied* longer.
+    ///
+    /// The rule deliberately weighs useful streaming time, not just
+    /// stalls — a unit-stride memory-bound loop keeps the load/store pipe
+    /// saturated with almost no attributed bank waits, so a stall-only
+    /// rule would misread it. Memory side: load/store streaming plus
+    /// bank/refresh/contention and scalar-memory waits. Compute side: the
+    /// busier FP pipe's streaming plus FP-lane structural stalls
+    /// (bubbles, pair conflicts, barriers, drains). Chain waits and
+    /// scalar issue interlocks belong to neither side (see
+    /// [`c240_sim::StallRollup`]). A tie reads as memory-bound: if the
+    /// memory port is occupied as long as the busiest FP pipe, the
+    /// bandwidth slope is already binding.
+    fn check(analytic: BoundClass, rollup: &StallRollup) -> Self {
+        let measured = if rollup.memory_occupancy() >= rollup.compute_occupancy() {
+            BoundClass::Memory
+        } else {
+            BoundClass::Compute
+        };
         if analytic == measured {
             RooflineVerdict::Agree { class: analytic }
         } else {
@@ -245,17 +241,12 @@ impl RooflineVerdict {
         matches!(self, RooflineVerdict::Disagree { .. })
     }
 
-    /// The [`Finding`] a disagreement contributes to the diagnosis
-    /// stream; `None` for an agreement.
-    pub fn finding(self, point: &RooflinePoint, ridge: f64) -> Option<Finding> {
+    /// What the probed run's stall taxonomy said the kernel was bound
+    /// by.
+    pub fn measured(self) -> BoundClass {
         match self {
-            RooflineVerdict::Disagree { analytic, measured } => Some(Finding::RooflineMismatch {
-                analytic,
-                measured,
-                intensity: point.intensity,
-                ridge,
-            }),
-            RooflineVerdict::Agree { .. } => None,
+            RooflineVerdict::Agree { class } => class,
+            RooflineVerdict::Disagree { measured, .. } => measured,
         }
     }
 }
@@ -263,6 +254,82 @@ impl RooflineVerdict {
 impl fmt::Display for RooflineVerdict {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.key())
+    }
+}
+
+/// One kernel's roofline placement: the roof at the run's CPU count,
+/// both intensities, the classifying point, and its class checked
+/// against the probed run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Roofline {
+    /// The roof: the machine's ceilings at the run's CPU count.
+    pub ceilings: MachineCeilings,
+    /// MA intensity ([`operational_intensity`]): where a perfectly
+    /// compiled kernel could sit.
+    pub intensity_ma: f64,
+    /// The kernel placed at its compiled intensity
+    /// ([`compiled_intensity`]): where the generated code does sit, and
+    /// what the analytic class is judged on.
+    pub point: RooflinePoint,
+    /// The point's class checked against the run's stall taxonomy; it
+    /// carries the measured class too ([`RooflineVerdict::measured`]).
+    pub verdict: RooflineVerdict,
+}
+
+impl Roofline {
+    /// Places the kernel of `bounds` under `machine`'s roof at `cpus`
+    /// CPUs and checks its class against `probe`, the probes of all the
+    /// run's CPUs combined ([`CounterProbe::roll_up`]).
+    pub fn new(
+        machine: &MachineDescription,
+        cpus: u32,
+        bounds: &KernelBounds,
+        probe: &CounterProbe,
+    ) -> Self {
+        let ceilings = MachineCeilings::of(machine, cpus);
+        let point = ceilings.place(compiled_intensity(bounds));
+        let verdict = RooflineVerdict::check(point.bound_class, &StallRollup::of_probe(probe));
+        Roofline {
+            ceilings,
+            intensity_ma: operational_intensity(&bounds.ma),
+            point,
+            verdict,
+        }
+    }
+
+    /// The [`Finding`] a disagreement contributes to the diagnosis
+    /// stream; `None` for an agreement.
+    pub fn finding(&self) -> Option<Finding> {
+        match self.verdict {
+            RooflineVerdict::Disagree { analytic, measured } => Some(Finding::RooflineMismatch {
+                analytic,
+                measured,
+                intensity: self.point.intensity,
+                ridge: self.ceilings.ridge,
+            }),
+            RooflineVerdict::Agree { .. } => None,
+        }
+    }
+
+    /// The `roofline` object of a served sweep row (schema
+    /// [`ROOFLINE_SCHEMA`]), with a `finding` only on a disagreement.
+    pub fn to_json(&self) -> Json {
+        let c = &self.ceilings;
+        let json = Json::obj()
+            .field("schema", ROOFLINE_SCHEMA)
+            .field("intensity_ma", self.intensity_ma)
+            .field("intensity", self.point.intensity)
+            .field("ridge", c.ridge)
+            .field("peak_mflops", c.peak_mflops)
+            .field("bandwidth_mwords", c.bandwidth_mwords())
+            .field("attainable_mflops", self.point.attainable_mflops)
+            .field("bound_class", self.point.bound_class.key())
+            .field("verdict", self.verdict.key())
+            .field("measured_class", self.verdict.measured().key());
+        match self.finding() {
+            Some(finding) => json.field("finding", finding.to_string()),
+            None => json,
+        }
     }
 }
 
@@ -277,7 +344,7 @@ mod tests {
     #[test]
     fn c240_roof_numbers() {
         let c = c240_ceilings();
-        assert_eq!(c.machine, "c240");
+        assert_eq!(c.cpus, 1);
         assert_eq!(c.peak_mflops, 50.0);
         assert_eq!(c.bandwidth_words_per_cycle, 1.0);
         assert_eq!(c.bandwidth_mwords(), 25.0);
@@ -329,7 +396,6 @@ mod tests {
             memory_stalls: 1.0,
             compute_stalls: 2.0,
         };
-        assert_eq!(measured_class(&mem_rollup), BoundClass::Memory);
         let v = RooflineVerdict::check(BoundClass::Memory, &mem_rollup);
         assert_eq!(
             v,
@@ -338,14 +404,68 @@ mod tests {
             }
         );
         assert!(!v.is_disagreement());
-        let point = c240_ceilings().place(1.0);
-        assert!(v.finding(&point, 2.0).is_none());
+        assert_eq!(v.measured(), BoundClass::Memory);
+        let mut roofline = Roofline {
+            ceilings: c240_ceilings(),
+            intensity_ma: 1.0,
+            point: c240_ceilings().place(1.0),
+            verdict: v,
+        };
+        assert!(roofline.finding().is_none());
 
         let v = RooflineVerdict::check(BoundClass::Compute, &mem_rollup);
         assert!(v.is_disagreement());
         assert_eq!(v.key(), "disagree");
-        let finding = v.finding(&point, 2.0).expect("disagreement finds");
-        assert!(finding.to_string().contains("roofline"));
+        assert_eq!(v.measured(), BoundClass::Memory);
+        roofline.verdict = v;
+        let finding = roofline.finding().expect("disagreement finds");
+        assert!(finding.to_string().contains("ridge 2.00"), "{finding}");
+    }
+
+    #[test]
+    fn served_object_keys_in_order_with_a_finding_only_on_disagreement() {
+        let mut roofline = Roofline {
+            ceilings: c240_ceilings(),
+            intensity_ma: 5.0 / 3.0,
+            point: c240_ceilings().place(1.25),
+            verdict: RooflineVerdict::Agree {
+                class: BoundClass::Memory,
+            },
+        };
+        let keys = |json: &Json| match json {
+            Json::Obj(fields) => fields.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+            other => panic!("not an object: {other}"),
+        };
+        let agree = roofline.to_json();
+        assert_eq!(
+            keys(&agree),
+            [
+                "schema",
+                "intensity_ma",
+                "intensity",
+                "ridge",
+                "peak_mflops",
+                "bandwidth_mwords",
+                "attainable_mflops",
+                "bound_class",
+                "verdict",
+                "measured_class",
+            ]
+        );
+        assert_eq!(
+            agree.get("attainable_mflops").and_then(Json::as_f64),
+            Some(31.25)
+        );
+        roofline.verdict = RooflineVerdict::Disagree {
+            analytic: BoundClass::Memory,
+            measured: BoundClass::Compute,
+        };
+        let disagree = roofline.to_json();
+        assert_eq!(keys(&disagree).last().map(String::as_str), Some("finding"));
+        assert_eq!(
+            disagree.get("measured_class").and_then(Json::as_str),
+            Some("compute")
+        );
     }
 
     #[test]

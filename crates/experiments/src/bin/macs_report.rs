@@ -374,18 +374,14 @@ fn main() -> ExitCode {
             Some(n) => run_roofline_with(&args.machine, &[n]),
             None => run_roofline(&args.machine),
         };
+        let Ok(report) = report.inspect_err(|e| eprintln!("roofline: {e}")) else {
+            return ExitCode::FAILURE;
+        };
         println!("{}", report.table().render());
         for row in report.baseline_disagreements() {
             roofline_failed = true;
-            let ridge = report
-                .ceilings
-                .iter()
-                .find(|c| c.cpus == row.cpus)
-                .map(|c| c.ridge)
-                .unwrap_or(f64::NAN);
-            match row.verdict.finding(&row.point, ridge) {
-                Some(finding) => eprintln!("LFK{} x{}: {finding}", row.kernel, row.cpus),
-                None => unreachable!("baseline_disagreements only yields disagreements"),
+            if let Some(finding) = row.roofline.finding() {
+                eprintln!("LFK{} x{}: {finding}", row.kernel, row.cpus);
             }
         }
         csv_outputs.push(("roofline.csv".to_string(), report.to_csv()));

@@ -4,10 +4,10 @@ use std::fmt::Write as _;
 
 use c240_isa::ProgramBuilder;
 use c240_mem::ContentionConfig;
-use c240_sim::{Cpu, SimConfig, Trace};
-use macs_core::{hierarchy_figure, TextTable};
+use c240_sim::{Cpu, NoProbe, SimConfig, Trace};
+use macs_core::{hierarchy_figure, measure, TextTable};
 
-use crate::{analyze_lfk, Suite};
+use crate::Suite;
 
 /// Figure 1: the hierarchy of performance models and measurements,
 /// rendered with every kernel's numbers filled in.
@@ -68,7 +68,8 @@ pub fn fig2(sim: &SimConfig) -> String {
 
 /// Figure 3 data: per-kernel CPF for the three bounds, the single-CPU
 /// measurement, and the measurement with three busy neighbor CPUs
-/// (the paper's "multiple process" bars).
+/// (the paper's "multiple process" bars) — one unprobed
+/// [`measure`] run per kernel on the loaded machine.
 pub fn fig3(suite: &Suite) -> TextTable {
     let mut t = TextTable::new(
         "Figure 3: Performance of LFK kernels (CPF; single vs loaded machine)",
@@ -82,9 +83,17 @@ pub fn fig3(suite: &Suite) -> TextTable {
     };
     for r in &suite.rows {
         let kernel = lfk_suite::by_id(r.id).expect("suite kernels exist");
-        let busy = analyze_lfk(kernel.as_ref(), &busy_sim);
+        let (busy, _) = measure(
+            &busy_sim,
+            |cpu| kernel.setup(cpu),
+            &kernel.program(),
+            kernel.iterations(),
+            r.analysis.bounds.flops,
+            &mut vec![NoProbe; busy_sim.cpus as usize],
+        )
+        .expect("curated kernels simulate cleanly");
         let single = r.analysis.t_p_cpf();
-        let multi = busy.t_p_cpf();
+        let multi = busy[0].cpf();
         t.row(vec![
             r.id.to_string(),
             format!("{:.3}", r.analysis.bounds.t_ma_cpf()),

@@ -2,31 +2,29 @@
 //! under its machine's roof, with the analytic classification
 //! cross-checked against the measured stall taxonomy (DESIGN.md §16).
 //!
-//! Each row carries both intensities of `macs_core`'s roofline model
-//! ([`macs_core::operational_intensity`] and
-//! [`macs_core::compiled_intensity`]) — the MA intensity (where a
-//! perfectly compiled kernel could sit) and the compiled intensity
-//! (where the generated code does sit, and what the
-//! [`macs_core::BoundClass`] is judged on) — plus a probed
-//! [`RooflineVerdict`]. Every row is one [`macs_core::measure`] run with
-//! a probe per CPU (a lockstep co-simulation above one CPU), and its
-//! classification is checked against the [`c240_sim::StallRollup`] of
-//! those probes combined.
+//! Every row is one [`macs_core::measure`] run with a probe per CPU (a
+//! lockstep co-simulation above one CPU) and one [`Roofline`], built by
+//! [`Roofline::new`] from the machine, the CPU count, the kernel's
+//! bounds and those probes rolled up — the same constructor served
+//! `--roofline` rows use. The row's roofline holds its ceilings, both
+//! intensities (MA: where a perfectly compiled kernel could sit;
+//! compiled: where the generated code does sit, and what the
+//! [`macs_core::BoundClass`] is judged on) and the verdict.
 //!
-//! The roof itself is always the named machine's baseline roof:
-//! ablations move the measured point, not the ceilings, so a
-//! non-baseline row's verdict reports how far the ablated machine has
-//! drifted from the roof that nominally describes it. The agreement
-//! guarantee (asserted in tests and CI) therefore covers the
-//! `baseline` rows; ablated rows are informative.
+//! The roof itself is always the named machine's baseline roof: each
+//! row passes the preset, not its ablated configuration, so ablations
+//! move the measured point, not the ceilings, and a non-baseline row's
+//! verdict reports how far the ablated machine has drifted from the
+//! roof that nominally describes it. The agreement guarantee (asserted
+//! in tests and CI) therefore covers the `baseline` rows; ablated rows
+//! are informative.
 
 use c240_isa::{MachineDescription, CLOCK_MHZ};
 use c240_obs::json::Json;
-use c240_sim::{CoSimProbes, SimConfig, StallRollup};
+use c240_sim::{ConfigError, CounterProbe, SimConfig};
 use macs_core::sweep::SweepPoint;
 use macs_core::{
-    compiled_intensity, measure, measured_class, operational_intensity, BoundClass, ChimeConfig,
-    KernelBounds, MachineCeilings, RooflinePoint, RooflineVerdict, TextTable, ROOFLINE_SCHEMA,
+    measure, ChimeConfig, KernelBounds, MachineCeilings, Roofline, TextTable, ROOFLINE_SCHEMA,
 };
 
 use crate::Ablation;
@@ -40,17 +38,11 @@ pub struct RooflineRow {
     pub ablation: Ablation,
     /// CPUs the row ran on (lockstep co-simulation above 1).
     pub cpus: u32,
-    /// MA intensity: source flops per perfectly-compiled memory word.
-    pub intensity_ma: f64,
-    /// The kernel placed at its *compiled* intensity (source flops per
-    /// word the generated code moves) — the classifying placement.
-    pub point: RooflinePoint,
     /// Aggregate measured MFLOPS across all CPUs of the run.
     pub measured_mflops: f64,
-    /// What the probed stall taxonomy said the kernel was bound by.
-    pub measured: BoundClass,
-    /// Analytic-vs-measured cross-check outcome.
-    pub verdict: RooflineVerdict,
+    /// The kernel under the baseline machine's roof at `cpus` CPUs,
+    /// checked against the run's probes.
+    pub roofline: Roofline,
 }
 
 /// The artifact: rows for one machine, under per-CPU-count ceilings.
@@ -66,8 +58,13 @@ pub struct RooflineReport {
 
 /// Applies one ablation (and a CPU count) to the machine's base
 /// configuration through the same [`SweepPoint::config`] path the sweep
-/// server uses, so artifact rows and served rows can never drift.
-fn ablated_config(base: &SimConfig, ablation: Ablation, cpus: u32) -> SimConfig {
+/// server uses, so artifact rows and served rows can never drift, and
+/// validates the result as the server does.
+fn ablated_config(
+    base: &SimConfig,
+    ablation: Ablation,
+    cpus: u32,
+) -> Result<SimConfig, ConfigError> {
     let mut overrides = ablation.overrides();
     if cpus > 1 {
         overrides.cpus = Some(cpus);
@@ -81,37 +78,35 @@ fn ablated_config(base: &SimConfig, ablation: Ablation, cpus: u32) -> SimConfig 
         inject: None,
         overrides,
     };
-    point
+    let cfg = point
         .config(base)
-        .expect("a point without a machine name always resolves")
+        .expect("a point without a machine name always resolves");
+    cfg.validate()?;
+    Ok(cfg)
 }
 
 fn eval_row(
     machine: &MachineDescription,
-    ceilings: &MachineCeilings,
     kernel_id: u32,
     ablation: Ablation,
-    cpus: u32,
+    cfg: &SimConfig,
 ) -> RooflineRow {
     let kernel = lfk_suite::by_id(kernel_id).expect("roofline grid uses registry kernels");
     let program = kernel.program();
     let chime = ChimeConfig::for_machine(machine);
     let bounds = KernelBounds::compute(&format!("LFK{kernel_id}"), kernel.ma(), &program, &chime);
-    let cfg = ablated_config(&SimConfig::for_machine(machine), ablation, cpus);
-    let mut probes = CoSimProbes::new(cpus as usize);
+    let mut probes = vec![CounterProbe::new(); cfg.cpus as usize];
     let (ms, _) = measure(
-        &cfg,
+        cfg,
         |cpu| kernel.setup(cpu),
         &program,
         kernel.iterations(),
         kernel.flops_total(),
-        probes.as_mut_slice(),
+        &mut probes,
     )
     .expect("curated kernels simulate cleanly");
-    let rollup = StallRollup::of_probe(&probes.combined());
     let flops: u64 = ms.iter().map(|m| m.stats.flops).sum();
     let cycles = ms.iter().map(|m| m.stats.cycles).fold(0.0, f64::max);
-    let point = ceilings.place(compiled_intensity(&bounds));
     let measured_mflops = if cycles > 0.0 {
         flops as f64 * CLOCK_MHZ / cycles
     } else {
@@ -120,46 +115,52 @@ fn eval_row(
     RooflineRow {
         kernel: kernel_id,
         ablation,
-        cpus,
-        intensity_ma: operational_intensity(&bounds.ma),
-        point,
+        cpus: cfg.cpus,
         measured_mflops,
-        measured: measured_class(&rollup),
-        verdict: RooflineVerdict::check(point.bound_class, &rollup),
+        roofline: Roofline::new(machine, cfg.cpus, &bounds, &CounterProbe::roll_up(&probes)),
     }
 }
 
 /// Runs the roofline grid on `machine` at the given CPU counts.
-pub fn run_roofline_with(machine: &MachineDescription, cpu_counts: &[u32]) -> RooflineReport {
-    let ceilings: Vec<MachineCeilings> = cpu_counts
-        .iter()
-        .map(|&n| MachineCeilings::of(machine, n))
-        .collect();
-    let specs: Vec<(u32, Ablation, u32)> = lfk_suite::IDS
-        .iter()
-        .flat_map(|&k| {
-            Ablation::ALL
-                .iter()
-                .flat_map(move |&a| cpu_counts.iter().map(move |&n| (k, a, n)))
-        })
-        .collect();
-    let rows = macs_core::parallel_map(specs, |(k, a, n)| {
-        let ceilings = ceilings
-            .iter()
-            .find(|c| c.cpus == n)
-            .expect("specs only name listed CPU counts");
-        eval_row(machine, ceilings, k, a, n)
-    });
-    RooflineReport {
-        machine: machine.clone(),
-        ceilings,
-        rows,
+///
+/// # Errors
+///
+/// The [`SimConfig::validate`] error of the first ablation × CPU count
+/// the machine cannot run — a CPU count above its memory ports, say —
+/// before any kernel runs.
+pub fn run_roofline_with(
+    machine: &MachineDescription,
+    cpu_counts: &[u32],
+) -> Result<RooflineReport, ConfigError> {
+    let base = SimConfig::for_machine(machine);
+    let mut configs = Vec::new();
+    for &a in &Ablation::ALL {
+        for &n in cpu_counts {
+            configs.push((a, ablated_config(&base, a, n)?));
+        }
     }
+    let specs: Vec<(u32, Ablation, &SimConfig)> = lfk_suite::IDS
+        .iter()
+        .flat_map(|&k| configs.iter().map(move |(a, cfg)| (k, *a, cfg)))
+        .collect();
+    let rows = macs_core::parallel_map(specs, |(k, a, cfg)| eval_row(machine, k, a, cfg));
+    Ok(RooflineReport {
+        machine: machine.clone(),
+        ceilings: cpu_counts
+            .iter()
+            .map(|&n| MachineCeilings::of(machine, n))
+            .collect(),
+        rows,
+    })
 }
 
 /// Runs the standard grid: every registry kernel × every ablation at
 /// 1 and 2 CPUs plus the machine's full port count.
-pub fn run_roofline(machine: &MachineDescription) -> RooflineReport {
+///
+/// # Errors
+///
+/// As [`run_roofline_with`].
+pub fn run_roofline(machine: &MachineDescription) -> Result<RooflineReport, ConfigError> {
     let mut cpu_counts = vec![1, 2.min(machine.ports), machine.ports];
     cpu_counts.sort_unstable();
     cpu_counts.dedup();
@@ -173,7 +174,7 @@ impl RooflineReport {
     pub fn baseline_disagreements(&self) -> Vec<&RooflineRow> {
         self.rows
             .iter()
-            .filter(|r| r.ablation == Ablation::Baseline && r.verdict.is_disagreement())
+            .filter(|r| r.ablation == Ablation::Baseline && r.roofline.verdict.is_disagreement())
             .collect()
     }
 
@@ -192,18 +193,19 @@ impl RooflineReport {
             ],
         );
         for r in &self.rows {
+            let rf = &r.roofline;
             t.row(vec![
                 r.kernel.to_string(),
                 r.ablation.tag().to_string(),
                 r.cpus.to_string(),
-                format!("{:.3}", r.intensity_ma),
-                format!("{:.3}", r.point.intensity),
-                format!("{:.1}", r.point.attainable_mflops),
-                format!("{:.1}", r.point.ceiling),
+                format!("{:.3}", rf.intensity_ma),
+                format!("{:.3}", rf.point.intensity),
+                format!("{:.1}", rf.point.attainable_mflops),
+                format!("{:.1}", rf.point.ceiling),
                 format!("{:.2}", r.measured_mflops),
-                r.point.bound_class.key().to_string(),
-                r.measured.key().to_string(),
-                r.verdict.key().to_string(),
+                rf.point.bound_class.key().to_string(),
+                rf.verdict.measured().key().to_string(),
+                rf.verdict.key().to_string(),
             ]);
         }
         t
@@ -216,27 +218,23 @@ impl RooflineReport {
              bandwidth_mwords,attainable_mflops,measured_mflops,bound_class,measured_class,verdict\n",
         );
         for r in &self.rows {
-            let c = self
-                .ceilings
-                .iter()
-                .find(|c| c.cpus == r.cpus)
-                .expect("every row's CPU count has ceilings");
+            let rf = &r.roofline;
             out.push_str(&format!(
                 "{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
                 self.machine.name,
                 r.kernel,
                 r.ablation.tag(),
                 r.cpus,
-                r.intensity_ma,
-                r.point.intensity,
-                c.ridge,
-                c.peak_mflops,
-                c.bandwidth_mwords(),
-                r.point.attainable_mflops,
+                rf.intensity_ma,
+                rf.point.intensity,
+                rf.ceilings.ridge,
+                rf.ceilings.peak_mflops,
+                rf.ceilings.bandwidth_mwords(),
+                rf.point.attainable_mflops,
                 r.measured_mflops,
-                r.point.bound_class.key(),
-                r.measured.key(),
-                r.verdict.key(),
+                rf.point.bound_class.key(),
+                rf.verdict.measured().key(),
+                rf.verdict.key(),
             ));
         }
         out
@@ -261,18 +259,19 @@ impl RooflineReport {
             .rows
             .iter()
             .map(|r| {
+                let rf = &r.roofline;
                 Json::obj()
                     .field("kernel", r.kernel)
                     .field("ablation", r.ablation.tag())
                     .field("cpus", r.cpus)
-                    .field("intensity_ma", r.intensity_ma)
-                    .field("intensity", r.point.intensity)
-                    .field("attainable_mflops", r.point.attainable_mflops)
-                    .field("ceiling_mflops", r.point.ceiling)
+                    .field("intensity_ma", rf.intensity_ma)
+                    .field("intensity", rf.point.intensity)
+                    .field("attainable_mflops", rf.point.attainable_mflops)
+                    .field("ceiling_mflops", rf.point.ceiling)
                     .field("measured_mflops", r.measured_mflops)
-                    .field("bound_class", r.point.bound_class.key())
-                    .field("measured_class", r.measured.key())
-                    .field("verdict", r.verdict.key())
+                    .field("bound_class", rf.point.bound_class.key())
+                    .field("measured_class", rf.verdict.measured().key())
+                    .field("verdict", rf.verdict.key())
             })
             .collect();
         Json::obj()
@@ -290,17 +289,19 @@ mod tests {
     #[test]
     fn small_grid_rows_are_probed_and_classified() {
         let machine = MachineDescription::c240();
-        let report = run_roofline_with(&machine, &[1]);
+        let report = run_roofline_with(&machine, &[1]).expect("1 CPU fits the ports");
         assert_eq!(report.rows.len(), 10 * Ablation::ALL.len());
         assert_eq!(report.ceilings.len(), 1);
         for r in &report.rows {
-            assert!(r.point.intensity > 0.0 && r.point.intensity.is_finite());
-            assert!(r.point.attainable_mflops <= r.point.ceiling);
+            let rf = &r.roofline;
+            assert!(rf.point.intensity > 0.0 && rf.point.intensity.is_finite());
+            assert!(rf.point.attainable_mflops <= rf.point.ceiling);
+            assert_eq!(rf.ceilings, report.ceilings[0]);
             assert!(r.measured_mflops > 0.0);
             // Every row is probed: its verdict compares the two classes.
             assert_eq!(
-                r.verdict.is_disagreement(),
-                r.measured != r.point.bound_class
+                rf.verdict.is_disagreement(),
+                rf.verdict.measured() != rf.point.bound_class
             );
         }
         assert!(
@@ -310,9 +311,21 @@ mod tests {
     }
 
     #[test]
+    fn cpu_counts_above_the_ports_are_refused_before_any_run() {
+        let err = run_roofline_with(&MachineDescription::dual_port(), &[1, 8])
+            .expect_err("8 CPUs cannot share 2 memory ports");
+        let message = err.to_string();
+        assert!(message.contains("dual-port"), "{message}");
+        assert!(
+            message.contains("CPU count 8 exceeds the machine's 2 memory ports"),
+            "{message}"
+        );
+    }
+
+    #[test]
     fn csv_and_json_are_schema_stable() {
         let machine = MachineDescription::c240();
-        let mut report = run_roofline_with(&machine, &[1]);
+        let mut report = run_roofline_with(&machine, &[1]).expect("1 CPU fits the ports");
         report.rows.truncate(1);
         let csv = report.to_csv();
         assert!(csv.starts_with("machine,kernel,ablation,cpus,"));

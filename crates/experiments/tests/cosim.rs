@@ -4,7 +4,7 @@
 use c240_isa::timing::exact_ticks;
 use c240_isa::PRESET_NAMES;
 use c240_obs::{LaneAccount, StallCause};
-use c240_sim::{CoSimProbes, CounterProbe, Cpu, Machine, SimConfig};
+use c240_sim::{CounterProbe, Cpu, Machine, SimConfig};
 use macs_experiments::cosim::{run_cosim, Mix};
 use macs_experiments::sweep::GridSpec;
 
@@ -37,17 +37,16 @@ fn single_cpu_cosim_is_bit_identical_to_legacy() {
 
             let mut machine = Machine::new(config.with_cpus(1));
             k.setup(machine.cpu_mut(0));
-            let mut probes = CoSimProbes::new(1);
+            let mut probes = vec![CounterProbe::new()];
             let stats = machine
-                .run_probed(std::slice::from_ref(&program), probes.as_mut_slice())
+                .run_probed(std::slice::from_ref(&program), &mut probes)
                 .expect("co-sim run");
 
             let id = &point.id;
             assert_eq!(stats.len(), 1);
             assert_eq!(stats[0], legacy, "{id}: RunStats must be bit-identical");
             assert_eq!(
-                *probes.cpu(0),
-                legacy_probe,
+                probes[0], legacy_probe,
                 "{id}: stall attribution must be bit-identical"
             );
             compared += 1;
@@ -89,9 +88,9 @@ fn wait_breakdown_invariants_under_cosim() {
             k.program()
         })
         .collect();
-    let mut probes = CoSimProbes::new(cpus);
+    let mut probes = vec![CounterProbe::new(); cpus];
     let stats = machine
-        .run_probed(&programs, probes.as_mut_slice())
+        .run_probed(&programs, &mut probes)
         .expect("co-sim run");
 
     let mut cycle_sum = 0i64;
@@ -104,7 +103,7 @@ fn wait_breakdown_invariants_under_cosim() {
             "cpu {i}: wait total"
         );
         let cycles = ticks(s.cycles);
-        for (lane, acct) in probes.cpu(i).lanes() {
+        for (lane, acct) in probes[i].lanes() {
             assert_eq!(accounted_ticks(acct), cycles, "cpu {i} lane {lane}");
         }
         cycle_sum += cycles;
@@ -117,7 +116,7 @@ fn wait_breakdown_invariants_under_cosim() {
     );
 
     // The machine roll-up preserves the partition against summed clocks.
-    for (lane, acct) in probes.combined().lanes() {
+    for (lane, acct) in CounterProbe::roll_up(&probes).lanes() {
         assert_eq!(accounted_ticks(acct), cycle_sum, "combined lane {lane}");
     }
 }
@@ -139,9 +138,9 @@ fn co_simulation_is_reproducible() {
                 k.program()
             })
             .collect();
-        let mut probes = CoSimProbes::new(4);
+        let mut probes = vec![CounterProbe::new(); 4];
         let stats = machine
-            .run_probed(&programs, probes.as_mut_slice())
+            .run_probed(&programs, &mut probes)
             .expect("co-sim run");
         (stats, probes)
     };

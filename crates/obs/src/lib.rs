@@ -476,83 +476,30 @@ impl CounterProbe {
         v
     }
 
-    /// Accumulates `other` into `self`: lane accounts add, per-pc stall
-    /// maps union-and-add. Used to roll a co-simulated machine's per-CPU
-    /// probes up into machine totals.
-    pub fn merge(&mut self, other: &CounterProbe) {
-        for (mine, theirs) in self.lanes.iter_mut().zip(&other.lanes) {
-            mine.busy += theirs.busy;
-            mine.idle += theirs.idle;
-            add_ticks(&mut mine.stalls, &theirs.stalls);
+    /// Machine-level roll-up of a co-simulation's per-CPU probes: lane
+    /// accounts add, per-pc stall maps union-and-add. Each per-CPU probe
+    /// keeps the exact `busy + stalls + idle == cycles` partition against
+    /// its own CPU's clock; the roll-up's partition holds against the sum
+    /// of the CPUs' cycle counts.
+    pub fn roll_up(probes: &[CounterProbe]) -> CounterProbe {
+        let mut total = CounterProbe::new();
+        for p in probes {
+            for (mine, theirs) in total.lanes.iter_mut().zip(&p.lanes) {
+                mine.busy += theirs.busy;
+                mine.idle += theirs.idle;
+                add_ticks(&mut mine.stalls, &theirs.stalls);
+            }
+            for (&pc, theirs) in &p.by_pc {
+                add_ticks(total.by_pc.entry(pc).or_default(), theirs);
+            }
         }
-        for (&pc, theirs) in &other.by_pc {
-            add_ticks(self.by_pc.entry(pc).or_default(), theirs);
-        }
+        total
     }
 }
 
 fn add_ticks(mine: &mut [i64; StallCause::COUNT], theirs: &[i64; StallCause::COUNT]) {
     for (a, b) in mine.iter_mut().zip(theirs) {
         *a += b;
-    }
-}
-
-/// One [`CounterProbe`] per co-simulated CPU, plus a machine roll-up.
-///
-/// The per-CPU probes keep the exact `busy + stalls + idle == cycles`
-/// partition *per CPU* (each CPU has its own wall clock); the
-/// [`CoSimProbes::combined`] roll-up sums them for machine-level views,
-/// where the partition holds against the sum of the CPUs' cycle counts.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct CoSimProbes {
-    probes: Vec<CounterProbe>,
-}
-
-impl CoSimProbes {
-    /// `n` fresh probes (one per CPU).
-    pub fn new(n: usize) -> Self {
-        CoSimProbes {
-            probes: vec![CounterProbe::new(); n],
-        }
-    }
-
-    /// Number of per-CPU probes.
-    pub fn len(&self) -> usize {
-        self.probes.len()
-    }
-
-    /// Whether there are no probes.
-    pub fn is_empty(&self) -> bool {
-        self.probes.is_empty()
-    }
-
-    /// CPU `i`'s probe.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    pub fn cpu(&self, i: usize) -> &CounterProbe {
-        &self.probes[i]
-    }
-
-    /// All per-CPU probes in CPU order.
-    pub fn all(&self) -> &[CounterProbe] {
-        &self.probes
-    }
-
-    /// Mutable slice to hand to a co-sim driver (one probe per CPU, in
-    /// CPU order).
-    pub fn as_mut_slice(&mut self) -> &mut [CounterProbe] {
-        &mut self.probes
-    }
-
-    /// Machine-level roll-up: every CPU's accounts summed.
-    pub fn combined(&self) -> CounterProbe {
-        let mut total = CounterProbe::new();
-        for p in &self.probes {
-            total.merge(p);
-        }
-        total
     }
 }
 
@@ -706,17 +653,13 @@ mod tests {
 
     #[test]
     fn cosim_probes_roll_up() {
-        let mut probes = CoSimProbes::new(2);
-        {
-            let s = probes.as_mut_slice();
-            s[0].busy(Lane::Ld, 4 * T, 1);
-            s[0].stall(Lane::Ld, StallCause::Contention, 2 * T, 1);
-            s[0].idle(Lane::Ld, T);
-            s[1].busy(Lane::Ld, 3 * T, 1);
-            s[1].stall(Lane::Ld, StallCause::BankBusy, 5 * T, 2);
-        }
-        assert_eq!(probes.len(), 2);
-        let total = probes.combined();
+        let mut probes = vec![CounterProbe::new(); 2];
+        probes[0].busy(Lane::Ld, 4 * T, 1);
+        probes[0].stall(Lane::Ld, StallCause::Contention, 2 * T, 1);
+        probes[0].idle(Lane::Ld, T);
+        probes[1].busy(Lane::Ld, 3 * T, 1);
+        probes[1].stall(Lane::Ld, StallCause::BankBusy, 5 * T, 2);
+        let total = CounterProbe::roll_up(&probes);
         let lane = total.lane(Lane::Ld);
         assert_eq!(lane.busy, 7.0);
         assert_eq!(lane.idle, 1.0);
@@ -726,11 +669,7 @@ mod tests {
         assert_eq!(at_pc(&total, 1).get(StallCause::Contention), 2.0);
         assert_eq!(at_pc(&total, 2).get(StallCause::BankBusy), 5.0);
         // Roll-up accounted == sum of per-CPU accounted.
-        let per_cpu: f64 = probes
-            .all()
-            .iter()
-            .map(|p| p.lane(Lane::Ld).accounted())
-            .sum();
+        let per_cpu: f64 = probes.iter().map(|p| p.lane(Lane::Ld).accounted()).sum();
         assert_eq!(lane.accounted(), per_cpu);
     }
 

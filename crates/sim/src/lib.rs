@@ -78,6 +78,4 @@ pub use validate::{ConfigError, MAX_CPUS, MAX_TIMING_CYCLES};
 // Telemetry: drive [`Cpu::run_probed`] with a probe to get a per-lane
 // cycle attribution (see the `c240-obs` crate for the taxonomy) or, with
 // a [`Trace`], the pipeline trace.
-pub use c240_obs::{
-    CoSimProbes, CounterProbe, Lane, LaneAccount, NoProbe, Probe, StallCause, StallCounters,
-};
+pub use c240_obs::{CounterProbe, Lane, LaneAccount, NoProbe, Probe, StallCause, StallCounters};

@@ -10,8 +10,8 @@ mod prop_support;
 use c240_isa::MachineDescription;
 use c240_sim::{CounterProbe, SimConfig, StallRollup};
 use macs_core::{
-    compiled_intensity, measure, measured_class, operational_intensity, BoundClass, ChimeConfig,
-    KernelBounds, MachineCeilings, RooflineVerdict,
+    compiled_intensity, measure, operational_intensity, BoundClass, ChimeConfig, KernelBounds,
+    MachineCeilings, Roofline,
 };
 use prop_support::Rng;
 
@@ -77,7 +77,6 @@ fn analytic_class_agrees_with_stall_taxonomy_on_every_preset() {
     for machine in MachineDescription::presets() {
         let sim = SimConfig::for_machine(&machine);
         let chime = ChimeConfig::for_machine(&machine);
-        let ceilings = MachineCeilings::of(&machine, 1);
         for kernel in lfk_suite::all() {
             let program = kernel.program();
             let bounds = KernelBounds::compute(
@@ -96,16 +95,15 @@ fn analytic_class_agrees_with_stall_taxonomy_on_every_preset() {
                 &mut probe,
             )
             .expect("curated kernels simulate cleanly");
+            let roofline = Roofline::new(&machine, 1, &bounds, &probe[0]);
             let rollup = StallRollup::of_probe(&probe[0]);
-            let point = ceilings.place(compiled_intensity(&bounds));
-            let verdict = RooflineVerdict::check(point.bound_class, &rollup);
             assert!(
-                !verdict.is_disagreement(),
+                !roofline.verdict.is_disagreement(),
                 "{} LFK{}: analytic {} vs measured {} (mem_occ {:.0}, cmp_occ {:.0})",
                 machine.name,
                 kernel.id(),
-                point.bound_class,
-                measured_class(&rollup),
+                roofline.point.bound_class,
+                roofline.verdict.measured(),
                 rollup.memory_occupancy(),
                 rollup.compute_occupancy(),
             );
