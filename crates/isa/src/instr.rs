@@ -616,17 +616,26 @@ impl Instruction {
 
     /// Vector registers read by this instruction.
     pub fn vector_reads(&self) -> Vec<VReg> {
+        self.vector_read_slots().into_iter().flatten().collect()
+    }
+
+    /// [`Instruction::vector_reads`] without an allocation: the read
+    /// registers in order, then `None`s.
+    fn vector_read_slots(&self) -> [Option<VReg>; 2] {
         use Instruction::*;
         match self {
             VStore { src, .. }
             | VNeg { src, .. }
             | VSum { src, .. }
             | VRAdd { src, .. }
-            | VRSub { src, .. } => vec![*src],
+            | VRSub { src, .. } => [Some(*src), None],
             VAdd { a, b, .. } | VSub { a, b, .. } | VMul { a, b, .. } | VDiv { a, b, .. } => {
-                a.as_vreg().into_iter().chain(b.as_vreg()).collect()
+                match (a.as_vreg(), b.as_vreg()) {
+                    (None, b) => [b, None],
+                    (a, b) => [a, b],
+                }
             }
-            _ => Vec::new(),
+            _ => [None, None],
         }
     }
 
@@ -651,7 +660,7 @@ impl Instruction {
     pub fn pair_usage(&self) -> ([u8; 4], [u8; 4]) {
         let mut reads = [0u8; 4];
         let mut writes = [0u8; 4];
-        for r in self.vector_reads() {
+        for r in self.vector_read_slots().into_iter().flatten() {
             reads[usize::from(r.pair().index())] += 1;
         }
         if let Some(w) = self.vector_write() {

@@ -109,11 +109,15 @@ impl ScalarCache {
             Some(s) => addr >> s,
             None => addr / u64::from(self.config.line_words),
         };
-        let line = match self.line_mask {
+        (self.line_of(line_addr), line_addr)
+    }
+
+    /// The cache line a line address maps to.
+    fn line_of(&self, line_addr: u64) -> usize {
+        match self.line_mask {
             Some(m) => (line_addr & m) as usize,
             None => (line_addr % self.tags.len() as u64) as usize,
-        };
-        (line, line_addr)
+        }
     }
 
     /// Looks up `addr` for a scalar load or store and returns whether it
@@ -135,6 +139,10 @@ impl ScalarCache {
     /// bypasses the cache and writes the same location).
     pub fn invalidate(&mut self, addr: u64) {
         let (line, tag) = self.line_and_tag(addr);
+        self.invalidate_line(line, tag);
+    }
+
+    fn invalidate_line(&mut self, line: usize, tag: u64) {
         if self.tags[line] == Some(tag) {
             self.tags[line] = None;
         }
@@ -144,13 +152,13 @@ impl ScalarCache {
     /// the same as [`ScalarCache::invalidate`] on each word, with one tag
     /// probe per line instead of per word.
     pub fn invalidate_run(&mut self, addr: u64, n: usize) {
-        let lw = u64::from(self.config.line_words);
-        let mut a = addr;
-        let end = addr + n as u64;
-        while a < end {
-            self.invalidate(a);
-            // Jump to the first word of the next line.
-            a = (a / lw + 1) * lw;
+        let Some(span) = n.checked_sub(1) else {
+            return;
+        };
+        let (_, first) = self.line_and_tag(addr);
+        let (_, last) = self.line_and_tag(addr + span as u64);
+        for tag in first..=last {
+            self.invalidate_line(self.line_of(tag), tag);
         }
     }
 }
@@ -232,6 +240,31 @@ mod tests {
         c.access(4);
         c.access(5);
         assert_eq!((c.hits(), c.misses()), (1, 4));
+    }
+
+    #[test]
+    fn invalidate_run_matches_invalidating_each_word() {
+        for (lines, line_words) in [(256, 4), (3, 5), (4, 1), (2, 8)] {
+            let config = CacheConfig {
+                lines,
+                line_words,
+                ..CacheConfig::c240()
+            };
+            for addr in 0..20u64 {
+                for n in 0..30usize {
+                    let mut run = ScalarCache::new(config);
+                    for word in (0..80).step_by(3) {
+                        run.access(word);
+                    }
+                    let mut each = run.clone();
+                    run.invalidate_run(addr, n);
+                    for word in addr..addr + n as u64 {
+                        each.invalidate(word);
+                    }
+                    assert_eq!(run.tags, each.tags, "{config:?} addr {addr} n {n}");
+                }
+            }
+        }
     }
 
     #[test]

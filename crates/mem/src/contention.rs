@@ -202,6 +202,12 @@ pub(crate) struct ClaimTable {
 }
 
 impl ClaimTable {
+    /// Whether the table holds any bank's claims (none on an idle
+    /// machine).
+    pub(crate) fn has_rows(&self) -> bool {
+        !self.rows.is_empty()
+    }
+
     /// The end tick of the claim blocking a grant to `bank` during the
     /// cycle from tick `t` (not negative), if any: the claim with the
     /// latest start by that cycle's last tick, if it still runs at `t`.

@@ -63,6 +63,7 @@ mod cpu;
 mod error;
 mod fastfwd;
 mod machine;
+mod row;
 mod stats;
 mod trace;
 mod validate;
