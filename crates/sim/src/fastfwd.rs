@@ -131,23 +131,39 @@ pub(crate) fn hash_words(words: &[u64]) -> u64 {
     h
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 enum Phase {
+    #[default]
     Idle,
     /// Waiting for arrival number `target` at `loop_pc` to take `S1`.
-    Measure {
-        target: u64,
-    },
+    Measure { target: u64 },
     /// Recording the path; waiting for arrival `target` to take `S2`.
-    Confirm {
-        target: u64,
-    },
+    Confirm { target: u64 },
+}
+
+/// Fast-forward telemetry for one run: how often the steady-state
+/// detector probed a loop head, how often a verified period actually
+/// warped, and how many instructions the warps skipped. The hit/miss
+/// split (`warps` vs `probes`) is what the sweep service's metrics plane
+/// exports — a sweep whose points never warp is paying full element
+/// stepping.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct FfStats {
+    /// Taken-backward-branch arrivals the detector examined.
+    pub probes: u64,
+    /// Warps that skipped at least one iteration (fast-forward hits).
+    pub warps: u64,
+    /// Instructions skipped analytically across all warps.
+    pub skipped_instructions: u64,
 }
 
 /// Detection state machine. Owned by the CPU; one candidate in flight.
-#[derive(Debug, Clone)]
+/// The default is a fresh, disabled detector.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct FastForward {
     pub enabled: bool,
+    /// The run's probes, warps and skipped instructions so far.
+    pub stats: FfStats,
     dead: bool,
     failures: u32,
     phase: Phase,
@@ -184,25 +200,6 @@ const HIST_CAP: usize = 8192;
 const MAX_TRACKED_PCS: usize = 16;
 
 impl FastForward {
-    pub fn new() -> Self {
-        FastForward {
-            enabled: false,
-            dead: false,
-            failures: 0,
-            phase: Phase::Idle,
-            loop_pc: 0,
-            period_m: 0,
-            base: None,
-            first: None,
-            record: None,
-            steps: Vec::new(),
-            recording: false,
-            counts: std::collections::HashMap::new(),
-            history: std::collections::HashMap::new(),
-            failed: std::collections::HashMap::new(),
-        }
-    }
-
     pub fn active(&self) -> bool {
         self.enabled && !self.dead
     }
@@ -478,8 +475,10 @@ mod tests {
 
     #[test]
     fn state_machine_full_protocol() {
-        let mut ff = FastForward::new();
-        ff.enabled = true;
+        let mut ff = FastForward {
+            enabled: true,
+            ..FastForward::default()
+        };
         // Two arrivals with the same key hash → candidate with m = 1.
         assert_eq!(ff.arrival(7, 42), ArrivalAction::Nothing);
         assert_eq!(
@@ -526,8 +525,10 @@ mod tests {
 
     #[test]
     fn noisy_loop_head_is_blacklisted_but_others_still_try() {
-        let mut ff = FastForward::new();
-        ff.enabled = true;
+        let mut ff = FastForward {
+            enabled: true,
+            ..FastForward::default()
+        };
         for _ in 0..PC_FAIL_BUDGET {
             assert!(ff.active());
             fail_candidate_at(&mut ff, 3);
@@ -544,8 +545,10 @@ mod tests {
 
     #[test]
     fn global_fail_budget_kills_detection() {
-        let mut ff = FastForward::new();
-        ff.enabled = true;
+        let mut ff = FastForward {
+            enabled: true,
+            ..FastForward::default()
+        };
         // Exhaust one head after another: each blacklisted head frees
         // its tracking slot, so fresh heads keep failing until the
         // global budget ends detection for the whole run.

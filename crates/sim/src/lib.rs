@@ -69,8 +69,9 @@ mod trace;
 mod validate;
 
 pub use config::SimConfig;
-pub use cpu::{Cpu, FfStats};
+pub use cpu::Cpu;
 pub use error::SimError;
+pub use fastfwd::FfStats;
 pub use machine::Machine;
 pub use stats::{ClassCounts, RunStats, StallRollup};
 pub use trace::{Trace, TraceEvent};

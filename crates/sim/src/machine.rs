@@ -97,13 +97,10 @@ impl Machine {
                 cpu
             })
             .collect();
-        // Co-simulated ports: track claims individually so a grant
-        // search can fit into the idle windows between another CPU's
-        // bank rotations; a single "earliest free" cursor would serialize
-        // whole vector instructions against each other. A lone CPU never
-        // touches this state: it runs against its own plain cursor, which
-        // grants in-order requests identically and keeps fast-forward's
-        // state snapshot valid.
+        // Shared state keeps each bank's claims, so a grant can fit into
+        // the idle windows between another CPU's bank rotations. A lone
+        // CPU never touches it: it grants against its own single-port
+        // state, as the plain `Cpu` does.
         let shared = BankState::multiport(banks);
         Machine { cpus, shared }
     }
@@ -193,26 +190,13 @@ impl Machine {
             .iter_mut()
             .map(|cpu| cpu.begin_run::<P>(false))
             .collect();
-        loop {
-            // Fixed arbitration order: lowest issue clock, then lowest
-            // CPU index. Deterministic — no threads, no host state.
-            let mut pick = None;
-            for (i, cursor) in cursors.iter().enumerate() {
-                if cursor.halted() {
-                    continue;
-                }
-                let better = match pick {
-                    None => true,
-                    Some(j) => self.cpus[i].issue_clock() < self.cpus[j as usize].issue_clock(),
-                };
-                if better {
-                    pick = Some(i as u32);
-                }
-            }
-            let Some(i) = pick else {
-                break;
-            };
-            let i = i as usize;
+        // Fixed arbitration order: lowest issue clock, then lowest CPU
+        // index (`min_by_key` keeps the first minimum). Deterministic — no
+        // threads, no host state.
+        while let Some(i) = (0..n)
+            .filter(|&i| !cursors[i].halted())
+            .min_by_key(|&i| self.cpus[i].issue_clock())
+        {
             // Every future request starts at or after the arbitration
             // winner's issue clock (it holds the minimum); claims well
             // behind it are dead weight. The margin generously covers
