@@ -190,17 +190,23 @@ impl MachineDescription {
             .collect()
     }
 
+    /// The refresh windows the machine models, as `(period, len)` in
+    /// cycles: `None` when refresh is disabled or has no period. The
+    /// memory system, the fast-forward key and [`Self::refresh_factor`]
+    /// all decide through this one method whether refresh is modeled.
+    pub fn modeled_refresh(&self) -> Option<(u64, u64)> {
+        (self.refresh_enabled && self.refresh_period > 0)
+            .then_some((self.refresh_period, self.refresh_len))
+    }
+
     /// The analytic refresh penalty factor: memory is unavailable
     /// `refresh_len` out of every `refresh_period` cycles, so a
     /// memory-bound chime sequence stretches by
     /// `(period + len) / period` — the paper's 1.02 for 8-in-400.
-    /// 1.0 when refresh is disabled.
+    /// 1.0 when refresh is not modeled.
     pub fn refresh_factor(&self) -> f64 {
-        if self.refresh_enabled && self.refresh_period > 0 {
-            (self.refresh_period + self.refresh_len) as f64 / self.refresh_period as f64
-        } else {
-            1.0
-        }
+        self.modeled_refresh()
+            .map_or(1.0, |(period, len)| (period + len) as f64 / period as f64)
     }
 
     // ------------------------------------------------------------------
@@ -368,8 +374,11 @@ mod tests {
         let mut m = MachineDescription::c240();
         m.refresh_enabled = false;
         assert_eq!(m.refresh_factor(), 1.0);
+        assert_eq!(m.modeled_refresh(), None);
         let mut m = MachineDescription::c240();
         m.refresh_period = 0;
         assert_eq!(m.refresh_factor(), 1.0);
+        assert_eq!(m.modeled_refresh(), None);
+        assert_eq!(MachineDescription::c240().modeled_refresh(), Some((400, 8)));
     }
 }

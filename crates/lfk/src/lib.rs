@@ -81,7 +81,7 @@ pub trait LfkKernel: Send + Sync {
 
     /// One past the highest word address [`LfkKernel::setup`] or the
     /// program touches, at any pass count: the smallest data space
-    /// (`MemConfig::words`) the kernel runs in.
+    /// (`MachineDescription::words`) the kernel runs in.
     fn footprint_words(&self) -> u64;
 
     /// The kernel's program with the outer repetition loop run `passes`

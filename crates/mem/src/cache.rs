@@ -5,39 +5,12 @@
 //! memory directly (§2). We model a small direct-mapped write-through
 //! cache: hits cost a fixed latency; misses additionally perform a memory
 //! access (and thus interact with banks, refresh and contention). The
-//! latencies are charged by the simulator's scalar-memory timing; this
-//! type keeps the tags and the hit/miss counters.
+//! geometry comes from the machine description; its latencies
+//! (`cache_hit_latency`, `cache_miss_penalty`) are charged by the
+//! simulator's scalar-memory timing, so this type keeps only the tags and
+//! the hit/miss counters.
 
-/// Scalar cache geometry and latencies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheConfig {
-    /// Number of direct-mapped lines.
-    pub lines: usize,
-    /// Words per line.
-    pub line_words: u32,
-    /// Latency of a hit, in cycles.
-    pub hit_latency: u64,
-    /// Latency added by a miss on top of the memory grant, in cycles.
-    pub miss_penalty: u64,
-}
-
-impl CacheConfig {
-    /// A 8 KiB direct-mapped cache: 256 lines × 4 words, 2-cycle hits.
-    pub fn c240() -> Self {
-        CacheConfig {
-            lines: 256,
-            line_words: 4,
-            hit_latency: 2,
-            miss_penalty: 4,
-        }
-    }
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig::c240()
-    }
-}
+use c240_isa::MachineDescription;
 
 /// The tags of a direct-mapped, write-through scalar data cache.
 ///
@@ -46,8 +19,9 @@ impl Default for CacheConfig {
 /// accesses coherent.
 #[derive(Debug, Clone)]
 pub struct ScalarCache {
-    config: CacheConfig,
+    /// One tag per direct-mapped line.
     tags: Vec<Option<u64>>,
+    line_words: u32,
     hits: u64,
     misses: u64,
     // `addr >> shift` replaces `addr / line_words` when the line size is
@@ -60,31 +34,21 @@ pub struct ScalarCache {
 }
 
 impl ScalarCache {
-    /// Creates an empty (all-invalid) cache.
-    pub fn new(config: CacheConfig) -> Self {
-        assert!(
-            config.lines > 0 && config.line_words > 0,
-            "cache must be non-empty"
-        );
+    /// Creates an empty (all-invalid) cache of the machine's
+    /// `cache_lines` lines of `cache_line_words` words.
+    pub fn new(machine: &MachineDescription) -> Self {
+        let (lines, line_words) = (machine.cache_lines, machine.cache_line_words);
+        assert!(lines > 0 && line_words > 0, "cache must be non-empty");
         ScalarCache {
-            config,
-            tags: vec![None; config.lines],
+            tags: vec![None; lines as usize],
+            line_words,
             hits: 0,
             misses: 0,
-            line_shift: config
-                .line_words
+            line_shift: line_words
                 .is_power_of_two()
-                .then(|| config.line_words.trailing_zeros()),
-            line_mask: config
-                .lines
-                .is_power_of_two()
-                .then(|| config.lines as u64 - 1),
+                .then(|| line_words.trailing_zeros()),
+            line_mask: lines.is_power_of_two().then(|| u64::from(lines) - 1),
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
     }
 
     /// Hits so far.
@@ -107,7 +71,7 @@ impl ScalarCache {
     fn line_and_tag(&self, addr: u64) -> (usize, u64) {
         let line_addr = match self.line_shift {
             Some(s) => addr >> s,
-            None => addr / u64::from(self.config.line_words),
+            None => addr / u64::from(self.line_words),
         };
         (self.line_of(line_addr), line_addr)
     }
@@ -168,7 +132,15 @@ mod tests {
     use super::*;
 
     fn cache() -> ScalarCache {
-        ScalarCache::new(CacheConfig::c240())
+        ScalarCache::new(&MachineDescription::c240())
+    }
+
+    fn geometry(cache_lines: u32, cache_line_words: u32) -> MachineDescription {
+        MachineDescription {
+            cache_lines,
+            cache_line_words,
+            ..MachineDescription::c240()
+        }
     }
 
     #[test]
@@ -193,12 +165,7 @@ mod tests {
 
     #[test]
     fn conflicting_lines_evict() {
-        let mut c = ScalarCache::new(CacheConfig {
-            lines: 2,
-            line_words: 1,
-            hit_latency: 1,
-            miss_penalty: 2,
-        });
+        let mut c = ScalarCache::new(&geometry(2, 1));
         c.access(0);
         c.access(2); // maps to line 0 too
         c.access(0); // miss again
@@ -227,12 +194,7 @@ mod tests {
 
     #[test]
     fn non_power_of_two_geometry_still_maps_correctly() {
-        let mut c = ScalarCache::new(CacheConfig {
-            lines: 3,
-            line_words: 5,
-            hit_latency: 1,
-            miss_penalty: 2,
-        });
+        let mut c = ScalarCache::new(&geometry(3, 5));
         c.access(0); // line 0
         c.access(4); // same line: hit
         c.access(5); // next line: miss
@@ -245,14 +207,10 @@ mod tests {
     #[test]
     fn invalidate_run_matches_invalidating_each_word() {
         for (lines, line_words) in [(256, 4), (3, 5), (4, 1), (2, 8)] {
-            let config = CacheConfig {
-                lines,
-                line_words,
-                ..CacheConfig::c240()
-            };
+            let machine = geometry(lines, line_words);
             for addr in 0..20u64 {
                 for n in 0..30usize {
-                    let mut run = ScalarCache::new(config);
+                    let mut run = ScalarCache::new(&machine);
                     for word in (0..80).step_by(3) {
                         run.access(word);
                     }
@@ -261,7 +219,8 @@ mod tests {
                     for word in addr..addr + n as u64 {
                         each.invalidate(word);
                     }
-                    assert_eq!(run.tags, each.tags, "{config:?} addr {addr} n {n}");
+                    let case = format!("{lines}x{line_words} addr {addr} n {n}");
+                    assert_eq!(run.tags, each.tags, "{case}");
                 }
             }
         }
@@ -270,11 +229,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-empty")]
     fn zero_line_cache_rejected() {
-        let _ = ScalarCache::new(CacheConfig {
-            lines: 0,
-            line_words: 1,
-            hit_latency: 1,
-            miss_penalty: 1,
-        });
+        let _ = ScalarCache::new(&geometry(0, 1));
     }
 }

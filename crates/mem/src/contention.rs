@@ -14,7 +14,9 @@
 //! memory system lists them once, bank by bank, in a [`ClaimTable`] that
 //! both the grant search and the saturation check read.
 
-use crate::{gcd, period_offset, rotation, MemConfigError, MAX_CONTENTION_CLAIMS, TICKS_PER_CYCLE};
+use c240_isa::timing::TICKS_PER_CYCLE;
+
+use crate::{gcd, period_offset, rotation, MemConfigError, MAX_CONTENTION_CLAIMS};
 
 /// One background processor's memory reference stream.
 ///
@@ -46,25 +48,14 @@ impl ContentionStream {
             duty_den: 1,
         }
     }
-
-    /// A thinned stream claiming `num/den` of its bank visits.
-    ///
-    /// # Panics
-    ///
-    /// Panics on fractions above 1 or a zero denominator (see
-    /// [`ContentionStream::validate`]).
-    pub fn with_duty(mut self, num: u32, den: u32) -> Self {
-        self.duty_num = num;
-        self.duty_den = den;
-        self.validate().expect("duty must be a fraction <= 1");
-        self
-    }
 }
 
-/// A set of background streams — the machine's load situation.
+/// A set of background streams — the machine's load situation. Plain
+/// data: [`ContentionConfig::validate`] checks a hand-built stream list.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ContentionConfig {
-    streams: Vec<ContentionStream>,
+    /// The background reference streams.
+    pub streams: Vec<ContentionStream>,
 }
 
 impl ContentionConfig {
@@ -113,23 +104,6 @@ impl ContentionConfig {
                 })
                 .collect(),
         }
-    }
-
-    /// Adds a custom stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a stream [`ContentionStream::validate`] rejects: a duty
-    /// above 1 or with a zero denominator.
-    pub fn with_stream(mut self, stream: ContentionStream) -> Self {
-        stream.validate().expect("duty must be a fraction <= 1");
-        self.streams.push(stream);
-        self
-    }
-
-    /// The configured streams.
-    pub fn streams(&self) -> &[ContentionStream] {
-        &self.streams
     }
 
     /// Whether any stream is configured.
@@ -337,11 +311,10 @@ mod tests {
 
     #[test]
     fn unit_stream_claims_each_bank_once_per_rotation() {
-        let s = table(
-            &ContentionConfig::idle().with_stream(ContentionStream::unit(0)),
-            32,
-            8,
-        );
+        let cfg = ContentionConfig {
+            streams: vec![ContentionStream::unit(0)],
+        };
+        let s = table(&cfg, 32, 8);
         // Bank 5 is visited at cycles 5, 37, 69, ... each claim lasting 8.
         assert_eq!(end(&s, 5, 5 * T), Some(13 * T));
         assert_eq!(end(&s, 5, 13 * T - 2), Some(13 * T));
@@ -354,7 +327,14 @@ mod tests {
 
     #[test]
     fn duty_thins_claims() {
-        let cfg = ContentionConfig::idle().with_stream(ContentionStream::unit(0).with_duty(1, 2));
+        let half = ContentionStream {
+            duty_num: 1,
+            duty_den: 2,
+            ..ContentionStream::unit(0)
+        };
+        let cfg = ContentionConfig {
+            streams: vec![half],
+        };
         let s = table(&cfg, 32, 8);
         // Visits to bank 0 at cycles 0, 32, 64, ...; only even visit
         // indices claim.
@@ -366,9 +346,9 @@ mod tests {
     #[test]
     fn presets() {
         assert!(ContentionConfig::idle().is_idle());
-        assert_eq!(ContentionConfig::lockstep(3).streams().len(), 3);
-        assert_eq!(ContentionConfig::mixed(3).streams().len(), 3);
-        for s in ContentionConfig::mixed(6).streams() {
+        assert_eq!(ContentionConfig::lockstep(3).streams.len(), 3);
+        assert_eq!(ContentionConfig::mixed(3).streams.len(), 3);
+        for s in ContentionConfig::mixed(6).streams {
             assert_eq!(s.stride % 2, 1);
         }
         let idle = ContentionConfig::idle().claims(32, 8 * T).unwrap();
@@ -379,16 +359,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "duty")]
-    fn bad_duty_rejected() {
-        let _ = ContentionStream::unit(0).with_duty(5, 4);
-    }
-
-    #[test]
     fn config_blocking_takes_max() {
-        let cfg = ContentionConfig::idle()
-            .with_stream(ContentionStream::unit(0))
-            .with_stream(ContentionStream::unit(1));
+        let cfg = ContentionConfig {
+            streams: vec![ContentionStream::unit(0), ContentionStream::unit(1)],
+        };
         // Bank 5: stream A claims [5,13), stream B claims [4,12).
         assert_eq!(end(&table(&cfg, 32, 8), 5, 5 * T), Some(13 * T));
     }
@@ -399,7 +373,7 @@ mod tests {
     fn enumerate(cfg: &ContentionConfig, banks: u32, cycles: u64) -> Vec<Vec<i64>> {
         let m = u64::from(banks);
         let mut claims = vec![Vec::new(); banks as usize];
-        for s in cfg.streams() {
+        for s in &cfg.streams {
             let mut visits = vec![0u64; banks as usize];
             for c in 0..cycles {
                 let bank = ((s.phase % m + c % m * (s.stride % m)) % m) as usize;
@@ -452,10 +426,8 @@ mod tests {
             duty_num,
             duty_den,
         };
-        let custom = |streams: &[ContentionStream]| {
-            streams
-                .iter()
-                .fold(ContentionConfig::idle(), |cfg, &s| cfg.with_stream(s))
+        let custom = |streams: &[ContentionStream]| ContentionConfig {
+            streams: streams.to_vec(),
         };
         let configs = [
             ContentionConfig::lockstep(1),

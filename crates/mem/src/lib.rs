@@ -15,21 +15,27 @@
 //! A vector load or store is granted as a whole stream by
 //! [`MemorySystem::grant_stream`], element by element exactly as
 //! [`MemorySystem::grant`] would grant each one. Its data space is
-//! [`MemConfig::words`] words, every one `0.0` until written, and is
-//! stored grow-on-write: only the words up to the highest one written
-//! take memory.
+//! [`MachineDescription::words`] words, every one `0.0` until written,
+//! and is stored grow-on-write: only the words up to the highest one
+//! written take memory.
 //! Times are exact integer *ticks*, 20 per cycle (the machine's 1/20-cycle
-//! timing quantum); read-outs such as [`MemorySystem::wait_cycles`] convert
-//! to cycles.
+//! timing quantum); read-outs such as [`WaitTicks::cycles`] convert to
+//! cycles through [`c240_isa::timing::cycles`].
 //! [`ScalarCache`] models the ASU data cache that scalar accesses go
 //! through (vector accesses bypass it).
+//!
+//! Both build themselves from the one [`MachineDescription`] every layer
+//! reads: its bank geometry, refresh, data space and scalar-cache
+//! geometry. The background load is a [`ContentionConfig`] beside it, and
+//! [`validate`](fn@validate) checks the two together.
 //!
 //! # Example
 //!
 //! ```
-//! use c240_mem::{MemConfig, MemorySystem};
+//! use c240_isa::MachineDescription;
+//! use c240_mem::{ContentionConfig, MemorySystem};
 //!
-//! let mut mem = MemorySystem::new(MemConfig::c240());
+//! let mut mem = MemorySystem::new(&MachineDescription::c240(), &ContentionConfig::idle());
 //! mem.poke(100, 2.5);
 //! let t = mem.grant(100, 0);
 //! assert_eq!(mem.peek(100), 2.5);
@@ -38,6 +44,9 @@
 //! let t2 = mem.grant(100, t);
 //! assert!(t2 >= t + 160);
 //! ```
+//!
+//! [`MachineDescription`]: c240_isa::MachineDescription
+//! [`MachineDescription::words`]: c240_isa::MachineDescription::words
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,26 +56,20 @@ mod contention;
 mod system;
 mod validate;
 
-pub use cache::{CacheConfig, ScalarCache};
-pub use contention::{ContentionConfig, ContentionStream};
-pub use system::{BankState, MemConfig, MemorySystem, StreamGrants, WaitBreakdown, WaitTicks};
-pub use validate::{
-    MemConfigError, MAX_BANKS, MAX_BANK_BUSY, MAX_CONTENTION_CLAIMS, MAX_REFRESH_PERIOD, MAX_WORDS,
-};
+use c240_isa::timing::TICKS_PER_CYCLE;
 
-/// Ticks per cycle of the machine's timing quantum. Private copy of
-/// `c240_isa::timing::TICKS_PER_CYCLE` — this crate is dependency-free.
-const TICKS_PER_CYCLE: i64 = 20;
+pub use cache::ScalarCache;
+pub use contention::{ContentionConfig, ContentionStream};
+pub use system::{BankState, MemorySystem, StreamGrants, WaitBreakdown, WaitTicks};
+pub use validate::{
+    validate, MemConfigError, MAX_BANKS, MAX_BANK_BUSY, MAX_CONTENTION_CLAIMS, MAX_REFRESH_PERIOD,
+    MAX_WORDS,
+};
 
 /// A whole number of cycles as ticks, saturating at the `i64` range
 /// (validated configurations stay far below it).
 fn cycle_ticks(cycles: u64) -> i64 {
     i64::try_from(cycles).map_or(i64::MAX, |c| c.saturating_mul(TICKS_PER_CYCLE))
-}
-
-/// Ticks as cycles, for read-outs.
-fn cycles(ticks: i64) -> f64 {
-    ticks as f64 / TICKS_PER_CYCLE as f64
 }
 
 /// Word-granular bank index for an address under a given interleave.

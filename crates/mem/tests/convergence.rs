@@ -1,4 +1,4 @@
-//! Every memory configuration that `MemConfig::validate` accepts must be
+//! Every memory configuration that `c240_mem::validate` accepts must be
 //! one the grant search can serve: validation's saturation check and the
 //! search read the same background claim table, so no accepted
 //! configuration may trip the search's "did not converge" guard. Where
@@ -7,9 +7,47 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use c240_mem::{ContentionConfig, ContentionStream, MemConfig, MemConfigError, MemorySystem};
+use c240_isa::MachineDescription;
+use c240_mem::{ContentionConfig, ContentionStream, MemConfigError, MemorySystem};
 
 const T: i64 = 20;
+
+/// A memory configuration under test: the machine and its background
+/// load.
+#[derive(Debug, Clone)]
+struct Config {
+    machine: MachineDescription,
+    contention: ContentionConfig,
+}
+
+impl Config {
+    /// The C-240 with `banks` banks of `bank_busy` cycles under
+    /// `contention`.
+    fn new(banks: u32, bank_busy: u64, contention: ContentionConfig) -> Self {
+        let machine = MachineDescription {
+            banks,
+            bank_busy,
+            ..MachineDescription::c240()
+        };
+        Config {
+            machine,
+            contention,
+        }
+    }
+
+    fn memory(&self) -> MemorySystem {
+        MemorySystem::new(&self.machine, &self.contention)
+    }
+
+    /// `c240_mem::validate`'s verdict, its machine label stripped.
+    fn validate(&self) -> Result<(), MemConfigError> {
+        c240_mem::validate(&self.machine, &self.contention).map_err(|e| e.root().clone())
+    }
+
+    fn pattern_period(&self) -> u64 {
+        self.contention.pattern_period(self.machine.banks)
+    }
+}
 
 /// A small deterministic generator for sampling the grid.
 struct Lcg(u64);
@@ -26,8 +64,9 @@ impl Lcg {
 
 /// Grants one access per start tick, then a unit-stride stream and a
 /// stream that stays on one bank, each from the latest grant on.
-fn exercise(mut mem: MemorySystem, period: i64) {
-    let banks = i64::from(mem.config().banks);
+fn exercise(config: &Config) {
+    let (mut mem, period) = (config.memory(), config.pattern_period() as i64);
+    let banks = i64::from(config.machine.banks);
     let mut last = 0;
     for (i, start) in [
         0,
@@ -50,8 +89,9 @@ fn exercise(mut mem: MemorySystem, period: i64) {
 }
 
 /// Grants every bank from start ticks spread over four refresh periods.
-fn exercise_every_bank(mut mem: MemorySystem) {
-    for bank in 0..u64::from(mem.config().banks) {
+fn exercise_every_bank(config: &Config) {
+    let mut mem = config.memory();
+    for bank in 0..u64::from(config.machine.banks) {
         for k in 0..24 {
             mem.grant(bank, (k * 67 + 3 * bank as i64) * T);
         }
@@ -60,11 +100,11 @@ fn exercise_every_bank(mut mem: MemorySystem) {
 
 /// Whether a grant search on `bank` from some cycle of one period of the
 /// claims and the refresh windows never ends.
-fn some_search_runs_forever(config: &MemConfig, bank: u32) -> bool {
-    let pattern = config.contention.pattern_period(config.banks);
-    let refresh = config.refresh_period;
+fn some_search_runs_forever(config: &Config, bank: u32) -> bool {
+    let pattern = config.pattern_period();
+    let refresh = config.machine.refresh_period;
     let span = pattern / gcd(pattern, refresh) * refresh;
-    let mut mem = MemorySystem::new(config.clone());
+    let mut mem = config.memory();
     let searches = || {
         for cycle in 0..span as i64 {
             mem.reset_timing();
@@ -100,43 +140,25 @@ fn gcd(a: u64, b: u64) -> u64 {
 ///
 /// Then dense streams on 1 to 40 banks that leave a few claim-free cycles
 /// per block of visits.
-fn refresh_aligned(rng: &mut Lcg) -> Vec<MemConfig> {
+fn refresh_aligned(rng: &mut Lcg) -> Vec<Config> {
     let stream = |stride, phase, duty_num, duty_den| ContentionStream {
         stride,
         phase,
         duty_num,
         duty_den,
     };
-    let streams = |streams: &[ContentionStream]| {
-        streams
-            .iter()
-            .fold(ContentionConfig::idle(), |cfg, &s| cfg.with_stream(s))
+    let streams = |streams: &[ContentionStream]| ContentionConfig {
+        streams: streams.to_vec(),
     };
     let mut configs = vec![
-        MemConfig {
-            banks: 2,
-            bank_busy: 3,
-            contention: streams(&[stream(1, 1, 199, 200)]),
-            ..MemConfig::c240()
-        },
-        MemConfig {
-            banks: 16,
-            bank_busy: 24,
-            contention: streams(&[stream(1, 6, 24, 25)]),
-            ..MemConfig::c240()
-        },
-        MemConfig {
-            banks: 16,
-            bank_busy: 22,
-            contention: streams(&[stream(1, 6, 24, 25)]),
-            ..MemConfig::c240()
-        },
-        MemConfig {
-            banks: 16,
-            bank_busy: 11,
-            contention: streams(&[stream(15, 598, 7, 7), stream(9, 102, 24, 25)]),
-            ..MemConfig::c240()
-        },
+        Config::new(2, 3, streams(&[stream(1, 1, 199, 200)])),
+        Config::new(16, 24, streams(&[stream(1, 6, 24, 25)])),
+        Config::new(16, 22, streams(&[stream(1, 6, 24, 25)])),
+        Config::new(
+            16,
+            11,
+            streams(&[stream(15, 598, 7, 7), stream(9, 102, 24, 25)]),
+        ),
     ];
     for _ in 0..250 {
         let banks = [1u32, 2, 4, 5, 8, 10, 16, 20, 25, 40][rng.below(10) as usize];
@@ -144,20 +166,16 @@ fn refresh_aligned(rng: &mut Lcg) -> Vec<MemConfig> {
         for _ in 0..=rng.below(3) {
             let duty_den = (400 * (1 + rng.below(2)) / u64::from(banks)) as u32;
             let duty_num = duty_den.saturating_sub(rng.below(4) as u32);
-            contention = contention.with_stream(ContentionStream {
+            contention.streams.push(ContentionStream {
                 stride: rng.below(2 * u64::from(banks)),
                 phase: rng.below(1000),
                 duty_num,
                 duty_den,
             });
         }
-        configs.push(MemConfig {
-            banks,
-            bank_busy: 1 + rng.below(8),
-            words: 4096,
-            contention,
-            ..MemConfig::c240()
-        });
+        let mut config = Config::new(banks, 1 + rng.below(8), contention);
+        config.machine.words = 4096;
+        configs.push(config);
     }
     configs
 }
@@ -183,22 +201,15 @@ fn every_accepted_configuration_converges() {
                 } else {
                     ContentionConfig::mixed(n)
                 };
-                let period = contention.pattern_period(banks) as i64;
-                let config = MemConfig {
-                    banks,
-                    bank_busy: 1 + rng.below(40),
-                    refresh_enabled: rng.below(2) == 0,
-                    words: 4096,
-                    contention,
-                    ..MemConfig::c240()
-                };
+                let mut config = Config::new(banks, 1 + rng.below(40), contention);
+                config.machine.refresh_enabled = rng.below(2) == 0;
+                config.machine.words = 4096;
                 if config.validate().is_err() {
                     rejected += 1;
                     continue;
                 }
                 accepted += 1;
-                let mem = MemorySystem::new(config.clone());
-                if catch_unwind(AssertUnwindSafe(|| exercise(mem, period))).is_err() {
+                if catch_unwind(AssertUnwindSafe(|| exercise(&config))).is_err() {
                     failures.push(config);
                 }
             }
@@ -217,10 +228,9 @@ fn every_accepted_configuration_converges() {
             continue;
         }
         aligned_accepted += 1;
-        let period = config.contention.pattern_period(config.banks) as i64;
         let run = || {
-            exercise(MemorySystem::new(config.clone()), period);
-            exercise_every_bank(MemorySystem::new(config.clone()));
+            exercise(&config);
+            exercise_every_bank(&config);
         };
         if catch_unwind(AssertUnwindSafe(run)).is_err() {
             failures.push(config);

@@ -2,7 +2,7 @@
 //! settings.
 
 use c240_isa::MachineDescription;
-use c240_mem::{CacheConfig, ContentionConfig, MemConfig};
+use c240_mem::ContentionConfig;
 
 /// Full simulator configuration.
 ///
@@ -63,32 +63,6 @@ impl SimConfig {
             max_instructions: 200_000_000,
             fast_forward: true,
             cpus: 1,
-        }
-    }
-
-    /// The memory system's configuration: the description's bank
-    /// geometry, refresh and data space, plus the background contention.
-    pub fn mem_config(&self) -> MemConfig {
-        let m = &self.machine;
-        MemConfig {
-            banks: m.banks,
-            bank_busy: m.bank_busy,
-            refresh_period: m.refresh_period,
-            refresh_len: m.refresh_len,
-            refresh_enabled: m.refresh_enabled,
-            words: m.words as usize,
-            contention: self.contention.clone(),
-        }
-    }
-
-    /// The scalar cache's configuration, from the description.
-    pub fn cache_config(&self) -> CacheConfig {
-        let m = &self.machine;
-        CacheConfig {
-            lines: m.cache_lines as usize,
-            line_words: m.cache_line_words,
-            hit_latency: m.cache_hit_latency,
-            miss_penalty: m.cache_miss_penalty,
         }
     }
 
@@ -172,7 +146,7 @@ mod tests {
         assert!(!c.machine.chaining);
         assert!(!c.machine.pair_constraint);
         assert!(!c.machine.refresh_enabled);
-        assert!(!c.mem_config().refresh_enabled);
+        assert_eq!(c.machine.modeled_refresh(), None);
         assert_eq!(c.machine.timing.get(TimingClass::Store).b, 0.0);
     }
 }

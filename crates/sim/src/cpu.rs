@@ -213,8 +213,8 @@ impl Cpu {
     /// rounded onto it (a reduction `Z` of 1.33 runs as 1.35), and one
     /// beyond the `i64` tick range saturates.
     pub fn new(config: SimConfig) -> Self {
-        let mem = MemorySystem::new(config.mem_config());
-        let cache = ScalarCache::new(config.cache_config());
+        let mem = MemorySystem::new(&config.machine, &config.contention);
+        let cache = ScalarCache::new(&config.machine);
         Cpu {
             ticks: Ticks::of(&config),
             config,
@@ -502,8 +502,9 @@ impl Cpu {
         let total = self.end.max(self.clock);
         self.stats.cycles = cycles(total);
         self.stats.memory_accesses = self.mem.access_count();
-        self.stats.memory_wait_cycles = self.mem.wait_cycles();
-        self.stats.memory_waits = self.mem.wait_breakdown();
+        let waits = self.mem.wait_ticks();
+        self.stats.memory_wait_cycles = cycles(waits.total());
+        self.stats.memory_waits = waits.cycles();
         self.stats.cache_hits = self.cache.hits();
         self.stats.cache_misses = self.cache.misses();
         if P::ENABLED {

@@ -31,7 +31,7 @@ impl Cpu {
     /// the contention pattern period, which is what preserves all modular
     /// arithmetic under translation.
     fn ff_key(&self) -> Vec<u64> {
-        let mc = self.mem.config();
+        let machine = &self.config.machine;
         let mut key = Vec::with_capacity(6 + 2 * self.active.len());
         key.push(u64::from(self.vl));
         key.push(u64::from(self.tflag));
@@ -44,10 +44,10 @@ impl Cpu {
         // whenever the true phase repeats.
         let ticks_per_cycle = TICKS_PER_CYCLE as u64;
         let clock = self.clock as u64;
-        if mc.refresh_enabled && mc.refresh_period > 0 {
-            key.push(clock % (mc.refresh_period * ticks_per_cycle));
+        if let Some((period, _)) = machine.modeled_refresh() {
+            key.push(clock % (period * ticks_per_cycle));
         }
-        let pp = mc.contention.pattern_period(mc.banks);
+        let pp = self.config.contention.pattern_period(machine.banks);
         if pp > 1 {
             key.push(clock % (pp * ticks_per_cycle));
         }
@@ -161,7 +161,7 @@ impl Cpu {
     /// outcome and, when it reaches the banks, its bank. A load hit never
     /// does, so it records bank 0.
     pub(super) fn step_check(&self, touched: Touched) -> StepCheck {
-        let banks = u64::from(self.mem.config().banks);
+        let banks = u64::from(self.config.machine.banks);
         let residue = |word: u64| (word % banks) as u32;
         match touched {
             Touched::Regs | Touched::Taken | Touched::Vector { .. } => StepCheck::Plain,

@@ -23,8 +23,10 @@ pub struct RunStats {
     pub memory_accesses: u64,
     /// Cycles memory accesses spent waiting on banks/refresh/contention.
     pub memory_wait_cycles: f64,
-    /// The same wait cycles split by cause; `memory_waits.total()`
-    /// equals `memory_wait_cycles` identically.
+    /// The same wait cycles split by cause. The causes sum to the total
+    /// exactly in ticks, but each is rounded to `f64` on its own, so
+    /// `memory_waits.total()` equals `memory_wait_cycles` only to within
+    /// rounding (see [`WaitBreakdown`]).
     pub memory_waits: WaitBreakdown,
     /// Scalar cache hits.
     pub cache_hits: u64,

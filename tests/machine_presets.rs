@@ -14,7 +14,7 @@
 //! model for.
 
 use c240_isa::{MachineDescription, ProgramBuilder, ScalarTiming, TimingTable, PRESET_NAMES};
-use c240_mem::{CacheConfig, ContentionConfig, MemConfig};
+use c240_mem::ContentionConfig;
 use c240_sim::{ConfigError, CounterProbe, Cpu, Machine, RunStats, SimConfig};
 use macs_core::ChimeConfig;
 use macs_experiments::Ablation;
@@ -61,9 +61,6 @@ fn c240_preset_equals_the_legacy_literal_config() {
     let literal = legacy_literal_c240();
     assert_eq!(SimConfig::c240(), literal);
     assert_eq!(SimConfig::for_machine(&MachineDescription::c240()), literal);
-    // The memory side is built from the description in one place each.
-    assert_eq!(literal.mem_config(), MemConfig::c240());
-    assert_eq!(literal.cache_config(), CacheConfig::c240());
     // The bound model holds the same machine the simulator runs.
     assert_eq!(ChimeConfig::c240().machine, literal.machine);
     // The 1.02 refresh factor of §3.2 must come out of the description's

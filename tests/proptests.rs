@@ -221,12 +221,14 @@ fn contention_never_speeds_up_memory_loops() {
         let phase = rng.range_u64(0, 32);
         let stride = strides[rng.range_usize(0, 3)];
         let busy_cfg = SimConfig {
-            contention: ContentionConfig::idle().with_stream(c240_mem::ContentionStream {
-                stride,
-                phase,
-                duty_num: 1,
-                duty_den: 2,
-            }),
+            contention: ContentionConfig {
+                streams: vec![c240_mem::ContentionStream {
+                    stride,
+                    phase,
+                    duty_num: 1,
+                    duty_den: 2,
+                }],
+            },
             ..SimConfig::c240()
         };
         let busy = Cpu::new(busy_cfg).run(&program).unwrap().cycles;
@@ -253,7 +255,9 @@ fn contention_never_speeds_up_memory_loops() {
             duty_den: rng.range_u64(2, 5) as u32,
         };
         let busy_cfg = SimConfig {
-            contention: ContentionConfig::idle().with_stream(stream),
+            contention: ContentionConfig {
+                streams: vec![stream],
+            },
             ..quiet_cfg.clone()
         };
         if busy_cfg.validate().is_err() {
@@ -418,7 +422,9 @@ fn assembler_rejects_near_misses() {
 /// and the same access pattern is deterministic.
 #[test]
 fn memory_grants_are_monotone_and_deterministic() {
-    use c240_mem::{MemConfig, MemorySystem};
+    use c240_isa::MachineDescription;
+    use c240_mem::{ContentionConfig, MemorySystem};
+    let c240 = || MemorySystem::new(&MachineDescription::c240(), &ContentionConfig::idle());
     for seed in 0..48u64 {
         let mut rng = Rng::new(7000 + seed);
         let addrs: Vec<u64> = (0..rng.range_usize(1, 64))
@@ -427,8 +433,8 @@ fn memory_grants_are_monotone_and_deterministic() {
         let delay = rng.range_u64(0, 16);
         // Times are in ticks, 20 per cycle.
         let cycle = 20;
-        let mut early = MemorySystem::new(MemConfig::c240());
-        let mut late = MemorySystem::new(MemConfig::c240());
+        let mut early = c240();
+        let mut late = c240();
         let mut t_early = 0;
         let mut t_late = delay as i64 * cycle;
         for &a in &addrs {
@@ -439,7 +445,7 @@ fn memory_grants_are_monotone_and_deterministic() {
             t_late = g2 + cycle;
         }
         // Determinism.
-        let mut again = MemorySystem::new(MemConfig::c240());
+        let mut again = c240();
         let mut t = 0;
         let mut grants = Vec::new();
         for &a in &addrs {
@@ -447,7 +453,7 @@ fn memory_grants_are_monotone_and_deterministic() {
             grants.push(g);
             t = g + cycle;
         }
-        let mut once_more = MemorySystem::new(MemConfig::c240());
+        let mut once_more = c240();
         let mut t2 = 0;
         for (&a, &g) in addrs.iter().zip(&grants) {
             let gg = once_more.grant(a, t2);
