@@ -5,6 +5,8 @@
 //! xorshift64* generator. Each test case prints its seed on failure, so
 //! any failure is reproducible by construction.
 
+use macs_compiler::{Expr, Kernel};
+
 /// xorshift64* — deterministic, seedable, good enough for input fuzzing.
 pub struct Rng(u64);
 
@@ -68,4 +70,41 @@ impl Rng {
             .map(|_| alphabet[self.range_usize(0, alphabet.len())] as char)
             .collect()
     }
+}
+
+/// Random (but well-formed) kernels for the compiler properties.
+fn expr(rng: &mut Rng, depth: u32) -> Expr {
+    let leaf = |rng: &mut Rng| match rng.range_u64(0, 3) {
+        0 => {
+            let name = ["a", "b", "c"][rng.range_usize(0, 3)];
+            macs_compiler::load(name, rng.range_i64(0, 4))
+        }
+        1 => macs_compiler::param("p"),
+        _ => macs_compiler::con(rng.range_i64(1, 9) as f64 / 4.0),
+    };
+    if depth == 0 {
+        return leaf(rng);
+    }
+    // Weighted choice mirroring the original strategy: 4 add, 3 mul,
+    // 2 sub, 1 neg — and leaves become likelier as depth shrinks.
+    if rng.range_u64(0, 4) == 0 {
+        return leaf(rng);
+    }
+    match rng.range_u64(0, 10) {
+        0..=3 => expr(rng, depth - 1) + expr(rng, depth - 1),
+        4..=6 => expr(rng, depth - 1) * expr(rng, depth - 1),
+        7..=8 => expr(rng, depth - 1) - expr(rng, depth - 1),
+        _ => -expr(rng, depth - 1),
+    }
+}
+
+pub fn kernel(rng: &mut Rng) -> Kernel {
+    let e = expr(rng, 3);
+    Kernel::new("random")
+        .array("a", 1200)
+        .array("b", 1200)
+        .array("c", 1200)
+        .array("o", 1200)
+        .param("p", 1.5)
+        .store("o", 0, e)
 }
