@@ -259,15 +259,10 @@ fn parse_mov(ops: &[&str]) -> Result<Instruction, String> {
 }
 
 fn parse_immediate(text: &str) -> Result<ScalarValue, String> {
-    if text.contains(['.', 'e', 'E']) && text.parse::<i64>().is_err() {
-        text.parse::<f64>()
-            .map(ScalarValue::Fp)
-            .map_err(|_| format!("bad immediate `#{text}`"))
-    } else {
-        text.parse::<i64>()
-            .map(ScalarValue::Int)
-            .map_err(|_| format!("bad immediate `#{text}`"))
-    }
+    text.parse::<i64>()
+        .map(ScalarValue::Int)
+        .or_else(|_| text.parse::<f64>().map(ScalarValue::Fp))
+        .map_err(|_| format!("bad immediate `#{text}`"))
 }
 
 fn split_operands(text: &str) -> Vec<&str> {
@@ -542,6 +537,33 @@ start:
                 assert_eq!(*b, ScalarValue::Fp(3.0));
             }
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn fp_immediates_read_back_bit_for_bit() {
+        for x in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            1e15,
+            -3e16,
+            1e20,
+            1e-7,
+        ] {
+            let text = Instruction::SMovImm {
+                value: ScalarValue::Fp(x),
+                dst: ScalarReg::S("s0".parse().unwrap()),
+            }
+            .to_string();
+            match assemble(&text).unwrap().instructions() {
+                [Instruction::SMovImm {
+                    value: ScalarValue::Fp(y),
+                    ..
+                }] => assert_eq!(y.to_bits(), x.to_bits(), "`{text}`"),
+                other => panic!("`{text}` assembled as {other:?}"),
+            }
         }
     }
 

@@ -58,15 +58,10 @@ impl fmt::Display for ScalarValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ScalarValue::Int(i) => write!(f, "#{i}"),
-            // Always keep a decimal point so the assembler can round-trip
-            // the integer/float distinction.
-            ScalarValue::Fp(x) => {
-                if x.fract() == 0.0 && x.is_finite() && x.abs() < 1e15 {
-                    write!(f, "#{x:.1}")
-                } else {
-                    write!(f, "#{x}")
-                }
-            }
+            // The shortest text that reads back as this float: it always
+            // has a point or an exponent (or is `NaN`/`inf`), so the
+            // assembler keeps the integer/float distinction.
+            ScalarValue::Fp(x) => write!(f, "#{x:?}"),
         }
     }
 }

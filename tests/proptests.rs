@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 use prop_support::{kernel, Rng};
 
 use c240_isa::asm::assemble;
-use c240_isa::{Instruction, MemRef, Program, VOperand};
+use c240_isa::{Instruction, MemRef, Program, ScalarValue, VOperand};
 use c240_mem::ContentionConfig;
 use c240_sim::{Cpu, SimConfig};
 use macs_compiler::{compile, CompileOptions};
@@ -50,6 +50,20 @@ fn memref(rng: &mut Rng) -> MemRef {
     let off = rng.range_i64(-64, 64) * 8;
     let stride = if rng.bool() { 1 } else { rng.range_i64(2, 32) };
     MemRef::new(areg(base), off).with_stride(stride)
+}
+
+/// An integer, or a finite float drawn from random bits (so every
+/// exponent and digit count occurs).
+fn immediate(rng: &mut Rng) -> ScalarValue {
+    if rng.bool() {
+        return ScalarValue::Int(rng.next() as i64);
+    }
+    loop {
+        let x = f64::from_bits(rng.next());
+        if x.is_finite() {
+            return ScalarValue::Fp(x);
+        }
+    }
 }
 
 /// Random instructions covering every variant the assembler prints.
@@ -91,7 +105,7 @@ fn instruction(rng: &mut Rng) -> Instruction {
             acc: sreg(rng.u8()),
         },
         8 => Instruction::SMovImm {
-            value: c240_isa::ScalarValue::Int(rng.next() as i64),
+            value: immediate(rng),
             dst: c240_isa::ScalarReg::S(sreg(rng.u8())),
         },
         9 => Instruction::SLoad {
