@@ -97,24 +97,25 @@ pub fn measure<P: Probe>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use c240_isa::ProgramBuilder;
+    use c240_isa::asm::assemble;
     use c240_sim::{CounterProbe, NoProbe};
 
     fn copy_loop() -> Program {
-        let mut b = ProgramBuilder::new();
-        b.mov_int(1024, "s0");
-        b.label("L");
-        b.set_vl("s0");
-        b.vload("a1", 0, "v0");
-        b.vadd("v0", "v0", "v1");
-        b.vstore("v1", "a2", 0);
-        b.int_op_imm("add", 1024, "a1");
-        b.int_op_imm("add", 1024, "a2");
-        b.int_op_imm("sub", 128, "s0");
-        b.cmp_imm("lt", 0, "s0");
-        b.branch_true("L");
-        b.halt();
-        b.build().unwrap()
+        assemble(
+            "   mov #1024,s0
+            L:
+                mov s0,vl
+                ld.l 0(a1),v0
+                add.d v0,v0,v1
+                st.l v1,0(a2)
+                add.w #1024,a1
+                add.w #1024,a2
+                sub.w #128,s0
+                lt.w #0,s0
+                jbrs.t L
+                halt",
+        )
+        .unwrap()
     }
 
     fn setup(cpu: &mut Cpu) {
@@ -161,13 +162,10 @@ mod tests {
 
     #[test]
     fn display_mentions_units() {
-        let mut b = ProgramBuilder::new();
-        b.nop();
-        b.halt();
         let (ms, _) = measure(
             &SimConfig::c240(),
             |_| {},
-            &b.build().unwrap(),
+            &assemble("nop\nhalt").unwrap(),
             1,
             1,
             &mut [NoProbe],

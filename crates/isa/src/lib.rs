@@ -25,15 +25,16 @@
 //! Build the inner-loop chime of §3.3 of the paper and inspect it:
 //!
 //! ```
-//! use c240_isa::{ProgramBuilder, Pipe, VReg};
+//! use c240_isa::asm::assemble;
+//! use c240_isa::{Pipe, VReg};
 //!
-//! let mut b = ProgramBuilder::new();
-//! b.label("L7");
-//! b.vload("a5", 0, "v0");
-//! b.vadd("v0", "v1", "v2");
-//! b.vmul("v2", "v3", "v5");
-//! b.jump("L7");
-//! let program = b.build().expect("valid program");
+//! let program = assemble(
+//!     "L7: ld.l 0(a5),v0
+//!          add.d v0,v1,v2
+//!          mul.d v2,v3,v5
+//!          jbr L7",
+//! )
+//! .expect("valid program");
 //!
 //! let load = &program.instructions()[0];
 //! assert_eq!(load.pipe(), Some(Pipe::LoadStore));

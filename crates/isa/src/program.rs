@@ -611,22 +611,24 @@ fn parse_cmp_op(op: &str) -> CmpOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::asm::assemble;
 
     fn sample() -> Program {
-        let mut b = ProgramBuilder::new();
-        b.mov_int(128, "s0");
-        b.label("L7");
-        b.set_vl("s0");
-        b.vload("a5", 40120, "v0");
-        b.vmul("v0", "s1", "v1");
-        b.vadd("v1", "v0", "v3");
-        b.vstore("v3", "a5", 24024);
-        b.int_op_imm("add", 1024, "a5");
-        b.int_op_imm("sub", 128, "s0");
-        b.cmp_imm("lt", 0, "s0");
-        b.branch_true("L7");
-        b.halt();
-        b.build().unwrap()
+        assemble(
+            "   mov #128,s0
+            L7:
+                mov s0,vl
+                ld.l 40120(a5),v0
+                mul.d v0,s1,v1
+                add.d v1,v0,v3
+                st.l v3,24024(a5)
+                add.w #1024,a5
+                sub.w #128,s0
+                lt.w #0,s0
+                jbrs.t L7
+                halt",
+        )
+        .unwrap()
     }
 
     #[test]
@@ -649,19 +651,20 @@ mod tests {
 
     #[test]
     fn nested_loops_pick_shortest() {
-        let mut b = ProgramBuilder::new();
-        b.label("outer");
-        b.mov_int(2, "s0");
-        b.label("inner");
-        b.vload("a0", 0, "v0");
-        b.int_op_imm("sub", 1, "s0");
-        b.cmp_imm("lt", 0, "s0");
-        b.branch_true("inner");
-        b.int_op_imm("sub", 1, "s1");
-        b.cmp_imm("lt", 0, "s1");
-        b.branch_true("outer");
-        b.halt();
-        let p = b.build().unwrap();
+        let p = assemble(
+            "outer:
+                mov #2,s0
+            inner:
+                ld.l 0(a0),v0
+                sub.w #1,s0
+                lt.w #0,s0
+                jbrs.t inner
+                sub.w #1,s1
+                lt.w #0,s1
+                jbrs.t outer
+                halt",
+        )
+        .unwrap();
         assert_eq!(p.loops().len(), 2);
         let inner = p.innermost_loop().unwrap();
         assert_eq!(inner.head, p.label("inner").unwrap());

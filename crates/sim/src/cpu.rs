@@ -145,16 +145,16 @@ impl RunCursor {
 /// # Example
 ///
 /// ```
-/// use c240_isa::ProgramBuilder;
+/// use c240_isa::asm::assemble;
 /// use c240_sim::{Cpu, SimConfig};
 ///
-/// let mut b = ProgramBuilder::new();
-/// b.set_vl_imm(128);
-/// b.vload("a1", 0, "v0");
-/// b.vadd("v0", "v0", "v1");
-/// b.vstore("v1", "a2", 0);
-/// b.halt();
-/// let program = b.build()?;
+/// let program = assemble(
+///     "mov #128,vl
+///      ld.l 0(a1),v0
+///      add.d v0,v0,v1
+///      st.l v1,0(a2)
+///      halt",
+/// )?;
 ///
 /// let mut cpu = Cpu::new(SimConfig::c240());
 /// cpu.mem_mut().poke(0, 2.5);
@@ -534,7 +534,8 @@ impl Cpu {
 mod tests {
     use super::*;
     use crate::Trace;
-    use c240_isa::{Pipe, ProgramBuilder};
+    use c240_isa::asm::assemble;
+    use c240_isa::Pipe;
     use c240_obs::StallCause;
 
     fn quiet_config() -> SimConfig {
@@ -545,13 +546,14 @@ mod tests {
     /// in 162 cycles; without chaining 422.
     #[test]
     fn chaining_example_of_section_3_3() {
-        let mut b = ProgramBuilder::new();
-        b.set_vl_imm(128);
-        b.vload("a5", 0, "v0");
-        b.vadd("v0", "v1", "v2");
-        b.vmul("v2", "v3", "v5");
-        b.halt();
-        let p = b.build().unwrap();
+        let p = assemble(
+            "mov #128,vl
+             ld.l 0(a5),v0
+             add.d v0,v1,v2
+             mul.d v2,v3,v5
+             halt",
+        )
+        .unwrap();
 
         let mut cpu = Cpu::new(quiet_config());
         let stats = cpu.run(&p).unwrap();
@@ -581,18 +583,19 @@ mod tests {
     #[test]
     fn steady_state_chime_costs_vl_plus_bubbles() {
         let chime_loop = |iters: i64| {
-            let mut b = ProgramBuilder::new();
-            b.set_vl_imm(128);
-            b.mov_int(iters, "s0");
-            b.label("L");
-            b.vload("a5", 0, "v0");
-            b.vadd("v0", "v1", "v2");
-            b.vmul("v2", "v3", "v5");
-            b.int_op_imm("sub", 1, "s0");
-            b.cmp_imm("lt", 0, "s0");
-            b.branch_true("L");
-            b.halt();
-            b.build().unwrap()
+            assemble(&format!(
+                "   mov #128,vl
+                    mov #{iters},s0
+                L:
+                    ld.l 0(a5),v0
+                    add.d v0,v1,v2
+                    mul.d v2,v3,v5
+                    sub.w #1,s0
+                    lt.w #0,s0
+                    jbrs.t L
+                    halt"
+            ))
+            .unwrap()
         };
         let mut cpu = Cpu::new(quiet_config());
         let t20 = cpu.run(&chime_loop(20)).unwrap().cycles;
@@ -659,23 +662,25 @@ mod tests {
     #[test]
     fn warp_times_a_diverging_iteration_exactly() {
         use c240_obs::CounterProbe;
-        let mut b = ProgramBuilder::new();
-        b.mov_int(40 * 128 + 50, "s1");
-        b.set_vl_imm(128);
-        b.label("L");
-        b.sstore("a4", "a5", 0);
-        b.vstore("v0", "a2", 0);
-        b.set_vl("s1");
-        b.vadd("v0", "v1", "v0");
-        b.int_op_imm("sub", 128, "s1");
-        b.cmp_imm("lt", 0, "s1");
-        b.branch_false("done");
-        b.int_op_imm("add", 1, "a4");
-        b.jump("L");
-        b.label("done");
-        b.vstore("v0", "a3", 0);
-        b.halt();
-        let p = b.build().unwrap();
+        let p = assemble(&format!(
+            "   mov #{n},s1
+                mov #128,vl
+            L:
+                st.w a4,0(a5)
+                st.l v0,0(a2)
+                mov s1,vl
+                add.d v0,v1,v0
+                sub.w #128,s1
+                lt.w #0,s1
+                jbrs.f done
+                add.w #1,a4
+                jbr L
+            done:
+                st.l v0,0(a3)
+                halt",
+            n = 40 * 128 + 50,
+        ))
+        .unwrap();
         // The stored word shares a cache line with the vector store's
         // last two words (1002 + 126 and 127), so each vector store
         // invalidates it.
@@ -739,38 +744,41 @@ mod tests {
     /// Builds the paper's §3.5 LFK1 inner loop (3 loads, 3 muls, 2 adds,
     /// 1 store per strip) running `strips` strips of 128.
     fn lfk1_program(strips: u32) -> Program {
-        let mut b = ProgramBuilder::new();
-        b.mov_int((strips * 128) as i64, "s0");
-        b.label("L7");
-        b.set_vl("s0");
-        b.vload("a5", 40120, "v0");
-        b.vmul("v0", "s1", "v1");
-        b.vload("a5", 40128, "v2");
-        b.vmul("v2", "s3", "v0");
-        b.vadd("v1", "v0", "v3");
-        b.vload("a5", 32032, "v1");
-        b.vmul("v1", "v3", "v2");
-        b.vadd("v2", "s7", "v0");
-        b.vstore("v0", "a5", 24024);
-        b.int_op_imm("add", 1024, "a5");
-        b.int_op_imm("sub", 128, "s0");
-        b.cmp_imm("lt", 0, "s0");
-        b.branch_true("L7");
-        b.halt();
-        b.build().unwrap()
+        assemble(&format!(
+            "   mov #{n},s0
+            L7:
+                mov s0,vl
+                ld.l 40120(a5),v0
+                mul.d v0,s1,v1
+                ld.l 40128(a5),v2
+                mul.d v2,s3,v0
+                add.d v1,v0,v3
+                ld.l 32032(a5),v1
+                mul.d v1,v3,v2
+                add.d v2,s7,v0
+                st.l v0,24024(a5)
+                add.w #1024,a5
+                sub.w #128,s0
+                lt.w #0,s0
+                jbrs.t L7
+                halt",
+            n = strips * 128,
+        ))
+        .unwrap()
     }
 
     #[test]
     fn functional_vector_add_and_store() {
-        let mut b = ProgramBuilder::new();
-        b.set_vl_imm(4);
-        b.vload("a1", 0, "v0");
-        b.vload("a2", 0, "v1");
-        b.vadd("v0", "v1", "v2");
-        b.vmul("v2", "s1", "v3");
-        b.vstore("v3", "a3", 0);
-        b.halt();
-        let p = b.build().unwrap();
+        let p = assemble(
+            "mov #4,vl
+             ld.l 0(a1),v0
+             ld.l 0(a2),v1
+             add.d v0,v1,v2
+             mul.d v2,s1,v3
+             st.l v3,0(a3)
+             halt",
+        )
+        .unwrap();
         let mut cpu = Cpu::new(quiet_config());
         for i in 0..4 {
             cpu.mem_mut().poke(i, (i + 1) as f64);
@@ -788,12 +796,13 @@ mod tests {
 
     #[test]
     fn strided_load_gathers() {
-        let mut b = ProgramBuilder::new();
-        b.set_vl_imm(3);
-        b.vload_strided("a1", 0, 5, "v0");
-        b.vstore("v0", "a2", 0);
-        b.halt();
-        let p = b.build().unwrap();
+        let p = assemble(
+            "mov #3,vl
+             ld.l 0(a1):5,v0
+             st.l v0,0(a2)
+             halt",
+        )
+        .unwrap();
         let mut cpu = Cpu::new(quiet_config());
         for i in 0..16 {
             cpu.mem_mut().poke(i, i as f64);
@@ -808,15 +817,16 @@ mod tests {
 
     #[test]
     fn reduction_sums_elements() {
-        let mut b = ProgramBuilder::new();
-        b.set_vl_imm(8);
-        b.vload("a1", 0, "v0");
-        b.vsum("v0", "s2");
-        b.mov_fp(100.0, "s3");
-        b.vradd("v0", "s3");
-        b.vrsub("v0", "s3");
-        b.halt();
-        let p = b.build().unwrap();
+        let p = assemble(
+            "mov #8,vl
+             ld.l 0(a1),v0
+             sum.d v0,s2
+             mov #100.0,s3
+             radd.d v0,s3
+             rsub.d v0,s3
+             halt",
+        )
+        .unwrap();
         let mut cpu = Cpu::new(quiet_config());
         for i in 0..8 {
             cpu.mem_mut().poke(i, (i + 1) as f64);
@@ -831,17 +841,11 @@ mod tests {
     fn reduction_is_slower_than_add() {
         // Z = 1.35 for reductions: a VL=128 sum takes noticeably longer
         // than a VL=128 elementwise add.
-        let mut b1 = ProgramBuilder::new();
-        b1.set_vl_imm(128);
-        b1.vsum("v0", "s2");
-        b1.halt();
-        let mut b2 = ProgramBuilder::new();
-        b2.set_vl_imm(128);
-        b2.vadd("v0", "v1", "v2");
-        b2.halt();
+        let sum = assemble("mov #128,vl\nsum.d v0,s2\nhalt").unwrap();
+        let add = assemble("mov #128,vl\nadd.d v0,v1,v2\nhalt").unwrap();
         let mut cpu = Cpu::new(quiet_config());
-        let t_sum = cpu.run(&b1.build().unwrap()).unwrap().cycles;
-        let t_add = cpu.run(&b2.build().unwrap()).unwrap().cycles;
+        let t_sum = cpu.run(&sum).unwrap().cycles;
+        let t_add = cpu.run(&add).unwrap().cycles;
         assert!(t_sum > t_add + 40.0, "sum {t_sum} vs add {t_add}");
     }
 
@@ -850,24 +854,28 @@ mod tests {
         // Two vector loads with a scalar load between them: the scalar
         // access must wait for the first vector load to drain and fences
         // the second one — two separate chimes plus the scalar access.
-        let mut with_split = ProgramBuilder::new();
-        with_split.set_vl_imm(128);
-        with_split.vload("a1", 0, "v0");
-        with_split.sload("a2", 0, "s1");
-        with_split.vload("a1", 8192, "v1");
-        with_split.halt();
-        let mut without = ProgramBuilder::new();
-        without.set_vl_imm(128);
-        without.vload("a1", 0, "v0");
-        without.vload("a1", 8192, "v1");
-        without.sload("a2", 0, "s1");
-        without.halt();
+        let with_split = assemble(
+            "mov #128,vl
+             ld.l 0(a1),v0
+             ld.w 0(a2),s1
+             ld.l 8192(a1),v1
+             halt",
+        )
+        .unwrap();
+        let without = assemble(
+            "mov #128,vl
+             ld.l 0(a1),v0
+             ld.l 8192(a1),v1
+             ld.w 0(a2),s1
+             halt",
+        )
+        .unwrap();
         let mut cpu = Cpu::new(quiet_config());
         cpu.set_areg(2, 80000);
-        let t_split = cpu.run(&with_split.build().unwrap()).unwrap().cycles;
+        let t_split = cpu.run(&with_split).unwrap().cycles;
         let mut cpu2 = Cpu::new(quiet_config());
         cpu2.set_areg(2, 80000);
-        let t_clean = cpu2.run(&without.build().unwrap()).unwrap().cycles;
+        let t_clean = cpu2.run(&without).unwrap().cycles;
         assert!(
             t_split > t_clean + 2.0,
             "split {t_split} should exceed clean {t_clean}"
@@ -878,12 +886,7 @@ mod tests {
     fn register_pair_conflict_delays_start() {
         // mul.d v6,v1,v4 after add.d v2,v6,v6: three reads of pair
         // {v2,v6} among concurrent instructions → no chime sharing (§3.3).
-        let mut b = ProgramBuilder::new();
-        b.set_vl_imm(128);
-        b.vadd("v2", "v6", "v6");
-        b.vmul("v6", "v1", "v4");
-        b.halt();
-        let p = b.build().unwrap();
+        let p = assemble("mov #128,vl\nadd.d v2,v6,v6\nmul.d v6,v1,v4\nhalt").unwrap();
         let mut cpu = Cpu::new(quiet_config());
         let t_constrained = cpu.run(&p).unwrap().cycles;
         let mut cpu2 = Cpu::new(quiet_config().without_pair_constraint());
@@ -896,11 +899,7 @@ mod tests {
 
     #[test]
     fn divide_is_long_but_maskable() {
-        let mut b = ProgramBuilder::new();
-        b.set_vl_imm(128);
-        b.vdiv("v0", "v1", "v2");
-        b.halt();
-        let p = b.build().unwrap();
+        let p = assemble("mov #128,vl\ndiv.d v0,v1,v2\nhalt").unwrap();
         let mut cpu = Cpu::new(quiet_config());
         cpu.set_sreg_fp(0, 1.0);
         let t = cpu.run(&p).unwrap().cycles;
@@ -911,16 +910,17 @@ mod tests {
 
     #[test]
     fn scalar_loop_runs_functionally() {
-        let mut b = ProgramBuilder::new();
-        b.mov_int(0, "s1");
-        b.mov_int(10, "s0");
-        b.label("L");
-        b.int_op_imm("add", 3, "s1");
-        b.int_op_imm("sub", 1, "s0");
-        b.cmp_imm("lt", 0, "s0");
-        b.branch_true("L");
-        b.halt();
-        let p = b.build().unwrap();
+        let p = assemble(
+            "   mov #0,s1
+                mov #10,s0
+            L:
+                add.w #3,s1
+                sub.w #1,s0
+                lt.w #0,s0
+                jbrs.t L
+                halt",
+        )
+        .unwrap();
         let mut cpu = Cpu::new(quiet_config());
         let stats = cpu.run(&p).unwrap();
         assert_eq!(cpu.sreg_fp(1).to_bits() as i64, 30); // raw int in s1
@@ -929,15 +929,16 @@ mod tests {
 
     #[test]
     fn scalar_fp_ops() {
-        let mut b = ProgramBuilder::new();
-        b.mov_fp(6.0, "s1");
-        b.mov_fp(4.0, "s2");
-        b.fp_op("add", "s1", "s2", "s3");
-        b.fp_op("sub", "s1", "s2", "s4");
-        b.fp_op("mul", "s1", "s2", "s5");
-        b.fp_op("div", "s1", "s2", "s6");
-        b.halt();
-        let p = b.build().unwrap();
+        let p = assemble(
+            "mov #6.0,s1
+             mov #4.0,s2
+             add.s s1,s2,s3
+             sub.s s1,s2,s4
+             mul.s s1,s2,s5
+             div.s s1,s2,s6
+             halt",
+        )
+        .unwrap();
         let mut cpu = Cpu::new(quiet_config());
         cpu.run(&p).unwrap();
         assert_eq!(cpu.sreg_fp(3), 10.0);
@@ -948,12 +949,7 @@ mod tests {
 
     #[test]
     fn scalar_memory_roundtrip() {
-        let mut b = ProgramBuilder::new();
-        b.mov_fp(7.5, "s1");
-        b.sstore("s1", "a0", 40);
-        b.sload("a0", 40, "s2");
-        b.halt();
-        let p = b.build().unwrap();
+        let p = assemble("mov #7.5,s1\nst.w s1,40(a0)\nld.w 40(a0),s2\nhalt").unwrap();
         let mut cpu = Cpu::new(quiet_config());
         cpu.run(&p).unwrap();
         assert_eq!(cpu.sreg_fp(2), 7.5);
@@ -962,13 +958,14 @@ mod tests {
 
     #[test]
     fn address_loads_convert() {
-        let mut b = ProgramBuilder::new();
-        b.sload("a0", 0, "a1");
-        b.set_vl_imm(1);
-        b.vload("a1", 0, "v0");
-        b.vstore("v0", "a2", 0);
-        b.halt();
-        let p = b.build().unwrap();
+        let p = assemble(
+            "ld.w 0(a0),a1
+             mov #1,vl
+             ld.l 0(a1),v0
+             st.l v0,0(a2)
+             halt",
+        )
+        .unwrap();
         let mut cpu = Cpu::new(quiet_config());
         cpu.mem_mut().poke(0, 800.0); // byte address 800 = word 100
         cpu.mem_mut().poke(100, 3.25);
@@ -983,10 +980,7 @@ mod tests {
     /// use the old one.
     #[test]
     fn load_into_its_own_base_register_uses_the_old_address() {
-        let mut b = ProgramBuilder::new();
-        b.sload("a1", 0, "a1");
-        b.halt();
-        let p = b.build().unwrap();
+        let p = assemble("ld.w 0(a1),a1\nhalt").unwrap();
         let mut cpu = Cpu::new(quiet_config());
         cpu.mem_mut().poke(100, -8.0);
         cpu.set_areg(1, 800);
@@ -1000,11 +994,7 @@ mod tests {
     /// exact stepping then reaches the same limit.
     #[test]
     fn runaway_loop_hits_instruction_limit() {
-        let mut b = ProgramBuilder::new();
-        b.label("L");
-        b.nop();
-        b.jump("L");
-        let p = b.build().unwrap();
+        let p = assemble("L: nop\njbr L").unwrap();
         let mut config = quiet_config();
         config.max_instructions = 1000;
         for config in [config.clone(), config.without_fast_forward()] {
@@ -1018,9 +1008,7 @@ mod tests {
 
     #[test]
     fn falling_off_end_is_an_error() {
-        let mut b = ProgramBuilder::new();
-        b.nop();
-        let p = b.build().unwrap();
+        let p = assemble("nop").unwrap();
         let mut cpu = Cpu::new(quiet_config());
         assert!(matches!(
             cpu.run(&p).unwrap_err(),
@@ -1030,12 +1018,7 @@ mod tests {
 
     #[test]
     fn trace_records_vector_instructions() {
-        let mut b = ProgramBuilder::new();
-        b.set_vl_imm(16);
-        b.vload("a0", 0, "v0");
-        b.vadd("v0", "v0", "v1");
-        b.halt();
-        let p = b.build().unwrap();
+        let p = assemble("mov #16,vl\nld.l 0(a0),v0\nadd.d v0,v0,v1\nhalt").unwrap();
         let mut trace = Trace::default();
         Cpu::new(quiet_config()).run_probed(&p, &mut trace).unwrap();
         assert_eq!(trace.events().len(), 2);
@@ -1107,12 +1090,7 @@ mod tests {
 
     #[test]
     fn trace_events_carry_their_pc() {
-        let mut b = ProgramBuilder::new();
-        b.set_vl_imm(16);
-        b.vload("a0", 0, "v0");
-        b.vadd("v0", "v0", "v1");
-        b.halt();
-        let p = b.build().unwrap();
+        let p = assemble("mov #16,vl\nld.l 0(a0),v0\nadd.d v0,v0,v1\nhalt").unwrap();
         let mut trace = Trace::default();
         Cpu::new(quiet_config()).run_probed(&p, &mut trace).unwrap();
         let pcs: Vec<usize> = trace.events().iter().map(|e| e.pc).collect();
@@ -1121,16 +1099,17 @@ mod tests {
 
     #[test]
     fn trace_respects_configured_cap() {
-        let mut b = ProgramBuilder::new();
-        b.set_vl_imm(8);
-        b.mov_int(6, "s0");
-        b.label("L");
-        b.vadd("v0", "v0", "v1");
-        b.int_op_imm("sub", 1, "s0");
-        b.cmp_imm("lt", 0, "s0");
-        b.branch_true("L");
-        b.halt();
-        let p = b.build().unwrap();
+        let p = assemble(
+            "   mov #8,vl
+                mov #6,s0
+            L:
+                add.d v0,v0,v1
+                sub.w #1,s0
+                lt.w #0,s0
+                jbrs.t L
+                halt",
+        )
+        .unwrap();
         let mut trace = Trace::with_cap(2);
         Cpu::new(quiet_config()).run_probed(&p, &mut trace).unwrap();
         assert_eq!(trace.events().len(), 2);
@@ -1165,11 +1144,12 @@ mod tests {
     #[test]
     fn scalar_mem_lane_accounts_cache_misses() {
         use c240_obs::CounterProbe;
-        let mut b = ProgramBuilder::new();
-        b.sload("a0", 0, "s1"); // cold: miss
-        b.sload("a0", 0, "s2"); // warm: hit
-        b.halt();
-        let p = b.build().unwrap();
+        let p = assemble(
+            "ld.w 0(a0),s1  ; cold: miss
+             ld.w 0(a0),s2  ; warm: hit
+             halt",
+        )
+        .unwrap();
         let mut cpu = Cpu::new(quiet_config());
         let mut probe = CounterProbe::new();
         let stats = cpu.run_probed(&p, &mut probe).unwrap();
@@ -1189,14 +1169,15 @@ mod tests {
 
     #[test]
     fn stats_count_elements_and_flops() {
-        let mut b = ProgramBuilder::new();
-        b.set_vl_imm(64);
-        b.vload("a0", 0, "v0");
-        b.vmul("v0", "v0", "v1");
-        b.vadd("v1", "v0", "v2");
-        b.vstore("v2", "a1", 8192);
-        b.halt();
-        let p = b.build().unwrap();
+        let p = assemble(
+            "mov #64,vl
+             ld.l 0(a0),v0
+             mul.d v0,v0,v1
+             add.d v1,v0,v2
+             st.l v2,8192(a1)
+             halt",
+        )
+        .unwrap();
         let mut cpu = Cpu::new(quiet_config());
         let stats = cpu.run(&p).unwrap();
         assert_eq!(stats.elements_on(Pipe::LoadStore), 128);
@@ -1212,7 +1193,7 @@ mod tests {
 mod edge_tests {
     use super::*;
     use c240_isa::asm::assemble;
-    use c240_isa::{Pipe, ProgramBuilder};
+    use c240_isa::Pipe;
 
     fn quiet() -> SimConfig {
         SimConfig::c240().without_refresh()
@@ -1220,11 +1201,7 @@ mod edge_tests {
 
     #[test]
     fn unaligned_scalar_address_is_an_error() {
-        let mut b = ProgramBuilder::new();
-        b.mov_int(3, "a0"); // not 8-byte aligned
-        b.sload("a0", 0, "s1");
-        b.halt();
-        let p = b.build().unwrap();
+        let p = assemble("mov #3,a0 ; not 8-byte aligned\nld.w 0(a0),s1\nhalt").unwrap();
         let mut cpu = Cpu::new(quiet());
         assert!(matches!(
             cpu.run(&p).unwrap_err(),
@@ -1234,11 +1211,7 @@ mod edge_tests {
 
     #[test]
     fn negative_scalar_address_is_an_error() {
-        let mut b = ProgramBuilder::new();
-        b.mov_int(-8, "a0");
-        b.sstore("s0", "a0", 0);
-        b.halt();
-        let p = b.build().unwrap();
+        let p = assemble("mov #-8,a0\nst.w s0,0(a0)\nhalt").unwrap();
         let mut cpu = Cpu::new(quiet());
         assert!(matches!(
             cpu.run(&p).unwrap_err(),
@@ -1331,12 +1304,7 @@ mod edge_tests {
 
     #[test]
     fn strided_store_scatters() {
-        let mut b = ProgramBuilder::new();
-        b.set_vl_imm(3);
-        b.vload("a1", 0, "v0");
-        b.vstore_strided("v0", "a2", 0, 4);
-        b.halt();
-        let p = b.build().unwrap();
+        let p = assemble("mov #3,vl\nld.l 0(a1),v0\nst.l v0,0(a2):4\nhalt").unwrap();
         let mut cpu = Cpu::new(quiet());
         for i in 0..3 {
             cpu.mem_mut().poke(i, (i + 1) as f64);
@@ -1406,15 +1374,12 @@ mod edge_tests {
 
     /// One vector load or store of `vl` elements at `stride` words.
     fn one_access(store: bool, vl: u32, stride: i64) -> Program {
-        let mut b = ProgramBuilder::new();
-        b.set_vl_imm(vl);
-        if store {
-            b.vstore_strided("v0", "a1", 0, stride);
+        let access = if store {
+            format!("st.l v0,0(a1):{stride}")
         } else {
-            b.vload_strided("a1", 0, stride, "v0");
-        }
-        b.halt();
-        b.build().unwrap()
+            format!("ld.l 0(a1):{stride},v0")
+        };
+        assemble(&format!("mov #{vl},vl\n{access}\nhalt")).unwrap()
     }
 
     #[test]
@@ -1461,21 +1426,23 @@ mod edge_tests {
                 (0, strip_bytes, SMALL_WORDS as i64 * 8),
                 ((SMALL_WORDS as i64 - 128) * 8, -strip_bytes, -strip_bytes),
             ] {
-                let mut b = ProgramBuilder::new();
-                b.set_vl_imm(128);
-                b.mov_int(1000, "s0");
-                b.label("L");
-                if store {
-                    b.vstore("v0", "a1", 0);
+                let access = if store {
+                    "st.l v0,0(a1)"
                 } else {
-                    b.vload("a1", 0, "v0");
-                }
-                b.int_op_imm("add", step, "a1");
-                b.int_op_imm("sub", 1, "s0");
-                b.cmp_imm("lt", 0, "s0");
-                b.branch_true("L");
-                b.halt();
-                let p = b.build().unwrap();
+                    "ld.l 0(a1),v0"
+                };
+                let p = assemble(&format!(
+                    "   mov #128,vl
+                        mov #1000,s0
+                    L:
+                        {access}
+                        add.w #{step},a1
+                        sub.w #1,s0
+                        lt.w #0,s0
+                        jbrs.t L
+                        halt"
+                ))
+                .unwrap();
                 let [(ff_err, ff), (exact_err, exact)] = run_err(&p, a1);
                 assert_eq!(ff_err, SimError::BadAddress { byte_addr });
                 assert_eq!(exact_err, ff_err);
@@ -1489,14 +1456,13 @@ mod edge_tests {
     fn scalar_address_past_the_end_is_an_error() {
         let byte_addr = SMALL_WORDS as i64 * 8;
         for store in [false, true] {
-            let mut b = ProgramBuilder::new();
-            if store {
-                b.sstore("s0", "a1", 0);
+            let access = if store {
+                "st.w s0,0(a1)"
             } else {
-                b.sload("a1", 0, "s0");
-            }
-            b.halt();
-            for (err, _) in run_err(&b.build().unwrap(), byte_addr) {
+                "ld.w 0(a1),s0"
+            };
+            let p = assemble(&format!("{access}\nhalt")).unwrap();
+            for (err, _) in run_err(&p, byte_addr) {
                 assert_eq!(err, SimError::BadAddress { byte_addr });
             }
         }

@@ -33,16 +33,16 @@
 //! Reproduce the chained chime of §3.3 of the paper:
 //!
 //! ```
-//! use c240_isa::ProgramBuilder;
+//! use c240_isa::asm::assemble;
 //! use c240_sim::{Cpu, SimConfig};
 //!
-//! let mut b = ProgramBuilder::new();
-//! b.set_vl_imm(128);
-//! b.vload("a5", 0, "v0");
-//! b.vadd("v0", "v1", "v2");
-//! b.vmul("v2", "v3", "v5");
-//! b.halt();
-//! let program = b.build()?;
+//! let program = assemble(
+//!     "mov #128,vl
+//!      ld.l 0(a5),v0
+//!      add.d v0,v1,v2
+//!      mul.d v2,v3,v5
+//!      halt",
+//! )?;
 //!
 //! let mut cpu = Cpu::new(SimConfig::c240().without_refresh());
 //! let chained = cpu.run(&program)?.cycles;

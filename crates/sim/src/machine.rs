@@ -39,15 +39,10 @@
 //! # Example
 //!
 //! ```
-//! use c240_isa::ProgramBuilder;
+//! use c240_isa::asm::assemble;
 //! use c240_sim::{Machine, SimConfig};
 //!
-//! let mut b = ProgramBuilder::new();
-//! b.set_vl_imm(128);
-//! b.vload("a1", 0, "v0");
-//! b.vstore("v0", "a2", 0);
-//! b.halt();
-//! let program = b.build()?;
+//! let program = assemble("mov #128,vl\nld.l 0(a1),v0\nst.l v0,0(a2)\nhalt")?;
 //!
 //! let mut machine = Machine::new(SimConfig::c240().with_cpus(4));
 //! for i in 0..machine.cpus() {
@@ -223,24 +218,25 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use c240_isa::ProgramBuilder;
+    use c240_isa::asm::assemble;
 
     fn stream_program(iters: i64) -> Program {
         // A strip-mined unit-stride copy loop: load 128, store 128,
         // advance, decrement, branch back.
-        let mut b = ProgramBuilder::new();
-        b.mov_int(iters, "s0");
-        b.set_vl_imm(128);
-        b.label("L");
-        b.vload("a1", 0, "v0");
-        b.vstore("v0", "a2", 0);
-        b.int_op_imm("add", 128 * 8, "a1");
-        b.int_op_imm("add", 128 * 8, "a2");
-        b.int_op_imm("sub", 1, "s0");
-        b.cmp_imm("lt", 0, "s0");
-        b.branch_true("L");
-        b.halt();
-        b.build().expect("valid program")
+        assemble(&format!(
+            "   mov #{iters},s0
+                mov #128,vl
+            L:
+                ld.l 0(a1),v0
+                st.l v0,0(a2)
+                add.w #1024,a1
+                add.w #1024,a2
+                sub.w #1,s0
+                lt.w #0,s0
+                jbrs.t L
+                halt"
+        ))
+        .expect("valid program")
     }
 
     fn setup(cpu: &mut Cpu) {

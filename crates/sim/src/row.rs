@@ -221,7 +221,8 @@ impl TimingRow {
 mod tests {
     use super::*;
     use crate::{CounterProbe, Machine, SimConfig};
-    use c240_isa::{MachineDescription, ProgramBuilder};
+    use c240_isa::asm::assemble;
+    use c240_isa::MachineDescription;
     use c240_mem::ContentionConfig;
     use lfk_suite::LfkKernel;
 
@@ -303,9 +304,7 @@ mod tests {
 
     impl SetupImage {
         fn of(kernel: &dyn LfkKernel) -> SetupImage {
-            let mut b = ProgramBuilder::new();
-            b.halt();
-            let halt = b.build().expect("a lone halt");
+            let halt = assemble("halt").expect("a lone halt");
             let (_, machine) = macs_core::measure(
                 &Default::default(),
                 |cpu| kernel.setup(cpu),

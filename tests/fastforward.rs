@@ -198,21 +198,21 @@ fn fast_forward_engages_on_the_suite_without_refresh() {
 /// waits out the 400-cycle phase lcm), and the run stays bit-exact.
 #[test]
 fn fast_forward_engages_under_refresh_on_long_loops() {
-    use c240_isa::ProgramBuilder;
-    let mut b = ProgramBuilder::new();
-    b.set_vl_imm(128);
     // Long enough that the detector's warm-up (three observations of the
     // ~400-iteration refresh-phase period) is a small fraction of the run.
-    b.mov_int(20_000, "s0");
-    b.label("L");
-    b.vload("a1", 0, "v0");
-    b.vmul("v0", "s1", "v1");
-    b.vstore("v1", "a2", 0);
-    b.int_op_imm("sub", 1, "s0");
-    b.cmp_imm("lt", 0, "s0");
-    b.branch_true("L");
-    b.halt();
-    let program = b.build().expect("long loop assembles");
+    let program = c240_isa::asm::assemble(
+        "   mov #128,vl
+            mov #20000,s0
+        L:
+            ld.l 0(a1),v0
+            mul.d v0,s1,v1
+            st.l v1,0(a2)
+            sub.w #1,s0
+            lt.w #0,s0
+            jbrs.t L
+            halt",
+    )
+    .expect("long loop assembles");
 
     let run = |config: SimConfig| {
         let mut cpu = Cpu::new(config);

@@ -13,7 +13,8 @@
 //! bounds hierarchy stays monotone on machines nobody hand-tuned the
 //! model for.
 
-use c240_isa::{MachineDescription, ProgramBuilder, ScalarTiming, TimingTable, PRESET_NAMES};
+use c240_isa::asm::assemble;
+use c240_isa::{MachineDescription, ScalarTiming, TimingTable, PRESET_NAMES};
 use c240_mem::ContentionConfig;
 use c240_sim::{ConfigError, CounterProbe, Cpu, Machine, RunStats, SimConfig};
 use macs_core::ChimeConfig;
@@ -176,13 +177,14 @@ fn c240_exactness_matrix_across_the_suite() {
 /// each while it is still cycling (`bank_busy = 8`); on 64 banks it
 /// spreads over four, so every revisit arrives later in the recovery.
 fn stride16_stats(machine: &MachineDescription) -> RunStats {
-    let mut b = ProgramBuilder::new();
-    b.set_vl_imm(64);
-    b.vload_strided("a1", 0, 16, "v0");
-    b.vload_strided("a1", 8, 16, "v1");
-    b.vadd("v0", "v1", "v2");
-    b.halt();
-    let program = b.build().unwrap();
+    let program = assemble(
+        "mov #64,vl
+         ld.l 0(a1):16,v0
+         ld.l 8(a1):16,v1
+         add.d v0,v1,v2
+         halt",
+    )
+    .unwrap();
     let mut cpu = Cpu::new(SimConfig::for_machine(machine));
     cpu.set_areg(1, 0);
     cpu.run(&program).unwrap()

@@ -192,17 +192,18 @@ fn chime_partition_covers_each_vector_instruction_once() {
 #[test]
 fn sim_time_grows_with_iterations() {
     let program = |n: i64| {
-        let mut b = c240_isa::ProgramBuilder::new();
-        b.set_vl_imm(128);
-        b.mov_int(n, "s0");
-        b.label("L");
-        b.vload("a1", 0, "v0");
-        b.vadd("v0", "v0", "v1");
-        b.int_op_imm("sub", 1, "s0");
-        b.cmp_imm("lt", 0, "s0");
-        b.branch_true("L");
-        b.halt();
-        b.build().unwrap()
+        assemble(&format!(
+            "   mov #128,vl
+                mov #{n},s0
+            L:
+                ld.l 0(a1),v0
+                add.d v0,v0,v1
+                sub.w #1,s0
+                lt.w #0,s0
+                jbrs.t L
+                halt"
+        ))
+        .unwrap()
     };
     let mut cpu = Cpu::new(SimConfig::c240());
     for strips in 1i64..20 {
@@ -215,20 +216,19 @@ fn sim_time_grows_with_iterations() {
 #[test]
 fn contention_never_speeds_up_memory_loops() {
     let strides = [3u64, 7, 11];
-    let program = {
-        let mut b = c240_isa::ProgramBuilder::new();
-        b.set_vl_imm(128);
-        b.mov_int(10, "s0");
-        b.label("L");
-        b.vload("a1", 0, "v0");
-        b.vload("a1", 8192, "v1");
-        b.int_op_imm("add", 1024, "a1");
-        b.int_op_imm("sub", 1, "s0");
-        b.cmp_imm("lt", 0, "s0");
-        b.branch_true("L");
-        b.halt();
-        b.build().unwrap()
-    };
+    let program = assemble(
+        "   mov #128,vl
+            mov #10,s0
+        L:
+            ld.l 0(a1),v0
+            ld.l 8192(a1),v1
+            add.w #1024,a1
+            sub.w #1,s0
+            lt.w #0,s0
+            jbrs.t L
+            halt",
+    )
+    .unwrap();
     let quiet = Cpu::new(SimConfig::c240()).run(&program).unwrap().cycles;
     for seed in 0..24u64 {
         let mut rng = Rng::new(2000 + seed);
