@@ -8,10 +8,17 @@
 //! cross-iteration reuse (every stream reference is re-loaded each strip,
 //! the source of the MA → MAC gap), and its instruction order — the
 //! schedule "S" — is selectable via [`ScheduleStrategy`].
+//!
+//! The generator writes its output as a listing in the paper's notation
+//! (the notation of the curated LFK kernels) and hands it to
+//! [`assemble`], so a compiled kernel is an ordinary listing that the
+//! assembler checks like any other.
 
 use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 
-use c240_isa::{Program, ProgramBuilder};
+use c240_isa::asm::assemble;
+use c240_isa::{MemRef, Program, ScalarValue};
 
 use crate::analysis::analyze_ma;
 use crate::error::CompileError;
@@ -91,16 +98,26 @@ enum Operand {
 }
 
 impl Operand {
-    fn name(self) -> String {
-        match self {
-            Operand::S(i) => format!("s{i}"),
-            Operand::Temp(i) | Operand::Pinned(i) => format!("v{i}"),
-        }
-    }
-
     fn is_vector(self) -> bool {
         !matches!(self, Operand::S(_))
     }
+}
+
+impl fmt::Display for Operand {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Operand::S(i) => write!(f, "s{i}"),
+            Operand::Temp(i) | Operand::Pinned(i) => write!(f, "v{i}"),
+        }
+    }
+}
+
+/// Appends one instruction (indented) or label line to the listing.
+/// Writing to a `String` cannot fail.
+macro_rules! emit {
+    ($cg:expr, $($line:tt)+) => {{
+        let _ = writeln!($cg.listing, $($line)+);
+    }};
 }
 
 struct VAlloc {
@@ -129,7 +146,7 @@ struct Codegen<'k> {
     kernel: &'k Kernel,
     options: CompileOptions,
     layout: Layout,
-    b: ProgramBuilder,
+    listing: String,
     sregs: BTreeMap<ScalarKey, u8>,
     aregs: BTreeMap<String, u8>,
     spilled: BTreeMap<String, u64>, // array -> pointer-table word offset
@@ -187,7 +204,7 @@ pub fn compile(
         kernel,
         options,
         layout,
-        b: ProgramBuilder::new(),
+        listing: String::new(),
         sregs: BTreeMap::new(),
         aregs: BTreeMap::new(),
         spilled: BTreeMap::new(),
@@ -202,9 +219,7 @@ pub fn compile(
     cg.assign_arrays(&body)?;
     cg.assign_accumulators(&accumulators)?;
     cg.emit(&body, iterations)?;
-    let program =
-        cg.b.build()
-            .expect("generated program is structurally valid");
+    let program = assemble(&cg.listing).expect("generated listing assembles");
     let reduction_regs = accumulators
         .iter()
         .map(|a| (a.clone(), cg.sregs[&ScalarKey::Param(a.clone())]))
@@ -366,8 +381,8 @@ impl Codegen<'_> {
 
     fn emit(&mut self, body: &[Stmt], iterations: u64) -> Result<(), CompileError> {
         self.emit_prologue(iterations);
-        self.b.label("strip");
-        self.b.set_vl("s0");
+        emit!(self, "strip:");
+        emit!(self, "    mov s0,vl");
         for stmt in body {
             self.emit_stmt(stmt)?;
             // Return cached-load registers to the pool.
@@ -376,64 +391,51 @@ impl Codegen<'_> {
             }
         }
         self.emit_strip_bookkeeping();
-        self.b.cmp_imm("lt", 0, "s0");
-        self.b.branch_true("strip");
+        emit!(self, "    lt.w #0,s0");
+        emit!(self, "    jbrs.t strip");
         self.emit_epilogue(body);
-        self.b.halt();
+        emit!(self, "    halt");
         Ok(())
     }
 
     fn emit_prologue(&mut self, iterations: u64) {
-        self.b.mov_int(iterations as i64, "s0");
-        let entries: Vec<(ScalarKey, u8)> =
-            self.sregs.iter().map(|(k, &r)| (k.clone(), r)).collect();
-        for (key, reg) in entries {
-            let value = match &key {
+        emit!(self, "    mov #{},s0", iterations as i64);
+        for (key, reg) in &self.sregs {
+            let value = match key {
                 ScalarKey::Param(p) => self.kernel.params()[p],
                 ScalarKey::Const(bits) => f64::from_bits(*bits),
             };
-            self.b.mov_fp(value, &format!("s{reg}"));
+            emit!(self, "    mov {},s{reg}", ScalarValue::Fp(value));
         }
-        self.b.mov_int(0, "a0");
-        let in_regs: Vec<(String, u8)> = self.aregs.iter().map(|(n, &r)| (n.clone(), r)).collect();
-        for (name, reg) in in_regs {
-            let base = self.layout.base_byte(&name).expect("declared array");
-            self.b.mov_int(base, &format!("a{reg}"));
+        emit!(self, "    mov #0,a0");
+        for (name, reg) in &self.aregs {
+            let base = self.layout.base_byte(name).expect("declared array");
+            emit!(self, "    mov #{base},a{reg}");
         }
-        let spills: Vec<(String, u64)> =
-            self.spilled.iter().map(|(n, &o)| (n.clone(), o)).collect();
-        for (name, slot) in spills {
-            let base = self.layout.base_byte(&name).expect("declared array");
-            self.b.mov_int(base, "a7");
-            self.b
-                .sstore("a7", "a0", (slot * c240_isa::WORD_BYTES) as i64);
+        for (name, slot) in &self.spilled {
+            let base = self.layout.base_byte(name).expect("declared array");
+            emit!(self, "    mov #{base},a7");
+            emit!(self, "    st.w a7,{}(a0)", slot * c240_isa::WORD_BYTES);
         }
         // Zero the elementwise accumulators.
-        let accs: Vec<u8> = self.acc_vregs.values().copied().collect();
-        for r in accs {
-            let v = format!("v{r}");
-            self.b.vsub(&v, &v, &v);
+        for r in self.acc_vregs.values() {
+            emit!(self, "    sub.d v{r},v{r},v{r}");
         }
     }
 
     fn emit_strip_bookkeeping(&mut self) {
-        let in_regs: Vec<(String, u8)> = self.aregs.iter().map(|(n, &r)| (n.clone(), r)).collect();
-        for (name, reg) in in_regs {
-            let step = self.array_step[&name];
-            let advance = 128 * step * c240_isa::WORD_BYTES as i64;
-            self.b.int_op_imm("add", advance, &format!("a{reg}"));
+        for (name, reg) in &self.aregs {
+            let advance = 128 * self.array_step[name] * c240_isa::WORD_BYTES as i64;
+            emit!(self, "    add.w #{advance},a{reg}");
         }
-        let spills: Vec<(String, u64)> =
-            self.spilled.iter().map(|(n, &o)| (n.clone(), o)).collect();
-        for (name, slot) in spills {
-            let step = self.array_step[&name];
-            let advance = 128 * step * c240_isa::WORD_BYTES as i64;
-            let off = (slot * c240_isa::WORD_BYTES) as i64;
-            self.b.sload("a0", off, "a7");
-            self.b.int_op_imm("add", advance, "a7");
-            self.b.sstore("a7", "a0", off);
+        for (name, slot) in &self.spilled {
+            let advance = 128 * self.array_step[name] * c240_isa::WORD_BYTES as i64;
+            let off = slot * c240_isa::WORD_BYTES;
+            emit!(self, "    ld.w {off}(a0),a7");
+            emit!(self, "    add.w #{advance},a7");
+            emit!(self, "    st.w a7,{off}(a0)");
         }
-        self.b.int_op_imm("sub", 128, "s0");
+        emit!(self, "    sub.w #128,s0");
     }
 
     fn emit_epilogue(&mut self, body: &[Stmt]) {
@@ -445,22 +447,17 @@ impl Codegen<'_> {
         }
         // The strip loop leaves VL at the final (possibly short) strip
         // length; the lane reduction must cover the whole register.
-        self.b.set_vl_imm(c240_isa::MAX_VL);
+        emit!(self, "    mov #{},vl", c240_isa::MAX_VL);
         let temp = self.temp_sreg;
         for stmt in body {
             if let Stmt::Reduce { acc, .. } = stmt {
                 let vacc = self.acc_vregs[acc];
                 let sacc = self.sreg_of(&ScalarKey::Param(acc.clone()));
                 let st = temp.expect("temp sreg reserved for reductions");
-                self.b.vsum(&format!("v{vacc}"), &format!("s{st}"));
+                emit!(self, "    sum.d v{vacc},s{st}");
                 // The lanes already carry the sign (subtract reductions
                 // accumulated negated values), so the merge is an add.
-                self.b.fp_op(
-                    "add",
-                    &format!("s{sacc}"),
-                    &format!("s{st}"),
-                    &format!("s{sacc}"),
-                );
+                emit!(self, "    add.s s{sacc},s{st},s{sacc}");
             }
         }
     }
@@ -487,13 +484,9 @@ impl Codegen<'_> {
                 if !op.is_vector() {
                     return Err(CompileError::ScalarStore);
                 }
-                let (base, offset) = self.stream_address(target)?;
                 let step = target.resolved_step(self.kernel.loop_step());
-                if step == 1 {
-                    self.b.vstore(&op.name(), &base, offset);
-                } else {
-                    self.b.vstore_strided(&op.name(), &base, offset, step);
-                }
+                let addr = self.stream_address(target, step);
+                emit!(self, "    st.l {op},{addr}");
                 self.valloc.release(op);
             }
             Stmt::Reduce {
@@ -507,20 +500,14 @@ impl Codegen<'_> {
                 }
                 match self.options.reduction {
                     ReductionStyle::Elementwise => {
-                        let vacc = format!("v{}", self.acc_vregs[acc]);
-                        if *subtract {
-                            self.b.vsub(&vacc, &op.name(), &vacc);
-                        } else {
-                            self.b.vadd(&vacc, &op.name(), &vacc);
-                        }
+                        let vacc = self.acc_vregs[acc];
+                        let mnemonic = if *subtract { "sub.d" } else { "add.d" };
+                        emit!(self, "    {mnemonic} v{vacc},{op},v{vacc}");
                     }
                     ReductionStyle::PerStrip => {
-                        let sacc = format!("s{}", self.sreg_of(&ScalarKey::Param(acc.clone())));
-                        if *subtract {
-                            self.b.vrsub(&op.name(), &sacc);
-                        } else {
-                            self.b.vradd(&op.name(), &sacc);
-                        }
+                        let sacc = self.sreg_of(&ScalarKey::Param(acc.clone()));
+                        let mnemonic = if *subtract { "rsub.d" } else { "radd.d" };
+                        emit!(self, "    {mnemonic} {op},s{sacc}");
                     }
                 }
                 self.valloc.release(op);
@@ -529,17 +516,20 @@ impl Codegen<'_> {
         Ok(())
     }
 
-    /// The (base register name, byte offset) addressing a stream, spilling
-    /// through the pointer table when the array has no address register.
-    fn stream_address(&mut self, r: &StreamRef) -> Result<(String, i64), CompileError> {
-        let offset = r.offset * c240_isa::WORD_BYTES as i64;
-        if let Some(&reg) = self.aregs.get(&r.array) {
-            return Ok((format!("a{reg}"), offset));
-        }
-        let slot = self.spilled[&r.array];
-        self.b
-            .sload("a0", (slot * c240_isa::WORD_BYTES) as i64, "a7");
-        Ok(("a7".to_string(), offset))
+    /// The memory operand addressing a stream at `step` words per element,
+    /// reloading the base into `a7` from the pointer table when the array
+    /// has no address register.
+    fn stream_address(&mut self, r: &StreamRef, step: i64) -> MemRef {
+        let reg = match self.aregs.get(&r.array) {
+            Some(&reg) => reg,
+            None => {
+                let slot = self.spilled[&r.array];
+                emit!(self, "    ld.w {}(a0),a7", slot * c240_isa::WORD_BYTES);
+                7
+            }
+        };
+        let base = c240_isa::AReg::new(reg).expect("a0..a7");
+        MemRef::new(base, r.offset * c240_isa::WORD_BYTES as i64).with_stride(step)
     }
 
     fn emit_load_cached(&mut self, r: &StreamRef) -> Result<u8, CompileError> {
@@ -549,13 +539,8 @@ impl Codegen<'_> {
             return Ok(reg);
         }
         let reg = self.valloc.alloc()?;
-        let (base, offset) = self.stream_address(r)?;
-        if step == 1 {
-            self.b.vload(&base, offset, &format!("v{reg}"));
-        } else {
-            self.b
-                .vload_strided(&base, offset, step, &format!("v{reg}"));
-        }
+        let addr = self.stream_address(r, step);
+        emit!(self, "    ld.l {addr},v{reg}");
         self.load_cache.insert(key, reg);
         Ok(reg)
     }
@@ -573,13 +558,8 @@ impl Codegen<'_> {
             return Ok(Operand::Pinned(self.emit_load_cached(r)?));
         }
         let reg = self.valloc.alloc()?;
-        let (base, offset) = self.stream_address(r)?;
-        if step == 1 {
-            self.b.vload(&base, offset, &format!("v{reg}"));
-        } else {
-            self.b
-                .vload_strided(&base, offset, step, &format!("v{reg}"));
-        }
+        let addr = self.stream_address(r, step);
+        emit!(self, "    ld.l {addr},v{reg}");
         Ok(Operand::Temp(reg))
     }
 
@@ -604,7 +584,7 @@ impl Codegen<'_> {
                     Operand::Temp(r) => r,
                     _ => self.valloc.alloc()?,
                 };
-                self.b.vneg(&op.name(), &format!("v{dst}"));
+                emit!(self, "    neg.d {op},v{dst}");
                 Ok(Operand::Temp(dst))
             }
             Expr::Bin(op, a, b) => {
@@ -621,13 +601,13 @@ impl Codegen<'_> {
                     (_, Operand::Temp(r)) => r,
                     _ => self.valloc.alloc()?,
                 };
-                let d = format!("v{dst}");
-                match op {
-                    BinOp::Add => self.b.vadd(&oa.name(), &ob.name(), &d),
-                    BinOp::Sub => self.b.vsub(&oa.name(), &ob.name(), &d),
-                    BinOp::Mul => self.b.vmul(&oa.name(), &ob.name(), &d),
-                    BinOp::Div => self.b.vdiv(&oa.name(), &ob.name(), &d),
+                let mnemonic = match op {
+                    BinOp::Add => "add.d",
+                    BinOp::Sub => "sub.d",
+                    BinOp::Mul => "mul.d",
+                    BinOp::Div => "div.d",
                 };
+                emit!(self, "    {mnemonic} {oa},{ob},v{dst}");
                 Ok(Operand::Temp(dst))
             }
         }

@@ -13,8 +13,9 @@
 
 use std::fmt;
 
+use c240_isa::asm::assemble;
 use c240_isa::timing::{TimingClass, VectorTiming};
-use c240_isa::{Program, ProgramBuilder};
+use c240_isa::Program;
 use c240_sim::{Cpu, SimConfig, SimError};
 
 /// One calibrated row of Table 1.
@@ -65,53 +66,38 @@ impl fmt::Display for CalibrationRow {
 
 /// Builds a standalone single-instruction program at the given VL.
 fn standalone(class: TimingClass, vl: u32) -> Program {
-    let mut b = ProgramBuilder::new();
-    b.set_vl_imm(vl);
-    push_instr(&mut b, class);
-    b.halt();
-    b.build().expect("calibration program is valid")
+    let instr = instr(class);
+    assemble(&format!("mov #{vl},vl\n{instr}\nhalt")).expect("calibration program is valid")
 }
 
 /// Builds a tailgating loop repeating the instruction `iters` times.
 fn tailgating_loop(class: TimingClass, vl: u32, iters: i64) -> Program {
-    let mut b = ProgramBuilder::new();
-    b.set_vl_imm(vl);
-    b.mov_int(iters, "s0");
-    b.label("L");
-    push_instr(&mut b, class);
-    b.int_op_imm("sub", 1, "s0");
-    b.cmp_imm("lt", 0, "s0");
-    b.branch_true("L");
-    b.halt();
-    b.build().expect("calibration program is valid")
+    let instr = instr(class);
+    assemble(&format!(
+        "   mov #{vl},vl
+            mov #{iters},s0
+        L:
+            {instr}
+            sub.w #1,s0
+            lt.w #0,s0
+            jbrs.t L
+            halt"
+    ))
+    .expect("calibration program is valid")
 }
 
-fn push_instr(b: &mut ProgramBuilder, class: TimingClass) {
+/// One instruction of the class, on registers the calibration CPU has
+/// prepared.
+fn instr(class: TimingClass) -> &'static str {
     match class {
-        TimingClass::Load => {
-            b.vload("a1", 0, "v0");
-        }
-        TimingClass::Store => {
-            b.vstore("v0", "a1", 0);
-        }
-        TimingClass::Add => {
-            b.vadd("v0", "v1", "v2");
-        }
-        TimingClass::Sub => {
-            b.vsub("v0", "v1", "v2");
-        }
-        TimingClass::Mul => {
-            b.vmul("v0", "v1", "v2");
-        }
-        TimingClass::Div => {
-            b.vdiv("v0", "v1", "v2");
-        }
-        TimingClass::Reduction => {
-            b.vsum("v0", "s2");
-        }
-        TimingClass::Neg => {
-            b.vneg("v0", "v1");
-        }
+        TimingClass::Load => "ld.l 0(a1),v0",
+        TimingClass::Store => "st.l v0,0(a1)",
+        TimingClass::Add => "add.d v0,v1,v2",
+        TimingClass::Sub => "sub.d v0,v1,v2",
+        TimingClass::Mul => "mul.d v0,v1,v2",
+        TimingClass::Div => "div.d v0,v1,v2",
+        TimingClass::Reduction => "sum.d v0,s2",
+        TimingClass::Neg => "neg.d v0,v1",
     }
 }
 

@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 
-use c240_isa::ProgramBuilder;
+use c240_isa::asm::assemble;
 use c240_mem::ContentionConfig;
 use c240_sim::{Cpu, NoProbe, SimConfig, Trace};
 use macs_core::{hierarchy_figure, measure, TextTable};
@@ -24,17 +24,18 @@ pub fn fig1(suite: &Suite) -> String {
 /// the §3.3 example (ld/add/mul twice) traced on the simulator and
 /// rendered as a Gantt chart, plus the headline numbers.
 pub fn fig2(sim: &SimConfig) -> String {
-    let mut b = ProgramBuilder::new();
-    b.set_vl_imm(128);
     // Two identical chimes; the second tailgates the first (§3.3).
-    for i in 0..2 {
-        let off = i * 1024;
-        b.vload("a5", off, "v0");
-        b.vadd("v0", "v1", "v2");
-        b.vmul("v2", "v3", "v5");
-    }
-    b.halt();
-    let program = b.build().expect("figure 2 example is valid");
+    let program = assemble(
+        "mov #128,vl
+         ld.l 0(a5),v0
+         add.d v0,v1,v2
+         mul.d v2,v3,v5
+         ld.l 1024(a5),v0
+         add.d v0,v1,v2
+         mul.d v2,v3,v5
+         halt",
+    )
+    .expect("figure 2 example is valid");
 
     let mut cpu = Cpu::new(sim.clone().without_refresh());
     let mut trace = Trace::default();

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use c240_isa::asm::assemble;
-use c240_isa::{Instruction, ProgramBuilder};
+use c240_isa::Instruction;
 use c240_sim::{Cpu, SimConfig};
 use macs_core::{partition_chimes, ChimeConfig};
 
@@ -126,19 +126,12 @@ pub fn worked_example(sim: &SimConfig) -> WorkedExample {
 /// Builds and times a calibration loop duplicating one chime, as the
 /// paper did to validate each chime's cost (131.93, 133.33, …).
 fn calibrate_chime(instrs: &[Instruction], sim: &SimConfig) -> f64 {
+    let chime: String = instrs.iter().map(|ins| format!("{ins}\n")).collect();
     let build = |iters: i64| {
-        let mut b = ProgramBuilder::new();
-        b.set_vl_imm(128);
-        b.mov_int(iters, "s0");
-        b.label("L");
-        for ins in instrs {
-            b.push(ins.clone());
-        }
-        b.int_op_imm("sub", 1, "s0");
-        b.cmp_imm("lt", 0, "s0");
-        b.branch_true("L");
-        b.halt();
-        b.build().expect("chime calibration loop is valid")
+        assemble(&format!(
+            "mov #128,vl\nmov #{iters},s0\nL:\n{chime}sub.w #1,s0\nlt.w #0,s0\njbrs.t L\nhalt"
+        ))
+        .expect("chime calibration loop is valid")
     };
     let quiet = sim.clone().without_refresh();
     let run = |iters: i64| {

@@ -502,6 +502,14 @@ start:
     }
 
     #[test]
+    fn zero_stride_rejected() {
+        for src in ["ld.l 0(a0):0,v0", "st.l v0,8(a1):0"] {
+            let err = assemble(src).unwrap_err();
+            assert!(err.message().contains("zero stride"), "{src}: {err}");
+        }
+    }
+
+    #[test]
     fn wrong_operand_count() {
         let err = assemble("add.d v0,v1\n").unwrap_err();
         assert!(err.message().contains("3 operands"));

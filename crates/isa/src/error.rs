@@ -9,26 +9,15 @@ use std::fmt;
 pub enum IsaError {
     /// A register name could not be parsed or is out of range.
     BadRegister(String),
-    /// A vector arithmetic instruction was given two scalar operands.
-    AllScalarOperands,
     /// A label referenced by a branch was never defined.
     UndefinedLabel(String),
-    /// A label was defined more than once.
-    DuplicateLabel(String),
-    /// A vector memory stride of zero words was requested.
-    ZeroStride,
 }
 
 impl fmt::Display for IsaError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             IsaError::BadRegister(name) => write!(f, "invalid register name `{name}`"),
-            IsaError::AllScalarOperands => {
-                write!(f, "vector instruction requires at least one vector operand")
-            }
             IsaError::UndefinedLabel(l) => write!(f, "branch to undefined label `{l}`"),
-            IsaError::DuplicateLabel(l) => write!(f, "label `{l}` defined more than once"),
-            IsaError::ZeroStride => write!(f, "vector memory stride must be nonzero"),
         }
     }
 }

@@ -65,11 +65,6 @@ impl Stride {
             Stride::Words(w) => w,
         }
     }
-
-    /// Whether this is a unit-stride access.
-    pub fn is_unit(self) -> bool {
-        self.words() == 1
-    }
 }
 
 /// A memory operand: `offset(base)` with an optional vector stride,
@@ -135,14 +130,6 @@ impl VOperand {
         match self {
             VOperand::V(v) => Some(v),
             VOperand::S(_) => None,
-        }
-    }
-
-    /// The scalar register, if this operand is one.
-    pub fn as_sreg(self) -> Option<SReg> {
-        match self {
-            VOperand::S(s) => Some(s),
-            VOperand::V(_) => None,
         }
     }
 }
@@ -669,21 +656,6 @@ impl Instruction {
         (reads, writes)
     }
 
-    /// Floating point operations per element as `(additions, multiplications)`,
-    /// using the paper's accounting: add-class ops (including subtract,
-    /// negate and reductions) count toward `f_a`; multiply-class ops
-    /// (including divide) toward `f_m`.
-    pub fn flops_per_element(&self) -> (u32, u32) {
-        use Instruction::*;
-        match self {
-            VAdd { .. } | VSub { .. } | VNeg { .. } | VSum { .. } | VRAdd { .. } | VRSub { .. } => {
-                (1, 0)
-            }
-            VMul { .. } | VDiv { .. } => (0, 1),
-            _ => (0, 0),
-        }
-    }
-
     /// Branch/jump target label, if this is a control transfer.
     pub fn target(&self) -> Option<&str> {
         use Instruction::*;
@@ -691,12 +663,6 @@ impl Instruction {
             BranchT { target } | BranchF { target } | Jump { target } => Some(target),
             _ => None,
         }
-    }
-
-    /// Whether this instruction falls through to the next one
-    /// (false only for `jbr` and `halt`).
-    pub fn falls_through(&self) -> bool {
-        !matches!(self, Instruction::Jump { .. } | Instruction::Halt)
     }
 }
 
@@ -792,27 +758,6 @@ mod tests {
     }
 
     #[test]
-    fn flop_accounting() {
-        let add = Instruction::VAdd {
-            a: v(0).into(),
-            b: s(1).into(),
-            dst: v(2),
-        };
-        let mul = Instruction::VMul {
-            a: v(0).into(),
-            b: v(1).into(),
-            dst: v(2),
-        };
-        let sum = Instruction::VSum {
-            src: v(0),
-            dst: s(3),
-        };
-        assert_eq!(add.flops_per_element(), (1, 0));
-        assert_eq!(mul.flops_per_element(), (0, 1));
-        assert_eq!(sum.flops_per_element(), (1, 0));
-    }
-
-    #[test]
     fn reads_and_writes() {
         let mul = Instruction::VMul {
             a: v(6).into(),
@@ -887,10 +832,7 @@ mod tests {
     fn control_flow_queries() {
         let j = Instruction::Jump { target: "L".into() };
         assert_eq!(j.target(), Some("L"));
-        assert!(!j.falls_through());
-        assert!(!Instruction::Halt.falls_through());
         let b = Instruction::BranchF { target: "X".into() };
-        assert!(b.falls_through());
         assert_eq!(b.class(), InstrClass::Control);
     }
 

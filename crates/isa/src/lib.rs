@@ -6,10 +6,11 @@
 //! * [`Instruction`] — the vector/scalar instruction set of a Convex C-240
 //!   style CPU (three vector pipes: load/store, add, multiply; eight
 //!   128-element vector registers; scalar `s`/address `a` registers),
-//! * [`Program`] — an assembled instruction sequence with labels and a
-//!   convenient [`ProgramBuilder`],
+//! * [`Program`] — an assembled instruction sequence with labels,
 //! * [`asm::assemble`] / [`Instruction`]'s `Display` — a textual assembly
-//!   round-trip in the paper's `ld.l 40120(a5),v0` notation,
+//!   round-trip in the paper's `ld.l 40120(a5),v0` notation, the one way
+//!   to write a program as text (curated kernels, the compiler's output,
+//!   tests),
 //! * [`timing::TimingTable`] — the `X + Y + Z·VL` instruction timing
 //!   parameters and tailgating bubble `B` of Table 1 of the paper,
 //! * [`machine::MachineDescription`] — the declarative machine
@@ -22,7 +23,7 @@
 //!
 //! # Example
 //!
-//! Build the inner-loop chime of §3.3 of the paper and inspect it:
+//! Assemble the inner-loop chime of §3.3 of the paper and inspect it:
 //!
 //! ```
 //! use c240_isa::asm::assemble;
@@ -61,7 +62,7 @@ pub use instr::{
     VOperand,
 };
 pub use machine::{MachineDescription, ScalarTiming, PRESET_NAMES};
-pub use program::{Loop, Program, ProgramBuilder};
+pub use program::{Loop, Program};
 pub use reg::{AReg, RegPair, SReg, VReg};
 pub use timing::{TimingClass, TimingTable, VectorTiming};
 pub use value::ScalarValue;

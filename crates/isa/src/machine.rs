@@ -256,11 +256,6 @@ impl MachineDescription {
             .min(self.bank_bandwidth_words_per_cycle())
     }
 
-    /// Sustained memory bandwidth across `cpus` CPUs, in Mwords/s.
-    pub fn sustained_bandwidth_mwords(&self, cpus: u32) -> f64 {
-        self.sustained_bandwidth_words_per_cycle(cpus) * CLOCK_MHZ
-    }
-
     /// The roof's ridge point in flops per word: the operational
     /// intensity at which the compute ceiling and the bandwidth slope
     /// intersect (`peak_flops_per_cycle / sustained_bandwidth`).
@@ -332,7 +327,6 @@ mod tests {
         // Four CPUs are bank-limited: 8 flops/cycle over ≈3.92 w/c.
         assert!((m.sustained_bandwidth_words_per_cycle(4) - 32.0 / 8.16).abs() < 1e-12);
         assert!((m.ridge_intensity(4) - 8.0 * 8.16 / 32.0).abs() < 1e-12);
-        assert_eq!(m.sustained_bandwidth_mwords(1), 25.0);
     }
 
     #[test]

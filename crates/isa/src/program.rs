@@ -1,13 +1,11 @@
-//! Programs: resolved instruction sequences with labels, loop discovery,
-//! and a builder for programmatic construction.
+//! Programs: resolved instruction sequences with labels and loop
+//! discovery.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::error::IsaError;
-use crate::instr::{CmpOp, FpOp, Instruction, IntOp, IntOperand, MemRef, ScalarReg, VOperand};
-use crate::reg::{AReg, SReg, VReg};
-use crate::value::ScalarValue;
+use crate::instr::Instruction;
 
 /// A loop found in a [`Program`]: a backward branch plus its body range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,7 +35,8 @@ impl Loop {
 
 /// An assembled program: instructions plus resolved labels.
 ///
-/// Construct with [`ProgramBuilder`] or [`crate::asm::assemble`].
+/// Write one as text with [`crate::asm::assemble`], or build it from
+/// typed [`Instruction`]s with [`Program::new`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Program {
     instrs: Vec<Instruction>,
@@ -206,408 +205,6 @@ impl fmt::Display for Program {
     }
 }
 
-/// Incrementally builds a [`Program`].
-///
-/// Register arguments are given as names (`"v0"`, `"s1"`, `"a5"`) and
-/// panic on malformed names — the builder targets statically written
-/// code (tests, curated kernels, code generators), where a bad name is a
-/// programming error. Use the lower-level `push` with [`Instruction`]
-/// values for dynamic construction.
-///
-/// # Example
-///
-/// ```
-/// use c240_isa::ProgramBuilder;
-///
-/// let mut b = ProgramBuilder::new();
-/// b.set_vl_imm(128);
-/// b.label("loop");
-/// b.vload("a1", 0, "v0");
-/// b.vmul("v0", "s1", "v1");
-/// b.vstore("v1", "a2", 0);
-/// b.int_op_imm("add", 1024, "a1");
-/// b.int_op_imm("add", 1024, "a2");
-/// b.int_op_imm("sub", 128, "s0");
-/// b.cmp_imm("lt", 0, "s0");
-/// b.branch_true("loop");
-/// b.halt();
-/// let program = b.build()?;
-/// assert_eq!(program.innermost_loop().map(|l| l.len()), Some(8));
-/// # Ok::<(), c240_isa::IsaError>(())
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct ProgramBuilder {
-    instrs: Vec<Instruction>,
-    labels: BTreeMap<String, usize>,
-    error: Option<IsaError>,
-}
-
-fn vreg(name: &str) -> VReg {
-    name.parse()
-        .unwrap_or_else(|_| panic!("bad vector register `{name}`"))
-}
-
-fn sreg(name: &str) -> SReg {
-    name.parse()
-        .unwrap_or_else(|_| panic!("bad scalar register `{name}`"))
-}
-
-fn areg(name: &str) -> AReg {
-    name.parse()
-        .unwrap_or_else(|_| panic!("bad address register `{name}`"))
-}
-
-fn voperand(name: &str) -> VOperand {
-    if name.starts_with('v') {
-        VOperand::V(vreg(name))
-    } else {
-        VOperand::S(sreg(name))
-    }
-}
-
-fn scalar_reg(name: &str) -> ScalarReg {
-    if name.starts_with('a') {
-        ScalarReg::A(areg(name))
-    } else {
-        ScalarReg::S(sreg(name))
-    }
-}
-
-impl ProgramBuilder {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a raw instruction.
-    pub fn push(&mut self, instruction: Instruction) -> &mut Self {
-        self.instrs.push(instruction);
-        self
-    }
-
-    /// Defines a label at the current position.
-    pub fn label(&mut self, name: &str) -> &mut Self {
-        if self
-            .labels
-            .insert(name.to_string(), self.instrs.len())
-            .is_some()
-            && self.error.is_none()
-        {
-            self.error = Some(IsaError::DuplicateLabel(name.to_string()));
-        }
-        self
-    }
-
-    /// `ld.l offset(base),dst` — unit-stride vector load.
-    pub fn vload(&mut self, base: &str, offset: i64, dst: &str) -> &mut Self {
-        self.push(Instruction::VLoad {
-            addr: MemRef::new(areg(base), offset),
-            dst: vreg(dst),
-        })
-    }
-
-    /// `ld.l offset(base):stride,dst` — strided vector load.
-    pub fn vload_strided(
-        &mut self,
-        base: &str,
-        offset: i64,
-        stride_words: i64,
-        dst: &str,
-    ) -> &mut Self {
-        if stride_words == 0 && self.error.is_none() {
-            self.error = Some(IsaError::ZeroStride);
-        }
-        self.push(Instruction::VLoad {
-            addr: MemRef::new(areg(base), offset).with_stride(stride_words),
-            dst: vreg(dst),
-        })
-    }
-
-    /// `st.l src,offset(base)` — unit-stride vector store.
-    pub fn vstore(&mut self, src: &str, base: &str, offset: i64) -> &mut Self {
-        self.push(Instruction::VStore {
-            src: vreg(src),
-            addr: MemRef::new(areg(base), offset),
-        })
-    }
-
-    /// `st.l src,offset(base):stride` — strided vector store.
-    pub fn vstore_strided(
-        &mut self,
-        src: &str,
-        base: &str,
-        offset: i64,
-        stride_words: i64,
-    ) -> &mut Self {
-        if stride_words == 0 && self.error.is_none() {
-            self.error = Some(IsaError::ZeroStride);
-        }
-        self.push(Instruction::VStore {
-            src: vreg(src),
-            addr: MemRef::new(areg(base), offset).with_stride(stride_words),
-        })
-    }
-
-    fn varith(
-        &mut self,
-        a: &str,
-        b: &str,
-        dst: &str,
-        make: fn(VOperand, VOperand, VReg) -> Instruction,
-    ) -> &mut Self {
-        let (a, b) = (voperand(a), voperand(b));
-        if a.as_vreg().is_none() && b.as_vreg().is_none() && self.error.is_none() {
-            self.error = Some(IsaError::AllScalarOperands);
-        }
-        self.push(make(a, b, vreg(dst)))
-    }
-
-    /// `add.d a,b,dst` — vector add.
-    pub fn vadd(&mut self, a: &str, b: &str, dst: &str) -> &mut Self {
-        self.varith(a, b, dst, |a, b, dst| Instruction::VAdd { a, b, dst })
-    }
-
-    /// `sub.d a,b,dst` — vector subtract.
-    pub fn vsub(&mut self, a: &str, b: &str, dst: &str) -> &mut Self {
-        self.varith(a, b, dst, |a, b, dst| Instruction::VSub { a, b, dst })
-    }
-
-    /// `mul.d a,b,dst` — vector multiply.
-    pub fn vmul(&mut self, a: &str, b: &str, dst: &str) -> &mut Self {
-        self.varith(a, b, dst, |a, b, dst| Instruction::VMul { a, b, dst })
-    }
-
-    /// `div.d a,b,dst` — vector divide.
-    pub fn vdiv(&mut self, a: &str, b: &str, dst: &str) -> &mut Self {
-        self.varith(a, b, dst, |a, b, dst| Instruction::VDiv { a, b, dst })
-    }
-
-    /// `neg.d src,dst` — vector negate.
-    pub fn vneg(&mut self, src: &str, dst: &str) -> &mut Self {
-        self.push(Instruction::VNeg {
-            src: vreg(src),
-            dst: vreg(dst),
-        })
-    }
-
-    /// `sum.d src,dst` — sum reduction into a scalar register.
-    pub fn vsum(&mut self, src: &str, dst: &str) -> &mut Self {
-        self.push(Instruction::VSum {
-            src: vreg(src),
-            dst: sreg(dst),
-        })
-    }
-
-    /// `radd.d src,acc` — accumulating reduction `acc += Σ src`.
-    pub fn vradd(&mut self, src: &str, acc: &str) -> &mut Self {
-        self.push(Instruction::VRAdd {
-            src: vreg(src),
-            acc: sreg(acc),
-        })
-    }
-
-    /// `rsub.d src,acc` — accumulating reduction `acc -= Σ src`.
-    pub fn vrsub(&mut self, src: &str, acc: &str) -> &mut Self {
-        self.push(Instruction::VRSub {
-            src: vreg(src),
-            acc: sreg(acc),
-        })
-    }
-
-    /// `mov sN,vl` — set vector length from a scalar register.
-    pub fn set_vl(&mut self, src: &str) -> &mut Self {
-        self.push(Instruction::SetVl { src: sreg(src) })
-    }
-
-    /// `mov #n,vl` — set vector length to an immediate.
-    pub fn set_vl_imm(&mut self, value: u32) -> &mut Self {
-        self.push(Instruction::SetVlImm { value })
-    }
-
-    /// `mov #imm,dst` — load an integer immediate.
-    pub fn mov_int(&mut self, value: i64, dst: &str) -> &mut Self {
-        self.push(Instruction::SMovImm {
-            value: ScalarValue::Int(value),
-            dst: scalar_reg(dst),
-        })
-    }
-
-    /// `mov #imm,dst` — load a floating point immediate.
-    pub fn mov_fp(&mut self, value: f64, dst: &str) -> &mut Self {
-        self.push(Instruction::SMovImm {
-            value: ScalarValue::Fp(value),
-            dst: scalar_reg(dst),
-        })
-    }
-
-    /// `mov src,dst` — register move.
-    pub fn mov(&mut self, src: &str, dst: &str) -> &mut Self {
-        self.push(Instruction::SMov {
-            src: scalar_reg(src),
-            dst: scalar_reg(dst),
-        })
-    }
-
-    /// `op.w #imm,dst` — two-address integer op with an immediate
-    /// (`op` is one of `add sub mul shl shr`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown op name.
-    pub fn int_op_imm(&mut self, op: &str, imm: i64, dst: &str) -> &mut Self {
-        self.push(Instruction::SIntOp {
-            op: parse_int_op(op),
-            src: IntOperand::Imm(imm),
-            dst: scalar_reg(dst),
-        })
-    }
-
-    /// `op.w src,dst` — two-address integer op with a register source.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown op name.
-    pub fn int_op_reg(&mut self, op: &str, src: &str, dst: &str) -> &mut Self {
-        self.push(Instruction::SIntOp {
-            op: parse_int_op(op),
-            src: IntOperand::Reg(scalar_reg(src)),
-            dst: scalar_reg(dst),
-        })
-    }
-
-    /// `op.s a,b,dst` — scalar floating point op
-    /// (`op` is one of `add sub mul div`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown op name.
-    pub fn fp_op(&mut self, op: &str, a: &str, b: &str, dst: &str) -> &mut Self {
-        let op = match op {
-            "add" => FpOp::Add,
-            "sub" => FpOp::Sub,
-            "mul" => FpOp::Mul,
-            "div" => FpOp::Div,
-            other => panic!("unknown scalar fp op `{other}`"),
-        };
-        self.push(Instruction::SFpOp {
-            op,
-            a: sreg(a),
-            b: sreg(b),
-            dst: sreg(dst),
-        })
-    }
-
-    /// `ld.w offset(base),dst` — scalar load.
-    pub fn sload(&mut self, base: &str, offset: i64, dst: &str) -> &mut Self {
-        self.push(Instruction::SLoad {
-            addr: MemRef::new(areg(base), offset),
-            dst: scalar_reg(dst),
-        })
-    }
-
-    /// `st.w src,offset(base)` — scalar store.
-    pub fn sstore(&mut self, src: &str, base: &str, offset: i64) -> &mut Self {
-        self.push(Instruction::SStore {
-            src: scalar_reg(src),
-            addr: MemRef::new(areg(base), offset),
-        })
-    }
-
-    /// `cmp.w #imm,rhs` — compare immediate against a register, setting
-    /// the test flag (`cmp` is one of `lt le eq ne gt ge`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown predicate name.
-    pub fn cmp_imm(&mut self, op: &str, imm: i64, rhs: &str) -> &mut Self {
-        self.push(Instruction::Cmp {
-            op: parse_cmp_op(op),
-            lhs: IntOperand::Imm(imm),
-            rhs: scalar_reg(rhs),
-        })
-    }
-
-    /// `cmp.w lhs,rhs` — compare two registers.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown predicate name.
-    pub fn cmp_reg(&mut self, op: &str, lhs: &str, rhs: &str) -> &mut Self {
-        self.push(Instruction::Cmp {
-            op: parse_cmp_op(op),
-            lhs: IntOperand::Reg(scalar_reg(lhs)),
-            rhs: scalar_reg(rhs),
-        })
-    }
-
-    /// `jbrs.t label`.
-    pub fn branch_true(&mut self, target: &str) -> &mut Self {
-        self.push(Instruction::BranchT {
-            target: target.to_string(),
-        })
-    }
-
-    /// `jbrs.f label`.
-    pub fn branch_false(&mut self, target: &str) -> &mut Self {
-        self.push(Instruction::BranchF {
-            target: target.to_string(),
-        })
-    }
-
-    /// `jbr label`.
-    pub fn jump(&mut self, target: &str) -> &mut Self {
-        self.push(Instruction::Jump {
-            target: target.to_string(),
-        })
-    }
-
-    /// `halt`.
-    pub fn halt(&mut self) -> &mut Self {
-        self.push(Instruction::Halt)
-    }
-
-    /// `nop`.
-    pub fn nop(&mut self) -> &mut Self {
-        self.push(Instruction::Nop)
-    }
-
-    /// Finalizes the program.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first construction error (duplicate label, undefined
-    /// branch target, all-scalar vector operands, zero stride).
-    pub fn build(&self) -> Result<Program, IsaError> {
-        if let Some(err) = &self.error {
-            return Err(err.clone());
-        }
-        Program::new(self.instrs.clone(), self.labels.clone())
-    }
-}
-
-fn parse_int_op(op: &str) -> IntOp {
-    match op {
-        "add" => IntOp::Add,
-        "sub" => IntOp::Sub,
-        "mul" => IntOp::Mul,
-        "shl" => IntOp::Shl,
-        "shr" => IntOp::Shr,
-        other => panic!("unknown integer op `{other}`"),
-    }
-}
-
-fn parse_cmp_op(op: &str) -> CmpOp {
-    match op {
-        "lt" => CmpOp::Lt,
-        "le" => CmpOp::Le,
-        "eq" => CmpOp::Eq,
-        "ne" => CmpOp::Ne,
-        "gt" => CmpOp::Gt,
-        "ge" => CmpOp::Ge,
-        other => panic!("unknown compare op `{other}`"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -672,35 +269,13 @@ mod tests {
 
     #[test]
     fn undefined_label_rejected() {
-        let mut b = ProgramBuilder::new();
-        b.branch_true("nowhere");
+        let branch = Instruction::BranchT {
+            target: "nowhere".into(),
+        };
         assert_eq!(
-            b.build().unwrap_err(),
+            Program::new(vec![branch], BTreeMap::new()).unwrap_err(),
             IsaError::UndefinedLabel("nowhere".into())
         );
-    }
-
-    #[test]
-    fn duplicate_label_rejected() {
-        let mut b = ProgramBuilder::new();
-        b.label("L");
-        b.nop();
-        b.label("L");
-        assert_eq!(b.build().unwrap_err(), IsaError::DuplicateLabel("L".into()));
-    }
-
-    #[test]
-    fn all_scalar_operands_rejected() {
-        let mut b = ProgramBuilder::new();
-        b.vadd("s0", "s1", "v0");
-        assert_eq!(b.build().unwrap_err(), IsaError::AllScalarOperands);
-    }
-
-    #[test]
-    fn zero_stride_rejected() {
-        let mut b = ProgramBuilder::new();
-        b.vload_strided("a0", 0, 0, "v0");
-        assert_eq!(b.build().unwrap_err(), IsaError::ZeroStride);
     }
 
     #[test]

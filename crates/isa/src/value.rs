@@ -24,22 +24,6 @@ impl ScalarValue {
             ScalarValue::Fp(x) => x.to_bits(),
         }
     }
-
-    /// The value as an integer (floats are truncated).
-    pub fn as_int(self) -> i64 {
-        match self {
-            ScalarValue::Int(i) => i,
-            ScalarValue::Fp(x) => x as i64,
-        }
-    }
-
-    /// The value as a float (integers are converted).
-    pub fn as_fp(self) -> f64 {
-        match self {
-            ScalarValue::Int(i) => i as f64,
-            ScalarValue::Fp(x) => x,
-        }
-    }
 }
 
 impl From<i64> for ScalarValue {
@@ -72,8 +56,6 @@ mod tests {
 
     #[test]
     fn conversions() {
-        assert_eq!(ScalarValue::Int(5).as_fp(), 5.0);
-        assert_eq!(ScalarValue::Fp(2.75).as_int(), 2);
         assert_eq!(ScalarValue::from(3i64), ScalarValue::Int(3));
         assert_eq!(ScalarValue::from(1.5f64), ScalarValue::Fp(1.5));
     }
