@@ -112,11 +112,12 @@ impl fmt::Display for Operand {
     }
 }
 
-/// Appends one instruction (indented) or label line to the listing.
-/// Writing to a `String` cannot fail.
+/// Appends one indented instruction line to the listing (writing to a
+/// `String` cannot fail).
 macro_rules! emit {
-    ($cg:expr, $($line:tt)+) => {{
-        let _ = writeln!($cg.listing, $($line)+);
+    ($cg:expr, $($instr:tt)+) => {{
+        $cg.listing.push_str("    ");
+        let _ = writeln!($cg.listing, $($instr)+);
     }};
 }
 
@@ -381,8 +382,8 @@ impl Codegen<'_> {
 
     fn emit(&mut self, body: &[Stmt], iterations: u64) -> Result<(), CompileError> {
         self.emit_prologue(iterations);
-        emit!(self, "strip:");
-        emit!(self, "    mov s0,vl");
+        self.listing.push_str("strip:\n");
+        emit!(self, "mov s0,vl");
         for stmt in body {
             self.emit_stmt(stmt)?;
             // Return cached-load registers to the pool.
@@ -391,51 +392,51 @@ impl Codegen<'_> {
             }
         }
         self.emit_strip_bookkeeping();
-        emit!(self, "    lt.w #0,s0");
-        emit!(self, "    jbrs.t strip");
+        emit!(self, "lt.w #0,s0");
+        emit!(self, "jbrs.t strip");
         self.emit_epilogue(body);
-        emit!(self, "    halt");
+        emit!(self, "halt");
         Ok(())
     }
 
     fn emit_prologue(&mut self, iterations: u64) {
-        emit!(self, "    mov #{},s0", iterations as i64);
+        emit!(self, "mov #{},s0", iterations as i64);
         for (key, reg) in &self.sregs {
             let value = match key {
                 ScalarKey::Param(p) => self.kernel.params()[p],
                 ScalarKey::Const(bits) => f64::from_bits(*bits),
             };
-            emit!(self, "    mov {},s{reg}", ScalarValue::Fp(value));
+            emit!(self, "mov {},s{reg}", ScalarValue::Fp(value));
         }
-        emit!(self, "    mov #0,a0");
+        emit!(self, "mov #0,a0");
         for (name, reg) in &self.aregs {
             let base = self.layout.base_byte(name).expect("declared array");
-            emit!(self, "    mov #{base},a{reg}");
+            emit!(self, "mov #{base},a{reg}");
         }
         for (name, slot) in &self.spilled {
             let base = self.layout.base_byte(name).expect("declared array");
-            emit!(self, "    mov #{base},a7");
-            emit!(self, "    st.w a7,{}(a0)", slot * c240_isa::WORD_BYTES);
+            emit!(self, "mov #{base},a7");
+            emit!(self, "st.w a7,{}(a0)", slot * c240_isa::WORD_BYTES);
         }
         // Zero the elementwise accumulators.
         for r in self.acc_vregs.values() {
-            emit!(self, "    sub.d v{r},v{r},v{r}");
+            emit!(self, "sub.d v{r},v{r},v{r}");
         }
     }
 
     fn emit_strip_bookkeeping(&mut self) {
         for (name, reg) in &self.aregs {
             let advance = 128 * self.array_step[name] * c240_isa::WORD_BYTES as i64;
-            emit!(self, "    add.w #{advance},a{reg}");
+            emit!(self, "add.w #{advance},a{reg}");
         }
         for (name, slot) in &self.spilled {
             let advance = 128 * self.array_step[name] * c240_isa::WORD_BYTES as i64;
             let off = slot * c240_isa::WORD_BYTES;
-            emit!(self, "    ld.w {off}(a0),a7");
-            emit!(self, "    add.w #{advance},a7");
-            emit!(self, "    st.w a7,{off}(a0)");
+            emit!(self, "ld.w {off}(a0),a7");
+            emit!(self, "add.w #{advance},a7");
+            emit!(self, "st.w a7,{off}(a0)");
         }
-        emit!(self, "    sub.w #128,s0");
+        emit!(self, "sub.w #128,s0");
     }
 
     fn emit_epilogue(&mut self, body: &[Stmt]) {
@@ -447,17 +448,17 @@ impl Codegen<'_> {
         }
         // The strip loop leaves VL at the final (possibly short) strip
         // length; the lane reduction must cover the whole register.
-        emit!(self, "    mov #{},vl", c240_isa::MAX_VL);
+        emit!(self, "mov #{},vl", c240_isa::MAX_VL);
         let temp = self.temp_sreg;
         for stmt in body {
             if let Stmt::Reduce { acc, .. } = stmt {
                 let vacc = self.acc_vregs[acc];
                 let sacc = self.sreg_of(&ScalarKey::Param(acc.clone()));
                 let st = temp.expect("temp sreg reserved for reductions");
-                emit!(self, "    sum.d v{vacc},s{st}");
+                emit!(self, "sum.d v{vacc},s{st}");
                 // The lanes already carry the sign (subtract reductions
                 // accumulated negated values), so the merge is an add.
-                emit!(self, "    add.s s{sacc},s{st},s{sacc}");
+                emit!(self, "add.s s{sacc},s{st},s{sacc}");
             }
         }
     }
@@ -484,9 +485,8 @@ impl Codegen<'_> {
                 if !op.is_vector() {
                     return Err(CompileError::ScalarStore);
                 }
-                let step = target.resolved_step(self.kernel.loop_step());
-                let addr = self.stream_address(target, step);
-                emit!(self, "    st.l {op},{addr}");
+                let addr = self.stream_address(target);
+                emit!(self, "st.l {op},{addr}");
                 self.valloc.release(op);
             }
             Stmt::Reduce {
@@ -502,12 +502,12 @@ impl Codegen<'_> {
                     ReductionStyle::Elementwise => {
                         let vacc = self.acc_vregs[acc];
                         let mnemonic = if *subtract { "sub.d" } else { "add.d" };
-                        emit!(self, "    {mnemonic} v{vacc},{op},v{vacc}");
+                        emit!(self, "{mnemonic} v{vacc},{op},v{vacc}");
                     }
                     ReductionStyle::PerStrip => {
                         let sacc = self.sreg_of(&ScalarKey::Param(acc.clone()));
                         let mnemonic = if *subtract { "rsub.d" } else { "radd.d" };
-                        emit!(self, "    {mnemonic} {op},s{sacc}");
+                        emit!(self, "{mnemonic} {op},s{sacc}");
                     }
                 }
                 self.valloc.release(op);
@@ -516,19 +516,19 @@ impl Codegen<'_> {
         Ok(())
     }
 
-    /// The memory operand addressing a stream at `step` words per element,
-    /// reloading the base into `a7` from the pointer table when the array
-    /// has no address register.
-    fn stream_address(&mut self, r: &StreamRef, step: i64) -> MemRef {
+    /// The memory operand addressing a stream, reloading the base into
+    /// `a7` from the pointer table when the array has no address register.
+    fn stream_address(&mut self, r: &StreamRef) -> MemRef {
         let reg = match self.aregs.get(&r.array) {
             Some(&reg) => reg,
             None => {
                 let slot = self.spilled[&r.array];
-                emit!(self, "    ld.w {}(a0),a7", slot * c240_isa::WORD_BYTES);
+                emit!(self, "ld.w {}(a0),a7", slot * c240_isa::WORD_BYTES);
                 7
             }
         };
         let base = c240_isa::AReg::new(reg).expect("a0..a7");
+        let step = r.resolved_step(self.kernel.loop_step());
         MemRef::new(base, r.offset * c240_isa::WORD_BYTES as i64).with_stride(step)
     }
 
@@ -539,8 +539,8 @@ impl Codegen<'_> {
             return Ok(reg);
         }
         let reg = self.valloc.alloc()?;
-        let addr = self.stream_address(r, step);
-        emit!(self, "    ld.l {addr},v{reg}");
+        let addr = self.stream_address(r);
+        emit!(self, "ld.l {addr},v{reg}");
         self.load_cache.insert(key, reg);
         Ok(reg)
     }
@@ -558,8 +558,8 @@ impl Codegen<'_> {
             return Ok(Operand::Pinned(self.emit_load_cached(r)?));
         }
         let reg = self.valloc.alloc()?;
-        let addr = self.stream_address(r, step);
-        emit!(self, "    ld.l {addr},v{reg}");
+        let addr = self.stream_address(r);
+        emit!(self, "ld.l {addr},v{reg}");
         Ok(Operand::Temp(reg))
     }
 
@@ -584,7 +584,7 @@ impl Codegen<'_> {
                     Operand::Temp(r) => r,
                     _ => self.valloc.alloc()?,
                 };
-                emit!(self, "    neg.d {op},v{dst}");
+                emit!(self, "neg.d {op},v{dst}");
                 Ok(Operand::Temp(dst))
             }
             Expr::Bin(op, a, b) => {
@@ -607,7 +607,7 @@ impl Codegen<'_> {
                     BinOp::Mul => "mul.d",
                     BinOp::Div => "div.d",
                 };
-                emit!(self, "    {mnemonic} {oa},{ob},v{dst}");
+                emit!(self, "{mnemonic} {oa},{ob},v{dst}");
                 Ok(Operand::Temp(dst))
             }
         }
