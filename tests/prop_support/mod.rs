@@ -3,7 +3,9 @@
 //! The build environment has no network access, so the `proptest` crate
 //! is unavailable; these tests instead draw inputs from a seeded
 //! xorshift64* generator. Each test case prints its seed on failure, so
-//! any failure is reproducible by construction.
+//! any failure is reproducible by construction. [`kernel`] draws the
+//! random kernels the compiler properties and the compiled-listing pins
+//! share.
 
 use macs_compiler::{Expr, Kernel};
 
